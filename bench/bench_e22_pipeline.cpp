@@ -1,6 +1,7 @@
 // E22 — staged serve pipeline: wall-clock throughput of the PALM-style
-// StagedRunner (DESIGN.md §14) against the frozen single-threaded tick
-// loop, plus the SIMD batch kernels it rides on.
+// StagedRunner (DESIGN.md §14) against the inline executor (the
+// single-threaded oracle of the same control plane), plus the SIMD batch
+// kernels it rides on.
 //
 // E19 measured the classic serve loop; its recorded full-size run is this
 // experiment's baseline. Three questions are measured:
@@ -251,7 +252,7 @@ void run_experiment() {
         std::to_string(request_count()) + " requests, 16 clients, COLOR M=" +
             std::to_string(module_count()) + ", height-" +
             std::to_string(tree.levels() - 1) +
-            " tree; oracle = single-threaded tick loop",
+            " tree; oracle = inline executor",
         table);
 
     Json jgap = Json::object();

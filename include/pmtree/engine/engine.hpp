@@ -179,14 +179,14 @@ class CycleEngine {
 
 namespace detail {
 
-/// The healthy simulation core over pre-resolved colors: access i's
-/// requests are colors[first[i]] .. colors[first[i+1]-1] and route to
-/// those modules verbatim. CycleEngine::run flattens + color-resolves and
-/// calls this; EngineSession::drain (session.hpp) accumulates the same
-/// arrays incrementally and calls it too — one loop, so the two entry
-/// points are bit-identical by construction. `options.faults` must be
-/// null or empty (the degraded loop needs nodes for rerouting and lives
-/// in engine.cpp).
+/// The simulation core over pre-resolved colors: access i's requests are
+/// colors[first[i]] .. colors[first[i+1]-1] and route to those modules
+/// (or, under a non-empty `options.faults`, to their reroute targets once
+/// a module has failed — the degraded loop needs only the colors).
+/// CycleEngine::run flattens + color-resolves and calls this;
+/// EngineSession::drain (session.hpp) accumulates the same arrays
+/// incrementally and calls it too — one entry, so the two are
+/// bit-identical by construction, healthy or faulted.
 [[nodiscard]] EngineResult run_resolved(std::uint32_t modules,
                                         std::span<const std::size_t> first,
                                         std::span<const Color> colors,

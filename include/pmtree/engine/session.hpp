@@ -13,12 +13,12 @@
 //   drain()                          — simulate the accumulated prefix.
 //
 // drain() hands the accumulated (first, colors, arrivals) arrays to
-// engine::detail::run_resolved — the SAME loop CycleEngine::run calls —
+// engine::detail::run_resolved — the SAME entry CycleEngine::run calls —
 // so a session fed batch-by-batch returns an EngineResult bit-identical
 // to one monolithic run over the same batches with
-// ArrivalSchedule::explicit_cycles of the same arrivals. That identity is
-// what lets the pipelined server keep the single-threaded tick loop as
-// its frozen differential oracle (test_engine_session holds it directly).
+// ArrivalSchedule::explicit_cycles of the same arrivals, with or without
+// a FaultPlan (test_engine_session holds it directly). Every serve lane,
+// on either executor, runs through a session.
 //
 // drain() is const and repeatable: each call replays the prefix fed so
 // far from cycle 0. Replaying is the determinism anchor — a serving round
@@ -28,10 +28,10 @@
 // not stored at all, and each batch's colors are resolved exactly once no
 // matter how many rounds drain.
 //
-// Healthy path only: arrivals must be nondecreasing (open-loop explicit
-// schedule) and options.faults must be null or empty — the degraded loop
-// needs nodes for rerouting, so faulted serving stays on the monolithic
-// entry.
+// Arrivals must be nondecreasing (open-loop explicit schedule). A
+// non-empty options.faults takes the degraded loop, which reroutes by
+// color alone, so faulted lanes stream through sessions like healthy
+// ones. options.memory is ignored: sessions never see nodes.
 #pragma once
 
 #include <cassert>
@@ -46,13 +46,10 @@ namespace pmtree::engine {
 
 class EngineSession {
  public:
-  /// `mapping` must outlive the session. `options.faults` must be null or
-  /// empty (asserted).
+  /// `mapping` (and `options.faults`, if set) must outlive the session.
   explicit EngineSession(const TreeMapping& mapping,
                          const EngineOptions& options = {})
-      : mapping_(mapping), options_(options) {
-    assert(options_.faults == nullptr || options_.faults->empty());
-  }
+      : mapping_(mapping), options_(options) {}
 
   /// Appends one access arriving at `arrival` (cycles, nondecreasing
   /// across feeds — asserted), resolving its colors through the mapping.

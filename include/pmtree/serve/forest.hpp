@@ -9,9 +9,9 @@
 // it": fairness and isolation, not single-tenant makespan, are the
 // correctness criteria (Eyraud-Dubois et al.; Marchal et al.).
 //
-//   tenant 0 ─submit─▶┐                         ┌─▶ lanes[0] × CycleEngine
+//   tenant 0 ─submit─▶┐                         ┌─▶ lanes[0] × EngineSession
 //   tenant 1 ─submit─▶┤ canonical order ─▶ tick │      (tenant 0's mapping)
-//      ...            │  per-tenant admission   ├─▶ lanes[1] × CycleEngine
+//      ...            │  per-tenant admission   ├─▶ lanes[1] × EngineSession
 //   tenant N ─submit─▶┘  DRR batch formation ───┘      (tenant 1's mapping)
 //
 // Four mechanisms implement the isolation story:
@@ -41,17 +41,15 @@
 // The determinism contract is Server's, extended with canonical tenant
 // ordering: requests sort by (submit_cycle, tenant, client, seq); every
 // per-tick phase visits tenants in ascending id; DRR accrues quanta in
-// that same order. The control plane is single-threaded; only lane
-// execution parallelizes (workers == 1 is the oracle, any count is
-// bit-identical — test_serve_forest drives ≥60 randomized multi-tenant
-// configurations, with and without per-tenant fault plans, at 1/2/8
-// workers).
+// that same order. The control plane is the one Server runs — a Server is
+// a one-tenant forest without DRR or pool — and is single-threaded; only
+// lane execution parallelizes (any worker count is bit-identical —
+// test_serve_forest drives ≥60 randomized multi-tenant configurations,
+// with and without per-tenant fault plans, at 1/2/8 workers).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -87,7 +85,8 @@ struct TenantOptions {
   RetryPolicy retry;
   /// Per-tenant engine knobs; `engine.faults` injects a fault schedule
   /// into THIS tenant's lanes only — other tenants' mappings and
-  /// completions are untouched by construction.
+  /// completions are untouched by construction. `engine.memory` is
+  /// ignored, as for ServerOptions::engine.
   engine::EngineOptions engine;
   /// Per-tenant skew-adaptive remapping (migration.hpp); same contract as
   /// ServerOptions::migration, scoped to this tenant's lanes and mapping.
@@ -124,9 +123,8 @@ struct ForestOptions {
   std::size_t global_queue_bound = 0;
   /// Node-credits a weight-1 tenant accrues per tick (0 behaves as 1).
   std::uint64_t drr_quantum_nodes = 32;
-  /// Staged pipeline execution (pipeline.hpp); same contract as
-  /// ServerOptions::pipeline. Forests where any tenant carries a fault
-  /// plan always take the oracle path.
+  /// Batch executor (pipeline.hpp); same contract as
+  /// ServerOptions::pipeline, faulted tenants included.
   PipelineOptions pipeline;
 };
 
@@ -165,9 +163,14 @@ struct ForestReport {
   [[nodiscard]] Json to_json() const;
 };
 
+namespace detail {
+class ControlPlane;
+}  // namespace detail
+
 class Forest {
  public:
   explicit Forest(ForestOptions options = {});
+  ~Forest();
 
   /// Registers a tenant; returns its id (dense, in registration order).
   /// `mapping` must outlive the forest. Tenants must be registered
@@ -205,35 +208,21 @@ class Forest {
   }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-  struct Submitted {
-    std::uint32_t tenant = 0;
-    Request request;
-  };
-  struct Inbox {
-    std::mutex mutex;
-    std::vector<Submitted> requests;
-  };
   struct Tenant {
     const TreeMapping* mapping = nullptr;
     TenantOptions options;
   };
 
   void ensure_plan();
-  [[nodiscard]] std::vector<Submitted> drain_inboxes();
-  /// Staged-pipeline twin of run() (defined in pipeline.cpp); dispatched
-  /// to when options_.pipeline.enabled() and no tenant has a fault plan.
-  [[nodiscard]] ForestReport run_pipeline();
 
   ForestOptions options_;
   std::vector<Tenant> tenants_;
   CapacityPlan plan_;
   bool planned_ = false;
   engine::MetricsRegistry registry_;
-  std::array<Inbox, kStripes> inboxes_;
-  /// Lazily built on the first pipelined run (one lane per capacity-plan
-  /// lane), then reused across run() calls.
-  std::unique_ptr<StagedRunner> runner_;
+  /// Inboxes, tick loop and executors (src/serve/control_plane.hpp); the
+  /// tenants are its slots, the capacity plan's lanes its lanes.
+  std::unique_ptr<detail::ControlPlane> plane_;
 };
 
 }  // namespace pmtree::serve

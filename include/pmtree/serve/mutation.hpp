@@ -8,9 +8,9 @@
 // and the IncrementalColorer is touched with the batch's node set plus
 // every applied target, so by the time any worker resolves the batch the
 // colors it needs are published. The barrier is a pure function of the
-// cut sequence, which both the oracle loop and the staged pipeline mint
-// identically, so mutation verdicts and responses stay bit-identical at
-// 1/2/8 workers and across both execution paths.
+// cut sequence, which the one control plane mints identically for both
+// batch executors, so mutation verdicts and responses stay bit-identical
+// at 1/2/8 workers and across both execution paths.
 //
 // Conflict scheduling: reads in the same composite instance observe the
 // tree as of the batch cut (their node sets were planned against it);
@@ -40,7 +40,7 @@ namespace pmtree::serve {
 /// barrier and `colorer` (required; it must be the server's mapping or
 /// share its color function) is touched so workers find every color
 /// published. Mutually exclusive with migration; faulted configurations
-/// run the mutation barrier on the oracle path like everything else.
+/// run the mutation barrier like everything else.
 struct DynBinding {
   dyn::DynamicTree* tree = nullptr;
   dyn::IncrementalColorer* colorer = nullptr;

@@ -1,12 +1,11 @@
-// StagedRunner: the PALM-style staged execution pipeline behind
-// Server/Forest (DESIGN.md §14).
+// StagedRunner: the PALM-style staged executor of the Server/Forest
+// control plane (DESIGN.md §11, §14).
 //
-// The single-threaded serving loop does everything per batch in sequence:
-// cut → coalesce → (later) flatten + color-resolve + simulate, with every
-// round's replica execution rebuilding its whole cumulative workload from
-// scratch. The staged pipeline splits that work so consecutive batches
-// occupy different stages concurrently, PALM-style (batch-parallel trees
-// synchronize on per-batch barriers instead of per-node locks):
+// The inline executor does each cut batch's work on the control thread:
+// coalesce → color-resolve → feed its lane, then simulate the lanes at the
+// round barrier. The staged pipeline splits that work so consecutive
+// batches occupy different stages concurrently, PALM-style (batch-parallel
+// trees synchronize on per-batch barriers instead of per-node locks):
 //
 //   intake/batching (control) ─▶ resolve (coalesce + SIMD color gather +
 //   conflict histogram, any worker) ─▶ execute (append to the owning
@@ -22,12 +21,12 @@
 //     front-first, and a lane token is consumed only once its `ready`
 //     flag is set. Every lane therefore observes its batches in exactly
 //     the canonical cut order at ANY worker count.
-//   * Execution is EngineSession (engine/session.hpp): a lane's result is
-//     a pure function of the (colors, arrival) sequence fed to it, and
-//     drain() calls the same engine::detail::run_resolved loop the
-//     monolithic CycleEngine uses. The frozen single-threaded tick loop
-//     remains in server.cpp/forest.cpp as the differential oracle;
-//     test_serve_pipeline holds 1/2/8-worker runs bit-identical to it.
+//   * Execution is EngineSession (engine/session.hpp), as on the inline
+//     executor: a lane's result is a pure function of the (colors,
+//     arrival) sequence fed to it, healthy or faulted. Both executors
+//     share the resolve step and receive the same cut sequence from the
+//     same control plane; test_serve_pipeline holds 1/2/8-worker runs
+//     bit-identical to the inline executor, the differential oracle.
 //   * Worker count moves wall-clock only. Nothing any worker computes
 //     feeds back into control-plane decisions mid-round; the round
 //     barrier (close_round) is the only synchronization point at which
@@ -59,8 +58,8 @@
 namespace pmtree::serve {
 
 struct PipelineOptions {
-  /// Pipeline worker threads. 0 keeps the classic single-threaded tick
-  /// loop (the oracle); any value >= 1 routes run() through the staged
+  /// Pipeline worker threads. 0 executes cut batches inline on the
+  /// control thread (the oracle); any value >= 1 hands them to the staged
   /// pipeline. Results are bit-identical at every setting — the count
   /// only changes wall-clock (workers == 1 is the pipeline's own
   /// sequential mode, still byte-equal to the oracle).
@@ -95,7 +94,7 @@ struct BatchToken {
   /// Real-memory traffic of this batch (lane backend set): the resolve
   /// worker loads the batch's payloads from the arenas right after the
   /// coalesce, and assembly folds these order-invariant totals into the
-  /// report — identical to the oracle's control-plane touches.
+  /// report — identical to the inline executor's touches.
   mem::TouchStats mem;
   /// Resolve -> execute handoff: set (release) once colors/decomposition
   /// are final; lane owners consume tokens only after observing it
@@ -133,8 +132,8 @@ class TokenRing {
   std::atomic<std::size_t> tail_{0};  ///< producer cursor
 };
 
-/// One execution lane: a Server replica or a Forest tenant-lane. The
-/// mapping/options pair is what the oracle's CycleEngine would run with.
+/// One execution lane: a Server replica or a Forest tenant-lane, run as an
+/// EngineSession over `mapping` with `options` (fault plan included).
 struct LaneSpec {
   const TreeMapping* mapping = nullptr;
   engine::EngineOptions options;
@@ -149,8 +148,7 @@ class StagedRunner {
  public:
   /// Spawns `options.workers` (>= 1) parked worker threads. Lane l is
   /// owned by worker l mod P; token i is resolved by worker i mod P.
-  /// Mappings must outlive the runner. Every LaneSpec must be healthy
-  /// (no fault plan) — faulted configurations stay on the oracle.
+  /// Mappings (and fault plans) must outlive the runner.
   StagedRunner(std::vector<LaneSpec> lanes, const PipelineOptions& options);
   ~StagedRunner();
 
@@ -186,7 +184,7 @@ class StagedRunner {
   }
 
   /// Lane `lane`'s cumulative EngineResult over every batch fed since
-  /// begin_run — exactly what the oracle's replica re-run produces.
+  /// begin_run — exactly what the inline executor's drain produces.
   [[nodiscard]] const engine::EngineResult& result(std::uint32_t lane) const {
     return results_[lane];
   }

@@ -12,7 +12,7 @@
 //                                             (admission ▸ batching)
 //                                                  │ batches
 //                                                  ▼
-//                                    replicas × CycleEngine (workers)
+//                                    replicas × EngineSession (executor)
 //
 // run() is a simulation on the engine's cycle clock. Submitted requests
 // are drained from the striped inboxes and stably sorted by
@@ -28,14 +28,14 @@
 //   observe — record queue-depth gauges for this tick.
 //
 // Each formed batch is one parallel memory access, assigned round-robin
-// (batch id mod replicas) to a memory-system replica; every replica runs
-// the existing CycleEngine over its batch list with
-// ArrivalSchedule::explicit_cycles(dispatch ticks). Replicas execute via
-// parallel_chunks with `workers` threads — the ONLY parallel phase.
-// Worker count therefore affects wall-clock only: workers == 1 is the
-// deterministic single-threaded oracle, and any other count produces
-// bit-identical responses, batches and metrics (tested request-for-request
-// at 1/2/8 workers).
+// (batch id mod replicas) to a memory-system replica; every replica is an
+// EngineSession fed its batches with their dispatch ticks as arrivals.
+// The tick loop is the single-threaded control plane Server shares with
+// Forest (a Server is its one-tenant case); only batch execution runs
+// elsewhere — inline with replicas drained via parallel_chunks over
+// `workers` threads, or on the staged pipeline (PipelineOptions). Worker
+// counts therefore affect wall-clock only: responses, batches and metrics
+// are bit-identical at any count (tested request-for-request at 1/2/8).
 //
 // With a RetryPolicy the pipeline above becomes one *round* of several:
 // after assembly, completions that overstayed the attempt timeout are
@@ -55,10 +55,8 @@
 // drains.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -91,7 +89,9 @@ namespace pmtree::serve {
 /// deadline is dead on arrival (kExpired), never served twice.
 ///
 /// Retries run in the single-threaded control plane between replica
-/// rounds; responses stay bit-identical at any worker count.
+/// rounds; responses stay bit-identical at any worker count. Cycle
+/// arithmetic saturates: a resend that would fall past the end of the
+/// clock never happens, and that attempt's completion stands.
 struct RetryPolicy {
   /// Extra attempts per request. 0 disables retries entirely (the server
   /// then behaves exactly as the single-round pipeline).
@@ -110,9 +110,20 @@ struct RetryPolicy {
   [[nodiscard]] std::uint64_t backoff(std::uint32_t attempt) const noexcept {
     std::uint64_t b = backoff_base_cycles;
     for (std::uint32_t i = 1; i < attempt && b < backoff_cap_cycles; ++i) {
-      b *= 2;
+      b = b > backoff_cap_cycles / 2 ? backoff_cap_cycles : b * 2;
     }
     return b < backoff_cap_cycles ? b : backoff_cap_cycles;
+  }
+  /// The cycle the caller resends retry number `attempt` of a request
+  /// dispatched at `dispatch`: dispatch + timeout + backoff(attempt),
+  /// saturating at UINT64_MAX.
+  [[nodiscard]] std::uint64_t resend_cycle(std::uint64_t dispatch,
+                                           std::uint32_t attempt) const noexcept {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    const std::uint64_t wait = backoff(attempt);
+    if (attempt_timeout_cycles > kMax - wait) return kMax;
+    const std::uint64_t delay = attempt_timeout_cycles + wait;
+    return dispatch > kMax - delay ? kMax : dispatch + delay;
   }
 };
 
@@ -135,13 +146,14 @@ struct ServerOptions {
   /// same fault schedule into every replica; the serve layer folds the
   /// resulting reroute/stall counters into its metrics and, with a
   /// RetryPolicy, turns fault-inflated residencies into retries.
+  /// `engine.memory` is ignored here: the serve layer's arenas are
+  /// `memory` below.
   engine::EngineOptions engine;
-  /// Staged pipeline execution (pipeline.hpp). `pipeline.workers >= 1`
-  /// routes run() through the StagedRunner — responses stay bit-identical
-  /// to the classic loop at every worker count; `workers == 0` (default)
-  /// keeps the single-threaded tick loop, which doubles as the frozen
-  /// differential oracle. Faulted configurations (`engine.faults`
-  /// non-empty) always take the oracle path regardless of this setting.
+  /// Batch executor (pipeline.hpp). `pipeline.workers >= 1` executes cut
+  /// batches on the StagedRunner's worker pool; `workers == 0` (default)
+  /// executes them inline on the control thread — the differential
+  /// oracle. Same control plane either way, faulted or not, so responses
+  /// are bit-identical and only the pipeline adds a "pipeline" section.
   PipelineOptions pipeline;
   /// Skew-adaptive remapping (migration.hpp). When enabled, a
   /// MigrationPlanner observes every cut batch on the control plane and
@@ -177,8 +189,8 @@ struct ServerOptions {
   /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
   /// owned, must outlive the run). When set, every cut batch's deduped
   /// node payloads are actually loaded from the arenas — on the control
-  /// plane in the classic loop, on the resolve workers under the staged
-  /// pipeline — and accounted in ServeReport::memory plus a "memory"
+  /// thread inline, on the resolve workers under the staged pipeline —
+  /// and accounted in ServeReport::memory plus a "memory"
   /// metrics section. Purely observational: responses are bit-identical
   /// with the backend on or off. Mutually exclusive with dyn (arenas are
   /// sized for a frozen tree).
@@ -198,7 +210,7 @@ struct ServeReport {
   std::vector<MutationRecord> mutations;
   /// Real-memory traffic over all cut batches; all-zero unless
   /// ServerOptions::memory was set. Order-invariant totals, identical
-  /// between the classic loop and the staged pipeline.
+  /// under both executors.
   mem::TouchStats memory;
   Json metrics;                         ///< ServeMetrics::summary()
 
@@ -209,12 +221,17 @@ struct ServeReport {
   [[nodiscard]] Json to_json() const;
 };
 
+namespace detail {
+class ControlPlane;
+}  // namespace detail
+
 class Server {
  public:
   /// `mapping` must outlive the server. Instruments land in the server's
   /// own registry (see registry()) under prefix "serve" plus
   /// "serve.replicaN.*" for each replica's engine run.
   explicit Server(const TreeMapping& mapping, ServerOptions options = {});
+  ~Server();
 
   /// Thread-safe MPSC submission; callable concurrently from any number
   /// of client threads. (client, seq) must be unique per run and
@@ -243,26 +260,12 @@ class Server {
   }
 
  private:
-  static constexpr std::size_t kStripes = 16;
-  struct Inbox {
-    std::mutex mutex;
-    std::vector<Request> requests;
-  };
-
-  [[nodiscard]] std::vector<Request> drain_inboxes();
-  /// The staged-pipeline twin of run() (defined in pipeline.cpp): same
-  /// control-plane decisions, batch execution handed to the persistent
-  /// StagedRunner. run() dispatches here when options_.pipeline.enabled()
-  /// and the engine options carry no fault plan.
-  [[nodiscard]] ServeReport run_pipeline();
-
   const TreeMapping& mapping_;
   ServerOptions options_;
   engine::MetricsRegistry registry_;
-  std::array<Inbox, kStripes> inboxes_;
-  /// Lazily built on the first pipelined run, then reused: the worker
-  /// pool stays warm across run() calls.
-  std::unique_ptr<StagedRunner> runner_;
+  /// Inboxes, tick loop and executors (src/serve/control_plane.hpp); a
+  /// pipeline's worker pool stays warm across run() calls.
+  std::unique_ptr<detail::ControlPlane> plane_;
 };
 
 }  // namespace pmtree::serve

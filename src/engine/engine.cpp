@@ -130,12 +130,13 @@ void export_metrics(MetricsRegistry& metrics, const std::string& prefix,
 // with no fail-stop), so a request moves at most once and the arena
 // segment for module m is safely capped at its own routed load plus the
 // full load of every module that reroutes onto it.
-EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
+EngineResult run_faulted(const std::uint32_t modules,
+                         std::span<const std::size_t> first,
+                         std::span<const Color> colors,
                          const ArrivalSchedule& schedule,
                          const EngineOptions& options) {
-  const std::uint32_t modules = mapping.num_modules();
   const fault::FaultTimeline timeline(*options.faults, modules);
-  const std::size_t n = workload.size();
+  const std::size_t n = first.size() - 1;
   assert(n < std::numeric_limits<std::uint32_t>::max());
 
   EngineResult result;
@@ -143,16 +144,6 @@ EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
   result.served.assign(modules, 0);
   result.queue_high_water.assign(modules, 0);
   result.records.resize(n);
-
-  std::vector<Node> flat;
-  std::vector<std::size_t> first(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Workload::Access& access = workload[i];
-    flat.insert(flat.end(), access.begin(), access.end());
-    first[i + 1] = flat.size();
-  }
-  std::vector<Color> colors(flat.size());
-  mapping.color_of_batch(flat, colors);
 
   std::vector<std::size_t> cap(modules, 0);
   for (const Color c : colors) cap[c] += 1;
@@ -200,14 +191,14 @@ EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
   };
 
   const auto admit = [&](std::size_t i, std::uint64_t cycle) {
-    const Workload::Access& access = workload[i];
+    const std::size_t size = first[i + 1] - first[i];
     AccessRecord& rec = result.records[i];
     rec.id = i;
-    rec.requests = access.size();
+    rec.requests = size;
     rec.arrival = cycle;
-    result.requests += access.size();
-    outstanding[i] = static_cast<std::uint32_t>(access.size());
-    if (access.empty()) {
+    result.requests += size;
+    outstanding[i] = static_cast<std::uint32_t>(size);
+    if (size == 0) {
       rec.completion = cycle;
       complete(rec);
       return;
@@ -317,57 +308,12 @@ EngineResult run_faulted(const TreeMapping& mapping, const Workload& workload,
   return result;
 }
 
-}  // namespace
-
-EngineResult CycleEngine::run(const Workload& workload,
-                              const ArrivalSchedule& schedule,
-                              const EngineOptions& options) const {
-  if (options.faults != nullptr && !options.faults->empty()) {
-    EngineResult result = run_faulted(mapping_, workload, schedule, options);
-    if (options.memory != nullptr) {
-      touch_workload(*options.memory, workload, result);
-    }
-    if (metrics_ != nullptr) {
-      export_metrics(*metrics_, prefix_, result);
-      metrics_->counter(prefix_ + ".rerouted_requests")
-          .add(result.rerouted_requests);
-      metrics_->counter(prefix_ + ".stalled_cycles").add(result.stalled_cycles);
-    }
-    return result;
-  }
-  // Resolve every access's colors once up front through the batch kernel —
-  // one virtual call for the whole workload, and ColorMapping amortizes
-  // its inheritance chase across it (see mapping/color.hpp). `first[i]`
-  // slices the flat color array per access.
-  const std::size_t n = workload.size();
-  std::vector<Node> flat;
-  std::vector<std::size_t> first(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Workload::Access& access = workload[i];
-    flat.insert(flat.end(), access.begin(), access.end());
-    first[i + 1] = flat.size();
-  }
-  std::vector<Color> colors(flat.size());
-  mapping_.color_of_batch(flat, colors);
-
-  EngineResult result = detail::run_resolved(mapping_.num_modules(), first,
-                                             colors, schedule, options);
-  if (options.memory != nullptr) {
-    touch_workload(*options.memory, workload, result);
-  }
-
-  if (metrics_ != nullptr) export_metrics(*metrics_, prefix_, result);
-  return result;
-}
-
-namespace detail {
-
-EngineResult run_resolved(const std::uint32_t modules,
-                          std::span<const std::size_t> first,
-                          std::span<const Color> colors,
-                          const ArrivalSchedule& schedule,
-                          const EngineOptions& options) {
-  assert(options.faults == nullptr || options.faults->empty());
+// The healthy simulation core (see detail::run_resolved for the contract).
+EngineResult run_healthy(const std::uint32_t modules,
+                         std::span<const std::size_t> first,
+                         std::span<const Color> colors,
+                         const ArrivalSchedule& schedule,
+                         const EngineOptions& options) {
   const std::size_t n = first.size() - 1;
   // Arena entries are 32-bit access ids; a workload that large could not
   // be materialized in memory anyway.
@@ -629,6 +575,55 @@ EngineResult run_resolved(const std::uint32_t modules,
 
   if (zero_samples != 0) result.queue_depth.record(0, zero_samples);
   return result;
+}
+
+}  // namespace
+
+EngineResult CycleEngine::run(const Workload& workload,
+                              const ArrivalSchedule& schedule,
+                              const EngineOptions& options) const {
+  // Resolve every access's colors once up front through the batch kernel —
+  // one virtual call for the whole workload, and ColorMapping amortizes
+  // its inheritance chase across it (see mapping/color.hpp). `first[i]`
+  // slices the flat color array per access.
+  const std::size_t n = workload.size();
+  std::vector<Node> flat;
+  std::vector<std::size_t> first(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Workload::Access& access = workload[i];
+    flat.insert(flat.end(), access.begin(), access.end());
+    first[i + 1] = flat.size();
+  }
+  std::vector<Color> colors(flat.size());
+  mapping_.color_of_batch(flat, colors);
+
+  EngineResult result = detail::run_resolved(mapping_.num_modules(), first,
+                                             colors, schedule, options);
+  if (options.memory != nullptr) {
+    touch_workload(*options.memory, workload, result);
+  }
+  if (metrics_ != nullptr) {
+    export_metrics(*metrics_, prefix_, result);
+    if (options.faults != nullptr && !options.faults->empty()) {
+      metrics_->counter(prefix_ + ".rerouted_requests")
+          .add(result.rerouted_requests);
+      metrics_->counter(prefix_ + ".stalled_cycles").add(result.stalled_cycles);
+    }
+  }
+  return result;
+}
+
+namespace detail {
+
+EngineResult run_resolved(const std::uint32_t modules,
+                          std::span<const std::size_t> first,
+                          std::span<const Color> colors,
+                          const ArrivalSchedule& schedule,
+                          const EngineOptions& options) {
+  if (options.faults != nullptr && !options.faults->empty()) {
+    return run_faulted(modules, first, colors, schedule, options);
+  }
+  return run_healthy(modules, first, colors, schedule, options);
 }
 
 }  // namespace detail

@@ -1,0 +1,713 @@
+#include "control_plane.hpp"
+
+#include <algorithm>
+#include <cassert>
+#include <chrono>
+#include <limits>
+#include <optional>
+#include <span>
+#include <tuple>
+#include <utility>
+
+#include "pmtree/engine/session.hpp"
+#include "pmtree/util/parallel.hpp"
+
+namespace pmtree::serve::detail {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The oracle executor: each cut is resolved on the control thread and fed
+/// to its lane's session; the round barrier drains every lane, in parallel
+/// across `workers` threads. Same interface as StagedRunner, built per run.
+/// Colors resolve into one scratch buffer that the session copies at feed:
+/// per-batch buffers would interleave with the batches the report keeps
+/// and fragment the heap once freed.
+class InlineExecutor {
+ public:
+  struct Cut {
+    FormedBatch batch;
+    std::uint32_t tenant = 0;
+    mem::TouchStats mem;
+  };
+
+  InlineExecutor(std::vector<LaneSpec> lanes, unsigned workers)
+      : lanes_(std::move(lanes)), workers_(workers) {
+    sessions_.reserve(lanes_.size());
+    for (const LaneSpec& lane : lanes_) {
+      sessions_.emplace_back(*lane.mapping, lane.options);
+    }
+    results_.resize(lanes_.size());
+  }
+
+  void begin_run() {}
+  void add_control_ns(std::uint64_t) noexcept {}
+  [[nodiscard]] Json stats() const { return Json(); }
+
+  void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant,
+           const TreeMapping* mapping) {
+    Cut& c = cuts_.emplace_back(Cut{std::move(batch), tenant, {}});
+    c.mem = resolve_batch(c.batch, mapping, lanes_[lane], colors_);
+    sessions_[lane].feed_resolved(colors_, c.batch.formed_cycle);
+  }
+
+  void close_round() {
+    const unsigned workers = std::min<unsigned>(
+        resolve_threads(workers_),
+        static_cast<unsigned>(std::max<std::size_t>(lanes_.size(), 1)));
+    parallel_chunks(lanes_.size(), workers, /*grain=*/1,
+                    [&](unsigned, std::uint64_t begin, std::uint64_t end) {
+                      for (std::uint64_t l = begin; l < end; ++l) {
+                        results_[l] = sessions_[l].drain();
+                      }
+                    });
+  }
+
+  [[nodiscard]] std::size_t token_count() const noexcept {
+    return cuts_.size();
+  }
+  [[nodiscard]] Cut& token(std::size_t i) noexcept { return cuts_[i]; }
+  [[nodiscard]] const engine::EngineResult& result(std::uint32_t lane) const {
+    return results_[lane];
+  }
+  void next_round() { cuts_.clear(); }
+
+ private:
+  std::vector<LaneSpec> lanes_;
+  unsigned workers_;
+  std::vector<engine::EngineSession> sessions_;
+  std::vector<engine::EngineResult> results_;
+  std::vector<Cut> cuts_;  ///< this round's, in cut order
+  std::vector<Color> colors_;
+};
+
+/// Intake schedule entry: slot `slot`'s request `local` arrives at
+/// `arrival`. A round's intake is sorted by (arrival, slot, local).
+struct IntakeEntry {
+  std::uint64_t arrival = 0;
+  std::uint32_t slot = 0;
+  std::uint32_t local = 0;
+
+  bool operator<(const IntakeEntry& o) const noexcept {
+    return std::tie(arrival, slot, local) < std::tie(o.arrival, o.slot, o.local);
+  }
+};
+
+/// One run's submissions in canonical order: each slot's requests (the
+/// index is the slot-local id) and round 1's intake schedule.
+struct Canonical {
+  std::vector<std::vector<Request>> requests;
+  std::vector<IntakeEntry> intake;
+};
+
+/// One slot's run state.
+struct Slot {
+  Slot(const SlotConfig& c, engine::MetricsRegistry& registry)
+      : config(&c),
+        admission(c.options.admission),
+        former(c.options.batch),
+        metrics(registry, c.metrics_prefix) {}
+
+  const SlotConfig* config;
+  std::vector<Request> requests;  ///< canonical order; index = local id
+  AdmissionController admission;
+  BatchFormer former;
+  ServeMetrics metrics;
+  std::unique_ptr<MigrationPlanner> planner;
+  std::unique_ptr<AdaptiveSelector> selector;
+  std::vector<std::uint32_t> attempts;
+  std::vector<char> mutation_applied;
+  std::size_t round_first_batch = 0;
+};
+
+/// Arms the slot's epoch controller, if any. Both controllers own the
+/// slot's color space, so each is suppressed where something else already
+/// does: a fault timeline's reroute table (faulted slots keep the static
+/// mapping) or a dynamic tree's shape (dyn serving assumes no remapping).
+void arm_epoch_controller(Slot& s) {
+  const TenantOptions& o = s.config->options;
+  const bool dyn = s.config->dyn.enabled();
+  assert(!(dyn && o.migration.enabled()) &&
+         "dyn serving and skew migration are mutually exclusive");
+  assert(!(dyn && o.adaptive.enabled()) &&
+         "dyn serving and adaptive selection are mutually exclusive");
+  assert(!(o.migration.enabled() && o.adaptive.enabled()) &&
+         "migration and adaptive selection both own the epoch mapping");
+  assert(!(dyn && o.memory != nullptr) &&
+         "the real-memory arenas are sized for a frozen tree");
+  if (dyn || (o.engine.faults != nullptr && !o.engine.faults->empty())) return;
+  const TreeMapping& base = *s.config->mapping;
+  if (o.migration.enabled()) {
+    s.planner = std::make_unique<MigrationPlanner>(base, o.migration);
+  } else if (o.adaptive.enabled()) {
+    s.selector = std::make_unique<AdaptiveSelector>(base, o.adaptive);
+  }
+}
+
+/// Folds a cut batch into the slot's epoch controller and returns the
+/// mapping in force after the observation (nullptr: the lane's static one).
+const TreeMapping* observe_epoch(Slot& s, const FormedBatch& batch,
+                                 std::uint64_t t) {
+  if (s.planner) {
+    s.planner->observe(batch.nodes, t);
+    return &s.planner->current();
+  }
+  if (s.selector) {
+    s.selector->observe(batch.nodes, t);
+    return &s.selector->current();
+  }
+  return nullptr;
+}
+
+template <class Executor>
+PlaneReport serve(Executor& exec, const PlaneConfig& config,
+                  engine::MetricsRegistry& registry, Canonical input) {
+  const std::size_t N = config.slots.size();
+  const std::uint64_t T = config.tick_cycles;
+  std::vector<IntakeEntry> intake = std::move(input.intake);
+  exec.begin_run();
+
+  PlaneReport report;
+  report.slots.resize(N);
+  report.mutations.resize(N);
+  std::optional<ServeMetrics> aggregate;
+  if (!config.aggregate_prefix.empty()) {
+    aggregate.emplace(registry, config.aggregate_prefix);
+    aggregate->on_submitted(intake.size());
+  }
+  std::vector<Slot> slots;
+  slots.reserve(N);
+  for (std::size_t i = 0; i < N; ++i) {
+    Slot& s = slots.emplace_back(config.slots[i], registry);
+    s.requests = std::move(input.requests[i]);
+    TenantReport& tr = report.slots[i];
+    tr.responses.resize(s.requests.size());
+    for (std::size_t k = 0; k < s.requests.size(); ++k) {
+      tr.responses[k].client = s.requests[k].client;
+      tr.responses[k].seq = s.requests[k].seq;
+      tr.responses[k].submit_cycle = s.requests[k].submit_cycle;
+    }
+    tr.lanes.resize(s.config->lanes);
+    s.attempts.assign(s.requests.size(), 0);
+    if (s.config->dyn.enabled()) s.mutation_applied.assign(s.requests.size(), 0);
+    arm_epoch_controller(s);
+    s.metrics.on_submitted(s.requests.size());
+  }
+
+  // Each event lands in the slot's instruments and the aggregate's.
+  const auto record = [&](Slot& s, const auto& event) {
+    event(s.metrics);
+    if (aggregate) event(*aggregate);
+  };
+
+  std::optional<DeficitRoundRobin> drr;
+  if (config.drr_quantum_nodes != 0) {
+    std::vector<std::uint64_t> weights;
+    for (const SlotConfig& c : config.slots) weights.push_back(c.options.weight);
+    drr.emplace(std::move(weights), config.drr_quantum_nodes);
+  }
+  const std::size_t G = config.pool_bound;
+  const bool pooled = G != 0;
+  std::size_t total_pending = 0;
+  const auto recount_pending = [&]() {
+    total_pending = 0;
+    for (const Slot& s : slots) total_pending += s.admission.pending_count();
+  };
+
+  // Requests of the current round not yet shed, expired or dispatched.
+  // Dispatched requests leave the control plane: their completion is the
+  // lane's, read back at assembly.
+  std::size_t unresolved = 0;
+  const auto resolve = [&](std::size_t slot, std::size_t local,
+                           RequestStatus status, std::uint64_t cycle) {
+    Response& r = report.slots[slot].responses[local];
+    assert(r.status == RequestStatus::kPending);
+    r.status = status;
+    r.completion_cycle = cycle;
+    unresolved -= 1;
+  };
+
+  // Phase 4's cut of one batch from slot i at tick t. Slots with an epoch
+  // controller cut coalesced so it observes the deduplicated node set;
+  // the rest cut raw and the executor coalesces. Writers apply at the cut
+  // (the PALM barrier), before any executor resolves the batch's colors.
+  const auto cut = [&](std::size_t i, std::uint64_t t) {
+    Slot& s = slots[i];
+    const SlotConfig& c = *s.config;
+    FormedBatch batch = s.planner || s.selector
+                            ? s.former.form_one(t, s.admission)
+                            : s.former.form_one_raw(t, s.admission);
+    TenantReport& tr = report.slots[i];
+    for (const std::size_t local : batch.members) {
+      tr.responses[local].dispatch_cycle = t;
+      tr.responses[local].batch = batch.id;
+    }
+    unresolved -= batch.members.size();
+    tr.served_nodes += batch.requested_nodes;
+    if (c.dyn.enabled()) {
+      apply_batch_mutations(batch, s.requests, c.dyn, t, s.mutation_applied,
+                            report.mutations[i]);
+    }
+    const TreeMapping* epoch = observe_epoch(s, batch, t);
+    const std::uint32_t lane =
+        c.first_lane + static_cast<std::uint32_t>(batch.id % c.lanes);
+    exec.cut(std::move(batch), lane, static_cast<std::uint32_t>(i), epoch);
+  };
+
+  std::vector<std::size_t> scratch;
+  std::uint64_t t = 0;
+  while (true) {
+    report.rounds += 1;
+    std::size_t next_intake = 0;
+    unresolved = intake.size();
+    for (std::size_t i = 0; i < N; ++i) {
+      slots[i].round_first_batch = report.slots[i].batches.size();
+    }
+    const auto control_start = Clock::now();
+
+    while (unresolved > 0) {
+      report.ticks += 1;
+      // Phase 1: expire queued requests whose deadline budget elapsed.
+      for (std::size_t i = 0; i < N; ++i) {
+        Slot& s = slots[i];
+        scratch.clear();
+        s.admission.expire(t, scratch);
+        for (const std::size_t local : scratch) {
+          resolve(i, local, RequestStatus::kExpired, t);
+        }
+        record(s, [&](ServeMetrics& m) { m.on_expired(scratch.size()); });
+      }
+      recount_pending();
+
+      // Phase 2: promote blocked callers, FIFO — before intake, so they
+      // outrank this tick's arrivals. In a pool a slot may promote into
+      // its unfilled reserve plus whatever of the shared bound is unused;
+      // earlier slots consume shared headroom first.
+      for (std::size_t i = 0; i < N; ++i) {
+        Slot& s = slots[i];
+        std::size_t limit = ~std::size_t{0};
+        if (pooled) {
+          const std::size_t mine = s.admission.pending_count();
+          const std::size_t reserve_room =
+              config.reserved[i] > mine ? config.reserved[i] - mine : 0;
+          const std::size_t shared_room =
+              total_pending < G ? G - total_pending : 0;
+          limit = reserve_room + shared_room;
+        }
+        scratch.clear();
+        s.admission.promote(t, scratch, limit);
+        for (const std::size_t local : scratch) {
+          report.slots[i].responses[local].admitted_cycle = t;
+        }
+        record(s, [&](ServeMetrics& m) { m.on_promoted(scratch.size()); });
+        total_pending += scratch.size();
+      }
+
+      // Phase 3: intake of everything arrived by now, canonical order.
+      // Retried requests keep their original Request — submit cycle and
+      // deadline — so expiry prices a retry against the budget left.
+      while (next_intake < intake.size() &&
+             intake[next_intake].arrival <= t) {
+        const IntakeEntry e = intake[next_intake++];
+        Slot& s = slots[e.slot];
+        const bool pool_ok = !pooled ||
+                             s.admission.pending_count() <
+                                 config.reserved[e.slot] ||
+                             total_pending < G;
+        switch (s.admission.offer(e.local, s.requests[e.local], t, pool_ok)) {
+          case AdmissionController::Decision::kAdmitted:
+            report.slots[e.slot].responses[e.local].admitted_cycle = t;
+            record(s, [](ServeMetrics& m) { m.on_admitted(); });
+            total_pending += 1;
+            break;
+          case AdmissionController::Decision::kBlocked:
+            record(s, [](ServeMetrics& m) { m.on_blocked(); });
+            break;
+          case AdmissionController::Decision::kShedNow:
+            resolve(e.slot, e.local, RequestStatus::kShed, t);
+            record(s, [](ServeMetrics& m) { m.on_shed(); });
+            break;
+          case AdmissionController::Decision::kDeadOnArrival:
+            resolve(e.slot, e.local, RequestStatus::kExpired, t);
+            record(s, [](ServeMetrics& m) { m.on_expired(1); });
+            break;
+        }
+      }
+
+      // Phase 4: cut due batches. Under DRR each backlogged slot accrues
+      // its quantum, then cuts while it can afford the next batch's
+      // pre-dedup node cost; credit is forfeited once its queue empties.
+      for (std::size_t i = 0; i < N; ++i) {
+        Slot& s = slots[i];
+        if (drr) {
+          if (s.admission.pending_count() == 0) {
+            drr->reset(i);
+            continue;
+          }
+          drr->begin_turn(i);
+        }
+        while (s.former.due(t, s.admission)) {
+          if (drr) {
+            const std::uint64_t cost = s.former.next_batch_cost(s.admission);
+            if (!drr->affords(i, cost)) break;
+            drr->spend(i, cost);
+          }
+          cut(i, t);
+        }
+        if (drr && s.admission.pending_count() == 0) drr->reset(i);
+      }
+      recount_pending();
+
+      // Phase 5: observe queue depths, per slot and in aggregate.
+      std::size_t total_blocked = 0;
+      bool idle = true;
+      for (Slot& s : slots) {
+        s.metrics.on_tick(s.admission.pending_count(),
+                          s.admission.blocked_count());
+        total_blocked += s.admission.blocked_count();
+        idle = idle && s.admission.idle();
+      }
+      if (aggregate) aggregate->on_tick(total_pending, total_blocked);
+
+      // Advance. With every queue idle the next event is the next
+      // arrival: jump straight to its tick (ceiling — intake needs
+      // arrival <= t) instead of ticking through the gap.
+      if (idle && next_intake < intake.size()) {
+        const std::uint64_t arrival = intake[next_intake].arrival;
+        const std::uint64_t next_tick = (arrival + T - 1) / T * T;
+        t = next_tick > t ? next_tick : t + T;
+      } else {
+        t += T;
+      }
+    }
+
+    exec.add_control_ns(ns_since(control_start));
+    exec.close_round();
+
+    // ---- Round assembly. Batches land in cut order, so each slot's list
+    // stays in id order; a batch's members complete with its lane access
+    // (batch b of a slot is access b / lanes of lane b mod lanes). Lanes
+    // replay cumulatively and later arrivals queue strictly behind, so a
+    // round extends, never rewrites, earlier rounds' completions.
+    for (std::size_t k = 0; k < exec.token_count(); ++k) {
+      auto& token = exec.token(k);
+      record(slots[token.tenant],
+             [&](ServeMetrics& m) { m.on_batch(token.batch); });
+      TenantReport& tr = report.slots[token.tenant];
+      tr.memory += token.mem;
+      tr.batches.push_back(std::move(token.batch));
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+      const SlotConfig& c = *slots[i].config;
+      TenantReport& tr = report.slots[i];
+      for (std::size_t b = slots[i].round_first_batch; b < tr.batches.size();
+           ++b) {
+        const engine::EngineResult& res = exec.result(
+            c.first_lane + static_cast<std::uint32_t>(b % c.lanes));
+        const std::uint64_t completion = res.records[b / c.lanes].completion;
+        for (const std::size_t local : tr.batches[b].members) {
+          Response& r = tr.responses[local];
+          assert(r.status == RequestStatus::kPending);
+          r.status = RequestStatus::kOk;
+          r.completion_cycle = completion;
+        }
+      }
+    }
+
+    // ---- Retry scan: this round's timed-out completions are discarded
+    // and re-enter the next round's intake at the cycle the caller would
+    // resend. A resend past the end of the clock never happens, so that
+    // attempt's completion stands.
+    std::vector<IntakeEntry> retries;
+    for (std::size_t i = 0; i < N; ++i) {
+      Slot& s = slots[i];
+      const RetryPolicy& policy = s.config->options.retry;
+      if (!policy.enabled()) continue;
+      TenantReport& tr = report.slots[i];
+      std::uint64_t issued = 0;
+      for (std::size_t b = s.round_first_batch; b < tr.batches.size(); ++b) {
+        for (const std::size_t local : tr.batches[b].members) {
+          Response& r = tr.responses[local];
+          if (r.completion_cycle - r.dispatch_cycle <=
+                  policy.attempt_timeout_cycles ||
+              s.attempts[local] >= policy.max_retries) {
+            continue;
+          }
+          const std::uint64_t resend =
+              policy.resend_cycle(r.dispatch_cycle, s.attempts[local] + 1);
+          if (resend == std::numeric_limits<std::uint64_t>::max()) continue;
+          s.attempts[local] += 1;
+          r.retries = s.attempts[local];
+          r.status = RequestStatus::kPending;
+          retries.push_back(IntakeEntry{resend, static_cast<std::uint32_t>(i),
+                                        static_cast<std::uint32_t>(local)});
+          issued += 1;
+        }
+      }
+      record(s, [&](ServeMetrics& m) { m.on_retried(issued); });
+    }
+    if (retries.empty()) break;
+    std::sort(retries.begin(), retries.end());
+    intake = std::move(retries);
+    exec.next_round();
+  }
+
+  // ---- Final accounting, deterministic order. ---------------------------
+  for (std::size_t i = 0; i < N; ++i) {
+    for (const Response& r : report.slots[i].responses) {
+      report.final_cycle = std::max(report.final_cycle, r.completion_cycle);
+      if (r.status == RequestStatus::kOk) {
+        record(slots[i], [&](ServeMetrics& m) { m.on_completed(r); });
+      }
+    }
+  }
+
+  // Lane trajectories fold into the registry under stable names (lanes
+  // run without one, so no parallel phase ever shares it), fault counters
+  // attributed to their slot alone.
+  for (std::size_t i = 0; i < N; ++i) {
+    Slot& s = slots[i];
+    const SlotConfig& c = *s.config;
+    TenantReport& tr = report.slots[i];
+    for (std::uint32_t l = 0; l < c.lanes; ++l) {
+      const engine::EngineResult& res = exec.result(c.first_lane + l);
+      tr.lanes[l] = res;
+      const std::string prefix = c.lane_prefix + std::to_string(l);
+      registry.counter(prefix + ".accesses").add(res.accesses);
+      registry.counter(prefix + ".requests").add(res.requests);
+      registry.counter(prefix + ".busy_cycles").add(res.busy_cycles);
+      record(s, [&](ServeMetrics& m) {
+        m.on_replica_faults(res.rerouted_requests, res.stalled_cycles);
+      });
+    }
+    if (s.planner) s.metrics.set_migration(s.planner->stats());
+    if (s.selector) s.metrics.set_adaptive(s.selector->stats());
+    if (c.options.memory != nullptr) {
+      s.metrics.set_memory(c.options.memory->stats(tr.memory));
+    }
+    if (c.dyn.enabled()) s.metrics.set_dyn(dyn_stats(c.dyn, report.mutations[i]));
+  }
+  Json stats = exec.stats();
+  if (!stats.is_null()) {
+    if (aggregate) {
+      aggregate->set_pipeline(std::move(stats));
+    } else if (!slots.empty()) {
+      slots[0].metrics.set_pipeline(std::move(stats));
+    }
+  }
+  for (std::size_t i = 0; i < N; ++i) {
+    report.slots[i].metrics = slots[i].metrics.summary();
+  }
+  if (aggregate) report.aggregate = aggregate->summary();
+  return report;
+}
+
+Canonical canonical_order(
+    std::array<std::vector<Submitted>, ControlPlane::kStripes>& stripes,
+    std::size_t slots) {
+  // The canonical key, cached so comparisons never chase two Requests.
+  struct Key {
+    std::uint64_t submit = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t client = 0;
+    Submitted* item = nullptr;
+  };
+  const auto key_of = [](Submitted& x) {
+    return Key{x.request.submit_cycle, x.request.seq, x.slot,
+               x.request.client, &x};
+  };
+  const auto key_less = [](const Key& a, const Key& b) {
+    if (a.submit != b.submit) return a.submit < b.submit;
+    if (a.slot != b.slot) return a.slot < b.slot;
+    if (a.client != b.client) return a.client < b.client;
+    return a.seq < b.seq;
+  };
+
+  // Inboxes are striped by (slot, client), so equal canonical keys always
+  // share a stripe, and when every stripe is already in canonical order —
+  // any client that submits in nondecreasing submit-cycle order — a merge
+  // of the stripes IS the stable sort's output. One fused scan decides
+  // which merge applies: sortedness, whether each stripe holds a single
+  // (slot, client) key with keys ascending across stripes, and the
+  // submit-cycle range. It also sizes each slot's request vector.
+  std::vector<std::size_t> per_slot(slots, 0);
+  std::size_t total = 0;
+  bool sorted = true;
+  bool single_key = true;
+  bool have_key = false;
+  std::pair<std::uint32_t, std::uint32_t> last_key{0, 0};
+  std::uint64_t max_submit = 0;
+  for (std::vector<Submitted>& stripe : stripes) {
+    total += stripe.size();
+    if (stripe.empty()) continue;
+    const Key head = key_of(stripe.front());
+    const std::pair<std::uint32_t, std::uint32_t> stripe_key{head.slot,
+                                                             head.client};
+    single_key = single_key && (!have_key || last_key < stripe_key);
+    last_key = stripe_key;
+    have_key = true;
+    Key prev = head;
+    for (Submitted& x : stripe) {
+      const Key k = key_of(x);
+      per_slot[k.slot] += 1;
+      single_key = single_key && k.slot == head.slot && k.client == head.client;
+      sorted = sorted && !key_less(k, prev);
+      max_submit = std::max(max_submit, k.submit);
+      prev = k;
+    }
+  }
+
+  // Every path produces the canonical order as pointers; each request then
+  // moves exactly once, into its slot's vector.
+  std::vector<Submitted*> order;
+  order.reserve(total);
+  if (sorted && single_key &&
+      max_submit < 4 * static_cast<std::uint64_t>(total) + 4096) {
+    // Stable counting merge by submit cycle for the dense common case:
+    // visiting stripes in index order lands equal submit cycles in
+    // ascending (slot, client) order, and seq order within a stripe.
+    std::vector<std::uint32_t> starts(max_submit + 2, 0);
+    for (const std::vector<Submitted>& stripe : stripes) {
+      for (const Submitted& x : stripe) starts[x.request.submit_cycle + 1] += 1;
+    }
+    for (std::size_t c = 1; c < starts.size(); ++c) starts[c] += starts[c - 1];
+    order.resize(total);
+    for (std::vector<Submitted>& stripe : stripes) {
+      for (Submitted& x : stripe) order[starts[x.request.submit_cycle]++] = &x;
+    }
+  } else if (sorted) {
+    // Min-heap over the stripe heads. Heads never compare equal: equal
+    // keys share a stripe.
+    struct Head {
+      Key key;
+      std::size_t stripe = 0;
+      std::size_t pos = 0;
+    };
+    const auto heap_after = [&](const Head& x, const Head& y) {
+      return key_less(y.key, x.key);
+    };
+    std::vector<Head> heads;
+    for (std::size_t s = 0; s < stripes.size(); ++s) {
+      if (!stripes[s].empty()) {
+        heads.push_back(Head{key_of(stripes[s].front()), s, 0});
+      }
+    }
+    std::make_heap(heads.begin(), heads.end(), heap_after);
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), heap_after);
+      Head& h = heads.back();
+      order.push_back(h.key.item);
+      if (++h.pos < stripes[h.stripe].size()) {
+        h.key = key_of(stripes[h.stripe][h.pos]);
+        std::push_heap(heads.begin(), heads.end(), heap_after);
+      } else {
+        heads.pop_back();
+      }
+    }
+  } else {
+    // Out-of-order stripes (same-cycle submissions from several clients of
+    // one stripe, or racing submitters): stable-sort the cached keys.
+    std::vector<Key> keys;
+    keys.reserve(total);
+    for (std::vector<Submitted>& stripe : stripes) {
+      for (Submitted& x : stripe) keys.push_back(key_of(x));
+    }
+    std::stable_sort(keys.begin(), keys.end(), key_less);
+    for (const Key& k : keys) order.push_back(k.item);
+  }
+
+  // The slot-local index is the identity every later phase uses; the
+  // intake schedule comes out sorted by (arrival, slot, local).
+  Canonical out;
+  out.requests.resize(slots);
+  for (std::size_t i = 0; i < slots; ++i) out.requests[i].reserve(per_slot[i]);
+  out.intake.reserve(total);
+  for (Submitted* x : order) {
+    std::vector<Request>& dst = out.requests[x->slot];
+    out.intake.push_back(IntakeEntry{x->request.submit_cycle, x->slot,
+                                     static_cast<std::uint32_t>(dst.size())});
+    dst.push_back(std::move(x->request));
+  }
+  return out;
+}
+
+}  // namespace
+
+std::uint64_t count_status(const std::vector<Response>& responses,
+                           RequestStatus status) noexcept {
+  std::uint64_t n = 0;
+  for (const Response& r : responses) n += r.status == status ? 1 : 0;
+  return n;
+}
+
+Json response_rows(const std::vector<Response>& responses) {
+  Json rows = Json::array();
+  for (const Response& r : responses) {
+    Json row = Json::object();
+    row.set("client", Json(std::uint64_t{r.client}));
+    row.set("seq", Json(r.seq));
+    row.set("status", Json(to_string(r.status)));
+    row.set("submit", Json(r.submit_cycle));
+    row.set("completion", Json(r.completion_cycle));
+    row.set("latency", Json(r.latency()));
+    row.set("retries", Json(std::uint64_t{r.retries}));
+    if (r.status == RequestStatus::kOk) row.set("batch", Json(r.batch));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+mem::TouchStats resolve_batch(FormedBatch& batch, const TreeMapping* epoch,
+                              const LaneSpec& lane,
+                              std::vector<Color>& colors) {
+  if (batch.decomposition.component_count() == 0) {
+    batch.decomposition = BatchFormer::coalesce(batch.nodes);
+  }
+  colors.resize(batch.nodes.size());
+  const TreeMapping& mapping = epoch != nullptr ? *epoch : *lane.mapping;
+  mapping.color_of_batch(batch.nodes,
+                         std::span<Color>(colors.data(), colors.size()));
+  return lane.memory != nullptr ? lane.memory->touch(batch.nodes)
+                                : mem::TouchStats{};
+}
+
+ControlPlane::ControlPlane() = default;
+ControlPlane::~ControlPlane() = default;
+
+void ControlPlane::submit(std::uint32_t slot, Request request) {
+  Inbox& inbox =
+      inboxes_[(std::size_t{slot} * 31 + request.client) % kStripes];
+  const std::lock_guard<std::mutex> lock(inbox.mutex);
+  inbox.requests.push_back(Submitted{slot, std::move(request)});
+}
+
+PlaneReport ControlPlane::run(const PlaneConfig& config,
+                              engine::MetricsRegistry& registry) {
+  std::array<std::vector<Submitted>, kStripes> stripes;
+  for (std::size_t s = 0; s < kStripes; ++s) {
+    const std::lock_guard<std::mutex> lock(inboxes_[s].mutex);
+    stripes[s] = std::move(inboxes_[s].requests);
+    inboxes_[s].requests.clear();
+  }
+  Canonical input = canonical_order(stripes, config.slots.size());
+  std::vector<LaneSpec> lanes;
+  for (const SlotConfig& c : config.slots) {
+    lanes.resize(std::max<std::size_t>(lanes.size(), c.first_lane + c.lanes));
+    for (std::uint32_t l = 0; l < c.lanes; ++l) {
+      lanes[c.first_lane + l] =
+          LaneSpec{c.mapping, c.options.engine, c.options.memory};
+    }
+  }
+  if (config.pipeline.enabled()) {
+    if (!runner_) {
+      runner_ = std::make_unique<StagedRunner>(std::move(lanes),
+                                               config.pipeline);
+    }
+    return serve(*runner_, config, registry, std::move(input));
+  }
+  InlineExecutor exec(std::move(lanes), config.workers);
+  return serve(exec, config, registry, std::move(input));
+}
+
+}  // namespace pmtree::serve::detail

@@ -3,44 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <span>
 #include <utility>
 
-#include "pmtree/engine/arrival.hpp"
-#include "pmtree/engine/session.hpp"
-#include "pmtree/util/parallel.hpp"
+#include "control_plane.hpp"
 
 namespace pmtree::serve {
-namespace {
-
-std::uint64_t count_status(const std::vector<Response>& responses,
-                           RequestStatus status) noexcept {
-  std::uint64_t n = 0;
-  for (const Response& r : responses) n += r.status == status ? 1 : 0;
-  return n;
-}
-
-Json response_rows(const std::vector<Response>& responses) {
-  Json rows = Json::array();
-  for (const Response& r : responses) {
-    Json row = Json::object();
-    row.set("client", Json(std::uint64_t{r.client}));
-    row.set("seq", Json(r.seq));
-    row.set("status", Json(to_string(r.status)));
-    row.set("submit", Json(r.submit_cycle));
-    row.set("completion", Json(r.completion_cycle));
-    row.set("latency", Json(r.latency()));
-    row.set("retries", Json(std::uint64_t{r.retries}));
-    if (r.status == RequestStatus::kOk) row.set("batch", Json(r.batch));
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-}  // namespace
 
 std::uint64_t TenantReport::count(RequestStatus status) const noexcept {
-  return count_status(responses, status);
+  return detail::count_status(responses, status);
 }
 
 std::uint64_t ForestReport::count(RequestStatus status) const noexcept {
@@ -78,18 +48,21 @@ Json ForestReport::to_json() const {
     row.set("batches", Json(t.batches.size()));
     row.set("served_nodes", Json(t.served_nodes));
     if (t.memory.nodes != 0) row.set("memory", t.memory.to_json());
-    row.set("responses", response_rows(t.responses));
+    row.set("responses", detail::response_rows(t.responses));
     jtenants.push_back(std::move(row));
   }
   j.set("tenants", std::move(jtenants));
   return j;
 }
 
-Forest::Forest(ForestOptions options) : options_(options) {
+Forest::Forest(ForestOptions options)
+    : options_(options), plane_(std::make_unique<detail::ControlPlane>()) {
   if (options_.tick_cycles == 0) options_.tick_cycles = 1;
   if (options_.replicas == 0) options_.replicas = 1;
   if (options_.drr_quantum_nodes == 0) options_.drr_quantum_nodes = 1;
 }
+
+Forest::~Forest() = default;
 
 std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
                                  TenantOptions options) {
@@ -103,25 +76,11 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
 
 void Forest::submit(std::uint32_t tenant, Request request) {
   assert(tenant < tenants_.size());
-  Inbox& inbox =
-      inboxes_[(std::size_t{tenant} * 31 + request.client) % kStripes];
-  const std::lock_guard<std::mutex> lock(inbox.mutex);
-  inbox.requests.push_back(Submitted{tenant, std::move(request)});
+  plane_->submit(tenant, std::move(request));
 }
 
 void Forest::submit(std::uint32_t tenant, std::vector<Request> requests) {
   for (Request& r : requests) submit(tenant, std::move(r));
-}
-
-std::vector<Forest::Submitted> Forest::drain_inboxes() {
-  std::vector<Submitted> all;
-  for (Inbox& inbox : inboxes_) {
-    const std::lock_guard<std::mutex> lock(inbox.mutex);
-    all.insert(all.end(), std::make_move_iterator(inbox.requests.begin()),
-               std::make_move_iterator(inbox.requests.end()));
-    inbox.requests.clear();
-  }
-  return all;
 }
 
 void Forest::ensure_plan() {
@@ -139,505 +98,64 @@ const CapacityPlan& Forest::plan() {
 }
 
 ForestReport Forest::run() {
-  // Staged-pipeline dispatch (pipeline.cpp). The body below is the
-  // frozen single-threaded oracle; any tenant with a fault plan keeps
-  // the whole forest here (EngineSession is healthy-path only).
-  if (options_.pipeline.enabled()) {
-    bool healthy = true;
-    for (const Tenant& tenant : tenants_) {
-      healthy = healthy && (tenant.options.engine.faults == nullptr ||
-                            tenant.options.engine.faults->empty());
-    }
-    if (healthy) return run_pipeline();
-  }
-
   ensure_plan();
   const std::size_t N = tenants_.size();
-  const std::uint64_t T = options_.tick_cycles;
 
-  // ---- Canonical order: a pure function of the submitted set, with the
-  // tenant id as the tie-break between clients of different tenants. ----
-  std::vector<Submitted> all = drain_inboxes();
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Submitted& a, const Submitted& b) {
-                     if (a.request.submit_cycle != b.request.submit_cycle)
-                       return a.request.submit_cycle < b.request.submit_cycle;
-                     if (a.tenant != b.tenant) return a.tenant < b.tenant;
-                     if (a.request.client != b.request.client)
-                       return a.request.client < b.request.client;
-                     return a.request.seq < b.request.seq;
-                   });
-
-  ForestReport report;
-  report.plan = plan_;
-  report.tenants.resize(N);
-
-  // Split per tenant, preserving canonical order; the tenant-local index
-  // is the identity every later phase uses.
-  std::vector<std::vector<Request>> requests(N);
-  struct IntakeEntry {
-    std::uint64_t arrival = 0;
-    std::uint32_t tenant = 0;
-    std::uint32_t local = 0;
-  };
-  std::vector<IntakeEntry> intake;
-  intake.reserve(all.size());
-  for (Submitted& s : all) {
-    const std::uint32_t local =
-        static_cast<std::uint32_t>(requests[s.tenant].size());
-    intake.push_back(
-        IntakeEntry{s.request.submit_cycle, s.tenant, local});
-    requests[s.tenant].push_back(std::move(s.request));
-  }
-  // Re-establish (arrival, tenant, local) order: the canonical sort leads
-  // with submit_cycle, but interleaves tenants within a cycle — which is
-  // already (tenant, local) order because local indices are minted in
-  // canonical order. So `intake` is sorted as-is; rounds > 1 re-sort.
+  // The control plane's N-slot instance: DRR-metered, and with a global
+  // bound each tenant reserves a weighted share of the pool (at least 1);
+  // beyond its reserve a tenant borrows only while total occupancy is
+  // under the bound.
+  detail::PlaneConfig config;
+  config.tick_cycles = options_.tick_cycles;
+  config.workers = options_.workers;
+  config.pipeline = options_.pipeline;
+  config.drr_quantum_nodes = options_.drr_quantum_nodes;
+  config.aggregate_prefix = "forest";
+  std::vector<double> weights;
   for (std::size_t i = 0; i < N; ++i) {
-    TenantReport& t = report.tenants[i];
-    t.name = tenants_[i].options.name;
-    t.responses.resize(requests[i].size());
-    t.lanes.resize(plan_.lanes.empty() ? 0 : plan_.lanes[i]);
-    for (std::size_t k = 0; k < requests[i].size(); ++k) {
-      Response& r = t.responses[k];
-      r.client = requests[i][k].client;
-      r.seq = requests[i][k].seq;
-      r.submit_cycle = requests[i][k].submit_cycle;
-    }
+    detail::SlotConfig& slot = config.slots.emplace_back();
+    slot.mapping = tenants_[i].mapping;
+    slot.metrics_prefix = "forest.t" + std::to_string(i);
+    slot.lane_prefix = slot.metrics_prefix + ".lane";
+    slot.options = tenants_[i].options;
+    slot.first_lane = plan_.first_lane[i];
+    slot.lanes = plan_.lanes[i];
+    weights.push_back(static_cast<double>(slot.options.weight));
   }
-
-  // ---- Per-tenant machinery + the shared fairness layer. --------------
-  engine::MetricsRegistry& reg = registry_;
-  ServeMetrics forest_metrics(reg, "forest");
-  std::vector<ServeMetrics> tenant_metrics;
-  tenant_metrics.reserve(N);
-  std::vector<AdmissionController> admission;
-  admission.reserve(N);
-  std::vector<BatchFormer> former;
-  former.reserve(N);
-  std::vector<std::uint64_t> weights(N, 1);
-  for (std::size_t i = 0; i < N; ++i) {
-    tenant_metrics.emplace_back(reg, "forest.t" + std::to_string(i));
-    admission.emplace_back(tenants_[i].options.admission);
-    former.emplace_back(tenants_[i].options.batch);
-    weights[i] = tenants_[i].options.weight;
-    tenant_metrics[i].on_submitted(requests[i].size());
-  }
-  forest_metrics.on_submitted(all.size());
-  DeficitRoundRobin drr(weights, options_.drr_quantum_nodes);
-
-  // Shared global pool: each tenant reserves a weighted share of the
-  // bound; borrowing beyond the reserve needs total occupancy < bound.
   const bool pooled = options_.global_queue_bound != 0 && N > 0;
-  const std::size_t G =
-      pooled ? std::max(options_.global_queue_bound, N) : 0;
-  std::vector<std::uint32_t> reserved(N, 0);
   if (pooled) {
-    std::vector<double> w(N);
-    for (std::size_t i = 0; i < N; ++i) {
-      w[i] = static_cast<double>(weights[i] == 0 ? 1 : weights[i]);
-    }
-    reserved = apportion(static_cast<std::uint32_t>(G), w);
-    for (std::uint32_t& r : reserved) r = std::max(r, 1u);
-  }
-  std::size_t total_pending = 0;
-  const auto recount_pending = [&]() {
-    total_pending = 0;
-    for (const AdmissionController& a : admission) {
-      total_pending += a.pending_count();
-    }
-  };
-
-  // ---- Tick loop: single-threaded control plane, in serving rounds. ---
-  // Identical phase order to Server::run (expire → promote → intake →
-  // batch → observe), each phase visiting tenants in ascending id — the
-  // canonical tenant ordering that makes the run a pure function of the
-  // submitted set.
-  std::uint64_t ticks = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t t = 0;
-  std::vector<std::size_t> scratch;
-  std::vector<std::vector<std::uint32_t>> attempts(N);
-  std::vector<std::size_t> round_first_batch(N, 0);
-  for (std::size_t i = 0; i < N; ++i) {
-    attempts[i].assign(requests[i].size(), 0);
+    config.pool_bound = std::max(options_.global_queue_bound, N);
+    config.reserved =
+        apportion(static_cast<std::uint32_t>(config.pool_bound), weights);
+    for (std::uint32_t& r : config.reserved) r = std::max(r, 1u);
   }
 
-  std::size_t unresolved = 0;
-  const auto resolve = [&](std::uint32_t tenant, std::uint32_t local,
-                           RequestStatus status, std::uint64_t cycle) {
-    Response& r = report.tenants[tenant].responses[local];
-    assert(r.status == RequestStatus::kPending);
-    r.status = status;
-    r.completion_cycle = cycle;
-    unresolved -= 1;
-  };
-
-  // All lanes across all tenants, flattened for the parallel phase.
-  struct LaneTask {
-    std::uint32_t tenant = 0;
-    std::uint32_t lane = 0;
-  };
-  std::vector<LaneTask> lane_tasks;
-  for (std::size_t i = 0; i < N; ++i) {
-    for (std::uint32_t l = 0; l < plan_.lanes[i]; ++l) {
-      lane_tasks.push_back(
-          LaneTask{static_cast<std::uint32_t>(i), l});
-    }
-  }
-
-  // ---- Per-tenant skew-adaptive migration (DESIGN.md §15) and adaptive
-  // mapping selection (DESIGN.md §17). Same protocol as the Server
-  // oracle, scoped per tenant: each opted-in healthy tenant gets a
-  // planner OR selector fed at cut time (canonical order) plus one
-  // EngineSession per assigned lane, keyed by global lane id; the
-  // parallel phase then only drains those lanes. A tenant carrying a
-  // fault plan keeps the static CycleEngine path — fault reroute tables
-  // own its color space, and EngineSession is healthy-path only.
-  std::vector<std::unique_ptr<MigrationPlanner>> planners(N);
-  std::vector<std::unique_ptr<AdaptiveSelector>> selectors(N);
-  std::vector<std::unique_ptr<engine::EngineSession>> lane_sessions(
-      plan_.total_lanes);
-  std::vector<Color> epoch_colors;
-  for (std::size_t i = 0; i < N; ++i) {
-    const TenantOptions& topt = tenants_[i].options;
-    assert(!(topt.migration.enabled() && topt.adaptive.enabled()) &&
-           "per-tenant migration and adaptive selection are mutually "
-           "exclusive");
-    const bool healthy =
-        topt.engine.faults == nullptr || topt.engine.faults->empty();
-    if (!healthy) continue;
-    if (topt.migration.enabled()) {
-      planners[i] = std::make_unique<MigrationPlanner>(*tenants_[i].mapping,
-                                                       topt.migration);
-    } else if (topt.adaptive.enabled()) {
-      selectors[i] = std::make_unique<AdaptiveSelector>(*tenants_[i].mapping,
-                                                        topt.adaptive);
-    } else {
-      continue;
-    }
-    for (std::uint32_t l = 0; l < plan_.lanes[i]; ++l) {
-      lane_sessions[plan_.first_lane[i] + l] =
-          std::make_unique<engine::EngineSession>(*tenants_[i].mapping,
-                                                  topt.engine);
-    }
-  }
-
-  while (true) {
-    rounds += 1;
-    std::size_t next_intake = 0;
-    unresolved = intake.size();
-    for (std::size_t i = 0; i < N; ++i) {
-      round_first_batch[i] = report.tenants[i].batches.size();
-    }
-
-    while (unresolved > 0) {
-      ticks += 1;
-      // Phase 1: expire, per tenant in id order.
-      for (std::size_t i = 0; i < N; ++i) {
-        scratch.clear();
-        admission[i].expire(t, scratch);
-        for (const std::size_t local : scratch) {
-          resolve(static_cast<std::uint32_t>(i),
-                  static_cast<std::uint32_t>(local), RequestStatus::kExpired,
-                  t);
-        }
-        tenant_metrics[i].on_expired(scratch.size());
-        forest_metrics.on_expired(scratch.size());
-      }
-      recount_pending();
-
-      // Phase 2: promote blocked callers, bounded by the tenant's pool
-      // headroom: its unfilled reserve plus whatever of the shared bound
-      // is unused. Earlier tenants consume shared headroom first — part
-      // of the canonical ordering contract.
-      for (std::size_t i = 0; i < N; ++i) {
-        std::size_t limit = ~std::size_t{0};
-        if (pooled) {
-          const std::size_t mine = admission[i].pending_count();
-          const std::size_t reserve_room =
-              reserved[i] > mine ? reserved[i] - mine : 0;
-          const std::size_t shared_room =
-              total_pending < G ? G - total_pending : 0;
-          limit = reserve_room + shared_room;
-        }
-        scratch.clear();
-        admission[i].promote(t, scratch, limit);
-        for (const std::size_t local : scratch) {
-          report.tenants[i].responses[local].admitted_cycle = t;
-        }
-        tenant_metrics[i].on_promoted(scratch.size());
-        forest_metrics.on_promoted(scratch.size());
-        total_pending += scratch.size();
-      }
-
-      // Phase 3: intake of everything arrived by now, in canonical
-      // (arrival, tenant, local) order across all tenants.
-      while (next_intake < intake.size() &&
-             intake[next_intake].arrival <= t) {
-        const IntakeEntry e = intake[next_intake++];
-        const std::size_t i = e.tenant;
-        const bool pool_ok =
-            !pooled || admission[i].pending_count() < reserved[i] ||
-            total_pending < G;
-        switch (admission[i].offer(e.local, requests[i][e.local], t,
-                                   pool_ok)) {
-          case AdmissionController::Decision::kAdmitted:
-            report.tenants[i].responses[e.local].admitted_cycle = t;
-            tenant_metrics[i].on_admitted();
-            forest_metrics.on_admitted();
-            total_pending += 1;
-            break;
-          case AdmissionController::Decision::kBlocked:
-            tenant_metrics[i].on_blocked();
-            forest_metrics.on_blocked();
-            break;
-          case AdmissionController::Decision::kShedNow:
-            resolve(e.tenant, e.local, RequestStatus::kShed, t);
-            tenant_metrics[i].on_shed();
-            forest_metrics.on_shed();
-            break;
-          case AdmissionController::Decision::kDeadOnArrival:
-            resolve(e.tenant, e.local, RequestStatus::kExpired, t);
-            tenant_metrics[i].on_expired(1);
-            forest_metrics.on_expired(1);
-            break;
-        }
-      }
-
-      // Phase 4: deficit-round-robin batch formation. Each backlogged
-      // tenant accrues its quantum, then cuts due batches while it can
-      // afford their pre-dedup node cost; credit is forfeited the moment
-      // its queue empties (no banking service for a later burst).
-      for (std::size_t i = 0; i < N; ++i) {
-        if (admission[i].pending_count() == 0) {
-          drr.reset(i);
-          continue;
-        }
-        drr.begin_turn(i);
-        while (former[i].due(t, admission[i])) {
-          const std::uint64_t cost = former[i].next_batch_cost(admission[i]);
-          if (!drr.affords(i, cost)) break;
-          drr.spend(i, cost);
-          FormedBatch batch = former[i].form_one(t, admission[i]);
-          for (const std::size_t local : batch.members) {
-            Response& r = report.tenants[i].responses[local];
-            r.dispatch_cycle = t;
-            r.batch = batch.id;
-          }
-          unresolved -= batch.members.size();
-          report.tenants[i].served_nodes += batch.requested_nodes;
-          if (planners[i] || selectors[i]) {
-            const TreeMapping* epoch = nullptr;
-            if (planners[i]) {
-              planners[i]->observe(batch.nodes, t);
-              epoch = &planners[i]->current();
-            } else {
-              selectors[i]->observe(batch.nodes, t);
-              epoch = &selectors[i]->current();
-            }
-            epoch_colors.resize(batch.nodes.size());
-            epoch->color_of_batch(
-                batch.nodes,
-                std::span<Color>(epoch_colors.data(), epoch_colors.size()));
-            lane_sessions[plan_.first_lane[i] +
-                          static_cast<std::uint32_t>(batch.id %
-                                                     plan_.lanes[i])]
-                ->feed_resolved(epoch_colors, t);
-          }
-          if (tenants_[i].options.memory != nullptr) {
-            // form_one already coalesced batch.nodes, so this counts the
-            // exact per-batch node set the lanes execute.
-            report.tenants[i].memory +=
-                tenants_[i].options.memory->touch(batch.nodes);
-          }
-          tenant_metrics[i].on_batch(batch);
-          forest_metrics.on_batch(batch);
-          report.tenants[i].batches.push_back(std::move(batch));
-        }
-        if (admission[i].pending_count() == 0) drr.reset(i);
-      }
-      recount_pending();
-
-      // Phase 5: observe queue depths, per tenant and forest-wide.
-      std::size_t total_blocked = 0;
-      for (std::size_t i = 0; i < N; ++i) {
-        tenant_metrics[i].on_tick(admission[i].pending_count(),
-                                  admission[i].blocked_count());
-        total_blocked += admission[i].blocked_count();
-      }
-      forest_metrics.on_tick(total_pending, total_blocked);
-
-      // Advance; jump over idle gaps straight to the next arrival's tick.
-      bool idle = true;
-      for (const AdmissionController& a : admission) {
-        idle = idle && a.idle();
-      }
-      if (idle && next_intake < intake.size()) {
-        const std::uint64_t arrival = intake[next_intake].arrival;
-        const std::uint64_t next_tick = (arrival + T - 1) / T * T;
-        t = next_tick > t ? next_tick : t + T;
-      } else {
-        t += T;
-      }
-    }
-
-    // ---- Lane execution: the only parallel phase. Tenant i's batch k
-    // runs on its lane k mod lanes[i]; each lane replays its cumulative
-    // batch list through a CycleEngine under the tenant's own mapping and
-    // fault plan. Re-running with later batches appended cannot change
-    // earlier completions (later arrivals queue strictly behind), so each
-    // round extends, never rewrites, the previous round's results. ------
-    const unsigned workers = std::min<unsigned>(
-        resolve_threads(options_.workers),
-        static_cast<unsigned>(std::max<std::size_t>(lane_tasks.size(), 1)));
-    parallel_chunks(
-        lane_tasks.size(), workers, /*grain=*/1,
-        [&](unsigned, std::uint64_t begin, std::uint64_t end) {
-          for (std::uint64_t k = begin; k < end; ++k) {
-            const LaneTask task = lane_tasks[k];
-            const std::uint32_t global =
-                plan_.first_lane[task.tenant] + task.lane;
-            if (lane_sessions[global]) {
-              // Fed at cut time with epoch-resolved colors; drain replays
-              // the cumulative feed (extend-never-rewrite, as below).
-              report.tenants[task.tenant].lanes[task.lane] =
-                  lane_sessions[global]->drain();
-              continue;
-            }
-            const std::uint32_t lanes = plan_.lanes[task.tenant];
-            const TenantReport& tr = report.tenants[task.tenant];
-            std::vector<Workload::Access> accesses;
-            std::vector<std::uint64_t> arrivals;
-            for (std::size_t b = task.lane; b < tr.batches.size();
-                 b += lanes) {
-              accesses.push_back(tr.batches[b].nodes);
-              arrivals.push_back(tr.batches[b].formed_cycle);
-            }
-            const engine::CycleEngine eng(*tenants_[task.tenant].mapping);
-            report.tenants[task.tenant].lanes[task.lane] =
-                eng.run(Workload(std::move(accesses)),
-                        engine::ArrivalSchedule::explicit_cycles(
-                            std::move(arrivals)),
-                        tenants_[task.tenant].options.engine);
-          }
-        });
-
-    // ---- Round assembly: this round's batches resolve their members. --
-    for (std::size_t i = 0; i < N; ++i) {
-      TenantReport& tr = report.tenants[i];
-      const std::uint32_t lanes = plan_.lanes[i];
-      for (std::size_t b = round_first_batch[i]; b < tr.batches.size();
-           ++b) {
-        const engine::EngineResult& res = tr.lanes[b % lanes];
-        const std::uint64_t completion =
-            res.records[b / lanes].completion;
-        for (const std::size_t local : tr.batches[b].members) {
-          Response& r = tr.responses[local];
-          assert(r.status == RequestStatus::kPending);
-          r.status = RequestStatus::kOk;
-          r.completion_cycle = completion;
-        }
-      }
-    }
-
-    // ---- Retry scan, per tenant: discard timed-out completions into the
-    // next round's intake at the cycle the caller would resend. ---------
-    std::vector<IntakeEntry> retries;
-    for (std::size_t i = 0; i < N; ++i) {
-      const RetryPolicy& policy = tenants_[i].options.retry;
-      if (!policy.enabled()) continue;
-      TenantReport& tr = report.tenants[i];
-      std::uint64_t tenant_retries = 0;
-      for (std::size_t b = round_first_batch[i]; b < tr.batches.size();
-           ++b) {
-        for (const std::size_t local : tr.batches[b].members) {
-          Response& r = tr.responses[local];
-          const std::uint64_t residency =
-              r.completion_cycle - r.dispatch_cycle;
-          if (residency <= policy.attempt_timeout_cycles ||
-              attempts[i][local] >= policy.max_retries) {
-            continue;
-          }
-          attempts[i][local] += 1;
-          r.retries = attempts[i][local];
-          r.status = RequestStatus::kPending;
-          retries.push_back(IntakeEntry{
-              r.dispatch_cycle + policy.attempt_timeout_cycles +
-                  policy.backoff(attempts[i][local]),
-              static_cast<std::uint32_t>(i),
-              static_cast<std::uint32_t>(local)});
-          tenant_retries += 1;
-        }
-      }
-      tenant_metrics[i].on_retried(tenant_retries);
-      forest_metrics.on_retried(tenant_retries);
-    }
-    if (retries.empty()) break;
-    std::sort(retries.begin(), retries.end(),
-              [](const IntakeEntry& a, const IntakeEntry& b) {
-                if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                if (a.tenant != b.tenant) return a.tenant < b.tenant;
-                return a.local < b.local;
-              });
-    intake = std::move(retries);
-  }
-  report.ticks = ticks;
-  report.rounds = rounds;
-
-  // ---- Final accounting + metrics, deterministic order. ---------------
-  std::uint64_t last = 0;
+  detail::PlaneReport plane = plane_->run(config, registry_);
+  ForestReport report;
+  report.tenants = std::move(plane.slots);
+  report.plan = plan_;
+  report.ticks = plane.ticks;
+  report.rounds = plane.rounds;
+  report.final_cycle = plane.final_cycle;
   std::uint64_t total_served_nodes = 0;
   for (std::size_t i = 0; i < N; ++i) {
-    for (const Response& r : report.tenants[i].responses) {
-      last = std::max(last, r.completion_cycle);
-      if (r.status == RequestStatus::kOk) {
-        tenant_metrics[i].on_completed(r);
-        forest_metrics.on_completed(r);
-      }
-    }
+    report.tenants[i].name = tenants_[i].options.name;
     total_served_nodes += report.tenants[i].served_nodes;
-  }
-  report.final_cycle = last;
-
-  // Fold the lane trajectories into the registry under stable names (lane
-  // engines run without a registry so the parallel phase never shares
-  // one), attributing fault counters to their tenant alone.
-  for (std::size_t i = 0; i < N; ++i) {
-    const std::string tprefix = "forest.t" + std::to_string(i);
-    for (std::size_t l = 0; l < report.tenants[i].lanes.size(); ++l) {
-      const engine::EngineResult& res = report.tenants[i].lanes[l];
-      const std::string prefix = tprefix + ".lane" + std::to_string(l);
-      reg.counter(prefix + ".accesses").add(res.accesses);
-      reg.counter(prefix + ".requests").add(res.requests);
-      reg.counter(prefix + ".busy_cycles").add(res.busy_cycles);
-      tenant_metrics[i].on_replica_faults(res.rerouted_requests,
-                                          res.stalled_cycles);
-      forest_metrics.on_replica_faults(res.rerouted_requests,
-                                       res.stalled_cycles);
-    }
-    if (planners[i]) tenant_metrics[i].set_migration(planners[i]->stats());
-    if (selectors[i]) tenant_metrics[i].set_adaptive(selectors[i]->stats());
-    if (tenants_[i].options.memory != nullptr) {
-      tenant_metrics[i].set_memory(
-          tenants_[i].options.memory->stats(report.tenants[i].memory));
-    }
-    report.tenants[i].metrics = tenant_metrics[i].summary();
   }
 
   // ---- Rollup: forest aggregate + per-tenant fairness rows. ----------
   Json roll = Json::object();
-  roll.set("forest", forest_metrics.summary());
+  roll.set("forest", std::move(plane.aggregate));
   Json jtenants = Json::array();
   for (std::size_t i = 0; i < N; ++i) {
     Json row = Json::object();
     row.set("id", Json(i));
     row.set("name", Json(report.tenants[i].name));
-    row.set("weight", Json(weights[i]));
+    row.set("weight", Json(tenants_[i].options.weight));
     row.set("rate", Json(tenants_[i].options.rate));
     row.set("lanes", Json(std::uint64_t{plan_.lanes[i]}));
     row.set("first_lane", Json(std::uint64_t{plan_.first_lane[i]}));
-    if (pooled) row.set("reserved", Json(std::uint64_t{reserved[i]}));
+    if (pooled) row.set("reserved", Json(std::uint64_t{config.reserved[i]}));
     row.set("requests", Json(report.tenants[i].responses.size()));
     row.set("served_nodes", Json(report.tenants[i].served_nodes));
     row.set("batch_share",
@@ -650,7 +168,7 @@ ForestReport Forest::run() {
   }
   roll.set("tenants", std::move(jtenants));
   roll.set("plan", plan_.to_json());
-  if (pooled) roll.set("global_queue_bound", Json(G));
+  if (pooled) roll.set("global_queue_bound", Json(config.pool_bound));
   report.metrics = std::move(roll);
   return report;
 }

@@ -16,7 +16,7 @@ void apply_batch_mutations(const FormedBatch& batch,
 
   // The batch's node set must be colored before any worker resolves it —
   // for the staged pipeline this happens-before edge is the token cut;
-  // for the oracle it is the replica thread fork. Raw (uncoalesced)
+  // for the inline executor it is program order. Raw (uncoalesced)
   // batches repeat nodes; touch() memoizes, so repeats are O(1).
   binding.colorer->touch(std::span<const Node>(batch.nodes.data(),
                                                batch.nodes.size()));

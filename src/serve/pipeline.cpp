@@ -1,37 +1,25 @@
-// StagedRunner + the pipelined twins of Server::run / Forest::run.
-//
-// The control-plane halves of run_pipeline() are deliberate line-for-line
-// copies of the frozen oracles in server.cpp / forest.cpp — the whole
-// determinism argument is that the pipeline changes WHERE batch work
-// executes (resolve/execute stages on the worker pool) and never WHAT the
-// control plane decides. Keep any change here in lockstep with the oracle
-// or the 1/2/8-worker differential suite (test_serve_pipeline) will say
-// so.
+// StagedRunner: the pipelined executor of the serve control plane
+// (control_plane.hpp). The pipeline changes WHERE batch work executes —
+// resolve/execute stages on the worker pool — never WHAT the control plane
+// decides; the inline executor runs the same resolve_batch on the control
+// thread, and test_serve_pipeline holds the two bit-identical at 1/2/8
+// workers.
 
 #include "pmtree/serve/pipeline.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <utility>
 
-#include "pmtree/serve/forest.hpp"
-#include "pmtree/serve/server.hpp"
+#include "control_plane.hpp"
 #include "pmtree/util/simd.hpp"
 
 namespace pmtree::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t ns_since(Clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           start)
-          .count());
-}
+using detail::ns_since;
 
 std::size_t ceil_pow2(std::size_t n) {
   std::size_t c = 2;
@@ -124,12 +112,8 @@ void StagedRunner::begin_run() {
   // reported done_workers_ ordered their session/result writes before
   // these control-plane accesses.
   for (engine::EngineSession& session : sessions_) session.clear();
-  for (engine::EngineResult& result : results_) result = {};
-  token_count_ = 0;  // token storage is pooled across runs
-  executed_round_.store(0, std::memory_order_relaxed);
-  cut_round_.store(0, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  done_workers_ = 0;
+  for (engine::EngineResult& result : results_) result = engine::EngineResult();
+  next_round();
 }
 
 bool StagedRunner::pump() {
@@ -225,15 +209,18 @@ void StagedRunner::close_round() {
   cuts_since_wake_ = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   while (done_workers_ != workers_.size()) {
+    // Snapshot before pumping: ring room a consumer frees after this point
+    // comes with a signal bump, so the wait below cannot miss it (a
+    // snapshot taken after the pump could, leaving the overflow stranded).
+    const std::uint64_t seen = signal_;
     lock.unlock();
     const bool moved = pump();  // rings are SPSC; producer side needs no lock
     lock.lock();
     if (moved) {
       ++signal_;
       cv_.notify_all();
+      continue;
     }
-    if (done_workers_ == workers_.size()) break;
-    const std::uint64_t seen = signal_;
     cv_.wait(lock, [&] {
       return done_workers_ == workers_.size() || signal_ != seen;
     });
@@ -243,9 +230,9 @@ void StagedRunner::close_round() {
 }
 
 void StagedRunner::next_round() {
-  // Safe without worker synchronization: close_round's barrier guarantees
-  // every ring is empty and every worker is parked with no token pointer
-  // in hand.
+  // Safe without worker synchronization: close_round's barrier (or, for
+  // begin_run, construction) guarantees every ring is empty and every
+  // worker is parked with no token pointer in hand.
   token_count_ = 0;  // keep pooled token storage
   executed_round_.store(0, std::memory_order_relaxed);
   cut_round_.store(0, std::memory_order_relaxed);
@@ -254,27 +241,14 @@ void StagedRunner::next_round() {
 }
 
 void StagedRunner::resolve(BatchToken& token) {
-  // The three per-batch kernels the pipeline lifts off the control plane:
-  // coalesce (sort/dedup/run-decompose), SIMD color gather, SIMD conflict
-  // histogram. All pure functions of the batch, so resolution order
-  // across workers is irrelevant.
-  token.batch.decomposition = BatchFormer::coalesce(token.batch.nodes);
-  const std::vector<Node>& nodes = token.batch.nodes;
-  token.colors.resize(nodes.size());
+  // The per-batch kernels the pipeline lifts off the control plane —
+  // coalesce, arena touch, SIMD color gather — plus the SIMD conflict
+  // histogram for the stage stats. All pure functions of the batch, so
+  // resolution order across workers is irrelevant.
   const LaneSpec& lane = lanes_[token.lane];
-  // Real-memory backend: load the batch's payloads from the arenas right
-  // after the coalesce — genuine parallel memory traffic on the worker.
-  // Pure observation into this token; assembly folds the order-invariant
-  // totals, so the aggregate matches the oracle's control-plane touches.
-  if (lane.memory != nullptr) token.mem = lane.memory->touch(nodes);
-  // Epoch-mapping override (migration): still one devirtualized batch
-  // call — MigratedMapping delegates to the base kernel plus one rotation
-  // pass, so the SIMD gather path stays hot.
-  const TreeMapping& mapping =
-      token.mapping != nullptr ? *token.mapping : *lane.mapping;
-  mapping.color_of_batch(
-      nodes, std::span<Color>(token.colors.data(), token.colors.size()));
-
+  token.mem = detail::resolve_batch(token.batch, token.mapping, lane,
+                                    token.colors);
+  const std::vector<Node>& nodes = token.batch.nodes;
   if (!nodes.empty()) {
     const std::uint32_t modules = lane.mapping->num_modules();
     thread_local std::vector<std::uint32_t> counts;
@@ -403,845 +377,6 @@ Json StagedRunner::stats() const {
         Json(std::uint64_t{max_conflicts_.load(std::memory_order_relaxed)}));
   j.set("simd_kernel", Json(simd::active_kernel()));
   return j;
-}
-
-// ---------------------------------------------------------------------------
-// Server::run_pipeline — the staged twin of Server::run (server.cpp).
-
-ServeReport Server::run_pipeline() {
-  const std::uint64_t T = options_.tick_cycles;
-  const std::uint32_t R = options_.replicas;
-  if (!runner_) {
-    std::vector<LaneSpec> lanes(
-        R, LaneSpec{&mapping_, options_.engine, options_.memory});
-    runner_ = std::make_unique<StagedRunner>(std::move(lanes),
-                                             options_.pipeline);
-  }
-  StagedRunner& runner = *runner_;
-  runner.begin_run();
-
-  // ---- Canonical order: identical to the oracle. ----------------------
-  // The oracle concatenates the inboxes and stable_sorts. Inboxes are
-  // striped by client, so two requests with equal canonical keys (same
-  // submit cycle and client) always share a stripe, and whenever every
-  // stripe is already in canonical order — true for any client that
-  // submits in nondecreasing submit-cycle order, the common case — a
-  // k-way merge of the stripes IS the stable sort's output: one move per
-  // request instead of log(n) merge passes over Request objects. An
-  // out-of-order stripe (concurrent submitters racing a shared stripe)
-  // falls back to the oracle's exact sort.
-  const auto canonical_less = [](const Request& a, const Request& b) {
-    if (a.submit_cycle != b.submit_cycle)
-      return a.submit_cycle < b.submit_cycle;
-    if (a.client != b.client) return a.client < b.client;
-    return a.seq < b.seq;
-  };
-  std::array<std::vector<Request>, kStripes> stripes;
-  for (std::size_t s = 0; s < kStripes; ++s) {
-    const std::lock_guard<std::mutex> lock(inboxes_[s].mutex);
-    stripes[s] = std::move(inboxes_[s].requests);
-    inboxes_[s].requests.clear();
-  }
-  // Fused intake scan: sortedness, whether stripe s holds exactly client
-  // s (true whenever client ids stay below kStripes — submit routes
-  // client c to stripe c % kStripes), and the submit-cycle range. The
-  // last two decide whether the counting merge below applies.
-  std::size_t total = 0;
-  bool stripes_sorted = true;
-  bool identity_stripes = true;
-  std::uint64_t max_submit = 0;
-  for (std::size_t s = 0; s < kStripes; ++s) {
-    const std::vector<Request>& stripe = stripes[s];
-    total += stripe.size();
-    for (std::size_t i = 0; i < stripe.size(); ++i) {
-      const Request& r = stripe[i];
-      identity_stripes = identity_stripes && r.client == s;
-      if (r.submit_cycle > max_submit) max_submit = r.submit_cycle;
-      if (i + 1 < stripe.size()) {
-        stripes_sorted =
-            stripes_sorted && !canonical_less(stripe[i + 1], r);
-      }
-    }
-  }
-
-  ServeMetrics metrics(registry_);
-  ServeReport report;
-  report.responses.resize(total);
-  struct IntakeEntry {
-    std::uint64_t arrival = 0;
-    std::size_t index = 0;
-  };
-  std::vector<IntakeEntry> intake(total);
-  // Response identity fields and the intake schedule are filled as each
-  // request lands at its canonical rank — one pass over the per-request
-  // data instead of merge + two separate initialization sweeps.
-  const auto place = [&](std::size_t i, const Request& src) {
-    Response& resp = report.responses[i];
-    resp.client = src.client;
-    resp.seq = src.seq;
-    resp.submit_cycle = src.submit_cycle;
-    intake[i] = IntakeEntry{src.submit_cycle, i};
-  };
-
-  std::vector<Request> requests;
-  requests.reserve(total);
-  if (stripes_sorted && identity_stripes &&
-      max_submit < 4 * static_cast<std::uint64_t>(total) + 4096) {
-    // Stable counting merge by submit cycle, for the common dense case.
-    // With stripe s holding exactly client s, visiting stripes in id
-    // order emits canonical (submit, client, seq) order directly: the
-    // sort is stable, so equal submit cycles land client-ordered across
-    // stripes and seq-ordered within one. One random-access move per
-    // request — no per-request heap sifting at all.
-    std::vector<std::uint32_t> starts(max_submit + 2, 0);
-    for (const std::vector<Request>& stripe : stripes) {
-      for (const Request& r : stripe) starts[r.submit_cycle + 1] += 1;
-    }
-    for (std::size_t c = 1; c < starts.size(); ++c) starts[c] += starts[c - 1];
-    requests.resize(total);
-    for (std::vector<Request>& stripe : stripes) {
-      for (Request& src : stripe) {
-        const std::size_t dst = starts[src.submit_cycle];
-        starts[src.submit_cycle] += 1;
-        place(dst, src);
-        requests[dst] = std::move(src);
-      }
-    }
-  } else if (stripes_sorted) {
-    // Min-heap over the stripe heads with the canonical key CACHED in the
-    // heap node: the comparator touches only the 32-byte Head array, not
-    // two Request objects in different stripes — the request itself is
-    // read once, when it is moved out. Heads never compare equal: equal
-    // canonical keys imply the same client, hence the same stripe.
-    struct Head {
-      std::uint64_t submit = 0;
-      std::uint64_t seq = 0;
-      std::uint32_t client = 0;
-      std::uint32_t stripe = 0;
-      std::size_t pos = 0;
-    };
-    const auto heap_after = [](const Head& x, const Head& y) {
-      if (x.submit != y.submit) return y.submit < x.submit;
-      if (x.client != y.client) return y.client < x.client;
-      return y.seq < x.seq;
-    };
-    std::vector<Head> heads;
-    for (std::size_t s = 0; s < kStripes; ++s) {
-      if (!stripes[s].empty()) {
-        const Request& r = stripes[s].front();
-        heads.push_back(Head{r.submit_cycle, r.seq, r.client,
-                             static_cast<std::uint32_t>(s), 0});
-      }
-    }
-    std::make_heap(heads.begin(), heads.end(), heap_after);
-    while (!heads.empty()) {
-      std::pop_heap(heads.begin(), heads.end(), heap_after);
-      Head& h = heads.back();
-      Request& src = stripes[h.stripe][h.pos];
-      place(requests.size(), src);
-      requests.push_back(std::move(src));
-      h.pos += 1;
-      if (h.pos < stripes[h.stripe].size()) {
-        const Request& next = stripes[h.stripe][h.pos];
-        h.submit = next.submit_cycle;
-        h.seq = next.seq;
-        h.client = next.client;
-        std::push_heap(heads.begin(), heads.end(), heap_after);
-      } else {
-        heads.pop_back();
-      }
-    }
-  } else {
-    for (std::vector<Request>& stripe : stripes) {
-      requests.insert(requests.end(),
-                      std::make_move_iterator(stripe.begin()),
-                      std::make_move_iterator(stripe.end()));
-    }
-    std::stable_sort(requests.begin(), requests.end(), canonical_less);
-    for (std::size_t i = 0; i < requests.size(); ++i) place(i, requests[i]);
-  }
-
-  metrics.on_submitted(requests.size());
-
-  // ---- Skew-adaptive migration: identical control-plane calls, in
-  // identical (cut) order, to the oracle in server.cpp — the planner is a
-  // pure function of the cut sequence, so both paths mint the same epoch
-  // mappings. Batches carry their epoch's mapping into the resolve stage
-  // via the token override. Faulted configs never reach here (run()
-  // dispatch), so no fault guard is repeated. ---------------------------
-  const bool migrate = options_.migration.enabled();
-  std::unique_ptr<MigrationPlanner> planner;
-  if (migrate) {
-    planner = std::make_unique<MigrationPlanner>(mapping_, options_.migration);
-  }
-
-  // ---- Adaptive mapping selection: same epoch protocol as migration —
-  // identical control-plane observe() calls in identical cut order to the
-  // oracle, epoch mapping carried into the resolve stage via the token
-  // override. -----------------------------------------------------------
-  const bool adapt = !migrate && options_.adaptive.enabled();
-  std::unique_ptr<AdaptiveSelector> selector;
-  if (adapt) {
-    selector = std::make_unique<AdaptiveSelector>(mapping_, options_.adaptive);
-  }
-
-  // ---- Read-write mode: the mutation barrier runs at the cut, on the
-  // control plane, before the batch enters the staged pipeline — the
-  // TokenRing's release-push publishes the colors to the resolve workers.
-  // Identical cut sequence to the oracle ⇒ identical mutation log. ------
-  const bool dynamic = options_.dyn.enabled();
-  assert(!(dynamic && migrate) &&
-         "dyn serving and skew migration are mutually exclusive");
-  assert(!(dynamic && adapt) &&
-         "dyn serving and adaptive selection are mutually exclusive");
-  assert(!(options_.migration.enabled() && options_.adaptive.enabled()) &&
-         "migration and adaptive selection both own the epoch mapping");
-  assert(!(dynamic && options_.memory != nullptr) &&
-         "the real-memory arenas are sized for a frozen tree");
-  std::vector<char> mutation_applied(requests.size(), 0);
-
-  const RetryPolicy& retry_policy = options_.retry;
-  AdmissionController admission(options_.admission);
-  BatchFormer former(options_.batch);
-  std::uint64_t ticks = 0;
-  std::uint64_t rounds = 0;
-  std::vector<std::size_t> scratch;
-  std::vector<std::uint32_t> attempts(requests.size(), 0);
-
-  std::size_t unresolved = 0;
-  const auto resolve = [&](std::size_t index, RequestStatus status,
-                           std::uint64_t cycle) {
-    Response& r = report.responses[index];
-    assert(r.status == RequestStatus::kPending);
-    r.status = status;
-    r.completion_cycle = cycle;
-    unresolved -= 1;
-  };
-
-  report.replicas.resize(R);
-  std::uint64_t t = 0;
-
-  while (true) {
-    rounds += 1;
-    const std::size_t round_first_batch = report.batches.size();
-    std::size_t next_intake = 0;
-    unresolved = intake.size();
-    const auto control_start = Clock::now();
-
-    while (unresolved > 0) {
-      ticks += 1;
-      // Phase 1: expire.
-      scratch.clear();
-      admission.expire(t, scratch);
-      for (const std::size_t index : scratch) {
-        resolve(index, RequestStatus::kExpired, t);
-      }
-      metrics.on_expired(scratch.size());
-
-      // Phase 2: promote.
-      scratch.clear();
-      admission.promote(t, scratch);
-      metrics.on_promoted(scratch.size());
-      for (const std::size_t index : scratch) {
-        report.responses[index].admitted_cycle = t;
-      }
-
-      // Phase 3: intake.
-      while (next_intake < intake.size() &&
-             intake[next_intake].arrival <= t) {
-        const std::size_t index = intake[next_intake++].index;
-        switch (admission.offer(index, requests[index], t)) {
-          case AdmissionController::Decision::kAdmitted:
-            report.responses[index].admitted_cycle = t;
-            metrics.on_admitted();
-            break;
-          case AdmissionController::Decision::kBlocked:
-            metrics.on_blocked();
-            break;
-          case AdmissionController::Decision::kShedNow:
-            resolve(index, RequestStatus::kShed, t);
-            metrics.on_shed();
-            break;
-          case AdmissionController::Decision::kDeadOnArrival:
-            resolve(index, RequestStatus::kExpired, t);
-            metrics.on_expired(1);
-            break;
-        }
-      }
-
-      // Phase 4: cut batches — raw (no coalesce; that is the resolve
-      // stage's job) and straight into the pipeline. metrics.on_batch is
-      // deferred to assembly, where the coalesced node set exists; its
-      // instruments are order-insensitive counters/histograms, so the
-      // deferred values match the oracle's exactly. With migration or
-      // adaptive selection on, form_one (coalesced) replaces form_one_raw
-      // so the planner/selector sees the same node multiset per batch as
-      // the oracle; resolve()'s coalesce is idempotent on an already
-      // sorted-deduped batch.
-      while (former.due(t, admission)) {
-        FormedBatch batch = (migrate || adapt)
-                                ? former.form_one(t, admission)
-                                : former.form_one_raw(t, admission);
-        for (const std::size_t index : batch.members) {
-          Response& r = report.responses[index];
-          r.dispatch_cycle = t;
-          r.batch = batch.id;
-        }
-        unresolved -= batch.members.size();
-        if (dynamic) {
-          apply_batch_mutations(batch, requests, options_.dyn, t,
-                                mutation_applied, report.mutations);
-        }
-        const std::uint32_t lane = static_cast<std::uint32_t>(batch.id % R);
-        const TreeMapping* epoch = nullptr;
-        if (migrate) {
-          planner->observe(batch.nodes, t);
-          epoch = &planner->current();
-        } else if (adapt) {
-          selector->observe(batch.nodes, t);
-          epoch = &selector->current();
-        }
-        runner.cut(std::move(batch), lane, 0, epoch);
-      }
-
-      // Phase 5: observe.
-      metrics.on_tick(admission.pending_count(), admission.blocked_count());
-
-      if (admission.idle() && next_intake < intake.size()) {
-        const std::uint64_t arrival = intake[next_intake].arrival;
-        const std::uint64_t next_tick = (arrival + T - 1) / T * T;
-        t = next_tick > t ? next_tick : t + T;
-      } else {
-        t += T;
-      }
-    }
-
-    runner.add_control_ns(ns_since(control_start));
-
-    // ---- Round barrier: resolve/execute/drain complete for the round. --
-    runner.close_round();
-
-    // ---- Assembly: batches land in the report in cut (= id) order. -----
-    report.batches.reserve(report.batches.size() + runner.token_count());
-    for (std::size_t tk = 0; tk < runner.token_count(); ++tk) {
-      BatchToken& token = runner.token(tk);
-      metrics.on_batch(token.batch);
-      report.memory += token.mem;
-      report.batches.push_back(std::move(token.batch));
-    }
-    for (std::size_t b = round_first_batch; b < report.batches.size(); ++b) {
-      const engine::EngineResult& res = runner.result(
-          static_cast<std::uint32_t>(b % R));
-      const std::uint64_t completion = res.records[b / R].completion;
-      for (const std::size_t index : report.batches[b].members) {
-        Response& r = report.responses[index];
-        assert(r.status == RequestStatus::kPending);
-        r.status = RequestStatus::kOk;
-        r.completion_cycle = completion;
-      }
-    }
-
-    // ---- Retry scan: identical to the oracle. --------------------------
-    std::vector<IntakeEntry> retries;
-    if (retry_policy.enabled()) {
-      for (std::size_t b = round_first_batch; b < report.batches.size();
-           ++b) {
-        for (const std::size_t index : report.batches[b].members) {
-          Response& r = report.responses[index];
-          const std::uint64_t residency =
-              r.completion_cycle - r.dispatch_cycle;
-          if (residency <= retry_policy.attempt_timeout_cycles ||
-              attempts[index] >= retry_policy.max_retries) {
-            continue;
-          }
-          attempts[index] += 1;
-          r.retries = attempts[index];
-          r.status = RequestStatus::kPending;
-          retries.push_back(IntakeEntry{
-              r.dispatch_cycle + retry_policy.attempt_timeout_cycles +
-                  retry_policy.backoff(attempts[index]),
-              index});
-        }
-      }
-    }
-    if (retries.empty()) break;
-    std::sort(retries.begin(), retries.end(),
-              [](const IntakeEntry& a, const IntakeEntry& b) {
-                if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                return a.index < b.index;
-              });
-    metrics.on_retried(retries.size());
-    intake = std::move(retries);
-    runner.next_round();
-  }
-  report.ticks = ticks;
-  report.rounds = rounds;
-
-  for (std::uint32_t r = 0; r < R; ++r) {
-    report.replicas[r] = runner.result(r);
-  }
-
-  // ---- Final accounting + metrics: identical to the oracle, plus the
-  // pipeline stage-attribution section. ---------------------------------
-  std::uint64_t last = 0;
-  for (const Response& r : report.responses) {
-    last = std::max(last, r.completion_cycle);
-    if (r.status == RequestStatus::kOk) metrics.on_completed(r);
-  }
-  report.final_cycle = last;
-
-  for (std::uint32_t r = 0; r < R; ++r) {
-    const std::string prefix = "serve.replica" + std::to_string(r);
-    const engine::EngineResult& res = report.replicas[r];
-    registry_.counter(prefix + ".accesses").add(res.accesses);
-    registry_.counter(prefix + ".requests").add(res.requests);
-    registry_.counter(prefix + ".busy_cycles").add(res.busy_cycles);
-    metrics.on_replica_faults(res.rerouted_requests, res.stalled_cycles);
-  }
-
-  metrics.set_pipeline(runner.stats());
-  if (migrate) metrics.set_migration(planner->stats());
-  if (adapt) metrics.set_adaptive(selector->stats());
-  if (options_.memory != nullptr) {
-    metrics.set_memory(options_.memory->stats(report.memory));
-  }
-  if (dynamic) metrics.set_dyn(dyn_stats(options_.dyn, report.mutations));
-  report.metrics = metrics.summary();
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Forest::run_pipeline — the staged twin of Forest::run (forest.cpp).
-
-ForestReport Forest::run_pipeline() {
-  ensure_plan();
-  const std::size_t N = tenants_.size();
-  const std::uint64_t T = options_.tick_cycles;
-  if (!runner_) {
-    std::vector<LaneSpec> lanes(plan_.total_lanes);
-    for (std::size_t i = 0; i < N; ++i) {
-      for (std::uint32_t l = 0; l < plan_.lanes[i]; ++l) {
-        lanes[plan_.first_lane[i] + l] =
-            LaneSpec{tenants_[i].mapping, tenants_[i].options.engine,
-                     tenants_[i].options.memory};
-      }
-    }
-    runner_ = std::make_unique<StagedRunner>(std::move(lanes),
-                                             options_.pipeline);
-  }
-  StagedRunner& runner = *runner_;
-  runner.begin_run();
-
-  // ---- Canonical order + per-tenant split: identical to the oracle. ---
-  std::vector<Submitted> all = drain_inboxes();
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Submitted& a, const Submitted& b) {
-                     if (a.request.submit_cycle != b.request.submit_cycle)
-                       return a.request.submit_cycle < b.request.submit_cycle;
-                     if (a.tenant != b.tenant) return a.tenant < b.tenant;
-                     if (a.request.client != b.request.client)
-                       return a.request.client < b.request.client;
-                     return a.request.seq < b.request.seq;
-                   });
-
-  ForestReport report;
-  report.plan = plan_;
-  report.tenants.resize(N);
-
-  std::vector<std::vector<Request>> requests(N);
-  struct IntakeEntry {
-    std::uint64_t arrival = 0;
-    std::uint32_t tenant = 0;
-    std::uint32_t local = 0;
-  };
-  std::vector<IntakeEntry> intake;
-  intake.reserve(all.size());
-  for (Submitted& s : all) {
-    const std::uint32_t local =
-        static_cast<std::uint32_t>(requests[s.tenant].size());
-    intake.push_back(IntakeEntry{s.request.submit_cycle, s.tenant, local});
-    requests[s.tenant].push_back(std::move(s.request));
-  }
-  for (std::size_t i = 0; i < N; ++i) {
-    TenantReport& t = report.tenants[i];
-    t.name = tenants_[i].options.name;
-    t.responses.resize(requests[i].size());
-    t.lanes.resize(plan_.lanes.empty() ? 0 : plan_.lanes[i]);
-    for (std::size_t k = 0; k < requests[i].size(); ++k) {
-      Response& r = t.responses[k];
-      r.client = requests[i][k].client;
-      r.seq = requests[i][k].seq;
-      r.submit_cycle = requests[i][k].submit_cycle;
-    }
-  }
-
-  engine::MetricsRegistry& reg = registry_;
-  ServeMetrics forest_metrics(reg, "forest");
-  std::vector<ServeMetrics> tenant_metrics;
-  tenant_metrics.reserve(N);
-  std::vector<AdmissionController> admission;
-  admission.reserve(N);
-  std::vector<BatchFormer> former;
-  former.reserve(N);
-  std::vector<std::uint64_t> weights(N, 1);
-  for (std::size_t i = 0; i < N; ++i) {
-    tenant_metrics.emplace_back(reg, "forest.t" + std::to_string(i));
-    admission.emplace_back(tenants_[i].options.admission);
-    former.emplace_back(tenants_[i].options.batch);
-    weights[i] = tenants_[i].options.weight;
-    tenant_metrics[i].on_submitted(requests[i].size());
-  }
-  forest_metrics.on_submitted(all.size());
-  DeficitRoundRobin drr(weights, options_.drr_quantum_nodes);
-
-  // ---- Per-tenant skew-adaptive migration and adaptive selection: same
-  // planner/selector protocol as the Server twin, one per opted-in tenant
-  // (pipeline dispatch already requires every tenant healthy, so no fault
-  // guard is repeated). ---------------------------------------------------
-  std::vector<std::unique_ptr<MigrationPlanner>> planners(N);
-  std::vector<std::unique_ptr<AdaptiveSelector>> selectors(N);
-  for (std::size_t i = 0; i < N; ++i) {
-    assert(!(tenants_[i].options.migration.enabled() &&
-             tenants_[i].options.adaptive.enabled()) &&
-           "per-tenant migration and adaptive selection are mutually "
-           "exclusive");
-    if (tenants_[i].options.migration.enabled()) {
-      planners[i] = std::make_unique<MigrationPlanner>(
-          *tenants_[i].mapping, tenants_[i].options.migration);
-    } else if (tenants_[i].options.adaptive.enabled()) {
-      selectors[i] = std::make_unique<AdaptiveSelector>(
-          *tenants_[i].mapping, tenants_[i].options.adaptive);
-    }
-  }
-
-  const bool pooled = options_.global_queue_bound != 0 && N > 0;
-  const std::size_t G =
-      pooled ? std::max(options_.global_queue_bound, N) : 0;
-  std::vector<std::uint32_t> reserved(N, 0);
-  if (pooled) {
-    std::vector<double> w(N);
-    for (std::size_t i = 0; i < N; ++i) {
-      w[i] = static_cast<double>(weights[i] == 0 ? 1 : weights[i]);
-    }
-    reserved = apportion(static_cast<std::uint32_t>(G), w);
-    for (std::uint32_t& r : reserved) r = std::max(r, 1u);
-  }
-  std::size_t total_pending = 0;
-  const auto recount_pending = [&]() {
-    total_pending = 0;
-    for (const AdmissionController& a : admission) {
-      total_pending += a.pending_count();
-    }
-  };
-
-  std::uint64_t ticks = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t t = 0;
-  std::vector<std::size_t> scratch;
-  std::vector<std::vector<std::uint32_t>> attempts(N);
-  std::vector<std::size_t> round_first_batch(N, 0);
-  for (std::size_t i = 0; i < N; ++i) {
-    attempts[i].assign(requests[i].size(), 0);
-  }
-
-  std::size_t unresolved = 0;
-  const auto resolve = [&](std::uint32_t tenant, std::uint32_t local,
-                           RequestStatus status, std::uint64_t cycle) {
-    Response& r = report.tenants[tenant].responses[local];
-    assert(r.status == RequestStatus::kPending);
-    r.status = status;
-    r.completion_cycle = cycle;
-    unresolved -= 1;
-  };
-
-  while (true) {
-    rounds += 1;
-    std::size_t next_intake = 0;
-    unresolved = intake.size();
-    for (std::size_t i = 0; i < N; ++i) {
-      round_first_batch[i] = report.tenants[i].batches.size();
-    }
-    const auto control_start = Clock::now();
-
-    while (unresolved > 0) {
-      ticks += 1;
-      // Phase 1: expire, per tenant in id order.
-      for (std::size_t i = 0; i < N; ++i) {
-        scratch.clear();
-        admission[i].expire(t, scratch);
-        for (const std::size_t local : scratch) {
-          resolve(static_cast<std::uint32_t>(i),
-                  static_cast<std::uint32_t>(local), RequestStatus::kExpired,
-                  t);
-        }
-        tenant_metrics[i].on_expired(scratch.size());
-        forest_metrics.on_expired(scratch.size());
-      }
-      recount_pending();
-
-      // Phase 2: promote, bounded by pool headroom.
-      for (std::size_t i = 0; i < N; ++i) {
-        std::size_t limit = ~std::size_t{0};
-        if (pooled) {
-          const std::size_t mine = admission[i].pending_count();
-          const std::size_t reserve_room =
-              reserved[i] > mine ? reserved[i] - mine : 0;
-          const std::size_t shared_room =
-              total_pending < G ? G - total_pending : 0;
-          limit = reserve_room + shared_room;
-        }
-        scratch.clear();
-        admission[i].promote(t, scratch, limit);
-        for (const std::size_t local : scratch) {
-          report.tenants[i].responses[local].admitted_cycle = t;
-        }
-        tenant_metrics[i].on_promoted(scratch.size());
-        forest_metrics.on_promoted(scratch.size());
-        total_pending += scratch.size();
-      }
-
-      // Phase 3: intake, canonical (arrival, tenant, local) order.
-      while (next_intake < intake.size() &&
-             intake[next_intake].arrival <= t) {
-        const IntakeEntry e = intake[next_intake++];
-        const std::size_t i = e.tenant;
-        const bool pool_ok =
-            !pooled || admission[i].pending_count() < reserved[i] ||
-            total_pending < G;
-        switch (admission[i].offer(e.local, requests[i][e.local], t,
-                                   pool_ok)) {
-          case AdmissionController::Decision::kAdmitted:
-            report.tenants[i].responses[e.local].admitted_cycle = t;
-            tenant_metrics[i].on_admitted();
-            forest_metrics.on_admitted();
-            total_pending += 1;
-            break;
-          case AdmissionController::Decision::kBlocked:
-            tenant_metrics[i].on_blocked();
-            forest_metrics.on_blocked();
-            break;
-          case AdmissionController::Decision::kShedNow:
-            resolve(e.tenant, e.local, RequestStatus::kShed, t);
-            tenant_metrics[i].on_shed();
-            forest_metrics.on_shed();
-            break;
-          case AdmissionController::Decision::kDeadOnArrival:
-            resolve(e.tenant, e.local, RequestStatus::kExpired, t);
-            tenant_metrics[i].on_expired(1);
-            forest_metrics.on_expired(1);
-            break;
-        }
-      }
-
-      // Phase 4: DRR batch formation — raw cuts into the pipeline;
-      // on_batch deferred to assembly (same argument as the Server twin).
-      for (std::size_t i = 0; i < N; ++i) {
-        if (admission[i].pending_count() == 0) {
-          drr.reset(i);
-          continue;
-        }
-        drr.begin_turn(i);
-        while (former[i].due(t, admission[i])) {
-          const std::uint64_t cost = former[i].next_batch_cost(admission[i]);
-          if (!drr.affords(i, cost)) break;
-          drr.spend(i, cost);
-          // Migrating/adapting tenants cut coalesced (form_one) so the
-          // planner/selector sees the oracle's exact node multiset per
-          // batch.
-          FormedBatch batch = (planners[i] || selectors[i])
-                                  ? former[i].form_one(t, admission[i])
-                                  : former[i].form_one_raw(t, admission[i]);
-          for (const std::size_t local : batch.members) {
-            Response& r = report.tenants[i].responses[local];
-            r.dispatch_cycle = t;
-            r.batch = batch.id;
-          }
-          unresolved -= batch.members.size();
-          report.tenants[i].served_nodes += batch.requested_nodes;
-          const std::uint32_t lane =
-              plan_.first_lane[i] +
-              static_cast<std::uint32_t>(batch.id % plan_.lanes[i]);
-          const TreeMapping* epoch = nullptr;
-          if (planners[i]) {
-            planners[i]->observe(batch.nodes, t);
-            epoch = &planners[i]->current();
-          } else if (selectors[i]) {
-            selectors[i]->observe(batch.nodes, t);
-            epoch = &selectors[i]->current();
-          }
-          runner.cut(std::move(batch), lane, static_cast<std::uint32_t>(i),
-                     epoch);
-        }
-        if (admission[i].pending_count() == 0) drr.reset(i);
-      }
-      recount_pending();
-
-      // Phase 5: observe.
-      std::size_t total_blocked = 0;
-      for (std::size_t i = 0; i < N; ++i) {
-        tenant_metrics[i].on_tick(admission[i].pending_count(),
-                                  admission[i].blocked_count());
-        total_blocked += admission[i].blocked_count();
-      }
-      forest_metrics.on_tick(total_pending, total_blocked);
-
-      bool idle = true;
-      for (const AdmissionController& a : admission) {
-        idle = idle && a.idle();
-      }
-      if (idle && next_intake < intake.size()) {
-        const std::uint64_t arrival = intake[next_intake].arrival;
-        const std::uint64_t next_tick = (arrival + T - 1) / T * T;
-        t = next_tick > t ? next_tick : t + T;
-      } else {
-        t += T;
-      }
-    }
-
-    runner.add_control_ns(ns_since(control_start));
-    runner.close_round();
-
-    // ---- Assembly: tokens in cut order; per-tenant id order follows. ---
-    for (std::size_t tk = 0; tk < runner.token_count(); ++tk) {
-      BatchToken& token = runner.token(tk);
-      tenant_metrics[token.tenant].on_batch(token.batch);
-      forest_metrics.on_batch(token.batch);
-      report.tenants[token.tenant].memory += token.mem;
-      report.tenants[token.tenant].batches.push_back(std::move(token.batch));
-    }
-    for (std::size_t i = 0; i < N; ++i) {
-      TenantReport& tr = report.tenants[i];
-      const std::uint32_t lanes = plan_.lanes[i];
-      for (std::size_t b = round_first_batch[i]; b < tr.batches.size();
-           ++b) {
-        const engine::EngineResult& res = runner.result(
-            plan_.first_lane[i] + static_cast<std::uint32_t>(b % lanes));
-        const std::uint64_t completion = res.records[b / lanes].completion;
-        for (const std::size_t local : tr.batches[b].members) {
-          Response& r = tr.responses[local];
-          assert(r.status == RequestStatus::kPending);
-          r.status = RequestStatus::kOk;
-          r.completion_cycle = completion;
-        }
-      }
-    }
-
-    // ---- Retry scan: identical to the oracle. --------------------------
-    std::vector<IntakeEntry> retries;
-    for (std::size_t i = 0; i < N; ++i) {
-      const RetryPolicy& policy = tenants_[i].options.retry;
-      if (!policy.enabled()) continue;
-      TenantReport& tr = report.tenants[i];
-      std::uint64_t tenant_retries = 0;
-      for (std::size_t b = round_first_batch[i]; b < tr.batches.size();
-           ++b) {
-        for (const std::size_t local : tr.batches[b].members) {
-          Response& r = tr.responses[local];
-          const std::uint64_t residency =
-              r.completion_cycle - r.dispatch_cycle;
-          if (residency <= policy.attempt_timeout_cycles ||
-              attempts[i][local] >= policy.max_retries) {
-            continue;
-          }
-          attempts[i][local] += 1;
-          r.retries = attempts[i][local];
-          r.status = RequestStatus::kPending;
-          retries.push_back(IntakeEntry{
-              r.dispatch_cycle + policy.attempt_timeout_cycles +
-                  policy.backoff(attempts[i][local]),
-              static_cast<std::uint32_t>(i),
-              static_cast<std::uint32_t>(local)});
-          tenant_retries += 1;
-        }
-      }
-      tenant_metrics[i].on_retried(tenant_retries);
-      forest_metrics.on_retried(tenant_retries);
-    }
-    if (retries.empty()) break;
-    std::sort(retries.begin(), retries.end(),
-              [](const IntakeEntry& a, const IntakeEntry& b) {
-                if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                if (a.tenant != b.tenant) return a.tenant < b.tenant;
-                return a.local < b.local;
-              });
-    intake = std::move(retries);
-    runner.next_round();
-  }
-  report.ticks = ticks;
-  report.rounds = rounds;
-
-  for (std::size_t i = 0; i < N; ++i) {
-    for (std::uint32_t l = 0; l < plan_.lanes[i]; ++l) {
-      report.tenants[i].lanes[l] = runner.result(plan_.first_lane[i] + l);
-    }
-  }
-
-  // ---- Final accounting + rollup: identical to the oracle, plus the
-  // pipeline section on the forest aggregate. ---------------------------
-  std::uint64_t last = 0;
-  std::uint64_t total_served_nodes = 0;
-  for (std::size_t i = 0; i < N; ++i) {
-    for (const Response& r : report.tenants[i].responses) {
-      last = std::max(last, r.completion_cycle);
-      if (r.status == RequestStatus::kOk) {
-        tenant_metrics[i].on_completed(r);
-        forest_metrics.on_completed(r);
-      }
-    }
-    total_served_nodes += report.tenants[i].served_nodes;
-  }
-  report.final_cycle = last;
-
-  for (std::size_t i = 0; i < N; ++i) {
-    const std::string tprefix = "forest.t" + std::to_string(i);
-    for (std::size_t l = 0; l < report.tenants[i].lanes.size(); ++l) {
-      const engine::EngineResult& res = report.tenants[i].lanes[l];
-      const std::string prefix = tprefix + ".lane" + std::to_string(l);
-      reg.counter(prefix + ".accesses").add(res.accesses);
-      reg.counter(prefix + ".requests").add(res.requests);
-      reg.counter(prefix + ".busy_cycles").add(res.busy_cycles);
-      tenant_metrics[i].on_replica_faults(res.rerouted_requests,
-                                          res.stalled_cycles);
-      forest_metrics.on_replica_faults(res.rerouted_requests,
-                                       res.stalled_cycles);
-    }
-    if (planners[i]) tenant_metrics[i].set_migration(planners[i]->stats());
-    if (selectors[i]) tenant_metrics[i].set_adaptive(selectors[i]->stats());
-    if (tenants_[i].options.memory != nullptr) {
-      tenant_metrics[i].set_memory(
-          tenants_[i].options.memory->stats(report.tenants[i].memory));
-    }
-    report.tenants[i].metrics = tenant_metrics[i].summary();
-  }
-
-  forest_metrics.set_pipeline(runner.stats());
-  Json roll = Json::object();
-  roll.set("forest", forest_metrics.summary());
-  Json jtenants = Json::array();
-  for (std::size_t i = 0; i < N; ++i) {
-    Json row = Json::object();
-    row.set("id", Json(i));
-    row.set("name", Json(report.tenants[i].name));
-    row.set("weight", Json(weights[i]));
-    row.set("rate", Json(tenants_[i].options.rate));
-    row.set("lanes", Json(std::uint64_t{plan_.lanes[i]}));
-    row.set("first_lane", Json(std::uint64_t{plan_.first_lane[i]}));
-    if (pooled) row.set("reserved", Json(std::uint64_t{reserved[i]}));
-    row.set("requests", Json(report.tenants[i].responses.size()));
-    row.set("served_nodes", Json(report.tenants[i].served_nodes));
-    row.set("batch_share",
-            Json(total_served_nodes == 0
-                     ? 0.0
-                     : static_cast<double>(report.tenants[i].served_nodes) /
-                           static_cast<double>(total_served_nodes)));
-    row.set("metrics", report.tenants[i].metrics);
-    jtenants.push_back(std::move(row));
-  }
-  roll.set("tenants", std::move(jtenants));
-  roll.set("plan", plan_.to_json());
-  if (pooled) roll.set("global_queue_bound", Json(G));
-  report.metrics = std::move(roll);
-  return report;
 }
 
 }  // namespace pmtree::serve

@@ -1,21 +1,14 @@
 #include "pmtree/serve/server.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <memory>
-#include <span>
 #include <utility>
 
-#include "pmtree/engine/arrival.hpp"
-#include "pmtree/engine/session.hpp"
-#include "pmtree/util/parallel.hpp"
+#include "control_plane.hpp"
 
 namespace pmtree::serve {
 
 std::uint64_t ServeReport::count(RequestStatus status) const noexcept {
-  std::uint64_t n = 0;
-  for (const Response& r : responses) n += r.status == status ? 1 : 0;
-  return n;
+  return detail::count_status(responses, status);
 }
 
 Json ServeReport::to_json() const {
@@ -46,418 +39,58 @@ Json ServeReport::to_json() const {
   // add the arena traffic totals.
   if (memory.nodes != 0) j.set("memory", memory.to_json());
   j.set("metrics", metrics);
-
-  Json rows = Json::array();
-  for (const Response& r : responses) {
-    Json row = Json::object();
-    row.set("client", Json(std::uint64_t{r.client}));
-    row.set("seq", Json(r.seq));
-    row.set("status", Json(to_string(r.status)));
-    row.set("submit", Json(r.submit_cycle));
-    row.set("completion", Json(r.completion_cycle));
-    row.set("latency", Json(r.latency()));
-    row.set("retries", Json(std::uint64_t{r.retries}));
-    if (r.status == RequestStatus::kOk) row.set("batch", Json(r.batch));
-    rows.push_back(std::move(row));
-  }
-  j.set("responses", std::move(rows));
+  j.set("responses", detail::response_rows(responses));
   return j;
 }
 
 Server::Server(const TreeMapping& mapping, ServerOptions options)
-    : mapping_(mapping), options_(options) {
+    : mapping_(mapping),
+      options_(options),
+      plane_(std::make_unique<detail::ControlPlane>()) {
   if (options_.tick_cycles == 0) options_.tick_cycles = 1;
   if (options_.replicas == 0) options_.replicas = 1;
 }
 
-void Server::submit(Request request) {
-  Inbox& inbox = inboxes_[request.client % kStripes];
-  const std::lock_guard<std::mutex> lock(inbox.mutex);
-  inbox.requests.push_back(std::move(request));
-}
+Server::~Server() = default;
+
+void Server::submit(Request request) { plane_->submit(0, std::move(request)); }
 
 void Server::submit(std::vector<Request> requests) {
   for (Request& r : requests) submit(std::move(r));
 }
 
-std::vector<Request> Server::drain_inboxes() {
-  std::vector<Request> all;
-  for (Inbox& inbox : inboxes_) {
-    const std::lock_guard<std::mutex> lock(inbox.mutex);
-    all.insert(all.end(), std::make_move_iterator(inbox.requests.begin()),
-               std::make_move_iterator(inbox.requests.end()));
-    inbox.requests.clear();
-  }
-  return all;
-}
-
 ServeReport Server::run() {
-  // Staged-pipeline dispatch (pipeline.cpp). The body below is the
-  // frozen single-threaded oracle the pipeline is differentially tested
-  // against — faulted engine configurations always run here (the
-  // degraded engine loop needs nodes for rerouting; EngineSession is
-  // healthy-path only).
-  if (options_.pipeline.enabled() &&
-      (options_.engine.faults == nullptr || options_.engine.faults->empty())) {
-    return run_pipeline();
-  }
+  // The control plane's one-slot instance: no DRR, no shared pool.
+  detail::PlaneConfig config;
+  config.tick_cycles = options_.tick_cycles;
+  config.workers = options_.workers;
+  config.pipeline = options_.pipeline;
+  detail::SlotConfig& slot = config.slots.emplace_back();
+  slot.mapping = &mapping_;
+  slot.metrics_prefix = "serve";
+  slot.lane_prefix = "serve.replica";
+  slot.options.admission = options_.admission;
+  slot.options.batch = options_.batch;
+  slot.options.retry = options_.retry;
+  slot.options.engine = options_.engine;
+  slot.options.migration = options_.migration;
+  slot.options.adaptive = options_.adaptive;
+  slot.options.memory = options_.memory;
+  slot.dyn = options_.dyn;
+  slot.lanes = options_.replicas;
 
-  // ---- Canonical order: a pure function of the submitted set. ---------
-  std::vector<Request> requests = drain_inboxes();
-  std::stable_sort(requests.begin(), requests.end(),
-                   [](const Request& a, const Request& b) {
-                     if (a.submit_cycle != b.submit_cycle)
-                       return a.submit_cycle < b.submit_cycle;
-                     if (a.client != b.client) return a.client < b.client;
-                     return a.seq < b.seq;
-                   });
-
-  ServeMetrics metrics(registry_);
+  detail::PlaneReport plane = plane_->run(config, registry_);
+  TenantReport& only = plane.slots.front();
   ServeReport report;
-  report.responses.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    Response& r = report.responses[i];
-    r.client = requests[i].client;
-    r.seq = requests[i].seq;
-    r.submit_cycle = requests[i].submit_cycle;
-  }
-  metrics.on_submitted(requests.size());
-
-  // ---- Tick loop: single-threaded control plane, in serving rounds. ---
-  // A round is one pass of (tick loop -> replica execution -> assembly).
-  // Without a RetryPolicy there is exactly one round and the pipeline is
-  // the original single-pass server, stamp for stamp. With retries, each
-  // round's timed-out completions are discarded and re-enter the next
-  // round's intake at the cycle the caller would have resent; since
-  // everything below runs on the single-threaded control plane except the
-  // replica engines (which are deterministic), responses stay bit-identical
-  // at any worker count.
-  const std::uint64_t T = options_.tick_cycles;
-  const std::uint32_t R = options_.replicas;
-  const RetryPolicy& retry_policy = options_.retry;
-  AdmissionController admission(options_.admission);
-  BatchFormer former(options_.batch);
-  std::uint64_t ticks = 0;
-  std::uint64_t rounds = 0;
-  std::vector<std::size_t> scratch;
-  std::vector<std::uint32_t> attempts(requests.size(), 0);
-
-  // Intake entries for the current round: (arrival cycle, canonical
-  // index), sorted by (arrival, index). Round 1 is every submitted
-  // request at its submit cycle — already in order, since the canonical
-  // sort leads with submit_cycle and index order breaks ties.
-  struct IntakeEntry {
-    std::uint64_t arrival = 0;
-    std::size_t index = 0;
-  };
-  std::vector<IntakeEntry> intake(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    intake[i] = IntakeEntry{requests[i].submit_cycle, i};
-  }
-
-  // ---- Skew-adaptive migration (DESIGN.md §15). -----------------------
-  // When enabled, every cut batch is folded into the planner's heat
-  // ledger at cut time (a control-plane event, in canonical batch order)
-  // and resolved against the epoch's mapping into a per-replica
-  // EngineSession; the parallel phase below then only drains. Faulted
-  // configurations keep the static mapping: the fault timeline's reroute
-  // table owns the color space, and EngineSession is healthy-path only.
-  // ---- Read-write mode (DESIGN.md §16). -------------------------------
-  // Mutations apply at the batch-cut barrier below; migration assumes a
-  // frozen tree shape, so the two are mutually exclusive by contract.
-  const bool dynamic = options_.dyn.enabled();
-  assert(!(dynamic && options_.migration.enabled()) &&
-         "dyn serving and skew migration are mutually exclusive");
-  assert(!(dynamic && options_.adaptive.enabled()) &&
-         "dyn serving and adaptive selection are mutually exclusive");
-  assert(!(options_.migration.enabled() && options_.adaptive.enabled()) &&
-         "migration and adaptive selection both own the epoch mapping");
-  assert(!(dynamic && options_.memory != nullptr) &&
-         "the real-memory arenas are sized for a frozen tree");
-  std::vector<char> mutation_applied(requests.size(), 0);
-
-  const bool healthy =
-      options_.engine.faults == nullptr || options_.engine.faults->empty();
-  const bool migrate = !dynamic && options_.migration.enabled() && healthy;
-  // ---- Adaptive mapping selection (DESIGN.md §17). --------------------
-  // Same epoch skeleton as migration: the selector observes every cut
-  // batch on the control plane and the batch resolves against the epoch's
-  // chosen mapping into its replica's session. Faulted configurations
-  // keep the static mapping for the same reasons migration does.
-  const bool adapt = !migrate && !dynamic && options_.adaptive.enabled() &&
-                     healthy;
-  std::unique_ptr<MigrationPlanner> planner;
-  std::unique_ptr<AdaptiveSelector> selector;
-  std::vector<engine::EngineSession> sessions;
-  std::vector<Color> epoch_colors;
-  if (migrate || adapt) {
-    if (migrate) {
-      planner =
-          std::make_unique<MigrationPlanner>(mapping_, options_.migration);
-    } else {
-      selector =
-          std::make_unique<AdaptiveSelector>(mapping_, options_.adaptive);
-    }
-    sessions.reserve(R);
-    for (std::uint32_t r = 0; r < R; ++r) {
-      sessions.emplace_back(mapping_, options_.engine);
-    }
-  }
-  // ---- Real-memory backend (DESIGN.md §17). ---------------------------
-  // Observation only: each cut batch's deduped node payloads are loaded
-  // from the arenas right here on the control plane. Nothing downstream
-  // reads the result, so responses are bit-identical with it on or off.
-  const mem::MemoryBackend* memory = options_.memory;
-
-  // Requests of the current round not yet shed, expired, or dispatched in
-  // a batch. Dispatched requests leave the control plane — their
-  // completion cycle is decided by the replica runs, not the tick loop.
-  std::size_t unresolved = 0;
-  const auto resolve = [&](std::size_t index, RequestStatus status,
-                           std::uint64_t cycle) {
-    Response& r = report.responses[index];
-    assert(r.status == RequestStatus::kPending);
-    r.status = status;
-    r.completion_cycle = cycle;
-    unresolved -= 1;
-  };
-
-  report.replicas.resize(R);
-  std::vector<std::vector<std::size_t>> plan(R);  // replica -> batch indices
-  std::uint64_t t = 0;
-
-  while (true) {
-    rounds += 1;
-    const std::size_t round_first_batch = report.batches.size();
-    std::size_t next_intake = 0;  // first not-yet-offered intake entry
-    unresolved = intake.size();
-
-    while (unresolved > 0) {
-      ticks += 1;
-      // Phase 1: expire queued requests whose deadline budget elapsed.
-      scratch.clear();
-      admission.expire(t, scratch);
-      for (const std::size_t index : scratch) {
-        resolve(index, RequestStatus::kExpired, t);
-      }
-      metrics.on_expired(scratch.size());
-
-      // Phase 2: promote blocked callers into freed slots, FIFO — before
-      // intake, so blocked callers outrank this tick's new arrivals.
-      scratch.clear();
-      admission.promote(t, scratch);
-      metrics.on_promoted(scratch.size());
-      for (const std::size_t index : scratch) {
-        report.responses[index].admitted_cycle = t;
-      }
-
-      // Phase 3: intake of everything arrived by now, canonical order.
-      // Retried requests keep their original Request — original submit
-      // cycle and deadline — so the deadline sweep above and the
-      // dead-on-arrival check below price the retry against the budget
-      // that remains, not a fresh one.
-      while (next_intake < intake.size() &&
-             intake[next_intake].arrival <= t) {
-        const std::size_t index = intake[next_intake++].index;
-        switch (admission.offer(index, requests[index], t)) {
-          case AdmissionController::Decision::kAdmitted:
-            report.responses[index].admitted_cycle = t;
-            metrics.on_admitted();
-            break;
-          case AdmissionController::Decision::kBlocked:
-            metrics.on_blocked();
-            break;
-          case AdmissionController::Decision::kShedNow:
-            resolve(index, RequestStatus::kShed, t);
-            metrics.on_shed();
-            break;
-          case AdmissionController::Decision::kDeadOnArrival:
-            resolve(index, RequestStatus::kExpired, t);
-            metrics.on_expired(1);
-            break;
-        }
-      }
-
-      // Phase 4: cut batches. Members get their dispatch stamp here;
-      // their completion waits for the replica runs below. With migration
-      // the batch also feeds the heat ledger and its replica's session
-      // now, under the epoch mapping in force after the observation.
-      for (FormedBatch& batch : former.form(t, admission)) {
-        for (const std::size_t index : batch.members) {
-          Response& r = report.responses[index];
-          r.dispatch_cycle = t;
-          r.batch = batch.id;
-        }
-        unresolved -= batch.members.size();
-        if (dynamic) {
-          // The PALM barrier: writers apply now, in canonical member
-          // order, and the colorer publishes every color the replica
-          // phase will read — before any worker sees the batch.
-          apply_batch_mutations(batch, requests, options_.dyn, t,
-                                mutation_applied, report.mutations);
-        }
-        if (migrate || adapt) {
-          const TreeMapping* epoch = nullptr;
-          if (migrate) {
-            planner->observe(batch.nodes, t);
-            epoch = &planner->current();
-          } else {
-            selector->observe(batch.nodes, t);
-            epoch = &selector->current();
-          }
-          epoch_colors.resize(batch.nodes.size());
-          epoch->color_of_batch(
-              batch.nodes,
-              std::span<Color>(epoch_colors.data(), epoch_colors.size()));
-          sessions[batch.id % R].feed_resolved(epoch_colors, t);
-        }
-        if (memory != nullptr) {
-          report.memory += memory->touch(batch.nodes);
-        }
-        metrics.on_batch(batch);
-        report.batches.push_back(std::move(batch));
-      }
-
-      // Phase 5: observe queue depths for this tick.
-      metrics.on_tick(admission.pending_count(), admission.blocked_count());
-
-      // Advance. When the queues are idle the next event is the next
-      // arrival; jump straight to its tick (ceiling — intake needs
-      // arrival <= t) instead of ticking through the idle gap.
-      if (admission.idle() && next_intake < intake.size()) {
-        const std::uint64_t arrival = intake[next_intake].arrival;
-        const std::uint64_t next_tick = (arrival + T - 1) / T * T;
-        t = next_tick > t ? next_tick : t + T;
-      } else {
-        t += T;
-      }
-    }
-
-    // ---- Replica execution: the only parallel phase. ------------------
-    // Batch b runs on replica b mod R; each replica feeds its cumulative
-    // batch list through the cycle engine with the dispatch ticks as
-    // explicit arrivals (nondecreasing by construction — batch ids are
-    // minted in tick order and t only advances across rounds). Re-running
-    // a replica with later batches appended cannot change the earlier
-    // batches' completions — later arrivals queue strictly behind — so
-    // each round's re-execution extends, never rewrites, the previous
-    // round's results.
-    const unsigned workers =
-        std::min<unsigned>(resolve_threads(options_.workers), R);
-    if (migrate || adapt) {
-      // Sessions were fed at cut time (epoch-resolved colors, canonical
-      // order); the parallel phase replays each cumulative prefix. Same
-      // extend-never-rewrite argument as below — drain() re-runs the
-      // whole feed, and later arrivals queue strictly behind.
-      parallel_chunks(R, workers, /*grain=*/1,
-                      [&](unsigned, std::uint64_t begin, std::uint64_t end) {
-                        for (std::uint64_t r = begin; r < end; ++r) {
-                          report.replicas[r] = sessions[r].drain();
-                        }
-                      });
-    } else {
-      for (std::size_t b = round_first_batch; b < report.batches.size();
-           ++b) {
-        plan[b % R].push_back(b);
-      }
-      parallel_chunks(R, workers, /*grain=*/1,
-                      [&](unsigned, std::uint64_t begin, std::uint64_t end) {
-                        for (std::uint64_t r = begin; r < end; ++r) {
-                          std::vector<Workload::Access> accesses;
-                          std::vector<std::uint64_t> arrivals;
-                          accesses.reserve(plan[r].size());
-                          arrivals.reserve(plan[r].size());
-                          for (const std::size_t b : plan[r]) {
-                            accesses.push_back(report.batches[b].nodes);
-                            arrivals.push_back(
-                                report.batches[b].formed_cycle);
-                          }
-                          const engine::CycleEngine eng(mapping_);
-                          report.replicas[r] = eng.run(
-                              Workload(std::move(accesses)),
-                              engine::ArrivalSchedule::explicit_cycles(
-                                  std::move(arrivals)),
-                              options_.engine);
-                        }
-                      });
-    }
-
-    // ---- Round assembly: this round's batches resolve their members. --
-    for (std::size_t b = round_first_batch; b < report.batches.size(); ++b) {
-      const engine::EngineResult& res = report.replicas[b % R];
-      const std::size_t slot = b / R;  // position within the replica's run
-      const std::uint64_t completion = res.records[slot].completion;
-      for (const std::size_t index : report.batches[b].members) {
-        Response& r = report.responses[index];
-        assert(r.status == RequestStatus::kPending);
-        r.status = RequestStatus::kOk;
-        r.completion_cycle = completion;
-      }
-    }
-
-    // ---- Retry scan: discard timed-out completions into next round. ---
-    std::vector<IntakeEntry> retries;
-    if (retry_policy.enabled()) {
-      for (std::size_t b = round_first_batch; b < report.batches.size();
-           ++b) {
-        for (const std::size_t index : report.batches[b].members) {
-          Response& r = report.responses[index];
-          const std::uint64_t residency =
-              r.completion_cycle - r.dispatch_cycle;
-          if (residency <= retry_policy.attempt_timeout_cycles ||
-              attempts[index] >= retry_policy.max_retries) {
-            continue;
-          }
-          attempts[index] += 1;
-          r.retries = attempts[index];
-          r.status = RequestStatus::kPending;
-          // The caller resends once its attempt timer fires plus backoff;
-          // the deadline countdown keeps running from the original submit.
-          retries.push_back(IntakeEntry{
-              r.dispatch_cycle + retry_policy.attempt_timeout_cycles +
-                  retry_policy.backoff(attempts[index]),
-              index});
-        }
-      }
-    }
-    if (retries.empty()) break;
-    std::sort(retries.begin(), retries.end(),
-              [](const IntakeEntry& a, const IntakeEntry& b) {
-                if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                return a.index < b.index;
-              });
-    metrics.on_retried(retries.size());
-    intake = std::move(retries);
-  }
-  report.ticks = ticks;
-  report.rounds = rounds;
-
-  // ---- Final accounting + metrics, deterministic order. ---------------
-  std::uint64_t last = 0;
-  for (const Response& r : report.responses) {
-    last = std::max(last, r.completion_cycle);
-    if (r.status == RequestStatus::kOk) metrics.on_completed(r);
-  }
-  report.final_cycle = last;
-
-  // Fold the per-replica engine trajectories into the registry under
-  // stable names (replica engines above run without a registry so the
-  // parallel phase never shares one), plus the fault counters the runs
-  // accumulated.
-  for (std::uint32_t r = 0; r < R; ++r) {
-    const std::string prefix = "serve.replica" + std::to_string(r);
-    const engine::EngineResult& res = report.replicas[r];
-    registry_.counter(prefix + ".accesses").add(res.accesses);
-    registry_.counter(prefix + ".requests").add(res.requests);
-    registry_.counter(prefix + ".busy_cycles").add(res.busy_cycles);
-    metrics.on_replica_faults(res.rerouted_requests, res.stalled_cycles);
-  }
-
-  if (migrate) metrics.set_migration(planner->stats());
-  if (adapt) metrics.set_adaptive(selector->stats());
-  if (memory != nullptr) metrics.set_memory(memory->stats(report.memory));
-  if (dynamic) metrics.set_dyn(dyn_stats(options_.dyn, report.mutations));
-  report.metrics = metrics.summary();
+  report.responses = std::move(only.responses);
+  report.batches = std::move(only.batches);
+  report.replicas = std::move(only.lanes);
+  report.ticks = plane.ticks;
+  report.rounds = plane.rounds;
+  report.final_cycle = plane.final_cycle;
+  report.mutations = std::move(plane.mutations.front());
+  report.memory = only.memory;
+  report.metrics = std::move(only.metrics);
   return report;
 }
 

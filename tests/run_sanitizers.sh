@@ -25,7 +25,9 @@
 # up as a TSan report and as a divergence from the 1-worker oracle), and
 # the staged serve pipeline (test_serve_pipeline drives StagedRunner's
 # SPSC token rings, ready-flag handoff, overflow spill/pump, and round
-# barrier at 1/2/8 pipeline workers against the frozen tick-loop oracle —
+# barrier at 1/2/8 pipeline workers against the inline executor, the
+# differential oracle of the one serve control plane, faulted configs
+# included —
 # a race in the ring cursors, the pooled token reuse, the resolve/execute
 # ordering edge, or the barrier handshake shows up as a TSan report and
 # as a bit-identity mismatch; the `pipeline` ctest label selects the
@@ -58,6 +60,11 @@
 # selector and worker-side epoch-mapping reads surfaces as a report or
 # a response divergence — the `mem` ctest label selects the arena,
 # combinator, selector and serve-layer suites plus the E25 smoke gate).
+# The `serve` ctest label selects every suite that pins the serve control
+# plane and its two executors (test_serve_*, test_dyn_serve,
+# test_engine_session, test_engine_faults) — the one-command safety net
+# for changes there (`tests/run_sanitizers.sh tsan` runs them with the
+# rest; `ctest --test-dir build-tsan -L serve` re-runs just them).
 #
 #   tests/run_sanitizers.sh             # all three sanitizers, full suite
 #   tests/run_sanitizers.sh tsan        # one sanitizer

@@ -503,7 +503,7 @@ TEST(FaultDifferential, MidRunMassFailureDrainsQueuedRequestsToSurvivor) {
 // insert/erase requests racing a fail-stop epoch must drain cleanly —
 // every request terminal, every mutation applied exactly once even when
 // retries re-dispatch its request, and the whole run bit-identical at
-// any worker count (faulted configs take the oracle serve path).
+// any worker count and on the staged pipeline.
 
 struct DynFaultRun {
   serve::ServeReport report;
@@ -512,7 +512,8 @@ struct DynFaultRun {
 };
 
 DynFaultRun run_dyn_faulted(const std::vector<serve::Request>& requests,
-                            const FaultPlan* plan, unsigned workers) {
+                            const FaultPlan* plan, unsigned workers,
+                            unsigned pipeline_workers = 0) {
   const CompleteBinaryTree envelope(8);
   dyn::DynamicTree tree(8);
   dyn::IncrementalColorer colorer =
@@ -520,6 +521,7 @@ DynFaultRun run_dyn_faulted(const std::vector<serve::Request>& requests,
   serve::ServerOptions opts;
   opts.tick_cycles = 2;
   opts.workers = workers;
+  opts.pipeline.workers = pipeline_workers;
   opts.batch.max_batch_nodes = 12;
   opts.engine.faults = plan;
   opts.retry.max_retries = 2;
@@ -604,6 +606,26 @@ TEST(DynFaults, MutationBatchesDrainCleanlyAcrossFailStopEpoch) {
   for (const unsigned workers : {2u, 8u}) {
     const DynFaultRun got = run_dyn_faulted(requests, &plan, workers);
     ASSERT_EQ(got.report.to_json().dump(), oracle.report.to_json().dump());
+    ASSERT_EQ(got.live, oracle.live);
+    ASSERT_EQ(got.tree_version, oracle.tree_version);
+  }
+
+  // So does the staged pipeline: the same report apart from its
+  // wall-time "pipeline" metrics section.
+  const auto without_pipeline = [](serve::ServeReport report) {
+    Json metrics = Json::object();
+    for (const auto& [key, value] : report.metrics.members()) {
+      if (key != "pipeline") metrics.set(key, value);
+    }
+    report.metrics = std::move(metrics);
+    return report.to_json().dump();
+  };
+  for (const unsigned pipeline_workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pipeline_workers=" + std::to_string(pipeline_workers));
+    const DynFaultRun got =
+        run_dyn_faulted(requests, &plan, 1, pipeline_workers);
+    ASSERT_NE(got.report.metrics.find("pipeline"), nullptr);
+    ASSERT_EQ(without_pipeline(got.report), without_pipeline(oracle.report));
     ASSERT_EQ(got.live, oracle.live);
     ASSERT_EQ(got.tree_version, oracle.tree_version);
   }

@@ -10,7 +10,8 @@
 // feed_resolved entry the pipeline's resolve stage uses. This suite holds
 // that identity on randomized (mapping, workload, arrivals) triples
 // across every template family and sampling mode, comparing whole
-// EngineResult JSON snapshots.
+// EngineResult JSON snapshots — healthy, and under random fail-stop and
+// slowdown FaultPlans, where ReferenceEngine is the second oracle.
 #include "pmtree/engine/session.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,8 @@
 #include <vector>
 
 #include "pmtree/engine/engine.hpp"
+#include "pmtree/engine/reference.hpp"
+#include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
@@ -32,6 +35,7 @@ using engine::CycleEngine;
 using engine::EngineOptions;
 using engine::EngineResult;
 using engine::EngineSession;
+using engine::ReferenceEngine;
 
 using DepthSampling = EngineOptions::DepthSampling;
 
@@ -190,6 +194,83 @@ TEST_P(SessionDifferential, MidStreamDrainsMatchPrefixRuns) {
   }
 }
 
+/// A random fail-stop + slowdown plan whose fail-stops all fire before
+/// cycle `fail_window`.
+fault::FaultPlan random_plan(std::uint32_t modules, std::uint64_t fail_window,
+                             Rng& rng) {
+  fault::FaultPlan::RandomOptions opts;
+  opts.seed = rng();
+  opts.modules = modules;
+  opts.fail_fraction = 0.1 + 0.3 * static_cast<double>(rng.below(3));
+  opts.fail_window = fail_window;
+  opts.slowdown_count = static_cast<std::uint32_t>(rng.below(4));
+  opts.slowdown_window = 1 + rng.below(128);
+  opts.slowdown_max_length = 1 + rng.below(64);
+  opts.slowdown_max_period = 2 + rng.below(3);
+  return fault::FaultPlan::random(opts);
+}
+
+TEST_P(SessionDifferential, FaultedFeedDrainMatchesMonolithicAndReference) {
+  const int family = GetParam();
+  Rng rng(0xFA5E55u + static_cast<std::uint64_t>(family));
+  for (int trial = 0; trial < 20; ++trial) {
+    const CompleteBinaryTree tree(6 + static_cast<std::uint32_t>(rng.below(5)));
+    const auto mapping = random_mapping(tree, rng);
+    const Workload workload = random_workload(tree, family, rng);
+    const std::vector<std::uint64_t> arrivals =
+        random_arrivals(workload.size(), rng);
+    const fault::FaultPlan plan =
+        random_plan(mapping->num_modules(), 1 + rng.below(128), rng);
+    SCOPED_TRACE("trial=" + std::to_string(trial) + " mapping=" +
+                 mapping->name() + " plan=" + plan.to_json().dump());
+
+    const ArrivalSchedule schedule = ArrivalSchedule::explicit_cycles(arrivals);
+    const EngineResult reference =
+        ReferenceEngine(*mapping).run(workload, schedule, plan);
+    const CycleEngine eng(*mapping);
+    for (const DepthSampling mode : {DepthSampling::kEveryBusyCycle,
+                                     DepthSampling::kStrided,
+                                     DepthSampling::kOff}) {
+      EngineOptions options;
+      options.sampling = mode;
+      options.sample_stride = 1 + rng.below(7);
+      options.faults = &plan;
+      const EngineResult want = eng.run(workload, schedule, options);
+
+      // Alternate both feed entries batch by batch.
+      EngineSession session(*mapping, options);
+      for (std::size_t i = 0; i < workload.size(); ++i) {
+        if (i % 2 == 0) {
+          session.feed(workload[i], arrivals[i]);
+        } else {
+          std::vector<Color> colors(workload[i].size());
+          mapping->color_of_batch(workload[i], colors);
+          session.feed_resolved(colors, arrivals[i]);
+        }
+      }
+      const EngineResult got = session.drain();
+      expect_same_result(got, want);
+
+      // The trajectory is the reference loop's in every sampling mode;
+      // with full sampling the whole snapshot and depth histogram are.
+      ASSERT_EQ(got.records.size(), reference.records.size());
+      for (std::size_t i = 0; i < got.records.size(); ++i) {
+        ASSERT_EQ(got.records[i].completion, reference.records[i].completion)
+            << "access " << i;
+      }
+      ASSERT_EQ(got.served, reference.served);
+      ASSERT_EQ(got.rerouted_requests, reference.rerouted_requests);
+      ASSERT_EQ(got.stalled_cycles, reference.stalled_cycles);
+      ASSERT_EQ(got.busy_cycles, reference.busy_cycles);
+      if (mode == DepthSampling::kEveryBusyCycle) {
+        expect_same_result(got, reference);
+        ASSERT_EQ(got.queue_depth.count(), reference.queue_depth.count());
+        ASSERT_EQ(got.queue_depth.sum(), reference.queue_depth.sum());
+      }
+    }
+  }
+}
+
 std::string family_name(const ::testing::TestParamInfo<int>& info) {
   static const char* const kNames[] = {"Subtrees", "Paths", "LevelRuns",
                                        "Composites"};
@@ -198,6 +279,63 @@ std::string family_name(const ::testing::TestParamInfo<int>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, SessionDifferential,
                          ::testing::Values(0, 1, 2, 3), family_name);
+
+TEST(EngineSession, FaultedSecondDrainExtendsTheFirst) {
+  // feed → drain → feed → drain under a FaultPlan: each drain is the
+  // monolithic run over its prefix, and the second keeps every record of
+  // the first. The later feeds arrive after every fail-stop has fired —
+  // the serving retry rounds' situation once a failure has settled. (A
+  // fail-stop firing after them could drain an earlier request onto its
+  // reroute target behind a later arrival.)
+  Rng rng(0x2D4A1Eu);
+  for (int trial = 0; trial < 30; ++trial) {
+    const CompleteBinaryTree tree(6 + static_cast<std::uint32_t>(rng.below(5)));
+    const auto mapping = random_mapping(tree, rng);
+    const Workload workload =
+        random_workload(tree, static_cast<int>(rng.below(4)), rng);
+    const std::uint64_t fail_window = 1 + rng.below(64);
+    const fault::FaultPlan plan =
+        random_plan(mapping->num_modules(), fail_window, rng);
+    std::vector<std::uint64_t> arrivals = random_arrivals(workload.size(), rng);
+    const std::size_t split = workload.size() / 2;
+    for (std::size_t i = split; i < arrivals.size(); ++i) {
+      arrivals[i] += fail_window;
+    }
+    EngineOptions options = random_options(rng);
+    options.faults = &plan;
+    SCOPED_TRACE("trial=" + std::to_string(trial) + " mapping=" +
+                 mapping->name() + " plan=" + plan.to_json().dump());
+
+    EngineSession session(*mapping, options);
+    for (std::size_t i = 0; i < split; ++i) {
+      session.feed(workload[i], arrivals[i]);
+    }
+    const EngineResult first = session.drain();
+    for (std::size_t i = split; i < workload.size(); ++i) {
+      session.feed(workload[i], arrivals[i]);
+    }
+    const EngineResult second = session.drain();
+
+    const CycleEngine eng(*mapping);
+    const Workload prefix(std::vector<Workload::Access>(
+        workload.accesses().begin(),
+        workload.accesses().begin() + static_cast<std::ptrdiff_t>(split)));
+    expect_same_result(
+        first, eng.run(prefix,
+                       ArrivalSchedule::explicit_cycles(std::vector<std::uint64_t>(
+                           arrivals.begin(),
+                           arrivals.begin() + static_cast<std::ptrdiff_t>(split))),
+                       options));
+    expect_same_result(
+        second,
+        eng.run(workload, ArrivalSchedule::explicit_cycles(arrivals), options));
+    for (std::size_t i = 0; i < split; ++i) {
+      ASSERT_EQ(second.records[i].arrival, first.records[i].arrival) << i;
+      ASSERT_EQ(second.records[i].completion, first.records[i].completion)
+          << i;
+    }
+  }
+}
 
 TEST(EngineSession, EmptySessionDrainsToEmptyResult) {
   const CompleteBinaryTree tree(8);

@@ -18,6 +18,7 @@
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/serve/forest.hpp"
+#include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
 
 namespace pmtree::serve {
@@ -413,6 +414,138 @@ TEST(ServeForest, RepeatedRunsConsumeOnlyNewSubmissions) {
   ASSERT_EQ(second.total_requests(), 1u);
   ASSERT_EQ(second.tenants[0].responses.size(), 1u);
   EXPECT_EQ(second.tenants[0].responses[0].status, RequestStatus::kOk);
+}
+
+// ---------------------------------------------------------------------------
+// Server ≡ one-tenant Forest. Both run the same control plane: a Server is
+// its one-slot instance without DRR metering or a shared pool, a Forest its
+// N-slot instance. With one tenant, no global bound and a DRR quantum at
+// least as large as everything that can ever be pending, metering never
+// binds, so the two must serve identically.
+
+TEST(ServeForest, ServerEqualsOneTenantForest) {
+  std::uint64_t retried = 0;
+  std::uint64_t rerouted = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed * 0x9E3779B97F4A7C15u);
+    const std::uint32_t levels = static_cast<std::uint32_t>(rng.between(4, 9));
+    const CompleteBinaryTree tree(levels);
+    const std::uint32_t modules = static_cast<std::uint32_t>(rng.between(3, 17));
+    std::unique_ptr<TreeMapping> mapping;
+    if (rng.chance(1, 2)) {
+      mapping = std::make_unique<ColorMapping>(
+          make_optimal_color_mapping(tree, modules));
+    } else {
+      mapping = std::make_unique<ModuloMapping>(tree, modules);
+    }
+
+    ServerOptions sopts;
+    sopts.tick_cycles = rng.between(1, 6);
+    sopts.replicas = static_cast<std::uint32_t>(rng.between(1, 4));
+    sopts.workers = static_cast<unsigned>(rng.between(1, 3));
+    sopts.admission.queue_bound = rng.between(1, 24);
+    sopts.admission.overflow =
+        rng.chance(1, 2) ? OverflowPolicy::kShed : OverflowPolicy::kBlock;
+    sopts.batch.max_batch_nodes = rng.between(2, 40);
+    sopts.batch.max_wait_cycles = rng.between(0, 10);
+    sopts.engine.sampling = engine::EngineOptions::DepthSampling::kStrided;
+    sopts.engine.sample_stride = 16;
+    // Seeds alternate retries on/off, and every other pair adds faults.
+    if (seed % 2 == 0) {
+      sopts.retry.max_retries = static_cast<std::uint32_t>(rng.between(1, 3));
+      sopts.retry.attempt_timeout_cycles = rng.between(2, 8);
+      sopts.retry.backoff_base_cycles = rng.between(1, 6);
+      sopts.retry.backoff_cap_cycles = 64;
+    }
+    std::unique_ptr<fault::FaultPlan> faults;
+    if (seed % 4 >= 2) {
+      fault::FaultPlan::RandomOptions fopts;
+      fopts.seed = rng();
+      fopts.modules = modules;
+      fopts.fail_fraction = 0.25;
+      fopts.fail_window = 64;
+      fopts.slowdown_count = 2;
+      fopts.slowdown_window = 256;
+      fopts.slowdown_max_length = 128;
+      fopts.slowdown_max_period = 4;
+      faults = std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(fopts));
+      sopts.engine.faults = faults.get();
+    }
+
+    std::vector<Request> requests;
+    std::uint64_t total_nodes = 0;
+    const std::size_t count = rng.between(20, 90);
+    std::vector<std::uint64_t> next_seq(3, 0);
+    std::uint64_t clock = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      clock += rng.below(4);
+      Request r;
+      r.client = static_cast<std::uint32_t>(rng.below(3));
+      r.seq = next_seq[r.client]++;
+      r.submit_cycle = clock;
+      r.deadline_cycles = rng.chance(1, 4) ? rng.between(2, 24) : 0;
+      r.nodes = random_payload(rng, levels, rng.chance(1, 2));
+      total_nodes += r.nodes.size();
+      requests.push_back(std::move(r));
+    }
+
+    Server server(*mapping, sopts);
+    for (const Request& r : requests) server.submit(r);
+    const ServeReport want = server.run();
+
+    ForestOptions fopts;
+    fopts.tick_cycles = sopts.tick_cycles;
+    fopts.replicas = sopts.replicas;
+    fopts.workers = sopts.workers;
+    fopts.global_queue_bound = 0;
+    fopts.drr_quantum_nodes = total_nodes + 1;
+    TenantOptions topts;
+    topts.admission = sopts.admission;
+    topts.batch = sopts.batch;
+    topts.retry = sopts.retry;
+    topts.engine = sopts.engine;
+    Forest forest(fopts);
+    forest.add_tenant(*mapping, topts);
+    for (const Request& r : requests) forest.submit(0, r);
+    const ForestReport got = forest.run();
+
+    ASSERT_EQ(got.tenants.size(), 1u);
+    const TenantReport& t = got.tenants[0];
+    ASSERT_EQ(t.responses.size(), want.responses.size());
+    for (std::size_t i = 0; i < t.responses.size(); ++i) {
+      const Response& a = t.responses[i];
+      const Response& b = want.responses[i];
+      ASSERT_EQ(a.client, b.client) << i;
+      ASSERT_EQ(a.seq, b.seq) << i;
+      ASSERT_EQ(a.status, b.status) << i;
+      ASSERT_EQ(a.admitted_cycle, b.admitted_cycle) << i;
+      ASSERT_EQ(a.dispatch_cycle, b.dispatch_cycle) << i;
+      ASSERT_EQ(a.completion_cycle, b.completion_cycle) << i;
+      ASSERT_EQ(a.batch, b.batch) << i;
+      ASSERT_EQ(a.retries, b.retries) << i;
+      retried += a.retries;
+    }
+    ASSERT_EQ(t.batches.size(), want.batches.size());
+    for (std::size_t b = 0; b < t.batches.size(); ++b) {
+      ASSERT_EQ(t.batches[b].id, want.batches[b].id) << b;
+      ASSERT_EQ(t.batches[b].formed_cycle, want.batches[b].formed_cycle) << b;
+      ASSERT_EQ(t.batches[b].members, want.batches[b].members) << b;
+      ASSERT_EQ(t.batches[b].nodes, want.batches[b].nodes) << b;
+    }
+    ASSERT_EQ(t.lanes.size(), want.replicas.size());
+    for (std::size_t l = 0; l < t.lanes.size(); ++l) {
+      ASSERT_EQ(t.lanes[l].to_json().dump(), want.replicas[l].to_json().dump())
+          << "lane " << l;
+      rerouted += t.lanes[l].rerouted_requests;
+    }
+    ASSERT_EQ(got.ticks, want.ticks);
+    ASSERT_EQ(got.rounds, want.rounds);
+    ASSERT_EQ(got.final_cycle, want.final_cycle);
+  }
+  // Both the retry and the fault paths were exercised.
+  EXPECT_GT(retried, 0u);
+  EXPECT_GT(rerouted, 0u);
 }
 
 }  // namespace

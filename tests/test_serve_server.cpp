@@ -300,5 +300,73 @@ TEST(ServerRetry, OneCycleMoreDeadlineLetsTheFinalRetryLand) {
   EXPECT_EQ(report.rounds, 2u);
 }
 
+TEST(ServerRetry, BackoffSaturatesAtTheCapInsteadOfWrapping) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  RetryPolicy policy;
+  policy.backoff_base_cycles = std::uint64_t{1} << 63;
+  policy.backoff_cap_cycles = kMax;
+  EXPECT_EQ(policy.backoff(1), std::uint64_t{1} << 63);
+  EXPECT_EQ(policy.backoff(2), kMax);  // 2^64 does not fit: the cap does
+  EXPECT_EQ(policy.backoff(100), kMax);
+
+  // Backoff never shrinks as attempts grow, whatever the doubling reaches.
+  policy.backoff_base_cycles = 3;
+  std::uint64_t previous = 0;
+  for (std::uint32_t attempt = 1; attempt <= 200; ++attempt) {
+    const std::uint64_t b = policy.backoff(attempt);
+    ASSERT_GE(b, previous) << "attempt " << attempt;
+    previous = b;
+  }
+  EXPECT_EQ(previous, kMax);
+}
+
+TEST(ServerRetry, ResendCycleSaturates) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  RetryPolicy policy;
+  policy.max_retries = 3;
+  policy.attempt_timeout_cycles = 5;
+  policy.backoff_base_cycles = 3;
+  EXPECT_EQ(policy.resend_cycle(10, 1), 10u + 5u + 3u);
+  EXPECT_EQ(policy.resend_cycle(kMax - 7, 1), kMax);
+  EXPECT_EQ(policy.resend_cycle(kMax - 8, 1), kMax - 8 + 8);
+  policy.backoff_base_cycles = kMax - 2;
+  policy.backoff_cap_cycles = kMax;
+  EXPECT_EQ(policy.resend_cycle(0, 1), kMax);  // timeout + backoff overflows
+}
+
+TEST(ServerRetry, ResendPastTheEndOfTheClockNeverHappens) {
+  // Three nodes on module 0 take 3 cycles, past the 1-cycle attempt
+  // timeout, so every attempt times out. Retry 1 resends 2^63 cycles
+  // later; retry 2's backoff saturates at the cap (UINT64_MAX), so its
+  // resend lies past the end of the clock: the second attempt's
+  // completion stands. A wrapped backoff would instead resend at once.
+  const CompleteBinaryTree tree(4);
+  const ModuloMapping mapping(tree, 2);
+  Request request;
+  request.client = 0;
+  request.seq = 0;
+  request.submit_cycle = 0;
+  request.nodes = {v(0, 0), v(1, 1), v(1, 2)};  // ids 0, 2, 4: module 0
+
+  ServerOptions opts;
+  opts.tick_cycles = 1;
+  opts.batch.max_wait_cycles = 0;
+  opts.retry.max_retries = 2;
+  opts.retry.attempt_timeout_cycles = 1;
+  opts.retry.backoff_base_cycles = std::uint64_t{1} << 63;
+  opts.retry.backoff_cap_cycles = ~std::uint64_t{0};
+
+  Server server(mapping, opts);
+  server.submit(request);
+  const ServeReport report = server.run();
+  ASSERT_EQ(report.responses.size(), 1u);
+  const Response& r = report.responses[0];
+  EXPECT_EQ(r.status, RequestStatus::kOk);
+  EXPECT_EQ(r.retries, 1u);
+  EXPECT_EQ(r.dispatch_cycle, 0u + 1u + (std::uint64_t{1} << 63));
+  EXPECT_EQ(r.completion_cycle, r.dispatch_cycle + 3);
+  EXPECT_EQ(report.rounds, 2u);
+}
+
 }  // namespace
 }  // namespace pmtree::serve
