@@ -6,21 +6,21 @@
 //   (b) B-tree-style range queries: composite template accesses; COLOR
 //       keeps rounds near the ceil(D/M) ideal.
 //
-// The tables replay identical operation streams through the memory-system
-// simulator for each mapping; the timing section measures end-to-end
-// throughput including address computation.
+// The tables replay identical operation streams for each mapping and
+// charge every access its busiest module's occupancy (rounds()); the timing
+// section measures end-to-end throughput including address computation.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
+#include "pmtree/analysis/cost.hpp"
 #include "pmtree/apps/parallel_heap.hpp"
 #include "pmtree/apps/range_index.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
-#include "pmtree/pms/memory_system.hpp"
-#include "pmtree/pms/simulator.hpp"
 #include "pmtree/util/bits.hpp"
 #include "pmtree/util/rng.hpp"
+#include "pmtree/util/stats.hpp"
 
 namespace {
 
@@ -64,12 +64,15 @@ void print_heap_table() {
        {static_cast<const TreeMapping*>(&color),
         static_cast<const TreeMapping*>(&label),
         static_cast<const TreeMapping*>(&naive)}) {
-    MemorySystem pms(*map);
-    for (const auto& access : trace) pms.access(access);
-    table.row(map->name(), map->num_modules(), pms.round_stats().mean(),
-              pms.round_stats().max(), pms.total_rounds(),
-              static_cast<double>(pms.total_rounds()) /
-                  static_cast<double>(pms.ideal_rounds()));
+    Accumulator per_op;
+    std::uint64_t ideal = 0;
+    for (const auto& access : trace) {
+      per_op.add(rounds(*map, access));
+      ideal += ceil_div(access.size(), map->num_modules());
+    }
+    table.row(map->name(), map->num_modules(), per_op.mean(), per_op.max(),
+              per_op.sum(),
+              static_cast<double>(per_op.sum()) / static_cast<double>(ideal));
   }
   bench::print_experiment(
       "E11a (Section 1.1, heap)",
@@ -98,18 +101,22 @@ void print_range_table() {
        {static_cast<const TreeMapping*>(&color),
         static_cast<const TreeMapping*>(&label),
         static_cast<const TreeMapping*>(&naive)}) {
-    MemorySystem pms(*map);
+    Accumulator per_query;
+    std::uint64_t ideal = 0;
     Rng rng(23);
     for (int q = 0; q < 2000; ++q) {
       const auto lo = static_cast<RangeIndex::Key>(rng.below(static_cast<std::uint64_t>(next)));
       const auto hi = lo + static_cast<RangeIndex::Key>(rng.below(static_cast<std::uint64_t>(next) / 16));
       const auto result = index.query(lo, hi);
-      if (!result.accessed.empty()) pms.access(result.accessed);
+      if (!result.accessed.empty()) {
+        per_query.add(rounds(*map, result.accessed));
+        ideal += ceil_div(result.accessed.size(), map->num_modules());
+      }
     }
-    table.row(map->name(), pms.round_stats().count(), pms.round_stats().mean(),
-              pms.round_stats().max(),
-              static_cast<double>(pms.total_rounds()) /
-                  static_cast<double>(pms.ideal_rounds()));
+    table.row(map->name(), per_query.count(), per_query.mean(),
+              per_query.max(),
+              static_cast<double>(per_query.sum()) /
+                  static_cast<double>(ideal));
   }
   bench::print_experiment(
       "E11b (Section 1.1, range queries)",
@@ -122,10 +129,10 @@ void BM_HeapThroughput(benchmark::State& state) {
   const CompleteBinaryTree tree(levels);
   const ColorMapping color(tree, levels, 3);
   const auto trace = heap_trace(levels, 2000);
-  const Workload workload{std::vector<std::vector<Node>>(trace)};
-  const ParallelAccessSimulator sim(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(color, workload).total_rounds);
+    std::uint64_t total = 0;
+    for (const auto& access : trace) total += rounds(color, access);
+    benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()));
@@ -142,7 +149,6 @@ void BM_RangeQueryThroughput(benchmark::State& state) {
   }
   const RangeIndex index(keys);
   const EagerColorMapping color(make_optimal_color_mapping(index.tree(), 15));
-  MemorySystem pms(color);
   Rng rng(29);
   std::uint64_t queries = 0;
   for (auto _ : state) {
@@ -150,7 +156,7 @@ void BM_RangeQueryThroughput(benchmark::State& state) {
     const auto hi = lo + static_cast<RangeIndex::Key>(rng.below(static_cast<std::uint64_t>(next) / 16));
     const auto result = index.query(lo, hi);
     if (!result.accessed.empty()) {
-      benchmark::DoNotOptimize(pms.access(result.accessed).rounds);
+      benchmark::DoNotOptimize(rounds(color, result.accessed));
     }
     ++queries;
   }

@@ -22,7 +22,7 @@
 #include "pmtree/engine/engine.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
-#include "pmtree/pms/scheduler.hpp"
+#include "pmtree/util/bits.hpp"
 
 namespace {
 
@@ -64,10 +64,14 @@ void run_experiment() {
   report.set("modules", Json(static_cast<std::uint64_t>(kM)));
   report.set("accesses", Json(static_cast<std::uint64_t>(workload.size())));
   Json runs = Json::array();
+  std::uint64_t requests = 0;
+  for (const Workload::Access& access : workload.accesses()) {
+    requests += access.size();
+  }
 
   for (const TreeMapping* mapping : mappings) {
-    const std::uint64_t ideal =
-        BatchScheduler(*mapping).schedule(workload).ideal;
+    // A perfectly spread batch: every module drains ceil(requests / M).
+    const std::uint64_t ideal = ceil_div(requests, mapping->num_modules());
     for (const ArrivalSchedule& schedule : schedules()) {
       const std::string prefix = mapping->name() + "/" + schedule.name();
       const CycleEngine eng(*mapping, &registry, prefix);

@@ -12,13 +12,14 @@
 #include <iostream>
 #include <set>
 
+#include "pmtree/analysis/cost.hpp"
 #include "pmtree/apps/dictionary.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
-#include "pmtree/pms/memory_system.hpp"
 #include "pmtree/util/bits.hpp"
 #include "pmtree/util/rng.hpp"
+#include "pmtree/util/stats.hpp"
 #include "pmtree/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
        {static_cast<const TreeMapping*>(&color),
         static_cast<const TreeMapping*>(&label),
         static_cast<const TreeMapping*>(&naive)}) {
-    MemorySystem pms(*map);
+    Accumulator per_lookup;
     Rng rng(42);
     std::uint64_t hits = 0;
     for (std::size_t q = 0; q < lookups; ++q) {
@@ -61,10 +62,10 @@ int main(int argc, char** argv) {
               : static_cast<Dictionary::Key>(rng.below(1u << 28));
       const auto result = dict.search(probe);
       hits += result.found ? 1 : 0;
-      pms.access(result.accessed);
+      per_lookup.add(rounds(*map, result.accessed));
     }
     table.row(map->name(), map->num_modules(), lookups, hits,
-              pms.round_stats().mean(), pms.round_stats().max());
+              per_lookup.mean(), per_lookup.max());
   }
   table.print(std::cout);
   std::cout << "\nevery lookup fetches one full root-to-leaf path; COLOR "

@@ -11,12 +11,14 @@
 #include <memory>
 #include <vector>
 
+#include "pmtree/analysis/cost.hpp"
 #include "pmtree/apps/parallel_heap.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
-#include "pmtree/pms/memory_system.hpp"
+#include "pmtree/util/bits.hpp"
 #include "pmtree/util/rng.hpp"
+#include "pmtree/util/stats.hpp"
 #include "pmtree/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -61,12 +63,15 @@ int main(int argc, char** argv) {
        {static_cast<const TreeMapping*>(&color),
         static_cast<const TreeMapping*>(&label),
         static_cast<const TreeMapping*>(&naive)}) {
-    MemorySystem pms(*mapping);
-    for (const auto& access : accesses) pms.access(access);
-    table.row(mapping->name(), mapping->num_modules(), pms.total_rounds(),
-              pms.round_stats().mean(), pms.round_stats().max(),
-              static_cast<double>(pms.total_rounds()) /
-                  static_cast<double>(pms.ideal_rounds()));
+    Accumulator per_op;
+    std::uint64_t ideal = 0;  // every op spread perfectly: ceil(|op| / M)
+    for (const auto& access : accesses) {
+      per_op.add(rounds(*mapping, access));
+      ideal += ceil_div(access.size(), mapping->num_modules());
+    }
+    table.row(mapping->name(), mapping->num_modules(), per_op.sum(),
+              per_op.mean(), per_op.max(),
+              static_cast<double>(per_op.sum()) / static_cast<double>(ideal));
   }
   table.print(std::cout);
   std::cout << "\nCOLOR serves every heap operation in a single memory "

@@ -1,18 +1,22 @@
 // Parallel memory system simulation: replays a large mixed workload
-// against several mappings with the multithreaded simulator and reports
-// simulated memory rounds (the paper's cost model) alongside wall time
-// (which also reflects each mapping's addressing cost).
+// against several mappings, charging each access its busiest module's
+// occupancy (rounds()), and reports simulated memory rounds (the paper's
+// cost model) alongside wall time (which also reflects each mapping's
+// addressing cost).
 //
-//   $ ./pms_simulation [levels] [accesses] [threads]
+//   $ ./pms_simulation [levels] [accesses]
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 
+#include "pmtree/analysis/cost.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
-#include "pmtree/pms/simulator.hpp"
 #include "pmtree/pms/workload.hpp"
+#include "pmtree/util/bits.hpp"
+#include "pmtree/util/stats.hpp"
 #include "pmtree/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -22,8 +26,6 @@ int main(int argc, char** argv) {
       argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 20;
   const std::size_t accesses =
       argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 50000;
-  const unsigned threads =
-      argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 0;
 
   const CompleteBinaryTree tree(levels);
   const std::uint32_t M = 15;
@@ -40,7 +42,6 @@ int main(int argc, char** argv) {
             << " mixed template accesses of size " << M << "\n\n";
 
   const auto workload = Workload::mixed(tree, M, accesses, 2718);
-  const ParallelAccessSimulator sim(threads);
 
   TableWriter table({"mapping", "rounds", "vs ideal", "worst access",
                      "wall s", "Maccesses/s"});
@@ -50,11 +51,24 @@ int main(int argc, char** argv) {
         static_cast<const TreeMapping*>(&label_norec),
         static_cast<const TreeMapping*>(&naive),
         static_cast<const TreeMapping*>(&random)}) {
-    const auto report = sim.run(*mapping, workload);
-    table.row(mapping->name(), report.total_rounds, report.slowdown(),
-              report.max_rounds, report.wall_seconds,
-              static_cast<double>(report.accesses) / 1e6 /
-                  (report.wall_seconds > 0 ? report.wall_seconds : 1e-9));
+    Accumulator per_access;
+    std::uint64_t ideal = 0;  // every access spread perfectly: ceil(|a| / M)
+    const auto start = std::chrono::steady_clock::now();
+    for (const auto& access : workload.accesses()) {
+      per_access.add(rounds(*mapping, access));
+      ideal += ceil_div(access.size(), mapping->num_modules());
+    }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    const double slowdown =
+        ideal == 0 ? 1.0
+                   : static_cast<double>(per_access.sum()) /
+                         static_cast<double>(ideal);
+    table.row(mapping->name(), per_access.sum(), slowdown, per_access.max(),
+              wall,
+              static_cast<double>(workload.size()) / 1e6 /
+                  (wall > 0 ? wall : 1e-9));
   }
   table.print(std::cout);
   std::cout << "\n'rounds' is the simulated completion time in serialized "

@@ -9,8 +9,8 @@
 // length H, a lookup costs a single memory round regardless of where the
 // key sits.
 //
-// Operations return the accessed node set so callers can route them
-// through a MemorySystem.
+// Operations return the accessed node set so callers can price them with
+// analysis/cost.hpp rounds() or feed them to the cycle engine.
 #pragma once
 
 #include <cstdint>

@@ -8,8 +8,8 @@
 //
 // The heap is fully functional (insert / decrease-key / extract-min with
 // the usual invariants); each operation returns the ascending path it
-// touched so callers can route it through a MemorySystem and observe the
-// conflict behaviour of the underlying tree mapping.
+// touched so callers can price it with analysis/cost.hpp rounds() and
+// observe the conflict behaviour of the underlying tree mapping.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,9 @@
 // Arrival schedules: when each access of a workload enters the engine.
 //
 // The paper's two cost models are the endpoints of an arrival policy:
-// all-at-once arrivals reproduce BatchScheduler's makespan (every request
-// queued at cycle 0, busiest module drains last) and serialized arrivals
-// reproduce MemorySystem's per-access rounds (one access in flight at a
-// time). Open-loop fixed-rate and bursty schedules sit between the two
+// all-at-once arrivals give the batch makespan (every request queued at
+// cycle 0, busiest module drains last) and serialized arrivals give the
+// per-access rounds of cost.hpp (one access in flight at a time). Open-loop fixed-rate and bursty schedules sit between the two
 // and are where queueing behaviour — depth excursions, tail latency —
 // actually emerges; they model a front-end admitting user requests at a
 // target throughput. Explicit schedules carry one caller-chosen arrival

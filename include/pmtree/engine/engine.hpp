@@ -1,23 +1,25 @@
 // CycleEngine: the cycle-accurate parallel-memory queueing engine.
 //
-// MemorySystem charges each access its busiest module's occupancy and
-// BatchScheduler collapses a whole batch into its closed-form makespan;
-// both are aggregates — they say nothing about *when* requests drain, how
-// deep module queues get in between, or what latency an individual access
-// observes under contention. CycleEngine produces exactly that
-// trajectory: accesses arrive per an ArrivalSchedule, every request joins
+// The paper charges each access its busiest module's occupancy (cost.hpp
+// rounds()), and a whole batch collapses into the same closed form: its
+// makespan is the busiest module's total. Both are aggregates — they say
+// nothing about *when* requests drain, how deep module queues get in
+// between, or what latency an individual access observes under
+// contention. CycleEngine produces exactly that trajectory: accesses arrive per an ArrivalSchedule, every request joins
 // its module's FIFO queue, and each module retires one request per cycle
 // (the paper's service model, now with time made explicit). An access
 // completes when its last request is served; its latency is completion
 // minus arrival.
 //
-// The two closed-form models are recovered as special cases — the
-// differential tests hold the engine to them:
+// The two closed forms are recovered as special cases — the differential
+// tests hold the engine to them:
 //
-//   * all-at-once arrivals:  completion_cycle == BatchScheduler makespan;
+//   * all-at-once arrivals:  completion_cycle == the batch makespan, i.e.
+//                            rounds() of the whole workload as one access,
+//                            and `served` == the requests routed to each
+//                            module;
 //   * serialized arrivals:   each access's service time == cost.hpp
-//                            rounds(), and completion_cycle == the sum
-//                            (MemorySystem::total_rounds).
+//                            rounds(), and completion_cycle == the sum.
 //
 // The core is event-driven rather than scalar (DESIGN.md §8): module
 // FIFOs live in one flat arena sized from the admitted request count,

@@ -5,7 +5,7 @@
 // Scarano — IPPS/IPDPS 2001): conflict-free and conflict-optimal mappings
 // of complete binary trees onto parallel memory modules, the templates
 // they serve, the analysis machinery that verifies the paper's theorems,
-// a memory-system simulator, and the motivating applications.
+// a cycle-accurate memory-system engine, and the motivating applications.
 #pragma once
 
 #include "pmtree/analysis/bounds.hpp"
@@ -38,10 +38,6 @@
 #include "pmtree/qary/qary_mapping.hpp"
 #include "pmtree/qary/qary_templates.hpp"
 #include "pmtree/qary/qary_tree.hpp"
-#include "pmtree/pms/memory_system.hpp"
-#include "pmtree/pms/scheduler.hpp"
-#include "pmtree/pms/simulator.hpp"
-#include "pmtree/pms/trace.hpp"
 #include "pmtree/pms/workload.hpp"
 #include "pmtree/templates/enumerate.hpp"
 #include "pmtree/templates/instance.hpp"

@@ -1,8 +1,8 @@
 // Minimal JSON value type with serializer and parser.
 //
 // Every machine-readable artifact pmtree emits goes through this one type:
-// metrics snapshots (engine/metrics.hpp), bench trajectory files, serve
-// reports, and pms traces (Trace::to_json) — and the property tests
+// metrics snapshots (engine/metrics.hpp), bench trajectory files and serve
+// reports — and the property tests
 // re-parse those exports to prove the round trip is lossless. Scope is
 // exactly the JSON those producers emit: objects, arrays, strings, finite
 // numbers, booleans, null; numbers are stored as double (exact for the

@@ -1,5 +1,5 @@
-// Streaming summary statistics (count / min / max / mean) used by the
-// analysis layer and the memory-system simulator.
+// Streaming summary statistics (count / min / max / mean), e.g. of the
+// per-access rounds the benches and examples report.
 #pragma once
 
 #include <algorithm>
@@ -10,8 +10,8 @@ namespace pmtree {
 
 /// Accumulates integer observations and exposes count/min/max/mean/sum and
 /// population variance (via the sum of squares, which is exact for the
-/// magnitudes pmtree tracks). Single-threaded; the simulator aggregates
-/// one accumulator per worker and merges at the end (see merge()).
+/// magnitudes pmtree tracks). Single-threaded; parallel callers keep one
+/// accumulator per worker and merge at the end (see merge()).
 class Accumulator {
  public:
   constexpr void add(std::uint64_t value) noexcept {

@@ -11,6 +11,48 @@ namespace pmtree {
 
 namespace {
 
+/// The paper's cost of one access is the occupancy of its busiest module
+/// (its rounds; 0 for an empty access). This is the one place that counts
+/// it: resolve() colors a node run once, and rounds() histograms any slice
+/// of it. The histogram stays zero between calls — each count resets only
+/// the entries it touched, so a small access on a large module count stays
+/// O(access size).
+class BusiestModule {
+ public:
+  void resolve(const TreeMapping& mapping, std::span<const Node> nodes) {
+    colors_.resize(nodes.size());
+    mapping.color_of_batch(nodes, colors_);
+    if (histogram_.size() < mapping.num_modules()) {
+      histogram_.assign(mapping.num_modules(), 0);
+    }
+  }
+
+  /// Busiest-module occupancy of the resolved nodes [begin, end).
+  [[nodiscard]] std::uint32_t rounds(std::size_t begin, std::size_t end) {
+    std::uint32_t worst = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      worst = std::max(worst, ++histogram_[colors_[i]]);
+    }
+    for (std::size_t i = begin; i < end; ++i) histogram_[colors_[i]] = 0;
+    return worst;
+  }
+
+  /// rounds() - 1, and 0 for an empty slice.
+  [[nodiscard]] std::uint64_t conflicts(std::size_t begin, std::size_t end) {
+    const std::uint32_t worst = rounds(begin, end);
+    return worst == 0 ? 0 : worst - 1;
+  }
+
+ private:
+  std::vector<Color> colors_;
+  std::vector<std::uint32_t> histogram_;
+};
+
+BusiestModule& thread_scratch() {
+  thread_local BusiestModule scratch;
+  return scratch;
+}
+
 /// Instances per chunk of the parallel scan. Only a throughput knob: chunk
 /// boundaries never influence results (see util/parallel.hpp).
 constexpr std::uint64_t kEvalGrain = 1024;
@@ -30,15 +72,8 @@ class CostAccumulator {
   explicit CostAccumulator(const TreeMapping& mapping) : mapping_(mapping) {}
 
   void observe(std::uint64_t index, std::span<const Node> nodes) {
-    colors_.resize(nodes.size());
-    mapping_.color_of_batch(nodes, colors_);
-    if (histogram_.size() < mapping_.num_modules()) {
-      histogram_.assign(mapping_.num_modules(), 0);
-    }
-    std::uint32_t worst = 0;
-    for (const Color c : colors_) worst = std::max(worst, ++histogram_[c]);
-    for (const Color c : colors_) histogram_[c] = 0;  // O(|nodes|) reset
-    const std::uint64_t cost = worst == 0 ? 0 : worst - 1;
+    scratch_.resolve(mapping_, nodes);
+    const std::uint64_t cost = scratch_.conflicts(0, nodes.size());
 
     count_ += 1;
     sum_ += cost;
@@ -80,8 +115,7 @@ class CostAccumulator {
 
  private:
   const TreeMapping& mapping_;
-  std::vector<Color> colors_;            // scratch, reused across observes
-  std::vector<std::uint32_t> histogram_;  // scratch, kept zeroed
+  BusiestModule scratch_;  // reused across observes
   std::vector<Node> witness_;
   std::uint64_t witness_index_ = 0;
   std::uint64_t max_ = 0;
@@ -141,24 +175,15 @@ FamilyCost evaluate_presampled(const TreeMapping& mapping,
 }  // namespace
 
 std::uint64_t conflicts(const TreeMapping& mapping, std::span<const Node> nodes) {
-  const std::uint64_t mult = rounds(mapping, nodes);
-  return mult == 0 ? 0 : mult - 1;
+  BusiestModule& scratch = thread_scratch();
+  scratch.resolve(mapping, nodes);
+  return scratch.conflicts(0, nodes.size());
 }
 
 std::uint64_t rounds(const TreeMapping& mapping, std::span<const Node> nodes) {
-  thread_local std::vector<Color> colors;
-  thread_local std::vector<std::uint32_t> histogram;
-  colors.resize(nodes.size());
-  mapping.color_of_batch(nodes, colors);
-  if (histogram.size() < mapping.num_modules()) {
-    histogram.assign(mapping.num_modules(), 0);
-  }
-  std::uint32_t worst = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    worst = std::max(worst, ++histogram[colors[i]]);
-  }
-  for (std::size_t i = 0; i < nodes.size(); ++i) histogram[colors[i]] = 0;
-  return worst;
+  BusiestModule& scratch = thread_scratch();
+  scratch.resolve(mapping, nodes);
+  return scratch.rounds(0, nodes.size());
 }
 
 void conflicts_batch(const TreeMapping& mapping, std::span<const Node> nodes,
@@ -169,23 +194,11 @@ void conflicts_batch(const TreeMapping& mapping, std::span<const Node> nodes,
   const std::size_t accesses = offsets.size() - 1;
   assert(out.size() >= accesses);
 
-  thread_local std::vector<Color> colors;
-  thread_local std::vector<std::uint32_t> histogram;
-  colors.resize(nodes.size());
-  mapping.color_of_batch(nodes, colors);
-  if (histogram.size() < mapping.num_modules()) {
-    histogram.assign(mapping.num_modules(), 0);
-  }
+  BusiestModule& scratch = thread_scratch();
+  scratch.resolve(mapping, nodes);
   for (std::size_t a = 0; a < accesses; ++a) {
     assert(offsets[a] <= offsets[a + 1]);
-    std::uint32_t worst = 0;
-    for (std::uint64_t j = offsets[a]; j < offsets[a + 1]; ++j) {
-      worst = std::max(worst, ++histogram[colors[j]]);
-    }
-    for (std::uint64_t j = offsets[a]; j < offsets[a + 1]; ++j) {
-      histogram[colors[j]] = 0;
-    }
-    out[a] = worst == 0 ? 0 : worst - 1;
+    out[a] = scratch.conflicts(offsets[a], offsets[a + 1]);
   }
 }
 

@@ -513,117 +513,36 @@ Canonical canonical_order(
     std::uint32_t client = 0;
     Submitted* item = nullptr;
   };
-  const auto key_of = [](Submitted& x) {
-    return Key{x.request.submit_cycle, x.request.seq, x.slot,
-               x.request.client, &x};
-  };
-  const auto key_less = [](const Key& a, const Key& b) {
+  std::size_t total = 0;
+  for (const std::vector<Submitted>& stripe : stripes) total += stripe.size();
+  std::vector<std::size_t> per_slot(slots, 0);
+  std::vector<Key> keys;
+  keys.reserve(total);
+  for (std::vector<Submitted>& stripe : stripes) {
+    for (Submitted& x : stripe) {
+      keys.push_back(Key{x.request.submit_cycle, x.request.seq, x.slot,
+                         x.request.client, &x});
+      per_slot[x.slot] += 1;
+    }
+  }
+  // Inboxes are striped by (slot, client), so equal keys share a stripe
+  // and the stable sort keeps them in submission order.
+  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
     if (a.submit != b.submit) return a.submit < b.submit;
     if (a.slot != b.slot) return a.slot < b.slot;
     if (a.client != b.client) return a.client < b.client;
     return a.seq < b.seq;
-  };
+  });
 
-  // Inboxes are striped by (slot, client), so equal canonical keys always
-  // share a stripe, and when every stripe is already in canonical order —
-  // any client that submits in nondecreasing submit-cycle order — a merge
-  // of the stripes IS the stable sort's output. One fused scan decides
-  // which merge applies: sortedness, whether each stripe holds a single
-  // (slot, client) key with keys ascending across stripes, and the
-  // submit-cycle range. It also sizes each slot's request vector.
-  std::vector<std::size_t> per_slot(slots, 0);
-  std::size_t total = 0;
-  bool sorted = true;
-  bool single_key = true;
-  bool have_key = false;
-  std::pair<std::uint32_t, std::uint32_t> last_key{0, 0};
-  std::uint64_t max_submit = 0;
-  for (std::vector<Submitted>& stripe : stripes) {
-    total += stripe.size();
-    if (stripe.empty()) continue;
-    const Key head = key_of(stripe.front());
-    const std::pair<std::uint32_t, std::uint32_t> stripe_key{head.slot,
-                                                             head.client};
-    single_key = single_key && (!have_key || last_key < stripe_key);
-    last_key = stripe_key;
-    have_key = true;
-    Key prev = head;
-    for (Submitted& x : stripe) {
-      const Key k = key_of(x);
-      per_slot[k.slot] += 1;
-      single_key = single_key && k.slot == head.slot && k.client == head.client;
-      sorted = sorted && !key_less(k, prev);
-      max_submit = std::max(max_submit, k.submit);
-      prev = k;
-    }
-  }
-
-  // Every path produces the canonical order as pointers; each request then
-  // moves exactly once, into its slot's vector.
-  std::vector<Submitted*> order;
-  order.reserve(total);
-  if (sorted && single_key &&
-      max_submit < 4 * static_cast<std::uint64_t>(total) + 4096) {
-    // Stable counting merge by submit cycle for the dense common case:
-    // visiting stripes in index order lands equal submit cycles in
-    // ascending (slot, client) order, and seq order within a stripe.
-    std::vector<std::uint32_t> starts(max_submit + 2, 0);
-    for (const std::vector<Submitted>& stripe : stripes) {
-      for (const Submitted& x : stripe) starts[x.request.submit_cycle + 1] += 1;
-    }
-    for (std::size_t c = 1; c < starts.size(); ++c) starts[c] += starts[c - 1];
-    order.resize(total);
-    for (std::vector<Submitted>& stripe : stripes) {
-      for (Submitted& x : stripe) order[starts[x.request.submit_cycle]++] = &x;
-    }
-  } else if (sorted) {
-    // Min-heap over the stripe heads. Heads never compare equal: equal
-    // keys share a stripe.
-    struct Head {
-      Key key;
-      std::size_t stripe = 0;
-      std::size_t pos = 0;
-    };
-    const auto heap_after = [&](const Head& x, const Head& y) {
-      return key_less(y.key, x.key);
-    };
-    std::vector<Head> heads;
-    for (std::size_t s = 0; s < stripes.size(); ++s) {
-      if (!stripes[s].empty()) {
-        heads.push_back(Head{key_of(stripes[s].front()), s, 0});
-      }
-    }
-    std::make_heap(heads.begin(), heads.end(), heap_after);
-    while (!heads.empty()) {
-      std::pop_heap(heads.begin(), heads.end(), heap_after);
-      Head& h = heads.back();
-      order.push_back(h.key.item);
-      if (++h.pos < stripes[h.stripe].size()) {
-        h.key = key_of(stripes[h.stripe][h.pos]);
-        std::push_heap(heads.begin(), heads.end(), heap_after);
-      } else {
-        heads.pop_back();
-      }
-    }
-  } else {
-    // Out-of-order stripes (same-cycle submissions from several clients of
-    // one stripe, or racing submitters): stable-sort the cached keys.
-    std::vector<Key> keys;
-    keys.reserve(total);
-    for (std::vector<Submitted>& stripe : stripes) {
-      for (Submitted& x : stripe) keys.push_back(key_of(x));
-    }
-    std::stable_sort(keys.begin(), keys.end(), key_less);
-    for (const Key& k : keys) order.push_back(k.item);
-  }
-
-  // The slot-local index is the identity every later phase uses; the
-  // intake schedule comes out sorted by (arrival, slot, local).
+  // Each request moves exactly once, into its slot's vector. The
+  // slot-local index is the identity every later phase uses; the intake
+  // schedule comes out sorted by (arrival, slot, local).
   Canonical out;
   out.requests.resize(slots);
   for (std::size_t i = 0; i < slots; ++i) out.requests[i].reserve(per_slot[i]);
   out.intake.reserve(total);
-  for (Submitted* x : order) {
+  for (const Key& k : keys) {
+    Submitted* x = k.item;
     std::vector<Request>& dst = out.requests[x->slot];
     out.intake.push_back(IntakeEntry{x->request.submit_cycle, x->slot,
                                      static_cast<std::uint32_t>(dst.size())});

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the pmtree test suite under ASan, UBSan and TSan via the
 # CMakePresets.json configurations. The suite must be green under all
-# three; TSan in particular covers ParallelAccessSimulator's worker merge,
-# the cycle engine, the parallel cost evaluators (test_analysis_parallel
+# three; TSan in particular covers the cycle engine, the parallel cost
+# evaluators and their per-thread scratch (test_analysis_parallel
 # runs them at 1/2/8 threads), the sharded engine runner
 # (test_engine_sharded drives ShardedEngineRunner at 1/2/8 worker threads
 # and asserts bit-identical merges, so any data race in the per-shard
@@ -68,7 +68,7 @@
 #
 #   tests/run_sanitizers.sh             # all three sanitizers, full suite
 #   tests/run_sanitizers.sh tsan        # one sanitizer
-#   tests/run_sanitizers.sh tsan Sim    # ctest -R filter (regex)
+#   tests/run_sanitizers.sh tsan Serve  # ctest -R filter (regex)
 #
 # Benchmarks are off in the sanitizer presets (google-benchmark under TSan
 # is noise, not signal); examples and tests build and run.

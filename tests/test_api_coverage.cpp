@@ -97,14 +97,6 @@ TEST(ApiCoverage, CfMappingForModulesSpendsTheWholeBudget) {
   }
 }
 
-TEST(ApiCoverage, SimulatorMoreThreadsThanAccesses) {
-  const CompleteBinaryTree tree(8);
-  const ModuloMapping map(tree, 5);
-  const auto workload = Workload::paths(tree, 4, 3, 1);
-  const auto report = ParallelAccessSimulator(16).run(map, workload);
-  EXPECT_EQ(report.accesses, 3u);
-}
-
 TEST(ApiCoverage, MappingNamesAreStable) {
   const CompleteBinaryTree tree(8);
   EXPECT_EQ(ColorMapping(tree, 5, 2).name(), "COLOR(N=5,K=3)");

@@ -1,12 +1,13 @@
-// Differential tests: the three cost models — per-access rounds
-// (MemorySystem / cost.hpp), batch makespan (BatchScheduler) and the
-// cycle trajectory (CycleEngine) — must agree on their shared invariants
-// for randomized (mapping, workload) pairs across every template family:
+// Differential tests: the cycle trajectory (CycleEngine) must agree with
+// the paper's closed-form cost — the busiest module's occupancy, computed
+// here from cost.hpp rounds() and the mapping's colors — for randomized
+// (mapping, workload) pairs across every template family:
 //
-//   * all-at-once arrivals: engine completion cycle == batch makespan,
-//     per-module served totals == batch queue totals;
+//   * all-at-once arrivals: the completion cycle == rounds() of the
+//     flattened workload (the batch makespan), and each module's served
+//     total and queue high-water mark == the requests routed to it;
 //   * serialized arrivals: each access's latency == rounds(), and the
-//     completion cycle == MemorySystem::total_rounds();
+//     completion cycle == their sum;
 //   * open-loop schedules are sandwiched between the two extremes.
 #include "pmtree/engine/engine.hpp"
 
@@ -17,8 +18,7 @@
 #include "pmtree/analysis/cost.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
-#include "pmtree/pms/memory_system.hpp"
-#include "pmtree/pms/scheduler.hpp"
+#include "pmtree/util/bits.hpp"
 #include "pmtree/util/rng.hpp"
 
 namespace pmtree {
@@ -83,35 +83,33 @@ void check_pair(const TreeMapping& mapping, const Workload& workload) {
                " accesses=" + std::to_string(workload.size()));
   const CycleEngine eng(mapping);
 
-  // All-at-once == batch makespan, and the per-module service totals are
-  // exactly the batch's queue totals.
+  // All-at-once: every request is queued at cycle 0, so each module
+  // serves — and peaks at — exactly the requests routed to it, and the
+  // batch drains with its busiest module: rounds() of the whole workload
+  // taken as one access.
+  std::vector<Node> flat;
+  for (const Workload::Access& access : workload.accesses()) {
+    flat.insert(flat.end(), access.begin(), access.end());
+  }
+  std::vector<Color> colors(flat.size());
+  mapping.color_of_batch(flat, colors);
+  std::vector<std::uint64_t> routed(mapping.num_modules(), 0);
+  for (const Color c : colors) routed[c] += 1;
   const EngineResult batch = eng.run(workload, ArrivalSchedule::all_at_once());
-  const BatchResult closed_form = BatchScheduler(mapping).schedule(workload);
-  ASSERT_EQ(batch.completion_cycle, closed_form.makespan);
-  ASSERT_EQ(batch.requests, closed_form.requests);
-  ASSERT_EQ(batch.served.size(), closed_form.queue.size());
-  for (std::size_t m = 0; m < batch.served.size(); ++m) {
-    ASSERT_EQ(batch.served[m], closed_form.queue[m]);
-  }
-  // All requests are queued at cycle 0, so the high-water mark of each
-  // module is its total queue.
-  for (std::size_t m = 0; m < batch.served.size(); ++m) {
-    ASSERT_EQ(batch.queue_high_water[m], closed_form.queue[m]);
-  }
+  ASSERT_EQ(batch.completion_cycle, rounds(mapping, flat));
+  ASSERT_EQ(batch.requests, flat.size());
+  ASSERT_EQ(batch.served, routed);
+  ASSERT_EQ(batch.queue_high_water, routed);
 
-  // Serialized == per-access rounds() == MemorySystem accounting.
+  // Serialized: one access in flight, so each latency is its rounds().
   const EngineResult serial = eng.run(workload, ArrivalSchedule::serialized());
-  MemorySystem pms(mapping);
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < workload.size(); ++i) {
     const std::uint64_t expect = rounds(mapping, workload[i]);
     ASSERT_EQ(serial.records[i].latency(), expect) << "access " << i;
-    const AccessResult res = pms.access(workload[i]);
-    ASSERT_EQ(expect, res.rounds);
-    total += res.rounds;
+    total += expect;
   }
   ASSERT_EQ(serial.completion_cycle, total);
-  ASSERT_EQ(serial.completion_cycle, pms.total_rounds());
 
   // Overlap only helps: the batch drains no later than the serialized
   // engine, and any open-loop schedule lands in between.
@@ -172,6 +170,25 @@ TEST(EngineDifferential, EmptyAccessesCompleteInstantly) {
     ASSERT_EQ(r.records[2].latency(), 0u) << schedule.name();
     ASSERT_EQ(r.records[1].latency(), rounds(map, workload[1]));
   }
+}
+
+TEST(EngineDifferential, ConflictFreeBatchesStillQueueAcrossAccesses) {
+  // Each path is individually conflict-free — one round when served alone
+  // — but a batch of many paths piles onto the root-path modules, so all
+  // at once it drains well after cycle 1.
+  const CompleteBinaryTree tree(12);
+  const ColorMapping map(tree, 6, 3);
+  const Workload workload = Workload::paths(tree, 6, 200, 9);
+  const CycleEngine eng(map);
+  const EngineResult serial = eng.run(workload, ArrivalSchedule::serialized());
+  for (const engine::AccessRecord& r : serial.records) {
+    ASSERT_EQ(r.latency(), 1u);
+  }
+  const EngineResult batch = eng.run(workload, ArrivalSchedule::all_at_once());
+  EXPECT_GT(batch.completion_cycle, 1u);
+  // No batch beats a perfectly spread one: ceil(requests / M) cycles.
+  EXPECT_GE(batch.completion_cycle,
+            ceil_div(batch.requests, map.num_modules()));
 }
 
 TEST(EngineDifferential, FixedRateSlowerThanServiceIsConflictFreePerAccess) {
