@@ -113,7 +113,7 @@ inline double median_wall_seconds(int warmup, int trials, Fn&& body) {
 }
 
 /// The smoke-vs-full dimensions shared by the single-tree serving benches
-/// (E19 faults-free, E20 faulted, E22 pipeline): one place to retune the
+/// (E19 faults-free, E20 faulted, E23–E25): one place to retune the
 /// perf-smoke footprint for all of them, so the gates stay comparable.
 struct ServeBenchDims {
   std::uint32_t tree_levels;

@@ -20,7 +20,7 @@
 //     plus the deterministic skew facts behind it: serving rounds, total
 //     retries, final cycle, predicted peak module heat before/after.
 //   * determinism: migrated responses bit-identical at 1/2/8 workers and
-//     under the staged pipeline (1/2 workers); a disabled MigrationPolicy
+//     at 1/2 pipeline workers; a disabled MigrationPolicy
 //     reproduces the static baseline bit-for-bit.
 //
 // The exit-code gate covers ONLY the deterministic invariants (identity,

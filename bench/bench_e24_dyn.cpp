@@ -20,8 +20,8 @@
 // The exit-code gate covers ONLY deterministic invariants so the
 // perf-smoke ctest entry cannot flake under scheduler noise:
 //   * mixed responses + mutation log bit-identical at 1/2/8 workers
-//     (full metrics included) and under the staged pipeline at 1/2
-//     workers (responses + mutations + final tree state; pipeline metric
+//     (full metrics included) and at 1/2 pipeline workers
+//     (responses + mutations + final tree state; pipeline metric
 //     sections carry wall-clock stage attribution),
 //   * the strawman bit-identical to the incremental run,
 //   * final live-set colors bit-identical to a from-scratch ColorMapping

@@ -21,9 +21,9 @@
 //     winners, decided from measured per-epoch conflict profiles.
 //
 // The exit-code gate covers ONLY deterministic invariants: responses
-// bit-identical with the backend on or off at 1/2/8 workers and under
-// the staged pipeline (touches are observation, never feedback); the
-// oracle's control-plane TouchStats equal to the pipeline's worker-side
+// bit-identical with the backend on or off at 1/2/8 workers and at
+// pipeline workers (touches are observation, never feedback); the
+// 1-thread run's TouchStats equal to the pipelined run's multi-thread
 // totals and to a recount over the report's own batches; the checksum
 // equal to the analytic fill expectation; and the selector's convergence
 // to each workload's winner. Wall clocks and bandwidth are printed and

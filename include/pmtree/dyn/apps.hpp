@@ -15,8 +15,8 @@
 // remembered operations. Reconcile replays this client's applied
 // mutations in log (canonical barrier) order against the authoritative
 // local key arrays, so the final key state is a pure function of the
-// deterministic log: bit-identical at any worker count and under the
-// staged pipeline.
+// deterministic log: bit-identical at any worker count, pipeline workers
+// included.
 //
 // Speculation and conflicts: a client plans against live state + its own
 // overlay, so its own back-to-back writes compose (a second insert can

@@ -21,14 +21,15 @@
 // per-level stores.
 //
 // Concurrency contract (the serve integration): touch() is control-plane
-// only — the server calls it at the batch-cut barrier, before the batch
-// is handed to workers. color_of / color_of_batch are worker-safe: each
-// level's color store is published once through an acquire/release
-// pointer, and a worker only reads entries of nodes its batch carried,
-// which were touched before the cut (the TokenRing release-push / thread
-// fork is the happens-before edge). Reads of never-touched coordinates
-// fall back to an allocation-free cold evaluation of the same recurrence,
-// so the mapping stays total and deterministic.
+// only — the server calls it at the batch-cut barrier, and the round's
+// colors are resolved only at the round barrier that follows.
+// color_of / color_of_batch are worker-safe: each level's color store is
+// published once through an acquire/release pointer, and a worker only
+// reads entries of nodes its batch carried, which were touched before the
+// barrier (thread start inside parallel_chunks, after the round's last
+// touch(), is the happens-before edge). Reads of never-touched or
+// un-memoized coordinates fall back to an allocation-free cold evaluation
+// of the same recurrence, so the mapping stays total and deterministic.
 #pragma once
 
 #include <atomic>

@@ -2,11 +2,11 @@
 //
 // CycleEngine::run is monolithic: given a whole workload it flattens the
 // accesses, resolves every color through the mapping, then simulates the
-// module queues to completion. The serve layer's staged pipeline
-// (serve/pipeline.hpp) wants those phases split across stages and
-// batches: color resolution happens per batch on a worker (SIMD gather,
-// off the control plane), and execution happens per lane as resolved
-// batches stream in. EngineSession is that split:
+// module queues to completion. The serve layer's batch executor wants
+// those phases split across batches: at each round barrier a lane's
+// batches are color-resolved against the mapping in force at their cut
+// (SIMD gather), fed in cut order, and simulated with the lane's earlier
+// rounds. EngineSession is that split:
 //
 //   feed(access, arrival)            — resolve colors here, accumulate;
 //   feed_resolved(colors, arrival)   — colors already resolved upstream;
@@ -17,8 +17,8 @@
 // so a session fed batch-by-batch returns an EngineResult bit-identical
 // to one monolithic run over the same batches with
 // ArrivalSchedule::explicit_cycles of the same arrivals, with or without
-// a FaultPlan (test_engine_session holds it directly). Every serve lane,
-// on either executor, runs through a session.
+// a FaultPlan (test_engine_session holds it directly). Every serve lane
+// runs through a session.
 //
 // drain() is const and repeatable: each call replays the prefix fed so
 // far from cycle 0. Replaying is the determinism anchor — a serving round
@@ -61,8 +61,8 @@ class EngineSession {
     push(access.size(), arrival);
   }
 
-  /// Same, with the colors already resolved upstream (the pipeline's
-  /// resolve stage). `colors` must be the mapping's colors for the
+  /// Same, with the colors already resolved upstream (the serve
+  /// executor's resolve phase). `colors` must be the mapping's colors for the
   /// access's nodes, in order.
   void feed_resolved(std::span<const Color> colors, std::uint64_t arrival) {
     colors_.insert(colors_.end(), colors.begin(), colors.end());

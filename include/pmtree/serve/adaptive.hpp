@@ -22,9 +22,9 @@
 // Determinism contract (inherited verbatim from §15): the selector is
 // driven only by the single-threaded control plane, in batch cut order;
 // scores are integer sums of conflict peaks, decayed with integer shifts.
-// Selector state is a pure function of the cut sequence, so both batch
-// executors make identical decisions and produce bit-identical
-// responses at any worker count. Crucially the score is a
+// Selector state is a pure function of the cut sequence, so decisions
+// and responses are bit-identical at any worker count. Crucially the
+// score is a
 // *simulated* quantity: the real-memory backend (pmtree/mem) measures
 // bandwidth but never feeds the decision path, so enabling it cannot
 // perturb the selection (or the responses).

@@ -97,8 +97,8 @@ class BatchFormer {
 
   /// The fill walk of form_one() without the coalescing step: `nodes` is
   /// left as the raw member concatenation and `decomposition` empty. The
-  /// staged pipeline cuts batches with this on the control plane and runs
-  /// coalesce() in its resolve stage, off the control thread;
+  /// control plane cuts batches with this and the batch executor runs
+  /// coalesce() at the round barrier, off the control thread;
   /// form_one() == form_one_raw() + coalesce on the node set. Membership,
   /// ids, costs and admission bookkeeping are identical.
   [[nodiscard]] FormedBatch form_one_raw(std::uint64_t now,

@@ -111,8 +111,9 @@ struct ForestOptions {
   /// Engine replica pool to divide among tenants (grown to >= 1 lane per
   /// tenant; see plan_capacity).
   std::uint32_t replicas = 1;
-  /// Worker threads for lane execution (0 = hardware concurrency).
-  /// Affects wall-clock only; results are bit-identical at any count.
+  /// Batch executor threads while `pipeline.workers` is 0 (0 = hardware
+  /// concurrency). Affects wall-clock only; results are bit-identical at
+  /// any count.
   unsigned workers = 1;
   /// Shared bound on total admitted-but-unbatched requests across all
   /// tenants; 0 disables the global cap. Each tenant holds a reserved
@@ -123,7 +124,7 @@ struct ForestOptions {
   std::size_t global_queue_bound = 0;
   /// Node-credits a weight-1 tenant accrues per tick (0 behaves as 1).
   std::uint64_t drr_quantum_nodes = 32;
-  /// Batch executor (pipeline.hpp); same contract as
+  /// Stage attribution (pipeline.hpp); same contract as
   /// ServerOptions::pipeline, faulted tenants included.
   PipelineOptions pipeline;
 };
@@ -220,8 +221,8 @@ class Forest {
   CapacityPlan plan_;
   bool planned_ = false;
   engine::MetricsRegistry registry_;
-  /// Inboxes, tick loop and executors (src/serve/control_plane.hpp); the
-  /// tenants are its slots, the capacity plan's lanes its lanes.
+  /// Inboxes, tick loop and batch executor (src/serve/control_plane.hpp);
+  /// the tenants are its slots, the capacity plan's lanes its lanes.
   std::unique_ptr<detail::ControlPlane> plane_;
 };
 

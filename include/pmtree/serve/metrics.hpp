@@ -60,10 +60,11 @@ class ServeMetrics {
   /// latency histogram — the tail the fault injection bought.
   void on_completed(const Response& response);
 
-  /// Attaches the staged pipeline's stage-attribution snapshot
-  /// (StagedRunner::stats — stage nanoseconds, barrier wait, batches in
-  /// flight, active SIMD kernel). summary() emits it as a "pipeline"
-  /// section only when set, so oracle runs keep their exact JSON shape.
+  /// Attaches the batch executor's stage-attribution snapshot (cumulative
+  /// stage nanoseconds, rounds, batches, most cuts at one barrier, active
+  /// SIMD kernel; DESIGN.md §14). summary() emits it as a "pipeline"
+  /// section only when set (pipeline.workers >= 1), so other runs keep
+  /// their exact JSON shape.
   void set_pipeline(Json stats) { pipeline_ = std::move(stats); }
 
   /// Attaches the skew-adaptive planner's snapshot

@@ -21,10 +21,10 @@
 // deduped node set into the ledger using the *base* mapping's colors
 // (resolved right here, on the control plane, never by a worker). Planner
 // state is therefore a pure function of the cut sequence, which is itself
-// a pure function of the submitted request set; both batch executors see
-// the same calls in the same order, so both produce identical epoch
-// mappings and bit-identical responses at any worker count. Decay is integer (h -= h >> decay_shift at epoch
-// boundaries) — no floating point anywhere on the decision path.
+// a pure function of the submitted request set, so epoch mappings and
+// responses are bit-identical at any worker count. Decay is integer
+// (h -= h >> decay_shift at epoch boundaries) — no floating point
+// anywhere on the decision path.
 #pragma once
 
 #include <cstdint>

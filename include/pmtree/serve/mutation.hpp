@@ -6,11 +6,11 @@
 // batch's writers are applied to the bound DynamicTree right there — in
 // canonical (client, seq) member order, after exact-duplicate dedup —
 // and the IncrementalColorer is touched with the batch's node set plus
-// every applied target, so by the time any worker resolves the batch the
-// colors it needs are published. The barrier is a pure function of the
-// cut sequence, which the one control plane mints identically for both
-// batch executors, so mutation verdicts and responses stay bit-identical
-// at 1/2/8 workers and across both execution paths.
+// every applied target, so by the time the round barrier resolves the
+// batch the colors it needs are published. The barrier is a pure
+// function of the cut sequence, which the one control plane mints
+// identically at every thread count, so mutation verdicts and responses
+// stay bit-identical at 1/2/8 workers, pipeline workers included.
 //
 // Conflict scheduling: reads in the same composite instance observe the
 // tree as of the batch cut (their node sets were planned against it);
@@ -56,7 +56,7 @@ struct DynBinding {
 
 /// One applied (or rejected) mutation, in apply order — the deterministic
 /// log clients reconcile against and the differential tests compare
-/// across worker counts and execution paths.
+/// across worker counts.
 struct MutationRecord {
   std::uint64_t batch = 0;          ///< batch whose barrier applied it
   std::uint32_t client = 0;

@@ -31,11 +31,13 @@
 // (batch id mod replicas) to a memory-system replica; every replica is an
 // EngineSession fed its batches with their dispatch ticks as arrivals.
 // The tick loop is the single-threaded control plane Server shares with
-// Forest (a Server is its one-tenant case); only batch execution runs
-// elsewhere — inline with replicas drained via parallel_chunks over
-// `workers` threads, or on the staged pipeline (PipelineOptions). Worker
-// counts therefore affect wall-clock only: responses, batches and metrics
-// are bit-identical at any count (tested request-for-request at 1/2/8).
+// Forest (a Server is its one-tenant case); it only records each cut
+// batch. At the round barrier the batch executor resolves every batch,
+// then feeds and drains every replica (one thread per replica at most),
+// over `workers` threads — or `pipeline.workers` threads with stage
+// attribution (PipelineOptions). Thread counts therefore affect
+// wall-clock only: responses, batches and metrics are bit-identical at
+// any count (tested request-for-request at 1/2/8).
 //
 // With a RetryPolicy the pipeline above becomes one *round* of several:
 // after assembly, completions that overstayed the attempt timeout are
@@ -136,8 +138,9 @@ struct ServerOptions {
   /// b mod replicas (0 behaves as 1). Replicas model scale-out of the
   /// memory system itself: each runs the full module array.
   std::uint32_t replicas = 1;
-  /// Worker threads for replica execution (0 = hardware concurrency).
-  /// Affects wall-clock only; results are bit-identical at any count.
+  /// Batch executor threads while `pipeline.workers` is 0 (0 = hardware
+  /// concurrency). Affects wall-clock only; results are bit-identical at
+  /// any count.
   unsigned workers = 1;
   AdmissionOptions admission;
   BatchPolicy batch;
@@ -149,18 +152,18 @@ struct ServerOptions {
   /// `engine.memory` is ignored here: the serve layer's arenas are
   /// `memory` below.
   engine::EngineOptions engine;
-  /// Batch executor (pipeline.hpp). `pipeline.workers >= 1` executes cut
-  /// batches on the StagedRunner's worker pool; `workers == 0` (default)
-  /// executes them inline on the control thread — the differential
-  /// oracle. Same control plane either way, faulted or not, so responses
-  /// are bit-identical and only the pipeline adds a "pipeline" section.
+  /// Stage attribution (pipeline.hpp). `pipeline.workers >= 1` runs the
+  /// batch executor on that many threads instead of `workers` and adds
+  /// the wall-time "pipeline" metrics section; 0 (default) adds none.
+  /// Same executor either way, faulted or not, so responses are
+  /// bit-identical.
   PipelineOptions pipeline;
   /// Skew-adaptive remapping (migration.hpp). When enabled, a
   /// MigrationPlanner observes every cut batch on the control plane and
   /// re-colors hot subtrees onto cold modules at epoch boundaries; each
   /// batch resolves against its epoch's MigratedMapping. A control-plane
-  /// decision, so responses stay bit-identical at any worker count and
-  /// under the staged pipeline. Disabled (default) leaves every code path
+  /// decision, so responses stay bit-identical at any worker count,
+  /// pipeline workers included. Disabled (default) leaves every code path
   /// byte-identical to the static-mapping server. Faulted configurations
   /// keep the static mapping — fault reroute timelines already own the
   /// color space (DegradedMapping composes with MigratedMapping at the
@@ -170,7 +173,7 @@ struct ServerOptions {
   /// dyn::DynamicTree + IncrementalColorer, Insert/Erase requests apply
   /// PALM-style at the batch-cut barrier — a control-plane decision, so
   /// responses and the mutation log stay bit-identical at any worker
-  /// count and under the staged pipeline. Mutually exclusive with
+  /// count, pipeline workers included. Mutually exclusive with
   /// migration (epoch remapping assumes a frozen shape; compose
   /// MigratedMapping at the mapping layer instead). Disabled (default)
   /// leaves every code path byte-identical to the read-only server.
@@ -181,19 +184,19 @@ struct ServerOptions {
   /// at epoch boundaries when a candidate strictly wins — the R10
   /// COLOR-vs-LABEL-TREE trade-off decided by measurement. A
   /// control-plane decision, so responses stay bit-identical at any
-  /// worker count and under the staged pipeline. Mutually exclusive with
+  /// worker count, pipeline workers included. Mutually exclusive with
   /// migration (both would own the epoch mapping) and with dyn (selection
   /// assumes a frozen shape); faulted configurations keep the static
   /// mapping, exactly like migration.
   AdaptivePolicy adaptive;
   /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
   /// owned, must outlive the run). When set, every cut batch's deduped
-  /// node payloads are actually loaded from the arenas — on the control
-  /// thread inline, on the resolve workers under the staged pipeline —
-  /// and accounted in ServeReport::memory plus a "memory"
-  /// metrics section. Purely observational: responses are bit-identical
-  /// with the backend on or off. Mutually exclusive with dyn (arenas are
-  /// sized for a frozen tree).
+  /// node payloads are actually loaded from the arenas — by whichever
+  /// thread resolves the batch at the round barrier — and
+  /// accounted in ServeReport::memory plus a "memory" metrics section.
+  /// Purely observational: responses are bit-identical with the backend
+  /// on or off. Mutually exclusive with dyn (arenas are sized for a
+  /// frozen tree).
   const mem::MemoryBackend* memory = nullptr;
 };
 
@@ -209,8 +212,8 @@ struct ServeReport {
   /// runs. One record per writer, including rejected and deduped ones.
   std::vector<MutationRecord> mutations;
   /// Real-memory traffic over all cut batches; all-zero unless
-  /// ServerOptions::memory was set. Order-invariant totals, identical
-  /// under both executors.
+  /// ServerOptions::memory was set. Order-invariant totals, identical at
+  /// every thread count.
   mem::TouchStats memory;
   Json metrics;                         ///< ServeMetrics::summary()
 
@@ -263,8 +266,8 @@ class Server {
   const TreeMapping& mapping_;
   ServerOptions options_;
   engine::MetricsRegistry registry_;
-  /// Inboxes, tick loop and executors (src/serve/control_plane.hpp); a
-  /// pipeline's worker pool stays warm across run() calls.
+  /// Inboxes, tick loop and batch executor (src/serve/control_plane.hpp);
+  /// stage attribution accumulates there across run() calls.
   std::unique_ptr<detail::ControlPlane> plane_;
 };
 

@@ -11,75 +11,199 @@
 
 #include "pmtree/engine/session.hpp"
 #include "pmtree/util/parallel.hpp"
+#include "pmtree/util/simd.hpp"
 
 namespace pmtree::serve::detail {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The oracle executor: each cut is resolved on the control thread and fed
-/// to its lane's session; the round barrier drains every lane, in parallel
-/// across `workers` threads. Same interface as StagedRunner, built per run.
-/// Colors resolve into one scratch buffer that the session copies at feed:
-/// per-batch buffers would interleave with the batches the report keeps
-/// and fragment the heap once freed.
-class InlineExecutor {
+std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+          .count());
+}
+
+/// One execution lane: a Server replica or a Forest tenant-lane, run as an
+/// EngineSession over `mapping` with `options` (fault plan included), and
+/// its arenas (optional; observation only).
+struct LaneSpec {
+  const TreeMapping* mapping = nullptr;
+  engine::EngineOptions options;
+  const mem::MemoryBackend* memory = nullptr;
+};
+
+/// The batch executor, built per run (DESIGN.md §14). cut() only records a
+/// batch; the round barrier resolves every cut (coalesce, color, arena
+/// touch: any thread, chunks of cuts), then feeds and drains every lane
+/// (one thread per lane, cuts in cut order). Resolving at the barrier is
+/// legal: colors depend only on the coordinate and the epoch mapping
+/// recorded at the cut, and arena touches are read-only.
+class Executor {
  public:
   struct Cut {
     FormedBatch batch;
+    std::uint32_t lane = 0;
     std::uint32_t tenant = 0;
+    const TreeMapping* epoch = nullptr;  ///< nullptr: the lane's mapping
+    std::size_t first_color = 0;         ///< slice of the round's colors
     mem::TouchStats mem;
   };
 
-  InlineExecutor(std::vector<LaneSpec> lanes, unsigned workers)
-      : lanes_(std::move(lanes)), workers_(workers) {
+  Executor(const PlaneConfig& config, StageStats& stats) : stats_(stats) {
+    for (const SlotConfig& c : config.slots) {
+      lanes_.resize(
+          std::max<std::size_t>(lanes_.size(), c.first_lane + c.lanes));
+      for (std::uint32_t l = 0; l < c.lanes; ++l) {
+        lanes_[c.first_lane + l] =
+            LaneSpec{c.mapping, c.options.engine, c.options.memory};
+      }
+    }
     sessions_.reserve(lanes_.size());
     for (const LaneSpec& lane : lanes_) {
       sessions_.emplace_back(*lane.mapping, lane.options);
     }
     results_.resize(lanes_.size());
+    lane_cuts_.resize(lanes_.size());
+    threads_ = resolve_threads(config.pipeline.workers >= 1
+                                   ? config.pipeline.workers
+                                   : config.workers);
   }
 
-  void begin_run() {}
-  void add_control_ns(std::uint64_t) noexcept {}
-  [[nodiscard]] Json stats() const { return Json(); }
-
+  /// Records a cut. Its raw node count bounds the coalesced one, so the
+  /// cut owns a fixed slice of the round's color buffer from here on.
   void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant,
-           const TreeMapping* mapping) {
-    Cut& c = cuts_.emplace_back(Cut{std::move(batch), tenant, {}});
-    c.mem = resolve_batch(c.batch, mapping, lanes_[lane], colors_);
-    sessions_[lane].feed_resolved(colors_, c.batch.formed_cycle);
+           const TreeMapping* epoch) {
+    assert(epoch == nullptr ||
+           epoch->num_modules() == lanes_[lane].mapping->num_modules());
+    lane_cuts_[lane].push_back(cuts_.size());
+    const std::size_t first = round_colors_;
+    round_colors_ += batch.nodes.size();
+    cuts_.push_back(Cut{std::move(batch), lane, tenant, epoch, first, {}});
   }
 
+  /// The round barrier. Clock pairs are per chunk of cuts (resolve) and
+  /// per lane (execute, drain), never per batch.
   void close_round() {
-    const unsigned workers = std::min<unsigned>(
-        resolve_threads(workers_),
-        static_cast<unsigned>(std::max<std::size_t>(lanes_.size(), 1)));
-    parallel_chunks(lanes_.size(), workers, /*grain=*/1,
+    const auto start = Clock::now();
+    colors_.resize(round_colors_);
+    std::vector<std::uint64_t> resolve_ns(threads_, 0);  // per thread
+    parallel_chunks(cuts_.size(), threads_, kResolveGrain,
+                    [&](unsigned tid, std::uint64_t begin, std::uint64_t end) {
+                      const auto t0 = Clock::now();
+                      for (std::uint64_t k = begin; k < end; ++k) {
+                        resolve(cuts_[k]);
+                      }
+                      resolve_ns[tid] += ns_between(t0, Clock::now());
+                    });
+    std::vector<LaneNs> lane_ns(lanes_.size());
+    const auto lane_threads = static_cast<unsigned>(
+        std::min<std::size_t>(threads_, lanes_.size()));
+    parallel_chunks(lanes_.size(), lane_threads, /*grain=*/1,
                     [&](unsigned, std::uint64_t begin, std::uint64_t end) {
                       for (std::uint64_t l = begin; l < end; ++l) {
-                        results_[l] = sessions_[l].drain();
+                        lane_ns[l] = run_lane(l);
                       }
                     });
+    for (const std::uint64_t ns : resolve_ns) stats_.resolve_ns += ns;
+    for (const LaneNs& ns : lane_ns) {
+      stats_.execute_ns += ns.execute;
+      stats_.drain_ns += ns.drain;
+    }
+    stats_.rounds += 1;
+    stats_.batches += cuts_.size();
+    stats_.max_in_flight = std::max<std::uint64_t>(stats_.max_in_flight,
+                                                   cuts_.size());
+    stats_.barrier_ns += ns_between(start, Clock::now());
   }
 
-  [[nodiscard]] std::size_t token_count() const noexcept {
-    return cuts_.size();
-  }
-  [[nodiscard]] Cut& token(std::size_t i) noexcept { return cuts_[i]; }
+  /// This round's cuts in cut order (valid until next_round); assembly
+  /// moves the batches out.
+  [[nodiscard]] std::vector<Cut>& cuts() noexcept { return cuts_; }
+  /// Lane `lane`'s cumulative result over every batch fed this run.
   [[nodiscard]] const engine::EngineResult& result(std::uint32_t lane) const {
     return results_[lane];
   }
-  void next_round() { cuts_.clear(); }
+  [[nodiscard]] std::size_t lane_count() const noexcept {
+    return lanes_.size();
+  }
+  void next_round() {
+    cuts_.clear();
+    for (std::vector<std::size_t>& c : lane_cuts_) c.clear();
+    round_colors_ = 0;
+  }
 
  private:
+  /// Cuts per resolve chunk: enough chunks to balance the threads, few
+  /// enough that the clock pairs stay off the per-batch path.
+  static constexpr std::uint64_t kResolveGrain = 32;
+
+  struct LaneNs {
+    std::uint64_t execute = 0, drain = 0;
+  };
+
+  /// Coalesces a raw cut (a cut already coalesced for an epoch controller
+  /// is left alone), colors it against its epoch mapping or else its
+  /// lane's into its slice of the round's colors, and touches the lane's
+  /// arenas.
+  void resolve(Cut& c) {
+    FormedBatch& batch = c.batch;
+    if (batch.decomposition.component_count() == 0) {
+      batch.decomposition = BatchFormer::coalesce(batch.nodes);
+    }
+    const LaneSpec& lane = lanes_[c.lane];
+    const TreeMapping& mapping = c.epoch != nullptr ? *c.epoch : *lane.mapping;
+    mapping.color_of_batch(batch.nodes,
+                           std::span<Color>(colors_.data() + c.first_color,
+                                            batch.nodes.size()));
+    if (lane.memory != nullptr) c.mem = lane.memory->touch(batch.nodes);
+  }
+
+  /// The session copies each cut's colors at feed; one round-wide buffer
+  /// keeps per-batch color buffers from fragmenting the heap.
+  LaneNs run_lane(std::uint64_t l) {
+    const auto t0 = Clock::now();
+    for (const std::size_t k : lane_cuts_[l]) {
+      const Cut& c = cuts_[k];
+      sessions_[l].feed_resolved(
+          std::span<const Color>(colors_.data() + c.first_color,
+                                 c.batch.nodes.size()),
+          c.batch.formed_cycle);
+    }
+    const auto t1 = Clock::now();
+    results_[l] = sessions_[l].drain();
+    return LaneNs{ns_between(t0, t1), ns_between(t1, Clock::now())};
+  }
+
+  StageStats& stats_;
   std::vector<LaneSpec> lanes_;
-  unsigned workers_;
+  unsigned threads_ = 1;
   std::vector<engine::EngineSession> sessions_;
   std::vector<engine::EngineResult> results_;
-  std::vector<Cut> cuts_;  ///< this round's, in cut order
-  std::vector<Color> colors_;
+  std::vector<Cut> cuts_;                            ///< this round's
+  std::vector<std::vector<std::size_t>> lane_cuts_;  ///< indices into cuts_
+  std::size_t round_colors_ = 0;  ///< raw nodes cut this round
+  std::vector<Color> colors_;     ///< this round's, one slice per cut
 };
+
+/// The "pipeline" metrics section: `stats` plus the run's shape.
+Json stage_json(const StageStats& stats, unsigned workers, std::size_t lanes) {
+  Json stage = Json::object();
+  stage.set("control", Json(stats.control_ns));
+  stage.set("resolve", Json(stats.resolve_ns));
+  stage.set("execute", Json(stats.execute_ns));
+  stage.set("drain", Json(stats.drain_ns));
+  stage.set("barrier", Json(stats.barrier_ns));
+  Json j = Json::object();
+  j.set("workers", Json(std::uint64_t{workers}));
+  j.set("lanes", Json(std::uint64_t{lanes}));
+  j.set("rounds", Json(stats.rounds));
+  j.set("batches", Json(stats.batches));
+  j.set("max_in_flight", Json(stats.max_in_flight));
+  j.set("stage_ns", std::move(stage));
+  j.set("simd_kernel", Json(simd::active_kernel()));
+  return j;
+}
 
 /// Intake schedule entry: slot `slot`'s request `local` arrives at
 /// `arrival`. A round's intake is sorted by (arrival, slot, local).
@@ -159,13 +283,12 @@ const TreeMapping* observe_epoch(Slot& s, const FormedBatch& batch,
   return nullptr;
 }
 
-template <class Executor>
-PlaneReport serve(Executor& exec, const PlaneConfig& config,
-                  engine::MetricsRegistry& registry, Canonical input) {
+PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
+                  Canonical input, StageStats& stages) {
   const std::size_t N = config.slots.size();
   const std::uint64_t T = config.tick_cycles;
   std::vector<IntakeEntry> intake = std::move(input.intake);
-  exec.begin_run();
+  Executor exec(config, stages);
 
   PlaneReport report;
   report.slots.resize(N);
@@ -230,7 +353,7 @@ PlaneReport serve(Executor& exec, const PlaneConfig& config,
   // Phase 4's cut of one batch from slot i at tick t. Slots with an epoch
   // controller cut coalesced so it observes the deduplicated node set;
   // the rest cut raw and the executor coalesces. Writers apply at the cut
-  // (the PALM barrier), before any executor resolves the batch's colors.
+  // (the PALM barrier), before the round barrier resolves any colors.
   const auto cut = [&](std::size_t i, std::uint64_t t) {
     Slot& s = slots[i];
     const SlotConfig& c = *s.config;
@@ -381,7 +504,7 @@ PlaneReport serve(Executor& exec, const PlaneConfig& config,
       }
     }
 
-    exec.add_control_ns(ns_since(control_start));
+    stages.control_ns += ns_between(control_start, Clock::now());
     exec.close_round();
 
     // ---- Round assembly. Batches land in cut order, so each slot's list
@@ -389,13 +512,11 @@ PlaneReport serve(Executor& exec, const PlaneConfig& config,
     // (batch b of a slot is access b / lanes of lane b mod lanes). Lanes
     // replay cumulatively and later arrivals queue strictly behind, so a
     // round extends, never rewrites, earlier rounds' completions.
-    for (std::size_t k = 0; k < exec.token_count(); ++k) {
-      auto& token = exec.token(k);
-      record(slots[token.tenant],
-             [&](ServeMetrics& m) { m.on_batch(token.batch); });
-      TenantReport& tr = report.slots[token.tenant];
-      tr.memory += token.mem;
-      tr.batches.push_back(std::move(token.batch));
+    for (Executor::Cut& c : exec.cuts()) {
+      record(slots[c.tenant], [&](ServeMetrics& m) { m.on_batch(c.batch); });
+      TenantReport& tr = report.slots[c.tenant];
+      tr.memory += c.mem;
+      tr.batches.push_back(std::move(c.batch));
     }
     for (std::size_t i = 0; i < N; ++i) {
       const SlotConfig& c = *slots[i].config;
@@ -487,8 +608,8 @@ PlaneReport serve(Executor& exec, const PlaneConfig& config,
     }
     if (c.dyn.enabled()) s.metrics.set_dyn(dyn_stats(c.dyn, report.mutations[i]));
   }
-  Json stats = exec.stats();
-  if (!stats.is_null()) {
+  if (config.pipeline.workers >= 1) {
+    Json stats = stage_json(stages, config.pipeline.workers, exec.lane_count());
     if (aggregate) {
       aggregate->set_pipeline(std::move(stats));
     } else if (!slots.empty()) {
@@ -577,23 +698,6 @@ Json response_rows(const std::vector<Response>& responses) {
   return rows;
 }
 
-mem::TouchStats resolve_batch(FormedBatch& batch, const TreeMapping* epoch,
-                              const LaneSpec& lane,
-                              std::vector<Color>& colors) {
-  if (batch.decomposition.component_count() == 0) {
-    batch.decomposition = BatchFormer::coalesce(batch.nodes);
-  }
-  colors.resize(batch.nodes.size());
-  const TreeMapping& mapping = epoch != nullptr ? *epoch : *lane.mapping;
-  mapping.color_of_batch(batch.nodes,
-                         std::span<Color>(colors.data(), colors.size()));
-  return lane.memory != nullptr ? lane.memory->touch(batch.nodes)
-                                : mem::TouchStats{};
-}
-
-ControlPlane::ControlPlane() = default;
-ControlPlane::~ControlPlane() = default;
-
 void ControlPlane::submit(std::uint32_t slot, Request request) {
   Inbox& inbox =
       inboxes_[(std::size_t{slot} * 31 + request.client) % kStripes];
@@ -609,24 +713,8 @@ PlaneReport ControlPlane::run(const PlaneConfig& config,
     stripes[s] = std::move(inboxes_[s].requests);
     inboxes_[s].requests.clear();
   }
-  Canonical input = canonical_order(stripes, config.slots.size());
-  std::vector<LaneSpec> lanes;
-  for (const SlotConfig& c : config.slots) {
-    lanes.resize(std::max<std::size_t>(lanes.size(), c.first_lane + c.lanes));
-    for (std::uint32_t l = 0; l < c.lanes; ++l) {
-      lanes[c.first_lane + l] =
-          LaneSpec{c.mapping, c.options.engine, c.options.memory};
-    }
-  }
-  if (config.pipeline.enabled()) {
-    if (!runner_) {
-      runner_ = std::make_unique<StagedRunner>(std::move(lanes),
-                                               config.pipeline);
-    }
-    return serve(*runner_, config, registry, std::move(input));
-  }
-  InlineExecutor exec(std::move(lanes), config.workers);
-  return serve(exec, config, registry, std::move(input));
+  return serve(config, registry,
+               canonical_order(stripes, config.slots.size()), stages_);
 }
 
 }  // namespace pmtree::serve::detail

@@ -6,38 +6,34 @@
 // one loop over N tenant slots in serving rounds:
 //
 //   expire → promote → intake → cut → observe   (per tick, slots in id order)
-//   [round barrier] assembly → retry scan       (per round)
+//   [round barrier] execute → assembly → retry  (per round)
 //
 // Server is the one-slot instance: no DRR metering and no shared pool, so
 // its lone slot cuts every due batch. Forest is the N-slot instance with
 // deficit-round-robin metering and the reserved-share pool.
 //
-// Every cut batch goes to an executor, and the loop cannot tell which:
-//
-//   * InlineExecutor (pipeline.workers == 0, the differential oracle)
-//     coalesces and color-resolves each cut on the control thread, feeds
-//     its lane's EngineSession, and drains the lanes at the round barrier
-//     with parallel_chunks over `workers` threads;
-//   * StagedRunner (pipeline.hpp) does the same resolution on a worker
-//     pool and drains at its own barrier.
-//
-// Both receive the same raw-or-coalesced cut sequence and run every lane
-// through an EngineSession, healthy or faulted, so batches, epoch
-// observations, TouchStats and lane trajectories are bit-identical; only
-// the pipeline's wall-time "pipeline" metrics section differs.
+// A cut only records the batch, its lane, its slot and its epoch mapping.
+// The round barrier runs the one batch executor: parallel_chunks over the
+// round's cuts, each coalesced, color-resolved and arena-touched by
+// whichever thread takes its chunk, then over the lanes, at most one
+// thread per lane, each feeding its EngineSession (healthy or faulted) its
+// cuts in cut order and draining it. Colors are pure functions of the
+// coordinate and of the epoch mapping recorded at the cut, so resolving at
+// the barrier rather than at the cut changes wall time only: batches,
+// epoch observations, TouchStats and lane trajectories are bit-identical
+// at every thread count. The thread count is `pipeline.workers` when that
+// is >= 1 — and then the report gains the wall-time "pipeline" section —
+// and `workers` otherwise.
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "pmtree/engine/metrics.hpp"
 #include "pmtree/serve/forest.hpp"
-#include "pmtree/serve/pipeline.hpp"
 #include "pmtree/serve/server.hpp"
 
 namespace pmtree::serve::detail {
@@ -57,7 +53,9 @@ struct SlotConfig {
 
 struct PlaneConfig {
   std::uint64_t tick_cycles = 1;
-  unsigned workers = 1;  ///< inline executor drain threads (0 = hardware)
+  /// Executor threads without stage attribution (0 = hardware); used
+  /// only while `pipeline.workers` is 0.
+  unsigned workers = 1;
   PipelineOptions pipeline;
   std::vector<SlotConfig> slots;
   /// Deficit-round-robin batch formation by slot weight; 0 leaves it
@@ -87,21 +85,21 @@ struct PlaneReport {
                                          RequestStatus status) noexcept;
 [[nodiscard]] Json response_rows(const std::vector<Response>& responses);
 
-/// The resolve stage both executors share: coalesces a raw cut (a cut
-/// already coalesced for an epoch controller is left alone), resolves its
-/// colors into `colors` against the `epoch` mapping or else the lane's,
-/// and returns the lane arenas' traffic for the batch.
-mem::TouchStats resolve_batch(FormedBatch& batch, const TreeMapping* epoch,
-                              const LaneSpec& lane,
-                              std::vector<Color>& colors);
-
-/// Wall nanoseconds since `start` (stage attribution).
-inline std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
+/// Stage attribution of the batch executor (DESIGN.md §14), cumulative
+/// across runs like every registry instrument. Wall nanoseconds: `control`
+/// is the tick loops; `resolve` (coalesce + color + arena touch),
+/// `execute` (session feeds) and `drain` (session drains) are summed over
+/// threads; `barrier` is the wall time of the round barriers.
+struct StageStats {
+  std::uint64_t control_ns = 0;
+  std::uint64_t resolve_ns = 0;
+  std::uint64_t execute_ns = 0;
+  std::uint64_t drain_ns = 0;
+  std::uint64_t barrier_ns = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t batches = 0;
+  std::uint64_t max_in_flight = 0;  ///< most cuts held at one barrier
+};
 
 struct Submitted {
   std::uint32_t slot = 0;
@@ -110,17 +108,11 @@ struct Submitted {
 
 class ControlPlane {
  public:
-  ControlPlane();
-  ~ControlPlane();
-  ControlPlane(const ControlPlane&) = delete;
-  ControlPlane& operator=(const ControlPlane&) = delete;
-
   /// Thread-safe MPSC submission to one slot.
   void submit(std::uint32_t slot, Request request);
 
   /// Serves everything submitted since the previous run. Instruments land
-  /// in `registry`. The pipeline's worker pool is built on the first
-  /// pipelined run and reused; the lane layout must not change after.
+  /// in `registry`; stage attribution accumulates here across runs.
   [[nodiscard]] PlaneReport run(const PlaneConfig& config,
                                 engine::MetricsRegistry& registry);
 
@@ -133,7 +125,7 @@ class ControlPlane {
   };
 
   std::array<Inbox, kStripes> inboxes_;
-  std::unique_ptr<StagedRunner> runner_;
+  StageStats stages_;
 };
 
 }  // namespace pmtree::serve::detail

@@ -14,10 +14,11 @@ void apply_batch_mutations(const FormedBatch& batch,
   assert(binding.colorer != nullptr &&
          "a dyn binding needs its incremental colorer");
 
-  // The batch's node set must be colored before any worker resolves it —
-  // for the staged pipeline this happens-before edge is the token cut;
-  // for the inline executor it is program order. Raw (uncoalesced)
-  // batches repeat nodes; touch() memoizes, so repeats are O(1).
+  // The batch's node set must be colored before any thread resolves it:
+  // resolution waits for the round barrier, whose thread start inside
+  // parallel_chunks (after the round's last touch()) is the happens-before
+  // edge. Raw (uncoalesced) batches repeat nodes; touch() memoizes, so
+  // repeats are O(1).
   binding.colorer->touch(std::span<const Node>(batch.nodes.data(),
                                                batch.nodes.size()));
 

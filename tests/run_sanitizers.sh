@@ -23,26 +23,28 @@
 # config's lane execution at 1/2/8 workers — a race in the shared-pool
 # admission, the DRR batch formation, or the per-tenant lane fold shows
 # up as a TSan report and as a divergence from the 1-worker oracle), and
-# the staged serve pipeline (test_serve_pipeline drives StagedRunner's
-# SPSC token rings, ready-flag handoff, overflow spill/pump, and round
-# barrier at 1/2/8 pipeline workers against the inline executor, the
-# differential oracle of the one serve control plane, faulted configs
-# included —
-# a race in the ring cursors, the pooled token reuse, the resolve/execute
-# ordering edge, or the barrier handshake shows up as a TSan report and
-# as a bit-identity mismatch; the `pipeline` ctest label selects the
-# suite on its own), and skew-adaptive migration (test_serve_migration
-# runs migrated serving at 1/2/8 replica workers and 1/2/8 pipeline
-# workers against the single-threaded oracle, drives the sharded engine
-# over a MigratedMapping at 1/2/8 threads, and asserts the epoch audit
-# trail identical — a race between the control-plane planner and the
-# worker-side epoch-mapping reads shows up as a TSan report and as a
+# the serve batch executor (test_serve_pipeline runs every config at
+# 1/2/8 executor threads against the 1-thread run, faulted configs
+# included: at each round barrier the parallel_chunks threads resolve
+# chunks of cuts, reading the shared IncrementalColorer stores,
+# MemoryBackend slabs, epoch mappings and ColorMapping's lazily published
+# batch tables at the same time and writing disjoint slices of the
+# round's color buffer, then feed and drain one lane each, whose
+# EngineSession belongs to one thread until the join — a race on any of
+# them shows up as a TSan report and as a bit-identity mismatch;
+# the `pipeline` ctest label selects the suite on its own), and
+# skew-adaptive migration (test_serve_migration runs migrated serving at
+# 1/2/8 workers and 1/2/8 pipeline workers against the single-threaded
+# oracle, drives the sharded engine over a MigratedMapping at 1/2/8
+# threads, and asserts the epoch audit trail identical — a race between
+# the planner's epoch mints on the control thread and the barrier
+# threads' epoch-mapping reads shows up as a TSan report and as a
 # divergent rotation table; the `migration` ctest label selects the
 # mapping + serve migration suites together), and dynamic trees
-# (test_dyn_serve runs mixed read/write traffic at 1/2/8 replica workers
-# and 1/2/4 pipeline workers against the single-threaded oracle — the
+# (test_dyn_serve runs mixed read/write traffic at 1/2/8 workers and
+# 1/2/4 pipeline workers against the single-threaded oracle — the
 # control-plane touch() publishes each level's color row with a release
-# store that worker-side color_of() reads must acquire, so a
+# store that the barrier threads' color_of() reads must acquire, so a
 # torn publication shows up as a TSan report and as a response or
 # mutation-log divergence; test_dyn_incremental re-checks the
 # incremental coloring bit-identical to a from-scratch rebuild after
@@ -50,18 +52,18 @@
 # batches through fail-stop fault epochs at 2/8 workers — the `dyn`
 # ctest label selects the dynamic-tree suites plus the E24 smoke gate),
 # and real-memory arenas + adaptive selection (test_serve_mem touches
-# the immutable MemoryBackend slabs from the pipeline's resolve workers
-# at 1/2/8 workers while the oracle touches on the control plane — a
-# race in the concurrent touch path or the per-token TouchStats fold
-# shows up as a TSan report and as a totals/checksum divergence from
-# the single-threaded recount; test_serve_adaptive runs the
-# AdaptiveSelector's epoch switches at 1/2/8 replica and pipeline
-# workers against the oracle, so a race between the control-plane
-# selector and worker-side epoch-mapping reads surfaces as a report or
-# a response divergence — the `mem` ctest label selects the arena,
-# combinator, selector and serve-layer suites plus the E25 smoke gate).
+# the immutable MemoryBackend slabs from the barrier threads at 1/2/8
+# workers and pipeline workers — a race in the concurrent touch path or
+# the per-cut TouchStats fold shows up as a TSan report and as a
+# totals/checksum divergence from the single-threaded recount;
+# test_serve_adaptive runs the AdaptiveSelector's epoch switches at
+# 1/2/8 workers and pipeline workers against the oracle, so a race
+# between the control-plane selector and the barrier threads'
+# epoch-mapping reads surfaces as a report or a response divergence —
+# the `mem` ctest label selects the arena, combinator, selector and
+# serve-layer suites plus the E25 smoke gate).
 # The `serve` ctest label selects every suite that pins the serve control
-# plane and its two executors (test_serve_*, test_dyn_serve,
+# plane and its batch executor (test_serve_*, test_dyn_serve,
 # test_engine_session, test_engine_faults) — the one-command safety net
 # for changes there (`tests/run_sanitizers.sh tsan` runs them with the
 # rest; `ctest --test-dir build-tsan -L serve` re-runs just them).

@@ -1,7 +1,7 @@
 // Read-write serving differential (DESIGN.md §16): mixed read/write
 // traffic against a DynamicTree + IncrementalColorer must produce
 // bit-identical responses, mutation logs and final tree/color state at
-// 1/2/8 workers, under the staged pipeline, and under the
+// 1/2/8 workers, at pipeline workers, and under the
 // full-recolor-per-epoch strawman — and write-write conflicts must
 // resolve to the canonically-first writer, deterministically.
 #include <gtest/gtest.h>

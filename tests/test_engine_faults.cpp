@@ -503,7 +503,7 @@ TEST(FaultDifferential, MidRunMassFailureDrainsQueuedRequestsToSurvivor) {
 // insert/erase requests racing a fail-stop epoch must drain cleanly —
 // every request terminal, every mutation applied exactly once even when
 // retries re-dispatch its request, and the whole run bit-identical at
-// any worker count and on the staged pipeline.
+// any worker count, pipeline workers included.
 
 struct DynFaultRun {
   serve::ServeReport report;
@@ -610,8 +610,8 @@ TEST(DynFaults, MutationBatchesDrainCleanlyAcrossFailStopEpoch) {
     ASSERT_EQ(got.tree_version, oracle.tree_version);
   }
 
-  // So does the staged pipeline: the same report apart from its
-  // wall-time "pipeline" metrics section.
+  // So do pipeline workers: the same report apart from the wall-time
+  // "pipeline" metrics section.
   const auto without_pipeline = [](serve::ServeReport report) {
     Json metrics = Json::object();
     for (const auto& [key, value] : report.metrics.members()) {

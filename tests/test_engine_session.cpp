@@ -1,13 +1,13 @@
 // EngineSession ≡ CycleEngine::run differential property tests.
 //
-// The staged serve pipeline (serve/pipeline.hpp) replaces the oracle's
-// per-round monolithic replica re-runs with one EngineSession per lane
-// that is fed batch-by-batch and drained at round barriers. That swap is
-// sound only if a session fed incrementally is bit-identical to
-// CycleEngine::run over the same accesses under
-// ArrivalSchedule::explicit_cycles of the same arrivals — including
-// mid-stream drains (retry rounds replay cumulatively) and the
-// feed_resolved entry the pipeline's resolve stage uses. This suite holds
+// The serve batch executor runs every lane as one EngineSession that is
+// fed batch-by-batch and drained at round barriers, instead of re-running
+// a monolithic replica engine each round. That is sound only if a
+// session fed incrementally is bit-identical to CycleEngine::run over the
+// same accesses under ArrivalSchedule::explicit_cycles of the same
+// arrivals — including mid-stream drains (retry rounds replay
+// cumulatively) and the feed_resolved entry the executor's resolve phase
+// uses. This suite holds
 // that identity on randomized (mapping, workload, arrivals) triples
 // across every template family and sampling mode, comparing whole
 // EngineResult JSON snapshots — healthy, and under random fail-stop and

@@ -3,7 +3,7 @@
 // workloads where COLOR and LABEL-TREE rank differently (the paper's R10
 // trade-off turned into a runtime measurement), deterministic replay, and
 // the serve-layer contract — bit-identical responses at 1/2/8 workers and
-// under the staged pipeline, byte-identical to the static server when the
+// at pipeline workers, byte-identical to the static server when the
 // policy is disabled, and per-tenant scope in the Forest.
 #include "pmtree/serve/adaptive.hpp"
 

@@ -317,11 +317,11 @@ TEST(BatchFormer, FormIsEquivalentToDueGatedFormOneLoop) {
 }
 
 TEST(BatchFormer, FormOneIsFormOneRawPlusCoalesce) {
-  // The staged pipeline cuts with form_one_raw() on the control plane and
-  // coalesces on a worker; the oracle cuts with form_one(). Same queue,
-  // both drains: identical ids, membership, stamps, cost accounting and
-  // (after coalescing the raw node set) identical node unions and
-  // decompositions.
+  // Most slots cut with form_one_raw() and the executor coalesces at the
+  // round barrier; slots with an epoch controller cut with form_one().
+  // Same queue, both drains: identical ids, membership, stamps, cost
+  // accounting and (after coalescing the raw node set) identical node
+  // unions and decompositions.
   const std::vector<Request> requests{
       make_request(0, 0, {v(2, 3), v(3, 3), v(2, 3)}),  // duplicate inside
       make_request(1, 0, {v(5, 3), v(4, 3)}),           // out of order

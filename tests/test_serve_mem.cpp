@@ -1,9 +1,9 @@
 // Real-memory backend through the serve layer (DESIGN.md §17): the
 // headline differential — responses are bit-identical with the backend on
-// or off, at 1/2/8 workers and under the staged pipeline — plus the
-// TouchStats aggregation contract (oracle control-plane touches equal the
-// pipeline's worker-side touches equal a recount over the report's own
-// batches), faulted runs, and per-tenant scope in the Forest.
+// or off, at 1/2/8 workers and at 1/2/8 pipeline workers — plus the
+// TouchStats aggregation contract (touches at every thread count equal a
+// recount over the report's own batches), faulted runs, and per-tenant
+// scope in the Forest.
 #include "pmtree/mem/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -289,7 +289,7 @@ TEST(ServeMem, ForestScopesBackendsPerTenant) {
       << "the backend leaked across the tenant boundary";
 
   // Responses identical tenant for tenant with the backend on or off, at
-  // any worker count, and under the staged pipeline.
+  // any worker count, pipeline workers included.
   struct Dims {
     unsigned workers;
     unsigned pipeline_workers;

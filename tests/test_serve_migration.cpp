@@ -2,7 +2,7 @@
 // decay semantics, the MigrationPlanner's determinism and peak-reduction
 // contract, and — the headline rule — that epoch remapping is a pure
 // control-plane decision: migrated serving is bit-identical at 1/2/8
-// workers and under the staged pipeline, a disabled policy leaves the
+// workers and at pipeline workers, a disabled policy leaves the
 // server byte-identical to the static-mapping build, and faulted
 // configurations keep the static mapping outright.
 #include "pmtree/serve/migration.hpp"
