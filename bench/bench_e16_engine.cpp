@@ -23,6 +23,7 @@
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/bits.hpp"
+#include "pmtree/util/json.hpp"
 
 namespace {
 
@@ -30,8 +31,8 @@ using namespace pmtree;
 using engine::ArrivalSchedule;
 using engine::CycleEngine;
 using engine::EngineResult;
-using engine::Json;
 using engine::MetricsRegistry;
+using pmtree::Json;
 
 constexpr std::uint32_t kM = 15;
 constexpr std::uint32_t kLevels = 14;

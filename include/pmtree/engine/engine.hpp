@@ -25,8 +25,8 @@
 // FIFOs live in one flat arena sized from the admitted request count,
 // service touches only an active-module worklist, and whole busy spans
 // are retired in bulk when no arrival can land inside them. The frozen
-// PR-1 loop survives as ReferenceEngine (reference.hpp), the semantics
-// oracle the event core is differentially tested against.
+// seed loop survives in tests/reference_engine.hpp, the semantics oracle
+// the event core is differentially tested against.
 //
 // Everything the engine observes lands in an EngineResult and, when a
 // MetricsRegistry is supplied, in named instruments under a caller-chosen

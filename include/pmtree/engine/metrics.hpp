@@ -23,7 +23,7 @@
 #include <string>
 
 #include "pmtree/engine/histogram.hpp"
-#include "pmtree/engine/json.hpp"
+#include "pmtree/util/json.hpp"
 
 namespace pmtree::engine {
 

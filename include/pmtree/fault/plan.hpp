@@ -15,12 +15,12 @@
 // (module m serves one request every `period` cycles during [begin, end)),
 // optionally generated from a seed by FaultPlan::random. Determinism is
 // the point — the same plan produces bit-identical trajectories on the
-// event-driven core, the frozen reference loop, any sharded worker count,
-// and any serve worker count, so degraded behaviour is testable and
-// benchmarkable exactly like healthy behaviour (DESIGN.md §12).
+// event-driven core, the frozen reference loop and any serve worker count,
+// so degraded behaviour is testable and benchmarkable exactly like
+// healthy behaviour (DESIGN.md §12).
 //
-// Semantics under a plan (implemented identically by CycleEngine and
-// ReferenceEngine):
+// Semantics under a plan (implemented identically by CycleEngine and the
+// reference loop in tests/reference_engine.hpp):
 //
 //   * fail-stop  — at the first busy cycle t >= cycle, the module's queue
 //     is drained FIFO onto its reroute target, and every later request

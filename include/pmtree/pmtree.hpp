@@ -25,10 +25,7 @@
 #include "pmtree/engine/arrival.hpp"
 #include "pmtree/engine/engine.hpp"
 #include "pmtree/engine/histogram.hpp"
-#include "pmtree/engine/json.hpp"
 #include "pmtree/engine/metrics.hpp"
-#include "pmtree/engine/reference.hpp"
-#include "pmtree/engine/sharded.hpp"
 #include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
@@ -47,6 +44,7 @@
 #include "pmtree/tree/node.hpp"
 #include "pmtree/tree/tree.hpp"
 #include "pmtree/util/bits.hpp"
+#include "pmtree/util/json.hpp"
 #include "pmtree/util/parallel.hpp"
 #include "pmtree/util/rng.hpp"
 #include "pmtree/util/stats.hpp"

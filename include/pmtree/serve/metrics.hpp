@@ -18,8 +18,7 @@
 //             (members per batch)
 //
 // summary() distills the SLO view: p50/p95/p99/p999 latency, counters,
-// mean batch occupancy — the JSON object ServeReport carries and
-// bench_e19 writes per configuration.
+// mean batch occupancy — the JSON object ServeReport carries.
 #pragma once
 
 #include <cstdint>

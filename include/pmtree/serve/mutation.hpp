@@ -44,12 +44,6 @@ namespace pmtree::serve {
 struct DynBinding {
   dyn::DynamicTree* tree = nullptr;
   dyn::IncrementalColorer* colorer = nullptr;
-  /// E24's strawman baseline: after every batch with writers, drop the
-  /// memoized coloring entirely and re-touch the whole live set — the
-  /// full-recolor-per-epoch cost the incremental scheme avoids. Colors
-  /// are identical either way (they are coordinate-pure); only the work
-  /// differs.
-  bool recolor_from_scratch = false;
 
   [[nodiscard]] bool enabled() const noexcept { return tree != nullptr; }
 };
@@ -82,8 +76,8 @@ void apply_batch_mutations(const FormedBatch& batch,
 
 /// End-of-run snapshot for ServeMetrics::set_dyn: live-set size / version
 /// of the tree, per-status mutation counts, and the colorer's work
-/// counters (nodes_colored / touches — the incremental-vs-rebuild cost
-/// E24 charts). Pure accounting; identical across execution paths.
+/// counters (nodes_colored / touches). Pure accounting; identical across
+/// execution paths.
 [[nodiscard]] Json dyn_stats(const DynBinding& binding,
                              const std::vector<MutationRecord>& log);
 

@@ -220,7 +220,7 @@ struct ServeReport {
   [[nodiscard]] std::uint64_t count(RequestStatus status) const noexcept;
 
   /// Full report as JSON: the metrics summary plus scalar run facts and a
-  /// per-response table — the payload bench_e19 and serve_demo export.
+  /// per-response table.
   [[nodiscard]] Json to_json() const;
 };
 

@@ -10,10 +10,9 @@
 // values serialized without a decimal point. Object key order is preserved
 // so exports diff cleanly.
 //
-// The type lives in util (namespace pmtree) so that layers below the
-// engine — pms traces in particular — can export JSON without a dependency
-// cycle; pmtree/engine/json.hpp re-exports it as engine::Json for the
-// existing engine-layer spelling.
+// The type lives in util (namespace pmtree) so that every layer — fault
+// plans, engine metrics, memory stats, serve reports — exports JSON
+// without a dependency cycle.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,11 @@
 // Event-driven CycleEngine core (DESIGN.md §8).
 //
-// The frozen PR-1 loop (now ReferenceEngine) pays O(modules) every cycle:
-// it scans one std::deque per module for service and records one depth
-// sample per module into the histogram. This implementation keeps its
-// semantics bit-identical — tests/test_engine_event_core.cpp holds it to
-// the reference on randomized pairs — while restructuring the hot loop
+// The frozen seed loop (kept as the test oracle in
+// tests/reference_engine.hpp) pays O(modules) every cycle: it scans one
+// std::deque per module for service and records one depth sample per
+// module into the histogram. This implementation keeps its semantics
+// bit-identical — tests/test_engine_event_core.cpp holds it to the
+// reference on randomized pairs — while restructuring the hot loop
 // around three ideas:
 //
 //   * flat arena queues: per-module FIFOs are segments of one allocation,

@@ -28,7 +28,6 @@ void apply_batch_mutations(const FormedBatch& batch,
   // speculative mutations in, so per-client sequences apply exactly as
   // planned, and cross-client conflicts resolve to the canonically-first
   // writer deterministically.
-  bool wrote = false;
   for (const std::size_t index : batch.members) {
     const Request& req = requests[index];
     if (req.kind == RequestKind::kRead || applied[index] != 0) continue;
@@ -73,20 +72,7 @@ void apply_batch_mutations(const FormedBatch& batch,
     } else {
       rec.status = binding.tree->remove_leaf(req.target);
     }
-    wrote = wrote || rec.status == dyn::DynStatus::kOk;
     log.push_back(rec);
-  }
-
-  // The strawman epoch model: any batch that wrote invalidates the whole
-  // coloring and pays a full re-touch of the live set.
-  if (wrote && binding.recolor_from_scratch) {
-    binding.colorer->reset();
-    const std::vector<Node> live = binding.tree->live_nodes();
-    binding.colorer->touch(std::span<const Node>(live.data(), live.size()));
-    // The batch in flight still needs its (possibly just-erased) read
-    // coordinates colored for the workers.
-    binding.colorer->touch(std::span<const Node>(batch.nodes.data(),
-                                                 batch.nodes.size()));
   }
 }
 
@@ -117,7 +103,6 @@ Json dyn_stats(const DynBinding& binding,
   colorer.set("scheme", Json(std::string(binding.colorer->name())));
   colorer.set("nodes_colored", Json(binding.colorer->nodes_colored()));
   colorer.set("touches", Json(binding.colorer->touches()));
-  colorer.set("from_scratch", Json(binding.recolor_from_scratch));
   j.set("colorer", std::move(colorer));
   return j;
 }

@@ -1,4 +1,4 @@
-#include "pmtree/engine/reference.hpp"
+#include "reference_engine.hpp"
 
 #include <algorithm>
 #include <deque>

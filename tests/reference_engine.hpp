@@ -1,4 +1,5 @@
-// ReferenceEngine: the frozen PR-1 scalar cycle loop.
+// ReferenceEngine: the frozen seed scalar cycle loop, kept as a test
+// oracle (the pmtree_reference_engine target; not part of the library).
 //
 // When the CycleEngine hot loop was rebuilt as an event-driven core
 // (flat arena queues, active-module worklist, bulk cycle skipping —
@@ -7,13 +8,15 @@
 // sampling, which makes it useless at scale but ideal as an oracle: its
 // semantics are obviously the paper's service model, one line per rule.
 //
-// Two consumers:
-//   * tests/test_engine_event_core.cpp holds the event-driven core to
-//     bit-identical trajectories (records, served counts, high-water
-//     marks, busy cycles, histograms) on randomized workload/schedule
-//     pairs across every template family;
-//   * bench_e18_engine_throughput reports the event core's cycles/sec and
-//     requests/sec as multiples of this baseline.
+// Consumers, each holding an engine to bit-identical trajectories
+// (records, served counts, high-water marks, busy cycles, histograms)
+// against it:
+//   * test_engine_event_core — the event-driven core on randomized
+//     workload/schedule pairs across every template family;
+//   * test_engine_faults and test_engine_session — the event core and
+//     EngineSession under random fault plans;
+//   * test_engine_arrival — explicit arrival schedules against their
+//     closed-form equivalents.
 //
 // Do not optimize this file; its only job is to stay the seed.
 #pragma once
@@ -26,7 +29,7 @@ class ReferenceEngine {
  public:
   explicit ReferenceEngine(const TreeMapping& mapping) : mapping_(mapping) {}
 
-  /// The PR-1 `CycleEngine::run` loop, metrics plumbing removed. Depth
+  /// The seed `CycleEngine::run` loop, metrics plumbing removed. Depth
   /// sampling is always per-busy-cycle (the seed had no sampling knobs).
   [[nodiscard]] EngineResult run(const Workload& workload,
                                  const ArrivalSchedule& schedule) const;

@@ -3,19 +3,14 @@
 # CMakePresets.json configurations. The suite must be green under all
 # three; TSan in particular covers the cycle engine, the parallel cost
 # evaluators and their per-thread scratch (test_analysis_parallel
-# runs them at 1/2/8 threads), the sharded engine runner
-# (test_engine_sharded drives ShardedEngineRunner at 1/2/8 worker threads
-# and asserts bit-identical merges, so any data race in the per-shard
-# slot writes or the fold shows up both as a TSan report and as a
-# mismatch), the lazy batch-accelerator publication
+# runs them at 1/2/8 threads), the lazy batch-accelerator publication
 # (test_mapping_batch's ConcurrentFirstUseIsConsistent races four threads
 # on a cold ColorMapping), and the serve front-end
 # (test_serve_differential races four submitter threads into Server's
 # striped-inbox MPSC path and then runs the replica phase at 1/2/8
 # workers, asserting responses bit-identical to the single-threaded
-# oracle), and degraded mode (test_engine_faults runs the fault-injected
-# sharded engine at 1/2/8 threads; test_serve_differential's faulted
-# configs re-run replicas across retry rounds at 1/2/8 workers — a data
+# oracle), and degraded mode (test_serve_differential's faulted configs
+# re-run replicas across retry rounds at 1/2/8 workers — a data
 # race in the fault path or the round fold shows up as a report and as a
 # bit-identity mismatch), and multi-tenant serving (test_serve_forest
 # races four submitter threads into Forest's striped inboxes in
@@ -35,9 +30,10 @@
 # the `pipeline` ctest label selects the suite on its own), and
 # skew-adaptive migration (test_serve_migration runs migrated serving at
 # 1/2/8 workers and 1/2/8 pipeline workers against the single-threaded
-# oracle, drives the sharded engine over a MigratedMapping at 1/2/8
-# threads, and asserts the epoch audit trail identical — a race between
-# the planner's epoch mints on the control thread and the barrier
+# oracle and asserts the epoch audit trail identical;
+# ServeMigration.StagedPipelineMatchesOracleUnderMigration has 2 and 8
+# barrier threads read the minted MigratedMapping epochs at once — a race
+# between the planner's epoch mints on the control thread and the barrier
 # threads' epoch-mapping reads shows up as a TSan report and as a
 # divergent rotation table; the `migration` ctest label selects the
 # mapping + serve migration suites together), and dynamic trees
@@ -50,7 +46,7 @@
 # incremental coloring bit-identical to a from-scratch rebuild after
 # every mutation batch, and test_engine_faults drives insert/erase
 # batches through fail-stop fault epochs at 2/8 workers — the `dyn`
-# ctest label selects the dynamic-tree suites plus the E24 smoke gate),
+# ctest label selects the dynamic-tree suites),
 # and real-memory arenas + adaptive selection (test_serve_mem touches
 # the immutable MemoryBackend slabs from the barrier threads at 1/2/8
 # workers and pipeline workers — a race in the concurrent touch path or
@@ -61,7 +57,7 @@
 # between the control-plane selector and the barrier threads'
 # epoch-mapping reads surfaces as a report or a response divergence —
 # the `mem` ctest label selects the arena, combinator, selector and
-# serve-layer suites plus the E25 smoke gate).
+# serve-layer suites).
 # The `serve` ctest label selects every suite that pins the serve control
 # plane and its batch executor (test_serve_*, test_dyn_serve,
 # test_engine_session, test_engine_faults) — the one-command safety net

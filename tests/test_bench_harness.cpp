@@ -1,11 +1,7 @@
-// Bench harness helpers (bench/bench_common.hpp): the median estimator
-// (odd N = middle element, even N = mean of the two middles — the
-// upper-middle-only form was biased high), median_wall_seconds's
-// invocation contract (warmup + max(trials, 1) timed runs, setup before
-// every body), and print_experiment's PMTREE_BENCH_CSV path join
-// (trailing-slash directories must not produce "dir//file.csv"-style
-// surprises, and an unwritable directory must warn, not silently drop
-// the CSV).
+// Bench harness helpers (bench/bench_common.hpp): print_experiment's
+// PMTREE_BENCH_CSV path join (trailing-slash directories must not produce
+// "dir//file.csv"-style surprises, and an unwritable directory must warn,
+// not silently drop the CSV).
 #include "../bench/bench_common.hpp"
 
 #include <gtest/gtest.h>
@@ -19,40 +15,6 @@
 
 namespace pmtree::bench {
 namespace {
-
-TEST(MedianOf, OddCountTakesTheMiddleElement) {
-  EXPECT_DOUBLE_EQ(median_of({5.0}), 5.0);
-  EXPECT_DOUBLE_EQ(median_of({3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(median_of({9.0, 1.0, 5.0, 7.0, 3.0}), 5.0);
-}
-
-TEST(MedianOf, EvenCountAveragesTheTwoMiddles) {
-  EXPECT_DOUBLE_EQ(median_of({1.0, 2.0}), 1.5);
-  EXPECT_DOUBLE_EQ(median_of({4.0, 1.0, 3.0, 2.0}), 2.5);
-  // The regression this fixes: the upper middle alone would say 3.0.
-  EXPECT_DOUBLE_EQ(median_of({1.0, 1.0, 3.0, 100.0}), 2.0);
-}
-
-TEST(MedianWallSeconds, RunsWarmupPlusTrialsWithSetupBeforeEveryBody) {
-  int setups = 0;
-  int bodies = 0;
-  const double got = median_wall_seconds(
-      /*warmup=*/2, /*trials=*/5, [&] { ++setups; },
-      [&] {
-        EXPECT_EQ(setups, bodies + 1) << "setup must precede every body";
-        ++bodies;
-      });
-  EXPECT_EQ(bodies, 7);  // 2 warmup + 5 timed
-  EXPECT_EQ(setups, 7);
-  EXPECT_GE(got, 0.0);
-}
-
-TEST(MedianWallSeconds, ZeroTrialsBehavesAsOne) {
-  int bodies = 0;
-  const double got = median_wall_seconds(0, 0, [&] { ++bodies; });
-  EXPECT_EQ(bodies, 1);
-  EXPECT_GE(got, 0.0);
-}
 
 class BenchCsvEnv : public ::testing::Test {
  protected:

@@ -1,9 +1,9 @@
 // Read-write serving differential (DESIGN.md §16): mixed read/write
 // traffic against a DynamicTree + IncrementalColorer must produce
 // bit-identical responses, mutation logs and final tree/color state at
-// 1/2/8 workers, at pipeline workers, and under the
-// full-recolor-per-epoch strawman — and write-write conflicts must
-// resolve to the canonically-first writer, deterministically.
+// 1/2/8 workers and at pipeline workers, the final colors must equal a
+// from-scratch mapping, and write-write conflicts must resolve to the
+// canonically-first writer, deterministically.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -88,13 +88,12 @@ struct RunResult {
   std::vector<Node> live;        ///< final live set
   std::vector<Color> live_colors;
   std::uint64_t tree_version = 0;
-  std::uint64_t nodes_colored = 0;
 };
 
 /// Fresh tree + colorer per run: every leg replays the same traffic from
 /// the same root-only initial state.
 RunResult run_config(const Config& cfg, unsigned workers,
-                     unsigned pipeline_workers, bool recolor_from_scratch) {
+                     unsigned pipeline_workers) {
   const CompleteBinaryTree envelope(kLevels);
   dyn::DynamicTree tree(kLevels);
   dyn::IncrementalColorer colorer =
@@ -105,7 +104,6 @@ RunResult run_config(const Config& cfg, unsigned workers,
   opts.pipeline.workers = pipeline_workers;
   opts.dyn.tree = &tree;
   opts.dyn.colorer = &colorer;
-  opts.dyn.recolor_from_scratch = recolor_from_scratch;
   Server server(colorer, opts);
   for (const Request& r : cfg.requests) server.submit(r);
   RunResult res;
@@ -117,7 +115,6 @@ RunResult run_config(const Config& cfg, unsigned workers,
                          std::span<Color>(res.live_colors.data(),
                                           res.live_colors.size()));
   res.tree_version = tree.version();
-  res.nodes_colored = colorer.nodes_colored();
   EXPECT_TRUE(tree.validate());
   return res;
 }
@@ -163,7 +160,7 @@ TEST(DynServe, MixedTrafficIsWorkerCountInvariant) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const Config cfg = random_config(seed * 7919);
-    const RunResult oracle = run_config(cfg, 1, 0, false);
+    const RunResult oracle = run_config(cfg, 1, 0);
 
     ASSERT_EQ(oracle.report.count(RequestStatus::kOk) +
                   oracle.report.count(RequestStatus::kShed) +
@@ -175,7 +172,7 @@ TEST(DynServe, MixedTrafficIsWorkerCountInvariant) {
 
     for (const unsigned workers : {2u, 8u}) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      const RunResult got = run_config(cfg, workers, 0, false);
+      const RunResult got = run_config(cfg, workers, 0);
       expect_same_responses(got.report, oracle.report);
       expect_same_mutations(got.report.mutations, oracle.report.mutations);
       expect_same_final_state(got, oracle);
@@ -191,10 +188,10 @@ TEST(DynServe, StagedPipelineMatchesOracle) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const Config cfg = random_config(seed * 104729);
-    const RunResult oracle = run_config(cfg, 1, 0, false);
+    const RunResult oracle = run_config(cfg, 1, 0);
     for (const unsigned pipeline_workers : {1u, 2u, 4u}) {
       SCOPED_TRACE("pipeline=" + std::to_string(pipeline_workers));
-      const RunResult got = run_config(cfg, 1, pipeline_workers, false);
+      const RunResult got = run_config(cfg, 1, pipeline_workers);
       expect_same_responses(got.report, oracle.report);
       expect_same_mutations(got.report.mutations, oracle.report.mutations);
       expect_same_final_state(got, oracle);
@@ -202,28 +199,11 @@ TEST(DynServe, StagedPipelineMatchesOracle) {
   }
 }
 
-TEST(DynServe, FullRecolorStrawmanIsBitIdenticalButCostlier) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const Config cfg = random_config(seed * 65537);
-    const RunResult incremental = run_config(cfg, 2, 0, false);
-    const RunResult strawman = run_config(cfg, 2, 0, true);
-    // Colors are coordinate-pure: dropping and rebuilding the memo after
-    // every writing batch changes the work, never the answers.
-    expect_same_responses(strawman.report, incremental.report);
-    expect_same_mutations(strawman.report.mutations,
-                          incremental.report.mutations);
-    expect_same_final_state(strawman, incremental);
-    // (Work comparison lives in bench E24 — reset() zeroes the colorer's
-    // counters, so end-of-run counts are not comparable across modes.)
-  }
-}
-
 TEST(DynServe, FinalColorsMatchFromScratchMappings) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Config cfg = random_config(seed * 2654435761u);
-    const RunResult res = run_config(cfg, 2, 0, false);
+    const RunResult res = run_config(cfg, 2, 0);
     const CompleteBinaryTree envelope(kLevels);
     std::unique_ptr<TreeMapping> rebuild;
     if (cfg.label_scheme) {

@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "pmtree/engine/engine.hpp"
-#include "pmtree/engine/reference.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/pms/workload.hpp"
+#include "reference_engine.hpp"
 
 namespace pmtree {
 namespace {

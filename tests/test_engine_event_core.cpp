@@ -16,10 +16,10 @@
 #include <memory>
 #include <string>
 
-#include "pmtree/engine/reference.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
+#include "reference_engine.hpp"
 
 namespace pmtree {
 namespace {

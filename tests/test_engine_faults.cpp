@@ -1,9 +1,8 @@
 // Fault-injection tests (DESIGN.md §12): the FaultPlan/FaultTimeline
 // vocabulary, and the differential contract that makes degraded serving
 // trustworthy — an empty plan is bit-identical to the fault-free run on
-// both engines, the event core under any plan is bit-identical to the
-// reference loop under the same plan, and the sharded runner's merged
-// degraded trajectory never depends on its thread count.
+// both engines, and the event core under any plan is bit-identical to the
+// reference loop under the same plan.
 #include "pmtree/fault/plan.hpp"
 
 #include <gtest/gtest.h>
@@ -16,13 +15,12 @@
 #include "pmtree/dyn/dynamic_tree.hpp"
 #include "pmtree/dyn/incremental.hpp"
 #include "pmtree/engine/engine.hpp"
-#include "pmtree/engine/reference.hpp"
-#include "pmtree/engine/sharded.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/combinators.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "reference_engine.hpp"
 
 namespace pmtree {
 namespace {
@@ -33,8 +31,6 @@ using engine::EngineOptions;
 using engine::EngineResult;
 using engine::Histogram;
 using engine::ReferenceEngine;
-using engine::ShardedEngineRunner;
-using engine::ShardedOptions;
 using fault::FaultPlan;
 using fault::FaultTimeline;
 
@@ -396,34 +392,6 @@ TEST(FaultDifferential, EveryRequestStillCompletesUnderFaults) {
   // The degraded run can only be slower than the healthy one.
   const EngineResult healthy = eng.run(workload, ArrivalSchedule::all_at_once());
   EXPECT_GE(res.completion_cycle, healthy.completion_cycle);
-}
-
-TEST(FaultDifferential, ShardedRunIsThreadCountInvariantUnderFaults) {
-  Rng rng(0x5AADEDu);
-  for (int trial = 0; trial < 6; ++trial) {
-    const CompleteBinaryTree tree(8);
-    const auto mapping = random_mapping(tree, rng);
-    const Workload workload = random_workload(tree, rng);
-    const FaultPlan plan = random_plan(mapping->num_modules(), rng);
-    SCOPED_TRACE("trial=" + std::to_string(trial));
-
-    const ShardedEngineRunner runner(*mapping);
-    ShardedOptions opts;
-    opts.shards = 1 + rng.below(4);
-    opts.engine.faults = &plan;
-    opts.threads = 1;
-    const auto oracle =
-        runner.run(workload, ArrivalSchedule::fixed_rate(2), opts);
-    for (const unsigned threads : {2u, 8u}) {
-      opts.threads = threads;
-      const auto got =
-          runner.run(workload, ArrivalSchedule::fixed_rate(2), opts);
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      expect_same_trajectory(got.merged, oracle.merged,
-                             /*compare_depths=*/true);
-      ASSERT_EQ(got.merged.to_json().dump(), oracle.merged.to_json().dump());
-    }
-  }
 }
 
 TEST(DegradedMapping, AgreesWithPlanKillingAllButOneModule) {

@@ -11,15 +11,15 @@
 #include <vector>
 
 #include "pmtree/engine/histogram.hpp"
-#include "pmtree/engine/json.hpp"
+#include "pmtree/util/json.hpp"
 #include "pmtree/util/rng.hpp"
 
 namespace pmtree {
 namespace {
 
 using engine::Histogram;
-using engine::Json;
 using engine::MetricsRegistry;
+using pmtree::Json;
 
 /// Exact sample quantile: the ceil(q*n)-th smallest value.
 std::uint64_t true_quantile(std::vector<std::uint64_t> values, double q) {

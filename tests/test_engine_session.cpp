@@ -21,11 +21,11 @@
 #include <vector>
 
 #include "pmtree/engine/engine.hpp"
-#include "pmtree/engine/reference.hpp"
 #include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
+#include "reference_engine.hpp"
 
 namespace pmtree {
 namespace {

@@ -369,7 +369,7 @@ TEST(ServeForest, PerTenantFaultPlansDegradeOnlyThatTenant) {
     const auto& a = degraded.tenants[0].responses;
     const auto& b = healthy.tenants[0].responses;
     for (std::size_t k = 0; k < a.size(); ++k) {
-      tenant0_diffs += a[k].completion_cycle != b[k].completion_cycle ? 1 : 0;
+      if (a[k].completion_cycle != b[k].completion_cycle) ++tenant0_diffs;
     }
   }
   EXPECT_GT(tenant0_diffs, 0u);

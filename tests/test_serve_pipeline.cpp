@@ -207,7 +207,7 @@ void expect_same_serve_report(const ServeReport& got, const ServeReport& want) {
   expect_same_metrics_modulo_pipeline(got.metrics, want.metrics);
 }
 
-/// E19's serving stream (bench_e19_serving): root-to-leaf path lookups,
+/// The E19 serving stream (EXPERIMENTS.md): root-to-leaf path lookups,
 /// sibling pairs and short level runs from 16 clients at a mean gap of
 /// `gap` cycles, under E19's admission and batching knobs on 3 replicas.
 /// At gap 0 everything arrives at cycle 0 and admission sheds most of it.
