@@ -11,7 +11,7 @@
 // batches (each dispatched at its admission tick) through the engine.
 #pragma once
 
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -48,22 +48,22 @@ class ArrivalSchedule {
   [[nodiscard]] static ArrivalSchedule serialized() {
     return ArrivalSchedule(Kind::kSerialized, 0, 0);
   }
-  /// Access i arrives at cycles[i]. Preconditions: `cycles` is
-  /// nondecreasing (the engine admits accesses in index order) and covers
-  /// every access of the workload it is run with (cycles.size() >= n).
+  /// Access i arrives at cycles[i]. `cycles` must be nondecreasing (the
+  /// engine admits accesses in index order): throws std::invalid_argument
+  /// on a decrease. It must also cover every access of the workload it is
+  /// run with (cycles.size() >= n); the engine throws when it does not.
   [[nodiscard]] static ArrivalSchedule explicit_cycles(
-      std::vector<std::uint64_t> cycles) {
-    ArrivalSchedule schedule(Kind::kExplicit, 0, 0);
-    schedule.cycles_ = std::move(cycles);
-    for (std::size_t i = 1; i < schedule.cycles_.size(); ++i) {
-      assert(schedule.cycles_[i - 1] <= schedule.cycles_[i]);
-    }
-    return schedule;
-  }
+      std::vector<std::uint64_t> cycles);
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool closed_loop() const noexcept {
     return kind_ == Kind::kSerialized;
+  }
+
+  /// Whether every one of `n` accesses has an arrival: always, except for
+  /// an explicit schedule with fewer than `n` cycles.
+  [[nodiscard]] bool covers(std::size_t n) const noexcept {
+    return kind_ != Kind::kExplicit || cycles_.size() >= n;
   }
 
   /// Arrival cycle of access `i` for open-loop kinds. Preconditions:

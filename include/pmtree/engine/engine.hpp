@@ -21,12 +21,13 @@
 //   * serialized arrivals:   each access's service time == cost.hpp
 //                            rounds(), and completion_cycle == the sum.
 //
-// The core is event-driven rather than scalar (DESIGN.md §8): module
-// FIFOs live in one flat arena sized from the admitted request count,
-// service touches only an active-module worklist, and whole busy spans
-// are retired in bulk when no arrival can land inside them. The frozen
-// seed loop survives in tests/reference_engine.hpp, the semantics oracle
-// the event core is differentially tested against.
+// The core is event-driven rather than scalar (DESIGN.md §8). Open-loop
+// runs with depth sampling off and no fault plan take a per-request
+// recurrence that never steps a cycle; every other run takes one stepping
+// loop whose module FIFOs live in one flat arena sized from the routed
+// request counts and whose service touches only an active-module
+// worklist. The frozen seed loop survives in tests/reference_engine.hpp,
+// the semantics oracle both paths are differentially tested against.
 //
 // Everything the engine observes lands in an EngineResult and, when a
 // MetricsRegistry is supplied, in named instruments under a caller-chosen
@@ -116,32 +117,24 @@ struct EngineResult {
 /// Knobs for the event-driven core. Trajectory semantics — completion
 /// cycles, latencies, served counts, high-water marks, busy cycles — are
 /// identical under every setting; the options only gate how much
-/// observability (queue-depth sampling) is paid for, which is what decides
-/// whether busy spans may be retired in bulk (DESIGN.md §8).
+/// observability (queue-depth sampling) is paid for, which decides
+/// whether an open-loop run may take the recurrence (DESIGN.md §8).
 struct EngineOptions {
   enum class DepthSampling : std::uint8_t {
-    /// Sample every module's depth on every busy cycle (the PR-1
-    /// behaviour). Full-fidelity histograms pin the engine to per-cycle
-    /// stepping, so only idle gaps are skipped.
+    /// Sample every module's depth on every busy cycle, as the seed loop
+    /// does. Runs take the stepping loop.
     kEveryBusyCycle,
-    /// Sample on busy-cycle ordinals divisible by `sample_stride`. The
-    /// sampled multiset is a deterministic function of (workload,
-    /// schedule, stride) — bulk-skipped spans reconstruct their sampled
-    /// depths exactly — so the histogram does not depend on how the
-    /// engine chose to step.
-    kStrided,
     /// No depth sampling; `EngineResult::queue_depth` stays empty.
+    /// Open-loop, fault-free runs take the recurrence.
     kOff,
   };
 
   DepthSampling sampling = DepthSampling::kEveryBusyCycle;
-  /// kStrided only: sample busy-cycle ordinals ≡ 0 (mod sample_stride).
-  /// Clamped to >= 1.
-  std::uint64_t sample_stride = 64;
   /// Optional fault schedule (not owned; must outlive the run). nullptr or
-  /// an empty plan take the healthy fast path bit for bit; a non-empty
-  /// plan switches to the per-cycle degraded loop (fail-stopped modules
-  /// drain onto reroute targets, slowed modules stall — fault/plan.hpp).
+  /// an empty plan leave the run bit-identical to a fault-free one; a
+  /// non-empty plan runs the stepping loop with its fault steps
+  /// (fail-stopped modules drain onto reroute targets, slowed modules
+  /// stall — fault/plan.hpp).
   const fault::FaultPlan* faults = nullptr;
   /// Optional real-memory backend (not owned; must outlive the run).
   /// When set, every access's node payloads are actually loaded from the
@@ -184,7 +177,10 @@ namespace detail {
 /// The simulation core over pre-resolved colors: access i's requests are
 /// colors[first[i]] .. colors[first[i+1]-1] and route to those modules
 /// (or, under a non-empty `options.faults`, to their reroute targets once
-/// a module has failed — the degraded loop needs only the colors).
+/// a module has failed — rerouting needs only the colors). Open-loop,
+/// kOff, fault-free runs take the recurrence; every other run takes the
+/// stepping loop. Throws std::invalid_argument when an explicit
+/// `schedule` has fewer cycles than there are accesses.
 /// CycleEngine::run flattens + color-resolves and calls this;
 /// EngineSession::drain (session.hpp) accumulates the same arrays
 /// incrementally and calls it too — one entry, so the two are

@@ -28,13 +28,13 @@
 // not stored at all, and each batch's colors are resolved exactly once no
 // matter how many rounds drain.
 //
-// Arrivals must be nondecreasing (open-loop explicit schedule). A
-// non-empty options.faults takes the degraded loop, which reroutes by
-// color alone, so faulted lanes stream through sessions like healthy
-// ones. options.memory is ignored: sessions never see nodes.
+// Arrivals must be nondecreasing (open-loop explicit schedule): drain()
+// throws std::invalid_argument otherwise. A non-empty options.faults runs
+// the stepping loop's fault steps, which reroute by color alone, so
+// faulted lanes stream through sessions like healthy ones.
+// options.memory is ignored: sessions never see nodes.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -52,13 +52,14 @@ class EngineSession {
       : mapping_(mapping), options_(options) {}
 
   /// Appends one access arriving at `arrival` (cycles, nondecreasing
-  /// across feeds — asserted), resolving its colors through the mapping.
+  /// across feeds — drain() throws otherwise), resolving its colors
+  /// through the mapping.
   void feed(std::span<const Node> access, std::uint64_t arrival) {
     const std::size_t base = colors_.size();
     colors_.resize(base + access.size());
     mapping_.color_of_batch(
         access, std::span<Color>(colors_.data() + base, access.size()));
-    push(access.size(), arrival);
+    push(arrival);
   }
 
   /// Same, with the colors already resolved upstream (the serve
@@ -66,7 +67,7 @@ class EngineSession {
   /// access's nodes, in order.
   void feed_resolved(std::span<const Color> colors, std::uint64_t arrival) {
     colors_.insert(colors_.end(), colors.begin(), colors.end());
-    push(colors.size(), arrival);
+    push(arrival);
   }
 
   /// Accesses fed so far. drain()'s records[i] is the i-th feed.
@@ -76,8 +77,9 @@ class EngineSession {
 
   /// Simulates the accumulated prefix from cycle 0 to completion.
   /// Bit-identical to CycleEngine::run over the same accesses with
-  /// ArrivalSchedule::explicit_cycles(arrivals). Repeatable; feeding more
-  /// and draining again extends the earlier result.
+  /// ArrivalSchedule::explicit_cycles(arrivals), which throws
+  /// std::invalid_argument if the arrivals fed decrease. Repeatable;
+  /// feeding more and draining again extends the earlier result.
   [[nodiscard]] EngineResult drain() const {
     return detail::run_resolved(
         mapping_.num_modules(), first_, colors_,
@@ -100,9 +102,7 @@ class EngineSession {
   }
 
  private:
-  void push(std::size_t requests, std::uint64_t arrival) {
-    assert(arrivals_.empty() || arrivals_.back() <= arrival);
-    (void)requests;
+  void push(std::uint64_t arrival) {
     first_.push_back(colors_.size());
     arrivals_.push_back(arrival);
   }

@@ -1,6 +1,20 @@
 #include "pmtree/engine/arrival.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace pmtree::engine {
+
+ArrivalSchedule ArrivalSchedule::explicit_cycles(
+    std::vector<std::uint64_t> cycles) {
+  if (!std::is_sorted(cycles.begin(), cycles.end())) {
+    throw std::invalid_argument(
+        "explicit arrival cycles must be nondecreasing");
+  }
+  ArrivalSchedule schedule(Kind::kExplicit, 0, 0);
+  schedule.cycles_ = std::move(cycles);
+  return schedule;
+}
 
 std::string ArrivalSchedule::name() const {
   switch (kind_) {

@@ -4,26 +4,24 @@
 // tests/reference_engine.hpp) pays O(modules) every cycle: it scans one
 // std::deque per module for service and records one depth sample per
 // module into the histogram. This implementation keeps its semantics
-// bit-identical — tests/test_engine_event_core.cpp holds it to the
-// reference on randomized pairs — while restructuring the hot loop
-// around three ideas:
+// bit-identical — test_engine_event_core and test_engine_faults hold it
+// to the reference on randomized pairs — with two simulation functions,
+// picked by detail::run_resolved:
 //
-//   * flat arena queues: per-module FIFOs are segments of one allocation,
-//     sized from the admitted request count, with bump-pointer push/pop;
-//   * an active-module worklist: service and depth observation visit only
-//     backlogged modules (idle modules' zero-depth samples are counted
-//     and recorded in one bulk histogram update at the end);
-//   * cycle skipping: between arrivals the queues evolve deterministically
-//     (one pop per module per cycle), so a whole span is retired in bulk
-//     as long as no active module drains inside it. Full per-busy-cycle
-//     depth sampling pins the engine to per-cycle stepping; strided/off
-//     sampling (EngineOptions) unlocks the bulk path.
+//   * the recurrence, for open-loop, kOff, fault-free runs: every serve
+//     cycle is a closed form of the arrivals, so no cycle is stepped;
+//   * the stepping loop, for everything else (closed loop, depth sampling
+//     or a fault plan): flat arena queues with bump-pointer push/pop and
+//     an active-module worklist, so a busy cycle costs O(backlogged
+//     modules) and an idle gap costs one step.
 #include "pmtree/engine/engine.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <span>
+#include <stdexcept>
 
 #include "pmtree/mem/arena.hpp"
 #include "pmtree/util/simd.hpp"
@@ -114,289 +112,109 @@ void export_metrics(MetricsRegistry& metrics, const std::string& prefix,
   metrics.histogram(prefix + ".queue_depth").merge(result.queue_depth);
 }
 
-// The degraded loop: per-cycle stepping (no bulk spans — failure and
-// slowdown boundaries can land on any cycle) over the same flat arena,
-// with three extra rules from fault/plan.hpp, applied in this per-cycle
-// order so both engines agree bit for bit:
-//
-//   1. failure processing — every module whose fail cycle has arrived
-//      drains its FIFO, in (cycle, module) order, onto its reroute target;
-//   2. admission — requests colored to an already-dead module enqueue on
-//      the target instead;
-//   3. depth observation, then service — a module retires its head request
-//      only when timeline.serves_at(m, t) says so; a backlogged module
-//      skipped by a slowdown counts one stalled module-cycle.
-//
-// Reroute targets never fail (FaultTimeline draws them from the modules
-// with no fail-stop), so a request moves at most once and the arena
-// segment for module m is safely capped at its own routed load plus the
-// full load of every module that reroutes onto it.
-EngineResult run_faulted(const std::uint32_t modules,
-                         std::span<const std::size_t> first,
-                         std::span<const Color> colors,
-                         const ArrivalSchedule& schedule,
-                         const EngineOptions& options) {
-  const fault::FaultTimeline timeline(*options.faults, modules);
+// The recurrence: open-loop, no depth sampling, no fault plan. The cycle
+// loop collapses to a per-entry recurrence. Each module is a unit-rate
+// FIFO, so entry k of module m (pushed at arrival a_k) is served at
+// s_k = max(a_k, s_{k-1}) + 1 — while m is backlogged its serve cycles are
+// consecutive, and a fresh push on an idle module starts at a_k + 1.
+// Everything the stepping loop produces is a closed form of those serve
+// cycles:
+//   completion  = max over the access's entries' serve cycles;
+//   served[m]   = entries routed to m;
+//   high-water  = s_k - a_k (pending serve cycles at a push are exactly
+//                 a_k+1 .. s_k, so that difference IS the queue depth);
+//   busy_cycles = |union over accesses of [arrival+1, completion]| — a
+//                 cycle is busy iff some access is in flight, and the
+//                 intervals arrive in nondecreasing-start order, so the
+//                 union folds into one running interval.
+// The depth histogram stays empty (kOff records nothing). O(total
+// entries), no arena, no per-cycle scans.
+void run_recurrence(const std::uint32_t modules,
+                    std::span<const std::size_t> first,
+                    std::span<const Color> colors,
+                    const ArrivalSchedule& schedule, EngineResult& result) {
   const std::size_t n = first.size() - 1;
-  assert(n < std::numeric_limits<std::uint32_t>::max());
-
-  EngineResult result;
-  result.accesses = n;
-  result.served.assign(modules, 0);
-  result.queue_high_water.assign(modules, 0);
-  result.records.resize(n);
-
-  std::vector<std::size_t> cap(modules, 0);
-  for (const Color c : colors) cap[c] += 1;
-  // A target absorbs at most the full routed load of every module folding
-  // onto it; a dead module keeps its own segment (requests sit there until
-  // the drain) and, never being a target itself, its cap is still the pure
-  // routed count when read here.
-  for (const std::uint32_t d : timeline.dead_modules()) {
-    cap[timeline.redirect(d)] += cap[d];
-  }
-  std::vector<std::size_t> qbase(modules + 1, 0);
-  for (std::uint32_t m = 0; m < modules; ++m) qbase[m + 1] = qbase[m] + cap[m];
-  std::vector<std::uint32_t> arena(qbase[modules]);
-  std::vector<std::size_t> head(qbase.begin(), qbase.end() - 1);
-  std::vector<std::size_t> tail = head;
-
-  std::vector<std::uint32_t> active;
-  active.reserve(modules);
-  std::vector<std::uint32_t> outstanding(n, 0);
-
-  const EngineOptions::DepthSampling sampling = options.sampling;
-  const std::uint64_t stride =
-      std::max<std::uint64_t>(options.sample_stride, 1);
-  const bool per_cycle =
-      sampling == EngineOptions::DepthSampling::kEveryBusyCycle;
-  std::uint64_t zero_samples = 0;
-
-  std::uint64_t t = 0;
-  std::size_t next = 0;
-  std::size_t done = 0;
-  std::size_t in_flight = 0;
-
-  const auto complete = [&](const AccessRecord& rec) {
-    result.latency.record(rec.latency());
-    result.completion_cycle = std::max(result.completion_cycle, rec.completion);
-    done += 1;
-  };
-
-  const auto push = [&](std::uint32_t m, std::uint32_t id) {
-    if (tail[m] == head[m]) active.push_back(m);
-    arena[tail[m]] = id;
-    tail[m] += 1;
-    const std::uint64_t depth = tail[m] - head[m];
-    result.queue_high_water[m] = std::max(result.queue_high_water[m], depth);
-  };
-
-  const auto admit = [&](std::size_t i, std::uint64_t cycle) {
-    const std::size_t size = first[i + 1] - first[i];
+  std::vector<std::uint64_t> last_serve(modules, 0);
+  std::uint64_t busy_lo = 0;
+  std::uint64_t busy_hi = 0;
+  bool busy_open = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t a = schedule.arrival_cycle(i);
+    const std::size_t lo = first[i];
+    const std::size_t hi = first[i + 1];
     AccessRecord& rec = result.records[i];
     rec.id = i;
-    rec.requests = size;
-    rec.arrival = cycle;
-    result.requests += size;
-    outstanding[i] = static_cast<std::uint32_t>(size);
-    if (size == 0) {
-      rec.completion = cycle;
-      complete(rec);
-      return;
-    }
-    in_flight += 1;
-    for (std::size_t r = first[i]; r < first[i + 1]; ++r) {
-      Color m = colors[r];
-      if (timeline.dead_at(m, cycle)) {
-        m = timeline.redirect(m);
-        result.rerouted_requests += 1;
-      }
-      push(m, static_cast<std::uint32_t>(i));
-    }
-  };
-
-  const std::vector<fault::FaultTimeline::FailEvent>& events =
-      timeline.fail_events();
-  std::size_t next_fail = 0;
-
-  while (done < n) {
-    // 1. Failure processing: drain newly-dead modules onto their targets.
-    while (next_fail < events.size() && events[next_fail].cycle <= t) {
-      const std::uint32_t d = events[next_fail].module;
-      next_fail += 1;
-      if (tail[d] == head[d]) continue;
-      const std::uint32_t r = timeline.redirect(d);
-      for (std::size_t h = head[d]; h < tail[d]; ++h) {
-        push(r, arena[h]);
-        result.rerouted_requests += 1;
-      }
-      head[d] = tail[d];
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        if (active[a] == d) {
-          active[a] = active.back();
-          active.pop_back();
-          break;
-        }
-      }
-    }
-
-    // 2. Admission, exactly as the healthy loop (redirect inside admit).
-    if (schedule.closed_loop()) {
-      while (next < n && done == next) {
-        admit(next, t);
-        next += 1;
-      }
-      if (in_flight == 0) {
-        if (per_cycle ||
-            (sampling == EngineOptions::DepthSampling::kStrided &&
-             result.busy_cycles % stride == 0)) {
-          zero_samples += modules;
-        }
-        result.busy_cycles += 1;
-        break;
-      }
+    rec.requests = hi - lo;
+    rec.arrival = a;
+    result.requests += hi - lo;
+    if (lo == hi) {
+      rec.completion = a;
     } else {
-      while (next < n && schedule.arrival_cycle(next) <= t) {
-        admit(next, t);
-        next += 1;
+      std::uint64_t comp = 0;
+      for (std::size_t r = lo; r < hi; ++r) {
+        const Color m = colors[r];
+        const std::uint64_t s = std::max(a, last_serve[m]) + 1;
+        last_serve[m] = s;
+        result.served[m] += 1;
+        result.queue_high_water[m] =
+            std::max(result.queue_high_water[m], s - a);
+        comp = std::max(comp, s);
       }
-      if (in_flight == 0) {
-        if (done == n) break;
-        t = std::max(t, schedule.arrival_cycle(next));
-        continue;
-      }
-    }
-
-    // 3a. Depth observation (per-cycle stepping: a strided sample is due
-    // exactly when the current busy ordinal hits the stride).
-    if (per_cycle || (sampling == EngineOptions::DepthSampling::kStrided &&
-                      result.busy_cycles % stride == 0)) {
-      for (const std::uint32_t m : active) {
-        result.queue_depth.record(tail[m] - head[m]);
-      }
-      zero_samples += modules - active.size();
-    }
-
-    // 3b. Service, gated per module by the fault timeline.
-    for (std::size_t a = 0; a < active.size();) {
-      const std::uint32_t m = active[a];
-      if (!timeline.serves_at(m, t)) {
-        result.stalled_cycles += 1;
-        a += 1;
-        continue;
-      }
-      const std::uint32_t id = arena[head[m]];
-      head[m] += 1;
-      AccessRecord& rec = result.records[id];
-      rec.completion = std::max(rec.completion, t + 1);
-      if (--outstanding[id] == 0) {
-        complete(rec);
-        in_flight -= 1;
-      }
-      result.served[m] += 1;
-      if (head[m] == tail[m]) {
-        active[a] = active.back();
-        active.pop_back();
+      rec.completion = comp;
+      if (!busy_open) {
+        busy_open = true;
+        busy_lo = a + 1;
+        busy_hi = comp;
+      } else if (a + 1 > busy_hi) {
+        result.busy_cycles += busy_hi - busy_lo + 1;
+        busy_lo = a + 1;
+        busy_hi = comp;
       } else {
-        a += 1;
+        busy_hi = std::max(busy_hi, comp);
       }
     }
-    result.busy_cycles += 1;
-    t += 1;
+    result.latency.record(rec.latency());
+    result.completion_cycle = std::max(result.completion_cycle, rec.completion);
   }
-
-  if (zero_samples != 0) result.queue_depth.record(0, zero_samples);
-  return result;
+  if (busy_open) result.busy_cycles += busy_hi - busy_lo + 1;
 }
 
-// The healthy simulation core (see detail::run_resolved for the contract).
-EngineResult run_healthy(const std::uint32_t modules,
-                         std::span<const std::size_t> first,
-                         std::span<const Color> colors,
-                         const ArrivalSchedule& schedule,
-                         const EngineOptions& options) {
+// The stepping loop: one busy cycle per iteration, in the reference loop's
+// order, so the two agree bit for bit:
+//
+//   1. failure drain — every module whose fail cycle has arrived hands its
+//      FIFO, in (cycle, module) order, to its reroute target;
+//   2. admission — requests colored to an already-dead module enqueue on
+//      the target instead;
+//   3. depth observation (kEveryBusyCycle only);
+//   4. service — each backlogged module retires its head request, unless
+//      timeline.serves_at(m, t) says it skips the cycle, which counts one
+//      stalled module-cycle.
+//
+// Without a fault plan steps 1 and 4's gate are skipped and step 2 never
+// redirects. Idle gaps between open-loop arrivals are jumped in one step.
+void run_stepping(const std::uint32_t modules,
+                  std::span<const std::size_t> first,
+                  std::span<const Color> colors,
+                  const ArrivalSchedule& schedule,
+                  const EngineOptions& options, EngineResult& result) {
   const std::size_t n = first.size() - 1;
   // Arena entries are 32-bit access ids; a workload that large could not
   // be materialized in memory anyway.
   assert(n < std::numeric_limits<std::uint32_t>::max());
-
-  EngineResult result;
-  result.accesses = n;
-  result.served.assign(modules, 0);
-  result.queue_high_water.assign(modules, 0);
-  result.records.resize(n);
-
-  // Open-loop, no depth sampling: the cycle loop collapses to a per-entry
-  // recurrence. Each module is a unit-rate FIFO, so entry k of module m
-  // (pushed at arrival a_k) is served at s_k = max(a_k, s_{k-1}) + 1 —
-  // while m is backlogged its serve cycles are consecutive, and a fresh
-  // push on an idle module starts at a_k + 1. Everything the general loop
-  // produces is a closed form of those serve cycles:
-  //   completion  = max over the access's entries' serve cycles;
-  //   served[m]   = entries routed to m;
-  //   high-water  = s_k - a_k (pending serve cycles at a push are exactly
-  //                 a_k+1 .. s_k, so that difference IS the queue depth);
-  //   busy_cycles = |union over accesses of [arrival+1, completion]| — a
-  //                 cycle is busy iff some access is in flight, and the
-  //                 intervals arrive in nondecreasing-start order, so the
-  //                 union folds into one running interval.
-  // The depth histogram stays empty (kOff records nothing), which is why
-  // sampling modes keep the general loop below. O(total entries), no
-  // arena, no per-cycle scans — this is the serve pipeline's drain path.
-  if (!schedule.closed_loop() &&
-      options.sampling == EngineOptions::DepthSampling::kOff) {
-    std::vector<std::uint64_t> last_serve(modules, 0);
-    std::uint64_t busy_lo = 0;
-    std::uint64_t busy_hi = 0;
-    bool busy_open = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t a = schedule.arrival_cycle(i);
-      const std::size_t lo = first[i];
-      const std::size_t hi = first[i + 1];
-      AccessRecord& rec = result.records[i];
-      rec.id = i;
-      rec.requests = hi - lo;
-      rec.arrival = a;
-      result.requests += hi - lo;
-      if (lo == hi) {
-        rec.completion = a;
-      } else {
-        std::uint64_t comp = 0;
-        for (std::size_t r = lo; r < hi; ++r) {
-          const Color m = colors[r];
-          const std::uint64_t s = std::max(a, last_serve[m]) + 1;
-          last_serve[m] = s;
-          result.served[m] += 1;
-          result.queue_high_water[m] =
-              std::max(result.queue_high_water[m], s - a);
-          comp = std::max(comp, s);
-        }
-        rec.completion = comp;
-        if (!busy_open) {
-          busy_open = true;
-          busy_lo = a + 1;
-          busy_hi = comp;
-        } else if (a + 1 > busy_hi) {
-          result.busy_cycles += busy_hi - busy_lo + 1;
-          busy_lo = a + 1;
-          busy_hi = comp;
-        } else {
-          busy_hi = std::max(busy_hi, comp);
-        }
-      }
-      result.latency.record(rec.latency());
-      result.completion_cycle =
-          std::max(result.completion_cycle, rec.completion);
-    }
-    if (busy_open) result.busy_cycles += busy_hi - busy_lo + 1;
-    return result;
+  std::optional<fault::FaultTimeline> timeline;
+  if (options.faults != nullptr && !options.faults->empty()) {
+    timeline.emplace(*options.faults, modules);
   }
 
   // Flat arena queues: module m's FIFO is arena[qbase[m], qbase[m+1]), a
-  // segment sized to the exact number of requests the run routes to m —
-  // the conflict histogram of the resolved colors (SIMD-accelerated; see
-  // util/simd.hpp) — so push/pop are bump pointers that never wrap or
-  // allocate: one allocation replaces per-module deques.
+  // segment sized to every request that can ever be pushed onto m, so
+  // push/pop are bump pointers that never wrap or allocate. That is the
+  // conflict histogram of the resolved colors (SIMD-accelerated; see
+  // util/simd.hpp), plus, under a plan, each dead module's count folded
+  // onto its reroute target: reroute targets never fail, so a request
+  // moves at most once, and a dead module is never a target, so its count
+  // is still its own routed load when it is folded.
   std::vector<std::size_t> qbase(modules + 1, 0);
   if (colors.size() < std::numeric_limits<std::uint32_t>::max()) {
     std::vector<std::uint32_t> counts(modules);
@@ -406,24 +224,26 @@ EngineResult run_healthy(const std::uint32_t modules,
   } else {
     for (const Color c : colors) qbase[c + 1] += 1;
   }
+  if (timeline) {
+    for (const std::uint32_t d : timeline->dead_modules()) {
+      qbase[timeline->redirect(d) + 1] += qbase[d + 1];
+    }
+  }
   for (std::uint32_t m = 0; m < modules; ++m) qbase[m + 1] += qbase[m];
-  std::vector<std::uint32_t> arena(colors.size());
+  std::vector<std::uint32_t> arena(qbase[modules]);
   std::vector<std::size_t> head(qbase.begin(), qbase.end() - 1);
   std::vector<std::size_t> tail = head;
 
-  // Worklist of modules with a non-empty queue. Every output is invariant
-  // to the order modules are serviced in (see the bulk-service note
-  // below), so drained modules are swap-removed in O(1).
+  // Worklist of modules with a non-empty queue. Every pop of a cycle
+  // completes at t + 1, so the order modules are serviced in changes no
+  // output and drained modules are swap-removed in O(1).
   std::vector<std::uint32_t> active;
   active.reserve(modules);
 
   std::vector<std::uint32_t> outstanding(n, 0);
 
-  const EngineOptions::DepthSampling sampling = options.sampling;
-  const std::uint64_t stride =
-      std::max<std::uint64_t>(options.sample_stride, 1);
   const bool per_cycle =
-      sampling == EngineOptions::DepthSampling::kEveryBusyCycle;
+      options.sampling == EngineOptions::DepthSampling::kEveryBusyCycle;
   // Idle modules' zero-depth samples are tallied here and recorded in one
   // bulk Histogram::record at the end, so observation stays O(backlogged
   // modules) per cycle while the histogram matches the reference exactly.
@@ -438,6 +258,17 @@ EngineResult run_healthy(const std::uint32_t modules,
     result.latency.record(rec.latency());
     result.completion_cycle = std::max(result.completion_cycle, rec.completion);
     done += 1;
+  };
+
+  const auto push = [&](std::uint32_t m, std::uint32_t id) {
+    if (tail[m] == head[m]) active.push_back(m);
+    arena[tail[m]] = id;
+    tail[m] += 1;
+    // Depth only grows on a push and the reference observes it after the
+    // cycle's last push, so the per-push running max reproduces its
+    // high-water marks without a per-cycle module scan.
+    const std::uint64_t depth = tail[m] - head[m];
+    result.queue_high_water[m] = std::max(result.queue_high_water[m], depth);
   };
 
   const auto admit = [&](std::size_t i, std::uint64_t cycle) {
@@ -456,21 +287,35 @@ EngineResult run_healthy(const std::uint32_t modules,
     }
     in_flight += 1;
     for (std::size_t r = first[i]; r < first[i + 1]; ++r) {
-      const Color m = colors[r];
-      if (tail[m] == head[m]) active.push_back(m);
-      arena[tail[m]] = static_cast<std::uint32_t>(i);
-      tail[m] += 1;
-      // Depth only grows on admission and the reference observes it after
-      // the cycle's last push, so the per-push running max reproduces its
-      // high-water marks without a per-cycle module scan.
-      const std::uint64_t depth = tail[m] - head[m];
-      result.queue_high_water[m] = std::max(result.queue_high_water[m], depth);
+      Color m = colors[r];
+      if (timeline && timeline->dead_at(m, cycle)) {
+        m = timeline->redirect(m);
+        result.rerouted_requests += 1;
+      }
+      push(m, static_cast<std::uint32_t>(i));
     }
   };
 
+  std::span<const fault::FaultTimeline::FailEvent> events;
+  if (timeline) events = timeline->fail_events();
+  std::size_t next_fail = 0;
+
   while (done < n) {
-    // Admission, exactly as the reference. Closed loop: one access in
-    // flight at a time; open loop: everything whose arrival is due.
+    // 1. Failure drain.
+    for (; next_fail < events.size() && events[next_fail].cycle <= t;
+         ++next_fail) {
+      const std::uint32_t d = events[next_fail].module;
+      if (tail[d] == head[d]) continue;
+      const std::uint32_t r = timeline->redirect(d);
+      for (std::size_t h = head[d]; h < tail[d]; ++h) push(r, arena[h]);
+      result.rerouted_requests += tail[d] - head[d];
+      head[d] = tail[d];
+      *std::find(active.begin(), active.end(), d) = active.back();
+      active.pop_back();
+    }
+
+    // 2. Admission. Closed loop: one access in flight at a time; open
+    // loop: everything whose arrival is due.
     if (schedule.closed_loop()) {
       while (next < n && done == next) {
         admit(next, t);
@@ -480,11 +325,7 @@ EngineResult run_healthy(const std::uint32_t modules,
         // Only reachable when the trailing accesses were all empty, so
         // done == n. The reference loop still observes one all-idle cycle
         // before exiting; reproduce its accounting bit for bit.
-        if (per_cycle ||
-            (sampling == EngineOptions::DepthSampling::kStrided &&
-             result.busy_cycles % stride == 0)) {
-          zero_samples += modules;
-        }
+        if (per_cycle) zero_samples += modules;
         result.busy_cycles += 1;
         break;
       }
@@ -502,80 +343,43 @@ EngineResult run_healthy(const std::uint32_t modules,
       }
     }
 
-    // Cycle-skip horizon: nothing external touches the queues before the
-    // next arrival (closed-loop admission waits for a full drain), and
-    // service is deterministic — one pop per active module per cycle —
-    // so a span of `span` cycles can be retired in bulk as long as no
-    // active module drains inside it (the min-depth bound). Full
-    // per-busy-cycle sampling forces span == 1.
-    std::uint64_t span = 1;
-    if (!per_cycle) {
-      std::uint64_t horizon = std::numeric_limits<std::uint64_t>::max();
-      if (!schedule.closed_loop() && next < n) {
-        // >= 1: every arrival due at t was admitted above.
-        horizon = schedule.arrival_cycle(next) - t;
-      }
-      std::uint64_t min_depth = std::numeric_limits<std::uint64_t>::max();
-      for (const std::uint32_t m : active) {
-        min_depth = std::min(min_depth, tail[m] - head[m]);
-      }
-      span = std::min(horizon, min_depth);
-    }
-
-    // Depth observation for busy-cycle ordinals [b, b + span), after
-    // admission and before service. No module drains inside the span, so
-    // active depths fall by exactly 1 per cycle and every sampled multiset
-    // is reconstructed exactly: the histogram is a function of (workload,
-    // schedule, options), never of how the engine chose to step.
+    // 3. Depth observation, after admission and before service.
     if (per_cycle) {
       for (const std::uint32_t m : active) {
         result.queue_depth.record(tail[m] - head[m]);
       }
       zero_samples += modules - active.size();
-    } else if (sampling == EngineOptions::DepthSampling::kStrided) {
-      const std::uint64_t b = result.busy_cycles;
-      for (std::uint64_t j = (b + stride - 1) / stride * stride; j < b + span;
-           j += stride) {
-        const std::uint64_t off = j - b;
-        for (const std::uint32_t m : active) {
-          result.queue_depth.record(tail[m] - head[m] - off);
-        }
-        zero_samples += modules - active.size();
-      }
     }
 
-    // Service: module m retires its first `span` queued requests at cycles
-    // t+1 .. t+span. An access's completion is a running max over its
-    // requests' serve cycles, so the order modules are processed in does
-    // not matter — the last pop of an access always sees the full max.
+    // 4. Service.
     for (std::size_t a = 0; a < active.size();) {
       const std::uint32_t m = active[a];
-      std::size_t h = head[m];
-      for (std::uint64_t j = 1; j <= span; ++j, ++h) {
-        const std::uint32_t id = arena[h];
-        AccessRecord& rec = result.records[id];
-        const std::uint64_t cycle = t + j;
-        rec.completion = std::max(rec.completion, cycle);
-        if (--outstanding[id] == 0) {
-          complete(rec);
-          in_flight -= 1;
-        }
+      if (timeline && !timeline->serves_at(m, t)) {
+        result.stalled_cycles += 1;
+        a += 1;
+        continue;
       }
-      head[m] = h;
-      result.served[m] += span;
-      if (h == tail[m]) {
+      const std::uint32_t id = arena[head[m]];
+      head[m] += 1;
+      result.served[m] += 1;
+      if (--outstanding[id] == 0) {
+        AccessRecord& rec = result.records[id];
+        rec.completion = t + 1;
+        complete(rec);
+        in_flight -= 1;
+      }
+      if (head[m] == tail[m]) {
         active[a] = active.back();
         active.pop_back();
       } else {
         a += 1;
       }
     }
-    result.busy_cycles += span;
-    t += span;
+    result.busy_cycles += 1;
+    t += 1;
   }
 
   if (zero_samples != 0) result.queue_depth.record(0, zero_samples);
-  return result;
 }
 
 }  // namespace
@@ -621,10 +425,24 @@ EngineResult run_resolved(const std::uint32_t modules,
                           std::span<const Color> colors,
                           const ArrivalSchedule& schedule,
                           const EngineOptions& options) {
-  if (options.faults != nullptr && !options.faults->empty()) {
-    return run_faulted(modules, first, colors, schedule, options);
+  const std::size_t n = first.size() - 1;
+  if (!schedule.covers(n)) {
+    throw std::invalid_argument(
+        "explicit arrival schedule has fewer cycles than accesses");
   }
-  return run_healthy(modules, first, colors, schedule, options);
+  EngineResult result;
+  result.accesses = n;
+  result.served.assign(modules, 0);
+  result.queue_high_water.assign(modules, 0);
+  result.records.resize(n);
+  const bool faulted = options.faults != nullptr && !options.faults->empty();
+  if (!schedule.closed_loop() &&
+      options.sampling == EngineOptions::DepthSampling::kOff && !faulted) {
+    run_recurrence(modules, first, colors, schedule, result);
+  } else {
+    run_stepping(modules, first, colors, schedule, options, result);
+  }
+  return result;
 }
 
 }  // namespace detail

@@ -2,9 +2,9 @@
 // oracle (the pmtree_reference_engine target; not part of the library).
 //
 // When the CycleEngine hot loop was rebuilt as an event-driven core
-// (flat arena queues, active-module worklist, bulk cycle skipping —
-// DESIGN.md §8), the original implementation was kept verbatim under this
-// name. It burns O(modules) per cycle on std::deque scans and histogram
+// (an open-loop recurrence, and a stepping loop over flat arena queues
+// and an active-module worklist — DESIGN.md §8), the original
+// implementation was kept verbatim under this name. It burns O(modules) per cycle on std::deque scans and histogram
 // sampling, which makes it useless at scale but ideal as an oracle: its
 // semantics are obviously the paper's service model, one line per rule.
 //

@@ -1,17 +1,21 @@
 // ArrivalSchedule contract tests: degenerate-parameter guards (bursty
 // gap 0 degenerates to all-at-once exactly as fixed_rate(0) does, burst 0
-// is normalized to 1) and the explicit per-access schedule the serve
-// layer dispatches dynamically formed batches through.
+// is normalized to 1), the explicit per-access schedule the serve layer
+// dispatches dynamically formed batches through, and the rejection of
+// malformed explicit schedules in every build type.
 #include "pmtree/engine/arrival.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "pmtree/engine/engine.hpp"
+#include "pmtree/engine/session.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/pms/workload.hpp"
+#include "engine_trajectory.hpp"
 #include "reference_engine.hpp"
 
 namespace pmtree {
@@ -19,22 +23,11 @@ namespace {
 
 using engine::ArrivalSchedule;
 using engine::CycleEngine;
+using engine::EngineOptions;
 using engine::EngineResult;
+using engine::EngineSession;
 using engine::ReferenceEngine;
-
-void expect_same_trajectory(const EngineResult& got, const EngineResult& want) {
-  ASSERT_EQ(got.accesses, want.accesses);
-  ASSERT_EQ(got.requests, want.requests);
-  ASSERT_EQ(got.completion_cycle, want.completion_cycle);
-  ASSERT_EQ(got.busy_cycles, want.busy_cycles);
-  ASSERT_EQ(got.served, want.served);
-  ASSERT_EQ(got.queue_high_water, want.queue_high_water);
-  ASSERT_EQ(got.records.size(), want.records.size());
-  for (std::size_t i = 0; i < got.records.size(); ++i) {
-    ASSERT_EQ(got.records[i].arrival, want.records[i].arrival) << i;
-    ASSERT_EQ(got.records[i].completion, want.records[i].completion) << i;
-  }
-}
+using engine::expect_same_trajectory;
 
 TEST(ArrivalSchedule, BurstyZeroGapDegeneratesToAllAtOnce) {
   // Regression for the degenerate gap == 0: every burst is due at cycle 0,
@@ -118,6 +111,67 @@ TEST(ArrivalSchedule, ExplicitWithIdleGapsAndTies) {
   EXPECT_EQ(got.records[2].completion, 1001u);
   EXPECT_EQ(got.completion_cycle, 1001u);
   EXPECT_EQ(got.busy_cycles, 3u);
+}
+
+// Malformed explicit schedules are rejected in every build type, on both
+// engine paths: a decreasing schedule at construction, a short one when a
+// run reaches the engine.
+
+TEST(ArrivalSchedule, ExplicitRejectsDecreasingCycles) {
+  EXPECT_THROW((void)ArrivalSchedule::explicit_cycles({5, 4, 3, 2, 1, 0, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)ArrivalSchedule::explicit_cycles({0, 3, 2}),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)ArrivalSchedule::explicit_cycles({}));
+  EXPECT_NO_THROW((void)ArrivalSchedule::explicit_cycles({4, 4, 9}));
+}
+
+TEST(ArrivalSchedule, EngineRejectsScheduleShorterThanWorkload) {
+  const CompleteBinaryTree tree(8);
+  const ModuloMapping map(tree, 5);
+  const Workload workload = Workload::mixed(tree, 6, 8, 3);
+  ASSERT_EQ(workload.size(), 8u);
+  const CycleEngine eng(map);
+  for (const auto sampling : {EngineOptions::DepthSampling::kEveryBusyCycle,
+                              EngineOptions::DepthSampling::kOff}) {
+    EngineOptions options;
+    options.sampling = sampling;
+    EXPECT_THROW((void)eng.run(workload, ArrivalSchedule::explicit_cycles({0, 1}),
+                               options),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)eng.run(workload,
+                      ArrivalSchedule::explicit_cycles({5, 4, 3, 2, 1, 0, 0, 0}),
+                      options),
+        std::invalid_argument);
+    // Covering exactly the workload, or more, is well formed.
+    EXPECT_NO_THROW((void)eng.run(
+        workload, ArrivalSchedule::explicit_cycles({0, 0, 1, 2, 3, 5, 8, 13}),
+        options));
+    EXPECT_NO_THROW((void)eng.run(
+        workload,
+        ArrivalSchedule::explicit_cycles({0, 0, 1, 2, 3, 5, 8, 13, 21}),
+        options));
+  }
+}
+
+TEST(ArrivalSchedule, SessionRejectsDecreasingArrivalAtDrain) {
+  const CompleteBinaryTree tree(8);
+  const ModuloMapping map(tree, 5);
+  const Workload workload = Workload::mixed(tree, 6, 3, 11);
+  for (const auto sampling : {EngineOptions::DepthSampling::kEveryBusyCycle,
+                              EngineOptions::DepthSampling::kOff}) {
+    EngineOptions options;
+    options.sampling = sampling;
+    EngineSession session(map, options);
+    session.feed(workload[0], 5);
+    session.feed(workload[1], 4);
+    EXPECT_THROW((void)session.drain(), std::invalid_argument);
+    // Clearing the malformed prefix makes the session usable again.
+    session.clear();
+    session.feed(workload[2], 4);
+    EXPECT_NO_THROW((void)session.drain());
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "pmtree/mapping/combinators.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "engine_trajectory.hpp"
 #include "reference_engine.hpp"
 
 namespace pmtree {
@@ -29,8 +30,8 @@ using engine::ArrivalSchedule;
 using engine::CycleEngine;
 using engine::EngineOptions;
 using engine::EngineResult;
-using engine::Histogram;
 using engine::ReferenceEngine;
+using engine::expect_same_trajectory;
 using fault::FaultPlan;
 using fault::FaultTimeline;
 
@@ -264,41 +265,6 @@ FaultPlan random_plan(std::uint32_t modules, Rng& rng) {
   return FaultPlan::random(opts);
 }
 
-void expect_same_histogram(const Histogram& got, const Histogram& want) {
-  ASSERT_EQ(got.count(), want.count());
-  ASSERT_EQ(got.sum(), want.sum());
-  ASSERT_EQ(got.min(), want.min());
-  ASSERT_EQ(got.max(), want.max());
-  const auto gb = got.buckets();
-  const auto wb = want.buckets();
-  ASSERT_EQ(gb.size(), wb.size());
-  for (std::size_t i = 0; i < gb.size(); ++i) {
-    ASSERT_EQ(gb[i].upper, wb[i].upper) << "bucket " << i;
-    ASSERT_EQ(gb[i].count, wb[i].count) << "bucket " << i;
-  }
-}
-
-void expect_same_trajectory(const EngineResult& got, const EngineResult& want,
-                            bool compare_depths) {
-  ASSERT_EQ(got.accesses, want.accesses);
-  ASSERT_EQ(got.requests, want.requests);
-  ASSERT_EQ(got.completion_cycle, want.completion_cycle);
-  ASSERT_EQ(got.busy_cycles, want.busy_cycles);
-  ASSERT_EQ(got.rerouted_requests, want.rerouted_requests);
-  ASSERT_EQ(got.stalled_cycles, want.stalled_cycles);
-  ASSERT_EQ(got.served, want.served);
-  ASSERT_EQ(got.queue_high_water, want.queue_high_water);
-  ASSERT_EQ(got.records.size(), want.records.size());
-  for (std::size_t i = 0; i < got.records.size(); ++i) {
-    ASSERT_EQ(got.records[i].arrival, want.records[i].arrival)
-        << "access " << i;
-    ASSERT_EQ(got.records[i].completion, want.records[i].completion)
-        << "access " << i;
-  }
-  expect_same_histogram(got.latency, want.latency);
-  if (compare_depths) expect_same_histogram(got.queue_depth, want.queue_depth);
-}
-
 TEST(FaultDifferential, EmptyPlanIsBitIdenticalToFaultFree) {
   Rng rng(0xFA017u);
   const FaultPlan empty;
@@ -314,13 +280,11 @@ TEST(FaultDifferential, EmptyPlanIsBitIdenticalToFaultFree) {
     const EngineResult want = eng.run(workload, schedule);
     EngineOptions opts;
     opts.faults = &empty;
-    expect_same_trajectory(eng.run(workload, schedule, opts), want,
-                           /*compare_depths=*/true);
+    expect_same_trajectory(eng.run(workload, schedule, opts), want);
 
     const ReferenceEngine oracle(*mapping);
     expect_same_trajectory(oracle.run(workload, schedule, empty),
-                           oracle.run(workload, schedule),
-                           /*compare_depths=*/true);
+                           oracle.run(workload, schedule));
   }
 }
 
@@ -342,25 +306,14 @@ TEST(FaultDifferential, EventCoreMatchesReferenceUnderFaults) {
 
     EngineOptions full;
     full.faults = &plan;
-    expect_same_trajectory(eng.run(workload, schedule, full), want,
-                           /*compare_depths=*/true);
+    expect_same_trajectory(eng.run(workload, schedule, full), want);
 
-    // Reduced sampling changes the observation cost, never the trajectory.
+    // Sampling off changes the observation cost, never the trajectory.
     EngineOptions off = full;
     off.sampling = DepthSampling::kOff;
     const EngineResult fast = eng.run(workload, schedule, off);
     expect_same_trajectory(fast, want, /*compare_depths=*/false);
     ASSERT_TRUE(fast.queue_depth.empty());
-
-    EngineOptions strided = full;
-    strided.sampling = DepthSampling::kStrided;
-    strided.sample_stride = 1 + rng.below(7);
-    const EngineResult sampled = eng.run(workload, schedule, strided);
-    expect_same_trajectory(sampled, want, /*compare_depths=*/false);
-    const std::uint64_t expect_samples =
-        (sampled.busy_cycles + strided.sample_stride - 1) /
-        strided.sample_stride * mapping->num_modules();
-    ASSERT_EQ(sampled.queue_depth.count(), expect_samples);
   }
 }
 

@@ -110,14 +110,8 @@ void expect_same_result(const EngineResult& got, const EngineResult& want) {
 
 EngineOptions random_options(Rng& rng) {
   EngineOptions options;
-  switch (rng.below(3)) {
-    case 0: options.sampling = DepthSampling::kEveryBusyCycle; break;
-    case 1:
-      options.sampling = DepthSampling::kStrided;
-      options.sample_stride = 1 + rng.below(7);
-      break;
-    default: options.sampling = DepthSampling::kOff; break;
-  }
+  options.sampling = rng.chance(1, 2) ? DepthSampling::kEveryBusyCycle
+                                      : DepthSampling::kOff;
   return options;
 }
 
@@ -228,12 +222,10 @@ TEST_P(SessionDifferential, FaultedFeedDrainMatchesMonolithicAndReference) {
     const EngineResult reference =
         ReferenceEngine(*mapping).run(workload, schedule, plan);
     const CycleEngine eng(*mapping);
-    for (const DepthSampling mode : {DepthSampling::kEveryBusyCycle,
-                                     DepthSampling::kStrided,
-                                     DepthSampling::kOff}) {
+    for (const DepthSampling mode :
+         {DepthSampling::kEveryBusyCycle, DepthSampling::kOff}) {
       EngineOptions options;
       options.sampling = mode;
-      options.sample_stride = 1 + rng.below(7);
       options.faults = &plan;
       const EngineResult want = eng.run(workload, schedule, options);
 

@@ -49,9 +49,6 @@ Config random_config(std::uint64_t seed) {
       rng.chance(1, 2) ? OverflowPolicy::kShed : OverflowPolicy::kBlock;
   cfg.options.batch.max_batch_nodes = rng.between(2, 48);
   cfg.options.batch.max_wait_cycles = rng.between(0, 12);
-  cfg.options.engine.sampling =
-      engine::EngineOptions::DepthSampling::kStrided;
-  cfg.options.engine.sample_stride = 16;
 
   const std::size_t count = rng.between(20, 120);
   std::uint64_t clock = 0;

@@ -132,8 +132,6 @@ ForestConfig random_forest(std::uint64_t seed) {
         rng.chance(1, 2) ? OverflowPolicy::kShed : OverflowPolicy::kBlock;
     t.options.batch.max_batch_nodes = rng.between(2, 40);
     t.options.batch.max_wait_cycles = rng.between(0, 10);
-    t.options.engine.sampling = engine::EngineOptions::DepthSampling::kStrided;
-    t.options.engine.sample_stride = 16;
 
     // Arrival process: Zipf-skewed hot keys arriving in bursts, or
     // uniform keys on a spread-out clock — mixed across tenants.
@@ -449,8 +447,6 @@ TEST(ServeForest, ServerEqualsOneTenantForest) {
         rng.chance(1, 2) ? OverflowPolicy::kShed : OverflowPolicy::kBlock;
     sopts.batch.max_batch_nodes = rng.between(2, 40);
     sopts.batch.max_wait_cycles = rng.between(0, 10);
-    sopts.engine.sampling = engine::EngineOptions::DepthSampling::kStrided;
-    sopts.engine.sample_stride = 16;
     // Seeds alternate retries on/off, and every other pair adds faults.
     if (seed % 2 == 0) {
       sopts.retry.max_retries = static_cast<std::uint32_t>(rng.between(1, 3));

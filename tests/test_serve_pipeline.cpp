@@ -154,9 +154,6 @@ Config random_config(std::uint64_t seed) {
       rng.chance(1, 2) ? OverflowPolicy::kShed : OverflowPolicy::kBlock;
   cfg.options.batch.max_batch_nodes = rng.between(2, 48);
   cfg.options.batch.max_wait_cycles = rng.between(0, 12);
-  cfg.options.engine.sampling =
-      engine::EngineOptions::DepthSampling::kStrided;
-  cfg.options.engine.sample_stride = 16;
   // Healthy-path retries: a tight attempt timeout makes deep batches
   // overstay their residency budget without any fault plan, so pipelined
   // runs exercise multi-round (retry) serving too.
@@ -444,8 +441,6 @@ ForestConfig random_forest(std::uint64_t seed) {
         rng.chance(1, 2) ? OverflowPolicy::kShed : OverflowPolicy::kBlock;
     t.options.batch.max_batch_nodes = rng.between(2, 40);
     t.options.batch.max_wait_cycles = rng.between(0, 10);
-    t.options.engine.sampling = engine::EngineOptions::DepthSampling::kStrided;
-    t.options.engine.sample_stride = 16;
     if (rng.chance(1, 3)) {
       t.options.retry.max_retries = static_cast<std::uint32_t>(rng.between(1, 2));
       t.options.retry.attempt_timeout_cycles = rng.between(2, 8);
