@@ -69,8 +69,8 @@ enum class DynStatus : std::uint8_t {
 class DynamicTree {
  public:
   /// An initially root-only tree inside a max_levels envelope
-  /// (1 <= max_levels <= 26; deeper envelopes would make the per-level
-  /// color stores of the incremental colorer unreasonably large).
+  /// (1 <= max_levels <= 26; a level's liveness bitmap and slot array
+  /// span its full envelope width).
   explicit DynamicTree(std::uint32_t max_levels);
 
   [[nodiscard]] const CompleteBinaryTree& envelope() const noexcept {

@@ -1,4 +1,5 @@
-// Mapping combinators.
+// Mapping combinators. Each wraps a base mapping it does not own and
+// reports the base's tree(), which never changes (mapping.hpp).
 //
 // PermutedMapping composes any mapping with a bijection on the color set.
 // Conflict structure is invariant under color permutation — the property
@@ -24,23 +25,6 @@
 // primitive the serve layer's skew-adaptive planner needs: migrating a
 // hot subtree onto cold modules without touching the paper's
 // conflict-freedom inside the subtree (DESIGN.md §15).
-//
-// AdaptiveMapping composes a *choice*: it carries a list of candidate
-// mappings over the same tree and module count and delegates every color
-// query to the one chosen at construction. The serve layer's
-// AdaptiveSelector (pmtree/serve/adaptive.hpp) scores candidates against
-// the observed batch stream and mints a fresh AdaptiveMapping at each
-// epoch barrier where the choice changes — the runtime resolution of the
-// paper's R10 COLOR-vs-LABEL-TREE trade-off (DESIGN.md §17).
-//
-// Composition audit (DESIGN.md §16): every combinator snapshots the
-// base's tree shape at construction (its own tree() is that snapshot). A
-// *dynamic* base — pmtree::dyn's IncrementalColorer reports growth by
-// resizing its tree() — can therefore change shape underneath a wrapper
-// built earlier. The wrappers reject that instead of silently aliasing:
-// base_shape_changed() reports the drift, and every color path asserts
-// against it, so a combinator must be composed against a quiesced base
-// (or re-built per epoch, as the migration planner does).
 #pragma once
 
 #include <cassert>
@@ -77,25 +61,17 @@ class PermutedMapping final : public TreeMapping {
   }
 
   [[nodiscard]] Color color_of(Node n) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
     return perm_[base_.color_of(n)];
   }
   /// Delegates to the base's batch kernel, then permutes in place — the
   /// wrapper adds one pass, not one virtual call per node.
   void color_of_batch(std::span<const Node> nodes,
                       std::span<Color> out) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
     base_.color_of_batch(nodes, out);
     for (std::size_t i = 0; i < nodes.size(); ++i) out[i] = perm_[out[i]];
   }
   [[nodiscard]] std::uint32_t num_modules() const noexcept override {
     return base_.num_modules();
-  }
-  /// True when the base's tree shape no longer matches the snapshot taken
-  /// at composition time — a dynamic base grew or shrank underneath this
-  /// wrapper, so its colors no longer cover the base's node set.
-  [[nodiscard]] bool base_shape_changed() const noexcept {
-    return base_.tree() != tree();
   }
   [[nodiscard]] std::string name() const override {
     return base_.name() + "+perm";
@@ -137,18 +113,12 @@ class DegradedMapping final : public TreeMapping {
   }
 
   [[nodiscard]] Color color_of(Node n) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
     return redirect_[base_.color_of(n)];
   }
   void color_of_batch(std::span<const Node> nodes,
                       std::span<Color> out) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
     base_.color_of_batch(nodes, out);
     for (std::size_t i = 0; i < nodes.size(); ++i) out[i] = redirect_[out[i]];
-  }
-  /// See PermutedMapping::base_shape_changed.
-  [[nodiscard]] bool base_shape_changed() const noexcept {
-    return base_.tree() != tree();
   }
   /// The color *space* is unchanged — dead modules simply receive no nodes.
   /// Keeping num_modules() stable lets degraded results compare per-module
@@ -194,7 +164,6 @@ class MigratedMapping final : public TreeMapping {
   }
 
   [[nodiscard]] Color color_of(Node n) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
     Color c = base_.color_of(n);
     if (n.level >= level_) {
       c += rot_[n.index >> (n.level - level_)];
@@ -208,7 +177,6 @@ class MigratedMapping final : public TreeMapping {
   /// branch-light pass — same shape as DegradedMapping.
   void color_of_batch(std::span<const Node> nodes,
                       std::span<Color> out) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
     base_.color_of_batch(nodes, out);
     const std::uint32_t m = base_.num_modules();
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -225,10 +193,6 @@ class MigratedMapping final : public TreeMapping {
   }
   [[nodiscard]] std::uint32_t subtree_level() const noexcept {
     return level_;
-  }
-  /// See PermutedMapping::base_shape_changed.
-  [[nodiscard]] bool base_shape_changed() const noexcept {
-    return base_.tree() != tree();
   }
   [[nodiscard]] const std::vector<Color>& rotation_table() const noexcept {
     return rot_;
@@ -249,82 +213,6 @@ class MigratedMapping final : public TreeMapping {
   const TreeMapping& base_;
   std::uint32_t level_;
   std::vector<Color> rot_;
-};
-
-/// AdaptiveMapping freezes one *choice* among candidate mappings of the
-/// same tree and module count (DESIGN.md §17). It carries the full
-/// candidate list so an audit can see what was on the table, but every
-/// color query delegates to the single chosen candidate — the R10
-/// trade-off (COLOR vs LABEL-TREE vs baseline rank differently per
-/// template mix) resolved by measurement instead of by configuration.
-/// The serve layer's AdaptiveSelector scores candidates against the
-/// observed batch stream each epoch and mints one of these at the epoch
-/// barrier, exactly like MigrationPlanner mints MigratedMapping epochs.
-class AdaptiveMapping final : public TreeMapping {
- public:
-  /// Wraps `candidates` (not owned; each must outlive this object),
-  /// choosing `chosen` (an index into the list). All candidates must
-  /// color the same tree with the same number of modules — the selector
-  /// swaps the choice between epochs, and responses must stay comparable
-  /// module for module.
-  AdaptiveMapping(std::vector<const TreeMapping*> candidates,
-                  std::size_t chosen)
-      : TreeMapping(candidates.at(chosen)->tree()),
-        candidates_(std::move(candidates)),
-        chosen_(chosen) {
-    assert(!candidates_.empty());
-#ifndef NDEBUG
-    for (const TreeMapping* c : candidates_) {
-      assert(c != nullptr);
-      assert(c->tree() == tree() && "adaptive candidates must share a tree");
-      assert(c->num_modules() == candidates_.front()->num_modules() &&
-             "adaptive candidates must share a module count");
-    }
-#endif
-  }
-
-  [[nodiscard]] Color color_of(Node n) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
-    return chosen_mapping().color_of(n);
-  }
-  /// Pure delegation to the chosen candidate's devirtualized batch kernel
-  /// — unlike the other combinators there is no post-pass at all, so the
-  /// adaptive layer costs one extra virtual dispatch per batch.
-  void color_of_batch(std::span<const Node> nodes,
-                      std::span<Color> out) const override {
-    assert(!base_shape_changed() && "base mapping resized under wrapper");
-    chosen_mapping().color_of_batch(nodes, out);
-  }
-  [[nodiscard]] std::uint32_t num_modules() const noexcept override {
-    return candidates_.front()->num_modules();
-  }
-  /// True when ANY candidate's tree shape drifted from the snapshot taken
-  /// at composition time — the selector may re-choose any candidate at
-  /// the next epoch, so all of them must stay valid, not just the chosen
-  /// one. See PermutedMapping::base_shape_changed.
-  [[nodiscard]] bool base_shape_changed() const noexcept {
-    for (const TreeMapping* c : candidates_) {
-      if (c->tree() != tree()) return true;
-    }
-    return false;
-  }
-  [[nodiscard]] const TreeMapping& chosen_mapping() const noexcept {
-    return *candidates_[chosen_];
-  }
-  [[nodiscard]] std::size_t chosen() const noexcept { return chosen_; }
-  [[nodiscard]] std::size_t candidate_count() const noexcept {
-    return candidates_.size();
-  }
-  [[nodiscard]] const TreeMapping& candidate(std::size_t i) const noexcept {
-    return *candidates_[i];
-  }
-  [[nodiscard]] std::string name() const override {
-    return chosen_mapping().name() + "+adaptive";
-  }
-
- private:
-  std::vector<const TreeMapping*> candidates_;
-  std::size_t chosen_;
 };
 
 }  // namespace pmtree

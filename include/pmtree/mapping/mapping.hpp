@@ -8,9 +8,11 @@
 //   * LabelTreeMapping  — LABEL-TREE from ref. [2], reconstructed (§6);
 //   * ModuloMapping, RandomMapping, LevelShiftMapping — naive baselines.
 //
-// `color_of` must be a pure function of the node; implementations document
-// their retrieval complexity since the paper treats addressing cost as a
-// first-class evaluation criterion.
+// `color_of` must be a pure function of the node, and a mapping never
+// changes after construction, its tree() included, so a combinator may
+// take its base's shape once. Implementations document their retrieval
+// complexity since the paper treats addressing cost as a first-class
+// evaluation criterion.
 #pragma once
 
 #include <cstdint>
@@ -56,15 +58,6 @@ class TreeMapping {
 
   /// Bulk retrieval convenience; routed through color_of_batch.
   [[nodiscard]] std::vector<Color> colors_of(std::span<const Node> nodes) const;
-
- protected:
-  /// Rebinds the mapping's advertised tree shape. Static mappings never
-  /// call this; dynamic mappings (pmtree::dyn's IncrementalColorer) use it
-  /// to report growth as deeper levels are colored. Combinators snapshot
-  /// the base's shape at composition time, so a base resized underneath
-  /// them is detectable (base_shape_changed()) instead of silently
-  /// aliasing colors.
-  void resize_tree(CompleteBinaryTree tree) noexcept { tree_ = tree; }
 
  private:
   CompleteBinaryTree tree_;

@@ -14,9 +14,8 @@
 //     batch under the paper's one-request-per-module-per-cycle service
 //     model — the quantity the engine's completion time is governed by).
 //     Every `epoch_batches` batches it decays the scores and, when some
-//     candidate strictly beats the incumbent, mints an AdaptiveMapping
-//     (mapping/combinators.hpp) choosing it — at the epoch barrier,
-//     exactly like MigrationPlanner mints MigratedMapping epochs.
+//     candidate strictly beats the incumbent, switches to it: later cut
+//     batches resolve against that candidate itself.
 //   AdaptiveEvent — the audit record of one epoch decision.
 //
 // Determinism contract (inherited verbatim from §15): the selector is
@@ -31,11 +30,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
-#include "pmtree/mapping/combinators.hpp"
 #include "pmtree/mapping/mapping.hpp"
 #include "pmtree/tree/node.hpp"
 #include "pmtree/util/json.hpp"
@@ -79,9 +76,8 @@ struct AdaptiveEvent {
 /// tenant); all calls come from the single-threaded control plane.
 class AdaptiveSelector {
  public:
-  /// `base` and every policy candidate must outlive the selector (and
-  /// every mapping it mints). All candidates must share base's tree and
-  /// module count (asserted).
+  /// `base` and every policy candidate must outlive the selector.
+  /// All candidates must share base's tree and module count (asserted).
   AdaptiveSelector(const TreeMapping& base, const AdaptivePolicy& policy);
 
   /// Folds one freshly cut batch (deduped nodes) into every candidate's
@@ -91,18 +87,16 @@ class AdaptiveSelector {
   void observe(std::span<const Node> nodes, std::uint64_t cycle);
 
   /// The mapping batches cut *now* should resolve against: the base until
-  /// the first switch, then the latest minted AdaptiveMapping. Pointers
-  /// stay valid for the selector's lifetime (epochs live in a deque).
+  /// the first switch, then the winning candidate.
   [[nodiscard]] const TreeMapping& current() const noexcept {
-    return epochs_.empty() ? base_ : static_cast<const TreeMapping&>(
-                                         epochs_.back());
+    return *active_;
   }
 
   /// The candidate currently serving, or nullptr while the base still is
-  /// (no epoch mapping minted yet — ties keep the base in place even when
-  /// it is listed among the candidates).
+  /// (no switch yet — ties keep the base in place even when it is listed
+  /// among the candidates).
   [[nodiscard]] const TreeMapping* active_candidate() const noexcept {
-    return epochs_.empty() ? nullptr : active_;
+    return switches_ == 0 ? nullptr : active_;
   }
   [[nodiscard]] std::uint64_t epochs_planned() const noexcept {
     return epochs_planned_;
@@ -125,18 +119,14 @@ class AdaptiveSelector {
  private:
   void decide(std::uint64_t cycle);
 
-  const TreeMapping& base_;
   AdaptivePolicy policy_;
   std::vector<std::uint64_t> scores_;      ///< one per candidate
   std::vector<Color> color_scratch_;
   std::vector<std::uint32_t> load_scratch_;  ///< per-module counts
-  /// The mapping actually serving: &base_ until the first switch, then
+  /// The mapping actually serving: the base until the first switch, then
   /// always one of policy_.candidates. Compared by pointer when deciding
-  /// whether an epoch needs a new mint.
+  /// whether an epoch switches.
   const TreeMapping* active_ = nullptr;
-  /// Epoch mapping snapshots. Deque: stable addresses — in-flight batch
-  /// tokens hold raw pointers to their epoch's mapping across a round.
-  std::deque<AdaptiveMapping> epochs_;
   std::vector<AdaptiveEvent> events_;
   std::uint32_t batches_since_decide_ = 0;
   std::uint64_t batches_total_ = 0;

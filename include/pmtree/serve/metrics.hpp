@@ -73,7 +73,7 @@ class ServeMetrics {
   void set_migration(Json stats) { migration_ = std::move(stats); }
 
   /// Attaches the dynamic-tree snapshot (mutation counters, live size,
-  /// incremental-colorer work). Emitted as a "dyn" section only when set
+  /// colorer touch counts). Emitted as a "dyn" section only when set
   /// — read-only runs keep their exact JSON shape.
   void set_dyn(Json stats) { dyn_ = std::move(stats); }
 

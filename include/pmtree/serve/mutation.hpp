@@ -5,10 +5,10 @@
 // them is the *apply barrier*. When the control plane cuts a batch, the
 // batch's writers are applied to the bound DynamicTree right there — in
 // canonical (client, seq) member order, after exact-duplicate dedup —
-// and the IncrementalColorer is touched with the batch's node set plus
-// every applied target, so by the time the round barrier resolves the
-// batch the colors it needs are published. The barrier is a pure
-// function of the cut sequence, which the one control plane mints
+// and the IncrementalColorer counts the batch's node set plus every
+// applied target as touched. Colors need no update: the colorer's
+// mapping covers the whole envelope from construction. The barrier is a
+// pure function of the cut sequence, which the one control plane cuts
 // identically at every thread count, so mutation verdicts and responses
 // stay bit-identical at 1/2/8 workers, pipeline workers included.
 //
@@ -38,9 +38,9 @@ namespace pmtree::serve {
 /// Binds a Server to a dynamic tree. When `tree` is set the server runs
 /// in read-write mode: Insert/Erase requests mutate it at the batch-cut
 /// barrier and `colorer` (required; it must be the server's mapping or
-/// share its color function) is touched so workers find every color
-/// published. Mutually exclusive with migration; faulted configurations
-/// run the mutation barrier like everything else.
+/// share its color function) counts the touched nodes for dyn_stats.
+/// Mutually exclusive with migration and adaptive selection; faulted
+/// configurations run the mutation barrier like everything else.
 struct DynBinding {
   dyn::DynamicTree* tree = nullptr;
   dyn::IncrementalColorer* colorer = nullptr;
@@ -75,7 +75,7 @@ void apply_batch_mutations(const FormedBatch& batch,
                            std::vector<MutationRecord>& log);
 
 /// End-of-run snapshot for ServeMetrics::set_dyn: live-set size / version
-/// of the tree, per-status mutation counts, and the colorer's work
+/// of the tree, per-status mutation counts, and the colorer's touch
 /// counters (nodes_colored / touches). Pure accounting; identical across
 /// execution paths.
 [[nodiscard]] Json dyn_stats(const DynBinding& binding,

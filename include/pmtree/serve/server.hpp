@@ -174,9 +174,10 @@ struct ServerOptions {
   /// PALM-style at the batch-cut barrier — a control-plane decision, so
   /// responses and the mutation log stay bit-identical at any worker
   /// count, pipeline workers included. Mutually exclusive with
-  /// migration (epoch remapping assumes a frozen shape; compose
-  /// MigratedMapping at the mapping layer instead). Disabled (default)
-  /// leaves every code path byte-identical to the read-only server.
+  /// migration and adaptive selection: a dyn server arms no epoch
+  /// controller (compose MigratedMapping at the mapping layer instead).
+  /// Disabled (default) leaves every code path byte-identical to the
+  /// read-only server.
   DynBinding dyn;
   /// Runtime mapping selection (adaptive.hpp / DESIGN.md §17). When
   /// enabled, an AdaptiveSelector scores every policy candidate against
@@ -185,9 +186,8 @@ struct ServerOptions {
   /// COLOR-vs-LABEL-TREE trade-off decided by measurement. A
   /// control-plane decision, so responses stay bit-identical at any
   /// worker count, pipeline workers included. Mutually exclusive with
-  /// migration (both would own the epoch mapping) and with dyn (selection
-  /// assumes a frozen shape); faulted configurations keep the static
-  /// mapping, exactly like migration.
+  /// migration (both would own the epoch mapping) and with dyn; faulted
+  /// configurations keep the static mapping, exactly like migration.
   AdaptivePolicy adaptive;
   /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
   /// owned, must outlive the run). When set, every cut batch's deduped
@@ -195,8 +195,8 @@ struct ServerOptions {
   /// thread resolves the batch at the round barrier — and
   /// accounted in ServeReport::memory plus a "memory" metrics section.
   /// Purely observational: responses are bit-identical with the backend
-  /// on or off. Mutually exclusive with dyn (arenas are sized for a
-  /// frozen tree).
+  /// on or off. Composes with dyn: a backend built over the
+  /// IncrementalColorer holds every node of its envelope.
   const mem::MemoryBackend* memory = nullptr;
 };
 

@@ -1,145 +1,39 @@
 #include "pmtree/dyn/incremental.hpp"
 
-#include <algorithm>
 #include <cassert>
 
-#include "pmtree/util/bits.hpp"
+#include "pmtree/mapping/color.hpp"
+#include "pmtree/mapping/label_tree.hpp"
 
 namespace pmtree::dyn {
 
-namespace {
-
-/// COLOR's single-source recurrence (the BOTTOM step of §3, identical to
-/// ColorMapping::materialize_prefix's fill): where node n at level >= k
-/// takes its color from. Exactly one of the three outcomes holds:
-///   kFresh   — the block-last node of a root-generation block; the color
-///              is the closed form K + (r - k);
-///   kInherit — the color is the source node's color (strictly shallower).
-/// Levels below k are the Sigma closed form (bfs_id) and never reach here.
-struct ColorStep {
-  bool fresh = false;
-  Color fresh_color = 0;
-  Node source;
-};
-
-[[nodiscard]] ColorStep color_step(Node n, std::uint32_t N,
-                                   std::uint32_t k) noexcept {
-  assert(n.level >= k);
-  const std::uint32_t stride = N - k;
-  const std::uint32_t jb = (n.level - k) / stride;
-  const std::uint32_t r = n.level - jb * stride;
-  const std::uint64_t ib = n.index >> r;
-  const std::uint64_t irel = n.index - (ib << r);
-  const std::uint64_t half = pow2(k - 1);
-  const std::uint64_t h = irel >> (k - 1);
-  const std::uint64_t p = irel & (half - 1);
-  if (p == half - 1) {
-    if (jb == 0) {
-      return ColorStep{true, static_cast<Color>(tree_size(k) + (r - k)),
-                       Node{}};
-    }
-    // Gamma(ib, jb) entry r - k: parent-block root path, top-down (the
-    // kCorrect resolution proved right by the exhaustive suites).
-    const std::uint32_t t = r - k;
-    return ColorStep{false, 0,
-                     Node{(jb - 1) * stride + t, ib >> (stride - t)}};
-  }
-  const std::uint64_t hs = h ^ 1;
-  const std::uint32_t rho = floor_log2(p + 1);
-  const std::uint64_t s = p + 1 - pow2(rho);
-  const std::uint32_t rel_level = r - k + 1 + rho;
-  return ColorStep{false, 0,
-                   Node{jb * stride + rel_level,
-                        (ib << rel_level) + (hs << rho) + s}};
-}
-
-}  // namespace
-
-IncrementalColorer::IncrementalColorer(CompleteBinaryTree envelope,
-                                       Scheme scheme, std::uint32_t N,
-                                       std::uint32_t k, std::uint32_t M)
-    : TreeMapping(CompleteBinaryTree(1)),
-      envelope_(envelope),
-      scheme_(scheme),
-      state_(std::make_unique<State>()) {
-  assert(envelope.levels() <= 26 &&
-         "per-level color stores cap the envelope at 26 levels");
-  if (scheme_ == Scheme::kColor) {
-    assert(k >= 1 && k <= N);
-    assert(envelope.levels() <= N || N > k);
-    n_ = N;
-    k_ = k;
-    modules_ = N + static_cast<std::uint32_t>(tree_size(k)) - k;
-  } else {
-    assert(M >= 3);
-    label_ = std::make_unique<LabelTreeMapping>(
-        envelope, M, LabelTreeMapping::Retrieval::kRecursive);
-    modules_ = M;
-  }
-  state_->owned.resize(envelope.levels());
-  state_->published =
-      std::vector<std::atomic<Color*>>(envelope.levels());
-  state_->colored.resize(envelope.levels());
-  touch(envelope.root());
-}
+IncrementalColorer::IncrementalColorer(
+    std::unique_ptr<const TreeMapping> mapping)
+    : TreeMapping(mapping->tree()),
+      mapping_(std::move(mapping)),
+      touched_(tree().levels()) {}
 
 IncrementalColorer IncrementalColorer::color(CompleteBinaryTree envelope,
                                              std::uint32_t N,
                                              std::uint32_t k) {
-  return IncrementalColorer(envelope, Scheme::kColor, N, k, 0);
+  return IncrementalColorer(std::make_unique<ColorMapping>(envelope, N, k));
 }
 
 IncrementalColorer IncrementalColorer::label_tree(CompleteBinaryTree envelope,
                                                   std::uint32_t M) {
-  return IncrementalColorer(envelope, Scheme::kLabelTree, 0, 0, M);
-}
-
-Color* IncrementalColorer::writable_level(std::uint32_t j) {
-  assert(j < envelope_.levels());
-  Color* ptr = state_->published[j].load(std::memory_order_relaxed);
-  if (ptr != nullptr) return ptr;
-  const std::uint64_t width = envelope_.level_width(j);
-  auto fresh = std::make_unique<Color[]>(width);
-  for (std::uint64_t i = 0; i < width; ++i) fresh[i] = kUncolored;
-  state_->colored[j].assign((width + 63) / 64, 0);
-  ptr = fresh.get();
-  state_->owned[j] = std::move(fresh);
-  // Release: a worker that acquires this pointer (after the batch-cut
-  // barrier's own release edge) sees the sentinel fill and every entry
-  // memoized before its batch was cut.
-  state_->published[j].store(ptr, std::memory_order_release);
-  return ptr;
-}
-
-Color IncrementalColorer::ensure(Node n) {
-  assert(envelope_.contains(n));
-  Color* level = writable_level(n.level);
-  std::vector<std::uint64_t>& bits = state_->colored[n.level];
-  if ((bits[n.index >> 6] >> (n.index & 63)) & 1) return level[n.index];
-
-  Color c;
-  if (scheme_ == Scheme::kLabelTree) {
-    c = label_->color_of(n);
-  } else if (n.level < k_) {
-    c = static_cast<Color>(bfs_id(n));  // Sigma: the top k levels
-  } else {
-    const ColorStep step = color_step(n, n_, k_);
-    // The source is strictly shallower, so the recursion depth is at
-    // most n.level (<= 25) and every node on the chain is memoized once.
-    c = step.fresh ? step.fresh_color : ensure(step.source);
-  }
-  level[n.index] = c;
-  bits[n.index >> 6] |= std::uint64_t{1} << (n.index & 63);
-  state_->nodes_colored += 1;
-  return c;
+  return IncrementalColorer(std::make_unique<LabelTreeMapping>(envelope, M));
 }
 
 void IncrementalColorer::touch(Node n) {
-  ensure(n);
-  state_->touches += 1;
-  if (n.level + 1 > touched_levels_) {
-    touched_levels_ = n.level + 1;
-    resize_tree(CompleteBinaryTree(touched_levels_));
+  assert(tree().contains(n));
+  touches_ += 1;
+  std::vector<std::uint64_t>& bits = touched_[n.level];
+  if (bits.empty()) bits.assign((tree().level_width(n.level) + 63) / 64, 0);
+  std::uint64_t& word = bits[n.index >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (n.index & 63);
+  if ((word & bit) == 0) {
+    word |= bit;
+    nodes_colored_ += 1;
   }
 }
 
@@ -147,80 +41,8 @@ void IncrementalColorer::touch(std::span<const Node> nodes) {
   for (const Node n : nodes) touch(n);
 }
 
-Color IncrementalColorer::compute_cold(Node n) const {
-  assert(envelope_.contains(n));
-  if (scheme_ == Scheme::kLabelTree) return label_->color_of(n);
-  // COLOR's dependency chain is a single path of strictly decreasing
-  // levels — follow it without memoizing (O(level) worst case).
-  while (n.level >= k_) {
-    const ColorStep step = color_step(n, n_, k_);
-    if (step.fresh) return step.fresh_color;
-    // A memoized prefix short-circuits the walk (loads are safe: the
-    // entry was published before any worker could ask for a node
-    // depending on it).
-    const Color* level =
-        state_->published[step.source.level].load(std::memory_order_acquire);
-    if (level != nullptr) {
-      const Color c = level[step.source.index];
-      if (c != kUncolored) return c;
-    }
-    n = step.source;
-  }
-  return static_cast<Color>(bfs_id(n));
-}
-
-Color IncrementalColorer::color_of(Node n) const {
-  assert(envelope_.contains(n));
-  const Color* level =
-      state_->published[n.level].load(std::memory_order_acquire);
-  if (level != nullptr) {
-    const Color c = level[n.index];
-    if (c != kUncolored) return c;
-  }
-  return compute_cold(n);
-}
-
-void IncrementalColorer::color_of_batch(std::span<const Node> nodes,
-                                        std::span<Color> out) const {
-  assert(out.size() >= nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    out[i] = color_of(nodes[i]);
-  }
-}
-
-std::uint32_t IncrementalColorer::num_modules() const noexcept {
-  return modules_;
-}
-
 std::string IncrementalColorer::name() const {
-  if (scheme_ == Scheme::kColor) {
-    return "INCR-COLOR(N=" + std::to_string(n_) +
-           ",K=" + std::to_string(tree_size(k_)) + ")";
-  }
-  return "INCR-LABEL-TREE(M=" + std::to_string(modules_) + ")";
-}
-
-void IncrementalColorer::reset() {
-  for (std::uint32_t j = 0; j < envelope_.levels(); ++j) {
-    Color* level = state_->published[j].load(std::memory_order_relaxed);
-    if (level == nullptr) continue;
-    const std::uint64_t width = envelope_.level_width(j);
-    for (std::uint64_t i = 0; i < width; ++i) level[i] = kUncolored;
-    std::fill(state_->colored[j].begin(), state_->colored[j].end(), 0);
-  }
-  state_->nodes_colored = 0;
-  state_->touches = 0;
-  touched_levels_ = 1;
-  resize_tree(CompleteBinaryTree(1));
-  touch(envelope_.root());
-}
-
-std::uint64_t IncrementalColorer::nodes_colored() const noexcept {
-  return state_->nodes_colored;
-}
-
-std::uint64_t IncrementalColorer::touches() const noexcept {
-  return state_->touches;
+  return "INCR-" + mapping_->name();
 }
 
 }  // namespace pmtree::dyn

@@ -20,16 +20,16 @@ Json AdaptiveEvent::to_json() const {
 
 AdaptiveSelector::AdaptiveSelector(const TreeMapping& base,
                                    const AdaptivePolicy& policy)
-    : base_(base), policy_(policy), active_(&base) {
+    : policy_(policy), active_(&base) {
   assert(policy_.enabled());
   scores_.assign(policy_.candidates.size(), 0);
-  load_scratch_.assign(base_.num_modules(), 0);
+  load_scratch_.assign(base.num_modules(), 0);
 #ifndef NDEBUG
   for (const TreeMapping* c : policy_.candidates) {
     assert(c != nullptr);
-    assert(c->tree() == base_.tree() &&
+    assert(c->tree() == base.tree() &&
            "adaptive candidates must color the server's tree");
-    assert(c->num_modules() == base_.num_modules() &&
+    assert(c->num_modules() == base.num_modules() &&
            "adaptive candidates must use the server's module count");
   }
 #endif
@@ -85,7 +85,6 @@ void AdaptiveSelector::decide(std::uint64_t cycle) {
           ? incumbent
           : best;
   if (policy_.candidates[chosen] != active_) {
-    epochs_.emplace_back(policy_.candidates, chosen);
     active_ = policy_.candidates[chosen];
     switches_ += 1;
     switched = true;
@@ -124,7 +123,7 @@ Json AdaptiveSelector::stats() const {
   j.set("policy", std::move(policy));
   j.set("batches_observed", Json(batches_total_));
   j.set("epochs_planned", Json(epochs_planned_));
-  j.set("mappings_minted", Json(std::uint64_t{epochs_.size()}));
+  j.set("mappings_minted", Json(switches_));
   j.set("switches", Json(switches_));
   j.set("active", Json(active_ == nullptr ? "" : active_->name()));
   Json jscores = Json::array();

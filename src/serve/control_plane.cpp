@@ -257,8 +257,6 @@ void arm_epoch_controller(Slot& s) {
          "dyn serving and adaptive selection are mutually exclusive");
   assert(!(o.migration.enabled() && o.adaptive.enabled()) &&
          "migration and adaptive selection both own the epoch mapping");
-  assert(!(dyn && o.memory != nullptr) &&
-         "the real-memory arenas are sized for a frozen tree");
   if (dyn || (o.engine.faults != nullptr && !o.engine.faults->empty())) return;
   const TreeMapping& base = *s.config->mapping;
   if (o.migration.enabled()) {

@@ -14,11 +14,9 @@ void apply_batch_mutations(const FormedBatch& batch,
   assert(binding.colorer != nullptr &&
          "a dyn binding needs its incremental colorer");
 
-  // The batch's node set must be colored before any thread resolves it:
-  // resolution waits for the round barrier, whose thread start inside
-  // parallel_chunks (after the round's last touch()) is the happens-before
-  // edge. Raw (uncoalesced) batches repeat nodes; touch() memoizes, so
-  // repeats are O(1).
+  // Accounting only: the colorer's mapping already colors every envelope
+  // node. Raw (uncoalesced) batches repeat nodes; touches() counts the
+  // repeats, nodes_colored() does not.
   binding.colorer->touch(std::span<const Node>(batch.nodes.data(),
                                                batch.nodes.size()));
 

@@ -21,10 +21,10 @@
 # the serve batch executor (test_serve_pipeline runs every config at
 # 1/2/8 executor threads against the 1-thread run, faulted configs
 # included: at each round barrier the parallel_chunks threads resolve
-# chunks of cuts, reading the shared IncrementalColorer stores,
-# MemoryBackend slabs, epoch mappings and ColorMapping's lazily published
-# batch tables at the same time and writing disjoint slices of the
-# round's color buffer, then feed and drain one lane each, whose
+# chunks of cuts, reading the shared MemoryBackend slabs, epoch mappings
+# and ColorMapping's lazily published batch tables at the same time and
+# writing disjoint slices of the round's color buffer, then feed and
+# drain one lane each, whose
 # EngineSession belongs to one thread until the join — a race on any of
 # them shows up as a TSan report and as a bit-identity mismatch;
 # the `pipeline` ctest label selects the suite on its own), and
@@ -38,13 +38,13 @@
 # divergent rotation table; the `migration` ctest label selects the
 # mapping + serve migration suites together), and dynamic trees
 # (test_dyn_serve runs mixed read/write traffic at 1/2/8 workers and
-# 1/2/4 pipeline workers against the single-threaded oracle — the
-# control-plane touch() publishes each level's color row with a release
-# store that the barrier threads' color_of() reads must acquire, so a
-# torn publication shows up as a TSan report and as a response or
-# mutation-log divergence; test_dyn_incremental re-checks the
-# incremental coloring bit-identical to a from-scratch rebuild after
-# every mutation batch, and test_engine_faults drives insert/erase
+# 1/2/4/8 pipeline workers against the single-threaded oracle, arenas
+# over the colorer included — the barrier threads race to build and
+# CAS-publish the batch tables of the colorer's ColorMapping on its
+# first color_of_batch, so a race shows up as a TSan report and as a
+# response or mutation-log divergence; test_dyn_incremental re-checks the colorer against a
+# from-scratch mapping over the tree's current height after every
+# mutation batch, and test_engine_faults drives insert/erase
 # batches through fail-stop fault epochs at 2/8 workers — the `dyn`
 # ctest label selects the dynamic-tree suites),
 # and real-memory arenas + adaptive selection (test_serve_mem touches
@@ -56,8 +56,8 @@
 # 1/2/8 workers and pipeline workers against the oracle, so a race
 # between the control-plane selector and the barrier threads'
 # epoch-mapping reads surfaces as a report or a response divergence —
-# the `mem` ctest label selects the arena, combinator, selector and
-# serve-layer suites).
+# the `mem` ctest label selects the arena, selector and serve-layer
+# suites).
 # The `serve` ctest label selects every suite that pins the serve control
 # plane and its batch executor (test_serve_*, test_dyn_serve,
 # test_engine_session, test_engine_faults) — the one-command safety net

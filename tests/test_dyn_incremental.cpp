@@ -1,15 +1,19 @@
 // IncrementalColorer differential: after every randomized mutation batch,
-// the lazily extended coloring must be bit-identical to a from-scratch
-// rebuild of the same mapping over the same envelope (DESIGN.md §16).
-// Both schemes are coordinate-pure, so the independent reference —
-// ColorMapping::materialize() / a fresh LabelTreeMapping — never changes
-// and any drift in the incremental machinery is caught immediately.
+// the colorer's colors must equal a from-scratch mapping built over the
+// DynamicTree's current height (DESIGN.md §16). The colorer owns one
+// mapping over the whole envelope, so this checks the property it rests
+// on: COLOR and LABEL-TREE are coordinate-pure, and a taller tree keeps a
+// shorter tree's colors. COLOR's reference is the level-by-level
+// simulation behind ColorMapping::materialize(), which the colorer's
+// scalar chase does not share; LABEL-TREE's is the recursive retrieval
+// (the colorer uses the table).
 //
 // 64 seeded configurations (32 COLOR x (N, k), 32 LABEL-TREE x M), each
-// driven through 25 mutation batches — the "60+ seeded configs"
-// acceptance bar of ISSUE 9.
+// driven through 25 mutation batches.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -64,13 +68,20 @@ std::vector<Node> mutate_batch(DynamicTree& tree, Rng& rng) {
   return touched;
 }
 
-/// Drives `colorer` through 25 mutation batches and asserts bit-identity
-/// against `reference` (the from-scratch rebuild) after every batch, over
-/// the whole live set and the touched coordinates, via both the scalar
-/// and the batch read paths.
-void run_differential(IncrementalColorer colorer, const TreeMapping& reference,
+/// Builds the from-scratch reference mapping of one tree shape.
+using Reference =
+    std::function<std::unique_ptr<TreeMapping>(CompleteBinaryTree)>;
+
+/// Drives `colorer` through 25 mutation batches and asserts its colors
+/// equal the reference over the tree's current height after every batch,
+/// over the live set and the touched coordinates that fit in it, via both
+/// the scalar and the batch read paths.
+void run_differential(IncrementalColorer colorer, const Reference& reference,
                       std::uint64_t seed) {
-  ASSERT_EQ(colorer.num_modules(), reference.num_modules());
+  const CompleteBinaryTree envelope(kEnvelopeLevels);
+  ASSERT_EQ(colorer.tree(), envelope);
+  const std::unique_ptr<TreeMapping> whole = reference(envelope);
+  ASSERT_EQ(colorer.num_modules(), whole->num_modules());
   Rng rng(seed);
   DynamicTree tree(kEnvelopeLevels);
   for (int batch = 0; batch < 25; ++batch) {
@@ -79,34 +90,33 @@ void run_differential(IncrementalColorer colorer, const TreeMapping& reference,
     // writes); erased coordinates stay touched — colors are pure
     // coordinate functions, so reading them must stay exact too.
     colorer.touch(std::span<const Node>(touched.data(), touched.size()));
+    ASSERT_EQ(colorer.tree(), envelope);
 
-    // The strawman epoch baseline occasionally drops everything; colors
-    // must be unchanged after the rebuild-from-scratch re-touch.
-    if (batch % 10 == 9) {
-      colorer.reset();
-      const std::vector<Node> live = tree.live_nodes();
-      colorer.touch(std::span<const Node>(live.data(), live.size()));
-      colorer.touch(std::span<const Node>(touched.data(), touched.size()));
-    }
-
+    const std::unique_ptr<TreeMapping> scratch =
+        reference(CompleteBinaryTree(tree.levels()));
     std::vector<Node> check = tree.live_nodes();
-    check.insert(check.end(), touched.begin(), touched.end());
+    for (const Node n : touched) {
+      if (scratch->tree().contains(n)) check.push_back(n);
+    }
     std::vector<Color> got(check.size());
     colorer.color_of_batch(std::span<const Node>(check.data(), check.size()),
                            std::span<Color>(got.data(), got.size()));
     for (std::size_t i = 0; i < check.size(); ++i) {
-      ASSERT_EQ(got[i], reference.color_of(check[i]))
-          << "seed " << seed << " batch " << batch << " node ("
-          << check[i].level << ", " << check[i].index << ")";
+      ASSERT_EQ(got[i], scratch->color_of(check[i]))
+          << "seed " << seed << " batch " << batch << " height "
+          << tree.levels() << " node (" << check[i].level << ", "
+          << check[i].index << ")";
       ASSERT_EQ(colorer.color_of(check[i]), got[i]);
     }
 
-    // Cold reads (never-touched coordinates) are total and exact too.
-    for (int probe = 0; probe < 16; ++probe) {
+    // Cold reads (never-touched coordinates) are total and exact too,
+    // the envelope's deepest level included.
+    for (int probe = 0; probe < 17; ++probe) {
       const auto level =
-          static_cast<std::uint32_t>(rng.below(kEnvelopeLevels));
+          probe == 16 ? kEnvelopeLevels - 1
+                      : static_cast<std::uint32_t>(rng.below(kEnvelopeLevels));
       const Node n{level, rng.below(pow2(level))};
-      ASSERT_EQ(colorer.color_of(n), reference.color_of(n));
+      ASSERT_EQ(colorer.color_of(n), whole->color_of(n));
     }
   }
   EXPECT_GT(colorer.nodes_colored(), 0u);
@@ -122,7 +132,9 @@ class DynIncrementalColor : public ::testing::TestWithParam<ColorConfig> {};
 TEST_P(DynIncrementalColor, MatchesFromScratchRebuildEveryBatch) {
   const CompleteBinaryTree envelope(kEnvelopeLevels);
   const auto [N, k] = GetParam();
-  const ColorMapping reference(envelope, N, k);
+  const Reference reference = [N, k](CompleteBinaryTree shape) {
+    return std::make_unique<EagerColorMapping>(ColorMapping(shape, N, k));
+  };
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     run_differential(IncrementalColorer::color(envelope, N, k), reference,
                      0xC0105000 + seed);
@@ -143,8 +155,10 @@ class DynIncrementalLabel : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(DynIncrementalLabel, MatchesFromScratchRebuildEveryBatch) {
   const CompleteBinaryTree envelope(kEnvelopeLevels);
   const std::uint32_t M = GetParam();
-  const LabelTreeMapping reference(envelope, M,
-                                   LabelTreeMapping::Retrieval::kTable);
+  const Reference reference = [M](CompleteBinaryTree shape) {
+    return std::make_unique<LabelTreeMapping>(
+        shape, M, LabelTreeMapping::Retrieval::kRecursive);
+  };
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     run_differential(IncrementalColorer::label_tree(envelope, M), reference,
                      0x1ABE1000 + seed);
@@ -157,38 +171,30 @@ INSTANTIATE_TEST_SUITE_P(Configs, DynIncrementalLabel,
                            return "M" + std::to_string(param.param);
                          });
 
-TEST(DynIncremental, TreeGrowsWithTouchedDepth) {
+TEST(DynIncremental, NodesColoredCountsDistinctTouches) {
   const CompleteBinaryTree envelope(kEnvelopeLevels);
   IncrementalColorer colorer = IncrementalColorer::color(envelope, 5, 2);
-  EXPECT_EQ(colorer.tree().levels(), 1u);
-  colorer.touch(Node{4, 7});
-  EXPECT_EQ(colorer.tree().levels(), 5u);
-  colorer.touch(Node{2, 1});
-  EXPECT_EQ(colorer.tree().levels(), 5u);  // never shrinks on touch
-  colorer.reset();
-  EXPECT_EQ(colorer.tree().levels(), 1u);
-}
-
-TEST(DynIncremental, MemoizationIsAmortizedConstant) {
-  const CompleteBinaryTree envelope(kEnvelopeLevels);
-  IncrementalColorer colorer = IncrementalColorer::color(envelope, 5, 2);
-  // Touch every node of the envelope, deepest level first — the worst
-  // case for chain length. Each node is colored exactly once, so the
-  // total colored count is bounded by the envelope size even though
-  // every touch could chase an O(level) chain.
+  EXPECT_EQ(colorer.tree(), envelope);
+  EXPECT_EQ(colorer.nodes_colored(), 0u);
+  EXPECT_EQ(colorer.touches(), 0u);
+  // Touch every node of the envelope, deepest level first: each counts
+  // once, whatever the order.
   for (std::uint32_t j = envelope.levels(); j-- > 0;) {
     for (std::uint64_t i = 0; i < pow2(j); ++i) {
       colorer.touch(Node{j, i});
     }
   }
   EXPECT_EQ(colorer.nodes_colored(), envelope.size());
-  // Re-touching everything colors nothing new.
+  EXPECT_EQ(colorer.touches(), envelope.size());
+  // Re-touching everything counts touches, not nodes.
   for (std::uint32_t j = 0; j < envelope.levels(); ++j) {
     for (std::uint64_t i = 0; i < pow2(j); ++i) {
       colorer.touch(Node{j, i});
     }
   }
   EXPECT_EQ(colorer.nodes_colored(), envelope.size());
+  EXPECT_EQ(colorer.touches(), 2 * envelope.size());
+  EXPECT_EQ(colorer.tree(), envelope);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Read-write serving differential (DESIGN.md §16): mixed read/write
 // traffic against a DynamicTree + IncrementalColorer must produce
 // bit-identical responses, mutation logs and final tree/color state at
-// 1/2/8 workers and at pipeline workers, the final colors must equal a
-// from-scratch mapping, and write-write conflicts must resolve to the
+// 1/2/8 workers and at pipeline workers, with or without real-memory
+// arenas over the colorer, the final colors must equal a from-scratch
+// mapping, and write-write conflicts must resolve to the
 // canonically-first writer, deterministically.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "pmtree/dyn/incremental.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
+#include "pmtree/mem/arena.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
 
@@ -88,12 +91,18 @@ struct RunResult {
   std::vector<Node> live;        ///< final live set
   std::vector<Color> live_colors;
   std::uint64_t tree_version = 0;
+  std::uint32_t levels = 0;      ///< final tree height
+  /// With arenas: what the report's batches should have read, from the
+  /// batch node counts and the analytic per-node checksums.
+  std::uint64_t expected_mem_nodes = 0;
+  std::uint64_t expected_mem_checksum = 0;
 };
 
 /// Fresh tree + colorer per run: every leg replays the same traffic from
-/// the same root-only initial state.
+/// the same root-only initial state. With `arenas`, a MemoryBackend built
+/// over the colorer observes every batch.
 RunResult run_config(const Config& cfg, unsigned workers,
-                     unsigned pipeline_workers) {
+                     unsigned pipeline_workers, bool arenas = false) {
   const CompleteBinaryTree envelope(kLevels);
   dyn::DynamicTree tree(kLevels);
   dyn::IncrementalColorer colorer =
@@ -104,10 +113,23 @@ RunResult run_config(const Config& cfg, unsigned workers,
   opts.pipeline.workers = pipeline_workers;
   opts.dyn.tree = &tree;
   opts.dyn.colorer = &colorer;
+  std::optional<mem::MemoryBackend> memory;
+  if (arenas) {
+    memory.emplace(colorer);
+    opts.memory = &*memory;
+  }
   Server server(colorer, opts);
   for (const Request& r : cfg.requests) server.submit(r);
   RunResult res;
   res.report = server.run();
+  if (memory) {
+    for (const FormedBatch& b : res.report.batches) {
+      res.expected_mem_nodes += b.nodes.size();
+      for (const Node n : b.nodes) {
+        res.expected_mem_checksum += memory->expected_node_checksum(n);
+      }
+    }
+  }
   res.live = tree.live_nodes();
   res.live_colors.resize(res.live.size());
   colorer.color_of_batch(std::span<const Node>(res.live.data(),
@@ -115,6 +137,7 @@ RunResult run_config(const Config& cfg, unsigned workers,
                          std::span<Color>(res.live_colors.data(),
                                           res.live_colors.size()));
   res.tree_version = tree.version();
+  res.levels = tree.levels();
   EXPECT_TRUE(tree.validate());
   return res;
 }
@@ -199,18 +222,43 @@ TEST(DynServe, StagedPipelineMatchesOracle) {
   }
 }
 
+TEST(DynServe, ArenasOverTheColorerAreObservationOnly) {
+  // The colorer's tree() is its whole envelope, so a backend built over
+  // it holds a payload for every node the tree can grow into, and reads
+  // of nodes inserted mid-run stay inside the arenas.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const Config cfg = random_config(seed * 6700417);
+    const RunResult oracle = run_config(cfg, 1, 0);
+    EXPECT_EQ(oracle.report.memory, mem::TouchStats{});
+    for (const unsigned pipeline_workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE("pipeline=" + std::to_string(pipeline_workers));
+      const RunResult got = run_config(cfg, 1, pipeline_workers, true);
+      expect_same_responses(got.report, oracle.report);
+      expect_same_mutations(got.report.mutations, oracle.report.mutations);
+      expect_same_final_state(got, oracle);
+      EXPECT_GT(got.report.memory.nodes, 0u);
+      EXPECT_EQ(got.report.memory.nodes, got.expected_mem_nodes);
+      EXPECT_EQ(got.report.memory.checksum, got.expected_mem_checksum);
+    }
+  }
+}
+
 TEST(DynServe, FinalColorsMatchFromScratchMappings) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Config cfg = random_config(seed * 2654435761u);
     const RunResult res = run_config(cfg, 2, 0);
-    const CompleteBinaryTree envelope(kLevels);
+    // Rebuilt over the final height. The live colors came from the
+    // colorer's batch kernel; COLOR's scalar chase and LABEL-TREE's
+    // recursive retrieval check them by other code paths.
+    const CompleteBinaryTree shape(res.levels);
     std::unique_ptr<TreeMapping> rebuild;
     if (cfg.label_scheme) {
       rebuild = std::make_unique<LabelTreeMapping>(
-          envelope, 7, LabelTreeMapping::Retrieval::kTable);
+          shape, 7, LabelTreeMapping::Retrieval::kRecursive);
     } else {
-      rebuild = std::make_unique<ColorMapping>(envelope, kN, kK);
+      rebuild = std::make_unique<ColorMapping>(shape, kN, kK);
     }
     for (std::size_t i = 0; i < res.live.size(); ++i) {
       ASSERT_EQ(res.live_colors[i], rebuild->color_of(res.live[i]))

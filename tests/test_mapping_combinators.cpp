@@ -6,7 +6,6 @@
 
 #include "pmtree/analysis/cost.hpp"
 #include "pmtree/analysis/load_balance.hpp"
-#include "pmtree/dyn/incremental.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 
@@ -116,46 +115,6 @@ TEST(DegradedMapping, BatchKernelMatchesScalar) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     ASSERT_EQ(colors[i], degraded.color_of(nodes[i])) << "node " << i;
   }
-}
-
-// Composition audit (DESIGN.md §16): a combinator snapshots its base's
-// tree shape at construction. A dynamic base (pmtree::dyn's
-// IncrementalColorer) that grows afterwards is detectable via
-// base_shape_changed() — the wrappers' debug builds also assert on every
-// color path, but the query is what release-mode callers (the migration
-// planner) must check before reusing an epoch-old wrapper.
-TEST(CombinatorAudit, DynamicBaseGrowthIsDetected) {
-  const CompleteBinaryTree envelope(8);
-  dyn::IncrementalColorer colorer = dyn::IncrementalColorer::color(envelope, 5, 2);
-  colorer.touch(Node{2, 3});  // quiesce at 3 levels
-
-  std::vector<Color> identity(colorer.num_modules());
-  std::iota(identity.begin(), identity.end(), 0u);
-  const PermutedMapping permuted(colorer, std::move(identity));
-  const DegradedMapping degraded(colorer, {1});
-  const MigratedMapping migrated(colorer, 1,
-                                 std::vector<Color>{0, 1});
-  EXPECT_FALSE(permuted.base_shape_changed());
-  EXPECT_FALSE(degraded.base_shape_changed());
-  EXPECT_FALSE(migrated.base_shape_changed());
-  // Colors flow while the base is quiesced.
-  EXPECT_EQ(permuted.color_of(Node{2, 3}), colorer.color_of(Node{2, 3}));
-
-  // The base grows underneath the wrappers: every audit flag flips.
-  colorer.touch(Node{6, 11});
-  EXPECT_TRUE(permuted.base_shape_changed());
-  EXPECT_TRUE(degraded.base_shape_changed());
-  EXPECT_TRUE(migrated.base_shape_changed());
-
-  // Shrinking back (strawman reset) to the snapshot shape re-quiesces.
-  colorer.reset();
-  colorer.touch(Node{2, 3});
-  EXPECT_FALSE(permuted.base_shape_changed());
-
-  // A wrapper over a *static* base can never trip the audit.
-  const ColorMapping fixed(envelope, 5, 2);
-  const DegradedMapping stable(fixed, {0});
-  EXPECT_FALSE(stable.base_shape_changed());
 }
 
 TEST(DegradedMapping, ConflictsOnlyDegradeRelativeToHealthy) {

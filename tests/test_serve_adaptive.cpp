@@ -116,10 +116,7 @@ TEST(AdaptiveSelector, ConvergesToWhicheverCandidateTheWorkloadFavors) {
     }
     EXPECT_EQ(selector.epochs_planned(), 3u);
     ASSERT_EQ(selector.active_candidate(), c.winner);
-    EXPECT_EQ(&static_cast<const AdaptiveMapping&>(selector.current())
-                   .chosen_mapping(),
-              c.winner);
-    EXPECT_EQ(selector.current().name(), c.winner->name() + "+adaptive");
+    EXPECT_EQ(&selector.current(), c.winner);
   }
 }
 
