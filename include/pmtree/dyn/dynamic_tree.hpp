@@ -13,11 +13,11 @@
 //   * the live set is a per-level bitmap over the envelope (a
 //     CompleteBinaryTree of max_levels), maintained under the single
 //     structural invariant "every live non-root node has a live parent"
-//     — the live set is always a connected top subtree of the envelope;
-//   * payloads get *slots* from a bitmap/free-list allocator (the
-//     bp-forest idiom: freed slots recycle LIFO before the watermark
-//     grows), so applications can keep keys in dense arrays that survive
-//     arbitrary insert/erase churn without per-node heap nodes.
+//     — the live set is always a connected top subtree of the envelope.
+//
+// The serve layer's apply barrier (serve/mutation.hpp) is the one
+// mutator: it inserts single nodes under live parents and removes live
+// leaves, one request at a time.
 //
 // Every mutation validates its preconditions and returns a DynStatus
 // instead of silently accepting an out-of-range parent or an occupied
@@ -27,13 +27,11 @@
 #pragma once
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "pmtree/tree/node.hpp"
 #include "pmtree/tree/tree.hpp"
-#include "pmtree/util/bits.hpp"
 
 namespace pmtree::dyn {
 
@@ -44,10 +42,9 @@ enum class DynStatus : std::uint8_t {
   kNotInEnvelope,  ///< coordinate outside the max_levels envelope
   kParentMissing,  ///< insert target's parent is not live
   kOccupied,       ///< insert target is already live
-  kNotLive,        ///< erase/grow target is not live
+  kNotLive,        ///< erase target is not live
   kHasChildren,    ///< remove_leaf target still has a live child
   kIsRoot,         ///< the root cannot be removed
-  kHeightLimit,    ///< growth would exceed the envelope height
   kDuplicate,      ///< deduped: an identical mutation precedes it in batch
 };
 
@@ -60,7 +57,6 @@ enum class DynStatus : std::uint8_t {
     case DynStatus::kNotLive: return "not-live";
     case DynStatus::kHasChildren: return "has-children";
     case DynStatus::kIsRoot: return "is-root";
-    case DynStatus::kHeightLimit: return "height-limit";
     case DynStatus::kDuplicate: return "duplicate";
   }
   return "?";
@@ -69,8 +65,8 @@ enum class DynStatus : std::uint8_t {
 class DynamicTree {
  public:
   /// An initially root-only tree inside a max_levels envelope
-  /// (1 <= max_levels <= 26; a level's liveness bitmap and slot array
-  /// span its full envelope width).
+  /// (1 <= max_levels <= 26; a level's liveness bitmap spans its full
+  /// envelope width).
   explicit DynamicTree(std::uint32_t max_levels);
 
   [[nodiscard]] const CompleteBinaryTree& envelope() const noexcept {
@@ -101,53 +97,15 @@ class DynamicTree {
     return !is_live(left_child(n)) && !is_live(right_child(n));
   }
 
-  /// The stable payload slot of a live node. Slots are dense-ish small
-  /// integers (bounded by the high-water mark of concurrently live
-  /// nodes), recycled LIFO on removal. Precondition: is_live(n).
-  [[nodiscard]] std::uint64_t slot_of(Node n) const noexcept {
-    assert(is_live(n));
-    return slot_[n.level][n.index];
-  }
-
-  /// Smallest array size that indexes every slot ever handed out and not
-  /// yet recycled — the capacity apps size their payload arrays to.
-  [[nodiscard]] std::uint64_t slot_watermark() const noexcept {
-    return slot_watermark_;
-  }
-
   // ---- Mutations --------------------------------------------------------
 
   /// Makes `target` live. Fails with kNotInEnvelope / kOccupied /
   /// kParentMissing (the parent coordinate must already be live).
   DynStatus insert_node(Node target);
 
-  struct Alloc {
-    DynStatus status = DynStatus::kOk;
-    Node node;  ///< the allocated coordinate (valid iff status == kOk)
-  };
-
-  /// Allocates the first free child slot under `parent` (left, then
-  /// right). Fails with kParentMissing (parent not live), kHeightLimit
-  /// (parent on the envelope's last level), or kOccupied (both children
-  /// live).
-  Alloc append_leaf(Node parent);
-
-  /// Removes a live, childless, non-root node and recycles its slot.
+  /// Removes `leaf`. Fails with kNotLive / kIsRoot / kHasChildren (a
+  /// live child must be removed first).
   DynStatus remove_leaf(Node leaf);
-
-  struct SubtreeOp {
-    DynStatus status = DynStatus::kOk;
-    std::uint64_t nodes = 0;  ///< nodes inserted / removed
-  };
-
-  /// Split: materializes the complete `levels`-level subtree under a live
-  /// `root` (top-down, so parents always precede children). Fails with
-  /// kNotLive or kHeightLimit; already-live descendants are kept.
-  SubtreeOp grow_subtree(Node root, std::uint32_t levels);
-
-  /// Merge: removes every live strict descendant of a live `root`
-  /// (bottom-up), collapsing the subtree back to its root.
-  SubtreeOp prune_subtree(Node root);
 
   // ---- Traversal / verification -----------------------------------------
 
@@ -173,22 +131,19 @@ class DynamicTree {
 
   /// Full invariant check (test hook): the root is live, every live
   /// non-root node has a live parent, per-level counts match the bitmaps,
-  /// deepest_ is exact, and no two live nodes share a slot.
+  /// and deepest_ is exact.
   [[nodiscard]] bool validate() const;
 
  private:
-  /// Ensures level j's bitmap / slot array exist (allocated on first
-  /// touch, so a shallow tree in a deep envelope stays cheap).
+  /// Ensures level j's bitmap exists (allocated on first touch, so a
+  /// shallow tree in a deep envelope stays cheap).
   void ensure_level(std::uint32_t j);
   void set_live(Node n);
   void clear_live(Node n);
 
   CompleteBinaryTree envelope_;
   std::vector<std::vector<std::uint64_t>> live_;  ///< per-level bitmaps
-  std::vector<std::vector<std::uint64_t>> slot_;  ///< per-level slot ids
   std::vector<std::uint64_t> level_count_;        ///< live nodes per level
-  std::vector<std::uint64_t> free_slots_;         ///< recycled slots, LIFO
-  std::uint64_t slot_watermark_ = 0;
   std::uint64_t size_ = 0;
   std::uint32_t deepest_ = 0;
   std::uint64_t version_ = 0;

@@ -26,9 +26,9 @@
 //     is drained FIFO onto its reroute target, and every later request
 //     colored to it is enqueued on the target instead. Reroute targets
 //     are assigned round-robin: the j-th dead module (ascending id) maps
-//     to the j-th live module mod |live| — the same rule DegradedMapping
-//     applies to colors, so the engine's degraded routing and the
-//     analysis layer's degraded mapping agree.
+//     to the j-th live module mod |live|. The fault suites hold the
+//     engine's degraded routing to a test-only mapping that folds colors
+//     by the same rule (tests/test_mappings.hpp).
 //   * slowdown   — while t is in [begin, end), the module serves only on
 //     cycles with (t - begin) % period == 0; its queue otherwise stalls
 //     in place (counted in EngineResult::stalled_cycles).
@@ -120,12 +120,11 @@ class FaultPlan {
 };
 
 /// A FaultPlan compiled against a concrete module count: O(1) per-module
-/// queries plus the reroute table, shared by both engine implementations
-/// (and mirrored by DegradedMapping on the analysis side). Entries naming
-/// modules >= `modules` are ignored. If the plan would fail-stop every
-/// module, the one with the latest fail cycle (ties: highest id) is
-/// spared so that reroute targets always exist — degraded service beats
-/// a deadlocked simulation.
+/// queries plus the reroute table, shared by both engine implementations.
+/// Entries naming modules >= `modules` are ignored. If the plan would
+/// fail-stop every module, the one with the latest fail cycle (ties:
+/// highest id) is spared so that reroute targets always exist — degraded
+/// service beats a deadlocked simulation.
 class FaultTimeline {
  public:
   static constexpr std::uint64_t kNever = ~std::uint64_t{0};

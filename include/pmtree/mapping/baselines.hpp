@@ -5,9 +5,9 @@
 //   * ModuloMapping:     color = bfs_id mod M. Level runs are perfect, but
 //     subtrees and paths collide badly (a node and its 2^t-step ancestors
 //     repeat colors with period gcd-driven patterns).
-//   * LevelShiftMapping: color = (level + index) mod M — the "diagonal"
-//     scheme borrowed from array skewing; good on paths of short period,
-//     bad on subtrees.
+//   * LevelModMapping:   color = level mod M. The single-template
+//     specialist: conflict-free on ascending paths, bad on level runs and
+//     subtrees.
 //   * RandomMapping:     color = hash(bfs_id) mod M. The classic balls-in-
 //     bins yardstick: expected Theta(log M / log log M) conflicts at
 //     template size M; never conflict-free.
@@ -40,31 +40,6 @@ class ModuloMapping final : public TreeMapping {
   [[nodiscard]] std::uint32_t num_modules() const noexcept override { return M_; }
   [[nodiscard]] std::string name() const override {
     return "MODULO(M=" + std::to_string(M_) + ")";
-  }
-
- private:
-  std::uint32_t M_;
-};
-
-class LevelShiftMapping final : public TreeMapping {
- public:
-  LevelShiftMapping(CompleteBinaryTree tree, std::uint32_t M)
-      : TreeMapping(tree), M_(M) {}
-
-  [[nodiscard]] Color color_of(Node n) const override {
-    return static_cast<Color>((n.level + n.index) % M_);
-  }
-  /// Branch-free arithmetic loop — no virtual dispatch per node.
-  void color_of_batch(std::span<const Node> nodes,
-                      std::span<Color> out) const override {
-    const std::uint64_t M = M_;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      out[i] = static_cast<Color>((nodes[i].level + nodes[i].index) % M);
-    }
-  }
-  [[nodiscard]] std::uint32_t num_modules() const noexcept override { return M_; }
-  [[nodiscard]] std::string name() const override {
-    return "LEVEL-SHIFT(M=" + std::to_string(M_) + ")";
   }
 
  private:

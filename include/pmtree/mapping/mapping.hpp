@@ -6,7 +6,8 @@
 //
 //   * ColorMapping      — the paper's COLOR / BASIC-COLOR algorithm (§3);
 //   * LabelTreeMapping  — LABEL-TREE from ref. [2], reconstructed (§6);
-//   * ModuloMapping, RandomMapping, LevelShiftMapping — naive baselines.
+//   * ModuloMapping, LevelModMapping, RandomMapping — naive baselines;
+//   * MigratedMapping   — per-subtree color rotation over any of them.
 //
 // `color_of` must be a pure function of the node, and a mapping never
 // changes after construction, its tree() included, so a combinator may

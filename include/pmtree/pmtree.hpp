@@ -19,7 +19,6 @@
 #include "pmtree/array/array_mapping.hpp"
 #include "pmtree/apps/parallel_heap.hpp"
 #include "pmtree/apps/range_index.hpp"
-#include "pmtree/dyn/apps.hpp"
 #include "pmtree/dyn/dynamic_tree.hpp"
 #include "pmtree/dyn/incremental.hpp"
 #include "pmtree/engine/arrival.hpp"

@@ -95,8 +95,9 @@ struct TenantOptions {
   /// Per-tenant adaptive mapping selection (adaptive.hpp); same contract
   /// as ServerOptions::adaptive, scoped to this tenant's lanes and
   /// mapping — each tenant resolves the R10 trade-off against its own
-  /// traffic. Mutually exclusive with this tenant's migration; a tenant
-  /// carrying a fault plan keeps its static mapping regardless.
+  /// traffic. add_tenant throws std::invalid_argument when this tenant's
+  /// migration is enabled too; a tenant carrying a fault plan keeps its
+  /// static mapping regardless.
   AdaptivePolicy adaptive;
   /// Per-tenant real-memory arenas (mem/arena.hpp); same contract as
   /// ServerOptions::memory — observation only, totals land in
@@ -174,14 +175,17 @@ class Forest {
   ~Forest();
 
   /// Registers a tenant; returns its id (dense, in registration order).
-  /// `mapping` must outlive the forest. Tenants must be registered
-  /// before the first submit()/run().
+  /// `mapping` must outlive the forest. The first run() or plan() fixes
+  /// the capacity plan, so a later add_tenant throws std::logic_error; a
+  /// tenant enabling both migration and adaptive selection throws
+  /// std::invalid_argument.
   std::uint32_t add_tenant(const TreeMapping& mapping,
                            TenantOptions options = {});
 
   /// Thread-safe MPSC submission to one tenant; callable concurrently
   /// from any number of client threads. (client, seq) must be unique per
-  /// tenant per run.
+  /// tenant per run. Throws std::out_of_range for a tenant id >=
+  /// tenant_count(); nothing is queued then.
   void submit(std::uint32_t tenant, Request request);
   void submit(std::uint32_t tenant, std::vector<Request> requests);
 

@@ -39,8 +39,9 @@ namespace pmtree::serve {
 /// in read-write mode: Insert/Erase requests mutate it at the batch-cut
 /// barrier and `colorer` (required; it must be the server's mapping or
 /// share its color function) counts the touched nodes for dyn_stats.
-/// Mutually exclusive with migration and adaptive selection; faulted
-/// configurations run the mutation barrier like everything else.
+/// Server's constructor throws std::invalid_argument for a tree without a
+/// colorer, and for a tree combined with migration or adaptive selection;
+/// faulted configurations run the mutation barrier like everything else.
 struct DynBinding {
   dyn::DynamicTree* tree = nullptr;
   dyn::IncrementalColorer* colorer = nullptr;

@@ -47,8 +47,9 @@
 // EngineOptions::faults (fault/plan.hpp) are what make retries fire in
 // practice: fail-stopped modules reroute, slowed modules stall, residency
 // inflates past the timeout, and the retry lands on a later batch —
-// usually after DegradedMapping-equivalent routing has settled. All of it
-// stays on the control plane's clock, so determinism is unchanged.
+// usually after the fault timeline's reroute table has taken over the dead
+// modules' traffic. All of it stays on the control plane's clock, so
+// determinism is unchanged.
 //
 // Graceful shutdown is the run() contract itself: every request submitted
 // before run() reaches a terminal status (kOk, kShed or kExpired) —
@@ -166,18 +167,18 @@ struct ServerOptions {
   /// pipeline workers included. Disabled (default) leaves every code path
   /// byte-identical to the static-mapping server. Faulted configurations
   /// keep the static mapping — fault reroute timelines already own the
-  /// color space (DegradedMapping composes with MigratedMapping at the
-  /// mapping layer instead; see DESIGN.md §15).
+  /// color space (DESIGN.md §15).
   MigrationPolicy migration;
   /// Read-write serving (mutation.hpp / DESIGN.md §16). When bound to a
   /// dyn::DynamicTree + IncrementalColorer, Insert/Erase requests apply
   /// PALM-style at the batch-cut barrier — a control-plane decision, so
   /// responses and the mutation log stay bit-identical at any worker
-  /// count, pipeline workers included. Mutually exclusive with
-  /// migration and adaptive selection: a dyn server arms no epoch
-  /// controller (compose MigratedMapping at the mapping layer instead).
-  /// Disabled (default) leaves every code path byte-identical to the
-  /// read-only server.
+  /// count, pipeline workers included. The constructor throws
+  /// std::invalid_argument for a tree without a colorer, and for a tree
+  /// combined with migration or adaptive selection: an epoch controller
+  /// would remap a tree whose shape the barrier changes. Disabled
+  /// (default) leaves every code path byte-identical to the read-only
+  /// server.
   DynBinding dyn;
   /// Runtime mapping selection (adaptive.hpp / DESIGN.md §17). When
   /// enabled, an AdaptiveSelector scores every policy candidate against
@@ -185,9 +186,10 @@ struct ServerOptions {
   /// at epoch boundaries when a candidate strictly wins — the R10
   /// COLOR-vs-LABEL-TREE trade-off decided by measurement. A
   /// control-plane decision, so responses stay bit-identical at any
-  /// worker count, pipeline workers included. Mutually exclusive with
-  /// migration (both would own the epoch mapping) and with dyn; faulted
-  /// configurations keep the static mapping, exactly like migration.
+  /// worker count, pipeline workers included. The constructor throws
+  /// std::invalid_argument when migration is enabled too (both would own
+  /// the epoch mapping) or dyn is bound; faulted configurations keep the
+  /// static mapping, exactly like migration.
   AdaptivePolicy adaptive;
   /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
   /// owned, must outlive the run). When set, every cut batch's deduped
@@ -232,7 +234,9 @@ class Server {
  public:
   /// `mapping` must outlive the server. Instruments land in the server's
   /// own registry (see registry()) under prefix "serve" plus
-  /// "serve.replicaN.*" for each replica's engine run.
+  /// "serve.replicaN.*" for each replica's engine run. Throws
+  /// std::invalid_argument for the option pairs that do not compose (see
+  /// `dyn` and `adaptive` above).
   explicit Server(const TreeMapping& mapping, ServerOptions options = {});
   ~Server();
 

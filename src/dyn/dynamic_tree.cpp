@@ -1,40 +1,25 @@
 #include "pmtree/dyn/dynamic_tree.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace pmtree::dyn {
 
 DynamicTree::DynamicTree(std::uint32_t max_levels)
-    : envelope_(max_levels),
-      live_(max_levels),
-      slot_(max_levels),
-      level_count_(max_levels, 0) {
+    : envelope_(max_levels), live_(max_levels), level_count_(max_levels, 0) {
   assert(max_levels >= 1 && max_levels <= 26);
-  ensure_level(0);
   set_live(envelope_.root());
 }
 
 void DynamicTree::ensure_level(std::uint32_t j) {
   assert(j < envelope_.levels());
   if (!live_[j].empty()) return;
-  const std::uint64_t width = envelope_.level_width(j);
-  live_[j].assign((width + 63) / 64, 0);
-  slot_[j].assign(width, 0);
+  live_[j].assign((envelope_.level_width(j) + 63) / 64, 0);
 }
 
 void DynamicTree::set_live(Node n) {
   ensure_level(n.level);
   live_[n.level][n.index >> 6] |= std::uint64_t{1} << (n.index & 63);
-  // Slot allocation: recycle LIFO before growing the watermark — the
-  // bp-forest free-list idiom, keeping payload arrays dense under churn.
-  std::uint64_t s;
-  if (!free_slots_.empty()) {
-    s = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    s = slot_watermark_++;
-  }
-  slot_[n.level][n.index] = s;
   level_count_[n.level] += 1;
   size_ += 1;
   if (n.level > deepest_) deepest_ = n.level;
@@ -43,7 +28,6 @@ void DynamicTree::set_live(Node n) {
 
 void DynamicTree::clear_live(Node n) {
   live_[n.level][n.index >> 6] &= ~(std::uint64_t{1} << (n.index & 63));
-  free_slots_.push_back(slot_[n.level][n.index]);
   level_count_[n.level] -= 1;
   size_ -= 1;
   while (deepest_ > 0 && level_count_[deepest_] == 0) deepest_ -= 1;
@@ -60,24 +44,6 @@ DynStatus DynamicTree::insert_node(Node target) {
   return DynStatus::kOk;
 }
 
-DynamicTree::Alloc DynamicTree::append_leaf(Node parent_node) {
-  if (!is_live(parent_node)) return Alloc{DynStatus::kParentMissing, Node{}};
-  if (parent_node.level + 1 >= envelope_.levels()) {
-    return Alloc{DynStatus::kHeightLimit, Node{}};
-  }
-  const Node left = left_child(parent_node);
-  if (!is_live(left)) {
-    set_live(left);
-    return Alloc{DynStatus::kOk, left};
-  }
-  const Node right = right_child(parent_node);
-  if (!is_live(right)) {
-    set_live(right);
-    return Alloc{DynStatus::kOk, right};
-  }
-  return Alloc{DynStatus::kOccupied, Node{}};
-}
-
 DynStatus DynamicTree::remove_leaf(Node leaf) {
   if (!is_live(leaf)) return DynStatus::kNotLive;
   if (leaf.level == 0) return DynStatus::kIsRoot;
@@ -87,55 +53,6 @@ DynStatus DynamicTree::remove_leaf(Node leaf) {
   }
   clear_live(leaf);
   return DynStatus::kOk;
-}
-
-DynamicTree::SubtreeOp DynamicTree::grow_subtree(Node root,
-                                                 std::uint32_t levels) {
-  if (!is_live(root)) return SubtreeOp{DynStatus::kNotLive, 0};
-  if (levels == 0) return SubtreeOp{DynStatus::kOk, 0};
-  if (root.level + levels > envelope_.levels()) {
-    return SubtreeOp{DynStatus::kHeightLimit, 0};
-  }
-  // Top-down, so every inserted node's parent is live by the time it is
-  // reached (the subtree root is live, and level d fills before d+1).
-  std::uint64_t inserted = 0;
-  for (std::uint32_t d = 1; d < levels; ++d) {
-    const std::uint32_t j = root.level + d;
-    const std::uint64_t first = root.index << d;
-    for (std::uint64_t off = 0; off < pow2(d); ++off) {
-      const Node n{j, first + off};
-      if (!is_live(n)) {
-        set_live(n);
-        inserted += 1;
-      }
-    }
-  }
-  return SubtreeOp{DynStatus::kOk, inserted};
-}
-
-DynamicTree::SubtreeOp DynamicTree::prune_subtree(Node root) {
-  if (!is_live(root)) return SubtreeOp{DynStatus::kNotLive, 0};
-  // Bottom-up, so every removal is a leaf removal by the time it happens.
-  std::uint64_t removed = 0;
-  for (std::uint32_t j = deepest_; j > root.level; --j) {
-    const std::uint32_t d = j - root.level;
-    if (live_[j].empty()) continue;
-    const std::uint64_t first = root.index << d;
-    const std::uint64_t last = ((root.index + 1) << d) - 1;
-    // Word-granular sweep of the subtree's index range at this level.
-    for (std::uint64_t w = first >> 6; w <= (last >> 6); ++w) {
-      std::uint64_t bits = live_[j][w];
-      while (bits != 0) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::uint64_t i = (w << 6) + b;
-        if (i < first || i > last) continue;
-        clear_live(Node{j, i});
-        removed += 1;
-      }
-    }
-  }
-  return SubtreeOp{DynStatus::kOk, removed};
 }
 
 std::vector<Node> DynamicTree::live_nodes() const {
@@ -149,12 +66,10 @@ bool DynamicTree::validate() const {
   if (!is_live(envelope_.root())) return false;
   std::uint64_t total = 0;
   std::uint32_t max_live_level = 0;
-  std::vector<std::uint64_t> slots;
   bool parents_ok = true;
   for_each_live([&](Node n) {
     total += 1;
     max_live_level = std::max(max_live_level, n.level);
-    slots.push_back(slot_[n.level][n.index]);
     if (n.level > 0 && !is_live(parent(n))) parents_ok = false;
   });
   if (!parents_ok || total != size_ || max_live_level != deepest_) {
@@ -167,11 +82,6 @@ bool DynamicTree::validate() const {
     }
     if (c != level_count_[j]) return false;
   }
-  std::sort(slots.begin(), slots.end());
-  if (std::adjacent_find(slots.begin(), slots.end()) != slots.end()) {
-    return false;
-  }
-  if (!slots.empty() && slots.back() >= slot_watermark_) return false;
   return true;
 }
 

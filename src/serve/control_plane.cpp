@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -244,20 +245,14 @@ struct Slot {
   std::size_t round_first_batch = 0;
 };
 
-/// Arms the slot's epoch controller, if any. Both controllers own the
-/// slot's color space, so each is suppressed where something else already
-/// does: a fault timeline's reroute table (faulted slots keep the static
-/// mapping) or a dynamic tree's shape (dyn serving assumes no remapping).
+/// Arms the slot's epoch controller, if any. A controller owns the slot's
+/// color space, so a faulted slot, whose fault timeline's reroute table
+/// already owns it, keeps the static mapping. At most one controller is
+/// enabled, and never on a dyn slot: reject_excluded_pairs has refused
+/// every other configuration before the first run.
 void arm_epoch_controller(Slot& s) {
   const TenantOptions& o = s.config->options;
-  const bool dyn = s.config->dyn.enabled();
-  assert(!(dyn && o.migration.enabled()) &&
-         "dyn serving and skew migration are mutually exclusive");
-  assert(!(dyn && o.adaptive.enabled()) &&
-         "dyn serving and adaptive selection are mutually exclusive");
-  assert(!(o.migration.enabled() && o.adaptive.enabled()) &&
-         "migration and adaptive selection both own the epoch mapping");
-  if (dyn || (o.engine.faults != nullptr && !o.engine.faults->empty())) return;
+  if (o.engine.faults != nullptr && !o.engine.faults->empty()) return;
   const TreeMapping& base = *s.config->mapping;
   if (o.migration.enabled()) {
     s.planner = std::make_unique<MigrationPlanner>(base, o.migration);
@@ -671,6 +666,26 @@ Canonical canonical_order(
 }
 
 }  // namespace
+
+void reject_excluded_pairs(const MigrationPolicy& migration,
+                           const AdaptivePolicy& adaptive,
+                           const DynBinding& dyn) {
+  if (dyn.enabled() && dyn.colorer == nullptr) {
+    throw std::invalid_argument("dyn serving needs dyn.colorer");
+  }
+  if (dyn.enabled() && migration.enabled()) {
+    throw std::invalid_argument(
+        "dyn serving and skew migration do not compose");
+  }
+  if (dyn.enabled() && adaptive.enabled()) {
+    throw std::invalid_argument(
+        "dyn serving and adaptive selection do not compose");
+  }
+  if (migration.enabled() && adaptive.enabled()) {
+    throw std::invalid_argument(
+        "migration and adaptive selection both own the epoch mapping");
+  }
+}
 
 std::uint64_t count_status(const std::vector<Response>& responses,
                            RequestStatus status) noexcept {

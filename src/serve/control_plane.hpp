@@ -79,6 +79,16 @@ struct PlaneReport {
   Json aggregate;  ///< aggregate summary; null without one
 };
 
+/// Throws std::invalid_argument for a feature pair the control plane does
+/// not compose: dyn serving with migration or adaptive selection (both
+/// would remap a tree whose shape the barrier changes), migration with
+/// adaptive selection (both own the epoch mapping), and a dyn tree without
+/// its colorer. Server's constructor and Forest::add_tenant call it, so a
+/// rejected configuration fails before it serves anything.
+void reject_excluded_pairs(const MigrationPolicy& migration,
+                           const AdaptivePolicy& adaptive,
+                           const DynBinding& dyn);
+
 /// Report helpers shared by ServeReport and ForestReport: a status count
 /// and the per-response JSON table.
 [[nodiscard]] std::uint64_t count_status(const std::vector<Response>& responses,

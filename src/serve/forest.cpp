@@ -1,8 +1,8 @@
 #include "pmtree/serve/forest.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "control_plane.hpp"
@@ -66,7 +66,12 @@ Forest::~Forest() = default;
 
 std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
                                  TenantOptions options) {
-  assert(!planned_ && "register every tenant before the first run()");
+  if (planned_) {
+    throw std::logic_error(
+        "Forest::add_tenant after the capacity plan was fixed by run() or "
+        "plan()");
+  }
+  detail::reject_excluded_pairs(options.migration, options.adaptive, {});
   const std::uint32_t id = static_cast<std::uint32_t>(tenants_.size());
   if (options.name.empty()) options.name = "t" + std::to_string(id);
   if (options.weight == 0) options.weight = 1;
@@ -75,7 +80,9 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
 }
 
 void Forest::submit(std::uint32_t tenant, Request request) {
-  assert(tenant < tenants_.size());
+  if (tenant >= tenants_.size()) {
+    throw std::out_of_range("Forest::submit to an unknown tenant");
+  }
   plane_->submit(tenant, std::move(request));
 }
 

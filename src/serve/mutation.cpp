@@ -1,7 +1,6 @@
 #include "pmtree/serve/mutation.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace pmtree::serve {
 
@@ -11,8 +10,6 @@ void apply_batch_mutations(const FormedBatch& batch,
                            std::vector<char>& applied,
                            std::vector<MutationRecord>& log) {
   if (!binding.enabled()) return;
-  assert(binding.colorer != nullptr &&
-         "a dyn binding needs its incremental colorer");
 
   // Accounting only: the colorer's mapping already colors every envelope
   // node. Raw (uncoalesced) batches repeat nodes; touches() counts the
@@ -43,9 +40,9 @@ void apply_batch_mutations(const FormedBatch& batch,
     // Dedup: the most recent non-duplicate writer on this coordinate in
     // this batch decides. Same kind — an identical op already got its
     // verdict, later copies are marked instead of re-applied. Different
-    // kind — the coordinate's state changed in between (insert-erase-
-    // insert oscillation, e.g. a heap shrinking and regrowing past the
-    // same BFS slot), so the repeat is a fresh application, not a copy.
+    // kind — the coordinate's state changed in between (an insert, an
+    // erase of the same leaf, then a re-insert, all in one batch), so the
+    // repeat is a fresh application, not a copy.
     bool duplicate = false;
     for (auto it = log.rbegin(); it != log.rend() && it->batch == batch.id;
          ++it) {

@@ -47,6 +47,8 @@ Server::Server(const TreeMapping& mapping, ServerOptions options)
     : mapping_(mapping),
       options_(options),
       plane_(std::make_unique<detail::ControlPlane>()) {
+  detail::reject_excluded_pairs(options_.migration, options_.adaptive,
+                                options_.dyn);
   if (options_.tick_cycles == 0) options_.tick_cycles = 1;
   if (options_.replicas == 0) options_.replicas = 1;
 }

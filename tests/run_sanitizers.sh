@@ -42,11 +42,12 @@
 # over the colorer included — the barrier threads race to build and
 # CAS-publish the batch tables of the colorer's ColorMapping on its
 # first color_of_batch, so a race shows up as a TSan report and as a
-# response or mutation-log divergence; test_dyn_incremental re-checks the colorer against a
-# from-scratch mapping over the tree's current height after every
-# mutation batch, and test_engine_faults drives insert/erase
-# batches through fail-stop fault epochs at 2/8 workers — the `dyn`
-# ctest label selects the dynamic-tree suites),
+# response or mutation-log divergence; test_dyn_tree checks the live
+# bitmap's verdicts against a set-based model; test_dyn_incremental
+# re-checks the colorer against a from-scratch mapping over the tree's
+# current height after every mutation batch, and test_engine_faults
+# drives insert/erase batches through fail-stop fault epochs at 2/8
+# workers — the `dyn` ctest label selects these four suites),
 # and real-memory arenas + adaptive selection (test_serve_mem touches
 # the immutable MemoryBackend slabs from the barrier threads at 1/2/8
 # workers and pipeline workers — a race in the concurrent touch path or

@@ -12,6 +12,7 @@
 // driven through 25 mutation batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
@@ -29,40 +30,45 @@ namespace {
 
 constexpr std::uint32_t kEnvelopeLevels = 9;
 
-/// One batch of random structural mutations; returns the touched set
-/// (every coordinate a serve batch would hand the colorer).
+/// One batch of random structural mutations through the tree's two
+/// mutators, insert_node and remove_leaf; returns the touched set (every
+/// coordinate a serve batch would hand the colorer).
 std::vector<Node> mutate_batch(DynamicTree& tree, Rng& rng) {
   std::vector<Node> touched;
   const std::uint64_t ops = rng.between(5, 20);
   for (std::uint64_t op = 0; op < ops; ++op) {
     const std::uint64_t kind = rng.below(5);
-    if (kind <= 1) {  // append a leaf under a random live node
-      const std::vector<Node> live = tree.live_nodes();
-      const Node parent = live[rng.below(live.size())];
-      const auto alloc = tree.append_leaf(parent);
-      if (alloc.status == DynStatus::kOk) touched.push_back(alloc.node);
-    } else if (kind == 2) {  // remove a random live leaf
-      const std::vector<Node> live = tree.live_nodes();
-      const Node victim = live[rng.below(live.size())];
-      if (tree.remove_leaf(victim) == DynStatus::kOk) {
-        touched.push_back(victim);
-      }
-    } else if (kind == 3) {  // split: grow a small subtree
-      const std::vector<Node> live = tree.live_nodes();
-      const Node root = live[rng.below(live.size())];
-      const auto levels = static_cast<std::uint32_t>(rng.between(2, 3));
-      if (tree.grow_subtree(root, levels).status == DynStatus::kOk) {
-        for (std::uint32_t d = 0; d < levels; ++d) {
-          for (std::uint64_t i = 0; i < pow2(d); ++i) {
-            touched.push_back(Node{root.level + d, (root.index << d) + i});
-          }
+    const std::vector<Node> live = tree.live_nodes();
+    const Node pick = live[rng.below(live.size())];
+    if (kind <= 1) {  // append a leaf under `pick`: left child, else right
+      for (const Node child : {left_child(pick), right_child(pick)}) {
+        if (tree.insert_node(child) == DynStatus::kOk) {
+          touched.push_back(child);
+          break;
         }
       }
-    } else {  // merge: prune a random subtree
-      const std::vector<Node> live = tree.live_nodes();
-      const Node root = live[rng.below(live.size())];
-      tree.prune_subtree(root);
-      touched.push_back(root);
+    } else if (kind == 2) {  // remove `pick` if it is a leaf
+      if (tree.remove_leaf(pick) == DynStatus::kOk) touched.push_back(pick);
+    } else if (kind == 3) {  // split: grow a small subtree under `pick`
+      const auto levels = static_cast<std::uint32_t>(rng.between(2, 3));
+      if (pick.level + levels > tree.max_levels()) continue;
+      // Top-down, so every parent is live before its children.
+      for (std::uint32_t d = 0; d < levels; ++d) {
+        for (std::uint64_t i = 0; i < pow2(d); ++i) {
+          const Node n{pick.level + d, (pick.index << d) + i};
+          (void)tree.insert_node(n);  // kOccupied keeps a live node
+          touched.push_back(n);
+        }
+      }
+    } else {  // merge: prune every live strict descendant of `pick`
+      // Bottom-up, so every removal is a leaf removal.
+      for (std::uint32_t j = tree.levels(); j-- > pick.level + 1;) {
+        const std::uint32_t d = j - pick.level;
+        for (std::uint64_t i = 0; i < pow2(d); ++i) {
+          (void)tree.remove_leaf(Node{j, (pick.index << d) + i});
+        }
+      }
+      touched.push_back(pick);
     }
   }
   return touched;
@@ -75,9 +81,10 @@ using Reference =
 /// Drives `colorer` through 25 mutation batches and asserts its colors
 /// equal the reference over the tree's current height after every batch,
 /// over the live set and the touched coordinates that fit in it, via both
-/// the scalar and the batch read paths.
+/// the scalar and the batch read paths. Raises `tallest` to the largest
+/// height the tree reached.
 void run_differential(IncrementalColorer colorer, const Reference& reference,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, std::uint32_t& tallest) {
   const CompleteBinaryTree envelope(kEnvelopeLevels);
   ASSERT_EQ(colorer.tree(), envelope);
   const std::unique_ptr<TreeMapping> whole = reference(envelope);
@@ -91,6 +98,7 @@ void run_differential(IncrementalColorer colorer, const Reference& reference,
     // coordinate functions, so reading them must stay exact too.
     colorer.touch(std::span<const Node>(touched.data(), touched.size()));
     ASSERT_EQ(colorer.tree(), envelope);
+    tallest = std::max(tallest, tree.levels());
 
     const std::unique_ptr<TreeMapping> scratch =
         reference(CompleteBinaryTree(tree.levels()));
@@ -135,10 +143,14 @@ TEST_P(DynIncrementalColor, MatchesFromScratchRebuildEveryBatch) {
   const Reference reference = [N, k](CompleteBinaryTree shape) {
     return std::make_unique<EagerColorMapping>(ColorMapping(shape, N, k));
   };
+  std::uint32_t tallest = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     run_differential(IncrementalColorer::color(envelope, N, k), reference,
-                     0xC0105000 + seed);
+                     0xC0105000 + seed, tallest);
   }
+  // The generator reaches the envelope's last level, so the differential
+  // covers every level the colorer can be asked for.
+  EXPECT_EQ(tallest, kEnvelopeLevels);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, DynIncrementalColor,
@@ -159,10 +171,12 @@ TEST_P(DynIncrementalLabel, MatchesFromScratchRebuildEveryBatch) {
     return std::make_unique<LabelTreeMapping>(
         shape, M, LabelTreeMapping::Retrieval::kRecursive);
   };
+  std::uint32_t tallest = 0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     run_differential(IncrementalColorer::label_tree(envelope, M), reference,
-                     0x1ABE1000 + seed);
+                     0x1ABE1000 + seed, tallest);
   }
+  EXPECT_EQ(tallest, kEnvelopeLevels);
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, DynIncrementalLabel,

@@ -11,7 +11,9 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pmtree/dyn/dynamic_tree.hpp"
@@ -317,6 +319,196 @@ TEST(DynServe, ConflictingWritersResolveToCanonicalFirst) {
   EXPECT_EQ(report.mutations[2].status, dyn::DynStatus::kOk);
   EXPECT_FALSE(tree.is_live(target));
   EXPECT_EQ(tree.size(), 1u);
+}
+
+/// A write request whose node set is its own target.
+Request write(std::uint32_t client, std::uint64_t seq, std::uint64_t cycle,
+              RequestKind kind, Node target) {
+  Request r;
+  r.client = client;
+  r.seq = seq;
+  r.submit_cycle = cycle;
+  r.kind = kind;
+  r.target = target;
+  r.nodes = {target};
+  return r;
+}
+
+std::uint64_t tree_version_of(const ServeReport& report) {
+  const Json* dyn = report.metrics.find("dyn");
+  EXPECT_NE(dyn, nullptr);
+  return dyn == nullptr ? 0 : dyn->find("tree_version")->as_uint();
+}
+
+TEST(DynServe, TreeStateCarriesAcrossRuns) {
+  // One Server, two run() calls on one bound tree: run 2 mutates the
+  // shape run 1 left, its log holds only its own writers, and the tree
+  // version continues from run 1's.
+  const CompleteBinaryTree envelope(kLevels);
+  dyn::DynamicTree tree(kLevels);
+  dyn::IncrementalColorer colorer =
+      dyn::IncrementalColorer::color(envelope, kN, kK);
+  ServerOptions opts;
+  opts.tick_cycles = 2;
+  opts.batch.max_batch_nodes = 16;
+  opts.dyn.tree = &tree;
+  opts.dyn.colorer = &colorer;
+  Server server(colorer, opts);
+
+  server.submit(write(0, 0, 0, RequestKind::kInsert, Node{1, 0}));
+  server.submit(write(0, 1, 4, RequestKind::kInsert, Node{2, 1}));
+  server.submit(write(1, 0, 8, RequestKind::kInsert, Node{1, 1}));
+  server.submit(write(1, 1, 12, RequestKind::kErase, Node{1, 1}));
+  const ServeReport first = server.run();
+  ASSERT_EQ(first.mutations.size(), 4u);
+  for (const MutationRecord& rec : first.mutations) {
+    EXPECT_EQ(rec.status, dyn::DynStatus::kOk);
+  }
+  const std::uint64_t version = tree_version_of(first);
+  EXPECT_EQ(version, tree.version());
+
+  // (3, 2) hangs under run 1's (2, 1); (1, 1) was erased in run 1.
+  server.submit(write(2, 0, 0, RequestKind::kInsert, Node{3, 2}));
+  server.submit(write(2, 1, 4, RequestKind::kErase, Node{1, 1}));
+  const ServeReport second = server.run();
+  ASSERT_EQ(second.mutations.size(), 2u);
+  for (const MutationRecord& rec : second.mutations) {
+    EXPECT_EQ(rec.client, 2u);
+  }
+  EXPECT_EQ(second.mutations[0].target, (Node{3, 2}));
+  EXPECT_EQ(second.mutations[0].status, dyn::DynStatus::kOk);
+  EXPECT_EQ(second.mutations[1].status, dyn::DynStatus::kNotLive);
+  EXPECT_EQ(tree_version_of(second), version + 1);
+  EXPECT_EQ(tree.live_nodes(),
+            (std::vector<Node>{{0, 0}, {1, 0}, {2, 1}, {3, 2}}));
+  EXPECT_TRUE(tree.validate());
+}
+
+// A keyed store over the live tree (the dictionary protocol): a key rides
+// its insert as the payload, a client places it at the BST attach node of
+// its key view, and every client rebuilds that view from the barrier's
+// mutation log.
+using KeyView = std::vector<std::pair<Node, std::int64_t>>;
+
+std::optional<std::int64_t> key_at(const KeyView& view, Node n) {
+  for (const auto& [node, key] : view) {
+    if (node == n) return key;
+  }
+  return std::nullopt;
+}
+
+/// The node holding `key`, or the unkeyed node its BST walk ends on.
+Node bst_slot(const KeyView& view, std::int64_t key) {
+  Node cur{0, 0};
+  while (true) {
+    const std::optional<std::int64_t> k = key_at(view, cur);
+    if (!k || *k == key) return cur;
+    cur = key < *k ? left_child(cur) : right_child(cur);
+  }
+}
+
+/// `view` plus every applied insert in `report`'s log, any client's.
+KeyView harvest(KeyView view, const ServeReport& report) {
+  for (const MutationRecord& rec : report.mutations) {
+    if (rec.kind == RequestKind::kInsert &&
+        rec.status == dyn::DynStatus::kOk) {
+      view.emplace_back(rec.target, rec.payload);
+    }
+  }
+  return view;
+}
+
+TEST(DynamicDictionary, RacingClientsConvergeAndLosersAreReported) {
+  // Two clients plan the same key from the same view, so both target the
+  // same attach node: exactly one insert applies, the other's verdict is
+  // a loss in the log, and both converge on one view by harvesting it.
+  const CompleteBinaryTree envelope(kLevels);
+  dyn::DynamicTree tree(kLevels);
+  dyn::IncrementalColorer colorer =
+      dyn::IncrementalColorer::color(envelope, kN, kK);
+  ServerOptions opts;
+  opts.tick_cycles = 2;
+  opts.batch.max_batch_nodes = 24;
+  opts.dyn.tree = &tree;
+  opts.dyn.colorer = &colorer;
+  Server server(colorer, opts);
+
+  const KeyView initial{{Node{0, 0}, 500}};
+  constexpr std::int64_t kKey = 777;
+  for (std::uint32_t client = 0; client < 2; ++client) {
+    const Node attach = bst_slot(initial, kKey);
+    ASSERT_EQ(attach, (Node{1, 1}));
+    Request r = write(client, 0, 0, RequestKind::kInsert, attach);
+    r.payload = kKey;
+    r.nodes = {Node{0, 0}, attach};
+    server.submit(std::move(r));
+  }
+  const ServeReport report = server.run();
+
+  ASSERT_EQ(report.responses.size(), 2u);
+  for (const Response& resp : report.responses) {
+    EXPECT_EQ(resp.status, RequestStatus::kOk);
+  }
+  ASSERT_EQ(report.mutations.size(), 2u);
+  // The canonically-first writer wins; the loser's verdict is in the log
+  // under its own (client, seq).
+  EXPECT_EQ(report.mutations[0].client, 0u);
+  EXPECT_EQ(report.mutations[0].seq, 0u);
+  EXPECT_EQ(report.mutations[0].status, dyn::DynStatus::kOk);
+  EXPECT_EQ(report.mutations[1].client, 1u);
+  EXPECT_EQ(report.mutations[1].seq, 0u);
+  EXPECT_TRUE(report.mutations[1].status == dyn::DynStatus::kDuplicate ||
+              report.mutations[1].status == dyn::DynStatus::kOccupied);
+
+  // Every client harvests the same log, so one harvest is each client's
+  // view: the key is stored once and a walk for it finds it.
+  const KeyView converged = harvest(initial, report);
+  ASSERT_EQ(converged.size(), 2u);
+  const Node found = bst_slot(converged, kKey);
+  EXPECT_EQ(found, (Node{1, 1}));
+  EXPECT_EQ(key_at(converged, found), kKey);
+  EXPECT_TRUE(tree.is_live(found));
+  EXPECT_EQ(tree.size(), 2u);
+}
+
+// A dyn binding composes with neither epoch controller, and needs its
+// colorer: each is rejected when the Server is built, in every build type.
+
+TEST(DynServe, RejectsTreeWithoutColorer) {
+  const CompleteBinaryTree envelope(kLevels);
+  dyn::DynamicTree tree(kLevels);
+  const ColorMapping mapping(envelope, kN, kK);
+  ServerOptions opts;
+  opts.dyn.tree = &tree;
+  EXPECT_THROW(Server(mapping, opts), std::invalid_argument);
+}
+
+TEST(DynServe, RejectsSkewMigration) {
+  const CompleteBinaryTree envelope(kLevels);
+  dyn::DynamicTree tree(kLevels);
+  dyn::IncrementalColorer colorer =
+      dyn::IncrementalColorer::color(envelope, kN, kK);
+  ServerOptions opts;
+  opts.dyn.tree = &tree;
+  opts.dyn.colorer = &colorer;
+  opts.migration.epoch_batches = 4;
+  opts.migration.top_k = 4;
+  ASSERT_TRUE(opts.migration.enabled());
+  EXPECT_THROW(Server(colorer, opts), std::invalid_argument);
+}
+
+TEST(DynServe, RejectsAdaptiveSelection) {
+  const CompleteBinaryTree envelope(kLevels);
+  dyn::DynamicTree tree(kLevels);
+  dyn::IncrementalColorer colorer =
+      dyn::IncrementalColorer::color(envelope, kN, kK);
+  ServerOptions opts;
+  opts.dyn.tree = &tree;
+  opts.dyn.colorer = &colorer;
+  opts.adaptive.epoch_batches = 4;
+  opts.adaptive.candidates = {&colorer};
+  ASSERT_TRUE(opts.adaptive.enabled());
+  EXPECT_THROW(Server(colorer, opts), std::invalid_argument);
 }
 
 TEST(DynServe, WithoutBindingWritesBehaveAsReads) {

@@ -20,6 +20,7 @@
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/bits.hpp"
 #include "pmtree/util/rng.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

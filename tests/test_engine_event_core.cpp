@@ -20,6 +20,7 @@
 #include "pmtree/util/rng.hpp"
 #include "engine_trajectory.hpp"
 #include "reference_engine.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

@@ -17,11 +17,11 @@
 #include "pmtree/engine/engine.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
-#include "pmtree/mapping/combinators.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
 #include "engine_trajectory.hpp"
 #include "reference_engine.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

@@ -26,6 +26,7 @@
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
 #include "reference_engine.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

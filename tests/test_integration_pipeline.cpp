@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "pmtree/pmtree.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

@@ -7,6 +7,7 @@
 
 #include "pmtree/analysis/cost.hpp"
 #include "pmtree/util/bits.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

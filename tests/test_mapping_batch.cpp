@@ -10,11 +10,11 @@
 
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
-#include "pmtree/mapping/combinators.hpp"
 #include "pmtree/mapping/label_tree.hpp"
 #include "pmtree/mapping/mapping.hpp"
 #include "pmtree/tree/tree.hpp"
 #include "pmtree/util/rng.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

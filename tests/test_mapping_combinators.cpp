@@ -1,5 +1,3 @@
-#include "pmtree/mapping/combinators.hpp"
-
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -8,6 +6,7 @@
 #include "pmtree/analysis/load_balance.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

@@ -11,6 +11,7 @@
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree {
 namespace {

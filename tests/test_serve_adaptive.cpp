@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -407,6 +408,44 @@ TEST(ServeAdaptive, ForestAdaptsPerTenantWithWorkerInvariance) {
       expect_same_metrics_modulo_pipeline(gt.metrics, wt.metrics);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Migration and adaptive selection both own the epoch mapping: the pair is
+// rejected at construction rather than silently dropping one of them.
+
+TEST(ServeAdaptive, ServerRejectsMigrationWithAdaptive) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const LabelTreeMapping label(tree, 7);
+  ServerOptions opts = adaptive_options({&color, &label});
+  opts.migration.epoch_batches = 4;
+  opts.migration.top_k = 4;
+  ASSERT_TRUE(opts.migration.enabled());
+  EXPECT_THROW(Server(label, opts), std::invalid_argument);
+  opts.migration = MigrationPolicy{};
+  EXPECT_NO_THROW(Server(label, opts));
+}
+
+TEST(ServeAdaptive, ForestRejectsTenantWithMigrationAndAdaptive) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const LabelTreeMapping label(tree, 7);
+  TenantOptions both;
+  both.adaptive.epoch_batches = 4;
+  both.adaptive.candidates = {&color, &label};
+  both.migration.epoch_batches = 4;
+  both.migration.top_k = 4;
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(label, both), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  // Each feature alone is a valid tenant, also side by side.
+  TenantOptions adaptive_only = both;
+  adaptive_only.migration = MigrationPolicy{};
+  TenantOptions migration_only = both;
+  migration_only.adaptive = AdaptivePolicy{};
+  EXPECT_EQ(forest.add_tenant(label, adaptive_only), 0u);
+  EXPECT_EQ(forest.add_tenant(label, migration_only), 1u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -412,6 +413,76 @@ TEST(ServeForest, RepeatedRunsConsumeOnlyNewSubmissions) {
   ASSERT_EQ(second.total_requests(), 1u);
   ASSERT_EQ(second.tenants[0].responses.size(), 1u);
   EXPECT_EQ(second.tenants[0].responses[0].status, RequestStatus::kOk);
+}
+
+// ---------------------------------------------------------------------------
+// Rejected inputs. Each check throws in every build type and leaves the
+// forest serving as if the rejected call had never happened.
+
+TEST(ServeForest, UnknownTenantThrowsAndTheRunServesTheRest) {
+  const CompleteBinaryTree tree(6);
+  const ColorMapping mapping(tree, 4, 2);
+  const auto requests = [] {
+    std::vector<Request> out;
+    for (std::uint64_t k = 0; k < 24; ++k) {
+      Request r;
+      r.client = static_cast<std::uint32_t>(k % 3);
+      r.seq = k;
+      r.submit_cycle = k;
+      r.nodes = {v(k % 8, 3), v(k % 4, 2)};
+      out.push_back(std::move(r));
+    }
+    return out;
+  }();
+  const auto serve = [&](bool with_unknown) {
+    Forest forest;
+    (void)forest.add_tenant(mapping);
+    (void)forest.add_tenant(mapping);
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      forest.submit(static_cast<std::uint32_t>(k % 2), requests[k]);
+      if (with_unknown && k == 5) {
+        EXPECT_THROW(forest.submit(5, requests[k]), std::out_of_range);
+        EXPECT_THROW(forest.submit(2, std::vector<Request>{requests[k]}),
+                     std::out_of_range);
+      }
+    }
+    return forest.run();
+  };
+  const ForestReport want = serve(false);
+  const ForestReport got = serve(true);
+  ASSERT_EQ(got.total_requests(), requests.size());
+  EXPECT_EQ(got.count(RequestStatus::kOk), requests.size());
+  EXPECT_EQ(got.to_json().dump(), want.to_json().dump());
+}
+
+TEST(ServeForest, AddTenantAfterPlanningThrows) {
+  const CompleteBinaryTree tree(6);
+  const ColorMapping mapping(tree, 4, 2);
+  Request r;
+  r.nodes = {v(0, 0), v(3, 2)};
+
+  // After run(): the tenant is refused, and the next run serves the
+  // registered tenants on the plan the first run fixed.
+  Forest ran;
+  (void)ran.add_tenant(mapping);
+  (void)ran.add_tenant(mapping);
+  ran.submit(1, r);
+  ASSERT_EQ(ran.run().count(RequestStatus::kOk), 1u);
+  EXPECT_THROW((void)ran.add_tenant(mapping), std::logic_error);
+  EXPECT_EQ(ran.tenant_count(), 2u);
+  ran.submit(0, r);
+  ran.submit(1, r);
+  const ForestReport second = ran.run();
+  ASSERT_EQ(second.tenants.size(), 2u);
+  EXPECT_EQ(second.count(RequestStatus::kOk), 2u);
+  EXPECT_EQ(second.plan.lanes.size(), 2u);
+
+  // After plan(): the same.
+  Forest planned;
+  (void)planned.add_tenant(mapping);
+  (void)planned.plan();
+  EXPECT_THROW((void)planned.add_tenant(mapping), std::logic_error);
+  EXPECT_EQ(planned.tenant_count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
