@@ -66,7 +66,7 @@ class DynamicTree {
  public:
   /// An initially root-only tree inside a max_levels envelope
   /// (1 <= max_levels <= 26; a level's liveness bitmap spans its full
-  /// envelope width).
+  /// envelope width). Throws std::invalid_argument for any other value.
   explicit DynamicTree(std::uint32_t max_levels);
 
   [[nodiscard]] const CompleteBinaryTree& envelope() const noexcept {

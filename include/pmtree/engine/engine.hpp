@@ -21,13 +21,15 @@
 //   * serialized arrivals:   each access's service time == cost.hpp
 //                            rounds(), and completion_cycle == the sum.
 //
-// The core is event-driven rather than scalar (DESIGN.md §8). Open-loop
-// runs with depth sampling off and no fault plan take a per-request
-// recurrence that never steps a cycle; every other run takes one stepping
-// loop whose module FIFOs live in one flat arena sized from the routed
-// request counts and whose service touches only an active-module
-// worklist. The frozen seed loop survives in tests/reference_engine.hpp,
-// the semantics oracle both paths are differentially tested against.
+// The core is event-driven rather than scalar (DESIGN.md §8). A
+// fault-free run, open or closed loop, takes a per-request recurrence that
+// never steps a cycle: every serve cycle, and every queue-depth sample, is
+// a closed form of the arrivals. A run under a non-empty FaultPlan takes
+// one stepping loop whose module FIFOs live in one flat arena sized from
+// the routed request counts and whose service touches only an
+// active-module worklist. The frozen seed loop survives in
+// tests/reference_engine.hpp, the semantics oracle both paths are
+// differentially tested against.
 //
 // Everything the engine observes lands in an EngineResult and, when a
 // MetricsRegistry is supplied, in named instruments under a caller-chosen
@@ -116,16 +118,15 @@ struct EngineResult {
 
 /// Knobs for the event-driven core. Trajectory semantics — completion
 /// cycles, latencies, served counts, high-water marks, busy cycles — are
-/// identical under every setting; the options only gate how much
-/// observability (queue-depth sampling) is paid for, which decides
-/// whether an open-loop run may take the recurrence (DESIGN.md §8).
+/// identical under every setting. The fault plan alone picks the loop
+/// (DESIGN.md §8); `sampling` only decides whether that loop fills
+/// `EngineResult::queue_depth`.
 struct EngineOptions {
   enum class DepthSampling : std::uint8_t {
     /// Sample every module's depth on every busy cycle, as the seed loop
-    /// does. Runs take the stepping loop.
+    /// does.
     kEveryBusyCycle,
     /// No depth sampling; `EngineResult::queue_depth` stays empty.
-    /// Open-loop, fault-free runs take the recurrence.
     kOff,
   };
 
@@ -174,17 +175,67 @@ class CycleEngine {
 
 namespace detail {
 
+/// An EngineResult of zero accesses over `modules` modules: what every
+/// run starts from.
+[[nodiscard]] EngineResult empty_result(std::uint32_t modules);
+
+/// The fault-free engine as a resumable recurrence (DESIGN.md §8). Each
+/// module is a unit-rate FIFO, so a request pushed on module m at cycle a
+/// is served at s = max(a, last serve on m) + 1, and every observable is a
+/// closed form of those serve cycles. The state is the last serve and the
+/// last arrival cycle per module, the open busy interval and a difference
+/// array of queue-depth runs. serve() extends the trajectory by one
+/// access; finish() writes what depends on where the run ends without
+/// changing the state, so serving more accesses afterwards resumes the
+/// same run.
+class Recurrence {
+ public:
+  /// An idle engine over `modules` modules. `depths` keeps the queue-depth
+  /// runs so finish() can fill `EngineResult::queue_depth`.
+  Recurrence(std::uint32_t modules, bool depths);
+
+  /// Serves one access whose requests route to `colors`, arriving at
+  /// `arrival`, which must not precede the previous access's arrival.
+  /// Appends its record to `result` (built by empty_result over the same
+  /// module count, and extended only by this recurrence) and folds it into
+  /// the result's counters and latency histogram. Returns its completion
+  /// cycle.
+  std::uint64_t serve(std::span<const Color> colors, std::uint64_t arrival,
+                      EngineResult& result);
+
+  /// Writes `result.busy_cycles` and, with depths kept,
+  /// `result.queue_depth` as if the run ended after the last access
+  /// served: the open busy interval and every module's open depth run are
+  /// closed into `result`, not into the state. `idle_cycles` all-idle busy
+  /// cycles are added on top (the closed loop's trailing empty access).
+  void finish(EngineResult& result, std::uint64_t idle_cycles = 0) const;
+
+ private:
+  bool depths_;
+  std::vector<std::uint64_t> last_serve_;    ///< per module
+  std::vector<std::uint64_t> last_arrival_;  ///< per module, depths only
+  /// Busy cycles of closed intervals, plus the open one [lo, hi], which
+  /// starts out empty.
+  std::uint64_t busy_closed_ = 0;
+  std::uint64_t busy_lo_ = 1;
+  std::uint64_t busy_hi_ = 0;
+  /// Difference array over depth values of the closed depth runs: a run
+  /// of the values lo..hi adds 1 at lo and subtracts 1 at hi + 1 (mod
+  /// 2^64, so the prefix sums come out exact).
+  std::vector<std::uint64_t> depth_runs_;
+};
+
 /// The simulation core over pre-resolved colors: access i's requests are
 /// colors[first[i]] .. colors[first[i+1]-1] and route to those modules
 /// (or, under a non-empty `options.faults`, to their reroute targets once
-/// a module has failed — rerouting needs only the colors). Open-loop,
-/// kOff, fault-free runs take the recurrence; every other run takes the
-/// stepping loop. Throws std::invalid_argument when an explicit
-/// `schedule` has fewer cycles than there are accesses.
-/// CycleEngine::run flattens + color-resolves and calls this;
-/// EngineSession::drain (session.hpp) accumulates the same arrays
-/// incrementally and calls it too — one entry, so the two are
-/// bit-identical by construction, healthy or faulted.
+/// a module has failed — rerouting needs only the colors). The fault plan
+/// alone picks the loop: fault-free runs, on every schedule, take the
+/// Recurrence; a non-empty plan takes the stepping loop. Throws
+/// std::invalid_argument when an explicit `schedule` has fewer cycles
+/// than there are accesses. CycleEngine::run flattens + color-resolves and
+/// calls this. EngineSession::drain (session.hpp) calls it to replay a
+/// faulted lane, and runs a fault-free lane's Recurrence itself,
+/// resuming it across drains.
 [[nodiscard]] EngineResult run_resolved(std::uint32_t modules,
                                         std::span<const std::size_t> first,
                                         std::span<const Color> colors,

@@ -10,29 +10,36 @@
 //
 //   feed(access, arrival)            — resolve colors here, accumulate;
 //   feed_resolved(colors, arrival)   — colors already resolved upstream;
-//   drain()                          — simulate the accumulated prefix.
+//   drain()                          — simulate what was fed since the
+//                                      last drain, return the whole run.
 //
-// drain() hands the accumulated (first, colors, arrivals) arrays to
-// engine::detail::run_resolved — the SAME entry CycleEngine::run calls —
-// so a session fed batch-by-batch returns an EngineResult bit-identical
-// to one monolithic run over the same batches with
+// A session fed batch-by-batch returns an EngineResult bit-identical to
+// one monolithic CycleEngine::run over the same batches with
 // ArrivalSchedule::explicit_cycles of the same arrivals, with or without
 // a FaultPlan (test_engine_session holds it directly). Every serve lane
 // runs through a session.
 //
-// drain() is const and repeatable: each call replays the prefix fed so
-// far from cycle 0. Replaying is the determinism anchor — a serving round
-// that appends batches and drains again extends, never rewrites, the
-// previous round's completions (later arrivals queue strictly behind).
-// What the session never redoes is the expensive upstream half: nodes are
-// not stored at all, and each batch's colors are resolved exactly once no
-// matter how many rounds drain.
+// drain() resumes. A fault-free session keeps the engine's recurrence
+// state (engine::detail::Recurrence: per module the last serve and last
+// arrival cycle, the open busy interval, the queue-depth runs) together
+// with the records, counters and latency histogram, so each drain
+// simulates only the accesses fed since the previous one and then closes
+// the open busy interval and depth runs into the result it returns,
+// leaving the state as it was. Later arrivals queue strictly behind
+// earlier ones, so a serving round that appends batches and drains again
+// extends, never rewrites, the previous round's completions. A faulted
+// session replays everything fed so far from cycle 0 through
+// engine::detail::run_resolved — the SAME entry CycleEngine::run calls —
+// because a fail-stop can drain an earlier request onto its reroute
+// target behind a later one. Either way each batch's colors are resolved
+// exactly once, and nodes are never stored.
 //
-// Arrivals must be nondecreasing (open-loop explicit schedule): drain()
-// throws std::invalid_argument otherwise. A non-empty options.faults runs
-// the stepping loop's fault steps, which reroute by color alone, so
-// faulted lanes stream through sessions like healthy ones.
-// options.memory is ignored: sessions never see nodes.
+// Arrivals must be nondecreasing across every feed, drains included:
+// drain() throws std::invalid_argument otherwise and leaves the session
+// as it was. A non-empty options.faults runs the stepping loop's fault
+// steps, which reroute by color alone, so faulted lanes stream through
+// sessions like healthy ones. options.memory is ignored: sessions never
+// see nodes.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +55,7 @@ class EngineSession {
  public:
   /// `mapping` (and `options.faults`, if set) must outlive the session.
   explicit EngineSession(const TreeMapping& mapping,
-                         const EngineOptions& options = {})
-      : mapping_(mapping), options_(options) {}
+                         const EngineOptions& options = {});
 
   /// Appends one access arriving at `arrival` (cycles, nondecreasing
   /// across feeds — drain() throws otherwise), resolving its colors
@@ -75,24 +81,19 @@ class EngineSession {
     return arrivals_.size();
   }
 
-  /// Simulates the accumulated prefix from cycle 0 to completion.
+  /// The trajectory of every access fed so far, run to completion.
   /// Bit-identical to CycleEngine::run over the same accesses with
-  /// ArrivalSchedule::explicit_cycles(arrivals), which throws
-  /// std::invalid_argument if the arrivals fed decrease. Repeatable;
-  /// feeding more and draining again extends the earlier result.
-  [[nodiscard]] EngineResult drain() const {
-    return detail::run_resolved(
-        mapping_.num_modules(), first_, colors_,
-        ArrivalSchedule::explicit_cycles(arrivals_), options_);
-  }
+  /// ArrivalSchedule::explicit_cycles(arrivals); throws
+  /// std::invalid_argument, changing nothing, if the arrivals fed
+  /// decrease. Feeding more and draining again extends the earlier
+  /// result; draining again without feeding returns the same result. The
+  /// result is the session's own: the next drain() or clear() overwrites
+  /// it.
+  [[nodiscard]] const EngineResult& drain();
 
-  /// Forgets everything fed so far (a fresh run's sessions, without
-  /// re-constructing — keeps capacity).
-  void clear() {
-    first_.assign(1, 0);
-    colors_.clear();
-    arrivals_.clear();
-  }
+  /// Forgets everything fed and simulated so far (a fresh run's sessions,
+  /// without re-constructing — keeps the feed buffers' capacity).
+  void clear();
 
   [[nodiscard]] const TreeMapping& mapping() const noexcept {
     return mapping_;
@@ -112,6 +113,10 @@ class EngineSession {
   std::vector<std::size_t> first_{0};  ///< first_[i] .. first_[i+1] slice
   std::vector<Color> colors_;          ///< flat resolved colors
   std::vector<std::uint64_t> arrivals_;
+  detail::Recurrence recurrence_;  ///< fault-free sessions only
+  /// The last drain's result; fault-free, its records are the accesses
+  /// the recurrence has served.
+  EngineResult result_;
 };
 
 }  // namespace pmtree::engine

@@ -201,8 +201,9 @@ class Forest {
   [[nodiscard]] std::uint32_t tenant_count() const noexcept {
     return static_cast<std::uint32_t>(tenants_.size());
   }
+  /// Throws std::out_of_range for an id >= tenant_count().
   [[nodiscard]] const TenantOptions& tenant_options(std::uint32_t id) const {
-    return tenants_[id].options;
+    return tenants_.at(id).options;
   }
   /// The static capacity plan (fixed once tenants are registered).
   [[nodiscard]] const CapacityPlan& plan();

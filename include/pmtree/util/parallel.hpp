@@ -16,11 +16,18 @@
 //
 // With threads == 1 (or a single chunk) everything runs inline on the
 // calling thread and no std::thread is spawned.
+//
+// An exception escaping the body reaches the caller at every thread count,
+// and it is the same exception: the one thrown by the lowest-index chunk
+// that threw, which is the one a 1-thread run throws (the body visits a
+// chunk's indices in ascending order).
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -35,9 +42,12 @@ namespace pmtree {
 }
 
 /// Runs body(thread_id, begin, end) over [0, count) in chunks of `grain`
-/// indices. thread_id < threads; each index is visited exactly once.
-/// Exceptions escaping `body` on a worker thread terminate (the analysis
-/// bodies do not throw).
+/// indices. thread_id < threads; each index is visited exactly once when
+/// no body throws. If bodies throw, no chunk is claimed after the first
+/// throw, every thread is joined, and the exception of the lowest-index
+/// chunk that threw is rethrown on the calling thread. Chunks are claimed
+/// in increasing order, so every chunk below a claimed one has run by
+/// then, and that exception is the one a 1-thread run throws.
 template <typename Body>
 void parallel_chunks(std::uint64_t count, unsigned threads,
                      std::uint64_t grain, Body&& body) {
@@ -50,13 +60,25 @@ void parallel_chunks(std::uint64_t count, unsigned threads,
     return;
   }
 
+  // Per thread: its first (so lowest) chunk that threw, and the exception.
+  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> failed_chunk(threads, kNone);
+  std::vector<std::exception_ptr> failure(threads);
+  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> next{0};
   const auto worker = [&](unsigned tid) {
-    while (true) {
+    while (!stop.load(std::memory_order_relaxed)) {
       const std::uint64_t chunk = next.fetch_add(1, std::memory_order_relaxed);
       if (chunk >= num_chunks) return;
       const std::uint64_t begin = chunk * grain;
-      body(tid, begin, std::min(count, begin + grain));
+      try {
+        body(tid, begin, std::min(count, begin + grain));
+      } catch (...) {
+        failed_chunk[tid] = chunk;
+        failure[tid] = std::current_exception();
+        stop.store(true, std::memory_order_relaxed);
+        return;
+      }
     }
   };
 
@@ -65,6 +87,11 @@ void parallel_chunks(std::uint64_t count, unsigned threads,
   for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
   worker(0u);
   for (auto& th : pool) th.join();
+  const auto first = std::min_element(failed_chunk.begin(), failed_chunk.end());
+  if (*first != kNone) {
+    std::rethrow_exception(
+        failure[static_cast<std::size_t>(first - failed_chunk.begin())]);
+  }
 }
 
 }  // namespace pmtree

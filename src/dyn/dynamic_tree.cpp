@@ -2,12 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace pmtree::dyn {
 
+namespace {
+
+/// `max_levels` if it is in [1, 26]; throws otherwise. Called from the
+/// first member's initializer, so nothing is built for a bad value.
+std::uint32_t checked_levels(std::uint32_t max_levels) {
+  if (max_levels < 1 || max_levels > 26) {
+    throw std::invalid_argument("DynamicTree max_levels must be in [1, 26]");
+  }
+  return max_levels;
+}
+
+}  // namespace
+
 DynamicTree::DynamicTree(std::uint32_t max_levels)
-    : envelope_(max_levels), live_(max_levels), level_count_(max_levels, 0) {
-  assert(max_levels >= 1 && max_levels <= 26);
+    : envelope_(checked_levels(max_levels)),
+      live_(max_levels),
+      level_count_(max_levels, 0) {
   set_live(envelope_.root());
 }
 

@@ -6,20 +6,19 @@
 // module into the histogram. This implementation keeps its semantics
 // bit-identical — test_engine_event_core and test_engine_faults hold it
 // to the reference on randomized pairs — with two simulation functions,
-// picked by detail::run_resolved:
+// picked by detail::run_resolved from the fault plan alone:
 //
-//   * the recurrence, for open-loop, kOff, fault-free runs: every serve
-//     cycle is a closed form of the arrivals, so no cycle is stepped;
-//   * the stepping loop, for everything else (closed loop, depth sampling
-//     or a fault plan): flat arena queues with bump-pointer push/pop and
-//     an active-module worklist, so a busy cycle costs O(backlogged
-//     modules) and an idle gap costs one step.
+//   * the recurrence, for fault-free runs on every schedule: every serve
+//     cycle and every depth sample is a closed form of the arrivals, so
+//     no cycle is stepped;
+//   * the stepping loop, under a non-empty fault plan: flat arena queues
+//     with bump-pointer push/pop and an active-module worklist, so a busy
+//     cycle costs O(backlogged modules) and an idle gap costs one step.
 #include "pmtree/engine/engine.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -112,75 +111,9 @@ void export_metrics(MetricsRegistry& metrics, const std::string& prefix,
   metrics.histogram(prefix + ".queue_depth").merge(result.queue_depth);
 }
 
-// The recurrence: open-loop, no depth sampling, no fault plan. The cycle
-// loop collapses to a per-entry recurrence. Each module is a unit-rate
-// FIFO, so entry k of module m (pushed at arrival a_k) is served at
-// s_k = max(a_k, s_{k-1}) + 1 — while m is backlogged its serve cycles are
-// consecutive, and a fresh push on an idle module starts at a_k + 1.
-// Everything the stepping loop produces is a closed form of those serve
-// cycles:
-//   completion  = max over the access's entries' serve cycles;
-//   served[m]   = entries routed to m;
-//   high-water  = s_k - a_k (pending serve cycles at a push are exactly
-//                 a_k+1 .. s_k, so that difference IS the queue depth);
-//   busy_cycles = |union over accesses of [arrival+1, completion]| — a
-//                 cycle is busy iff some access is in flight, and the
-//                 intervals arrive in nondecreasing-start order, so the
-//                 union folds into one running interval.
-// The depth histogram stays empty (kOff records nothing). O(total
-// entries), no arena, no per-cycle scans.
-void run_recurrence(const std::uint32_t modules,
-                    std::span<const std::size_t> first,
-                    std::span<const Color> colors,
-                    const ArrivalSchedule& schedule, EngineResult& result) {
-  const std::size_t n = first.size() - 1;
-  std::vector<std::uint64_t> last_serve(modules, 0);
-  std::uint64_t busy_lo = 0;
-  std::uint64_t busy_hi = 0;
-  bool busy_open = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t a = schedule.arrival_cycle(i);
-    const std::size_t lo = first[i];
-    const std::size_t hi = first[i + 1];
-    AccessRecord& rec = result.records[i];
-    rec.id = i;
-    rec.requests = hi - lo;
-    rec.arrival = a;
-    result.requests += hi - lo;
-    if (lo == hi) {
-      rec.completion = a;
-    } else {
-      std::uint64_t comp = 0;
-      for (std::size_t r = lo; r < hi; ++r) {
-        const Color m = colors[r];
-        const std::uint64_t s = std::max(a, last_serve[m]) + 1;
-        last_serve[m] = s;
-        result.served[m] += 1;
-        result.queue_high_water[m] =
-            std::max(result.queue_high_water[m], s - a);
-        comp = std::max(comp, s);
-      }
-      rec.completion = comp;
-      if (!busy_open) {
-        busy_open = true;
-        busy_lo = a + 1;
-        busy_hi = comp;
-      } else if (a + 1 > busy_hi) {
-        result.busy_cycles += busy_hi - busy_lo + 1;
-        busy_lo = a + 1;
-        busy_hi = comp;
-      } else {
-        busy_hi = std::max(busy_hi, comp);
-      }
-    }
-    result.latency.record(rec.latency());
-    result.completion_cycle = std::max(result.completion_cycle, rec.completion);
-  }
-  if (busy_open) result.busy_cycles += busy_hi - busy_lo + 1;
-}
-
-// The stepping loop: one busy cycle per iteration, in the reference loop's
-// order, so the two agree bit for bit:
+// The stepping loop, for runs under a non-empty fault plan: one busy cycle
+// per iteration, in the reference loop's order, so the two agree bit for
+// bit:
 //
 //   1. failure drain — every module whose fail cycle has arrived hands its
 //      FIFO, in (cycle, module) order, to its reroute target;
@@ -191,30 +124,26 @@ void run_recurrence(const std::uint32_t modules,
 //      timeline.serves_at(m, t) says it skips the cycle, which counts one
 //      stalled module-cycle.
 //
-// Without a fault plan steps 1 and 4's gate are skipped and step 2 never
-// redirects. Idle gaps between open-loop arrivals are jumped in one step.
+// Idle gaps between open-loop arrivals are jumped in one step.
 void run_stepping(const std::uint32_t modules,
                   std::span<const std::size_t> first,
                   std::span<const Color> colors,
                   const ArrivalSchedule& schedule,
-                  const EngineOptions& options, EngineResult& result) {
+                  const fault::FaultTimeline& timeline, const bool per_cycle,
+                  EngineResult& result) {
   const std::size_t n = first.size() - 1;
   // Arena entries are 32-bit access ids; a workload that large could not
   // be materialized in memory anyway.
   assert(n < std::numeric_limits<std::uint32_t>::max());
-  std::optional<fault::FaultTimeline> timeline;
-  if (options.faults != nullptr && !options.faults->empty()) {
-    timeline.emplace(*options.faults, modules);
-  }
 
   // Flat arena queues: module m's FIFO is arena[qbase[m], qbase[m+1]), a
   // segment sized to every request that can ever be pushed onto m, so
   // push/pop are bump pointers that never wrap or allocate. That is the
   // conflict histogram of the resolved colors (SIMD-accelerated; see
-  // util/simd.hpp), plus, under a plan, each dead module's count folded
-  // onto its reroute target: reroute targets never fail, so a request
-  // moves at most once, and a dead module is never a target, so its count
-  // is still its own routed load when it is folded.
+  // util/simd.hpp), plus each dead module's count folded onto its reroute
+  // target: reroute targets never fail, so a request moves at most once,
+  // and a dead module is never a target, so its count is still its own
+  // routed load when it is folded.
   std::vector<std::size_t> qbase(modules + 1, 0);
   if (colors.size() < std::numeric_limits<std::uint32_t>::max()) {
     std::vector<std::uint32_t> counts(modules);
@@ -224,10 +153,8 @@ void run_stepping(const std::uint32_t modules,
   } else {
     for (const Color c : colors) qbase[c + 1] += 1;
   }
-  if (timeline) {
-    for (const std::uint32_t d : timeline->dead_modules()) {
-      qbase[timeline->redirect(d) + 1] += qbase[d + 1];
-    }
+  for (const std::uint32_t d : timeline.dead_modules()) {
+    qbase[timeline.redirect(d) + 1] += qbase[d + 1];
   }
   for (std::uint32_t m = 0; m < modules; ++m) qbase[m + 1] += qbase[m];
   std::vector<std::uint32_t> arena(qbase[modules]);
@@ -242,8 +169,6 @@ void run_stepping(const std::uint32_t modules,
 
   std::vector<std::uint32_t> outstanding(n, 0);
 
-  const bool per_cycle =
-      options.sampling == EngineOptions::DepthSampling::kEveryBusyCycle;
   // Idle modules' zero-depth samples are tallied here and recorded in one
   // bulk Histogram::record at the end, so observation stays O(backlogged
   // modules) per cycle while the histogram matches the reference exactly.
@@ -288,16 +213,16 @@ void run_stepping(const std::uint32_t modules,
     in_flight += 1;
     for (std::size_t r = first[i]; r < first[i + 1]; ++r) {
       Color m = colors[r];
-      if (timeline && timeline->dead_at(m, cycle)) {
-        m = timeline->redirect(m);
+      if (timeline.dead_at(m, cycle)) {
+        m = timeline.redirect(m);
         result.rerouted_requests += 1;
       }
       push(m, static_cast<std::uint32_t>(i));
     }
   };
 
-  std::span<const fault::FaultTimeline::FailEvent> events;
-  if (timeline) events = timeline->fail_events();
+  const std::span<const fault::FaultTimeline::FailEvent> events =
+      timeline.fail_events();
   std::size_t next_fail = 0;
 
   while (done < n) {
@@ -306,7 +231,7 @@ void run_stepping(const std::uint32_t modules,
          ++next_fail) {
       const std::uint32_t d = events[next_fail].module;
       if (tail[d] == head[d]) continue;
-      const std::uint32_t r = timeline->redirect(d);
+      const std::uint32_t r = timeline.redirect(d);
       for (std::size_t h = head[d]; h < tail[d]; ++h) push(r, arena[h]);
       result.rerouted_requests += tail[d] - head[d];
       head[d] = tail[d];
@@ -354,7 +279,7 @@ void run_stepping(const std::uint32_t modules,
     // 4. Service.
     for (std::size_t a = 0; a < active.size();) {
       const std::uint32_t m = active[a];
-      if (timeline && !timeline->serves_at(m, t)) {
+      if (!timeline.serves_at(m, t)) {
         result.stalled_cycles += 1;
         a += 1;
         continue;
@@ -420,6 +345,111 @@ EngineResult CycleEngine::run(const Workload& workload,
 
 namespace detail {
 
+namespace {
+
+/// Records the depth run lo..hi in `runs`. lo <= hi + 1, and the empty run
+/// lo == hi + 1 leaves `runs` as it was, so callers need no branch for it.
+void add_run(std::vector<std::uint64_t>& runs, const std::uint64_t lo,
+             const std::uint64_t hi) {
+  if (hi + 2 > runs.size()) {
+    runs.resize(std::max<std::uint64_t>(hi + 2, 2 * runs.size()));
+  }
+  runs[lo] += 1;
+  runs[hi + 1] -= 1;
+}
+
+}  // namespace
+
+EngineResult empty_result(const std::uint32_t modules) {
+  EngineResult result;
+  result.served.assign(modules, 0);
+  result.queue_high_water.assign(modules, 0);
+  return result;
+}
+
+Recurrence::Recurrence(const std::uint32_t modules, const bool depths)
+    : depths_(depths),
+      last_serve_(modules, 0),
+      last_arrival_(depths ? modules : 0, 0) {}
+
+// Entry k of module m, pushed at arrival a_k, is served at
+// s_k = max(a_k, s_{k-1}) + 1: while m is backlogged its serve cycles are
+// consecutive, and a push on an idle module starts at a_k + 1. What the
+// stepping loop observes is a closed form of those serve cycles:
+//   completion  = max over the access's entries' serve cycles;
+//   served[m]   = entries routed to m;
+//   high-water  = s_k - a_k (pending serve cycles at a push are exactly
+//                 a_k+1 .. s_k, so that difference IS the queue depth);
+//   busy_cycles = |union over accesses of [arrival+1, completion]| — a
+//                 cycle is busy iff some access is in flight, and the
+//                 intervals arrive in nondecreasing-start order, so the
+//                 union folds into one running interval;
+//   depths      = between two of its arrival cycles a < a', module m's
+//                 depth at cycle t is s - t for the last serve cycle s
+//                 scheduled by a, so its samples over [a, min(a', s))
+//                 are the run of values s - a down to max(s - a', 0) + 1.
+std::uint64_t Recurrence::serve(std::span<const Color> colors,
+                                const std::uint64_t arrival,
+                                EngineResult& result) {
+  std::uint64_t completion = arrival;  // an empty access completes on arrival
+  for (const Color m : colors) {
+    std::uint64_t& last = last_serve_[m];
+    if (depths_) {
+      // m's first push at `arrival` closes the run its previous arrival
+      // cycle opened. Every later push at `arrival` closes an empty run
+      // (lo = last - arrival + 1 = hi + 1), as does a module never pushed.
+      add_run(depth_runs_, (last > arrival ? last - arrival : 0) + 1,
+              last - last_arrival_[m]);
+      last_arrival_[m] = arrival;
+    }
+    last = std::max(arrival, last) + 1;
+    result.served[m] += 1;
+    result.queue_high_water[m] =
+        std::max(result.queue_high_water[m], last - arrival);
+    completion = std::max(completion, last);
+  }
+  result.records.push_back(
+      AccessRecord{result.accesses, colors.size(), arrival, completion});
+  result.accesses += 1;
+  result.requests += colors.size();
+  result.latency.record(completion - arrival);
+  result.completion_cycle = std::max(result.completion_cycle, completion);
+  if (!colors.empty()) {
+    if (arrival + 1 > busy_hi_) {
+      busy_closed_ += busy_hi_ + 1 - busy_lo_;
+      busy_lo_ = arrival + 1;
+      busy_hi_ = completion;
+    } else {
+      busy_hi_ = std::max(busy_hi_, completion);
+    }
+  }
+  return completion;
+}
+
+void Recurrence::finish(EngineResult& result,
+                        const std::uint64_t idle_cycles) const {
+  result.busy_cycles = busy_closed_ + (busy_hi_ + 1 - busy_lo_) + idle_cycles;
+  if (!depths_) return;
+  // Each module's open run falls to depth 1 at its last serve (empty for a
+  // module never pushed).
+  std::vector<std::uint64_t> runs = depth_runs_;
+  const std::size_t modules = last_serve_.size();
+  for (std::size_t m = 0; m < modules; ++m) {
+    add_run(runs, 1, last_serve_[m] - last_arrival_[m]);
+  }
+  Histogram depth;
+  std::uint64_t samples = 0;
+  for (std::size_t d = 1; d < runs.size(); ++d) {
+    samples += runs[d];
+    depth.record(d, samples);
+  }
+  // A backlogged module serves one request per cycle, so the nonzero
+  // samples number `requests`; every other module-cycle of a busy cycle
+  // samples depth 0.
+  depth.record(0, modules * result.busy_cycles - result.requests);
+  result.queue_depth = std::move(depth);
+}
+
 EngineResult run_resolved(const std::uint32_t modules,
                           std::span<const std::size_t> first,
                           std::span<const Color> colors,
@@ -430,18 +460,30 @@ EngineResult run_resolved(const std::uint32_t modules,
     throw std::invalid_argument(
         "explicit arrival schedule has fewer cycles than accesses");
   }
-  EngineResult result;
-  result.accesses = n;
-  result.served.assign(modules, 0);
-  result.queue_high_water.assign(modules, 0);
-  result.records.resize(n);
-  const bool faulted = options.faults != nullptr && !options.faults->empty();
-  if (!schedule.closed_loop() &&
-      options.sampling == EngineOptions::DepthSampling::kOff && !faulted) {
-    run_recurrence(modules, first, colors, schedule, result);
-  } else {
-    run_stepping(modules, first, colors, schedule, options, result);
+  EngineResult result = empty_result(modules);
+  const bool depths =
+      options.sampling == EngineOptions::DepthSampling::kEveryBusyCycle;
+  if (options.faults != nullptr && !options.faults->empty()) {
+    result.accesses = n;
+    result.records.resize(n);
+    run_stepping(modules, first, colors, schedule,
+                 fault::FaultTimeline(*options.faults, modules), depths,
+                 result);
+    return result;
   }
+  Recurrence recurrence(modules, depths);
+  result.records.reserve(n);
+  const bool closed = schedule.closed_loop();
+  std::uint64_t completion = 0;  // closed loop: access i arrives at i-1's
+  for (std::size_t i = 0; i < n; ++i) {
+    completion = recurrence.serve(
+        colors.subspan(first[i], first[i + 1] - first[i]),
+        closed ? completion : schedule.arrival_cycle(i), result);
+  }
+  // After admitting a closed loop's trailing empty access, the reference
+  // loop observes one all-idle cycle before it exits.
+  const bool trailing_idle = closed && n != 0 && first[n - 1] == first[n];
+  recurrence.finish(result, trailing_idle ? 1 : 0);
   return result;
 }
 

@@ -64,7 +64,7 @@ class Executor {
     for (const LaneSpec& lane : lanes_) {
       sessions_.emplace_back(*lane.mapping, lane.options);
     }
-    results_.resize(lanes_.size());
+    results_.resize(lanes_.size(), nullptr);
     lane_cuts_.resize(lanes_.size());
     threads_ = resolve_threads(config.pipeline.workers >= 1
                                    ? config.pipeline.workers
@@ -121,9 +121,10 @@ class Executor {
   /// This round's cuts in cut order (valid until next_round); assembly
   /// moves the batches out.
   [[nodiscard]] std::vector<Cut>& cuts() noexcept { return cuts_; }
-  /// Lane `lane`'s cumulative result over every batch fed this run.
+  /// Lane `lane`'s cumulative result over every batch fed this run, as of
+  /// the last barrier.
   [[nodiscard]] const engine::EngineResult& result(std::uint32_t lane) const {
-    return results_[lane];
+    return *results_[lane];
   }
   [[nodiscard]] std::size_t lane_count() const noexcept {
     return lanes_.size();
@@ -172,7 +173,7 @@ class Executor {
           c.batch.formed_cycle);
     }
     const auto t1 = Clock::now();
-    results_[l] = sessions_[l].drain();
+    results_[l] = &sessions_[l].drain();
     return LaneNs{ns_between(t0, t1), ns_between(t1, Clock::now())};
   }
 
@@ -180,7 +181,7 @@ class Executor {
   std::vector<LaneSpec> lanes_;
   unsigned threads_ = 1;
   std::vector<engine::EngineSession> sessions_;
-  std::vector<engine::EngineResult> results_;
+  std::vector<const engine::EngineResult*> results_;  ///< sessions' drains
   std::vector<Cut> cuts_;                            ///< this round's
   std::vector<std::vector<std::size_t>> lane_cuts_;  ///< indices into cuts_
   std::size_t round_colors_ = 0;  ///< raw nodes cut this round
@@ -502,9 +503,10 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
 
     // ---- Round assembly. Batches land in cut order, so each slot's list
     // stays in id order; a batch's members complete with its lane access
-    // (batch b of a slot is access b / lanes of lane b mod lanes). Lanes
-    // replay cumulatively and later arrivals queue strictly behind, so a
-    // round extends, never rewrites, earlier rounds' completions.
+    // (batch b of a slot is access b / lanes of lane b mod lanes). Each
+    // barrier's drain resumes a lane's run (a faulted lane replays it from
+    // cycle 0) and later arrivals queue strictly behind, so a round
+    // extends, never rewrites, earlier rounds' completions.
     for (Executor::Cut& c : exec.cuts()) {
       record(slots[c.tenant], [&](ServeMetrics& m) { m.on_batch(c.batch); });
       TenantReport& tr = report.slots[c.tenant];

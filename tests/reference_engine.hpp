@@ -2,11 +2,12 @@
 // oracle (the pmtree_reference_engine target; not part of the library).
 //
 // When the CycleEngine hot loop was rebuilt as an event-driven core
-// (an open-loop recurrence, and a stepping loop over flat arena queues
-// and an active-module worklist — DESIGN.md §8), the original
-// implementation was kept verbatim under this name. It burns O(modules) per cycle on std::deque scans and histogram
-// sampling, which makes it useless at scale but ideal as an oracle: its
-// semantics are obviously the paper's service model, one line per rule.
+// (a fault-free recurrence, and a stepping loop over flat arena queues
+// and an active-module worklist for fault plans — DESIGN.md §8), the
+// original implementation was kept verbatim under this name. It burns
+// O(modules) per cycle on std::deque scans and histogram sampling, which
+// makes it useless at scale but ideal as an oracle: its semantics are
+// obviously the paper's service model, one line per rule.
 //
 // Consumers, each holding an engine to bit-identical trajectories
 // (records, served counts, high-water marks, busy cycles, histograms)

@@ -24,9 +24,12 @@
 # chunks of cuts, reading the shared MemoryBackend slabs, epoch mappings
 # and ColorMapping's lazily published batch tables at the same time and
 # writing disjoint slices of the round's color buffer, then feed and
-# drain one lane each, whose
-# EngineSession belongs to one thread until the join — a race on any of
-# them shows up as a TSan report and as a bit-identity mismatch;
+# drain one lane each, whose EngineSession belongs to one thread until
+# the join, while its resumed recurrence state may be drained by a
+# different thread next round — a race on any of them shows up as a TSan
+# report and as a bit-identity mismatch; test_util_parallel throws from
+# chunk bodies at 1/2/8 threads and expects the lowest chunk's exception
+# back on the caller;
 # the `pipeline` ctest label selects the suite on its own), and
 # skew-adaptive migration (test_serve_migration runs migrated serving at
 # 1/2/8 workers and 1/2/8 pipeline workers against the single-threaded

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "pmtree/dyn/dynamic_tree.hpp"
@@ -22,6 +23,17 @@ TEST(DynamicTree, StartsRootOnly) {
   EXPECT_TRUE(t.is_leaf(Node{0, 0}));
   EXPECT_FALSE(t.is_live(Node{1, 0}));
   EXPECT_TRUE(t.validate());
+}
+
+TEST(DynamicTree, RejectsEnvelopeOutsideOneToTwentySix) {
+  // Checked in every build type, before any member is built.
+  EXPECT_THROW(DynamicTree(0), std::invalid_argument);
+  EXPECT_THROW(DynamicTree(27), std::invalid_argument);
+  EXPECT_THROW(DynamicTree(64), std::invalid_argument);
+  EXPECT_NO_THROW(DynamicTree(1));
+  const DynamicTree deepest(26);
+  EXPECT_EQ(deepest.max_levels(), 26u);
+  EXPECT_TRUE(deepest.validate());
 }
 
 TEST(DynamicTree, InsertValidatesEveryInvariant) {

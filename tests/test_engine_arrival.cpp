@@ -171,6 +171,15 @@ TEST(ArrivalSchedule, SessionRejectsDecreasingArrivalAtDrain) {
     session.clear();
     session.feed(workload[2], 4);
     EXPECT_NO_THROW((void)session.drain());
+
+    // A decrease that straddles a drain is caught too: the resumed drain
+    // checks the new feeds against the last one it simulated.
+    EngineSession resumed(map, options);
+    resumed.feed(workload[0], 5);
+    EXPECT_NO_THROW((void)resumed.drain());
+    resumed.feed(workload[1], 4);
+    EXPECT_THROW((void)resumed.drain(), std::invalid_argument);
+    EXPECT_THROW((void)resumed.drain(), std::invalid_argument);
   }
 }
 

@@ -1,13 +1,13 @@
 // Differential property tests for the event-driven CycleEngine core.
 //
 // Both simulation paths (DESIGN.md §8) — the per-request recurrence for
-// open-loop runs with depth sampling off, and the stepping loop for
-// everything else — must reproduce the frozen seed loop (ReferenceEngine)
-// bit for bit: completion cycles, latencies, served counts, high-water
-// marks, busy cycles, and — under full sampling — the queue-depth
-// histogram, on randomized (mapping, workload, schedule) triples across
-// every template family. EngineOptions may only change what is
-// *observed* (depth samples), never the trajectory.
+// fault-free runs on every schedule, and the stepping loop under a
+// non-empty fault plan — must reproduce the frozen seed loop
+// (ReferenceEngine) bit for bit: completion cycles, latencies, served
+// counts, high-water marks, busy cycles, and — under full sampling — the
+// queue-depth histogram, on randomized (mapping, workload, schedule)
+// triples across every template family. EngineOptions may only change
+// what is *observed* (depth samples), never the trajectory.
 #include "pmtree/engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
@@ -106,15 +107,14 @@ void check_triple(const TreeMapping& mapping, const Workload& workload,
   const CycleEngine eng(mapping);
 
   // Full sampling: the default overload, bit-identical including the
-  // queue-depth histogram (idle modules' zeros included).
+  // queue-depth histogram (idle modules' zeros included). Fault-free, so
+  // the recurrence computes it on every schedule, serialized included.
   const EngineResult full = eng.run(workload, schedule);
   expect_same_trajectory(full, want);
   const std::uint64_t modules = mapping.num_modules();
   ASSERT_EQ(full.queue_depth.count(), full.busy_cycles * modules);
 
-  // Sampling off: same trajectory — through the recurrence on open-loop
-  // schedules, the stepping loop on the closed loop — and no depth
-  // samples at all.
+  // Sampling off: same trajectory and no depth samples at all.
   EngineOptions off;
   off.sampling = DepthSampling::kOff;
   const EngineResult fast = eng.run(workload, schedule, off);
@@ -182,9 +182,10 @@ TEST(EventCore, AllEmptyClosedLoopWorkload) {
 
 TEST(EventCore, DeepBacklogMatchesReferenceOnBothPaths) {
   // A single all-at-once burst piles thousands of requests onto few
-  // modules. With sampling off the open-loop drain is the recurrence, with
-  // full sampling it is the stepping loop over deep queues; both match the
-  // cycle-stepped reference.
+  // modules. Fault-free, both sampling modes run the recurrence. A plan
+  // whose only fail-stop fires after the last completion changes nothing
+  // but the path: the stepping loop then drains the same deep queues. All
+  // of them match the cycle-stepped reference, depth histograms included.
   const CompleteBinaryTree tree(12);
   const ModuloMapping map(tree, 3);
   const Workload workload = Workload::paths(tree, 12, 300, 99);
@@ -199,6 +200,14 @@ TEST(EventCore, DeepBacklogMatchesReferenceOnBothPaths) {
     expect_same_trajectory(eng.run(workload, schedule, off), want,
                            /*compare_depths=*/false);
     expect_same_trajectory(eng.run(workload, schedule), want);
+
+    fault::FaultPlan late;
+    late.fail_stop(0, want.completion_cycle + 1);
+    EngineOptions stepped;
+    stepped.faults = &late;
+    const EngineResult got = eng.run(workload, schedule, stepped);
+    expect_same_trajectory(got, want);
+    ASSERT_GT(got.max_queue_depth(), 1000u);
   }
 }
 

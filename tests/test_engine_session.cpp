@@ -5,19 +5,21 @@
 // a monolithic replica engine each round. That is sound only if a
 // session fed incrementally is bit-identical to CycleEngine::run over the
 // same accesses under ArrivalSchedule::explicit_cycles of the same
-// arrivals — including mid-stream drains (retry rounds replay
-// cumulatively) and the feed_resolved entry the executor's resolve phase
-// uses. This suite holds
-// that identity on randomized (mapping, workload, arrivals) triples
-// across every template family and sampling mode, comparing whole
-// EngineResult JSON snapshots — healthy, and under random fail-stop and
-// slowdown FaultPlans, where ReferenceEngine is the second oracle.
+// arrivals — including mid-stream drains (a fault-free session resumes its
+// recurrence at each drain, a faulted one replays) and the feed_resolved
+// entry the executor's resolve phase uses. This suite holds that identity
+// on randomized (mapping, workload, arrivals) triples across every
+// template family and sampling mode, comparing every EngineResult field
+// and both histograms — healthy, and under random fail-stop and slowdown
+// FaultPlans — with ReferenceEngine as the second oracle.
 #include "pmtree/engine/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pmtree/engine/engine.hpp"
@@ -25,6 +27,7 @@
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
+#include "engine_trajectory.hpp"
 #include "reference_engine.hpp"
 #include "test_mappings.hpp"
 
@@ -103,10 +106,21 @@ std::vector<std::uint64_t> random_arrivals(std::size_t n, Rng& rng) {
   return cycles;
 }
 
-/// Whole-trajectory bit identity: EngineResult::to_json covers scalars,
-/// records, per-module arrays and both histograms.
+/// Whole-trajectory bit identity: scalars, records, per-module arrays and
+/// both histograms, bucket by bucket.
 void expect_same_result(const EngineResult& got, const EngineResult& want) {
-  ASSERT_EQ(got.to_json().dump(), want.to_json().dump());
+  engine::expect_same_trajectory(got, want);
+}
+
+/// The first `k` accesses of `workload` and of `arrivals`.
+std::pair<Workload, ArrivalSchedule> prefix_of(
+    const Workload& workload, const std::vector<std::uint64_t>& arrivals,
+    std::size_t k) {
+  const auto n = static_cast<std::ptrdiff_t>(k);
+  return {Workload(std::vector<Workload::Access>(
+              workload.accesses().begin(), workload.accesses().begin() + n)),
+          ArrivalSchedule::explicit_cycles(std::vector<std::uint64_t>(
+              arrivals.begin(), arrivals.begin() + n))};
 }
 
 EngineOptions random_options(Rng& rng) {
@@ -169,22 +183,22 @@ TEST_P(SessionDifferential, MidStreamDrainsMatchPrefixRuns) {
                  " mapping=" + mapping->name());
 
     const CycleEngine eng(*mapping);
+    const ReferenceEngine oracle(*mapping);
     EngineSession session(*mapping);
-    for (std::size_t k = 0; k < workload.size(); ++k) {
-      session.feed(workload[k], arrivals[k]);
-      // Drain after every feed: each one must equal a monolithic run over
-      // the prefix. This is the retry-round contract — draining again
-      // after more feeds extends, never rewrites, earlier completions.
-      std::vector<Workload::Access> prefix(
-          workload.accesses().begin(),
-          workload.accesses().begin() + static_cast<std::ptrdiff_t>(k + 1));
-      std::vector<std::uint64_t> prefix_arrivals(
-          arrivals.begin(), arrivals.begin() + static_cast<std::ptrdiff_t>(k + 1));
-      const EngineResult want = eng.run(
-          Workload(std::move(prefix)),
-          ArrivalSchedule::explicit_cycles(std::move(prefix_arrivals)),
-          EngineOptions{});
-      expect_same_result(session.drain(), want);
+    std::size_t fed = 0;
+    while (fed < workload.size()) {
+      // Feed a chunk of 1..4 accesses, then drain: each drain resumes the
+      // previous one and must equal a run over the prefix from cycle 0 —
+      // the retry-round contract: draining again after more feeds
+      // extends, never rewrites, earlier completions.
+      const std::size_t end =
+          std::min<std::size_t>(workload.size(), fed + 1 + rng.below(4));
+      for (; fed < end; ++fed) session.feed(workload[fed], arrivals[fed]);
+      SCOPED_TRACE("prefix=" + std::to_string(fed));
+      const auto [prefix, schedule] = prefix_of(workload, arrivals, fed);
+      const EngineResult& got = session.drain();
+      expect_same_result(got, eng.run(prefix, schedule));
+      expect_same_result(got, oracle.run(prefix, schedule));
     }
   }
 }
@@ -310,15 +324,8 @@ TEST(EngineSession, FaultedSecondDrainExtendsTheFirst) {
     const EngineResult second = session.drain();
 
     const CycleEngine eng(*mapping);
-    const Workload prefix(std::vector<Workload::Access>(
-        workload.accesses().begin(),
-        workload.accesses().begin() + static_cast<std::ptrdiff_t>(split)));
-    expect_same_result(
-        first, eng.run(prefix,
-                       ArrivalSchedule::explicit_cycles(std::vector<std::uint64_t>(
-                           arrivals.begin(),
-                           arrivals.begin() + static_cast<std::ptrdiff_t>(split))),
-                       options));
+    const auto [prefix, schedule] = prefix_of(workload, arrivals, split);
+    expect_same_result(first, eng.run(prefix, schedule, options));
     expect_same_result(
         second,
         eng.run(workload, ArrivalSchedule::explicit_cycles(arrivals), options));
@@ -333,7 +340,7 @@ TEST(EngineSession, FaultedSecondDrainExtendsTheFirst) {
 TEST(EngineSession, EmptySessionDrainsToEmptyResult) {
   const CompleteBinaryTree tree(8);
   const ModuloMapping mapping(tree, 7);
-  const EngineSession session(mapping);
+  EngineSession session(mapping);
   const EngineResult empty = session.drain();
   EXPECT_EQ(empty.accesses, 0u);
   EXPECT_EQ(empty.requests, 0u);
@@ -343,7 +350,7 @@ TEST(EngineSession, EmptySessionDrainsToEmptyResult) {
   const CycleEngine eng(mapping);
   const EngineResult want =
       eng.run(Workload(), ArrivalSchedule::all_at_once());
-  ASSERT_EQ(empty.to_json().dump(), want.to_json().dump());
+  expect_same_result(empty, want);
 }
 
 TEST(EngineSession, EmptyAccessesRideAlong) {
@@ -367,36 +374,83 @@ TEST(EngineSession, EmptyAccessesRideAlong) {
   for (std::size_t i = 0; i < workload.size(); ++i) {
     session.feed(workload[i], arrivals[i]);
   }
-  ASSERT_EQ(session.drain().to_json().dump(), want.to_json().dump());
+  expect_same_result(session.drain(), want);
 }
 
 TEST(EngineSession, ClearResetsForReuse) {
+  // The second stream starts at cycle 0, long before the first one's last
+  // arrival: a session that kept any of the first run's state would not
+  // reproduce a fresh session.
   Rng rng(0xC1EA4);
   const CompleteBinaryTree tree(9);
   const auto mapping = random_mapping(tree, rng);
   const Workload first = random_workload(tree, 1, rng);
   const Workload second = random_workload(tree, 2, rng);
-  const std::vector<std::uint64_t> first_arrivals =
+  std::vector<std::uint64_t> first_arrivals =
       random_arrivals(first.size(), rng);
-  const std::vector<std::uint64_t> second_arrivals =
+  for (std::uint64_t& a : first_arrivals) a += 1000;
+  std::vector<std::uint64_t> second_arrivals =
       random_arrivals(second.size(), rng);
+  for (std::uint64_t& a : second_arrivals) a -= second_arrivals.front();
 
-  EngineSession session(*mapping);
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    session.feed(first[i], first_arrivals[i]);
-  }
-  (void)session.drain();
-  session.clear();
-  ASSERT_EQ(session.accesses(), 0u);
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    session.feed(second[i], second_arrivals[i]);
-  }
+  for (const DepthSampling mode :
+       {DepthSampling::kEveryBusyCycle, DepthSampling::kOff}) {
+    EngineOptions options;
+    options.sampling = mode;
+    EngineSession session(*mapping, options);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      session.feed(first[i], first_arrivals[i]);
+    }
+    (void)session.drain();
+    session.clear();
+    ASSERT_EQ(session.accesses(), 0u);
+    for (std::size_t i = 0; i < second.size(); ++i) {
+      session.feed(second[i], second_arrivals[i]);
+    }
 
-  EngineSession fresh(*mapping);
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    fresh.feed(second[i], second_arrivals[i]);
+    EngineSession fresh(*mapping, options);
+    for (std::size_t i = 0; i < second.size(); ++i) {
+      fresh.feed(second[i], second_arrivals[i]);
+    }
+    expect_same_result(session.drain(), fresh.drain());
   }
-  ASSERT_EQ(session.drain().to_json().dump(), fresh.drain().to_json().dump());
+}
+
+TEST(EngineSession, SecondDrainWithoutFeedsIsIdentical) {
+  // drain() closes the open busy interval and depth runs into the result
+  // it returns, not into the session's state, so draining twice returns
+  // the same result — healthy, and replayed under a fault plan.
+  Rng rng(0x5A3ED4u);
+  for (int trial = 0; trial < 12; ++trial) {
+    const CompleteBinaryTree tree(6 + static_cast<std::uint32_t>(rng.below(5)));
+    const auto mapping = random_mapping(tree, rng);
+    const Workload workload =
+        random_workload(tree, static_cast<int>(rng.below(4)), rng);
+    const std::vector<std::uint64_t> arrivals =
+        random_arrivals(workload.size(), rng);
+    const fault::FaultPlan plan =
+        random_plan(mapping->num_modules(), 1 + rng.below(64), rng);
+    EngineOptions options = random_options(rng);
+    if (trial % 2 == 1) options.faults = &plan;
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+
+    EngineSession session(*mapping, options);
+    const std::size_t split = workload.size() / 2;
+    for (std::size_t i = 0; i < split; ++i) {
+      session.feed(workload[i], arrivals[i]);
+    }
+    const EngineResult first = session.drain();
+    expect_same_result(session.drain(), first);
+    for (std::size_t i = split; i < workload.size(); ++i) {
+      session.feed(workload[i], arrivals[i]);
+    }
+    const EngineResult whole = session.drain();
+    expect_same_result(session.drain(), whole);
+    expect_same_result(
+        whole,
+        CycleEngine(*mapping).run(
+            workload, ArrivalSchedule::explicit_cycles(arrivals), options));
+  }
 }
 
 }  // namespace

@@ -485,6 +485,20 @@ TEST(ServeForest, AddTenantAfterPlanningThrows) {
   EXPECT_EQ(planned.tenant_count(), 1u);
 }
 
+TEST(ServeForest, TenantOptionsRejectsUnknownId) {
+  const CompleteBinaryTree tree(6);
+  const ColorMapping mapping(tree, 4, 2);
+  Forest forest;
+  EXPECT_THROW((void)forest.tenant_options(0), std::out_of_range);
+  TenantOptions slow;
+  slow.weight = 3;
+  (void)forest.add_tenant(mapping);
+  (void)forest.add_tenant(mapping, slow);
+  EXPECT_EQ(forest.tenant_options(1).weight, 3u);
+  EXPECT_THROW((void)forest.tenant_options(2), std::out_of_range);
+  EXPECT_THROW((void)forest.tenant_options(5), std::out_of_range);
+}
+
 // ---------------------------------------------------------------------------
 // Server ≡ one-tenant Forest. Both run the same control plane: a Server is
 // its one-slot instance without DRR metering or a shared pool, a Forest its
