@@ -33,17 +33,6 @@ namespace pmtree {
 [[nodiscard]] std::uint64_t rounds(const TreeMapping& mapping,
                                    std::span<const Node> nodes);
 
-/// Batch form of conflicts() over a CSR-packed sequence of accesses:
-/// access i is the slice nodes[offsets[i] .. offsets[i+1]), and out[i]
-/// receives its conflict count. All colors are resolved in one
-/// color_of_batch call, so per-access cost is O(access size), independent
-/// of the module count and of the mapping's retrieval cost. Preconditions:
-/// offsets is non-empty and non-decreasing, offsets.front() == 0,
-/// offsets.back() <= nodes.size(), out.size() >= offsets.size() - 1.
-void conflicts_batch(const TreeMapping& mapping, std::span<const Node> nodes,
-                     std::span<const std::uint64_t> offsets,
-                     std::span<std::uint64_t> out);
-
 /// Controls for the evaluate_*/sample_* loops below.
 struct EvalOptions {
   /// Worker threads: 0 = one per hardware thread. Results — including the

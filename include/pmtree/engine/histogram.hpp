@@ -22,7 +22,8 @@ class Histogram {
   explicit Histogram(std::uint32_t sub_bits = 5);
 
   void record(std::uint64_t value) { record(value, 1); }
-  /// Records `count` observations of `value` at once (bucket restore path).
+  /// Records `count` observations of `value` at once (the engine's bulk
+  /// depth samples).
   void record(std::uint64_t value, std::uint64_t count);
 
   /// Merges another histogram recorded with the same sub_bits.
@@ -57,17 +58,8 @@ class Histogram {
     std::uint64_t upper = 0;  ///< inclusive upper edge (representative)
     std::uint64_t count = 0;
   };
-  /// Populated buckets in increasing value order (JSON export / rebuild).
+  /// Populated buckets in increasing value order (JSON export).
   [[nodiscard]] std::vector<Bucket> buckets() const;
-
-  /// Rebuilds a histogram from an exported bucket list plus the exact
-  /// extremes/sum the snapshot carries, so a restored histogram reports
-  /// identical count/min/max/sum and quantiles. Used by
-  /// MetricsRegistry::from_json.
-  [[nodiscard]] static Histogram restore(std::uint32_t sub_bits,
-                                         const std::vector<Bucket>& buckets,
-                                         std::uint64_t min, std::uint64_t max,
-                                         std::uint64_t sum);
 
  private:
   [[nodiscard]] std::size_t bucket_index(std::uint64_t value) const noexcept;

@@ -69,17 +69,14 @@ class MetricsRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Snapshot of every instrument:
+  /// Snapshot of every instrument, name-sorted within each kind:
   ///   {"counters": {name: value},
   ///    "gauges": {name: {"value": v, "high_water": h}},
-  ///    "histograms": {name: {"count","min","max","mean","p50","p95",
-  ///                          "p99","sub_bits","buckets":[[upper,count]...]}}}
+  ///    "histograms": {name: {"count","min","max","sum","mean","p50",
+  ///                          "p95","p99","sub_bits",
+  ///                          "buckets":[[upper,count]...]}}}
+  /// An empty histogram exports "min": 0.
   [[nodiscard]] Json to_json() const;
-
-  /// Rebuilds a registry from a to_json() snapshot (counters and gauges
-  /// exactly; histograms bucket-for-bucket, so quantiles are preserved).
-  /// nullopt if `snapshot` does not have the expected shape.
-  [[nodiscard]] static std::optional<MetricsRegistry> from_json(const Json& snapshot);
 
  private:
   std::map<std::string, Counter> counters_;

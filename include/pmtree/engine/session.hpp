@@ -38,8 +38,7 @@
 // drain() throws std::invalid_argument otherwise and leaves the session
 // as it was. A non-empty options.faults runs the stepping loop's fault
 // steps, which reroute by color alone, so faulted lanes stream through
-// sessions like healthy ones. options.memory is ignored: sessions never
-// see nodes.
+// sessions like healthy ones.
 #pragma once
 
 #include <cstdint>
@@ -87,13 +86,8 @@ class EngineSession {
   /// std::invalid_argument, changing nothing, if the arrivals fed
   /// decrease. Feeding more and draining again extends the earlier
   /// result; draining again without feeding returns the same result. The
-  /// result is the session's own: the next drain() or clear() overwrites
-  /// it.
+  /// result is the session's own: the next drain() overwrites it.
   [[nodiscard]] const EngineResult& drain();
-
-  /// Forgets everything fed and simulated so far (a fresh run's sessions,
-  /// without re-constructing — keeps the feed buffers' capacity).
-  void clear();
 
   [[nodiscard]] const TreeMapping& mapping() const noexcept {
     return mapping_;

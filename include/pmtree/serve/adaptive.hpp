@@ -10,9 +10,10 @@
 //   AdaptiveSelector — epoch controller, same skeleton as §15's
 //     MigrationPlanner. Every cut batch it resolves the batch's deduped
 //     node set through EVERY candidate mapping and scores each candidate
-//     by the batch's peak per-module request count (the makespan of the
-//     batch under the paper's one-request-per-module-per-cycle service
-//     model — the quantity the engine's completion time is governed by).
+//     by the batch's peak per-module request count (cost.hpp's rounds():
+//     the makespan of the batch under the paper's
+//     one-request-per-module-per-cycle service model — the quantity the
+//     engine's completion time is governed by).
 //     Every `epoch_batches` batches it decays the scores and, when some
 //     candidate strictly beats the incumbent, switches to it: later cut
 //     batches resolve against that candidate itself.
@@ -77,7 +78,9 @@ struct AdaptiveEvent {
 class AdaptiveSelector {
  public:
   /// `base` and every policy candidate must outlive the selector.
-  /// All candidates must share base's tree and module count (asserted).
+  /// All candidates must be non-null and share base's tree and module
+  /// count; the Server constructor and Forest::add_tenant reject any
+  /// other policy.
   AdaptiveSelector(const TreeMapping& base, const AdaptivePolicy& policy);
 
   /// Folds one freshly cut batch (deduped nodes) into every candidate's
@@ -120,9 +123,7 @@ class AdaptiveSelector {
   void decide(std::uint64_t cycle);
 
   AdaptivePolicy policy_;
-  std::vector<std::uint64_t> scores_;      ///< one per candidate
-  std::vector<Color> color_scratch_;
-  std::vector<std::uint32_t> load_scratch_;  ///< per-module counts
+  std::vector<std::uint64_t> scores_;  ///< one per candidate
   /// The mapping actually serving: the base until the first switch, then
   /// always one of policy_.candidates. Compared by pointer when deciding
   /// whether an epoch switches.

@@ -85,8 +85,7 @@ struct TenantOptions {
   RetryPolicy retry;
   /// Per-tenant engine knobs; `engine.faults` injects a fault schedule
   /// into THIS tenant's lanes only — other tenants' mappings and
-  /// completions are untouched by construction. `engine.memory` is
-  /// ignored, as for ServerOptions::engine.
+  /// completions are untouched by construction.
   engine::EngineOptions engine;
   /// Per-tenant skew-adaptive remapping (migration.hpp); same contract as
   /// ServerOptions::migration, scoped to this tenant's lanes and mapping.
@@ -177,7 +176,9 @@ class Forest {
   /// Registers a tenant; returns its id (dense, in registration order).
   /// `mapping` must outlive the forest. The first run() or plan() fixes
   /// the capacity plan, so a later add_tenant throws std::logic_error; a
-  /// tenant enabling both migration and adaptive selection throws
+  /// tenant enabling both migration and adaptive selection, or an epoch
+  /// controller whose inputs do not fit `mapping` (see
+  /// ServerOptions::migration and ::adaptive), throws
   /// std::invalid_argument.
   std::uint32_t add_tenant(const TreeMapping& mapping,
                            TenantOptions options = {});

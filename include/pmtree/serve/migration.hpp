@@ -153,7 +153,6 @@ class MigrationPlanner {
   [[nodiscard]] const std::vector<MigrationEvent>& events() const noexcept {
     return events_;
   }
-  [[nodiscard]] const HeatTracker& heat() const noexcept { return heat_; }
 
   /// Metrics payload for ServeMetrics::set_migration: policy echo, epoch
   /// and move counters, predicted peak before/after the last plan, and the

@@ -150,8 +150,6 @@ struct ServerOptions {
   /// same fault schedule into every replica; the serve layer folds the
   /// resulting reroute/stall counters into its metrics and, with a
   /// RetryPolicy, turns fault-inflated residencies into retries.
-  /// `engine.memory` is ignored here: the serve layer's arenas are
-  /// `memory` below.
   engine::EngineOptions engine;
   /// Stage attribution (pipeline.hpp). `pipeline.workers >= 1` runs the
   /// batch executor on that many threads instead of `workers` and adds
@@ -167,7 +165,9 @@ struct ServerOptions {
   /// pipeline workers included. Disabled (default) leaves every code path
   /// byte-identical to the static-mapping server. Faulted configurations
   /// keep the static mapping — fault reroute timelines already own the
-  /// color space (DESIGN.md §15).
+  /// color space (DESIGN.md §15). The constructor throws
+  /// std::invalid_argument when it is enabled with a `subtree_level` at or
+  /// past the tree's last level.
   MigrationPolicy migration;
   /// Read-write serving (mutation.hpp / DESIGN.md §16). When bound to a
   /// dyn::DynamicTree + IncrementalColorer, Insert/Erase requests apply
@@ -188,8 +188,9 @@ struct ServerOptions {
   /// control-plane decision, so responses stay bit-identical at any
   /// worker count, pipeline workers included. The constructor throws
   /// std::invalid_argument when migration is enabled too (both would own
-  /// the epoch mapping) or dyn is bound; faulted configurations keep the
-  /// static mapping, exactly like migration.
+  /// the epoch mapping) or dyn is bound, and when a candidate is null or
+  /// does not color the server's tree with its module count; faulted
+  /// configurations keep the static mapping, exactly like migration.
   AdaptivePolicy adaptive;
   /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
   /// owned, must outlive the run). When set, every cut batch's deduped
@@ -235,8 +236,9 @@ class Server {
   /// `mapping` must outlive the server. Instruments land in the server's
   /// own registry (see registry()) under prefix "serve" plus
   /// "serve.replicaN.*" for each replica's engine run. Throws
-  /// std::invalid_argument for the option pairs that do not compose (see
-  /// `dyn` and `adaptive` above).
+  /// std::invalid_argument for the option pairs that do not compose and
+  /// for epoch-controller inputs that do not fit `mapping` (see
+  /// `migration`, `dyn` and `adaptive` above).
   explicit Server(const TreeMapping& mapping, ServerOptions options = {});
   ~Server();
 

@@ -1,15 +1,14 @@
 #pragma once
 
-// Runtime-dispatched SIMD kernels for the serve pipeline's two hot loops:
-// table-gather color lookups (ColorMapping::color_of_batch) and the
-// per-batch conflict histogram that seeds run scheduling.
+// The runtime-dispatched SIMD kernel behind ColorMapping::color_of_batch:
+// the table-gather color lookup.
 //
 // Dispatch contract:
-//   - The default build carries no -march flags, so the AVX2 bodies are
-//     compiled with per-function target attributes and selected at runtime
+//   - The default build carries no -march flags, so the AVX2 body is
+//     compiled with a per-function target attribute and selected at runtime
 //     via __builtin_cpu_supports("avx2"). Non-x86 builds and
-//     -DPMTREE_DISABLE_SIMD builds keep only the scalar bodies.
-//   - Every kernel has a scalar twin with bit-identical output; the
+//     -DPMTREE_DISABLE_SIMD builds keep only the scalar body.
+//   - The kernel has a scalar twin with bit-identical output; the
 //     differential property suite (test_util_simd) enforces this, and
 //     force_scalar_for_testing() lets in-process tests exercise both paths
 //     regardless of host CPU.
@@ -19,10 +18,9 @@
 
 namespace pmtree::simd {
 
-/// True when the AVX2 kernels are compiled in, the host CPU supports them,
+/// True when the AVX2 kernel is compiled in, the host CPU supports it,
 /// and no test override is active. Callers never need to check this —
-/// gather_u32 / conflict_histogram dispatch internally — but benches and
-/// metrics report it.
+/// gather_u32 dispatches internally — but benches and metrics report it.
 [[nodiscard]] bool available() noexcept;
 
 /// Name of the kernel set the dispatcher would pick right now:
@@ -30,7 +28,7 @@ namespace pmtree::simd {
 [[nodiscard]] const char* active_kernel() noexcept;
 
 /// Testing hook: when true, dispatch ignores CPU support and runs the
-/// scalar bodies. Not for production use; the differential tests flip it
+/// scalar body. Not for production use; the differential tests flip it
 /// to compare both paths in one process.
 void force_scalar_for_testing(bool force) noexcept;
 
@@ -40,12 +38,5 @@ void force_scalar_for_testing(bool force) noexcept;
 /// eager tables are gated at 2^31).
 void gather_u32(const std::uint32_t* table, const std::uint32_t* idx,
                 std::size_t n, std::uint32_t* out);
-
-/// counts[m] = |{ i : colors[i] == m }| for m in [0, modules); counts is
-/// overwritten, not accumulated. Every colors[i] must be < modules.
-/// The AVX2 body covers modules <= 64 with one-hot u16 lane accumulation;
-/// wider module counts fall back to the scalar body.
-void conflict_histogram(const std::uint32_t* colors, std::size_t n,
-                        std::uint32_t* counts, std::uint32_t modules);
 
 }  // namespace pmtree::simd

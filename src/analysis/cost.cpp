@@ -1,7 +1,6 @@
 #include "pmtree/analysis/cost.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "pmtree/templates/enumerate.hpp"
 #include "pmtree/templates/sampler.hpp"
@@ -13,33 +12,29 @@ namespace {
 
 /// The paper's cost of one access is the occupancy of its busiest module
 /// (its rounds; 0 for an empty access). This is the one place that counts
-/// it: resolve() colors a node run once, and rounds() histograms any slice
-/// of it. The histogram stays zero between calls — each count resets only
-/// the entries it touched, so a small access on a large module count stays
+/// it. The histogram stays zero between calls — each count resets only the
+/// entries it touched, so a small access on a large module count stays
 /// O(access size).
 class BusiestModule {
  public:
-  void resolve(const TreeMapping& mapping, std::span<const Node> nodes) {
+  /// Busiest-module occupancy of `nodes` under `mapping`.
+  [[nodiscard]] std::uint32_t rounds(const TreeMapping& mapping,
+                                     std::span<const Node> nodes) {
     colors_.resize(nodes.size());
     mapping.color_of_batch(nodes, colors_);
     if (histogram_.size() < mapping.num_modules()) {
       histogram_.assign(mapping.num_modules(), 0);
     }
-  }
-
-  /// Busiest-module occupancy of the resolved nodes [begin, end).
-  [[nodiscard]] std::uint32_t rounds(std::size_t begin, std::size_t end) {
     std::uint32_t worst = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      worst = std::max(worst, ++histogram_[colors_[i]]);
-    }
-    for (std::size_t i = begin; i < end; ++i) histogram_[colors_[i]] = 0;
+    for (const Color c : colors_) worst = std::max(worst, ++histogram_[c]);
+    for (const Color c : colors_) histogram_[c] = 0;
     return worst;
   }
 
-  /// rounds() - 1, and 0 for an empty slice.
-  [[nodiscard]] std::uint64_t conflicts(std::size_t begin, std::size_t end) {
-    const std::uint32_t worst = rounds(begin, end);
+  /// rounds() - 1, and 0 for an empty access.
+  [[nodiscard]] std::uint64_t conflicts(const TreeMapping& mapping,
+                                        std::span<const Node> nodes) {
+    const std::uint32_t worst = rounds(mapping, nodes);
     return worst == 0 ? 0 : worst - 1;
   }
 
@@ -72,8 +67,7 @@ class CostAccumulator {
   explicit CostAccumulator(const TreeMapping& mapping) : mapping_(mapping) {}
 
   void observe(std::uint64_t index, std::span<const Node> nodes) {
-    scratch_.resolve(mapping_, nodes);
-    const std::uint64_t cost = scratch_.conflicts(0, nodes.size());
+    const std::uint64_t cost = scratch_.conflicts(mapping_, nodes);
 
     count_ += 1;
     sum_ += cost;
@@ -130,20 +124,9 @@ template <typename AppendNodes>
 FamilyCost evaluate_indexed(const TreeMapping& mapping, std::uint64_t total,
                             const EvalOptions& opts,
                             const AppendNodes& append) {
-  unsigned threads = resolve_threads(opts.threads);
-  if (total < opts.sequential_cutoff) threads = 1;
-
-  if (threads == 1) {
-    CostAccumulator acc(mapping);
-    std::vector<Node> buf;
-    for (std::uint64_t i = 0; i < total; ++i) {
-      buf.clear();
-      append(i, buf);
-      acc.observe(i, buf);
-    }
-    return acc.take();
-  }
-
+  const unsigned threads = total < opts.sequential_cutoff
+                              ? 1
+                              : resolve_threads(opts.threads);
   std::vector<CostAccumulator> accs(threads, CostAccumulator(mapping));
   std::vector<std::vector<Node>> bufs(threads);
   parallel_chunks(total, threads, kEvalGrain,
@@ -175,31 +158,11 @@ FamilyCost evaluate_presampled(const TreeMapping& mapping,
 }  // namespace
 
 std::uint64_t conflicts(const TreeMapping& mapping, std::span<const Node> nodes) {
-  BusiestModule& scratch = thread_scratch();
-  scratch.resolve(mapping, nodes);
-  return scratch.conflicts(0, nodes.size());
+  return thread_scratch().conflicts(mapping, nodes);
 }
 
 std::uint64_t rounds(const TreeMapping& mapping, std::span<const Node> nodes) {
-  BusiestModule& scratch = thread_scratch();
-  scratch.resolve(mapping, nodes);
-  return scratch.rounds(0, nodes.size());
-}
-
-void conflicts_batch(const TreeMapping& mapping, std::span<const Node> nodes,
-                     std::span<const std::uint64_t> offsets,
-                     std::span<std::uint64_t> out) {
-  assert(!offsets.empty());
-  assert(offsets.front() == 0 && offsets.back() <= nodes.size());
-  const std::size_t accesses = offsets.size() - 1;
-  assert(out.size() >= accesses);
-
-  BusiestModule& scratch = thread_scratch();
-  scratch.resolve(mapping, nodes);
-  for (std::size_t a = 0; a < accesses; ++a) {
-    assert(offsets[a] <= offsets[a + 1]);
-    out[a] = scratch.conflicts(offsets[a], offsets[a + 1]);
-  }
+  return thread_scratch().rounds(mapping, nodes);
 }
 
 FamilyCost evaluate_subtrees(const TreeMapping& mapping, std::uint64_t K,

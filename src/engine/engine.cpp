@@ -22,9 +22,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "pmtree/mem/arena.hpp"
-#include "pmtree/util/simd.hpp"
-
 namespace pmtree::engine {
 
 std::uint64_t EngineResult::max_queue_depth() const noexcept {
@@ -72,32 +69,10 @@ Json EngineResult::to_json() const {
   Json per_module = Json::array();
   for (const std::uint64_t s : served) per_module.push_back(Json(s));
   root.set("served", std::move(per_module));
-
-  if (mem_nodes_touched != 0) {
-    Json memory = Json::object();
-    memory.set("nodes", Json(mem_nodes_touched));
-    memory.set("bytes", Json(mem_bytes_touched));
-    memory.set("checksum", Json(mem::detail::hex64(mem_checksum)));
-    root.set("memory", std::move(memory));
-  }
   return root;
 }
 
 namespace {
-
-// Loads every access's payloads from the real-memory arenas and folds the
-// traffic into the result. Observation only: it runs after the trajectory
-// is fully decided, so results are bit-identical with the backend on/off.
-void touch_workload(const mem::MemoryBackend& memory,
-                    const Workload& workload, EngineResult& result) {
-  mem::TouchStats stats;
-  for (std::size_t i = 0; i < workload.size(); ++i) {
-    stats += memory.touch(workload[i]);
-  }
-  result.mem_nodes_touched = stats.nodes;
-  result.mem_bytes_touched = stats.bytes;
-  result.mem_checksum = stats.checksum;
-}
 
 void export_metrics(MetricsRegistry& metrics, const std::string& prefix,
                     const EngineResult& result) {
@@ -139,20 +114,12 @@ void run_stepping(const std::uint32_t modules,
   // Flat arena queues: module m's FIFO is arena[qbase[m], qbase[m+1]), a
   // segment sized to every request that can ever be pushed onto m, so
   // push/pop are bump pointers that never wrap or allocate. That is the
-  // conflict histogram of the resolved colors (SIMD-accelerated; see
-  // util/simd.hpp), plus each dead module's count folded onto its reroute
-  // target: reroute targets never fail, so a request moves at most once,
-  // and a dead module is never a target, so its count is still its own
-  // routed load when it is folded.
+  // per-module count of the resolved colors, plus each dead module's count
+  // folded onto its reroute target: reroute targets never fail, so a
+  // request moves at most once, and a dead module is never a target, so
+  // its count is still its own routed load when it is folded.
   std::vector<std::size_t> qbase(modules + 1, 0);
-  if (colors.size() < std::numeric_limits<std::uint32_t>::max()) {
-    std::vector<std::uint32_t> counts(modules);
-    simd::conflict_histogram(colors.data(), colors.size(), counts.data(),
-                             modules);
-    for (std::uint32_t m = 0; m < modules; ++m) qbase[m + 1] = counts[m];
-  } else {
-    for (const Color c : colors) qbase[c + 1] += 1;
-  }
+  for (const Color c : colors) qbase[c + 1] += 1;
   for (const std::uint32_t d : timeline.dead_modules()) {
     qbase[timeline.redirect(d) + 1] += qbase[d + 1];
   }
@@ -329,9 +296,6 @@ EngineResult CycleEngine::run(const Workload& workload,
 
   EngineResult result = detail::run_resolved(mapping_.num_modules(), first,
                                              colors, schedule, options);
-  if (options.memory != nullptr) {
-    touch_workload(*options.memory, workload, result);
-  }
   if (metrics_ != nullptr) {
     export_metrics(*metrics_, prefix_, result);
     if (options.faults != nullptr && !options.faults->empty()) {

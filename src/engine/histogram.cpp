@@ -121,25 +121,6 @@ std::uint64_t Histogram::value_at_quantile(double q) const {
   return max_;  // unreachable
 }
 
-Histogram Histogram::restore(std::uint32_t sub_bits,
-                             const std::vector<Bucket>& buckets,
-                             std::uint64_t min, std::uint64_t max,
-                             std::uint64_t sum) {
-  Histogram h(sub_bits);
-  for (const Bucket& b : buckets) {
-    // A bucket's upper edge maps back into the same bucket, so the count
-    // array is reproduced exactly.
-    h.counts_[h.bucket_index(b.upper)] += b.count;
-    h.count_ += b.count;
-  }
-  h.sum_ = sum;
-  if (h.count_ != 0) {
-    h.min_ = min;
-    h.max_ = max;
-  }
-  return h;
-}
-
 std::vector<Histogram::Bucket> Histogram::buckets() const {
   std::vector<Bucket> out;
   for (std::size_t i = 0; i < counts_.size(); ++i) {

@@ -81,57 +81,4 @@ Json MetricsRegistry::to_json() const {
   return root;
 }
 
-std::optional<MetricsRegistry> MetricsRegistry::from_json(const Json& snapshot) {
-  if (snapshot.type() != Json::Type::kObject) return std::nullopt;
-  const Json* counters = snapshot.find("counters");
-  const Json* gauges = snapshot.find("gauges");
-  const Json* histograms = snapshot.find("histograms");
-  if (counters == nullptr || counters->type() != Json::Type::kObject ||
-      gauges == nullptr || gauges->type() != Json::Type::kObject ||
-      histograms == nullptr || histograms->type() != Json::Type::kObject) {
-    return std::nullopt;
-  }
-
-  MetricsRegistry reg;
-  for (const auto& [name, v] : counters->members()) {
-    if (v.type() != Json::Type::kNumber) return std::nullopt;
-    reg.counter(name).add(v.as_uint());
-  }
-  for (const auto& [name, v] : gauges->members()) {
-    const Json* value = v.find("value");
-    const Json* high = v.find("high_water");
-    if (value == nullptr || high == nullptr) return std::nullopt;
-    Gauge& g = reg.gauge(name);
-    // Setting high-water first makes the mark stick even when the last
-    // written value was lower.
-    g.set(static_cast<std::int64_t>(high->as_number()));
-    g.set(static_cast<std::int64_t>(value->as_number()));
-  }
-  for (const auto& [name, v] : histograms->members()) {
-    const Json* sub_bits = v.find("sub_bits");
-    const Json* min = v.find("min");
-    const Json* max = v.find("max");
-    const Json* sum = v.find("sum");
-    const Json* buckets = v.find("buckets");
-    if (sub_bits == nullptr || min == nullptr || max == nullptr ||
-        sum == nullptr || buckets == nullptr ||
-        buckets->type() != Json::Type::kArray) {
-      return std::nullopt;
-    }
-    std::vector<Histogram::Bucket> parsed;
-    for (const Json& pair : buckets->items()) {
-      if (pair.type() != Json::Type::kArray || pair.items().size() != 2) {
-        return std::nullopt;
-      }
-      parsed.push_back(Histogram::Bucket{pair.items()[0].as_uint(),
-                                         pair.items()[1].as_uint()});
-    }
-    reg.histogram(name, static_cast<std::uint32_t>(sub_bits->as_uint())) =
-        Histogram::restore(static_cast<std::uint32_t>(sub_bits->as_uint()),
-                           parsed, min->as_uint(), max->as_uint(),
-                           sum->as_uint());
-  }
-  return reg;
-}
-
 }  // namespace pmtree::engine

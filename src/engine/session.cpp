@@ -5,19 +5,13 @@
 
 namespace pmtree::engine {
 
-namespace {
-
-bool depths(const EngineOptions& options) {
-  return options.sampling == EngineOptions::DepthSampling::kEveryBusyCycle;
-}
-
-}  // namespace
-
 EngineSession::EngineSession(const TreeMapping& mapping,
                              const EngineOptions& options)
     : mapping_(mapping),
       options_(options),
-      recurrence_(mapping.num_modules(), depths(options)),
+      recurrence_(mapping.num_modules(),
+                  options.sampling ==
+                      EngineOptions::DepthSampling::kEveryBusyCycle),
       result_(detail::empty_result(mapping.num_modules())) {}
 
 const EngineResult& EngineSession::drain() {
@@ -50,14 +44,6 @@ const EngineResult& EngineSession::drain() {
   }
   recurrence_.finish(result_);
   return result_;
-}
-
-void EngineSession::clear() {
-  first_.assign(1, 0);
-  colors_.clear();
-  arrivals_.clear();
-  recurrence_ = detail::Recurrence(mapping_.num_modules(), depths(options_));
-  result_ = detail::empty_result(mapping_.num_modules());
 }
 
 }  // namespace pmtree::engine

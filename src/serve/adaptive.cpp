@@ -1,7 +1,8 @@
 #include "pmtree/serve/adaptive.hpp"
 
-#include <algorithm>
 #include <cassert>
+
+#include "pmtree/analysis/cost.hpp"
 
 namespace pmtree::serve {
 
@@ -23,35 +24,17 @@ AdaptiveSelector::AdaptiveSelector(const TreeMapping& base,
     : policy_(policy), active_(&base) {
   assert(policy_.enabled());
   scores_.assign(policy_.candidates.size(), 0);
-  load_scratch_.assign(base.num_modules(), 0);
-#ifndef NDEBUG
-  for (const TreeMapping* c : policy_.candidates) {
-    assert(c != nullptr);
-    assert(c->tree() == base.tree() &&
-           "adaptive candidates must color the server's tree");
-    assert(c->num_modules() == base.num_modules() &&
-           "adaptive candidates must use the server's module count");
-  }
-#endif
 }
 
 void AdaptiveSelector::observe(std::span<const Node> nodes,
                                std::uint64_t cycle) {
-  color_scratch_.resize(nodes.size());
-  const std::span<Color> colors(color_scratch_.data(), color_scratch_.size());
-  // Score every candidate on the same batch: the batch's peak per-module
-  // request count is its makespan under the paper's service model (one
-  // request per module per cycle), so the sum over batches estimates how
-  // long this candidate would have taken to serve the observed stream.
+  // Score every candidate on the same batch: the batch's rounds (its
+  // busiest module's request count) is its makespan under the paper's
+  // service model (one request per module per cycle), so the sum over
+  // batches estimates how long this candidate would have taken to serve
+  // the observed stream.
   for (std::size_t j = 0; j < policy_.candidates.size(); ++j) {
-    policy_.candidates[j]->color_of_batch(nodes, colors);
-    std::fill(load_scratch_.begin(), load_scratch_.end(), 0u);
-    std::uint32_t peak = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const std::uint32_t l = ++load_scratch_[colors[i]];
-      peak = std::max(peak, l);
-    }
-    scores_[j] += peak;
+    scores_[j] += rounds(*policy_.candidates[j], nodes);
   }
   batches_total_ += 1;
   batches_since_decide_ += 1;

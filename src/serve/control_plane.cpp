@@ -689,6 +689,29 @@ void reject_excluded_pairs(const MigrationPolicy& migration,
   }
 }
 
+void reject_mismatched_epoch_inputs(const TreeMapping& mapping,
+                                    const MigrationPolicy& migration,
+                                    const AdaptivePolicy& adaptive) {
+  if (adaptive.enabled()) {
+    for (const TreeMapping* c : adaptive.candidates) {
+      if (c == nullptr) {
+        throw std::invalid_argument("adaptive candidate is null");
+      }
+      if (c->tree() != mapping.tree() ||
+          c->num_modules() != mapping.num_modules()) {
+        throw std::invalid_argument(
+            "adaptive candidate must color the slot's tree with its module "
+            "count");
+      }
+    }
+  }
+  if (migration.enabled() &&
+      migration.subtree_level >= mapping.tree().levels()) {
+    throw std::invalid_argument(
+        "migration subtree_level must be below the tree's level count");
+  }
+}
+
 std::uint64_t count_status(const std::vector<Response>& responses,
                            RequestStatus status) noexcept {
   std::uint64_t n = 0;

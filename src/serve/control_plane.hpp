@@ -89,6 +89,16 @@ void reject_excluded_pairs(const MigrationPolicy& migration,
                            const AdaptivePolicy& adaptive,
                            const DynBinding& dyn);
 
+/// Throws std::invalid_argument for an enabled epoch controller whose
+/// inputs do not fit the slot's `mapping`: an adaptive candidate that is
+/// null or colors another tree or module count (its colors would index
+/// the lane's per-module state out of bounds once it wins an epoch), or a
+/// migration subtree level at or past the tree's last level, which names
+/// subtrees that do not exist. Called next to reject_excluded_pairs.
+void reject_mismatched_epoch_inputs(const TreeMapping& mapping,
+                                    const MigrationPolicy& migration,
+                                    const AdaptivePolicy& adaptive);
+
 /// Report helpers shared by ServeReport and ForestReport: a status count
 /// and the per-response JSON table.
 [[nodiscard]] std::uint64_t count_status(const std::vector<Response>& responses,

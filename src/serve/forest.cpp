@@ -72,6 +72,8 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
         "plan()");
   }
   detail::reject_excluded_pairs(options.migration, options.adaptive, {});
+  detail::reject_mismatched_epoch_inputs(mapping, options.migration,
+                                         options.adaptive);
   const std::uint32_t id = static_cast<std::uint32_t>(tenants_.size());
   if (options.name.empty()) options.name = "t" + std::to_string(id);
   if (options.weight == 0) options.weight = 1;

@@ -49,6 +49,8 @@ Server::Server(const TreeMapping& mapping, ServerOptions options)
       plane_(std::make_unique<detail::ControlPlane>()) {
   detail::reject_excluded_pairs(options_.migration, options_.adaptive,
                                 options_.dyn);
+  detail::reject_mismatched_epoch_inputs(mapping_, options_.migration,
+                                         options_.adaptive);
   if (options_.tick_cycles == 0) options_.tick_cycles = 1;
   if (options_.replicas == 0) options_.replicas = 1;
 }

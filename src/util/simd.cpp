@@ -3,10 +3,10 @@
 #include <atomic>
 
 // All SIMD gating lives in this translation unit. The release build carries
-// no -march flags, so the AVX2 bodies are compiled with per-function target
-// attributes (available on GCC/Clang for x86) and picked at runtime with
+// no -march flags, so the AVX2 body is compiled with a per-function target
+// attribute (available on GCC/Clang for x86) and picked at runtime with
 // __builtin_cpu_supports. -DPMTREE_DISABLE_SIMD (or a non-x86 target, or a
-// non-GNU compiler) drops the AVX2 bodies entirely and available() pins to
+// non-GNU compiler) drops the AVX2 body entirely and available() pins to
 // false, which is exactly the configuration the `nosimd` CMake preset
 // exercises in CI.
 #if !defined(PMTREE_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__)) && \
@@ -43,12 +43,6 @@ void gather_u32_scalar(const std::uint32_t* table, const std::uint32_t* idx,
   for (std::size_t i = 0; i < n; ++i) out[i] = table[idx[i]];
 }
 
-void conflict_histogram_scalar(const std::uint32_t* colors, std::size_t n,
-                               std::uint32_t* counts, std::uint32_t modules) {
-  for (std::uint32_t m = 0; m < modules; ++m) counts[m] = 0;
-  for (std::size_t i = 0; i < n; ++i) ++counts[colors[i]];
-}
-
 #if PMTREE_HAS_AVX2
 
 __attribute__((target("avx2"))) void gather_u32_avx2(
@@ -63,50 +57,6 @@ __attribute__((target("avx2"))) void gather_u32_avx2(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), g);
   }
   for (; i < n; ++i) out[i] = table[idx[i]];
-}
-
-// One-hot rows for the histogram kernel: row c is 64 u16 lanes with a 1 at
-// lane c. Row stride is 128 bytes, so with the table 32-byte aligned every
-// 16-lane bank within a row is an aligned vector load.
-struct OneHotTable {
-  alignas(32) std::uint16_t row[64][64];
-};
-
-constexpr OneHotTable kOneHot = [] {
-  OneHotTable t{};
-  for (int c = 0; c < 64; ++c) t.row[c][c] = 1;
-  return t;
-}();
-
-// Accumulates one-hot u16 rows into BANKS register accumulators (16 lanes
-// per bank, so BANKS=1/2/4 covers modules <= 16/32/64). Input is chunked so
-// no u16 lane can exceed 65535 adds before it is folded into the u32 counts.
-template <std::size_t BANKS>
-__attribute__((target("avx2"))) void conflict_histogram_avx2(
-    const std::uint32_t* colors, std::size_t n, std::uint32_t* counts,
-    std::uint32_t modules) {
-  for (std::uint32_t m = 0; m < modules; ++m) counts[m] = 0;
-  constexpr std::size_t kChunk = 60000;
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t stop = done + (n - done < kChunk ? n - done : kChunk);
-    __m256i acc[BANKS];
-    for (std::size_t b = 0; b < BANKS; ++b) acc[b] = _mm256_setzero_si256();
-    for (std::size_t i = done; i < stop; ++i) {
-      const std::uint16_t* row = kOneHot.row[colors[i]];
-      for (std::size_t b = 0; b < BANKS; ++b) {
-        acc[b] = _mm256_add_epi16(
-            acc[b],
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(row + 16 * b)));
-      }
-    }
-    alignas(32) std::uint16_t lanes[16 * BANKS];
-    for (std::size_t b = 0; b < BANKS; ++b) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 16 * b), acc[b]);
-    }
-    for (std::uint32_t m = 0; m < modules; ++m) counts[m] += lanes[m];
-    done = stop;
-  }
 }
 
 #endif  // PMTREE_HAS_AVX2
@@ -130,23 +80,6 @@ void gather_u32(const std::uint32_t* table, const std::uint32_t* idx,
   }
 #endif
   gather_u32_scalar(table, idx, n, out);
-}
-
-void conflict_histogram(const std::uint32_t* colors, std::size_t n,
-                        std::uint32_t* counts, std::uint32_t modules) {
-#if PMTREE_HAS_AVX2
-  if (modules <= 64 && use_avx2()) {
-    if (modules <= 16) {
-      conflict_histogram_avx2<1>(colors, n, counts, modules);
-    } else if (modules <= 32) {
-      conflict_histogram_avx2<2>(colors, n, counts, modules);
-    } else {
-      conflict_histogram_avx2<4>(colors, n, counts, modules);
-    }
-    return;
-  }
-#endif
-  conflict_histogram_scalar(colors, n, counts, modules);
 }
 
 }  // namespace pmtree::simd

@@ -172,30 +172,22 @@ TEST(AnalysisParallel, IndexedAccessorsMatchEnumerationOrder) {
   EXPECT_EQ(i, count_tp(tree));
 }
 
-TEST(AnalysisParallel, ConflictsBatchMatchesScalarConflicts) {
+TEST(AnalysisParallel, RoundsIsConflictsPlusOne) {
   const CompleteBinaryTree tree(12);
   const ColorMapping mapping(tree, 6, 3);
   Rng rng(7);
 
-  // CSR-pack 200 random accesses of mixed sizes (including empty).
-  std::vector<Node> nodes;
-  std::vector<std::uint64_t> offsets{0};
+  // 200 random accesses of mixed sizes (including empty).
   for (int a = 0; a < 200; ++a) {
+    std::vector<Node> nodes;
     const std::uint64_t len = rng.below(20);  // 0..19 nodes
     for (std::uint64_t r = 0; r < len; ++r) {
       const auto level = static_cast<std::uint32_t>(rng.below(tree.levels()));
       nodes.push_back(Node{level, rng.below(pow2(level))});
     }
-    offsets.push_back(nodes.size());
-  }
-
-  std::vector<std::uint64_t> batch(offsets.size() - 1);
-  conflicts_batch(mapping, nodes, offsets, batch);
-  for (std::size_t a = 0; a + 1 < offsets.size(); ++a) {
-    const std::span<const Node> slice(nodes.data() + offsets[a],
-                                      offsets[a + 1] - offsets[a]);
-    EXPECT_EQ(batch[a], conflicts(mapping, slice)) << "access " << a;
-    EXPECT_EQ(slice.empty() ? 0 : batch[a] + 1, rounds(mapping, slice));
+    EXPECT_EQ(rounds(mapping, nodes),
+              nodes.empty() ? 0 : conflicts(mapping, nodes) + 1)
+        << "access " << a;
   }
 }
 

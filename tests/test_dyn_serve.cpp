@@ -97,7 +97,7 @@ struct RunResult {
   /// With arenas: what the report's batches should have read, from the
   /// batch node counts and the analytic per-node checksums.
   std::uint64_t expected_mem_nodes = 0;
-  std::uint64_t expected_mem_checksum = 0;
+  std::uint64_t expected_checksum = 0;
 };
 
 /// Fresh tree + colorer per run: every leg replays the same traffic from
@@ -128,7 +128,7 @@ RunResult run_config(const Config& cfg, unsigned workers,
     for (const FormedBatch& b : res.report.batches) {
       res.expected_mem_nodes += b.nodes.size();
       for (const Node n : b.nodes) {
-        res.expected_mem_checksum += memory->expected_node_checksum(n);
+        res.expected_checksum += memory->expected_node_checksum(n);
       }
     }
   }
@@ -241,7 +241,7 @@ TEST(DynServe, ArenasOverTheColorerAreObservationOnly) {
       expect_same_final_state(got, oracle);
       EXPECT_GT(got.report.memory.nodes, 0u);
       EXPECT_EQ(got.report.memory.nodes, got.expected_mem_nodes);
-      EXPECT_EQ(got.report.memory.checksum, got.expected_mem_checksum);
+      EXPECT_EQ(got.report.memory.checksum, got.expected_checksum);
     }
   }
 }

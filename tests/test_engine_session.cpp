@@ -377,45 +377,6 @@ TEST(EngineSession, EmptyAccessesRideAlong) {
   expect_same_result(session.drain(), want);
 }
 
-TEST(EngineSession, ClearResetsForReuse) {
-  // The second stream starts at cycle 0, long before the first one's last
-  // arrival: a session that kept any of the first run's state would not
-  // reproduce a fresh session.
-  Rng rng(0xC1EA4);
-  const CompleteBinaryTree tree(9);
-  const auto mapping = random_mapping(tree, rng);
-  const Workload first = random_workload(tree, 1, rng);
-  const Workload second = random_workload(tree, 2, rng);
-  std::vector<std::uint64_t> first_arrivals =
-      random_arrivals(first.size(), rng);
-  for (std::uint64_t& a : first_arrivals) a += 1000;
-  std::vector<std::uint64_t> second_arrivals =
-      random_arrivals(second.size(), rng);
-  for (std::uint64_t& a : second_arrivals) a -= second_arrivals.front();
-
-  for (const DepthSampling mode :
-       {DepthSampling::kEveryBusyCycle, DepthSampling::kOff}) {
-    EngineOptions options;
-    options.sampling = mode;
-    EngineSession session(*mapping, options);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-      session.feed(first[i], first_arrivals[i]);
-    }
-    (void)session.drain();
-    session.clear();
-    ASSERT_EQ(session.accesses(), 0u);
-    for (std::size_t i = 0; i < second.size(); ++i) {
-      session.feed(second[i], second_arrivals[i]);
-    }
-
-    EngineSession fresh(*mapping, options);
-    for (std::size_t i = 0; i < second.size(); ++i) {
-      fresh.feed(second[i], second_arrivals[i]);
-    }
-    expect_same_result(session.drain(), fresh.drain());
-  }
-}
-
 TEST(EngineSession, SecondDrainWithoutFeedsIsIdentical) {
   // drain() closes the open busy interval and depth runs into the result
   // it returns, not into the session's state, so draining twice returns

@@ -1,6 +1,6 @@
-// End-to-end integration: workload generation -> mapping -> the batch
-// cost kernel / per-access cost / cycle engine must all tell one
-// consistent story, and the applications must compose with every mapping.
+// End-to-end integration: workload generation -> mapping -> per-access
+// cost / cycle engine must tell one consistent story, and the
+// applications must compose with every mapping.
 #include <gtest/gtest.h>
 
 #include "pmtree/pmtree.hpp"
@@ -14,26 +14,15 @@ TEST(Integration, AllAccountingLayersAgree) {
   const ColorMapping map(tree, 6, 3);
   const auto workload = Workload::mixed(tree, 9, 300, 4242);
 
-  // The batch kernel over the CSR-packed workload.
-  std::vector<Node> nodes;
-  std::vector<std::uint64_t> offsets{0};
-  for (const auto& access : workload.accesses()) {
-    ASSERT_FALSE(access.empty());
-    nodes.insert(nodes.end(), access.begin(), access.end());
-    offsets.push_back(nodes.size());
-  }
-  std::vector<std::uint64_t> batch(workload.size());
-  conflicts_batch(map, nodes, offsets, batch);
-
   // The cycle engine with one access in flight at a time: an access's
   // latency is its rounds, one more than its conflicts.
   const auto serial = engine::CycleEngine(map).run(
       workload, engine::ArrivalSchedule::serialized());
   ASSERT_EQ(serial.records.size(), workload.size());
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    const std::uint64_t per_access = conflicts(map, workload[i]);
-    EXPECT_EQ(batch[i], per_access) << "access " << i;
-    EXPECT_EQ(serial.records[i].latency() - 1, per_access) << "access " << i;
+    ASSERT_FALSE(workload[i].empty());
+    EXPECT_EQ(serial.records[i].latency() - 1, conflicts(map, workload[i]))
+        << "access " << i;
   }
 }
 

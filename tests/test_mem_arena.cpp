@@ -1,8 +1,7 @@
 // Real-memory module arenas (DESIGN.md §17): physical layout invariants
 // (64-byte slab alignment, module-major BFS placement, stride rounding),
-// touch() arithmetic and its commutative-aggregation contract, the
-// analytic checksum oracle, and the CycleEngine's observational memory
-// hook (counters filled, responses untouched).
+// touch() arithmetic and its commutative-aggregation contract, and the
+// analytic checksum oracle.
 #include "pmtree/mem/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -11,11 +10,9 @@
 #include <numeric>
 #include <vector>
 
-#include "pmtree/engine/engine.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
-#include "pmtree/pms/workload.hpp"
 #include "pmtree/tree/tree.hpp"
 #include "pmtree/util/rng.hpp"
 
@@ -191,65 +188,6 @@ TEST(MemoryBackend, StatsEchoLayoutAndTouchTotals) {
   EXPECT_EQ(j.find("touched")->find("nodes")->as_uint(), tree.size());
   EXPECT_EQ(j.find("touched")->find("checksum")->as_string(),
             detail::hex64(touched.checksum));
-}
-
-// ---------------------------------------------------------------------------
-// CycleEngine hook: observational counters, untouched results.
-
-TEST(MemoryBackend, EngineFillsCountersWithoutPerturbingTheRun) {
-  const CompleteBinaryTree tree(9);
-  const ColorMapping mapping(make_optimal_color_mapping(tree, 13));
-  const MemoryBackend memory(mapping);
-
-  Rng rng(0xE25);
-  std::vector<Workload::Access> accesses;
-  std::uint64_t total_nodes = 0;
-  for (int b = 0; b < 40; ++b) {
-    Workload::Access a;
-    for (int k = 0; k < 8; ++k) {
-      const std::uint32_t level =
-          static_cast<std::uint32_t>(rng.below(tree.levels()));
-      a.push_back(v(rng.below(pow2(level)), level));
-    }
-    total_nodes += a.size();
-    accesses.push_back(std::move(a));
-  }
-
-  const engine::CycleEngine eng(mapping);
-  engine::EngineOptions off;
-  engine::EngineOptions on;
-  on.memory = &memory;
-  const engine::EngineResult want = eng.run(
-      Workload(accesses), engine::ArrivalSchedule::all_at_once(), off);
-  const engine::EngineResult got = eng.run(
-      Workload(accesses), engine::ArrivalSchedule::all_at_once(), on);
-
-  EXPECT_EQ(want.mem_nodes_touched, 0u);
-  EXPECT_EQ(got.mem_nodes_touched, total_nodes);
-  EXPECT_EQ(got.mem_bytes_touched, total_nodes * memory.stride_bytes());
-  TouchStats expect;
-  for (const Workload::Access& a : accesses) expect += memory.touch(a);
-  EXPECT_EQ(got.mem_checksum, expect.checksum);
-
-  // Everything the simulation decides is bit-identical with the backend
-  // on: the touches are observation, not state.
-  EXPECT_EQ(got.completion_cycle, want.completion_cycle);
-  EXPECT_EQ(got.served, want.served);
-  EXPECT_EQ(got.busy_cycles, want.busy_cycles);
-  ASSERT_EQ(got.records.size(), want.records.size());
-  for (std::size_t i = 0; i < got.records.size(); ++i) {
-    EXPECT_EQ(got.records[i].completion, want.records[i].completion) << i;
-  }
-
-  // JSON: the memory section appears exactly when counters are nonzero.
-  const Json jwant = want.to_json();
-  EXPECT_EQ(jwant.find("memory"), nullptr);
-  const Json jgot = got.to_json();
-  const Json* jm = jgot.find("memory");
-  ASSERT_NE(jm, nullptr);
-  EXPECT_EQ(jm->find("nodes")->as_uint(), total_nodes);
-  EXPECT_EQ(jm->find("checksum")->as_string(),
-            detail::hex64(expect.checksum));
 }
 
 }  // namespace

@@ -448,5 +448,79 @@ TEST(ServeAdaptive, ForestRejectsTenantWithMigrationAndAdaptive) {
   EXPECT_EQ(forest.add_tenant(label, migration_only), 1u);
 }
 
+// ---------------------------------------------------------------------------
+// A candidate that cannot serve the slot's lanes is rejected at
+// construction: a null one would be dereferenced at the first observe, and
+// one of another tree or module count would, once it wins an epoch, index
+// the lane's per-module state out of bounds. Construction only; nothing
+// runs.
+
+TEST(ServeAdaptive, ServerRejectsNullCandidate) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  EXPECT_THROW(Server(color, adaptive_options({&color, nullptr})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Server(color, adaptive_options({&color})));
+}
+
+TEST(ServeAdaptive, ServerRejectsCandidateOfAnotherModuleCount) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const ModuloMapping wider(tree, 9);
+  const ModuloMapping same(tree, 7);
+  EXPECT_THROW(Server(color, adaptive_options({&color, &wider})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Server(color, adaptive_options({&color, &same})));
+}
+
+TEST(ServeAdaptive, ServerRejectsCandidateOfAnotherTree) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const ModuloMapping deeper(CompleteBinaryTree(11), 7);
+  EXPECT_THROW(Server(color, adaptive_options({&color, &deeper})),
+               std::invalid_argument);
+}
+
+TEST(ServeAdaptive, ForestRejectsNullCandidate) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  TenantOptions opts;
+  opts.adaptive.epoch_batches = 4;
+  opts.adaptive.candidates = {nullptr, &color};
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(color, opts), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  opts.adaptive.candidates = {&color};
+  EXPECT_EQ(forest.add_tenant(color, opts), 0u);
+}
+
+TEST(ServeAdaptive, ForestRejectsCandidateOfAnotherModuleCount) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const ModuloMapping wider(tree, 9);
+  TenantOptions opts;
+  opts.adaptive.epoch_batches = 4;
+  opts.adaptive.candidates = {&color, &wider};
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(color, opts), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  // Over the wider mapping, `color` is the misfit instead.
+  EXPECT_THROW((void)forest.add_tenant(wider, opts), std::invalid_argument);
+}
+
+TEST(ServeAdaptive, ForestRejectsCandidateOfAnotherTree) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const ModuloMapping deeper(CompleteBinaryTree(11), 7);
+  TenantOptions opts;
+  opts.adaptive.epoch_batches = 4;
+  opts.adaptive.candidates = {&deeper};
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(color, opts), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  // A tenant over the deeper tree itself is well formed.
+  EXPECT_EQ(forest.add_tenant(deeper, opts), 0u);
+}
+
 }  // namespace
 }  // namespace pmtree::serve

@@ -532,5 +532,46 @@ TEST(ServeMigration, ForestMigratesPerTenantWithWorkerInvariance) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// A subtree level at or past the tree's last level names subtrees that do
+// not exist; the HeatTracker would size 2^L x M counters for them (and the
+// shift is undefined from L = 64). Rejected at construction, where nothing
+// has been allocated yet; these tests never run a server.
+
+MigrationPolicy policy_at_level(std::uint32_t subtree_level) {
+  MigrationPolicy policy;
+  policy.epoch_batches = 4;
+  policy.top_k = 2;
+  policy.subtree_level = subtree_level;
+  return policy;
+}
+
+TEST(ServeMigration, ServerRejectsSubtreeLevelPastTheTree) {
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 7));
+  ServerOptions opts;
+  opts.migration = policy_at_level(tree.levels());
+  EXPECT_THROW(Server(mapping, opts), std::invalid_argument);
+  opts.migration = policy_at_level(64);
+  EXPECT_THROW(Server(mapping, opts), std::invalid_argument);
+  // The leaves' level is the deepest valid one.
+  opts.migration = policy_at_level(tree.levels() - 1);
+  EXPECT_NO_THROW(Server(mapping, opts));
+}
+
+TEST(ServeMigration, ForestRejectsSubtreeLevelPastTheTree) {
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 7));
+  TenantOptions opts;
+  opts.migration = policy_at_level(tree.levels());
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(mapping, opts), std::invalid_argument);
+  opts.migration = policy_at_level(64);
+  EXPECT_THROW((void)forest.add_tenant(mapping, opts), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  opts.migration = policy_at_level(tree.levels() - 1);
+  EXPECT_EQ(forest.add_tenant(mapping, opts), 0u);
+}
+
 }  // namespace
 }  // namespace pmtree::serve

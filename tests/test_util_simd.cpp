@@ -1,9 +1,9 @@
-// SIMD ≡ scalar differential property tests for the serve pipeline's two
-// vectorized kernels (util/simd.hpp). Every assertion compares the
-// dispatched kernel against the scalar twin via force_scalar_for_testing,
-// so the suite is meaningful on any host: with AVX2 it proves the vector
-// bodies bit-identical, without it (or under -DPMTREE_DISABLE_SIMD) it
-// degenerates to scalar-vs-scalar and still pins the kernel contracts.
+// SIMD ≡ scalar differential property tests for the vectorized color
+// gather (util/simd.hpp). Every assertion compares the dispatched kernel
+// against the scalar twin via force_scalar_for_testing, so the suite is
+// meaningful on any host: with AVX2 it proves the vector body
+// bit-identical, without it (or under -DPMTREE_DISABLE_SIMD) it
+// degenerates to scalar-vs-scalar and still pins the kernel contract.
 #include "pmtree/util/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -89,66 +89,6 @@ TEST(SimdGather, ExactLaneMultiplesAndEmpty) {
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], table[idx[i]]);
     EXPECT_EQ(out[n], 0xABu) << "gather wrote past n";
   }
-}
-
-void expect_histogram_matches(const std::vector<std::uint32_t>& colors,
-                              std::uint32_t modules) {
-  std::vector<std::uint32_t> dispatched(modules, 1);
-  conflict_histogram(colors.data(), colors.size(), dispatched.data(),
-                     modules);
-  std::vector<std::uint32_t> scalar(modules, 2);
-  {
-    const ScalarGuard guard;
-    conflict_histogram(colors.data(), colors.size(), scalar.data(), modules);
-  }
-  ASSERT_EQ(dispatched, scalar) << "modules=" << modules
-                                << " n=" << colors.size();
-  // Ground truth, independently recomputed.
-  std::vector<std::uint32_t> truth(modules, 0);
-  for (const std::uint32_t c : colors) truth[c] += 1;
-  ASSERT_EQ(dispatched, truth);
-}
-
-TEST(SimdHistogram, MatchesScalarAcrossModuleWidths) {
-  Rng rng(0xC01075);
-  // Hit every AVX2 bank configuration (<=16, <=32, <=64) plus the wide
-  // fallback (> 64 modules) and awkward off-by-one widths.
-  for (const std::uint32_t modules :
-       {1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 200u}) {
-    for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
-          std::size_t{1000}}) {
-      std::vector<std::uint32_t> colors(n);
-      for (std::uint32_t& c : colors) {
-        c = static_cast<std::uint32_t>(rng.below(modules));
-      }
-      expect_histogram_matches(colors, modules);
-    }
-  }
-}
-
-TEST(SimdHistogram, SkewedAndUniformExtremes) {
-  // All-one-module input: the u16 one-hot accumulator must not wrap
-  // inside a chunk, and chunk folding must sum across chunk boundaries.
-  for (const std::size_t n : {std::size_t{59999}, std::size_t{60000},
-                              std::size_t{60001}, std::size_t{130000}}) {
-    const std::vector<std::uint32_t> colors(n, 3);
-    expect_histogram_matches(colors, 16);
-  }
-  // Round-robin colors: every module equal.
-  std::vector<std::uint32_t> rr(4096);
-  for (std::size_t i = 0; i < rr.size(); ++i) {
-    rr[i] = static_cast<std::uint32_t>(i % 64);
-  }
-  expect_histogram_matches(rr, 64);
-}
-
-TEST(SimdHistogram, OverwritesStaleCounts) {
-  // counts is overwritten, never accumulated: poison it first.
-  const std::vector<std::uint32_t> colors{0, 0, 2};
-  std::vector<std::uint32_t> counts(4, 0xFFFFFFFF);
-  conflict_histogram(colors.data(), colors.size(), counts.data(), 4);
-  EXPECT_EQ(counts, (std::vector<std::uint32_t>{2, 0, 1, 0}));
 }
 
 }  // namespace
