@@ -14,14 +14,15 @@
 //     the makespan of the batch under the paper's
 //     one-request-per-module-per-cycle service model — the quantity the
 //     engine's completion time is governed by).
-//     Every `epoch_batches` batches it decays the scores and, when some
-//     candidate strictly beats the incumbent, switches to it: later cut
-//     batches resolve against that candidate itself.
+//     Every `epoch_batches` batches it switches to the candidate with the
+//     lowest score when that one strictly beats the incumbent, then halves
+//     every score: later cut batches resolve against that candidate
+//     itself.
 //   AdaptiveEvent — the audit record of one epoch decision.
 //
 // Determinism contract (inherited verbatim from §15): the selector is
 // driven only by the single-threaded control plane, in batch cut order;
-// scores are integer sums of conflict peaks, decayed with integer shifts.
+// scores are integer sums of conflict peaks, halved with integer shifts.
 // Selector state is a pure function of the cut sequence, so decisions
 // and responses are bit-identical at any worker count. Crucially the
 // score is a
@@ -51,10 +52,6 @@ struct AdaptivePolicy {
   /// server's own mapping serves until the first epoch decision; list it
   /// here too if it should stay eligible afterwards.
   std::vector<const TreeMapping*> candidates;
-  /// Epoch decay: every candidate score loses s >> decay_shift at each
-  /// epoch boundary (shift 1 ≈ half-life of one epoch). 0 forgets
-  /// everything between epochs.
-  std::uint32_t decay_shift = 1;
 
   [[nodiscard]] bool enabled() const noexcept {
     return epoch_batches > 0 && !candidates.empty();

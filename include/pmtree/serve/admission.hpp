@@ -19,9 +19,9 @@
 // in. Determinism follows from that fixed order (DESIGN.md §11).
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include "pmtree/serve/request.hpp"
@@ -124,21 +124,23 @@ class AdmissionController {
     }
   }
 
-  /// The batcher drains from the front of this queue (see BatchFormer).
-  /// Callers must keep `pending_node_count` consistent via `on_batched`.
-  [[nodiscard]] std::deque<QueuedRequest>& pending() noexcept {
-    return pending_;
-  }
+  /// The admitted-but-unbatched requests, oldest first. The batcher
+  /// (see BatchFormer) reads them here and takes them with pop_front().
   [[nodiscard]] const std::deque<QueuedRequest>& pending() const noexcept {
     return pending_;
   }
-  /// Bookkeeping callback: `nodes` payload nodes just left the pending
-  /// queue inside a batch. A claim larger than the tracked count would
-  /// wrap the counter and wedge batching at "forever full" — that is a
-  /// caller bug, caught here rather than downstream.
-  void on_batched(std::uint64_t nodes) noexcept {
-    assert(nodes <= pending_node_count_);
-    pending_node_count_ -= nodes;
+  /// Removes and returns the oldest pending request; its nodes leave the
+  /// pending node count with it. Throws std::out_of_range when nothing is
+  /// pending.
+  QueuedRequest pop_front() {
+    if (pending_.empty()) {
+      throw std::out_of_range(
+          "AdmissionController::pop_front with no request pending");
+    }
+    const QueuedRequest q = pending_.front();
+    pending_.pop_front();
+    pending_node_count_ -= q.nodes->size();
+    return q;
   }
 
   [[nodiscard]] std::size_t pending_count() const noexcept {

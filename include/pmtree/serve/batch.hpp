@@ -70,8 +70,8 @@ class BatchFormer {
   /// A batch is cut while the queue is non-empty and either enough nodes
   /// are pending or the oldest request has exhausted its wait budget; each
   /// batch takes requests front-first until the next request would push it
-  /// past max_batch_nodes (always at least one). `controller.on_batched`
-  /// is notified so the pending node count stays consistent.
+  /// past max_batch_nodes (always at least one), through
+  /// `controller.pop_front()`, which keeps the pending node count.
   [[nodiscard]] std::vector<FormedBatch> form(std::uint64_t now,
                                               AdmissionController& controller);
 

@@ -56,11 +56,9 @@
 #include "pmtree/engine/engine.hpp"
 #include "pmtree/engine/metrics.hpp"
 #include "pmtree/mapping/mapping.hpp"
-#include "pmtree/serve/admission.hpp"
 #include "pmtree/serve/batch.hpp"
 #include "pmtree/serve/fair.hpp"
 #include "pmtree/serve/metrics.hpp"
-#include "pmtree/serve/migration.hpp"
 #include "pmtree/serve/pipeline.hpp"
 #include "pmtree/serve/request.hpp"
 #include "pmtree/serve/server.hpp"
@@ -68,9 +66,11 @@
 
 namespace pmtree::serve {
 
-/// Per-tenant configuration. Everything defaults to the single-tenant
-/// Server's knobs; `rate` and `weight` are the two fairness dials.
-struct TenantOptions {
+/// Per-tenant configuration: the tenant's slot (SlotOptions, in
+/// server.hpp; its `engine.faults` and epoch controllers reach this
+/// tenant's lanes and mapping only) plus its name and its two fairness
+/// dials, `rate` and `weight`.
+struct TenantOptions : SlotOptions {
   /// Display name for metrics/reports; "" defaults to "t<id>".
   std::string name;
   /// Declared offered load (relative units), consumed by the static
@@ -79,29 +79,6 @@ struct TenantOptions {
   /// Deficit-round-robin weight (relative batch share under saturation).
   /// 0 behaves as 1.
   std::uint64_t weight = 1;
-  /// The tenant's own admission quota: queue bound + overflow policy.
-  AdmissionOptions admission;
-  BatchPolicy batch;
-  RetryPolicy retry;
-  /// Per-tenant engine knobs; `engine.faults` injects a fault schedule
-  /// into THIS tenant's lanes only — other tenants' mappings and
-  /// completions are untouched by construction.
-  engine::EngineOptions engine;
-  /// Per-tenant skew-adaptive remapping (migration.hpp); same contract as
-  /// ServerOptions::migration, scoped to this tenant's lanes and mapping.
-  /// A tenant carrying a fault plan keeps its static mapping regardless.
-  MigrationPolicy migration;
-  /// Per-tenant adaptive mapping selection (adaptive.hpp); same contract
-  /// as ServerOptions::adaptive, scoped to this tenant's lanes and
-  /// mapping — each tenant resolves the R10 trade-off against its own
-  /// traffic. add_tenant throws std::invalid_argument when this tenant's
-  /// migration is enabled too; a tenant carrying a fault plan keeps its
-  /// static mapping regardless.
-  AdaptivePolicy adaptive;
-  /// Per-tenant real-memory arenas (mem/arena.hpp); same contract as
-  /// ServerOptions::memory — observation only, totals land in
-  /// TenantReport::memory and the tenant's "memory" metrics section.
-  const mem::MemoryBackend* memory = nullptr;
 };
 
 struct ForestOptions {
@@ -175,18 +152,18 @@ class Forest {
 
   /// Registers a tenant; returns its id (dense, in registration order).
   /// `mapping` must outlive the forest. The first run() or plan() fixes
-  /// the capacity plan, so a later add_tenant throws std::logic_error; a
-  /// tenant enabling both migration and adaptive selection, or an epoch
-  /// controller whose inputs do not fit `mapping` (see
-  /// ServerOptions::migration and ::adaptive), throws
-  /// std::invalid_argument.
+  /// the capacity plan, so a later add_tenant throws std::logic_error;
+  /// options the control plane cannot serve over `mapping` (see
+  /// SlotOptions) throw std::invalid_argument.
   std::uint32_t add_tenant(const TreeMapping& mapping,
                            TenantOptions options = {});
 
   /// Thread-safe MPSC submission to one tenant; callable concurrently
   /// from any number of client threads. (client, seq) must be unique per
-  /// tenant per run. Throws std::out_of_range for a tenant id >=
-  /// tenant_count(); nothing is queued then.
+  /// tenant per run. Throws std::out_of_range, in every build type and
+  /// with nothing queued, for a tenant id >= tenant_count() and for a
+  /// request with a node outside the tenant mapping's tree; the vector
+  /// overload checks every request before it queues any.
   void submit(std::uint32_t tenant, Request request);
   void submit(std::uint32_t tenant, std::vector<Request> requests);
 

@@ -40,8 +40,10 @@ namespace pmtree::serve {
 /// barrier and `colorer` (required; it must be the server's mapping or
 /// share its color function) counts the touched nodes for dyn_stats.
 /// Server's constructor throws std::invalid_argument for a tree without a
-/// colorer, and for a tree combined with migration or adaptive selection;
-/// faulted configurations run the mutation barrier like everything else.
+/// colorer, for a colorer over fewer levels than the server's tree or the
+/// tree's envelope (it touches every read node and applied insert target),
+/// and for a tree combined with migration or adaptive selection; faulted
+/// configurations run the mutation barrier like everything else.
 struct DynBinding {
   dyn::DynamicTree* tree = nullptr;
   dyn::IncrementalColorer* colorer = nullptr;

@@ -130,7 +130,63 @@ struct RetryPolicy {
   }
 };
 
-struct ServerOptions {
+/// The options that serve one slot: one tree's mapping and the lanes that
+/// run its batches, which are a Server's replicas or one Forest tenant's
+/// lanes (DESIGN.md §11, §13). ServerOptions and TenantOptions inherit
+/// it. The Server constructor and Forest::add_tenant throw
+/// std::invalid_argument, in every build type, for a slot the control
+/// plane cannot serve:
+///   * migration together with adaptive selection, or either of them
+///     under a non-empty `engine.faults` plan (the fault reroute timeline
+///     owns the color space) or with a dyn binding;
+///   * an adaptive candidate that is null or does not color the mapping's
+///     tree with its module count;
+///   * a migration `subtree_level` at or past the tree's last level;
+///   * a `memory` backend over fewer levels than the mapping's tree.
+struct SlotOptions {
+  /// The slot's admission quota: queue bound + overflow policy.
+  AdmissionOptions admission;
+  /// When the slot cuts a batch, and how many nodes one batch takes.
+  BatchPolicy batch;
+  /// Retries of the slot's timed-out attempts (RetryPolicy above).
+  RetryPolicy retry;
+  /// Engine knobs of every lane of the slot. `engine.faults`
+  /// (fault/plan.hpp) injects one fault schedule into the slot's lanes
+  /// and no others; the serve layer folds the resulting reroute/stall
+  /// counters into the slot's metrics and, with a RetryPolicy, turns
+  /// fault-inflated residencies into retries. The plan is not owned: it
+  /// must outlive the server or forest and keep its faults, since it is
+  /// read when the server is built or the tenant is added and again by
+  /// every run().
+  engine::EngineOptions engine;
+  /// Skew-adaptive remapping (migration.hpp / DESIGN.md §15): a
+  /// MigrationPlanner observes every cut batch on the control plane and
+  /// re-colors hot subtrees onto cold modules at epoch boundaries; each
+  /// batch resolves against its epoch's MigratedMapping. Responses stay
+  /// bit-identical at any worker count, pipeline workers included;
+  /// disabled (default) leaves every code path byte-identical to the
+  /// static mapping.
+  MigrationPolicy migration;
+  /// Runtime mapping selection (adaptive.hpp / DESIGN.md §17): an
+  /// AdaptiveSelector scores every candidate against each cut batch on
+  /// the control plane and switches the slot's mapping at epoch
+  /// boundaries when one strictly wins — the R10 COLOR-vs-LABEL-TREE
+  /// trade-off decided by measuring the slot's own traffic. Responses stay
+  /// bit-identical at any worker count, pipeline workers included.
+  AdaptivePolicy adaptive;
+  /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
+  /// owned, must outlive the run). Every cut batch's deduped node payloads
+  /// are loaded from them by whichever thread resolves the batch, and
+  /// accounted in the slot's report and its "memory" metrics section.
+  /// Observation only: responses are bit-identical with the backend on or
+  /// off. A backend built over a dyn binding's IncrementalColorer holds
+  /// every node of its envelope.
+  const mem::MemoryBackend* memory = nullptr;
+};
+
+/// A Server's options: its one slot's (SlotOptions) plus the knobs of the
+/// serving machine around it.
+struct ServerOptions : SlotOptions {
   /// Admission tick period in engine cycles (0 behaves as 1). Requests are
   /// only admitted / batched on tick boundaries — the batching latency any
   /// request pays is at most tick_cycles of rounding plus its queue wait.
@@ -143,64 +199,21 @@ struct ServerOptions {
   /// concurrency). Affects wall-clock only; results are bit-identical at
   /// any count.
   unsigned workers = 1;
-  AdmissionOptions admission;
-  BatchPolicy batch;
-  RetryPolicy retry;
-  /// Replica engine knobs. `engine.faults` (fault/plan.hpp) injects the
-  /// same fault schedule into every replica; the serve layer folds the
-  /// resulting reroute/stall counters into its metrics and, with a
-  /// RetryPolicy, turns fault-inflated residencies into retries.
-  engine::EngineOptions engine;
   /// Stage attribution (pipeline.hpp). `pipeline.workers >= 1` runs the
   /// batch executor on that many threads instead of `workers` and adds
   /// the wall-time "pipeline" metrics section; 0 (default) adds none.
   /// Same executor either way, faulted or not, so responses are
   /// bit-identical.
   PipelineOptions pipeline;
-  /// Skew-adaptive remapping (migration.hpp). When enabled, a
-  /// MigrationPlanner observes every cut batch on the control plane and
-  /// re-colors hot subtrees onto cold modules at epoch boundaries; each
-  /// batch resolves against its epoch's MigratedMapping. A control-plane
-  /// decision, so responses stay bit-identical at any worker count,
-  /// pipeline workers included. Disabled (default) leaves every code path
-  /// byte-identical to the static-mapping server. Faulted configurations
-  /// keep the static mapping — fault reroute timelines already own the
-  /// color space (DESIGN.md §15). The constructor throws
-  /// std::invalid_argument when it is enabled with a `subtree_level` at or
-  /// past the tree's last level.
-  MigrationPolicy migration;
   /// Read-write serving (mutation.hpp / DESIGN.md §16). When bound to a
   /// dyn::DynamicTree + IncrementalColorer, Insert/Erase requests apply
   /// PALM-style at the batch-cut barrier — a control-plane decision, so
   /// responses and the mutation log stay bit-identical at any worker
   /// count, pipeline workers included. The constructor throws
-  /// std::invalid_argument for a tree without a colorer, and for a tree
-  /// combined with migration or adaptive selection: an epoch controller
-  /// would remap a tree whose shape the barrier changes. Disabled
+  /// std::invalid_argument for a binding DynBinding rejects. Disabled
   /// (default) leaves every code path byte-identical to the read-only
   /// server.
   DynBinding dyn;
-  /// Runtime mapping selection (adaptive.hpp / DESIGN.md §17). When
-  /// enabled, an AdaptiveSelector scores every policy candidate against
-  /// each cut batch on the control plane and switches the serving mapping
-  /// at epoch boundaries when a candidate strictly wins — the R10
-  /// COLOR-vs-LABEL-TREE trade-off decided by measurement. A
-  /// control-plane decision, so responses stay bit-identical at any
-  /// worker count, pipeline workers included. The constructor throws
-  /// std::invalid_argument when migration is enabled too (both would own
-  /// the epoch mapping) or dyn is bound, and when a candidate is null or
-  /// does not color the server's tree with its module count; faulted
-  /// configurations keep the static mapping, exactly like migration.
-  AdaptivePolicy adaptive;
-  /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
-  /// owned, must outlive the run). When set, every cut batch's deduped
-  /// node payloads are actually loaded from the arenas — by whichever
-  /// thread resolves the batch at the round barrier — and
-  /// accounted in ServeReport::memory plus a "memory" metrics section.
-  /// Purely observational: responses are bit-identical with the backend
-  /// on or off. Composes with dyn: a backend built over the
-  /// IncrementalColorer holds every node of its envelope.
-  const mem::MemoryBackend* memory = nullptr;
 };
 
 /// Everything one run() observed, in canonical / dispatch order.
@@ -236,16 +249,18 @@ class Server {
   /// `mapping` must outlive the server. Instruments land in the server's
   /// own registry (see registry()) under prefix "serve" plus
   /// "serve.replicaN.*" for each replica's engine run. Throws
-  /// std::invalid_argument for the option pairs that do not compose and
-  /// for epoch-controller inputs that do not fit `mapping` (see
-  /// `migration`, `dyn` and `adaptive` above).
+  /// std::invalid_argument for options the control plane cannot serve
+  /// over `mapping` (see SlotOptions and DynBinding).
   explicit Server(const TreeMapping& mapping, ServerOptions options = {});
   ~Server();
 
   /// Thread-safe MPSC submission; callable concurrently from any number
-  /// of client threads. (client, seq) must be unique per run and
-  /// submit_cycle nondecreasing per client, which every sane client
-  /// satisfies by construction.
+  /// of client threads. Throws std::out_of_range, in every build type and
+  /// with nothing queued, for a request with a node outside
+  /// mapping().tree(); the vector overload checks every request before it
+  /// queues any. (client, seq) must be unique per run and submit_cycle
+  /// nondecreasing per client, which every sane client satisfies by
+  /// construction.
   void submit(Request request);
   void submit(std::vector<Request> requests);
 

@@ -83,19 +83,15 @@ void AdaptiveSelector::decide(std::uint64_t cycle) {
   events_.push_back(std::move(event));
 
   // Age the scores after the decision: next epoch's comparison weighs
-  // this epoch's traffic at (1 - 2^-decay_shift), older traffic
-  // geometrically less — same integer forgetting as HeatTracker::decay.
-  if (policy_.decay_shift < 64) {
-    for (std::uint64_t& s : scores_) {
-      s -= policy_.decay_shift == 0 ? s : s >> policy_.decay_shift;
-    }
-  }
+  // this epoch's traffic at 1/2, older traffic geometrically less — the
+  // integer forgetting of HeatTracker::decay at shift 1.
+  for (std::uint64_t& s : scores_) s -= s >> 1;
 }
 
 Json AdaptiveSelector::stats() const {
   Json policy = Json::object();
   policy.set("epoch_batches", Json(std::uint64_t{policy_.epoch_batches}));
-  policy.set("decay_shift", Json(std::uint64_t{policy_.decay_shift}));
+  policy.set("decay_shift", Json(std::uint64_t{1}));  // scores halve
   Json jcands = Json::array();
   for (const TreeMapping* c : policy_.candidates) {
     jcands.push_back(Json(c->name()));

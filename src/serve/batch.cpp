@@ -189,7 +189,7 @@ std::uint64_t BatchFormer::next_batch_cost(
 
 FormedBatch BatchFormer::form_one_raw(std::uint64_t now,
                                       AdmissionController& controller) {
-  std::deque<QueuedRequest>& pending = controller.pending();
+  const std::deque<QueuedRequest>& pending = controller.pending();
   FormedBatch batch;
   batch.id = next_id_++;
   batch.formed_cycle = now;
@@ -203,17 +203,15 @@ FormedBatch BatchFormer::form_one_raw(std::uint64_t now,
   }
   std::uint64_t taken = 0;
   while (!pending.empty()) {
-    const QueuedRequest& q = pending.front();
-    const std::uint64_t n = q.nodes->size();
+    const std::uint64_t n = pending.front().nodes->size();
     // The first member always fits (oversized requests dispatch alone);
     // after that, stop before overflowing the cap. This is the same fill
     // walk next_batch_cost() simulates, so the peeked DRR cost is exact.
     if (!batch.members.empty() && taken + n > policy_.max_batch_nodes) break;
+    const QueuedRequest q = controller.pop_front();
     batch.members.push_back(q.index);
     batch.nodes.insert(batch.nodes.end(), q.nodes->begin(), q.nodes->end());
     taken += n;
-    controller.on_batched(n);
-    pending.pop_front();
     if (taken >= policy_.max_batch_nodes) break;
   }
   batch.requested_nodes = taken;

@@ -75,8 +75,6 @@ class Executor {
   /// cut owns a fixed slice of the round's color buffer from here on.
   void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant,
            const TreeMapping* epoch) {
-    assert(epoch == nullptr ||
-           epoch->num_modules() == lanes_[lane].mapping->num_modules());
     lane_cuts_[lane].push_back(cuts_.size());
     const std::size_t first = round_colors_;
     round_colors_ += batch.nodes.size();
@@ -246,14 +244,11 @@ struct Slot {
   std::size_t round_first_batch = 0;
 };
 
-/// Arms the slot's epoch controller, if any. A controller owns the slot's
-/// color space, so a faulted slot, whose fault timeline's reroute table
-/// already owns it, keeps the static mapping. At most one controller is
-/// enabled, and never on a dyn slot: reject_excluded_pairs has refused
-/// every other configuration before the first run.
+/// Arms the slot's epoch controller, if any. At most one is enabled, and
+/// never on a dyn slot or under a non-empty fault plan: reject_unsupported
+/// has refused every other slot before the first run.
 void arm_epoch_controller(Slot& s) {
-  const TenantOptions& o = s.config->options;
-  if (o.engine.faults != nullptr && !o.engine.faults->empty()) return;
+  const SlotOptions& o = s.config->options;
   const TreeMapping& base = *s.config->mapping;
   if (o.migration.enabled()) {
     s.planner = std::make_unique<MigrationPlanner>(base, o.migration);
@@ -320,7 +315,7 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
   std::optional<DeficitRoundRobin> drr;
   if (config.drr_quantum_nodes != 0) {
     std::vector<std::uint64_t> weights;
-    for (const SlotConfig& c : config.slots) weights.push_back(c.options.weight);
+    for (const SlotConfig& c : config.slots) weights.push_back(c.weight);
     drr.emplace(std::move(weights), config.drr_quantum_nodes);
   }
   const std::size_t G = config.pool_bound;
@@ -667,48 +662,56 @@ Canonical canonical_order(
   return out;
 }
 
+[[noreturn]] void reject(const char* why) { throw std::invalid_argument(why); }
+
 }  // namespace
 
-void reject_excluded_pairs(const MigrationPolicy& migration,
-                           const AdaptivePolicy& adaptive,
-                           const DynBinding& dyn) {
-  if (dyn.enabled() && dyn.colorer == nullptr) {
-    throw std::invalid_argument("dyn serving needs dyn.colorer");
+void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
+                        const DynBinding& dyn) {
+  const std::uint32_t levels = mapping.tree().levels();
+  const bool migration = slot.migration.enabled();
+  const bool adaptive = slot.adaptive.enabled();
+  if (migration && adaptive) {
+    reject("migration and adaptive selection both own the epoch mapping");
   }
-  if (dyn.enabled() && migration.enabled()) {
-    throw std::invalid_argument(
-        "dyn serving and skew migration do not compose");
+  if ((migration || adaptive) && slot.engine.faults != nullptr &&
+      !slot.engine.faults->empty()) {
+    reject("an epoch controller under a fault plan, whose reroute timeline "
+           "owns the color space");
   }
-  if (dyn.enabled() && adaptive.enabled()) {
-    throw std::invalid_argument(
-        "dyn serving and adaptive selection do not compose");
-  }
-  if (migration.enabled() && adaptive.enabled()) {
-    throw std::invalid_argument(
-        "migration and adaptive selection both own the epoch mapping");
-  }
-}
-
-void reject_mismatched_epoch_inputs(const TreeMapping& mapping,
-                                    const MigrationPolicy& migration,
-                                    const AdaptivePolicy& adaptive) {
-  if (adaptive.enabled()) {
-    for (const TreeMapping* c : adaptive.candidates) {
-      if (c == nullptr) {
-        throw std::invalid_argument("adaptive candidate is null");
-      }
+  if (adaptive) {
+    for (const TreeMapping* c : slot.adaptive.candidates) {
+      if (c == nullptr) reject("adaptive candidate is null");
       if (c->tree() != mapping.tree() ||
           c->num_modules() != mapping.num_modules()) {
-        throw std::invalid_argument(
-            "adaptive candidate must color the slot's tree with its module "
-            "count");
+        reject("adaptive candidate must color the slot's tree with its "
+               "module count");
       }
     }
   }
-  if (migration.enabled() &&
-      migration.subtree_level >= mapping.tree().levels()) {
-    throw std::invalid_argument(
-        "migration subtree_level must be below the tree's level count");
+  if (migration && slot.migration.subtree_level >= levels) {
+    reject("migration subtree_level must be below the tree's level count");
+  }
+  if (slot.memory != nullptr && slot.memory->tree().levels() < levels) {
+    reject("memory backend must cover the served tree");
+  }
+  if (!dyn.enabled()) return;
+  if (dyn.colorer == nullptr) reject("dyn serving needs dyn.colorer");
+  if (migration || adaptive) {
+    reject("dyn serving does not compose with an epoch controller");
+  }
+  const std::uint32_t colored = dyn.colorer->tree().levels();
+  if (colored < levels || colored < dyn.tree->max_levels()) {
+    reject("dyn.colorer must cover the served tree and the dyn envelope");
+  }
+}
+
+void reject_out_of_tree(const CompleteBinaryTree& tree,
+                        const Request& request) {
+  for (const Node n : request.nodes) {
+    if (!tree.contains(n)) {
+      throw std::out_of_range("request node outside the served tree");
+    }
   }
 }
 

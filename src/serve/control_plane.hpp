@@ -38,14 +38,15 @@
 
 namespace pmtree::serve::detail {
 
-/// One tenant slot: a tree's mapping plus the knobs that serve it. A
-/// Server fills `options` from its ServerOptions; name, rate and weight
-/// are unused here.
+/// One tenant slot: a tree's mapping plus the options that serve it. A
+/// Server assigns its ServerOptions' SlotOptions base, a Forest its
+/// tenant's, plus the tenant's DRR weight.
 struct SlotConfig {
   const TreeMapping* mapping = nullptr;
   std::string metrics_prefix;  ///< "serve" or "forest.t<i>"
   std::string lane_prefix;     ///< "serve.replica" or "forest.t<i>.lane"
-  TenantOptions options;
+  SlotOptions options;
+  std::uint64_t weight = 1;  ///< DRR weight; read only under DRR metering
   DynBinding dyn;
   std::uint32_t first_lane = 0;  ///< batch k runs on first_lane + k mod lanes
   std::uint32_t lanes = 1;
@@ -79,25 +80,19 @@ struct PlaneReport {
   Json aggregate;  ///< aggregate summary; null without one
 };
 
-/// Throws std::invalid_argument for a feature pair the control plane does
-/// not compose: dyn serving with migration or adaptive selection (both
-/// would remap a tree whose shape the barrier changes), migration with
-/// adaptive selection (both own the epoch mapping), and a dyn tree without
-/// its colorer. Server's constructor and Forest::add_tenant call it, so a
-/// rejected configuration fails before it serves anything.
-void reject_excluded_pairs(const MigrationPolicy& migration,
-                           const AdaptivePolicy& adaptive,
-                           const DynBinding& dyn);
+/// The one check of a slot, called once by the Server constructor and
+/// once by Forest::add_tenant: throws std::invalid_argument for each rule
+/// SlotOptions (server.hpp) and DynBinding (mutation.hpp) state, so a
+/// slot the control plane cannot serve fails before it serves anything.
+/// With reject_out_of_tree at submit, it keeps every node the executor
+/// colors, touches or counts inside the arrays sized for it.
+void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
+                        const DynBinding& dyn);
 
-/// Throws std::invalid_argument for an enabled epoch controller whose
-/// inputs do not fit the slot's `mapping`: an adaptive candidate that is
-/// null or colors another tree or module count (its colors would index
-/// the lane's per-module state out of bounds once it wins an epoch), or a
-/// migration subtree level at or past the tree's last level, which names
-/// subtrees that do not exist. Called next to reject_excluded_pairs.
-void reject_mismatched_epoch_inputs(const TreeMapping& mapping,
-                                    const MigrationPolicy& migration,
-                                    const AdaptivePolicy& adaptive);
+/// Throws std::out_of_range for a request with a node outside `tree`.
+/// Server::submit and Forest::submit call it before the inbox lock.
+void reject_out_of_tree(const CompleteBinaryTree& tree,
+                        const Request& request);
 
 /// Report helpers shared by ServeReport and ForestReport: a status count
 /// and the per-response JSON table.

@@ -71,9 +71,7 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
         "Forest::add_tenant after the capacity plan was fixed by run() or "
         "plan()");
   }
-  detail::reject_excluded_pairs(options.migration, options.adaptive, {});
-  detail::reject_mismatched_epoch_inputs(mapping, options.migration,
-                                         options.adaptive);
+  detail::reject_unsupported(mapping, options, {});
   const std::uint32_t id = static_cast<std::uint32_t>(tenants_.size());
   if (options.name.empty()) options.name = "t" + std::to_string(id);
   if (options.weight == 0) options.weight = 1;
@@ -81,15 +79,17 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
   return id;
 }
 
+// tenants_.at() throws std::out_of_range for an unknown tenant, before
+// anything is queued.
 void Forest::submit(std::uint32_t tenant, Request request) {
-  if (tenant >= tenants_.size()) {
-    throw std::out_of_range("Forest::submit to an unknown tenant");
-  }
+  detail::reject_out_of_tree(tenants_.at(tenant).mapping->tree(), request);
   plane_->submit(tenant, std::move(request));
 }
 
 void Forest::submit(std::uint32_t tenant, std::vector<Request> requests) {
-  for (Request& r : requests) submit(tenant, std::move(r));
+  const CompleteBinaryTree& tree = tenants_.at(tenant).mapping->tree();
+  for (const Request& r : requests) detail::reject_out_of_tree(tree, r);
+  for (Request& r : requests) plane_->submit(tenant, std::move(r));
 }
 
 void Forest::ensure_plan() {
@@ -127,9 +127,10 @@ ForestReport Forest::run() {
     slot.metrics_prefix = "forest.t" + std::to_string(i);
     slot.lane_prefix = slot.metrics_prefix + ".lane";
     slot.options = tenants_[i].options;
+    slot.weight = tenants_[i].options.weight;
     slot.first_lane = plan_.first_lane[i];
     slot.lanes = plan_.lanes[i];
-    weights.push_back(static_cast<double>(slot.options.weight));
+    weights.push_back(static_cast<double>(slot.weight));
   }
   const bool pooled = options_.global_queue_bound != 0 && N > 0;
   if (pooled) {

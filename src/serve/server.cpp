@@ -47,20 +47,23 @@ Server::Server(const TreeMapping& mapping, ServerOptions options)
     : mapping_(mapping),
       options_(options),
       plane_(std::make_unique<detail::ControlPlane>()) {
-  detail::reject_excluded_pairs(options_.migration, options_.adaptive,
-                                options_.dyn);
-  detail::reject_mismatched_epoch_inputs(mapping_, options_.migration,
-                                         options_.adaptive);
+  detail::reject_unsupported(mapping_, options_, options_.dyn);
   if (options_.tick_cycles == 0) options_.tick_cycles = 1;
   if (options_.replicas == 0) options_.replicas = 1;
 }
 
 Server::~Server() = default;
 
-void Server::submit(Request request) { plane_->submit(0, std::move(request)); }
+void Server::submit(Request request) {
+  detail::reject_out_of_tree(mapping_.tree(), request);
+  plane_->submit(0, std::move(request));
+}
 
 void Server::submit(std::vector<Request> requests) {
-  for (Request& r : requests) submit(std::move(r));
+  for (const Request& r : requests) {
+    detail::reject_out_of_tree(mapping_.tree(), r);
+  }
+  for (Request& r : requests) plane_->submit(0, std::move(r));
 }
 
 ServeReport Server::run() {
@@ -73,13 +76,7 @@ ServeReport Server::run() {
   slot.mapping = &mapping_;
   slot.metrics_prefix = "serve";
   slot.lane_prefix = "serve.replica";
-  slot.options.admission = options_.admission;
-  slot.options.batch = options_.batch;
-  slot.options.retry = options_.retry;
-  slot.options.engine = options_.engine;
-  slot.options.migration = options_.migration;
-  slot.options.adaptive = options_.adaptive;
-  slot.options.memory = options_.memory;
+  slot.options = options_;
   slot.dyn = options_.dyn;
   slot.lanes = options_.replicas;
 

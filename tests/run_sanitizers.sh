@@ -61,7 +61,13 @@
 # between the control-plane selector and the barrier threads'
 # epoch-mapping reads surfaces as a report or a response divergence —
 # the `mem` ctest label selects the arena, selector and serve-layer
-# suites).
+# suites), and the seeded serve fuzzer (test_serve_fuzz draws Server and
+# Forest configurations with every slot option, a dyn binding, fault
+# plans and arenas included, checks that the draws the slot check
+# refuses throw at construction and out-of-tree requests throw at
+# submit, and runs every accepted draw at 1/2/8 workers and 2/8 pipeline
+# workers — an out-of-bounds node, arena or colorer access shows up as
+# an ASan/UBSan report, a race as a TSan report and a divergence).
 # The `serve` ctest label selects every suite that pins the serve control
 # plane and its batch executor (test_serve_*, test_dyn_serve,
 # test_engine_session, test_engine_faults) — the one-command safety net

@@ -4,7 +4,8 @@
 // 1/2/8 workers and at pipeline workers, with or without real-memory
 // arenas over the colorer, the final colors must equal a from-scratch
 // mapping, and write-write conflicts must resolve to the
-// canonically-first writer, deterministically.
+// canonically-first writer, deterministically. Bindings the control plane
+// cannot serve are rejected when the Server is built.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -509,6 +510,39 @@ TEST(DynServe, RejectsAdaptiveSelection) {
   opts.adaptive.candidates = {&colorer};
   ASSERT_TRUE(opts.adaptive.enabled());
   EXPECT_THROW(Server(colorer, opts), std::invalid_argument);
+}
+
+// The colorer must cover every node the barrier touches: the served
+// tree's (reads) and the DynamicTree's envelope (applied inserts). A
+// shallower colorer has no touch bitmap for the deeper levels.
+// Construction only; nothing runs.
+
+TEST(DynServe, RejectsColorerShallowerThanTheMapping) {
+  const ColorMapping mapping(CompleteBinaryTree(kLevels), kN, kK);
+  dyn::DynamicTree tree(6);
+  dyn::IncrementalColorer shallow =
+      dyn::IncrementalColorer::color(CompleteBinaryTree(6), kN, kK);
+  dyn::IncrementalColorer covering =
+      dyn::IncrementalColorer::color(CompleteBinaryTree(kLevels), kN, kK);
+  ServerOptions opts;
+  opts.dyn.tree = &tree;
+  opts.dyn.colorer = &shallow;
+  EXPECT_THROW(Server(mapping, opts), std::invalid_argument);
+  opts.dyn.colorer = &covering;
+  EXPECT_NO_THROW(Server(mapping, opts));
+}
+
+TEST(DynServe, RejectsDynamicTreeDeeperThanTheColorer) {
+  dyn::DynamicTree deep(10);
+  dyn::DynamicTree fitting(6);
+  dyn::IncrementalColorer colorer =
+      dyn::IncrementalColorer::color(CompleteBinaryTree(6), kN, kK);
+  ServerOptions opts;
+  opts.dyn.tree = &deep;
+  opts.dyn.colorer = &colorer;
+  EXPECT_THROW(Server(colorer, opts), std::invalid_argument);
+  opts.dyn.tree = &fitting;
+  EXPECT_NO_THROW(Server(colorer, opts));
 }
 
 TEST(DynServe, WithoutBindingWritesBehaveAsReads) {

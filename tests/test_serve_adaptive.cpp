@@ -4,7 +4,8 @@
 // trade-off turned into a runtime measurement), deterministic replay, and
 // the serve-layer contract — bit-identical responses at 1/2/8 workers and
 // at pipeline workers, byte-identical to the static server when the
-// policy is disabled, and per-tenant scope in the Forest.
+// policy is disabled, per-tenant scope in the Forest, and the slots it
+// cannot serve rejected at construction.
 #include "pmtree/serve/adaptive.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
@@ -446,6 +448,51 @@ TEST(ServeAdaptive, ForestRejectsTenantWithMigrationAndAdaptive) {
   migration_only.adaptive = AdaptivePolicy{};
   EXPECT_EQ(forest.add_tenant(label, adaptive_only), 0u);
   EXPECT_EQ(forest.add_tenant(label, migration_only), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive selection under a non-empty fault plan is rejected at
+// construction, like migration: the plan's reroute timeline owns the
+// slot's color space. An empty plan is no plan. Construction only.
+
+TEST(ServeAdaptive, ServerRejectsAdaptiveUnderAFaultPlan) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const LabelTreeMapping label(tree, 7);
+  fault::FaultPlan faulted;
+  faulted.fail_stop(3, 16).slow_down(0, 8, 40, 3);
+  const fault::FaultPlan empty;
+
+  ServerOptions opts = adaptive_options({&color, &label});
+  opts.engine.faults = &faulted;
+  EXPECT_THROW(Server(label, opts), std::invalid_argument);
+  opts.engine.faults = &empty;
+  EXPECT_NO_THROW(Server(label, opts));
+  opts.engine.faults = &faulted;
+  opts.adaptive = AdaptivePolicy{};
+  EXPECT_NO_THROW(Server(label, opts));
+}
+
+TEST(ServeAdaptive, ForestRejectsAdaptiveUnderAFaultPlan) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const LabelTreeMapping label(tree, 7);
+  fault::FaultPlan faulted;
+  faulted.slow_down(1, 0, 128, 2);
+  const fault::FaultPlan empty;
+
+  TenantOptions opts;
+  opts.adaptive.epoch_batches = 4;
+  opts.adaptive.candidates = {&color, &label};
+  opts.engine.faults = &faulted;
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(label, opts), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  opts.engine.faults = &empty;
+  EXPECT_EQ(forest.add_tenant(label, opts), 0u);
+  opts.engine.faults = &faulted;
+  opts.adaptive = AdaptivePolicy{};
+  EXPECT_EQ(forest.add_tenant(label, opts), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "pmtree/mapping/baselines.hpp"
@@ -64,12 +65,32 @@ TEST(AdmissionController, BlocksThenPromotesFifo) {
   EXPECT_TRUE(promoted.empty());
 
   // Drain the pending slot, then promotion is FIFO and restamps admission.
-  admission.on_batched(admission.pending().front().nodes->size());
-  admission.pending().pop_front();
+  EXPECT_EQ(admission.pop_front().index, 0u);
   admission.promote(2, promoted);
   ASSERT_EQ(promoted, (std::vector<std::size_t>{1}));
   EXPECT_EQ(admission.pending().front().admitted_cycle, 2u);
   EXPECT_EQ(admission.blocked_count(), 1u);
+}
+
+TEST(AdmissionController, PopFrontTakesTheOldestWithItsNodes) {
+  AdmissionController admission(AdmissionOptions{.queue_bound = 4});
+  const std::vector<Request> requests{
+      make_request(0, 0, 0, {v(0, 0), v(0, 1)}),
+      make_request(0, 1, 0, {v(1, 2)}),
+  };
+  ASSERT_EQ(admission.offer(0, requests[0], 0), Decision::kAdmitted);
+  ASSERT_EQ(admission.offer(1, requests[1], 1), Decision::kAdmitted);
+  EXPECT_EQ(admission.pending_node_count(), 3u);
+
+  const QueuedRequest first = admission.pop_front();
+  EXPECT_EQ(first.index, 0u);
+  EXPECT_EQ(first.nodes, &requests[0].nodes);
+  EXPECT_EQ(admission.pending_node_count(), 1u);
+  EXPECT_EQ(admission.pop_front().admitted_cycle, 1u);
+  EXPECT_EQ(admission.pending_node_count(), 0u);
+  EXPECT_TRUE(admission.idle());
+  EXPECT_THROW((void)admission.pop_front(), std::out_of_range);
+  EXPECT_EQ(admission.pending_node_count(), 0u);
 }
 
 TEST(AdmissionController, ExpireSweepsPendingAndBlocked) {

@@ -455,6 +455,48 @@ TEST(ServeForest, UnknownTenantThrowsAndTheRunServesTheRest) {
   EXPECT_EQ(got.to_json().dump(), want.to_json().dump());
 }
 
+// A request naming a node outside its tenant's tree is refused at submit,
+// before anything is queued: the check is per tenant, so a node of the
+// deeper tenant's tree is refused for the shallower one.
+
+TEST(ServeForest, SubmitRejectsNodesOutsideTheTenantsTree) {
+  const ColorMapping deep(
+      make_optimal_color_mapping(CompleteBinaryTree(8), 15));
+  const ColorMapping shallow(
+      make_optimal_color_mapping(CompleteBinaryTree(5), 7));
+  const auto request_of = [](std::uint64_t seq, std::vector<Node> nodes) {
+    Request r;
+    r.client = 1;
+    r.seq = seq;
+    r.submit_cycle = seq;
+    r.nodes = std::move(nodes);
+    return r;
+  };
+  Forest forest;
+  ASSERT_EQ(forest.add_tenant(deep), 0u);
+  ASSERT_EQ(forest.add_tenant(shallow), 1u);
+  const Node deep_only = v(3, 6);
+  ASSERT_THROW(forest.submit(1, request_of(0, {v(0, 0), deep_only})),
+               std::out_of_range);
+  ASSERT_THROW(forest.submit(0, request_of(0, {Node{3, 40}})),
+               std::out_of_range);
+  ASSERT_THROW(forest.submit(0, std::vector<Request>{
+                                    request_of(0, {deep_only}),
+                                    request_of(1, {Node{8, 0}})}),
+               std::out_of_range);
+  ASSERT_THROW(forest.submit(1, std::vector<Request>{
+                                    request_of(0, {v(1, 1)}),
+                                    request_of(1, {deep_only})}),
+               std::out_of_range);
+  EXPECT_EQ(forest.run().total_requests(), 0u);
+
+  forest.submit(0, request_of(0, {deep_only}));
+  forest.submit(1, std::vector<Request>{request_of(0, {v(15, 4)})});
+  const ForestReport report = forest.run();
+  ASSERT_EQ(report.total_requests(), 2u);
+  EXPECT_EQ(report.count(RequestStatus::kOk), 2u);
+}
+
 TEST(ServeForest, AddTenantAfterPlanningThrows) {
   const CompleteBinaryTree tree(6);
   const ColorMapping mapping(tree, 4, 2);
@@ -582,10 +624,7 @@ TEST(ServeForest, ServerEqualsOneTenantForest) {
     fopts.global_queue_bound = 0;
     fopts.drr_quantum_nodes = total_nodes + 1;
     TenantOptions topts;
-    topts.admission = sopts.admission;
-    topts.batch = sopts.batch;
-    topts.retry = sopts.retry;
-    topts.engine = sopts.engine;
+    static_cast<SlotOptions&>(topts) = sopts;
     Forest forest(fopts);
     forest.add_tenant(*mapping, topts);
     for (const Request& r : requests) forest.submit(0, r);

@@ -2,13 +2,15 @@
 // headline differential — responses are bit-identical with the backend on
 // or off, at 1/2/8 workers and at 1/2/8 pipeline workers — plus the
 // TouchStats aggregation contract (touches at every thread count equal a
-// recount over the report's own batches), faulted runs, and per-tenant
-// scope in the Forest.
+// recount over the report's own batches), faulted runs, per-tenant scope
+// in the Forest, and backends that do not cover the served tree rejected
+// at construction.
 #include "pmtree/mem/arena.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -315,6 +317,49 @@ TEST(ServeMem, ForestScopesBackendsPerTenant) {
     EXPECT_EQ(got.tenants[0].memory, with.tenants[0].memory)
         << "per-tenant totals must be invariant to execution shape";
   }
+}
+
+// ---------------------------------------------------------------------------
+// A backend must cover the served tree: one over fewer levels than the
+// slot's mapping has no slot for the deeper nodes, so the first batch
+// reaching them would read past its address table. Rejected at
+// construction; a backend over the same or a deeper tree is accepted.
+// Construction only; nothing runs.
+
+TEST(ServeMem, ServerRejectsArenaOverAShallowerTree) {
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 7));
+  const ModuloMapping shallower(CompleteBinaryTree(7), 7);
+  const ModuloMapping deeper(CompleteBinaryTree(9), 3);
+  const mem::MemoryBackend short_arena(shallower);
+  const mem::MemoryBackend same_arena(mapping);
+  const mem::MemoryBackend deep_arena(deeper);
+
+  ServerOptions opts = serve_options();
+  opts.memory = &short_arena;
+  EXPECT_THROW(Server(mapping, opts), std::invalid_argument);
+  opts.memory = &same_arena;
+  EXPECT_NO_THROW(Server(mapping, opts));
+  opts.memory = &deep_arena;
+  EXPECT_NO_THROW(Server(mapping, opts));
+}
+
+TEST(ServeMem, ForestRejectsArenaOverAShallowerTree) {
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 7));
+  const ModuloMapping shallower(CompleteBinaryTree(7), 7);
+  const mem::MemoryBackend short_arena(shallower);
+  const mem::MemoryBackend same_arena(mapping);
+
+  TenantOptions opts;
+  opts.memory = &short_arena;
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(mapping, opts), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  // The short arena fits a tenant over its own tree.
+  EXPECT_EQ(forest.add_tenant(shallower, opts), 0u);
+  opts.memory = &same_arena;
+  EXPECT_EQ(forest.add_tenant(mapping, opts), 1u);
 }
 
 }  // namespace

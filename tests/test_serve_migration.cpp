@@ -3,14 +3,15 @@
 // contract, and — the headline rule — that epoch remapping is a pure
 // control-plane decision: migrated serving is bit-identical at 1/2/8
 // workers and at pipeline workers, a disabled policy leaves the
-// server byte-identical to the static-mapping build, and faulted
-// configurations keep the static mapping outright.
+// server byte-identical to the static-mapping build, and migration under
+// a non-empty fault plan is rejected at construction.
 #include "pmtree/serve/migration.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -315,32 +316,53 @@ TEST(ServeMigration, DisabledPolicyIsByteIdenticalToStaticServer) {
   ASSERT_EQ(c.to_json().dump(), b.to_json().dump());
 }
 
-TEST(ServeMigration, FaultedConfigurationKeepsTheStaticMapping) {
+// ---------------------------------------------------------------------------
+// Migration under a non-empty fault plan is rejected at construction: the
+// plan's reroute timeline owns the slot's color space, and nothing
+// switches the planner off at run time instead. An empty plan is no plan.
+// Construction only; nothing runs.
+
+TEST(ServeMigration, ServerRejectsMigrationUnderAFaultPlan) {
   const CompleteBinaryTree tree(8);
   const ColorMapping mapping(make_optimal_color_mapping(tree, 11));
-  const auto requests = skewed_requests(tree.levels(), 160, 0xFA17);
+  fault::FaultPlan fail_stop;
+  fail_stop.fail_stop(1, 32);
+  fault::FaultPlan slowdown;
+  slowdown.slow_down(2, 0, 64, 2);
+  const fault::FaultPlan empty;
 
-  fault::FaultPlan::RandomOptions fopts;
-  fopts.seed = 0xFA17;
-  fopts.modules = mapping.num_modules();
-  fopts.fail_fraction = 0.2;
-  fopts.fail_window = 64;
-  fopts.slowdown_count = 2;
-  fopts.slowdown_window = 128;
-  fopts.slowdown_max_length = 64;
-  fopts.slowdown_max_period = 4;
-  const fault::FaultPlan plan = fault::FaultPlan::random(fopts);
+  ServerOptions opts = migrated_options();
+  for (const fault::FaultPlan* plan : {&fail_stop, &slowdown}) {
+    opts.engine.faults = plan;
+    EXPECT_THROW(Server(mapping, opts), std::invalid_argument);
+  }
+  opts.engine.faults = &empty;
+  EXPECT_NO_THROW(Server(mapping, opts));
+  // The plan alone is a valid faulted server.
+  opts.engine.faults = &fail_stop;
+  opts.migration = MigrationPolicy{};
+  EXPECT_NO_THROW(Server(mapping, opts));
+}
 
-  ServerOptions with_policy = migrated_options();
-  with_policy.engine.faults = &plan;
-  ServerOptions without_policy = with_policy;
-  without_policy.migration = MigrationPolicy{};
+TEST(ServeMigration, ForestRejectsMigrationUnderAFaultPlan) {
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 11));
+  fault::FaultPlan fail_stop;
+  fail_stop.fail_stop(1, 32);
+  const fault::FaultPlan empty;
 
-  const ServeReport got = run_once(mapping, with_policy, requests);
-  const ServeReport want = run_once(mapping, without_policy, requests);
-  ASSERT_EQ(got.to_json().dump(), want.to_json().dump());
-  EXPECT_EQ(got.metrics.find("migration"), nullptr)
-      << "a faulted run must not pretend it migrated";
+  TenantOptions opts;
+  opts.migration = migrated_options().migration;
+  opts.engine.faults = &fail_stop;
+  Forest forest;
+  EXPECT_THROW((void)forest.add_tenant(mapping, opts), std::invalid_argument);
+  EXPECT_EQ(forest.tenant_count(), 0u);
+  opts.engine.faults = &empty;
+  EXPECT_EQ(forest.add_tenant(mapping, opts), 0u);
+  // A faulted tenant without migration sits beside it.
+  opts.engine.faults = &fail_stop;
+  opts.migration = MigrationPolicy{};
+  EXPECT_EQ(forest.add_tenant(mapping, opts), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 // End-to-end server tests: the dictionary and range-index clients driving
 // a Server, batching/coalescing observable in the metrics, replica
-// round-robin, JSON report shape, and deterministic re-runs.
+// round-robin, JSON report shape, deterministic re-runs, and requests
+// outside the served tree refused at submit.
 #include "pmtree/serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "pmtree/apps/dictionary.hpp"
@@ -213,6 +216,45 @@ TEST(Server, IdenticalSubmissionsReproduceIdenticalReports) {
   const ServeReport a = run_once();
   const ServeReport b = run_once();
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+}
+
+// A request naming a node outside the served tree is refused at submit,
+// in every build type: such a node has no color, no arena slot and no
+// coalescing mask bit, so once queued it would crash the resolve or
+// complete as a different node. Nothing of a refused call is queued, and
+// the vector overload checks every request before it queues any.
+
+Request request_of(std::uint64_t seq, std::vector<Node> nodes) {
+  Request r;
+  r.client = 0;
+  r.seq = seq;
+  r.submit_cycle = seq;
+  r.nodes = std::move(nodes);
+  return r;
+}
+
+TEST(Server, SubmitRejectsNodesOutsideTheTree) {
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 15));
+  Server server(mapping);
+  const Node inside = v(5, 3);
+  ASSERT_THROW(server.submit(request_of(0, {inside, Node{3, 40}})),
+               std::out_of_range);
+  for (const Node outside : {Node{8, 0}, Node{9, 0}, Node{3, 8},
+                             Node{3, 100}, Node{7, 1000000}}) {
+    ASSERT_THROW(server.submit(request_of(0, {outside})), std::out_of_range);
+  }
+  ASSERT_THROW(server.submit(std::vector<Request>{
+                   request_of(0, {inside}), request_of(1, {Node{4, 16}})}),
+               std::out_of_range);
+  EXPECT_TRUE(server.run().responses.empty());
+
+  // The tree's last level and widest index are inside.
+  server.submit(std::vector<Request>{request_of(0, {inside}),
+                                     request_of(1, {Node{7, 127}})});
+  const ServeReport report = server.run();
+  ASSERT_EQ(report.responses.size(), 2u);
+  EXPECT_EQ(report.count(RequestStatus::kOk), 2u);
 }
 
 TEST(ServerRetry, RetryBudgetExhaustedExactlyAtDeadlineCycleExpires) {
