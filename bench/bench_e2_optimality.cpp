@@ -60,18 +60,17 @@ bool cf_coloring_exists(const CompleteBinaryTree& tree, std::uint64_t K,
 
   // Collect all template instances as BFS-id lists once.
   std::vector<std::vector<std::uint64_t>> constraints;
-  for_each_subtree(tree, K, [&](const SubtreeInstance& s) {
+  const auto add = [&](const std::vector<Node>& nodes) {
     std::vector<std::uint64_t> ids;
-    for (const Node& nd : s.nodes()) ids.push_back(bfs_id(nd));
+    for (const Node& nd : nodes) ids.push_back(bfs_id(nd));
     constraints.push_back(std::move(ids));
-    return true;
-  });
-  for_each_path(tree, N, [&](const PathInstance& p) {
-    std::vector<std::uint64_t> ids;
-    for (const Node& nd : p.nodes()) ids.push_back(bfs_id(nd));
-    constraints.push_back(std::move(ids));
-    return true;
-  });
+  };
+  for (std::uint64_t i = 0; i < count_subtrees(tree, K); ++i) {
+    add(subtree_at(tree, K, i).nodes());
+  }
+  for (std::uint64_t i = 0; i < count_paths(tree, N); ++i) {
+    add(path_at(tree, N, i).nodes());
+  }
 
   // Backtracking: nodes in BFS order; prune on any violated constraint
   // among already-assigned nodes.

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "pmtree/analysis/load_balance.hpp"
@@ -100,32 +101,30 @@ int main(int argc, char** argv) {
   std::unique_ptr<TreeMapping> map;
   std::uint64_t K = 3;
   std::uint32_t N = std::min(levels, 5u);
-  if (kind == "color" && argc == 5) {
-    N = static_cast<std::uint32_t>(std::atoi(argv[3]));
-    const auto k = static_cast<std::uint32_t>(std::atoi(argv[4]));
-    if (k < 1 || k > N || (levels > N && N <= k)) {
-      std::cerr << "need 1 <= k <= N, and N > k for trees taller than N\n";
+  try {
+    // The mapping constructors check the paper's parameter rules.
+    if (kind == "color" && argc == 5) {
+      N = static_cast<std::uint32_t>(std::atoi(argv[3]));
+      const auto k = static_cast<std::uint32_t>(std::atoi(argv[4]));
+      map = std::make_unique<ColorMapping>(tree, N, k);
+      K = tree_size(k);
+    } else if (kind == "labeltree" && argc == 4) {
+      const auto M = static_cast<std::uint32_t>(std::atoi(argv[3]));
+      map = std::make_unique<LabelTreeMapping>(tree, M);
+      K = tree_size(std::min(ceil_log2(M), levels));
+    } else if (kind == "modulo" && argc == 4) {
+      const auto M = static_cast<std::uint32_t>(std::atoi(argv[3]));
+      if (M < 1) {
+        std::cerr << "M must be >= 1\n";
+        return 1;
+      }
+      map = std::make_unique<ModuloMapping>(tree, M);
+    } else {
+      usage(argv[0]);
       return 1;
     }
-    K = tree_size(k);
-    map = std::make_unique<ColorMapping>(tree, N, k);
-  } else if (kind == "labeltree" && argc == 4) {
-    const auto M = static_cast<std::uint32_t>(std::atoi(argv[3]));
-    if (M < 3) {
-      std::cerr << "M must be >= 3\n";
-      return 1;
-    }
-    map = std::make_unique<LabelTreeMapping>(tree, M);
-    K = tree_size(std::min(ceil_log2(M), levels));
-  } else if (kind == "modulo" && argc == 4) {
-    const auto M = static_cast<std::uint32_t>(std::atoi(argv[3]));
-    if (M < 1) {
-      std::cerr << "M must be >= 1\n";
-      return 1;
-    }
-    map = std::make_unique<ModuloMapping>(tree, M);
-  } else {
-    usage(argv[0]);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << '\n';
     return 1;
   }
 

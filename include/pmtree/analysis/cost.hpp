@@ -9,7 +9,10 @@
 // cost+1 serialized memory rounds. The cost of a template *family* is the
 // maximum over its instances; evaluate_* computes it exhaustively (used by
 // the theorem tests on moderate trees) and sample_* estimates it by random
-// sampling (used by benches on big trees).
+// sampling (used by benches on big trees). Both go through the family's
+// one definition in templates/enumerate.hpp: evaluate_* scans instance
+// indices [0, count_*) with the indexed accessors, and sample_* draws
+// through the samplers, which call the same accessors.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +69,6 @@ struct FamilyCost {
 [[nodiscard]] FamilyCost evaluate_paths(const TreeMapping& mapping,
                                         std::uint64_t K,
                                         const EvalOptions& opts = {});
-
-/// Exhaustive cost over the TP(K, j) family of Lemma 1 for every j.
-[[nodiscard]] FamilyCost evaluate_tp(const TreeMapping& mapping, std::uint64_t K,
-                                     const EvalOptions& opts = {});
 
 /// Sampled cost estimates (max over `samples` random instances). Instances
 /// are drawn sequentially from `rng` (the stream is identical to a fully

@@ -2,6 +2,9 @@
 // statements against a concrete mapping, exhaustively, and reports a
 // machine-checkable verdict with a human-readable detail string. Tests
 // assert verdicts; the bench harness prints them next to measured numbers.
+// Every scan walks a family's one definition (templates/enumerate.hpp):
+// the S/L/P verdicts through evaluate_*, the two TP verdicts through
+// tp_at over the index range of the anchor levels they cover.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +38,14 @@ struct Verdict {
 
 /// Theorem 2's lower-bound witness: TP(K, N-k) instances have exactly
 /// N + K - k nodes, so any mapping CF on them needs >= N + K - k colors.
-/// Verifies instance sizes and rainbowness for the given mapping.
+/// Verifies instance sizes and rainbowness for the given mapping, and
+/// stops at the first instance that fails; a tree without level N - 1, or
+/// N <= k, leaves no witness.
 [[nodiscard]] Verdict verify_optimality_witness(const TreeMapping& mapping,
                                                 std::uint32_t N, std::uint32_t k);
 
 /// Theorem 4: cost at most 1 on S(M) and P(M), with M = num_modules().
+/// S(M) needs M = 2^m - 1; other module counts throw std::invalid_argument.
 [[nodiscard]] Verdict verify_full_parallelism(const TreeMapping& mapping);
 
 /// Lemma 2: cost at most 1 on L(K).

@@ -37,13 +37,13 @@ namespace pmtree::dyn {
 
 class IncrementalColorer final : public TreeMapping {
  public:
-  /// COLOR(envelope, N, K = 2^k - 1). Same preconditions as ColorMapping:
-  /// 1 <= k <= N, and N > k when the envelope has more than N levels.
+  /// COLOR(envelope, N, K = 2^k - 1). Throws std::invalid_argument where
+  /// ColorMapping's constructor does.
   [[nodiscard]] static IncrementalColorer color(CompleteBinaryTree envelope,
                                                 std::uint32_t N,
                                                 std::uint32_t k);
 
-  /// LABEL-TREE(envelope, M). Precondition: M >= 3.
+  /// LABEL-TREE(envelope, M). Throws std::invalid_argument for M < 3.
   [[nodiscard]] static IncrementalColorer label_tree(
       CompleteBinaryTree envelope, std::uint32_t M);
 

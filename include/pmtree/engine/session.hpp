@@ -8,8 +8,8 @@
 // (SIMD gather), fed in cut order, and simulated with the lane's earlier
 // rounds. EngineSession is that split:
 //
-//   feed(access, arrival)            — resolve colors here, accumulate;
-//   feed_resolved(colors, arrival)   — colors already resolved upstream;
+//   feed_resolved(colors, arrival)   — one access, its colors resolved
+//                                      upstream (mapping.colors_of);
 //   drain()                          — simulate what was fed since the
 //                                      last drain, return the whole run.
 //
@@ -31,8 +31,8 @@
 // session replays everything fed so far from cycle 0 through
 // engine::detail::run_resolved — the SAME entry CycleEngine::run calls —
 // because a fail-stop can drain an earlier request onto its reroute
-// target behind a later one. Either way each batch's colors are resolved
-// exactly once, and nodes are never stored.
+// target behind a later one. Either way the session stores each access's
+// colors once, and never its nodes.
 //
 // Arrivals must be nondecreasing across every feed, drains included:
 // drain() throws std::invalid_argument otherwise and leaves the session
@@ -57,19 +57,9 @@ class EngineSession {
                          const EngineOptions& options = {});
 
   /// Appends one access arriving at `arrival` (cycles, nondecreasing
-  /// across feeds — drain() throws otherwise), resolving its colors
-  /// through the mapping.
-  void feed(std::span<const Node> access, std::uint64_t arrival) {
-    const std::size_t base = colors_.size();
-    colors_.resize(base + access.size());
-    mapping_.color_of_batch(
-        access, std::span<Color>(colors_.data() + base, access.size()));
-    push(arrival);
-  }
-
-  /// Same, with the colors already resolved upstream (the serve
-  /// executor's resolve phase). `colors` must be the mapping's colors for the
-  /// access's nodes, in order.
+  /// across feeds — drain() throws otherwise). `colors` must be the
+  /// mapping's colors for the access's nodes, in order, as the serve
+  /// executor's resolve phase or mapping().colors_of(access) gives them.
   void feed_resolved(std::span<const Color> colors, std::uint64_t arrival) {
     colors_.insert(colors_.end(), colors.begin(), colors.end());
     push(arrival);

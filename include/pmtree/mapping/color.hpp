@@ -56,9 +56,11 @@ enum class GammaVariant : std::uint8_t {
 
 }  // namespace internal
 
-/// COLOR(T, N, K). See file comment. Precondition: 1 <= k <= N, and N > k
-/// whenever the tree has more than N levels (otherwise the block family
-/// B(N) is undefined — the paper requires it implicitly via H = h(N-k)+N).
+/// COLOR(T, N, K). See file comment. The constructor throws
+/// std::invalid_argument unless 1 <= k <= N <= 60, N > k whenever the tree
+/// has more than N levels (otherwise the block family B(N) is undefined —
+/// the paper requires it implicitly via H = h(N-k)+N), and the N + K - k
+/// colors fit a Color.
 class ColorMapping : public TreeMapping {
  public:
   /// Retrieval strategy; all modes give identical colors.
@@ -184,7 +186,8 @@ class ColorMapping : public TreeMapping {
 
 /// BASIC-COLOR(B, N, K): the single-block special case — a tree of at most
 /// N levels colored with N + K - k colors (Theorem 1). Provided as its own
-/// type because the paper analyses it separately.
+/// type because the paper analyses it separately. Throws
+/// std::invalid_argument for a taller tree, and where ColorMapping does.
 class BasicColorMapping final : public ColorMapping {
  public:
   BasicColorMapping(CompleteBinaryTree tree, std::uint32_t N, std::uint32_t k);
@@ -219,7 +222,7 @@ class EagerColorMapping final : public TreeMapping {
 /// with K = 2^{m-1} - 1 and N = 2^{m-1} + m - 1 uses exactly M colors and
 /// achieves cost <= 1 on S(M) and P(M) (Theorems 4-5), which is optimal.
 /// For general M the largest 2^m - 1 <= M is used (paper §5: constants
-/// only). Precondition: M >= 3.
+/// only). M < 3 leaves k = 0, so ColorMapping throws std::invalid_argument.
 [[nodiscard]] ColorMapping make_optimal_color_mapping(CompleteBinaryTree tree,
                                                       std::uint32_t M);
 
@@ -228,9 +231,9 @@ class EagerColorMapping final : public TreeMapping {
 /// requirement k (CF subtrees of size K = 2^k - 1), spends the remaining
 /// budget on path length — the largest N with N + K - k <= M, so paths of
 /// up to N = M - K + k nodes are conflict-free (Theorem 3, and optimal by
-/// Theorem 2). Preconditions: k >= 1 and M >= cf_modules(k+1, k) (enough
-/// budget for at least one level below the subtree horizon when the tree
-/// is taller than one block).
+/// Theorem 2). ColorMapping throws std::invalid_argument for k == 0 and
+/// for an M that leaves no valid N: M < cf_modules(k+1, k) on a tree taller
+/// than one block (no level below the subtree horizon), M < K otherwise.
 [[nodiscard]] ColorMapping make_cf_mapping_for_modules(CompleteBinaryTree tree,
                                                        std::uint32_t M,
                                                        std::uint32_t k);

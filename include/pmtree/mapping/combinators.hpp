@@ -13,7 +13,7 @@
 // conflict-freedom inside the subtree (DESIGN.md §15).
 #pragma once
 
-#include <cassert>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,17 +31,14 @@ class MigratedMapping final : public TreeMapping {
   /// n.index >> (n.level - L) and maps to
   /// (base.color_of(n) + rotation[subtree]) mod M. Nodes above L keep
   /// their base colors — at subtree granularity they cannot be migrated.
+  /// Throws std::invalid_argument for any other table, before building
+  /// anything.
   MigratedMapping(const TreeMapping& base, std::uint32_t subtree_level,
                   std::vector<Color> rotation)
-      : TreeMapping(base.tree()),
+      : TreeMapping(checked(base, subtree_level, rotation).tree()),
         base_(base),
         level_(subtree_level),
-        rot_(std::move(rotation)) {
-    assert(rot_.size() == (std::size_t{1} << level_));
-#ifndef NDEBUG
-    for (const Color r : rot_) assert(r < base.num_modules());
-#endif
-  }
+        rot_(std::move(rotation)) {}
 
   [[nodiscard]] Color color_of(Node n) const override {
     Color c = base_.color_of(n);
@@ -90,6 +87,23 @@ class MigratedMapping final : public TreeMapping {
   }
 
  private:
+  static const TreeMapping& checked(const TreeMapping& base,
+                                    std::uint32_t subtree_level,
+                                    const std::vector<Color>& rotation) {
+    if (subtree_level >= 64 ||
+        rotation.size() != (std::size_t{1} << subtree_level)) {
+      throw std::invalid_argument(
+          "MigratedMapping needs one rotation per subtree at its level");
+    }
+    for (const Color r : rotation) {
+      if (r >= base.num_modules()) {
+        throw std::invalid_argument(
+            "MigratedMapping rotations must be below the module count");
+      }
+    }
+    return base;
+  }
+
   const TreeMapping& base_;
   std::uint32_t level_;
   std::vector<Color> rot_;

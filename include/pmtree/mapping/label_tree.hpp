@@ -57,7 +57,8 @@ class LabelTreeMapping final : public TreeMapping {
     kRecursive,  ///< O(log M) per node, no preprocessing
   };
 
-  /// Maps `tree` onto M >= 3 memory modules. `l_override` (clamped to
+  /// Maps `tree` onto M >= 3 memory modules (std::invalid_argument
+  /// otherwise). `l_override` (clamped to
   /// [1, m-1]; 0 = use the paper's formula) exists for the ablation bench:
   /// the choice l ~ log2(sqrt(M log M)) balances the window size ell =
   /// 2^l + 2^{m-l} - 1 — smaller l starves the top-of-block colors, larger

@@ -20,6 +20,10 @@
 //     itself.
 //   AdaptiveEvent — the audit record of one epoch decision.
 //
+// The selector checks its policy (AdaptiveSelector::check) in its
+// constructor, and the Server constructor and Forest::add_tenant call the
+// same check, so each rule is written once and holds in Release.
+//
 // Determinism contract (inherited verbatim from §15): the selector is
 // driven only by the single-threaded control plane, in batch cut order;
 // scores are integer sums of conflict peaks, halved with integer shifts.
@@ -74,10 +78,14 @@ struct AdaptiveEvent {
 /// tenant); all calls come from the single-threaded control plane.
 class AdaptiveSelector {
  public:
-  /// `base` and every policy candidate must outlive the selector.
-  /// All candidates must be non-null and share base's tree and module
-  /// count; the Server constructor and Forest::add_tenant reject any
-  /// other policy.
+  /// Throws std::invalid_argument unless `policy` is enabled and every
+  /// candidate is non-null and colors base's tree with base's module
+  /// count. The constructor runs it before building anything, and so do
+  /// the Server constructor and Forest::add_tenant for an enabled policy.
+  static void check(const TreeMapping& base, const AdaptivePolicy& policy);
+
+  /// `base` and every policy candidate must outlive the selector. Throws
+  /// what check() throws.
   AdaptiveSelector(const TreeMapping& base, const AdaptivePolicy& policy);
 
   /// Folds one freshly cut batch (deduped nodes) into every candidate's

@@ -9,6 +9,9 @@
 // finished ServeReport back to the remembered operations, re-deriving
 // each answer and pairing it with the response's timing — or with the
 // shed/expired verdict, in which case the answer never materialized.
+// Each client builds its request in one place; the Server and Forest
+// overloads differ only in where they submit it, and the two join()
+// overloads only in which report holds the responses.
 #pragma once
 
 #include <cstdint>
@@ -51,10 +54,14 @@ class DictionaryClient {
 
   /// Joins `report` back to this client's submitted searches, in seq
   /// order. kOk outcomes carry the re-derived search answer.
-  [[nodiscard]] std::vector<Outcome> join(const ServeReport& report) const;
+  [[nodiscard]] std::vector<Outcome> join(const ServeReport& report) const {
+    return join_responses(report.responses);
+  }
   /// Joins one tenant's section of a forest report (the tenant this
   /// client submitted to).
-  [[nodiscard]] std::vector<Outcome> join(const TenantReport& report) const;
+  [[nodiscard]] std::vector<Outcome> join(const TenantReport& report) const {
+    return join_responses(report.responses);
+  }
 
   [[nodiscard]] std::uint32_t id() const noexcept { return client_; }
   [[nodiscard]] std::uint64_t submitted() const noexcept {
@@ -62,6 +69,11 @@ class DictionaryClient {
   }
 
  private:
+  /// Records `key` under the next seq and returns its request: the one
+  /// request both submit_search overloads hand on.
+  [[nodiscard]] Request search_request(Dictionary::Key key,
+                                       std::uint64_t submit_cycle,
+                                       std::uint64_t deadline_cycles);
   [[nodiscard]] std::vector<Outcome> join_responses(
       const std::vector<Response>& responses) const;
 
@@ -95,8 +107,12 @@ class RangeIndexClient {
     RangeIndex::QueryResult result;  ///< meaningful iff status == kOk
   };
 
-  [[nodiscard]] std::vector<Outcome> join(const ServeReport& report) const;
-  [[nodiscard]] std::vector<Outcome> join(const TenantReport& report) const;
+  [[nodiscard]] std::vector<Outcome> join(const ServeReport& report) const {
+    return join_responses(report.responses);
+  }
+  [[nodiscard]] std::vector<Outcome> join(const TenantReport& report) const {
+    return join_responses(report.responses);
+  }
 
   [[nodiscard]] std::uint32_t id() const noexcept { return client_; }
   [[nodiscard]] std::uint64_t submitted() const noexcept {
@@ -104,6 +120,11 @@ class RangeIndexClient {
   }
 
  private:
+  /// Records [lo, hi] under the next seq and returns its request: the one
+  /// request both submit_query overloads hand on.
+  [[nodiscard]] Request query_request(RangeIndex::Key lo, RangeIndex::Key hi,
+                                      std::uint64_t submit_cycle,
+                                      std::uint64_t deadline_cycles);
   [[nodiscard]] std::vector<Outcome> join_responses(
       const std::vector<Response>& responses) const;
 

@@ -16,6 +16,10 @@
 //                       (mapping/combinators.hpp) for subsequent batches.
 //   MigrationEvent    — the audit record of one epoch plan.
 //
+// The planner checks its policy (MigrationPlanner::check) before sizing
+// its ledger, and the Server constructor and Forest::add_tenant call the
+// same check, so each rule is written once and holds in Release.
+//
 // Determinism contract: the planner is driven exclusively by the control
 // plane, in batch cut order — observe(nodes, cycle) folds each batch's
 // deduped node set into the ledger using the *base* mapping's colors
@@ -127,7 +131,14 @@ class HeatTracker {
 /// tenant); all calls come from the single-threaded control plane.
 class MigrationPlanner {
  public:
-  /// `base` must outlive the planner (and every mapping it mints).
+  /// Throws std::invalid_argument unless `policy` is enabled and its
+  /// subtree_level is below base's tree's level count. The constructor
+  /// runs it before building anything, and so do the Server constructor
+  /// and Forest::add_tenant for an enabled policy.
+  static void check(const TreeMapping& base, const MigrationPolicy& policy);
+
+  /// `base` must outlive the planner (and every mapping it mints). Throws
+  /// what check() throws.
   MigrationPlanner(const TreeMapping& base, const MigrationPolicy& policy);
 
   /// Folds one freshly cut batch (deduped nodes) into the ledger, in cut

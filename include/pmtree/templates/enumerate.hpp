@@ -1,106 +1,69 @@
-// Exhaustive enumeration of template families (Section 2.1):
+// The binary-tree template families of Section 2.1, each defined once as
+// a closed-form count plus an indexed accessor:
 //
 //   S^T(K) — all complete size-K subtrees of T;
 //   L^T(K) — all runs of K consecutive nodes within one level;
-//   P^T(K) — all ascending paths of K nodes.
+//   P^T(K) — all ascending paths of K nodes;
+//   TP(K)  — Lemma 1's TP_K(i, j) instances for every j.
 //
-// Enumeration drives the exhaustive conflict-cost evaluation used by the
-// theorem-verification tests and benches. Visitors receive lightweight
-// instance descriptors; they may materialize nodes on demand.
+// `*_at(tree, K, idx)` returns instance `idx` of the family, for idx in
+// [0, count_*). Every exhaustive scan (the parallel evaluate_* loops, the
+// level profiles, the theorem verdicts) walks that range, and every
+// elementary sampler draws one index of it, so a family's order and
+// membership are written here and nowhere else.
 //
-// Counting helpers expose the family sizes in closed form so tests can
-// assert the enumerators are complete.
+// The contracts hold in every build type: a malformed K (not 2^k - 1 for
+// S and TP, 0 for L and P) throws std::invalid_argument, and an index at
+// or past the family's count throws std::out_of_range.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 
 #include "pmtree/templates/instance.hpp"
 #include "pmtree/tree/tree.hpp"
 
 namespace pmtree {
 
-/// Visits every instance of S^T(K). Precondition: is_tree_size(K).
-/// Stops early if the visitor returns false.
-void for_each_subtree(const CompleteBinaryTree& tree, std::uint64_t K,
-                      const std::function<bool(const SubtreeInstance&)>& visit);
+/// |S^T(K)|: number of size-K subtree instances (0 if K has more levels
+/// than the tree). Throws std::invalid_argument unless K = 2^k - 1.
+[[nodiscard]] std::uint64_t count_subtrees(const CompleteBinaryTree& tree,
+                                           std::uint64_t K);
 
-/// Visits every instance of L^T(K).
-void for_each_level_run(const CompleteBinaryTree& tree, std::uint64_t K,
-                        const std::function<bool(const LevelRunInstance&)>& visit);
+/// |L^T(K)|: number of K-node level runs (0 if K exceeds the widest
+/// level). Throws std::invalid_argument for K == 0.
+[[nodiscard]] std::uint64_t count_level_runs(const CompleteBinaryTree& tree,
+                                             std::uint64_t K);
 
-/// Visits every instance of P^T(K) (paths of K nodes; the deepest node may
-/// be at any level >= K-1).
-void for_each_path(const CompleteBinaryTree& tree, std::uint64_t K,
-                   const std::function<bool(const PathInstance&)>& visit);
-
-/// Visits every TP_K(i, j) instance for the given j (Lemma 1's family):
-/// the root-to-v(i, j-1) path plus the size-K subtree rooted at v(i, j-1),
-/// truncated at the tree boundary.
-void for_each_tp(const CompleteBinaryTree& tree, std::uint64_t K, std::uint32_t j,
-                 const std::function<bool(const CompositeInstance&)>& visit);
-
-// Indexed (random-access) forms of the enumerations above. `*_at(tree, K,
-// idx)` returns the instance that the matching for_each_* visits at step
-// `idx` — exactly the same order — so a chunked parallel loop over
-// [0, count_*) sees the family identically to the sequential visitor.
-// Preconditions: same as the enumerator, plus idx < the matching count.
-
-/// Instance `idx` of S^T(K) in for_each_subtree order. (The roots are
-/// visited in BFS-id order, so this is node_at(idx).)
-[[nodiscard]] SubtreeInstance subtree_at(const CompleteBinaryTree& tree,
-                                         std::uint64_t K, std::uint64_t idx);
-
-/// Instance `idx` of L^T(K) in for_each_level_run order.
-[[nodiscard]] LevelRunInstance level_run_at(const CompleteBinaryTree& tree,
-                                            std::uint64_t K, std::uint64_t idx);
-
-/// Instance `idx` of P^T(K) in for_each_path order.
-[[nodiscard]] PathInstance path_at(const CompleteBinaryTree& tree,
-                                   std::uint64_t K, std::uint64_t idx);
-
-/// Instance `idx` of the union of TP_K(., j) families for j = 1..levels,
-/// in (j ascending, i ascending) order — the order evaluate_tp scans.
-/// (Anchors are visited in BFS-id order, so the anchor is node_at(idx).)
-[[nodiscard]] CompositeInstance tp_at(const CompleteBinaryTree& tree,
-                                      std::uint64_t K, std::uint64_t idx);
-
-// Validated (total) forms of the indexed accessors. The unchecked `*_at`
-// functions above assert their preconditions, which compile away under
-// NDEBUG — an out-of-range `idx` or malformed `K` then silently yields an
-// instance outside the family (or outside the tree entirely). These
-// return nullopt instead, so callers that compute indices from untrusted
-// or dynamic state (chunked parallel loops, dyn-mode planners) get a
-// checkable error, never a garbage instance. On success the value is
-// bit-identical to the unchecked accessor's.
-
-[[nodiscard]] std::optional<SubtreeInstance> try_subtree_at(
-    const CompleteBinaryTree& tree, std::uint64_t K, std::uint64_t idx);
-
-[[nodiscard]] std::optional<LevelRunInstance> try_level_run_at(
-    const CompleteBinaryTree& tree, std::uint64_t K, std::uint64_t idx);
-
-[[nodiscard]] std::optional<PathInstance> try_path_at(
-    const CompleteBinaryTree& tree, std::uint64_t K, std::uint64_t idx);
-
-[[nodiscard]] std::optional<CompositeInstance> try_tp_at(
-    const CompleteBinaryTree& tree, std::uint64_t K, std::uint64_t idx);
+/// |P^T(K)|: number of K-node ascending paths (0 if K exceeds the tree's
+/// level count). Throws std::invalid_argument for K == 0.
+[[nodiscard]] std::uint64_t count_paths(const CompleteBinaryTree& tree,
+                                        std::uint64_t K);
 
 /// Total TP_K(i, j) instances over all j = 1..levels: one per anchor node,
 /// i.e. tree.size().
 [[nodiscard]] std::uint64_t count_tp(const CompleteBinaryTree& tree);
 
-/// |S^T(K)|: number of size-K subtree instances.
-[[nodiscard]] std::uint64_t count_subtrees(const CompleteBinaryTree& tree,
-                                           std::uint64_t K);
+/// Instance `idx` of S^T(K). Roots run in BFS order (level by level,
+/// left to right), so the root is node_at(idx).
+[[nodiscard]] SubtreeInstance subtree_at(const CompleteBinaryTree& tree,
+                                         std::uint64_t K, std::uint64_t idx);
 
-/// |L^T(K)|: number of K-node level runs.
-[[nodiscard]] std::uint64_t count_level_runs(const CompleteBinaryTree& tree,
-                                             std::uint64_t K);
+/// Instance `idx` of L^T(K): levels top-down, and within a level the
+/// runs by first node, left to right.
+[[nodiscard]] LevelRunInstance level_run_at(const CompleteBinaryTree& tree,
+                                            std::uint64_t K, std::uint64_t idx);
 
-/// |P^T(K)|: number of K-node ascending paths.
-[[nodiscard]] std::uint64_t count_paths(const CompleteBinaryTree& tree,
-                                        std::uint64_t K);
+/// Instance `idx` of P^T(K). Deepest nodes run in BFS order from level
+/// K - 1, so the deepest node is node_at(2^{K-1} - 1 + idx).
+[[nodiscard]] PathInstance path_at(const CompleteBinaryTree& tree,
+                                   std::uint64_t K, std::uint64_t idx);
+
+/// Instance `idx` of the TP family: TP_K(i, j) is the size-K subtree
+/// rooted at the anchor v(i, j-1), truncated at the tree boundary, plus
+/// the (j-1)-node path from the anchor's parent up to the root. Anchors
+/// run in BFS order — (j ascending, i ascending) — so the anchor is
+/// node_at(idx), and TP_K(., j) is the index range [2^{j-1} - 1, 2^j - 1).
+[[nodiscard]] CompositeInstance tp_at(const CompleteBinaryTree& tree,
+                                      std::uint64_t K, std::uint64_t idx);
 
 }  // namespace pmtree

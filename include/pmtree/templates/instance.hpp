@@ -13,6 +13,9 @@
 //
 // Instances are small value types; `nodes()` materializes the node set in a
 // canonical order (subtree: BFS; level run: left-to-right; path: bottom-up).
+// Materializing trusts the fields; `fits(tree)` says whether an instance
+// lies inside a tree. The family accessors (enumerate.hpp) and the
+// samplers (sampler.hpp) hand out only instances that fit.
 #pragma once
 
 #include <cassert>
@@ -57,14 +60,6 @@ struct SubtreeInstance {
   /// Appends nodes() to `out` without clearing it — the allocation-free
   /// form the evaluation loops feed a reused buffer through.
   void append_nodes(std::vector<Node>& out) const;
-  /// Validated form: appends nodes() only if `size` is a legal subtree
-  /// size (2^k - 1) and the instance fits inside `tree`; otherwise leaves
-  /// `out` untouched and returns false. The unchecked form materializes
-  /// whatever coordinates the fields imply — callers building instances
-  /// from untrusted parameters (dyn mutations, parsed requests) must use
-  /// this one.
-  [[nodiscard]] bool try_append_nodes(const CompleteBinaryTree& tree,
-                                      std::vector<Node>& out) const;
 };
 
 /// L_K(i, j): `size` consecutive nodes of one level starting at `first`.
@@ -80,10 +75,6 @@ struct LevelRunInstance {
   [[nodiscard]] std::vector<Node> nodes() const;
   /// Appends nodes() to `out` without clearing it.
   void append_nodes(std::vector<Node>& out) const;
-  /// Validated form: requires size >= 1 and fits(tree); on failure leaves
-  /// `out` untouched and returns false.
-  [[nodiscard]] bool try_append_nodes(const CompleteBinaryTree& tree,
-                                      std::vector<Node>& out) const;
 };
 
 /// P_K(i, j): `size` nodes of the ascending path starting at `start`
@@ -100,11 +91,6 @@ struct PathInstance {
   [[nodiscard]] std::vector<Node> nodes() const;
   /// Appends nodes() to `out` without clearing it.
   void append_nodes(std::vector<Node>& out) const;
-  /// Validated form: requires size >= 1 and fits(tree) (the path may not
-  /// climb past the root); on failure leaves `out` untouched and returns
-  /// false.
-  [[nodiscard]] bool try_append_nodes(const CompleteBinaryTree& tree,
-                                      std::vector<Node>& out) const;
 };
 
 /// Any elementary instance.
@@ -134,12 +120,6 @@ class ElementaryInstance {
 
   void append_nodes(std::vector<Node>& out) const {
     std::visit([&](const auto& i) { i.append_nodes(out); }, alt_);
-  }
-
-  [[nodiscard]] bool try_append_nodes(const CompleteBinaryTree& tree,
-                                      std::vector<Node>& out) const {
-    return std::visit(
-        [&](const auto& i) { return i.try_append_nodes(tree, out); }, alt_);
   }
 
   template <typename T>
@@ -179,12 +159,6 @@ class CompositeInstance {
   [[nodiscard]] std::vector<Node> nodes() const;
   /// Appends nodes() to `out` without clearing it.
   void append_nodes(std::vector<Node>& out) const;
-  /// Validated form: appends every component's nodes only if ALL
-  /// components pass their own try_append_nodes checks. All-or-nothing:
-  /// on failure `out` is restored to its original length and the call
-  /// returns false — no partially materialized composite escapes.
-  [[nodiscard]] bool try_append_nodes(const CompleteBinaryTree& tree,
-                                      std::vector<Node>& out) const;
 
   /// True iff the components are pairwise node-disjoint (the paper's
   /// C-template requires this). O(D log D).

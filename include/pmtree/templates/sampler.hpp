@@ -3,7 +3,11 @@
 // estimation) and by workload generators.
 //
 // All samplers draw uniformly over the instance family of the requested
-// size, using the deterministic pmtree::Rng so runs are reproducible.
+// size, using the deterministic pmtree::Rng so runs are reproducible. An
+// elementary sampler is one draw through its family's definition
+// (enumerate.hpp): `*_at(tree, K, rng.below(count_*(tree, K)))`, so a
+// sample is always an instance the exhaustive scans visit. An empty family
+// returns nullopt without consuming the stream.
 #pragma once
 
 #include <cstdint>
@@ -15,15 +19,16 @@
 
 namespace pmtree {
 
-/// Uniform random S_K instance. Returns nullopt if none fits.
+/// Uniform random S_K instance. Returns nullopt if none fits; throws
+/// std::invalid_argument unless K = 2^k - 1.
 [[nodiscard]] std::optional<SubtreeInstance> sample_subtree(
     const CompleteBinaryTree& tree, std::uint64_t K, Rng& rng);
 
-/// Uniform random L_K instance. Returns nullopt if none fits.
+/// Uniform random L_K instance. Returns nullopt if K == 0 or none fits.
 [[nodiscard]] std::optional<LevelRunInstance> sample_level_run(
     const CompleteBinaryTree& tree, std::uint64_t K, Rng& rng);
 
-/// Uniform random P_K instance. Returns nullopt if none fits.
+/// Uniform random P_K instance. Returns nullopt if K == 0 or none fits.
 [[nodiscard]] std::optional<PathInstance> sample_path(
     const CompleteBinaryTree& tree, std::uint64_t K, Rng& rng);
 

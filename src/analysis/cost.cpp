@@ -192,25 +192,6 @@ FamilyCost evaluate_paths(const TreeMapping& mapping, std::uint64_t K,
                           });
 }
 
-FamilyCost evaluate_tp(const TreeMapping& mapping, std::uint64_t K,
-                       const EvalOptions& opts) {
-  const auto& tree = mapping.tree();
-  const std::uint32_t k = tree_levels(K);
-  // Anchors in BFS order == (j ascending, i ascending) — the same instance
-  // per index as tp_at, built without the CompositeInstance allocations.
-  return evaluate_indexed(
-      mapping, count_tp(tree), opts,
-      [&](std::uint64_t i, std::vector<Node>& buf) {
-        const Node anchor = node_at(i);
-        const std::uint32_t sub_levels =
-            std::min(k, tree.levels() - anchor.level);
-        SubtreeInstance{anchor, tree_size(sub_levels)}.append_nodes(buf);
-        if (anchor.level >= 1) {
-          PathInstance{parent(anchor), anchor.level}.append_nodes(buf);
-        }
-      });
-}
-
 FamilyCost sample_subtrees(const TreeMapping& mapping, std::uint64_t K,
                            std::uint64_t samples, Rng& rng,
                            const EvalOptions& opts) {

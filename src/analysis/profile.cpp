@@ -34,28 +34,34 @@ void bump(LevelProfile& profile, std::uint32_t level, std::uint64_t cost) {
 
 LevelProfile subtree_profile(const TreeMapping& mapping, std::uint64_t K) {
   LevelProfile profile = make_profile(mapping);
-  for_each_subtree(mapping.tree(), K, [&](const SubtreeInstance& s) {
+  const auto& tree = mapping.tree();
+  const std::uint64_t count = count_subtrees(tree, K);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const SubtreeInstance s = subtree_at(tree, K, i);
     bump(profile, s.root.level, conflicts(mapping, s.nodes()));
-    return true;
-  });
+  }
   return profile;
 }
 
 LevelProfile level_run_profile(const TreeMapping& mapping, std::uint64_t K) {
   LevelProfile profile = make_profile(mapping);
-  for_each_level_run(mapping.tree(), K, [&](const LevelRunInstance& l) {
+  const auto& tree = mapping.tree();
+  const std::uint64_t count = count_level_runs(tree, K);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const LevelRunInstance l = level_run_at(tree, K, i);
     bump(profile, l.first.level, conflicts(mapping, l.nodes()));
-    return true;
-  });
+  }
   return profile;
 }
 
 LevelProfile path_profile(const TreeMapping& mapping, std::uint64_t K) {
   LevelProfile profile = make_profile(mapping);
-  for_each_path(mapping.tree(), K, [&](const PathInstance& p) {
+  const auto& tree = mapping.tree();
+  const std::uint64_t count = count_paths(tree, K);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const PathInstance p = path_at(tree, K, i);
     bump(profile, p.start.level, conflicts(mapping, p.nodes()));
-    return true;
-  });
+  }
   return profile;
 }
 

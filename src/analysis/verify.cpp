@@ -51,16 +51,16 @@ Verdict verify_tp_rainbow(const TreeMapping& mapping, std::uint64_t K,
   const std::uint32_t levels = mapping.tree().levels();
   const std::uint32_t j_max =
       levels <= N ? std::min(levels, N) : std::min(levels, N - k + 1);
-  for (std::uint32_t j = 1; j <= j_max; ++j) {
-    for_each_tp(mapping.tree(), K, j, [&](const CompositeInstance& tp) {
-      const auto nodes = tp.nodes();
-      const std::uint64_t cost = conflicts(mapping, nodes);
-      if (cost > verdict.measured) {
-        verdict.measured = cost;
-        verdict.detail = describe_witness(nodes, mapping);
-      }
-      return true;
-    });
+  // TP_K(., j) is the TP index range [2^{j-1} - 1, 2^j - 1), so j = 1..j_max
+  // is the prefix [0, 2^{j_max} - 1).
+  const std::uint64_t end = pow2(j_max) - 1;
+  for (std::uint64_t i = 0; i < end; ++i) {
+    const auto nodes = tp_at(mapping.tree(), K, i).nodes();
+    const std::uint64_t cost = conflicts(mapping, nodes);
+    if (cost > verdict.measured) {
+      verdict.measured = cost;
+      verdict.detail = describe_witness(nodes, mapping);
+    }
   }
   verdict.ok = verdict.measured == 0;
   if (verdict.ok) verdict.detail.clear();
@@ -76,30 +76,30 @@ Verdict verify_optimality_witness(const TreeMapping& mapping, std::uint32_t N,
   // The witness family anchors at level N - k: the root path there has
   // N - k nodes above the anchor and the size-K subtree below it reaches
   // level N - 1, so |TP| = (N - k) + K = N + K - k exactly (Theorem 2).
-  const std::uint32_t anchor_level = N - k;
-  if (anchor_level < 1 || anchor_level + k > tree.levels()) {
+  if (N <= k || N > tree.levels()) {  // anchor level N - k in [1, levels - k]
     verdict.detail = "tree too small to host TP(K, N-k)";
     return verdict;
   }
-  const std::uint32_t j = anchor_level + 1;  // for_each_tp anchors at j - 1
+  // The anchors of level N - k are the TP indices [2^{N-k} - 1, 2^{N-k+1} - 1).
+  const std::uint64_t first = pow2(N - k) - 1;
+  const std::uint64_t end = pow2(N - k + 1) - 1;
   bool sizes_ok = true;
   bool rainbow = true;
   std::string detail;
-  for_each_tp(tree, K, j, [&](const CompositeInstance& tp) {
-    const auto nodes = tp.nodes();
+  for (std::uint64_t i = first; i < end; ++i) {
+    const auto nodes = tp_at(tree, K, i).nodes();
     if (nodes.size() != verdict.bound) {
       sizes_ok = false;
       detail = "TP instance has " + std::to_string(nodes.size()) +
                " nodes, expected " + std::to_string(verdict.bound);
-      return false;
+      break;
     }
     if (conflicts(mapping, nodes) != 0) {
       rainbow = false;
       detail = describe_witness(nodes, mapping);
-      return false;
+      break;
     }
-    return true;
-  });
+  }
   verdict.ok = sizes_ok && rainbow;
   verdict.measured = verdict.ok ? verdict.bound : 0;
   verdict.detail = std::move(detail);

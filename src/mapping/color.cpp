@@ -1,6 +1,8 @@
 #include "pmtree/mapping/color.hpp"
 
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 #include "pmtree/util/simd.hpp"
 
@@ -30,17 +32,29 @@ namespace {
   return Node{};  // unreachable
 }
 
+/// COLOR(T, N, K)'s parameter rules, the one place they are written.
+void check_color_parameters(const CompleteBinaryTree& tree, std::uint32_t N,
+                            std::uint32_t k) {
+  if (k < 1 || k > N || N > 60) {
+    throw std::invalid_argument("COLOR needs 1 <= k <= N <= 60");
+  }
+  // Trees taller than one block need the block family B(N), which requires
+  // a positive root stride N - k.
+  if (tree.levels() > N && N == k) {
+    throw std::invalid_argument("COLOR needs N > k on a tree taller than N");
+  }
+  if (tree_size(k) - k + N > std::numeric_limits<Color>::max()) {
+    throw std::invalid_argument("COLOR's N + K - k colors must fit a Color");
+  }
+}
+
 }  // namespace
 
 ColorMapping::ColorMapping(CompleteBinaryTree tree, std::uint32_t N,
                            std::uint32_t k, internal::GammaVariant variant,
                            Retrieval retrieval)
     : TreeMapping(tree), n_(N), k_(k), variant_(variant), retrieval_(retrieval) {
-  assert(k >= 1 && k <= N);
-  assert(N <= 60);
-  // Trees taller than one block need the block family B(N), which requires
-  // a positive root stride N - k.
-  assert(tree.levels() <= N || N > k);
+  check_color_parameters(tree, N, k);
 
   if (retrieval_ == Retrieval::kBlockTable) {
     // PRE-BASIC-COLOR: resolve every block-relative position once. The
@@ -403,7 +417,9 @@ std::vector<Color> ColorMapping::materialize_prefix(std::uint32_t L) const {
 BasicColorMapping::BasicColorMapping(CompleteBinaryTree tree, std::uint32_t N,
                                      std::uint32_t k)
     : ColorMapping(tree, N, k) {
-  assert(tree.levels() <= N && "BASIC-COLOR colors a single block");
+  if (tree.levels() > N) {
+    throw std::invalid_argument("BASIC-COLOR colors a tree of at most N levels");
+  }
 }
 
 std::string BasicColorMapping::name() const {
@@ -439,8 +455,9 @@ void EagerColorMapping::color_of_batch(std::span<const Node> nodes,
 std::string EagerColorMapping::name() const { return base_name_ + "+table"; }
 
 ColorMapping make_optimal_color_mapping(CompleteBinaryTree tree, std::uint32_t M) {
-  assert(M >= 3);
-  const std::uint32_t m = floor_log2(std::uint64_t{M} + 1);  // largest 2^m-1 <= M
+  // Largest 2^m - 1 <= M (m = 1 for M = 0). M < 3 gives k = 0, which
+  // ColorMapping rejects.
+  const std::uint32_t m = floor_log2(std::max<std::uint64_t>(M, 1) + 1);
   const std::uint32_t k = m - 1;                             // K = 2^{m-1} - 1
   const std::uint32_t N = static_cast<std::uint32_t>(pow2(m - 1)) + m - 1;  // N = 2^{m-1} + m - 1
   return ColorMapping(tree, N, k);
@@ -448,10 +465,11 @@ ColorMapping make_optimal_color_mapping(CompleteBinaryTree tree, std::uint32_t M
 
 ColorMapping make_cf_mapping_for_modules(CompleteBinaryTree tree,
                                          std::uint32_t M, std::uint32_t k) {
-  assert(k >= 1);
-  const auto K = static_cast<std::uint32_t>(tree_size(k));
-  assert(M >= K + 1);  // room for N >= k + 1
-  const std::uint32_t N = M - K + k;  // N + K - k == M exactly
+  // N + K - k == M exactly. ColorMapping rejects the parameters no COLOR
+  // has: k == 0 (K = 0, N = M), and an M too small for the tree, which
+  // leaves N <= k or wraps N past 60.
+  const auto K = static_cast<std::uint32_t>(pow2(k) - 1);
+  const std::uint32_t N = M - K + k;
   return ColorMapping(tree, N, k);
 }
 

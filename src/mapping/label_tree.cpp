@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace pmtree {
 
 LabelTreeMapping::LabelTreeMapping(CompleteBinaryTree tree, std::uint32_t M,
                                    Retrieval retrieval, std::uint32_t l_override)
     : TreeMapping(tree), M_(M), retrieval_(retrieval) {
-  assert(M >= 3);
+  if (M < 3) throw std::invalid_argument("LABEL-TREE needs M >= 3 modules");
   m_ = ceil_log2(M);
 
   if (l_override != 0) {

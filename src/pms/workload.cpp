@@ -11,9 +11,9 @@ namespace pmtree {
 
 Workload Workload::subtrees(const CompleteBinaryTree& tree, std::uint64_t K,
                             std::size_t count, std::uint64_t seed) {
-  // No size-K subtree exists unless K = 2^t - 1; sample_subtree asserts
-  // that precondition, so reject invalid sizes here instead of passing
-  // them through (oversized-but-valid K is handled by the sampler).
+  // No size-K subtree exists unless K = 2^t - 1; sample_subtree throws
+  // on other sizes, so map them to the empty workload here instead
+  // (oversized-but-valid K is handled by the sampler).
   if (!is_tree_size(K)) return Workload{};
   Rng rng(seed);
   std::vector<Access> out;

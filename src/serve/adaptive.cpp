@@ -1,10 +1,20 @@
 #include "pmtree/serve/adaptive.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "pmtree/analysis/cost.hpp"
 
 namespace pmtree::serve {
+
+namespace {
+
+const AdaptivePolicy& checked(const TreeMapping& base,
+                              const AdaptivePolicy& policy) {
+  AdaptiveSelector::check(base, policy);
+  return policy;
+}
+
+}  // namespace
 
 Json AdaptiveEvent::to_json() const {
   Json j = Json::object();
@@ -19,10 +29,24 @@ Json AdaptiveEvent::to_json() const {
   return j;
 }
 
+void AdaptiveSelector::check(const TreeMapping& base,
+                             const AdaptivePolicy& policy) {
+  if (!policy.enabled()) {
+    throw std::invalid_argument("adaptive policy is disabled");
+  }
+  for (const TreeMapping* c : policy.candidates) {
+    if (c == nullptr) throw std::invalid_argument("adaptive candidate is null");
+    if (c->tree() != base.tree() || c->num_modules() != base.num_modules()) {
+      throw std::invalid_argument(
+          "adaptive candidate must color the slot's tree with its module "
+          "count");
+    }
+  }
+}
+
 AdaptiveSelector::AdaptiveSelector(const TreeMapping& base,
                                    const AdaptivePolicy& policy)
-    : policy_(policy), active_(&base) {
-  assert(policy_.enabled());
+    : policy_(checked(base, policy)), active_(&base) {
   scores_.assign(policy_.candidates.size(), 0);
 }
 

@@ -17,20 +17,25 @@ std::vector<const Response*> responses_for(
 
 }  // namespace
 
+Request DictionaryClient::search_request(Dictionary::Key key,
+                                         std::uint64_t submit_cycle,
+                                         std::uint64_t deadline_cycles) {
+  Request request;
+  request.client = client_;
+  request.seq = keys_.size();
+  request.submit_cycle = submit_cycle;
+  request.deadline_cycles = deadline_cycles;
+  request.nodes = dictionary_->search(key).accessed;
+  keys_.push_back(key);
+  return request;
+}
+
 std::uint64_t DictionaryClient::submit_search(Server& server,
                                               Dictionary::Key key,
                                               std::uint64_t submit_cycle,
                                               std::uint64_t deadline_cycles) {
-  const std::uint64_t seq = keys_.size();
-  keys_.push_back(key);
-  Request request;
-  request.client = client_;
-  request.seq = seq;
-  request.submit_cycle = submit_cycle;
-  request.deadline_cycles = deadline_cycles;
-  request.nodes = dictionary_->search(key).accessed;
-  server.submit(std::move(request));
-  return seq;
+  server.submit(search_request(key, submit_cycle, deadline_cycles));
+  return keys_.size() - 1;
 }
 
 std::uint64_t DictionaryClient::submit_search(Forest& forest,
@@ -38,26 +43,8 @@ std::uint64_t DictionaryClient::submit_search(Forest& forest,
                                               Dictionary::Key key,
                                               std::uint64_t submit_cycle,
                                               std::uint64_t deadline_cycles) {
-  const std::uint64_t seq = keys_.size();
-  keys_.push_back(key);
-  Request request;
-  request.client = client_;
-  request.seq = seq;
-  request.submit_cycle = submit_cycle;
-  request.deadline_cycles = deadline_cycles;
-  request.nodes = dictionary_->search(key).accessed;
-  forest.submit(tenant, std::move(request));
-  return seq;
-}
-
-std::vector<DictionaryClient::Outcome> DictionaryClient::join(
-    const TenantReport& report) const {
-  return join_responses(report.responses);
-}
-
-std::vector<DictionaryClient::Outcome> DictionaryClient::join(
-    const ServeReport& report) const {
-  return join_responses(report.responses);
+  forest.submit(tenant, search_request(key, submit_cycle, deadline_cycles));
+  return keys_.size() - 1;
 }
 
 std::vector<DictionaryClient::Outcome> DictionaryClient::join_responses(
@@ -79,21 +66,27 @@ std::vector<DictionaryClient::Outcome> DictionaryClient::join_responses(
   return outcomes;
 }
 
+Request RangeIndexClient::query_request(RangeIndex::Key lo,
+                                        RangeIndex::Key hi,
+                                        std::uint64_t submit_cycle,
+                                        std::uint64_t deadline_cycles) {
+  Request request;
+  request.client = client_;
+  request.seq = ranges_.size();
+  request.submit_cycle = submit_cycle;
+  request.deadline_cycles = deadline_cycles;
+  request.nodes = index_->query(lo, hi).accessed;
+  ranges_.emplace_back(lo, hi);
+  return request;
+}
+
 std::uint64_t RangeIndexClient::submit_query(Server& server,
                                              RangeIndex::Key lo,
                                              RangeIndex::Key hi,
                                              std::uint64_t submit_cycle,
                                              std::uint64_t deadline_cycles) {
-  const std::uint64_t seq = ranges_.size();
-  ranges_.emplace_back(lo, hi);
-  Request request;
-  request.client = client_;
-  request.seq = seq;
-  request.submit_cycle = submit_cycle;
-  request.deadline_cycles = deadline_cycles;
-  request.nodes = index_->query(lo, hi).accessed;
-  server.submit(std::move(request));
-  return seq;
+  server.submit(query_request(lo, hi, submit_cycle, deadline_cycles));
+  return ranges_.size() - 1;
 }
 
 std::uint64_t RangeIndexClient::submit_query(Forest& forest,
@@ -102,26 +95,8 @@ std::uint64_t RangeIndexClient::submit_query(Forest& forest,
                                              RangeIndex::Key hi,
                                              std::uint64_t submit_cycle,
                                              std::uint64_t deadline_cycles) {
-  const std::uint64_t seq = ranges_.size();
-  ranges_.emplace_back(lo, hi);
-  Request request;
-  request.client = client_;
-  request.seq = seq;
-  request.submit_cycle = submit_cycle;
-  request.deadline_cycles = deadline_cycles;
-  request.nodes = index_->query(lo, hi).accessed;
-  forest.submit(tenant, std::move(request));
-  return seq;
-}
-
-std::vector<RangeIndexClient::Outcome> RangeIndexClient::join(
-    const TenantReport& report) const {
-  return join_responses(report.responses);
-}
-
-std::vector<RangeIndexClient::Outcome> RangeIndexClient::join(
-    const ServeReport& report) const {
-  return join_responses(report.responses);
+  forest.submit(tenant, query_request(lo, hi, submit_cycle, deadline_cycles));
+  return ranges_.size() - 1;
 }
 
 std::vector<RangeIndexClient::Outcome> RangeIndexClient::join_responses(

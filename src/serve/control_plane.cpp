@@ -679,19 +679,8 @@ void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
     reject("an epoch controller under a fault plan, whose reroute timeline "
            "owns the color space");
   }
-  if (adaptive) {
-    for (const TreeMapping* c : slot.adaptive.candidates) {
-      if (c == nullptr) reject("adaptive candidate is null");
-      if (c->tree() != mapping.tree() ||
-          c->num_modules() != mapping.num_modules()) {
-        reject("adaptive candidate must color the slot's tree with its "
-               "module count");
-      }
-    }
-  }
-  if (migration && slot.migration.subtree_level >= levels) {
-    reject("migration subtree_level must be below the tree's level count");
-  }
+  if (adaptive) AdaptiveSelector::check(mapping, slot.adaptive);
+  if (migration) MigrationPlanner::check(mapping, slot.migration);
   if (slot.memory != nullptr && slot.memory->tree().levels() < levels) {
     reject("memory backend must cover the served tree");
   }

@@ -2,8 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace pmtree::serve {
+
+namespace {
+
+const MigrationPolicy& checked(const TreeMapping& base,
+                               const MigrationPolicy& policy) {
+  MigrationPlanner::check(base, policy);
+  return policy;
+}
+
+}  // namespace
 
 Json MigrationEvent::to_json() const {
   Json j = Json::object();
@@ -82,13 +93,22 @@ void HeatTracker::decay(std::uint32_t shift) noexcept {
 // ---------------------------------------------------------------------------
 // MigrationPlanner
 
+void MigrationPlanner::check(const TreeMapping& base,
+                             const MigrationPolicy& policy) {
+  if (!policy.enabled()) {
+    throw std::invalid_argument("migration policy is disabled");
+  }
+  if (policy.subtree_level >= base.tree().levels()) {
+    throw std::invalid_argument(
+        "migration subtree_level must be below the tree's level count");
+  }
+}
+
 MigrationPlanner::MigrationPlanner(const TreeMapping& base,
                                    const MigrationPolicy& policy)
     : base_(base),
-      policy_(policy),
-      heat_(policy.subtree_level, base.num_modules()) {
-  assert(policy_.enabled());
-}
+      policy_(checked(base, policy)),
+      heat_(policy_.subtree_level, base.num_modules()) {}
 
 void MigrationPlanner::observe(std::span<const Node> nodes,
                                std::uint64_t cycle) {

@@ -1,155 +1,34 @@
 #include "pmtree/templates/enumerate.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <stdexcept>
 
 #include "pmtree/util/bits.hpp"
 
 namespace pmtree {
 
-void for_each_subtree(const CompleteBinaryTree& tree, std::uint64_t K,
-                      const std::function<bool(const SubtreeInstance&)>& visit) {
-  assert(is_tree_size(K));
-  const std::uint32_t k = tree_levels(K);
-  if (k > tree.levels()) return;
-  for (std::uint32_t j = 0; j + k <= tree.levels(); ++j) {
-    for (std::uint64_t i = 0; i < pow2(j); ++i) {
-      if (!visit(SubtreeInstance{v(i, j), K})) return;
-    }
+namespace {
+
+void require_tree_size(std::uint64_t K) {
+  if (!is_tree_size(K)) {
+    throw std::invalid_argument("subtree template size K must be 2^k - 1");
   }
 }
 
-void for_each_level_run(const CompleteBinaryTree& tree, std::uint64_t K,
-                        const std::function<bool(const LevelRunInstance&)>& visit) {
-  assert(K >= 1);
-  for (std::uint32_t j = 0; j < tree.levels(); ++j) {
-    if (pow2(j) < K) continue;
-    for (std::uint64_t i = 0; i + K <= pow2(j); ++i) {
-      if (!visit(LevelRunInstance{v(i, j), K})) return;
-    }
+void require_positive(std::uint64_t K) {
+  if (K == 0) throw std::invalid_argument("template size K must be >= 1");
+}
+
+void require_index(std::uint64_t idx, std::uint64_t count) {
+  if (idx >= count) {
+    throw std::out_of_range("template instance index past the family");
   }
 }
 
-void for_each_path(const CompleteBinaryTree& tree, std::uint64_t K,
-                   const std::function<bool(const PathInstance&)>& visit) {
-  assert(K >= 1);
-  if (K > tree.levels()) return;  // no ascending path has that many nodes
-  for (std::uint32_t j = static_cast<std::uint32_t>(K) - 1; j < tree.levels(); ++j) {
-    for (std::uint64_t i = 0; i < pow2(j); ++i) {
-      if (!visit(PathInstance{v(i, j), K})) return;
-    }
-  }
-}
-
-void for_each_tp(const CompleteBinaryTree& tree, std::uint64_t K, std::uint32_t j,
-                 const std::function<bool(const CompositeInstance&)>& visit) {
-  assert(is_tree_size(K));
-  assert(j >= 1 && j <= tree.levels());
-  const std::uint32_t k = tree_levels(K);
-  for (std::uint64_t i = 0; i < pow2(j - 1); ++i) {
-    const Node anchor = v(i, j - 1);
-    // Subtree part, truncated at the tree boundary (the paper: "if
-    // j > N - k, the subtree rooted at v(i, j) has size smaller than K").
-    const std::uint32_t sub_levels =
-        std::min(k, tree.levels() - anchor.level);
-    CompositeInstance tp;
-    tp.add(SubtreeInstance{anchor, tree_size(sub_levels)});
-    // Path part: from the anchor's parent up to the root (j-1 nodes),
-    // disjoint from the subtree part.
-    if (anchor.level >= 1) {
-      tp.add(PathInstance{parent(anchor), anchor.level});
-    }
-    if (!visit(tp)) return;
-  }
-}
-
-// The unchecked accessors delegate to the validated forms so both share
-// one derivation; the asserts preserve the historical debug-build
-// contract, and the validated forms make the failure observable under
-// NDEBUG too.
-
-std::optional<SubtreeInstance> try_subtree_at(const CompleteBinaryTree& tree,
-                                              std::uint64_t K,
-                                              std::uint64_t idx) {
-  if (!is_tree_size(K) || idx >= count_subtrees(tree, K)) return std::nullopt;
-  // for_each_subtree scans roots level by level, left to right = BFS order.
-  return SubtreeInstance{node_at(idx), K};
-}
-
-SubtreeInstance subtree_at(const CompleteBinaryTree& tree, std::uint64_t K,
-                           std::uint64_t idx) {
-  const std::optional<SubtreeInstance> inst = try_subtree_at(tree, K, idx);
-  assert(inst && "subtree_at: malformed K or idx out of range");
-  return inst ? *inst : SubtreeInstance{};
-}
-
-std::optional<LevelRunInstance> try_level_run_at(const CompleteBinaryTree& tree,
-                                                 std::uint64_t K,
-                                                 std::uint64_t idx) {
-  if (K < 1) return std::nullopt;
-  for (std::uint32_t j = 0; j < tree.levels(); ++j) {
-    if (pow2(j) < K) continue;
-    const std::uint64_t runs = pow2(j) - K + 1;
-    if (idx < runs) return LevelRunInstance{v(idx, j), K};
-    idx -= runs;
-  }
-  return std::nullopt;
-}
-
-LevelRunInstance level_run_at(const CompleteBinaryTree& tree, std::uint64_t K,
-                              std::uint64_t idx) {
-  const std::optional<LevelRunInstance> inst = try_level_run_at(tree, K, idx);
-  assert(inst && "level_run_at: malformed K or idx out of range");
-  return inst ? *inst : LevelRunInstance{};
-}
-
-std::optional<PathInstance> try_path_at(const CompleteBinaryTree& tree,
-                                        std::uint64_t K, std::uint64_t idx) {
-  if (K < 1 || K > tree.levels() || idx >= count_paths(tree, K)) {
-    return std::nullopt;
-  }
-  // for_each_path scans deepest nodes in BFS order starting at level K-1,
-  // whose first BFS id is 2^{K-1} - 1.
-  return PathInstance{
-      node_at(idx + pow2(static_cast<std::uint32_t>(K) - 1) - 1), K};
-}
-
-PathInstance path_at(const CompleteBinaryTree& tree, std::uint64_t K,
-                     std::uint64_t idx) {
-  const std::optional<PathInstance> inst = try_path_at(tree, K, idx);
-  assert(inst && "path_at: malformed K or idx out of range");
-  return inst ? *inst : PathInstance{};
-}
-
-std::optional<CompositeInstance> try_tp_at(const CompleteBinaryTree& tree,
-                                           std::uint64_t K,
-                                           std::uint64_t idx) {
-  if (!is_tree_size(K) || idx >= count_tp(tree)) return std::nullopt;
-  // Scanning j = 1..levels with anchors v(i, j-1), i ascending, visits the
-  // anchors in BFS order.
-  const Node anchor = node_at(idx);
-  const std::uint32_t k = tree_levels(K);
-  const std::uint32_t sub_levels = std::min(k, tree.levels() - anchor.level);
-  CompositeInstance tp;
-  tp.add(SubtreeInstance{anchor, tree_size(sub_levels)});
-  if (anchor.level >= 1) {
-    tp.add(PathInstance{parent(anchor), anchor.level});
-  }
-  return tp;
-}
-
-CompositeInstance tp_at(const CompleteBinaryTree& tree, std::uint64_t K,
-                        std::uint64_t idx) {
-  std::optional<CompositeInstance> inst = try_tp_at(tree, K, idx);
-  assert(inst && "tp_at: malformed K or idx out of range");
-  return inst ? *std::move(inst) : CompositeInstance{};
-}
-
-std::uint64_t count_tp(const CompleteBinaryTree& tree) {
-  // One instance per anchor v(i, j-1), j = 1..levels.
-  return tree.size();
-}
+}  // namespace
 
 std::uint64_t count_subtrees(const CompleteBinaryTree& tree, std::uint64_t K) {
+  require_tree_size(K);
   const std::uint32_t k = tree_levels(K);
   if (k > tree.levels()) return 0;
   // sum_{j=0}^{levels-k} 2^j = 2^{levels-k+1} - 1
@@ -157,6 +36,7 @@ std::uint64_t count_subtrees(const CompleteBinaryTree& tree, std::uint64_t K) {
 }
 
 std::uint64_t count_level_runs(const CompleteBinaryTree& tree, std::uint64_t K) {
+  require_positive(K);
   std::uint64_t total = 0;
   for (std::uint32_t j = 0; j < tree.levels(); ++j) {
     if (pow2(j) >= K) total += pow2(j) - K + 1;
@@ -165,10 +45,60 @@ std::uint64_t count_level_runs(const CompleteBinaryTree& tree, std::uint64_t K) 
 }
 
 std::uint64_t count_paths(const CompleteBinaryTree& tree, std::uint64_t K) {
+  require_positive(K);
   // One instance per deepest node at level >= K-1:
   // sum_{j=K-1}^{levels-1} 2^j = 2^levels - 2^{K-1}
   if (K > tree.levels()) return 0;
   return pow2(tree.levels()) - pow2(static_cast<std::uint32_t>(K) - 1);
+}
+
+std::uint64_t count_tp(const CompleteBinaryTree& tree) {
+  // One instance per anchor v(i, j-1), j = 1..levels.
+  return tree.size();
+}
+
+SubtreeInstance subtree_at(const CompleteBinaryTree& tree, std::uint64_t K,
+                           std::uint64_t idx) {
+  require_index(idx, count_subtrees(tree, K));
+  return SubtreeInstance{node_at(idx), K};
+}
+
+LevelRunInstance level_run_at(const CompleteBinaryTree& tree, std::uint64_t K,
+                              std::uint64_t idx) {
+  require_index(idx, count_level_runs(tree, K));
+  // idx < count, so the walk ends on a level of the tree.
+  for (std::uint32_t j = 0;; ++j) {
+    if (pow2(j) < K) continue;
+    const std::uint64_t runs = pow2(j) - K + 1;
+    if (idx < runs) return LevelRunInstance{v(idx, j), K};
+    idx -= runs;
+  }
+}
+
+PathInstance path_at(const CompleteBinaryTree& tree, std::uint64_t K,
+                     std::uint64_t idx) {
+  require_index(idx, count_paths(tree, K));
+  return PathInstance{
+      node_at(idx + pow2(static_cast<std::uint32_t>(K) - 1) - 1), K};
+}
+
+CompositeInstance tp_at(const CompleteBinaryTree& tree, std::uint64_t K,
+                        std::uint64_t idx) {
+  require_tree_size(K);
+  require_index(idx, count_tp(tree));
+  const Node anchor = node_at(idx);
+  // The subtree part is truncated at the tree boundary (the paper: "if
+  // j > N - k, the subtree rooted at v(i, j) has size smaller than K").
+  const std::uint32_t sub_levels =
+      std::min(tree_levels(K), tree.levels() - anchor.level);
+  CompositeInstance tp;
+  tp.add(SubtreeInstance{anchor, tree_size(sub_levels)});
+  // The path part runs from the anchor's parent up to the root (j-1
+  // nodes), disjoint from the subtree part.
+  if (anchor.level >= 1) {
+    tp.add(PathInstance{parent(anchor), anchor.level});
+  }
+  return tp;
 }
 
 }  // namespace pmtree

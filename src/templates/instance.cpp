@@ -21,13 +21,6 @@ std::vector<Node> SubtreeInstance::nodes() const {
   return out;
 }
 
-bool SubtreeInstance::try_append_nodes(const CompleteBinaryTree& tree,
-                                       std::vector<Node>& out) const {
-  if (!is_tree_size(size) || !fits(tree)) return false;
-  append_nodes(out);
-  return true;
-}
-
 void LevelRunInstance::append_nodes(std::vector<Node>& out) const {
   out.reserve(out.size() + size);
   for (std::uint64_t t = 0; t < size; ++t) {
@@ -39,13 +32,6 @@ std::vector<Node> LevelRunInstance::nodes() const {
   std::vector<Node> out;
   append_nodes(out);
   return out;
-}
-
-bool LevelRunInstance::try_append_nodes(const CompleteBinaryTree& tree,
-                                        std::vector<Node>& out) const {
-  if (size < 1 || !fits(tree)) return false;
-  append_nodes(out);
-  return true;
 }
 
 void PathInstance::append_nodes(std::vector<Node>& out) const {
@@ -61,13 +47,6 @@ std::vector<Node> PathInstance::nodes() const {
   std::vector<Node> out;
   append_nodes(out);
   return out;
-}
-
-bool PathInstance::try_append_nodes(const CompleteBinaryTree& tree,
-                                    std::vector<Node>& out) const {
-  if (size < 1 || !fits(tree)) return false;
-  append_nodes(out);
-  return true;
 }
 
 std::uint64_t CompositeInstance::size() const noexcept {
@@ -90,18 +69,6 @@ std::vector<Node> CompositeInstance::nodes() const {
   std::vector<Node> out;
   append_nodes(out);
   return out;
-}
-
-bool CompositeInstance::try_append_nodes(const CompleteBinaryTree& tree,
-                                         std::vector<Node>& out) const {
-  const std::size_t mark = out.size();
-  for (const auto& p : parts_) {
-    if (!p.try_append_nodes(tree, out)) {
-      out.resize(mark);
-      return false;
-    }
-  }
-  return true;
 }
 
 bool CompositeInstance::is_disjoint() const {

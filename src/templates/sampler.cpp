@@ -1,7 +1,6 @@
 #include "pmtree/templates/sampler.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
 
 #include "pmtree/templates/enumerate.hpp"
@@ -11,37 +10,25 @@ namespace pmtree {
 
 std::optional<SubtreeInstance> sample_subtree(const CompleteBinaryTree& tree,
                                               std::uint64_t K, Rng& rng) {
-  assert(is_tree_size(K));
-  const std::uint32_t k = tree_levels(K);
-  if (k > tree.levels()) return std::nullopt;
-  // Roots live in levels 0 .. levels-k, i.e. BFS ids 0 .. 2^{levels-k+1}-2,
-  // and every id in that range is a valid root: sample the id directly.
-  const std::uint64_t count = pow2(tree.levels() - k + 1) - 1;
-  return SubtreeInstance{node_at(rng.below(count)), K};
+  const std::uint64_t count = count_subtrees(tree, K);
+  if (count == 0) return std::nullopt;
+  return subtree_at(tree, K, rng.below(count));
 }
 
 std::optional<LevelRunInstance> sample_level_run(const CompleteBinaryTree& tree,
                                                  std::uint64_t K, Rng& rng) {
-  if (K == 0 || K > tree.num_leaves()) return std::nullopt;
-  const std::uint64_t total = count_level_runs(tree, K);
-  if (total == 0) return std::nullopt;
-  std::uint64_t pick = rng.below(total);
-  for (std::uint32_t j = 0; j < tree.levels(); ++j) {
-    if (pow2(j) < K) continue;
-    const std::uint64_t here = pow2(j) - K + 1;
-    if (pick < here) return LevelRunInstance{v(pick, j), K};
-    pick -= here;
-  }
-  return std::nullopt;  // unreachable
+  if (K == 0) return std::nullopt;
+  const std::uint64_t count = count_level_runs(tree, K);
+  if (count == 0) return std::nullopt;
+  return level_run_at(tree, K, rng.below(count));
 }
 
 std::optional<PathInstance> sample_path(const CompleteBinaryTree& tree,
                                         std::uint64_t K, Rng& rng) {
-  if (K == 0 || K > tree.levels()) return std::nullopt;
-  // Deepest nodes are all nodes at level >= K-1: BFS ids 2^{K-1}-1 .. size-1.
-  const std::uint64_t first_id = pow2(static_cast<std::uint32_t>(K) - 1) - 1;
-  const std::uint64_t id = rng.between(first_id, tree.size() - 1);
-  return PathInstance{node_at(id), K};
+  if (K == 0) return std::nullopt;
+  const std::uint64_t count = count_paths(tree, K);
+  if (count == 0) return std::nullopt;
+  return path_at(tree, K, rng.below(count));
 }
 
 namespace {

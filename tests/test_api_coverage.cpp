@@ -1,7 +1,6 @@
 // Coverage for the smaller public-API surfaces not exercised elsewhere:
-// bulk color retrieval, the TP family evaluator, RNG edges, node
-// arithmetic at extreme depths, and the umbrella header itself (this file
-// includes only pmtree/pmtree.hpp).
+// bulk color retrieval, RNG edges, node arithmetic at extreme depths, and
+// the umbrella header itself (this file includes only pmtree/pmtree.hpp).
 #include <gtest/gtest.h>
 
 #include "pmtree/pmtree.hpp"
@@ -18,16 +17,6 @@ TEST(ApiCoverage, ColorsOfBulkMatchesScalar) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     EXPECT_EQ(colors[i], map.color_of(nodes[i]));
   }
-}
-
-TEST(ApiCoverage, EvaluateTpDistinguishesMappings) {
-  const CompleteBinaryTree tree(6);
-  const BasicColorMapping good(tree, 6, 2);
-  EXPECT_EQ(evaluate_tp(good, 3).max_conflicts, 0u);
-  const ModuloMapping bad(tree, 5);
-  const auto cost = evaluate_tp(bad, 3);
-  EXPECT_GT(cost.max_conflicts, 0u);
-  EXPECT_GT(cost.instances, 0u);
 }
 
 TEST(ApiCoverage, RngBetweenDegenerateRange) {

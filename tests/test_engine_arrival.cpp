@@ -164,16 +164,16 @@ TEST(ArrivalSchedule, SessionRejectsDecreasingArrivalAtDrain) {
     EngineOptions options;
     options.sampling = sampling;
     EngineSession session(map, options);
-    session.feed(workload[0], 5);
-    session.feed(workload[1], 4);
+    session.feed_resolved(map.colors_of(workload[0]), 5);
+    session.feed_resolved(map.colors_of(workload[1]), 4);
     EXPECT_THROW((void)session.drain(), std::invalid_argument);
 
     // A decrease that straddles a drain is caught too: the resumed drain
     // checks the new feeds against the last one it simulated.
     EngineSession resumed(map, options);
-    resumed.feed(workload[0], 5);
+    resumed.feed_resolved(map.colors_of(workload[0]), 5);
     EXPECT_NO_THROW((void)resumed.drain());
-    resumed.feed(workload[1], 4);
+    resumed.feed_resolved(map.colors_of(workload[1]), 4);
     EXPECT_THROW((void)resumed.drain(), std::invalid_argument);
     EXPECT_THROW((void)resumed.drain(), std::invalid_argument);
   }

@@ -150,23 +150,14 @@ TEST_P(SessionDifferential, FeedDrainMatchesMonolithicRun) {
     const EngineResult want =
         eng.run(workload, ArrivalSchedule::explicit_cycles(arrivals), options);
 
-    // feed(): the session resolves colors itself.
+    // Colors resolved upstream, exactly the executor's resolve-phase
+    // handoff.
     EngineSession session(*mapping, options);
     for (std::size_t i = 0; i < workload.size(); ++i) {
-      session.feed(workload[i], arrivals[i]);
+      session.feed_resolved(mapping->colors_of(workload[i]), arrivals[i]);
     }
     ASSERT_EQ(session.accesses(), workload.size());
     expect_same_result(session.drain(), want);
-
-    // feed_resolved(): colors resolved upstream, exactly the pipeline's
-    // resolve-stage handoff.
-    EngineSession resolved(*mapping, options);
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-      std::vector<Color> colors(workload[i].size());
-      mapping->color_of_batch(workload[i], colors);
-      resolved.feed_resolved(colors, arrivals[i]);
-    }
-    expect_same_result(resolved.drain(), want);
   }
 }
 
@@ -193,7 +184,10 @@ TEST_P(SessionDifferential, MidStreamDrainsMatchPrefixRuns) {
       // extends, never rewrites, earlier completions.
       const std::size_t end =
           std::min<std::size_t>(workload.size(), fed + 1 + rng.below(4));
-      for (; fed < end; ++fed) session.feed(workload[fed], arrivals[fed]);
+      for (; fed < end; ++fed) {
+        session.feed_resolved(mapping->colors_of(workload[fed]),
+                              arrivals[fed]);
+      }
       SCOPED_TRACE("prefix=" + std::to_string(fed));
       const auto [prefix, schedule] = prefix_of(workload, arrivals, fed);
       const EngineResult& got = session.drain();
@@ -244,16 +238,9 @@ TEST_P(SessionDifferential, FaultedFeedDrainMatchesMonolithicAndReference) {
       options.faults = &plan;
       const EngineResult want = eng.run(workload, schedule, options);
 
-      // Alternate both feed entries batch by batch.
       EngineSession session(*mapping, options);
       for (std::size_t i = 0; i < workload.size(); ++i) {
-        if (i % 2 == 0) {
-          session.feed(workload[i], arrivals[i]);
-        } else {
-          std::vector<Color> colors(workload[i].size());
-          mapping->color_of_batch(workload[i], colors);
-          session.feed_resolved(colors, arrivals[i]);
-        }
+        session.feed_resolved(mapping->colors_of(workload[i]), arrivals[i]);
       }
       const EngineResult got = session.drain();
       expect_same_result(got, want);
@@ -315,11 +302,11 @@ TEST(EngineSession, FaultedSecondDrainExtendsTheFirst) {
 
     EngineSession session(*mapping, options);
     for (std::size_t i = 0; i < split; ++i) {
-      session.feed(workload[i], arrivals[i]);
+      session.feed_resolved(mapping->colors_of(workload[i]), arrivals[i]);
     }
     const EngineResult first = session.drain();
     for (std::size_t i = split; i < workload.size(); ++i) {
-      session.feed(workload[i], arrivals[i]);
+      session.feed_resolved(mapping->colors_of(workload[i]), arrivals[i]);
     }
     const EngineResult second = session.drain();
 
@@ -372,7 +359,7 @@ TEST(EngineSession, EmptyAccessesRideAlong) {
 
   EngineSession session(mapping);
   for (std::size_t i = 0; i < workload.size(); ++i) {
-    session.feed(workload[i], arrivals[i]);
+    session.feed_resolved(mapping.colors_of(workload[i]), arrivals[i]);
   }
   expect_same_result(session.drain(), want);
 }
@@ -398,12 +385,12 @@ TEST(EngineSession, SecondDrainWithoutFeedsIsIdentical) {
     EngineSession session(*mapping, options);
     const std::size_t split = workload.size() / 2;
     for (std::size_t i = 0; i < split; ++i) {
-      session.feed(workload[i], arrivals[i]);
+      session.feed_resolved(mapping->colors_of(workload[i]), arrivals[i]);
     }
     const EngineResult first = session.drain();
     expect_same_result(session.drain(), first);
     for (std::size_t i = split; i < workload.size(); ++i) {
-      session.feed(workload[i], arrivals[i]);
+      session.feed_resolved(mapping->colors_of(workload[i]), arrivals[i]);
     }
     const EngineResult whole = session.drain();
     expect_same_result(session.drain(), whole);

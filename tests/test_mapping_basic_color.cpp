@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "pmtree/analysis/cost.hpp"
 #include "pmtree/analysis/verify.hpp"
 #include "pmtree/util/bits.hpp"
@@ -140,6 +142,13 @@ INSTANTIATE_TEST_SUITE_P(
       return "N" + std::to_string(param_info.param.N) + "_k" +
              std::to_string(param_info.param.k);
     });
+
+TEST(BasicColor, RejectsTreesTallerThanOneBlock) {
+  // BASIC-COLOR colors a single block: a tree of at most N levels.
+  EXPECT_NO_THROW(BasicColorMapping(CompleteBinaryTree(4), 4, 2));
+  EXPECT_THROW(BasicColorMapping(CompleteBinaryTree(5), 4, 2),
+               std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace pmtree

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "pmtree/analysis/bounds.hpp"
 #include "pmtree/analysis/cost.hpp"
 #include "pmtree/analysis/verify.hpp"
@@ -203,6 +205,42 @@ TEST(ColorEager, EagerWrapperMatchesBase) {
   for (std::uint64_t id = 0; id < tree.size(); ++id) {
     ASSERT_EQ(eager.color_of(node_at(id)), base.color_of(node_at(id)));
   }
+}
+
+TEST(ColorContract, ConstructorRejectsParametersOutsideTheRules) {
+  // 1 <= k <= N <= 60, N > k on a tree taller than N (the block stride
+  // N - k divides), and N + K - k colors that fit a Color. Construction
+  // only, so a rejected mapping is never asked for a color.
+  const CompleteBinaryTree tall(8);
+  EXPECT_THROW(ColorMapping(tall, 3, 3), std::invalid_argument);
+  EXPECT_NO_THROW(ColorMapping(CompleteBinaryTree(3), 3, 3));
+  EXPECT_THROW(ColorMapping(tall, 3, 0), std::invalid_argument);
+  EXPECT_THROW(ColorMapping(tall, 3, 4), std::invalid_argument);
+  EXPECT_THROW(ColorMapping(tall, 61, 3), std::invalid_argument);
+  EXPECT_NO_THROW(ColorMapping(tall, 60, 3));
+  EXPECT_THROW(ColorMapping(tall, 40, 33), std::invalid_argument);
+  EXPECT_NO_THROW(ColorMapping(tall, 40, 31));
+}
+
+TEST(ColorContract, FactoriesReachTheConstructorCheck) {
+  // make_optimal_color_mapping: M < 3 leaves k = 0.
+  const CompleteBinaryTree tall(8);
+  for (const std::uint32_t M : {0u, 1u, 2u}) {
+    EXPECT_THROW((void)make_optimal_color_mapping(tall, M),
+                 std::invalid_argument)
+        << "M=" << M;
+  }
+  EXPECT_NO_THROW((void)make_optimal_color_mapping(tall, 3));
+  // make_cf_mapping_for_modules: k == 0, an M that leaves N == k on a
+  // tall tree, and an M below K (N wraps past 60).
+  EXPECT_THROW((void)make_cf_mapping_for_modules(tall, 5, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_cf_mapping_for_modules(tall, 7, 3),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)make_cf_mapping_for_modules(CompleteBinaryTree(3), 7, 3));
+  EXPECT_THROW((void)make_cf_mapping_for_modules(tall, 2, 3),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)make_cf_mapping_for_modules(tall, 8, 3));
 }
 
 }  // namespace

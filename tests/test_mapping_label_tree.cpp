@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "pmtree/analysis/bounds.hpp"
 #include "pmtree/analysis/cost.hpp"
@@ -132,6 +133,13 @@ TEST(LabelTree, DegenerateSmallMStillLegal) {
   for (std::uint64_t id = 0; id < tree.size(); ++id) {
     ASSERT_LT(map.color_of(node_at(id)), 3u);
   }
+}
+
+TEST(LabelTree, RejectsFewerThanThreeModules) {
+  // Construction only, so a rejected mapping is never asked for a color.
+  const CompleteBinaryTree tree(8);
+  EXPECT_THROW(LabelTreeMapping(tree, 2), std::invalid_argument);
+  EXPECT_NO_THROW(LabelTreeMapping(tree, 3));
 }
 
 }  // namespace

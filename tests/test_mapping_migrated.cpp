@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "pmtree/mapping/baselines.hpp"
@@ -212,6 +213,19 @@ TEST(MigratedMapping, ReportsNameAndHistogramShape) {
     total += count;
   }
   EXPECT_EQ(total, tree.size());
+}
+
+TEST(MigratedMapping, ConstructorRejectsMisfitRotationTables) {
+  // One entry per subtree at level L, each below the module count.
+  // Construction only: color_of indexes the table by subtree.
+  const CompleteBinaryTree tree(8);
+  const ColorMapping base(tree, 5, 2);  // 6 modules
+  EXPECT_NO_THROW(MigratedMapping(base, 2, {0, 1, 2, 5}));
+  EXPECT_THROW(MigratedMapping(base, 2, {0, 1, 2}), std::invalid_argument);
+  EXPECT_THROW(MigratedMapping(base, 2, {0, 1, 2, 3, 4}),
+               std::invalid_argument);
+  EXPECT_THROW(MigratedMapping(base, 2, {0, 1, 2, 6}), std::invalid_argument);
+  EXPECT_THROW(MigratedMapping(base, 64, {0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -121,19 +121,19 @@ TEST(ProofStructure, MicroLabelCfOnSublTrees) {
     const std::uint32_t m = map.m();
     const std::uint32_t l = map.l();
     std::uint64_t checked = 0;
-    for_each_subtree(tree, tree_size(l), [&](const SubtreeInstance& s) {
+    for (std::uint64_t i = 0; i < count_subtrees(tree, tree_size(l)); ++i) {
+      const SubtreeInstance s = subtree_at(tree, tree_size(l), i);
       // Inside one block iff the subtree's levels stay within one
       // generation's [jb*m, jb*m + m) band.
       const std::uint32_t jb = s.root.level / m;
-      if (s.root.level + l > (jb + 1) * m) return true;
+      if (s.root.level + l > (jb + 1) * m) continue;
       ++checked;
       std::vector<Color> cs;
       for (const Node& n : s.nodes()) cs.push_back(map.color_of(n));
       std::sort(cs.begin(), cs.end());
       EXPECT_EQ(std::adjacent_find(cs.begin(), cs.end()), cs.end())
           << "M=" << M << " subtree at " << to_string(s.root);
-      return true;
-    });
+    }
     EXPECT_GT(checked, 0u);
   }
 }

@@ -165,6 +165,38 @@ TEST(AdaptiveSelector, ReplaysDeterministically) {
   EXPECT_EQ(a.stats().dump(), b.stats().dump());
 }
 
+TEST(AdaptiveSelector, ConstructorRejectsMisfitPolicies) {
+  // The rules the Server constructor and Forest::add_tenant apply, checked
+  // by the selector itself before it builds anything. Construction only:
+  // a selector with no candidates must never reach decide().
+  const CompleteBinaryTree tree(8);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const LabelTreeMapping label(tree, 7);
+  const LabelTreeMapping taller(CompleteBinaryTree(9), 7);
+  const ModuloMapping wider(tree, 8);
+
+  AdaptivePolicy good;
+  good.epoch_batches = 2;
+  good.candidates = {&color, &label};
+  EXPECT_NO_THROW(AdaptiveSelector(label, good));
+
+  AdaptivePolicy none = good;
+  none.candidates.clear();
+  EXPECT_THROW(AdaptiveSelector(label, none), std::invalid_argument);
+  AdaptivePolicy off = good;
+  off.epoch_batches = 0;
+  EXPECT_THROW(AdaptiveSelector(label, off), std::invalid_argument);
+  AdaptivePolicy null = good;
+  null.candidates.push_back(nullptr);
+  EXPECT_THROW(AdaptiveSelector(label, null), std::invalid_argument);
+  AdaptivePolicy other_tree = good;
+  other_tree.candidates.push_back(&taller);
+  EXPECT_THROW(AdaptiveSelector(label, other_tree), std::invalid_argument);
+  AdaptivePolicy other_modules = good;
+  other_modules.candidates.push_back(&wider);
+  EXPECT_THROW(AdaptiveSelector(label, other_modules), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Server end to end.
 

@@ -169,6 +169,27 @@ TEST(MigrationPlanner, PlansReducePredictedPeakOnCollidingSubtrees) {
   EXPECT_FALSE(mapping.is_identity());
 }
 
+TEST(MigrationPlanner, ConstructorRejectsMisfitPolicies) {
+  // The rules the Server constructor and Forest::add_tenant apply, checked
+  // by the planner before it sizes its heat ledger. Construction only.
+  const CompleteBinaryTree tree(8);
+  const ColorMapping base(make_optimal_color_mapping(tree, 13));
+  MigrationPolicy good;
+  good.epoch_batches = 4;
+  good.subtree_level = tree.levels() - 1;
+  EXPECT_NO_THROW(MigrationPlanner(base, good));
+
+  MigrationPolicy off = good;
+  off.epoch_batches = 0;
+  EXPECT_THROW(MigrationPlanner(base, off), std::invalid_argument);
+  MigrationPolicy no_moves = good;
+  no_moves.top_k = 0;
+  EXPECT_THROW(MigrationPlanner(base, no_moves), std::invalid_argument);
+  MigrationPolicy past = good;
+  past.subtree_level = tree.levels();
+  EXPECT_THROW(MigrationPlanner(base, past), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Server end to end.
 

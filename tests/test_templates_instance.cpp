@@ -96,60 +96,6 @@ TEST(CompositeInstance, FitsChecksAllParts) {
   EXPECT_FALSE(bad.fits(tree));
 }
 
-TEST(TryAppendNodes, MatchesUncheckedOnValidInstances) {
-  const CompleteBinaryTree tree(4);
-  const SubtreeInstance s{v(1, 1), 7};
-  const LevelRunInstance l{v(2, 3), 4};
-  const PathInstance p{v(5, 3), 3};
-  std::vector<Node> out{v(0, 0)};  // pre-existing content must survive
-  ASSERT_TRUE(s.try_append_nodes(tree, out));
-  ASSERT_TRUE(l.try_append_nodes(tree, out));
-  ASSERT_TRUE(p.try_append_nodes(tree, out));
-  std::vector<Node> want{v(0, 0)};
-  s.append_nodes(want);
-  l.append_nodes(want);
-  p.append_nodes(want);
-  EXPECT_EQ(out, want);
-}
-
-TEST(TryAppendNodes, RejectsMalformedInstancesWithoutWriting) {
-  const CompleteBinaryTree tree(4);
-  std::vector<Node> out{v(0, 0)};
-  // Subtree: non-tree size, and a subtree hanging below the last level.
-  EXPECT_FALSE((SubtreeInstance{v(0, 0), 6}.try_append_nodes(tree, out)));
-  EXPECT_FALSE((SubtreeInstance{v(0, 2), 7}.try_append_nodes(tree, out)));
-  // Level run: zero size, and a run off the right edge of its level.
-  EXPECT_FALSE((LevelRunInstance{v(0, 2), 0}.try_append_nodes(tree, out)));
-  EXPECT_FALSE((LevelRunInstance{v(3, 2), 2}.try_append_nodes(tree, out)));
-  // Path: zero size, and a path climbing past the root.
-  EXPECT_FALSE((PathInstance{v(1, 2), 0}.try_append_nodes(tree, out)));
-  EXPECT_FALSE((PathInstance{v(1, 2), 4}.try_append_nodes(tree, out)));
-  // Elementary wrapper forwards the verdict.
-  EXPECT_FALSE(ElementaryInstance(SubtreeInstance{v(0, 2), 7})
-                   .try_append_nodes(tree, out));
-  ASSERT_EQ(out.size(), 1u);  // nothing was appended by any rejection
-  EXPECT_EQ(out[0], v(0, 0));
-}
-
-TEST(TryAppendNodes, CompositeIsAllOrNothing) {
-  const CompleteBinaryTree tree(4);
-  CompositeInstance good;
-  good.add(SubtreeInstance{v(0, 1), 3});
-  good.add(LevelRunInstance{v(4, 3), 3});
-  std::vector<Node> out;
-  ASSERT_TRUE(good.try_append_nodes(tree, out));
-  EXPECT_EQ(out, good.nodes());
-
-  // One bad component poisons the whole composite: the first (valid)
-  // component's nodes must not leak into `out`.
-  CompositeInstance bad = good;
-  bad.add(PathInstance{v(0, 3), 5});
-  std::vector<Node> scratch{v(0, 0)};
-  EXPECT_FALSE(bad.try_append_nodes(tree, scratch));
-  ASSERT_EQ(scratch.size(), 1u);
-  EXPECT_EQ(scratch[0], v(0, 0));
-}
-
 TEST(TemplateKind, Names) {
   EXPECT_STREQ(to_string(TemplateKind::kSubtree), "S");
   EXPECT_STREQ(to_string(TemplateKind::kLevelRun), "L");
