@@ -32,9 +32,9 @@
 // is a sum of per-node folds), so an aggregate over a set of batches is
 // independent of the order OR the thread the batches were touched on.
 // That is what lets the serve executor touch each batch on whichever
-// thread resolves it at the round barrier and still report identical
-// totals at every thread count (and bit-identical responses: touches
-// never feed back into any scheduling decision).
+// worker resolves it and still report identical totals at every thread
+// count (and bit-identical responses: touches never feed back into any
+// scheduling decision).
 #pragma once
 
 #include <cassert>

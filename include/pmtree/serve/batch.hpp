@@ -98,7 +98,7 @@ class BatchFormer {
   /// The fill walk of form_one() without the coalescing step: `nodes` is
   /// left as the raw member concatenation and `decomposition` empty. The
   /// control plane cuts batches with this and the batch executor runs
-  /// coalesce() at the round barrier, off the control thread;
+  /// coalesce() off the control thread;
   /// form_one() == form_one_raw() + coalesce on the node set. Membership,
   /// ids, costs and admission bookkeeping are identical.
   [[nodiscard]] FormedBatch form_one_raw(std::uint64_t now,

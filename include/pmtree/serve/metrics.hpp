@@ -60,7 +60,7 @@ class ServeMetrics {
   void on_completed(const Response& response);
 
   /// Attaches the batch executor's stage-attribution snapshot (cumulative
-  /// stage nanoseconds, rounds, batches, most cuts at one barrier, active
+  /// stage nanoseconds, rounds, batches, most cuts in one round, active
   /// SIMD kernel; DESIGN.md §14). summary() emits it as a "pipeline"
   /// section only when set (pipeline.workers >= 1), so other runs keep
   /// their exact JSON shape.

@@ -83,12 +83,16 @@ struct MigrationEvent {
 class HeatTracker {
  public:
   /// Tracks the 2^`subtree_level` subtrees of a tree over `modules` base
-  /// colors.
+  /// colors. Throws std::invalid_argument for zero modules or a ledger of
+  /// 2^subtree_level x modules cells that does not fit std::size_t.
   HeatTracker(std::uint32_t subtree_level, std::uint32_t modules);
 
   /// Folds one batch: node i (with its base color) adds one unit of heat
   /// to (its subtree, base color) when at/below the granularity level, or
-  /// to the fixed per-module ledger when above it.
+  /// to the fixed per-module ledger when above it. Throws
+  /// std::invalid_argument for spans of different lengths and
+  /// std::out_of_range for a color >= modules() or a node index not below
+  /// 2^level, before folding any node.
   void observe(std::span<const Node> nodes,
                std::span<const Color> base_colors);
   /// Exponential decay step: every counter loses `count >> shift`
@@ -177,8 +181,9 @@ class MigrationPlanner {
   MigrationPolicy policy_;
   HeatTracker heat_;
   std::vector<Color> color_scratch_;
-  /// Epoch mapping snapshots. Deque: stable addresses — in-flight batch
-  /// tokens hold raw pointers to their epoch's mapping across a round.
+  /// Epoch mapping snapshots. Deque: stable addresses — the executor's
+  /// cuts hold raw pointers to their epoch's mapping while workers color
+  /// them and later epochs are minted.
   std::deque<MigratedMapping> epochs_;
   std::vector<MigrationEvent> events_;
   std::uint32_t batches_since_plan_ = 0;

@@ -1,13 +1,13 @@
 // PipelineOptions: the stage-attribution dial of the Server/Forest batch
 // executor (DESIGN.md §14).
 //
-// There is one executor. The tick loop only records each cut batch; at the
-// round barrier the same threads coalesce, color-resolve and arena-touch
-// every cut, then feed and drain every lane's EngineSession in cut order,
-// PALM-style: every thread works every stage, with a barrier between
-// stages. Setting `workers` picks that executor's thread count and adds
-// the wall-time "pipeline" metrics section; responses are bit-identical at
-// every setting.
+// There is one executor. While the tick loop cuts batches, its worker
+// threads coalesce, color-resolve and arena-touch the cuts in fixed chunks
+// of 32; at the round barrier they finish the last chunk, and every lane's
+// EngineSession is fed its cuts in cut order and drained, PALM-style:
+// every thread works every stage. Setting `workers` picks that executor's
+// thread count and adds the wall-time "pipeline" metrics section;
+// responses are bit-identical at every setting.
 #pragma once
 
 namespace pmtree::serve {

@@ -31,11 +31,12 @@
 // (batch id mod replicas) to a memory-system replica; every replica is an
 // EngineSession fed its batches with their dispatch ticks as arrivals.
 // The tick loop is the single-threaded control plane Server shares with
-// Forest (a Server is its one-tenant case); it only records each cut
-// batch. At the round barrier the batch executor resolves every batch,
-// then feeds and drains every replica (one thread per replica at most),
-// over `workers` threads — or `pipeline.workers` threads with stage
-// attribution (PipelineOptions). Thread counts therefore affect
+// Forest (a Server is its one-tenant case); it records each cut batch in
+// the batch executor, whose workers resolve the cuts in chunks while the
+// loop goes on ticking. At the round barrier the executor finishes the
+// resolves, then feeds and drains every replica (one thread per replica
+// at most), over `workers` threads — or `pipeline.workers` threads with
+// stage attribution (PipelineOptions). Thread counts therefore affect
 // wall-clock only: responses, batches and metrics are bit-identical at
 // any count (tested request-for-request at 1/2/8).
 //

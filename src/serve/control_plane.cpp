@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <stop_token>
+#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -34,12 +38,15 @@ struct LaneSpec {
   const mem::MemoryBackend* memory = nullptr;
 };
 
-/// The batch executor, built per run (DESIGN.md §14). cut() only records a
-/// batch; the round barrier resolves every cut (coalesce, color, arena
-/// touch: any thread, chunks of cuts), then feeds and drains every lane
-/// (one thread per lane, cuts in cut order). Resolving at the barrier is
-/// legal: colors depend only on the coordinate and the epoch mapping
-/// recorded at the cut, and arena touches are read-only.
+/// The batch executor, built per run (DESIGN.md §14). cut() records a
+/// batch; with two or more threads, workers that live for the run resolve
+/// the cuts (coalesce, color, arena touch) in fixed chunks of 32 while the
+/// tick loop goes on cutting, and close_round() waits for the last chunk.
+/// With one thread close_round() resolves every cut inline. Either way
+/// close_round() then feeds and drains every lane (one thread per lane,
+/// cuts in cut order). Resolving off the cut is legal: colors depend only
+/// on the coordinate and the epoch mapping recorded at the cut, and arena
+/// touches are read-only.
 class Executor {
  public:
   struct Cut {
@@ -69,32 +76,70 @@ class Executor {
     threads_ = resolve_threads(config.pipeline.workers >= 1
                                    ? config.pipeline.workers
                                    : config.workers);
+    if (threads_ >= 2) {
+      workers_.reserve(threads_);
+      for (unsigned w = 0; w < threads_; ++w) {
+        workers_.emplace_back([this](std::stop_token stop) { work(stop); });
+      }
+    }
+  }
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
+  /// Whether workers resolve cuts while the tick loop runs. Each round
+  /// then reserves its storage before its first cut.
+  [[nodiscard]] bool streaming() const noexcept { return !workers_.empty(); }
+
+  /// Sizes this round's storage for at most `max_cuts` cuts of `max_nodes`
+  /// raw nodes in all, so nothing a worker reads or writes moves while
+  /// cut() appends.
+  void reserve(std::size_t max_cuts, std::size_t max_nodes) {
+    cuts_.reserve(max_cuts);
+    colors_.resize(max_nodes);
   }
 
   /// Records a cut. Its raw node count bounds the coalesced one, so the
   /// cut owns a fixed slice of the round's color buffer from here on.
+  /// Streaming, every 32nd cut publishes a chunk to the workers.
   void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant,
            const TreeMapping* epoch) {
-    lane_cuts_[lane].push_back(cuts_.size());
     const std::size_t first = round_colors_;
+    if (streaming() && (cuts_.size() == cuts_.capacity() ||
+                        first + batch.nodes.size() > colors_.size())) {
+      throw std::logic_error("cut past the round's reserved storage");
+    }
+    lane_cuts_[lane].push_back(cuts_.size());
     round_colors_ += batch.nodes.size();
     cuts_.push_back(Cut{std::move(batch), lane, tenant, epoch, first, {}});
+    if (streaming() && cuts_.size() % kResolveGrain == 0) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        published_ = cuts_.size();
+      }
+      work_.notify_one();
+    }
   }
 
   /// The round barrier. Clock pairs are per chunk of cuts (resolve) and
   /// per lane (execute, drain), never per batch.
   void close_round() {
     const auto start = Clock::now();
-    colors_.resize(round_colors_);
-    std::vector<std::uint64_t> resolve_ns(threads_, 0);  // per thread
-    parallel_chunks(cuts_.size(), threads_, kResolveGrain,
-                    [&](unsigned tid, std::uint64_t begin, std::uint64_t end) {
-                      const auto t0 = Clock::now();
-                      for (std::uint64_t k = begin; k < end; ++k) {
-                        resolve(cuts_[k]);
-                      }
-                      resolve_ns[tid] += ns_between(t0, Clock::now());
-                    });
+    std::uint64_t resolve_ns = 0;
+    if (streaming()) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      published_ = cuts_.size();
+      work_.notify_one();
+      done_.wait(lock,
+                 [this] { return finished_ == claimed_ && !claimable(); });
+      if (failure_ != nullptr) std::rethrow_exception(failure_);
+      resolve_ns = resolve_ns_;
+      resolve_ns_ = published_ = claimed_ = finished_ = 0;
+    } else {
+      colors_.resize(round_colors_);
+      const auto t0 = Clock::now();
+      for (Cut& c : cuts_) resolve(c);
+      resolve_ns = ns_between(t0, Clock::now());
+    }
     std::vector<LaneNs> lane_ns(lanes_.size());
     const auto lane_threads = static_cast<unsigned>(
         std::min<std::size_t>(threads_, lanes_.size()));
@@ -104,7 +149,7 @@ class Executor {
                         lane_ns[l] = run_lane(l);
                       }
                     });
-    for (const std::uint64_t ns : resolve_ns) stats_.resolve_ns += ns;
+    stats_.resolve_ns += resolve_ns;
     for (const LaneNs& ns : lane_ns) {
       stats_.execute_ns += ns.execute;
       stats_.drain_ns += ns.drain;
@@ -135,8 +180,9 @@ class Executor {
 
  private:
   /// Cuts per resolve chunk: enough chunks to balance the threads, few
-  /// enough that the clock pairs stay off the per-batch path.
-  static constexpr std::uint64_t kResolveGrain = 32;
+  /// enough that the clock pairs and the publication lock stay off the
+  /// per-batch path. Chunk c is cuts [32c, 32c + 32), whatever the timing.
+  static constexpr std::size_t kResolveGrain = 32;
 
   struct LaneNs {
     std::uint64_t execute = 0, drain = 0;
@@ -175,6 +221,42 @@ class Executor {
     return LaneNs{ns_between(t0, t1), ns_between(t1, Clock::now())};
   }
 
+  /// A published chunk nobody claimed yet, while no chunk has thrown.
+  [[nodiscard]] bool claimable() const noexcept {
+    return failure_ == nullptr && claimed_ * kResolveGrain < published_;
+  }
+
+  /// A worker: claims published chunks in order and resolves each. A throw
+  /// is kept, never propagated, and stops further claims; close_round()
+  /// rethrows the lowest chunk's, the one a 1-thread run throws. The lock
+  /// hand-off orders every cut-time write before the chunk's resolve, and
+  /// the resolve before close_round()'s return.
+  void work(std::stop_token stop) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (work_.wait(lock, stop, [this] { return claimable(); })) {
+      const std::size_t begin = claimed_++ * kResolveGrain;
+      const std::size_t end = std::min(begin + kResolveGrain, published_);
+      lock.unlock();
+      std::exception_ptr failure;
+      const auto t0 = Clock::now();
+      try {
+        // data(), not operator[]: a checked operator[] reads the size,
+        // which cut() is writing.
+        for (std::size_t k = begin; k < end; ++k) resolve(cuts_.data()[k]);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      const std::uint64_t ns = ns_between(t0, Clock::now());
+      lock.lock();
+      resolve_ns_ += ns;
+      if (failure != nullptr && begin < failed_begin_) {
+        failed_begin_ = begin;
+        failure_ = failure;
+      }
+      if (++finished_ == claimed_) done_.notify_one();
+    }
+  }
+
   StageStats& stats_;
   std::vector<LaneSpec> lanes_;
   unsigned threads_ = 1;
@@ -184,6 +266,20 @@ class Executor {
   std::vector<std::vector<std::size_t>> lane_cuts_;  ///< indices into cuts_
   std::size_t round_colors_ = 0;  ///< raw nodes cut this round
   std::vector<Color> colors_;     ///< this round's, one slice per cut
+
+  // The publication protocol: cuts [0, published_) are resolvable; chunks
+  // [0, claimed_) are taken and finished_ of them are done.
+  std::mutex mutex_;
+  std::condition_variable_any work_;  ///< a chunk was published
+  std::condition_variable done_;      ///< every claimed chunk is done
+  std::size_t published_ = 0;
+  std::size_t claimed_ = 0;
+  std::size_t finished_ = 0;
+  std::uint64_t resolve_ns_ = 0;  ///< this round's, summed over workers
+  std::size_t failed_begin_ = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr failure_;  ///< the lowest throwing chunk's
+  /// Last, so the workers stop and join before anything they read goes.
+  std::vector<std::jthread> workers_;
 };
 
 /// The "pipeline" metrics section: `stats` plus the run's shape.
@@ -277,7 +373,6 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
   const std::size_t N = config.slots.size();
   const std::uint64_t T = config.tick_cycles;
   std::vector<IntakeEntry> intake = std::move(input.intake);
-  Executor exec(config, stages);
 
   PlaneReport report;
   report.slots.resize(N);
@@ -305,6 +400,9 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
     arm_epoch_controller(s);
     s.metrics.on_submitted(s.requests.size());
   }
+  // After the slots: the executor's workers color with their epoch
+  // mappings, so they must stop before the slots go, on a throw too.
+  Executor exec(config, stages);
 
   // Each event lands in the slot's instruments and the aggregate's.
   const auto record = [&](Slot& s, const auto& event) {
@@ -342,7 +440,7 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
   // Phase 4's cut of one batch from slot i at tick t. Slots with an epoch
   // controller cut coalesced so it observes the deduplicated node set;
   // the rest cut raw and the executor coalesces. Writers apply at the cut
-  // (the PALM barrier), before the round barrier resolves any colors.
+  // (the PALM barrier), before the executor publishes the cut to a worker.
   const auto cut = [&](std::size_t i, std::uint64_t t) {
     Slot& s = slots[i];
     const SlotConfig& c = *s.config;
@@ -376,6 +474,15 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
       slots[i].round_first_batch = report.slots[i].batches.size();
     }
     const auto control_start = Clock::now();
+    if (exec.streaming()) {
+      // Every cut takes at least one admitted request, and each intake
+      // request joins at most one cut per round: true bounds.
+      std::size_t raw_nodes = 0;
+      for (const IntakeEntry& e : intake) {
+        raw_nodes += slots[e.slot].requests[e.local].nodes.size();
+      }
+      exec.reserve(intake.size(), raw_nodes);
+    }
 
     while (unresolved > 0) {
       report.ticks += 1;

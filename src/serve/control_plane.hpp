@@ -12,18 +12,21 @@
 // its lone slot cuts every due batch. Forest is the N-slot instance with
 // deficit-round-robin metering and the reserved-share pool.
 //
-// A cut only records the batch, its lane, its slot and its epoch mapping.
-// The round barrier runs the one batch executor: parallel_chunks over the
-// round's cuts, each coalesced, color-resolved and arena-touched by
-// whichever thread takes its chunk, then over the lanes, at most one
-// thread per lane, each feeding its EngineSession (healthy or faulted) its
-// cuts in cut order and draining it. Colors are pure functions of the
-// coordinate and of the epoch mapping recorded at the cut, so resolving at
-// the barrier rather than at the cut changes wall time only: batches,
-// epoch observations, TouchStats and lane trajectories are bit-identical
-// at every thread count. The thread count is `pipeline.workers` when that
-// is >= 1 — and then the report gains the wall-time "pipeline" section —
-// and `workers` otherwise.
+// A cut records the batch, its lane, its slot and its epoch mapping in the
+// one batch executor. With two or more threads the executor's workers,
+// started for the run, resolve the cuts while the tick loop goes on: every
+// 32nd cut publishes a chunk of 32, and a worker claims each whole chunk
+// in order and coalesces, color-resolves and arena-touches its cuts. The
+// round barrier publishes the last, partial chunk and waits for every
+// chunk; with one thread it resolves the round's cuts inline. It then
+// feeds the lanes, at most one thread per lane, each its EngineSession
+// (healthy or faulted) its cuts in cut order, and drains them. Colors are
+// pure functions of the coordinate and of the epoch mapping recorded at
+// the cut, so resolving during the tick loop rather than at the cut
+// changes wall time only: batches, epoch observations, TouchStats and lane
+// trajectories are bit-identical at every thread count. The thread count
+// is `pipeline.workers` when that is >= 1 — and then the report gains the
+// wall-time "pipeline" section — and `workers` otherwise.
 #pragma once
 
 #include <array>
@@ -102,9 +105,11 @@ void reject_out_of_tree(const CompleteBinaryTree& tree,
 
 /// Stage attribution of the batch executor (DESIGN.md §14), cumulative
 /// across runs like every registry instrument. Wall nanoseconds: `control`
-/// is the tick loops; `resolve` (coalesce + color + arena touch),
-/// `execute` (session feeds) and `drain` (session drains) are summed over
-/// threads; `barrier` is the wall time of the round barriers.
+/// is the tick loops, chunk publication included; `resolve` (coalesce +
+/// color + arena touch), `execute` (session feeds) and `drain` (session
+/// drains) are summed over threads; `barrier` is the wall time of the
+/// round barriers: the resolve backlog left when ticking ends, plus the
+/// lane feeds and drains.
 struct StageStats {
   std::uint64_t control_ns = 0;
   std::uint64_t resolve_ns = 0;
@@ -113,7 +118,7 @@ struct StageStats {
   std::uint64_t barrier_ns = 0;
   std::uint64_t rounds = 0;
   std::uint64_t batches = 0;
-  std::uint64_t max_in_flight = 0;  ///< most cuts held at one barrier
+  std::uint64_t max_in_flight = 0;  ///< most cuts in one round
 };
 
 struct Submitted {

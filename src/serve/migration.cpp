@@ -1,7 +1,7 @@
 #include "pmtree/serve/migration.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace pmtree::serve {
@@ -39,7 +39,15 @@ Json MigrationEvent::to_json() const {
 
 HeatTracker::HeatTracker(std::uint32_t subtree_level, std::uint32_t modules)
     : level_(subtree_level), modules_(modules) {
-  assert(modules_ > 0);
+  if (modules_ == 0) {
+    throw std::invalid_argument("heat ledger needs at least one module");
+  }
+  if (level_ >= std::numeric_limits<std::size_t>::digits ||
+      (std::size_t{1} << level_) >
+          std::numeric_limits<std::size_t>::max() / modules_) {
+    throw std::invalid_argument(
+        "heat ledger of 2^subtree_level x modules cells overflows size_t");
+  }
   const std::size_t subtrees = std::size_t{1} << level_;
   matrix_.assign(subtrees * modules_, 0);
   subtree_total_.assign(subtrees, 0);
@@ -48,13 +56,25 @@ HeatTracker::HeatTracker(std::uint32_t subtree_level, std::uint32_t modules)
 
 void HeatTracker::observe(std::span<const Node> nodes,
                           std::span<const Color> base_colors) {
-  assert(nodes.size() == base_colors.size());
+  if (nodes.size() != base_colors.size()) {
+    throw std::invalid_argument("heat ledger: one base color per node");
+  }
+  // Checked before any fold, so a rejected batch leaves the ledger as it
+  // was. An index below 2^level keeps the subtree id below 2^level_.
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (base_colors[i] >= modules_) {
+      throw std::out_of_range("heat ledger: base color past the modules");
+    }
+    if (nodes[i].level < 64 && (nodes[i].index >> nodes[i].level) != 0) {
+      throw std::out_of_range("heat ledger: node index past its level");
+    }
+  }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Node n = nodes[i];
     const Color c = base_colors[i];
-    assert(c < modules_);
     if (n.level >= level_) {
-      const std::uint64_t sid = n.index >> (n.level - level_);
+      const std::uint32_t shift = n.level - level_;
+      const std::uint64_t sid = shift >= 64 ? 0 : n.index >> shift;
       matrix_[sid * modules_ + c] += 1;
       subtree_total_[sid] += 1;
     } else {

@@ -20,29 +20,34 @@
 # up as a TSan report and as a divergence from the 1-worker oracle), and
 # the serve batch executor (test_serve_pipeline runs every config at
 # 1/2/8 executor threads against the 1-thread run, faulted configs
-# included: at each round barrier the parallel_chunks threads resolve
-# chunks of cuts, reading the shared MemoryBackend slabs, epoch mappings
-# and ColorMapping's lazily published batch tables at the same time and
-# writing disjoint slices of the round's color buffer, then feed and
-# drain one lane each, whose EngineSession belongs to one thread until
-# the join, while its resumed recurrence state may be drained by a
-# different thread next round — a race on any of them shows up as a TSan
-# report and as a bit-identity mismatch; test_util_parallel throws from
-# chunk bodies at 1/2/8 threads and expects the lowest chunk's exception
-# back on the caller;
-# the `pipeline` ctest label selects the suite on its own), and
+# included: while the control thread goes on cutting batches, minting
+# epoch mappings and applying dyn writes, the executor's workers resolve
+# the chunks of 32 cuts it has published, reading the cuts, the shared
+# MemoryBackend slabs, epoch mappings and ColorMapping's lazily published
+# batch tables and writing disjoint slices of the round's color buffer;
+# at the round barrier the lanes are fed and drained one thread each,
+# whose EngineSession belongs to one thread until the join, while its
+# resumed recurrence state may be drained by a different thread next
+# round — a race on any of them shows up as a TSan report and as a
+# bit-identity mismatch; test_serve_pipeline also throws from resolves
+# and from the control thread at every thread count and expects the
+# lowest chunk's exception back from run(), as test_util_parallel does
+# for chunk bodies; the `pipeline` ctest label selects the suites that
+# drive the executor, and the tsan leg repeats them 20 times, since a
+# race in the publication protocol depends on timing and one pass can
+# miss it), and
 # skew-adaptive migration (test_serve_migration runs migrated serving at
 # 1/2/8 workers and 1/2/8 pipeline workers against the single-threaded
 # oracle and asserts the epoch audit trail identical;
 # ServeMigration.StagedPipelineMatchesOracleUnderMigration has 2 and 8
-# barrier threads read the minted MigratedMapping epochs at once — a race
-# between the planner's epoch mints on the control thread and the barrier
-# threads' epoch-mapping reads shows up as a TSan report and as a
+# workers read the minted MigratedMapping epochs while the planner mints
+# more — a race between the planner's epoch mints on the control thread
+# and the workers' epoch-mapping reads shows up as a TSan report and as a
 # divergent rotation table; the `migration` ctest label selects the
 # mapping + serve migration suites together), and dynamic trees
 # (test_dyn_serve runs mixed read/write traffic at 1/2/8 workers and
 # 1/2/4/8 pipeline workers against the single-threaded oracle, arenas
-# over the colorer included — the barrier threads race to build and
+# over the colorer included — the executor's workers race to build and
 # CAS-publish the batch tables of the colorer's ColorMapping on its
 # first color_of_batch, so a race shows up as a TSan report and as a
 # response or mutation-log divergence; test_dyn_tree checks the live
@@ -52,13 +57,13 @@
 # drives insert/erase batches through fail-stop fault epochs at 2/8
 # workers — the `dyn` ctest label selects these four suites),
 # and real-memory arenas + adaptive selection (test_serve_mem touches
-# the immutable MemoryBackend slabs from the barrier threads at 1/2/8
+# the immutable MemoryBackend slabs from the executor's workers at 1/2/8
 # workers and pipeline workers — a race in the concurrent touch path or
 # the per-cut TouchStats fold shows up as a TSan report and as a
 # totals/checksum divergence from the single-threaded recount;
 # test_serve_adaptive runs the AdaptiveSelector's epoch switches at
 # 1/2/8 workers and pipeline workers against the oracle, so a race
-# between the control-plane selector and the barrier threads'
+# between the control-plane selector and the workers'
 # epoch-mapping reads surfaces as a report or a response divergence —
 # the `mem` ctest label selects the arena, selector and serve-layer
 # suites), and the seeded serve fuzzer (test_serve_fuzz draws Server and
@@ -110,6 +115,13 @@ for name in "${sanitizers[@]}"; do
   echo "==== [$name] ctest ===="
   if ! ctest --test-dir "build-$name" --output-on-failure -j "$jobs" "${filter[@]}"; then
     failed+=("$name")
+  fi
+  if [[ "$name" == tsan ]]; then
+    echo "==== [$name] ctest -L pipeline, repeated ===="
+    if ! ctest --test-dir "build-$name" --output-on-failure -j "$jobs" \
+        -L pipeline --repeat until-fail:20 "${filter[@]}"; then
+      failed+=("$name (pipeline repeat)")
+    fi
   fi
 done
 

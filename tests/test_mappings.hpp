@@ -19,11 +19,18 @@
 // LevelShiftMapping: color = (level + index) mod M — the "diagonal"
 // scheme borrowed from array skewing; good on paths of short period, bad
 // on subtrees. A third naive baseline beside mapping/baselines.hpp's.
+//
+// PoisonMapping forwards to a base mapping, except that its batch kernel
+// throws std::runtime_error naming the node when a batch holds one of its
+// poison nodes: the serve suites' probe of how a throwing color
+// resolution reaches run()'s caller.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -160,6 +167,37 @@ class LevelShiftMapping final : public TreeMapping {
 
  private:
   std::uint32_t M_;
+};
+
+class PoisonMapping final : public TreeMapping {
+ public:
+  /// Wraps `base` (not owned; must outlive this object).
+  PoisonMapping(const TreeMapping& base, std::vector<Node> poison)
+      : TreeMapping(base.tree()), base_(base), poison_(std::move(poison)) {}
+
+  [[nodiscard]] Color color_of(Node n) const override {
+    return base_.color_of(n);
+  }
+  void color_of_batch(std::span<const Node> nodes,
+                      std::span<Color> out) const override {
+    for (const Node n : nodes) {
+      if (std::find(poison_.begin(), poison_.end(), n) != poison_.end()) {
+        throw std::runtime_error("poison node (" + std::to_string(n.level) +
+                                 ", " + std::to_string(n.index) + ")");
+      }
+    }
+    base_.color_of_batch(nodes, out);
+  }
+  [[nodiscard]] std::uint32_t num_modules() const noexcept override {
+    return base_.num_modules();
+  }
+  [[nodiscard]] std::string name() const override {
+    return base_.name() + "+poison";
+  }
+
+ private:
+  const TreeMapping& base_;
+  std::vector<Node> poison_;
 };
 
 }  // namespace pmtree

@@ -79,6 +79,48 @@ TEST(HeatTracker, DecayIsExactIntegerHalvingWithConsistentSums) {
   EXPECT_EQ(heat.total(), 0u);
 }
 
+// Each rejected ledger is refused before anything is allocated: 2^64 x 3
+// cells (a shift by 64), 2^63 x 2 cells (past size_t) and zero modules.
+TEST(HeatTracker, RejectsLedgersThatCannotExist) {
+  EXPECT_THROW(HeatTracker(64, 3), std::invalid_argument);
+  EXPECT_THROW(HeatTracker(63, 2), std::invalid_argument);
+  EXPECT_THROW(HeatTracker(4, 0), std::invalid_argument);
+  const HeatTracker heat(4, 3);
+  EXPECT_EQ(heat.subtree_count(), 16u);
+  EXPECT_EQ(heat.modules(), 3u);
+}
+
+TEST(HeatTracker, RejectedBatchLeavesTheLedgerUnchanged) {
+  HeatTracker heat(2, 3);
+  const std::vector<Node> first = {v(1, 2), v(0, 0)};
+  const std::vector<Color> first_colors = {2, 1};
+  heat.observe(first, first_colors);
+  ASSERT_EQ(heat.total(), 2u);
+
+  // A valid node ahead of the bad one is not folded either.
+  const std::vector<Node> nodes = {v(3, 2), v(4, 3)};
+  EXPECT_THROW(heat.observe(nodes, std::vector<Color>{0}),
+               std::invalid_argument);
+  EXPECT_THROW(heat.observe(nodes, std::vector<Color>{0, 3}),
+               std::out_of_range);
+  const std::vector<Node> past_level = {v(3, 2), Node{3, 8}};
+  EXPECT_THROW(heat.observe(past_level, std::vector<Color>{0, 1}),
+               std::out_of_range);
+  const std::vector<Node> past_root = {Node{0, 1}};
+  EXPECT_THROW(heat.observe(past_root, std::vector<Color>{0}),
+               std::out_of_range);
+  EXPECT_EQ(heat.total(), 2u);
+  EXPECT_EQ(heat.subtree_heat(3), 0u);
+  EXPECT_EQ(heat.cell(1, 2), 1u);
+  EXPECT_EQ(heat.fixed_heat(1), 1u);
+
+  // Below the deepest shift the ledger can take, the subtree id is 0.
+  const std::vector<Node> deep = {Node{80, 5}};
+  heat.observe(deep, std::vector<Color>{0});
+  EXPECT_EQ(heat.cell(0, 0), 1u);
+  EXPECT_EQ(heat.total(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // MigrationPlanner.
 

@@ -1,17 +1,21 @@
 // Batch-executor thread-count tests (DESIGN.md §14): Server and Forest run
-// every cut batch through one executor that resolves, feeds and drains
-// each lane at the round barrier. A run must be bit-identical,
+// every cut batch through one executor, whose workers resolve the cuts in
+// chunks while the tick loop runs and which feeds and drains each lane at
+// the round barrier. A run must be bit-identical,
 // request-for-request, at 1, 2 and 8 stage-attributed threads
 // (pipeline.workers) to the 1-thread run without attribution
 // (pipeline.workers == 0, the reference) — responses, batches, per-lane
 // trajectories, tick/round counts and every metrics section. The ONLY
 // tolerated difference is the "pipeline" stage-attribution section, which
 // measures wall time and is checked for shape and for accumulating across
-// runs instead. Faulted configurations run under the same contract.
+// runs instead. Faulted configurations, round cut counts on both sides of
+// a chunk boundary, and resolves or cuts that throw run under the same
+// contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,9 +24,11 @@
 #include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
+#include "pmtree/mem/arena.hpp"
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "test_mappings.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -627,6 +633,229 @@ TEST(ServePipeline, StageCountersAccumulateAcrossRuns) {
     }
     expect_cumulative(*reports[0].metrics.find("forest"),
                       *reports[1].metrics.find("forest"), rounds, batches);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Chunk boundaries and exceptions. With two or more threads the executor's
+// workers resolve fixed chunks of 32 cuts while the tick loop runs, and
+// close_round() publishes the last, partial chunk. Under the options below
+// every admitted one-node request is its own cut, in submission order, so
+// a stream's length sets the round's cut count.
+
+template <typename Options>
+Options one_cut_per_request() {
+  Options o;
+  o.admission.queue_bound = 4096;
+  o.batch.max_batch_nodes = 1;
+  o.batch.max_wait_cycles = 0;
+  return o;
+}
+
+/// `count` one-node requests on the leaves of `tree`, every one submitted
+/// at cycle 1 by one client, so one tick admits and cuts them all.
+std::vector<Request> one_node_requests(const CompleteBinaryTree& tree,
+                                       std::size_t count) {
+  const std::uint32_t bottom = tree.levels() - 1;
+  std::vector<Request> requests(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    requests[k].seq = k;
+    requests[k].submit_cycle = 1;
+    requests[k].nodes = {v((k * 37) % pow2(bottom), bottom)};
+  }
+  return requests;
+}
+
+std::uint64_t stage_count(const Json& metrics, const char* key) {
+  return metrics.find("pipeline")->find(key)->as_uint();
+}
+
+TEST(ServePipeline, ChunkBoundariesMatchTheOneThreadRun) {
+  const CompleteBinaryTree tree(10);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 7));
+  const mem::MemoryBackend memory(mapping);
+  for (const std::size_t cuts : {0u, 1u, 31u, 32u, 33u, 65u}) {
+    SCOPED_TRACE("cuts=" + std::to_string(cuts));
+    // The 0-cut round still has intake: five requests dead on arrival (the
+    // tick that takes them in, cycle 4, is past their 1-cycle deadline).
+    std::vector<Request> requests =
+        one_node_requests(tree, cuts == 0 ? 5 : cuts);
+    if (cuts == 0) {
+      for (Request& r : requests) r.deadline_cycles = 1;
+    }
+    const auto run = [&](unsigned threads) {
+      ServerOptions opts = one_cut_per_request<ServerOptions>();
+      opts.replicas = 3;
+      opts.memory = &memory;
+      opts.pipeline.workers = threads;
+      Server server(mapping, opts);
+      for (const Request& r : requests) server.submit(r);
+      return server.run();
+    };
+    const ServeReport want = run(1);
+    ASSERT_EQ(want.rounds, 1u);
+    ASSERT_EQ(want.batches.size(), cuts);
+    ASSERT_EQ(stage_count(want.metrics, "batches"), cuts);
+    ASSERT_EQ(stage_count(want.metrics, "max_in_flight"), cuts);
+    ASSERT_EQ(want.memory.nodes, cuts);
+    for (const unsigned threads : {2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const ServeReport got = run(threads);
+      expect_same_serve_report(got, want);
+      EXPECT_EQ(got.memory, want.memory);
+      EXPECT_EQ(stage_count(got.metrics, "batches"), cuts);
+      EXPECT_EQ(stage_count(got.metrics, "max_in_flight"), cuts);
+    }
+  }
+}
+
+TEST(ServePipeline, ForestRetryRoundEndsOnAPartialChunk) {
+  const CompleteBinaryTree tree(10);
+  const ColorMapping color(make_optimal_color_mapping(tree, 7));
+  const ModuloMapping modulo(tree, 5);
+  const mem::MemoryBackend memory(color);
+  const std::vector<Request> requests[] = {one_node_requests(tree, 60),
+                                           one_node_requests(tree, 45)};
+  const auto run = [&](unsigned threads) {
+    ForestOptions opts;
+    opts.replicas = 2;
+    opts.pipeline.workers = threads;
+    Forest forest(opts);
+    TenantOptions t = one_cut_per_request<TenantOptions>();
+    t.retry.max_retries = 1;
+    t.retry.attempt_timeout_cycles = 2;
+    t.memory = &memory;
+    forest.add_tenant(color, t);
+    t.memory = nullptr;
+    forest.add_tenant(modulo, t);
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      for (const Request& r : requests[i]) forest.submit(i, r);
+    }
+    return forest.run();
+  };
+  const ForestReport want = run(1);
+  // One retry round; its cuts are the retried requests, one each.
+  ASSERT_EQ(want.rounds, 2u);
+  std::uint64_t retried = 0;
+  for (const TenantReport& t : want.tenants) {
+    for (const Response& r : t.responses) retried += r.retries;
+  }
+  const Json& forest_metrics = *want.metrics.find("forest");
+  ASSERT_EQ(stage_count(forest_metrics, "batches"), 105u + retried);
+  ASSERT_EQ(stage_count(forest_metrics, "max_in_flight"), 105u);
+  ASSERT_GT(retried, 32u);
+  ASSERT_NE(retried % 32, 0u) << "the retry round ends on a whole chunk";
+  for (const unsigned threads : {2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ForestReport got = run(threads);
+    expect_same_forest_report(got, want);
+    for (std::size_t i = 0; i < got.tenants.size(); ++i) {
+      EXPECT_EQ(got.tenants[i].memory, want.tenants[i].memory) << i;
+    }
+    EXPECT_EQ(stage_count(*got.metrics.find("forest"), "batches"),
+              105u + retried);
+  }
+}
+
+/// Executor thread counts as (workers, pipeline.workers): the 1-thread run
+/// first, then workers that resolve while the tick loop runs.
+constexpr std::pair<unsigned, unsigned> kThreadCounts[] = {
+    {1, 0}, {2, 0}, {8, 0}, {1, 2}, {1, 8}};
+
+std::string thread_trace(std::pair<unsigned, unsigned> threads) {
+  return "workers=" + std::to_string(threads.first) +
+         " pipeline.workers=" + std::to_string(threads.second);
+}
+
+/// What `run` throws as a std::runtime_error; "" when it returns.
+template <typename Run>
+std::string thrown_by(Run&& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServePipeline, ThrowingResolveReachesRunAtEveryThreadCount) {
+  const CompleteBinaryTree tree(8);
+  const ColorMapping base(make_optimal_color_mapping(tree, 7));
+  // Two inner nodes no leaf request names; the first poisons cut 10
+  // (chunk 0), the second cut 75 (chunk 2) — in the forest, where DRR
+  // lets each tenant cut 32 batches a tick, cuts 10 and 139 (chunk 4).
+  const Node first = v(1, 6);
+  const Node second = v(2, 6);
+  const PoisonMapping poisoned(base, {first, second});
+  std::vector<Request> requests = one_node_requests(tree, 100);
+  requests[10].nodes = {first};
+  requests[75].nodes = {second};
+  const std::vector<Request> clean = one_node_requests(tree, 100);
+  const std::string want = "poison node (6, 1)";
+
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    ServerOptions opts = one_cut_per_request<ServerOptions>();
+    opts.replicas = 2;
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Server server(poisoned, opts);
+    for (const Request& r : requests) server.submit(r);
+    EXPECT_EQ(thrown_by([&] { (void)server.run(); }), want);
+
+    ForestOptions fopts;
+    fopts.replicas = 3;
+    fopts.workers = threads.first;
+    fopts.pipeline.workers = threads.second;
+    Forest forest(fopts);
+    forest.add_tenant(poisoned, one_cut_per_request<TenantOptions>());
+    forest.add_tenant(base, one_cut_per_request<TenantOptions>());
+    for (const Request& r : requests) forest.submit(0, r);
+    for (const Request& r : clean) forest.submit(1, r);
+    EXPECT_EQ(thrown_by([&] { (void)forest.run(); }), want);
+  }
+}
+
+TEST(ServePipeline, ControlThreadThrowUnwindsWhileWorkersHoldEarlierCuts) {
+  // A migration planner colors every cut batch with its base mapping on
+  // the control thread, so a poisoned base throws there, at cut 288:
+  // right after the control thread publishes the chunk of cuts 256-287,
+  // which a worker is then coloring with the planner's epoch mappings
+  // and touching the arenas for. The workers must stop before the planner
+  // goes (the asan preset reports a use after free if not).
+  const CompleteBinaryTree tree(12);
+  const ColorMapping base(make_optimal_color_mapping(tree, 13));
+  const Node poison = v(5, 10);  // in the left half; the paths are right
+  const PoisonMapping poisoned(base, {poison});
+  const mem::MemoryBackend memory(base);
+  const std::uint32_t bottom = tree.levels() - 1;
+  std::vector<Request> requests(400);
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    requests[k].seq = k;
+    requests[k].submit_cycle = 1;
+    Node n = v(pow2(bottom) / 2 + (k * 97) % (pow2(bottom) / 2), bottom);
+    requests[k].nodes.push_back(n);
+    while (n.level > 0) {
+      n = parent(n);
+      requests[k].nodes.push_back(n);
+    }
+  }
+  requests[288].nodes = {poison};
+
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    ServerOptions opts = one_cut_per_request<ServerOptions>();
+    opts.batch.max_batch_nodes = tree.levels();  // one path per cut
+    opts.replicas = 2;
+    opts.memory = &memory;
+    opts.migration.epoch_batches = 4;
+    opts.migration.top_k = 2;
+    opts.migration.subtree_level = 4;
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Server server(poisoned, opts);
+    for (const Request& r : requests) server.submit(r);
+    EXPECT_EQ(thrown_by([&] { (void)server.run(); }), "poison node (10, 5)");
   }
 }
 
