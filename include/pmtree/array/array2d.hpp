@@ -29,7 +29,12 @@ struct Cell {
 };
 
 [[nodiscard]] inline std::string to_string(Cell c) {
-  return "(" + std::to_string(c.row) + ", " + std::to_string(c.col) + ")";
+  std::string s = "(";
+  s += std::to_string(c.row);
+  s += ", ";
+  s += std::to_string(c.col);
+  s += ')';
+  return s;
 }
 
 class Array2D {

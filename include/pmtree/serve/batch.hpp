@@ -9,14 +9,13 @@
 // batch is cut when enough nodes are waiting (max_batch_nodes) or the
 // oldest request has waited long enough (max_wait_cycles).
 //
-// Each batch becomes ONE parallel memory access. Its node set is the
-// members' payloads, deduplicated and sorted in (level, index) order —
-// duplicate lookups of a hot key collapse into one physical request, the
-// classic batching win — and decomposed into maximal per-level runs:
-// contiguous runs become L(K) parts and the whole batch is the composite
-// C(D, c) whose parts those runs are. The decomposition is reported on
-// the batch so benches and tests can price it with the paper's cost
-// machinery.
+// Each batch becomes ONE parallel memory access, the composite C(D, c)
+// of its members' payloads (under COLOR, Theorem 6 bounds its cost by
+// 4D/M + c). Its node set is those payloads deduplicated and sorted in
+// (level, index) order — duplicate lookups of a hot key collapse into one
+// physical request, the classic batching win. The serve layer cuts raw
+// batches and dedups them in place (dedup()); it builds no per-batch
+// decomposition.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +50,11 @@ struct FormedBatch {
   std::uint64_t formed_cycle = 0;  ///< admission tick that cut the batch
   std::vector<std::size_t> members;     ///< canonical request indices
   std::vector<Node> nodes;              ///< deduped union, (level,index) order
-  CompositeInstance decomposition;      ///< C(D, c) of maximal L(K) runs
+  /// Maximal L(K) runs of `nodes`, filled only by a caller of coalesce();
+  /// the serve layer leaves it empty. It stays until the E26 replay
+  /// (e2ebench/src/server_rig.cpp), which assigns coalesce()'s result to
+  /// it, is revised; both go then.
+  CompositeInstance decomposition;
   std::uint64_t requested_nodes = 0;    ///< pre-dedup node count
 
   /// Nodes saved by coalescing duplicate lookups within the batch.
@@ -66,47 +69,40 @@ class BatchFormer {
     if (policy_.max_batch_nodes == 0) policy_.max_batch_nodes = 1;
   }
 
-  /// Drains the admission queue at tick `now` into zero or more batches.
-  /// A batch is cut while the queue is non-empty and either enough nodes
-  /// are pending or the oldest request has exhausted its wait budget; each
-  /// batch takes requests front-first until the next request would push it
-  /// past max_batch_nodes (always at least one), through
-  /// `controller.pop_front()`, which keeps the pending node count.
-  [[nodiscard]] std::vector<FormedBatch> form(std::uint64_t now,
-                                              AdmissionController& controller);
-
   /// Whether the cut condition holds at tick `now`: the queue is
   /// non-empty and either max_batch_nodes are pending or the oldest
-  /// request has waited max_wait_cycles since admission. form() cuts
-  /// while this is true; schedulers that meter batch formation (the
-  /// forest's deficit round-robin) poll it one batch at a time.
+  /// request has waited max_wait_cycles since admission. The control
+  /// plane cuts while this is true; the forest's deficit round-robin
+  /// meters those cuts one batch at a time.
   [[nodiscard]] bool due(std::uint64_t now,
                          const AdmissionController& controller) const;
 
-  /// The pre-dedup node count the next form_one() would take — the DRR
-  /// cost of the batch, computed by the same front-first fill walk
+  /// The pre-dedup node count the next form_one_raw() would take — the
+  /// DRR cost of the batch, computed by the same front-first fill walk
   /// without mutating the queue. 0 iff the queue is empty.
   [[nodiscard]] std::uint64_t next_batch_cost(
       const AdmissionController& controller) const;
 
   /// Cuts exactly one batch at tick `now`. Precondition: the pending
-  /// queue is non-empty (callers gate on due()). form() is equivalent to
-  /// `while (due(...)) form_one(...)`.
-  [[nodiscard]] FormedBatch form_one(std::uint64_t now,
-                                     AdmissionController& controller);
-
-  /// The fill walk of form_one() without the coalescing step: `nodes` is
-  /// left as the raw member concatenation and `decomposition` empty. The
-  /// control plane cuts batches with this and the batch executor runs
-  /// coalesce() off the control thread;
-  /// form_one() == form_one_raw() + coalesce on the node set. Membership,
-  /// ids, costs and admission bookkeeping are identical.
+  /// queue is non-empty (callers gate on due()). The batch takes requests
+  /// front-first, through `controller.pop_front()`, until the next one
+  /// would push it past max_batch_nodes (always at least one). `nodes` is
+  /// left as the raw member concatenation, duplicates and fill order
+  /// included; dedup() finishes it, off the control thread for most
+  /// slots.
   [[nodiscard]] FormedBatch form_one_raw(std::uint64_t now,
                                          AdmissionController& controller);
 
-  /// The coalescing kernel, exposed for direct testing: sorts `nodes` in
-  /// (level, index) order, removes duplicates in place, and returns the
-  /// C(D, c) whose parts are the maximal per-level runs of what remains.
+  /// The coalescing kernel: sorts `nodes` in (level, index) order and
+  /// removes duplicates in place. Its scratch is pooled per thread, so it
+  /// allocates nothing per batch.
+  static void dedup(std::vector<Node>& nodes);
+
+  /// dedup() plus a scan for the C(D, c) whose parts are the maximal
+  /// per-level runs of what remains; `nodes` ends exactly as dedup()
+  /// leaves it. No library code calls it: it stays only for the E26
+  /// replay (e2ebench/src/server_rig.cpp), and goes with
+  /// FormedBatch::decomposition when that replay is revised.
   [[nodiscard]] static CompositeInstance coalesce(std::vector<Node>& nodes);
 
   [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }

@@ -162,8 +162,9 @@ class Forest {
   /// from any number of client threads. (client, seq) must be unique per
   /// tenant per run. Throws std::out_of_range, in every build type and
   /// with nothing queued, for a tenant id >= tenant_count() and for a
-  /// request with a node outside the tenant mapping's tree; the vector
-  /// overload checks every request before it queues any.
+  /// request with a node outside the tenant mapping's tree or a
+  /// submit_cycle past kClockHorizon; the vector overload checks every
+  /// request before it queues any.
   void submit(std::uint32_t tenant, Request request);
   void submit(std::uint32_t tenant, std::vector<Request> requests);
 

@@ -62,10 +62,16 @@ enum class RequestKind : std::uint8_t {
   return "?";
 }
 
+/// The last cycle a request may arrive at. Server::submit and
+/// Forest::submit throw std::out_of_range for a submit_cycle past it, and
+/// the retry scan sends no retry past it, leaving 3 * 2^62 cycles of
+/// headroom for ticks, batching waits and service.
+inline constexpr std::uint64_t kClockHorizon = std::uint64_t{1} << 62;
+
 struct Request {
   std::uint32_t client = 0;  ///< submitting client stream
   std::uint64_t seq = 0;     ///< per-client sequence number (caller-assigned)
-  std::uint64_t submit_cycle = 0;    ///< simulated arrival time
+  std::uint64_t submit_cycle = 0;    ///< simulated arrival, <= kClockHorizon
   std::uint64_t deadline_cycles = 0; ///< latency budget; 0 = no deadline
   std::vector<Node> nodes;           ///< node set to fetch (may be empty)
   /// Write-request extension; defaults keep read-only traffic unchanged.

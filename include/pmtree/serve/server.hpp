@@ -94,8 +94,8 @@ namespace pmtree::serve {
 ///
 /// Retries run in the single-threaded control plane between replica
 /// rounds; responses stay bit-identical at any worker count. Cycle
-/// arithmetic saturates: a resend that would fall past the end of the
-/// clock never happens, and that attempt's completion stands.
+/// arithmetic saturates, and a resend past kClockHorizon (request.hpp)
+/// never happens: that attempt's completion stands.
 struct RetryPolicy {
   /// Extra attempts per request. 0 disables retries entirely (the server
   /// then behaves exactly as the single-round pipeline).
@@ -258,10 +258,10 @@ class Server {
   /// Thread-safe MPSC submission; callable concurrently from any number
   /// of client threads. Throws std::out_of_range, in every build type and
   /// with nothing queued, for a request with a node outside
-  /// mapping().tree(); the vector overload checks every request before it
-  /// queues any. (client, seq) must be unique per run and submit_cycle
-  /// nondecreasing per client, which every sane client satisfies by
-  /// construction.
+  /// mapping().tree() or a submit_cycle past kClockHorizon; the vector
+  /// overload checks every request before it queues any. (client, seq)
+  /// must be unique per run and submit_cycle nondecreasing per client,
+  /// which every sane client satisfies by construction.
   void submit(Request request);
   void submit(std::vector<Request> requests);
 

@@ -38,15 +38,17 @@ struct LaneSpec {
   const mem::MemoryBackend* memory = nullptr;
 };
 
-/// The batch executor, built per run (DESIGN.md §14). cut() records a
-/// batch; with two or more threads, workers that live for the run resolve
-/// the cuts (coalesce, color, arena touch) in fixed chunks of 32 while the
-/// tick loop goes on cutting, and close_round() waits for the last chunk.
-/// With one thread close_round() resolves every cut inline. Either way
-/// close_round() then feeds and drains every lane (one thread per lane,
-/// cuts in cut order). Resolving off the cut is legal: colors depend only
-/// on the coordinate and the epoch mapping recorded at the cut, and arena
-/// touches are read-only.
+/// The batch executor, built per run (DESIGN.md §14). Each round reserves
+/// its storage before its first cut; cut() records a batch and publishes
+/// every 32nd cut as a chunk. With two or more threads, workers that live
+/// for the run claim the published chunks in order and resolve their cuts
+/// (dedup, color, arena touch) while the tick loop goes on cutting.
+/// close_round() publishes the last, partial chunk and runs the workers'
+/// claim loop on the control thread until no chunk is left, so one thread
+/// resolves every chunk, in order, there. It then feeds and drains every
+/// lane (one thread per lane, cuts in cut order). Resolving off the cut is
+/// legal: colors depend only on the coordinate and the epoch mapping
+/// recorded at the cut, and arena touches are read-only.
 class Executor {
  public:
   struct Cut {
@@ -54,6 +56,7 @@ class Executor {
     std::uint32_t lane = 0;
     std::uint32_t tenant = 0;
     const TreeMapping* epoch = nullptr;  ///< nullptr: the lane's mapping
+    bool coalesced = false;              ///< `batch.nodes` already deduped
     std::size_t first_color = 0;         ///< slice of the round's colors
     mem::TouchStats mem;
   };
@@ -86,59 +89,45 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Whether workers resolve cuts while the tick loop runs. Each round
-  /// then reserves its storage before its first cut.
-  [[nodiscard]] bool streaming() const noexcept { return !workers_.empty(); }
-
   /// Sizes this round's storage for at most `max_cuts` cuts of `max_nodes`
-  /// raw nodes in all, so nothing a worker reads or writes moves while
+  /// raw nodes in all, so nothing a resolve reads or writes moves while
   /// cut() appends.
   void reserve(std::size_t max_cuts, std::size_t max_nodes) {
     cuts_.reserve(max_cuts);
     colors_.resize(max_nodes);
   }
 
-  /// Records a cut. Its raw node count bounds the coalesced one, so the
-  /// cut owns a fixed slice of the round's color buffer from here on.
-  /// Streaming, every 32nd cut publishes a chunk to the workers.
+  /// Records a cut; `coalesced` says its nodes are deduplicated already.
+  /// Its raw node count bounds the deduplicated one, so the cut owns a
+  /// fixed slice of the round's color buffer from here on. Every 32nd cut
+  /// publishes a chunk.
   void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant,
-           const TreeMapping* epoch) {
+           const TreeMapping* epoch, bool coalesced) {
     const std::size_t first = round_colors_;
-    if (streaming() && (cuts_.size() == cuts_.capacity() ||
-                        first + batch.nodes.size() > colors_.size())) {
+    if (cuts_.size() == cuts_.capacity() ||
+        first + batch.nodes.size() > colors_.size()) {
       throw std::logic_error("cut past the round's reserved storage");
     }
     lane_cuts_[lane].push_back(cuts_.size());
     round_colors_ += batch.nodes.size();
-    cuts_.push_back(Cut{std::move(batch), lane, tenant, epoch, first, {}});
-    if (streaming() && cuts_.size() % kResolveGrain == 0) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        published_ = cuts_.size();
-      }
-      work_.notify_one();
-    }
+    cuts_.push_back(
+        Cut{std::move(batch), lane, tenant, epoch, coalesced, first, {}});
+    if (cuts_.size() % kResolveGrain == 0) publish();
   }
 
   /// The round barrier. Clock pairs are per chunk of cuts (resolve) and
   /// per lane (execute, drain), never per batch.
   void close_round() {
     const auto start = Clock::now();
+    publish();
     std::uint64_t resolve_ns = 0;
-    if (streaming()) {
+    {
       std::unique_lock<std::mutex> lock(mutex_);
-      published_ = cuts_.size();
-      work_.notify_one();
-      done_.wait(lock,
-                 [this] { return finished_ == claimed_ && !claimable(); });
+      while (claimable()) resolve_chunk(lock);
+      done_.wait(lock, [this] { return finished_ == claimed_; });
       if (failure_ != nullptr) std::rethrow_exception(failure_);
       resolve_ns = resolve_ns_;
       resolve_ns_ = published_ = claimed_ = finished_ = 0;
-    } else {
-      colors_.resize(round_colors_);
-      const auto t0 = Clock::now();
-      for (Cut& c : cuts_) resolve(c);
-      resolve_ns = ns_between(t0, Clock::now());
     }
     std::vector<LaneNs> lane_ns(lanes_.size());
     const auto lane_threads = static_cast<unsigned>(
@@ -188,15 +177,12 @@ class Executor {
     std::uint64_t execute = 0, drain = 0;
   };
 
-  /// Coalesces a raw cut (a cut already coalesced for an epoch controller
-  /// is left alone), colors it against its epoch mapping or else its
+  /// Dedups a raw cut, colors it against its epoch mapping or else its
   /// lane's into its slice of the round's colors, and touches the lane's
   /// arenas.
   void resolve(Cut& c) {
     FormedBatch& batch = c.batch;
-    if (batch.decomposition.component_count() == 0) {
-      batch.decomposition = BatchFormer::coalesce(batch.nodes);
-    }
+    if (!c.coalesced) BatchFormer::dedup(batch.nodes);
     const LaneSpec& lane = lanes_[c.lane];
     const TreeMapping& mapping = c.epoch != nullptr ? *c.epoch : *lane.mapping;
     mapping.color_of_batch(batch.nodes,
@@ -221,40 +207,54 @@ class Executor {
     return LaneNs{ns_between(t0, t1), ns_between(t1, Clock::now())};
   }
 
+  /// Makes every cut so far resolvable and wakes a worker.
+  void publish() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      published_ = cuts_.size();
+    }
+    work_.notify_one();
+  }
+
   /// A published chunk nobody claimed yet, while no chunk has thrown.
   [[nodiscard]] bool claimable() const noexcept {
     return failure_ == nullptr && claimed_ * kResolveGrain < published_;
   }
 
-  /// A worker: claims published chunks in order and resolves each. A throw
-  /// is kept, never propagated, and stops further claims; close_round()
-  /// rethrows the lowest chunk's, the one a 1-thread run throws. The lock
-  /// hand-off orders every cut-time write before the chunk's resolve, and
-  /// the resolve before close_round()'s return.
+  /// A worker: claims published chunks until the run ends.
   void work(std::stop_token stop) {
     std::unique_lock<std::mutex> lock(mutex_);
     while (work_.wait(lock, stop, [this] { return claimable(); })) {
-      const std::size_t begin = claimed_++ * kResolveGrain;
-      const std::size_t end = std::min(begin + kResolveGrain, published_);
-      lock.unlock();
-      std::exception_ptr failure;
-      const auto t0 = Clock::now();
-      try {
-        // data(), not operator[]: a checked operator[] reads the size,
-        // which cut() is writing.
-        for (std::size_t k = begin; k < end; ++k) resolve(cuts_.data()[k]);
-      } catch (...) {
-        failure = std::current_exception();
-      }
-      const std::uint64_t ns = ns_between(t0, Clock::now());
-      lock.lock();
-      resolve_ns_ += ns;
-      if (failure != nullptr && begin < failed_begin_) {
-        failed_begin_ = begin;
-        failure_ = failure;
-      }
-      if (++finished_ == claimed_) done_.notify_one();
+      resolve_chunk(lock);
     }
+  }
+
+  /// Claims the next published chunk and resolves it with `lock` released.
+  /// A throw is kept, never propagated, and stops further claims;
+  /// close_round() rethrows the lowest chunk's, the one a 1-thread run
+  /// throws. The lock hand-off orders every cut-time write before the
+  /// chunk's resolve, and the resolve before close_round()'s return.
+  void resolve_chunk(std::unique_lock<std::mutex>& lock) {
+    const std::size_t begin = claimed_++ * kResolveGrain;
+    const std::size_t end = std::min(begin + kResolveGrain, published_);
+    lock.unlock();
+    std::exception_ptr failure;
+    const auto t0 = Clock::now();
+    try {
+      // data(), not operator[]: a checked operator[] reads the size,
+      // which cut() is writing.
+      for (std::size_t k = begin; k < end; ++k) resolve(cuts_.data()[k]);
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    const std::uint64_t ns = ns_between(t0, Clock::now());
+    lock.lock();
+    resolve_ns_ += ns;
+    if (failure != nullptr && begin < failed_begin_) {
+      failed_begin_ = begin;
+      failure_ = failure;
+    }
+    if (++finished_ == claimed_) done_.notify_one();
   }
 
   StageStats& stats_;
@@ -275,7 +275,7 @@ class Executor {
   std::size_t published_ = 0;
   std::size_t claimed_ = 0;
   std::size_t finished_ = 0;
-  std::uint64_t resolve_ns_ = 0;  ///< this round's, summed over workers
+  std::uint64_t resolve_ns_ = 0;  ///< this round's, summed over threads
   std::size_t failed_begin_ = std::numeric_limits<std::size_t>::max();
   std::exception_ptr failure_;  ///< the lowest throwing chunk's
   /// Last, so the workers stop and join before anything they read goes.
@@ -437,16 +437,16 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
     unresolved -= 1;
   };
 
-  // Phase 4's cut of one batch from slot i at tick t. Slots with an epoch
-  // controller cut coalesced so it observes the deduplicated node set;
-  // the rest cut raw and the executor coalesces. Writers apply at the cut
-  // (the PALM barrier), before the executor publishes the cut to a worker.
+  // Phase 4's cut of one batch from slot i at tick t. A slot with an
+  // epoch controller dedups its cut here, so the controller observes the
+  // deduplicated node set; the executor dedups the rest. Writers apply at
+  // the cut (the PALM barrier), before the executor publishes the cut.
   const auto cut = [&](std::size_t i, std::uint64_t t) {
     Slot& s = slots[i];
     const SlotConfig& c = *s.config;
-    FormedBatch batch = s.planner || s.selector
-                            ? s.former.form_one(t, s.admission)
-                            : s.former.form_one_raw(t, s.admission);
+    FormedBatch batch = s.former.form_one_raw(t, s.admission);
+    const bool coalesced = s.planner || s.selector;
+    if (coalesced) BatchFormer::dedup(batch.nodes);
     TenantReport& tr = report.slots[i];
     for (const std::size_t local : batch.members) {
       tr.responses[local].dispatch_cycle = t;
@@ -461,7 +461,8 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
     const TreeMapping* epoch = observe_epoch(s, batch, t);
     const std::uint32_t lane =
         c.first_lane + static_cast<std::uint32_t>(batch.id % c.lanes);
-    exec.cut(std::move(batch), lane, static_cast<std::uint32_t>(i), epoch);
+    exec.cut(std::move(batch), lane, static_cast<std::uint32_t>(i), epoch,
+             coalesced);
   };
 
   std::vector<std::size_t> scratch;
@@ -474,15 +475,13 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
       slots[i].round_first_batch = report.slots[i].batches.size();
     }
     const auto control_start = Clock::now();
-    if (exec.streaming()) {
-      // Every cut takes at least one admitted request, and each intake
-      // request joins at most one cut per round: true bounds.
-      std::size_t raw_nodes = 0;
-      for (const IntakeEntry& e : intake) {
-        raw_nodes += slots[e.slot].requests[e.local].nodes.size();
-      }
-      exec.reserve(intake.size(), raw_nodes);
+    // Every cut takes at least one admitted request, and each intake
+    // request joins at most one cut per round: true bounds.
+    std::size_t raw_nodes = 0;
+    for (const IntakeEntry& e : intake) {
+      raw_nodes += slots[e.slot].requests[e.local].nodes.size();
     }
+    exec.reserve(intake.size(), raw_nodes);
 
     while (unresolved > 0) {
       report.ticks += 1;
@@ -634,7 +633,7 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
 
     // ---- Retry scan: this round's timed-out completions are discarded
     // and re-enter the next round's intake at the cycle the caller would
-    // resend. A resend past the end of the clock never happens, so that
+    // resend. A resend past the clock's horizon never happens, so that
     // attempt's completion stands.
     std::vector<IntakeEntry> retries;
     for (std::size_t i = 0; i < N; ++i) {
@@ -653,7 +652,7 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
           }
           const std::uint64_t resend =
               policy.resend_cycle(r.dispatch_cycle, s.attempts[local] + 1);
-          if (resend == std::numeric_limits<std::uint64_t>::max()) continue;
+          if (resend > kClockHorizon) continue;
           s.attempts[local] += 1;
           r.retries = s.attempts[local];
           r.status = RequestStatus::kPending;
@@ -802,8 +801,11 @@ void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
   }
 }
 
-void reject_out_of_tree(const CompleteBinaryTree& tree,
-                        const Request& request) {
+void reject_out_of_range(const CompleteBinaryTree& tree,
+                         const Request& request) {
+  if (request.submit_cycle > kClockHorizon) {
+    throw std::out_of_range("request submit_cycle past the clock horizon");
+  }
   for (const Node n : request.nodes) {
     if (!tree.contains(n)) {
       throw std::out_of_range("request node outside the served tree");

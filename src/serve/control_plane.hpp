@@ -13,20 +13,21 @@
 // deficit-round-robin metering and the reserved-share pool.
 //
 // A cut records the batch, its lane, its slot and its epoch mapping in the
-// one batch executor. With two or more threads the executor's workers,
-// started for the run, resolve the cuts while the tick loop goes on: every
-// 32nd cut publishes a chunk of 32, and a worker claims each whole chunk
-// in order and coalesces, color-resolves and arena-touches its cuts. The
-// round barrier publishes the last, partial chunk and waits for every
-// chunk; with one thread it resolves the round's cuts inline. It then
-// feeds the lanes, at most one thread per lane, each its EngineSession
-// (healthy or faulted) its cuts in cut order, and drains them. Colors are
-// pure functions of the coordinate and of the epoch mapping recorded at
-// the cut, so resolving during the tick loop rather than at the cut
-// changes wall time only: batches, epoch observations, TouchStats and lane
-// trajectories are bit-identical at every thread count. The thread count
-// is `pipeline.workers` when that is >= 1 — and then the report gains the
-// wall-time "pipeline" section — and `workers` otherwise.
+// one batch executor, and every 32nd cut publishes a chunk of 32. With two
+// or more threads the executor's workers, started for the run, claim each
+// whole chunk in order while the tick loop goes on and dedup,
+// color-resolve and arena-touch its cuts. The round barrier publishes the
+// last, partial chunk and runs the same claim loop on the control thread
+// until every chunk is done, so one thread resolves them all there. It
+// then feeds the lanes, at most one thread per lane, each its
+// EngineSession (healthy or faulted) its cuts in cut order, and drains
+// them. Colors are pure functions of the coordinate and of the epoch
+// mapping recorded at the cut, so resolving during the tick loop rather
+// than at the cut changes wall time only: batches, epoch observations,
+// TouchStats and lane trajectories are bit-identical at every thread
+// count. The thread count is `pipeline.workers` when that is >= 1 — and
+// then the report gains the wall-time "pipeline" section — and `workers`
+// otherwise.
 #pragma once
 
 #include <array>
@@ -87,15 +88,16 @@ struct PlaneReport {
 /// once by Forest::add_tenant: throws std::invalid_argument for each rule
 /// SlotOptions (server.hpp) and DynBinding (mutation.hpp) state, so a
 /// slot the control plane cannot serve fails before it serves anything.
-/// With reject_out_of_tree at submit, it keeps every node the executor
+/// With reject_out_of_range at submit, it keeps every node the executor
 /// colors, touches or counts inside the arrays sized for it.
 void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
                         const DynBinding& dyn);
 
-/// Throws std::out_of_range for a request with a node outside `tree`.
-/// Server::submit and Forest::submit call it before the inbox lock.
-void reject_out_of_tree(const CompleteBinaryTree& tree,
-                        const Request& request);
+/// Throws std::out_of_range for a request with a submit_cycle past
+/// kClockHorizon or a node outside `tree`. Server::submit and
+/// Forest::submit call it before the inbox lock.
+void reject_out_of_range(const CompleteBinaryTree& tree,
+                         const Request& request);
 
 /// Report helpers shared by ServeReport and ForestReport: a status count
 /// and the per-response JSON table.
@@ -105,7 +107,7 @@ void reject_out_of_tree(const CompleteBinaryTree& tree,
 
 /// Stage attribution of the batch executor (DESIGN.md §14), cumulative
 /// across runs like every registry instrument. Wall nanoseconds: `control`
-/// is the tick loops, chunk publication included; `resolve` (coalesce +
+/// is the tick loops, chunk publication included; `resolve` (dedup +
 /// color + arena touch), `execute` (session feeds) and `drain` (session
 /// drains) are summed over threads; `barrier` is the wall time of the
 /// round barriers: the resolve backlog left when ticking ends, plus the

@@ -73,7 +73,11 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
   }
   detail::reject_unsupported(mapping, options, {});
   const std::uint32_t id = static_cast<std::uint32_t>(tenants_.size());
-  if (options.name.empty()) options.name = "t" + std::to_string(id);
+  if (options.name.empty()) {
+    std::string name = "t";
+    name += std::to_string(id);
+    options.name = std::move(name);
+  }
   if (options.weight == 0) options.weight = 1;
   tenants_.push_back(Tenant{&mapping, std::move(options)});
   return id;
@@ -82,13 +86,13 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
 // tenants_.at() throws std::out_of_range for an unknown tenant, before
 // anything is queued.
 void Forest::submit(std::uint32_t tenant, Request request) {
-  detail::reject_out_of_tree(tenants_.at(tenant).mapping->tree(), request);
+  detail::reject_out_of_range(tenants_.at(tenant).mapping->tree(), request);
   plane_->submit(tenant, std::move(request));
 }
 
 void Forest::submit(std::uint32_t tenant, std::vector<Request> requests) {
   const CompleteBinaryTree& tree = tenants_.at(tenant).mapping->tree();
-  for (const Request& r : requests) detail::reject_out_of_tree(tree, r);
+  for (const Request& r : requests) detail::reject_out_of_range(tree, r);
   for (Request& r : requests) plane_->submit(tenant, std::move(r));
 }
 

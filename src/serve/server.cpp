@@ -55,13 +55,13 @@ Server::Server(const TreeMapping& mapping, ServerOptions options)
 Server::~Server() = default;
 
 void Server::submit(Request request) {
-  detail::reject_out_of_tree(mapping_.tree(), request);
+  detail::reject_out_of_range(mapping_.tree(), request);
   plane_->submit(0, std::move(request));
 }
 
 void Server::submit(std::vector<Request> requests) {
   for (const Request& r : requests) {
-    detail::reject_out_of_tree(mapping_.tree(), r);
+    detail::reject_out_of_range(mapping_.tree(), r);
   }
   for (Request& r : requests) plane_->submit(0, std::move(r));
 }

@@ -25,7 +25,9 @@
 # the chunks of 32 cuts it has published, reading the cuts, the shared
 # MemoryBackend slabs, epoch mappings and ColorMapping's lazily published
 # batch tables and writing disjoint slices of the round's color buffer;
-# at the round barrier the lanes are fed and drained one thread each,
+# at the round barrier the control thread claims the chunks left next to
+# the workers through the same claim loop (the 1-thread run resolves
+# every chunk that way), then the lanes are fed and drained one thread each,
 # whose EngineSession belongs to one thread until the join, while its
 # resumed recurrence state may be drained by a different thread next
 # round — a race on any of them shows up as a TSan report and as a
@@ -84,7 +86,8 @@
 #   tests/run_sanitizers.sh tsan Serve  # ctest -R filter (regex)
 #
 # Benchmarks are off in the sanitizer presets (google-benchmark under TSan
-# is noise, not signal); examples and tests build and run.
+# is noise, not signal); examples and tests build and run. Every preset
+# configures with PMTREE_WERROR=ON, so a compiler warning fails its leg.
 #
 # After the sanitizers, the `nosimd` preset builds and runs the suite with
 # the SIMD batch kernels compiled out — the scalar fallbacks must stay

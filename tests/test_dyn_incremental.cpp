@@ -158,8 +158,11 @@ INSTANTIATE_TEST_SUITE_P(Configs, DynIncrementalColor,
                                            ColorConfig{6, 2},
                                            ColorConfig{7, 4}),
                          [](const auto& param) {
-                           return "N" + std::to_string(param.param.N) + "k" +
-                                  std::to_string(param.param.k);
+                           std::string name = "N";
+                           name += std::to_string(param.param.N);
+                           name += "k";
+                           name += std::to_string(param.param.k);
+                           return name;
                          });
 
 class DynIncrementalLabel : public ::testing::TestWithParam<std::uint32_t> {};
@@ -182,7 +185,9 @@ TEST_P(DynIncrementalLabel, MatchesFromScratchRebuildEveryBatch) {
 INSTANTIATE_TEST_SUITE_P(Configs, DynIncrementalLabel,
                          ::testing::Values(3u, 5u, 8u, 13u),
                          [](const auto& param) {
-                           return "M" + std::to_string(param.param);
+                           std::string name = "M";
+                           name += std::to_string(param.param);
+                           return name;
                          });
 
 TEST(DynIncremental, NodesColoredCountsDistinctTouches) {

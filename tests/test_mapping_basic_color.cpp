@@ -139,8 +139,11 @@ INSTANTIATE_TEST_SUITE_P(
                       BasicColorParams{12, 4}, BasicColorParams{5, 5},
                       BasicColorParams{10, 5}),
     [](const auto& param_info) {
-      return "N" + std::to_string(param_info.param.N) + "_k" +
-             std::to_string(param_info.param.k);
+      std::string name = "N";
+      name += std::to_string(param_info.param.N);
+      name += "_k";
+      name += std::to_string(param_info.param.k);
+      return name;
     });
 
 TEST(BasicColor, RejectsTreesTallerThanOneBlock) {

@@ -99,7 +99,9 @@ TEST_P(DeepTrees, OptimalityWitnessStillHolds) {
 INSTANTIATE_TEST_SUITE_P(Sweep, DeepTrees,
                          ::testing::Values(30u, 40u, 50u),
                          [](const auto& param_info) {
-                           return "H" + std::to_string(param_info.param);
+                           std::string name = "H";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 }  // namespace

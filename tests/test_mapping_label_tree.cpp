@@ -94,7 +94,9 @@ TEST_P(LabelTreeParams, LoadBalanceIsNearlyPerfect) {
 INSTANTIATE_TEST_SUITE_P(Sweep, LabelTreeParams,
                          ::testing::Values(3u, 7u, 15u, 31u, 63u, 127u, 100u),
                          [](const auto& param_info) {
-                           return "M" + std::to_string(param_info.param);
+                           std::string name = "M";
+                           name += std::to_string(param_info.param);
+                           return name;
                          });
 
 TEST(LabelTree, ConflictScaleOnSizeMTemplates) {

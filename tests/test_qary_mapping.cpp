@@ -78,8 +78,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, QaryMappings,
                          ::testing::Values(QaryParams{2, 6}, QaryParams{3, 5},
                                            QaryParams{4, 4}, QaryParams{5, 4}),
                          [](const auto& param_info) {
-                           return "q" + std::to_string(param_info.param.q) +
-                                  "_L" + std::to_string(param_info.param.levels);
+                           std::string name = "q";
+                           name += std::to_string(param_info.param.q);
+                           name += "_L";
+                           name += std::to_string(param_info.param.levels);
+                           return name;
                          });
 
 TEST(QaryConflicts, CountsMultiplicity) {

@@ -1,6 +1,8 @@
-// BatchFormer unit tests: the coalescing kernel (sort, dedup, maximal
-// per-level runs) and the cut policy (node threshold, wait budget,
-// oversized requests).
+// BatchFormer unit tests: the coalescing kernel (dedup: sort and dedup in
+// place; coalesce: dedup plus maximal per-level runs) and the cut policy
+// (node threshold, wait budget, oversized requests, DRR cost), driven the
+// way the control plane drives it: form_one_raw() while due(), then
+// dedup().
 #include "pmtree/serve/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,104 @@ Request make_request(std::uint64_t seq, std::uint64_t submit,
   r.submit_cycle = submit;
   r.nodes = std::move(nodes);
   return r;
+}
+
+/// Every batch due at `now`, cut as the control plane cuts them:
+/// form_one_raw() while due(), each node set finished by dedup().
+std::vector<FormedBatch> cut_due(BatchFormer& former, std::uint64_t now,
+                                 AdmissionController& admission) {
+  std::vector<FormedBatch> batches;
+  while (former.due(now, admission)) {
+    FormedBatch batch = former.form_one_raw(now, admission);
+    BatchFormer::dedup(batch.nodes);
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+/// Independent reference for dedup(): Node-struct sort and unique.
+std::vector<Node> sorted_unique(std::vector<Node> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  return nodes;
+}
+
+/// Raw Node constructor: dedup() and coalesce() are pure functions of
+/// (level, index) pairs, so the borderline inputs below deliberately
+/// sidestep v()'s index-fits-the-level assertion (deep q-ary /
+/// array-backed trees mint coordinates complete binary trees cannot).
+Node raw_node(std::uint64_t index, std::uint32_t level) {
+  return Node{level, index};
+}
+
+/// dedup() must equal the reference and work in place: same buffer, and
+/// nothing allocated for the result.
+void expect_dedup_matches_reference(std::vector<Node> nodes) {
+  const std::vector<Node> want = sorted_unique(nodes);
+  const Node* const buffer = nodes.data();
+  const std::size_t capacity = nodes.capacity();
+  BatchFormer::dedup(nodes);
+  ASSERT_EQ(nodes, want);
+  EXPECT_EQ(nodes.data(), buffer);
+  EXPECT_EQ(nodes.capacity(), capacity);
+}
+
+TEST(BatchDedup, SortsAndDedupsInPlace) {
+  // Levels 0-6 go through occupancy masks (index 63 is level 6's last
+  // bit), deeper levels through sorted per-level segments.
+  expect_dedup_matches_reference({v(5, 3), v(2, 3), v(3, 3), v(2, 3),
+                                  v(0, 0), v(6, 3), v(63, 6), v(0, 6),
+                                  v(63, 6), v(64, 7), v(63, 7), v(0, 7),
+                                  v(64, 7), v(1000, 12), v(999, 12)});
+  std::vector<Node> one{v(3, 2)};
+  BatchFormer::dedup(one);
+  EXPECT_EQ(one, (std::vector<Node>{v(3, 2)}));
+}
+
+TEST(BatchDedup, EmptyInputStaysEmpty) {
+  std::vector<Node> nodes;
+  BatchFormer::dedup(nodes);
+  EXPECT_TRUE(nodes.empty());
+}
+
+TEST(BatchDedup, ThirtyTwoLevelsFallBackToTheComparisonSort) {
+  // Levels up to 31 bucket with 32-bit segment keys; one node at level 32
+  // or deeper sends the whole batch through std::sort, shallow nodes
+  // included. Both must compute the same function.
+  const std::uint64_t top31 = (std::uint64_t{1} << 31) - 1;
+  expect_dedup_matches_reference({raw_node(top31, 31), raw_node(0, 31),
+                                  raw_node(top31, 31), raw_node(5, 3),
+                                  raw_node(4, 3), raw_node(5, 3)});
+  expect_dedup_matches_reference(
+      {raw_node(std::uint64_t{1} << 32, 32), raw_node(7, 32),
+       raw_node(std::uint64_t{1} << 32, 32), raw_node(5, 3),
+       raw_node(4, 3), raw_node(5, 3), raw_node(63, 6), raw_node(0, 0)});
+  expect_dedup_matches_reference({raw_node((std::uint64_t{1} << 48) + 1, 60),
+                                  raw_node(3, 40), raw_node(3, 40),
+                                  raw_node(9, 31)});
+}
+
+TEST(BatchDedup, RandomizedInputsMatchReference) {
+  // Dense draws force long duplicate runs; the level range straddles the
+  // mask levels, the segments and, in every third batch, the fallback.
+  std::uint64_t state = 0xD1B54A32D192ED03ull;
+  const auto next = [&state](std::uint64_t bound) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state % bound;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint64_t levels = trial % 3 == 0 ? 40 : 32;
+    std::vector<Node> nodes;
+    const std::size_t count = next(80);
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto level = static_cast<std::uint32_t>(next(levels));
+      const std::uint64_t width = std::uint64_t{1} << std::min(level, 5u);
+      nodes.push_back(raw_node(next(width), level));
+    }
+    expect_dedup_matches_reference(std::move(nodes));
+  }
 }
 
 TEST(BatchCoalesce, SortsDedupsAndFindsMaximalRuns) {
@@ -84,11 +184,11 @@ TEST(BatchFormer, HoldsUntilWaitBudgetElapses) {
             AdmissionController::Decision::kAdmitted);
 
   // Oldest waited 4 < 5: nothing cuts.
-  EXPECT_TRUE(former.form(4, admission).empty());
+  EXPECT_TRUE(cut_due(former, 4, admission).empty());
   EXPECT_EQ(admission.pending_count(), 2u);
 
   // At 5, the wait budget elapses and both ride one batch.
-  const auto batches = former.form(5, admission);
+  const auto batches = cut_due(former, 5, admission);
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].formed_cycle, 5u);
   EXPECT_EQ(batches[0].members, (std::vector<std::size_t>{0, 1}));
@@ -114,7 +214,7 @@ TEST(BatchFormer, CutsOnNodeThresholdAndRespectsCap) {
 
   // 6 pending nodes >= 4: one batch cuts, capped at 4 nodes (two
   // requests); the 2-node remainder is below both triggers and waits.
-  const auto batches = former.form(0, admission);
+  const auto batches = cut_due(former, 0, admission);
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].members, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(batches[0].nodes.size(), 4u);
@@ -122,7 +222,7 @@ TEST(BatchFormer, CutsOnNodeThresholdAndRespectsCap) {
   EXPECT_EQ(admission.pending_node_count(), 2u);
 
   // The straggler cuts once its wait budget elapses.
-  const auto later = former.form(100, admission);
+  const auto later = cut_due(former, 100, admission);
   ASSERT_EQ(later.size(), 1u);
   EXPECT_EQ(later[0].id, 1u);
   EXPECT_EQ(later[0].members, (std::vector<std::size_t>{2}));
@@ -134,7 +234,7 @@ TEST(BatchFormer, OversizedRequestDispatchesAlone) {
   std::vector<Node> big;
   for (std::uint64_t i = 0; i < 7; ++i) big.push_back(v(i, 3));
   const std::vector<Request> requests{
-      make_request(0, 0, std::move(big)),
+      make_request(0, 0, big),
       make_request(1, 0, {v(0, 1)}),
   };
   ASSERT_EQ(admission.offer(0, requests[0], 0),
@@ -144,11 +244,10 @@ TEST(BatchFormer, OversizedRequestDispatchesAlone) {
 
   // max_wait 0 flushes everything this tick: the oversized request is its
   // own batch (never split, never starved); the small one follows.
-  const auto batches = former.form(0, admission);
+  const auto batches = cut_due(former, 0, admission);
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].members, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(batches[0].nodes.size(), 7u);
-  ASSERT_EQ(batches[0].decomposition.component_count(), 1u);  // one L(7) run
+  EXPECT_EQ(batches[0].nodes, big);  // one L(7) run
   EXPECT_EQ(batches[1].members, (std::vector<std::size_t>{1}));
 }
 
@@ -168,10 +267,10 @@ TEST(BatchFormer, WaitBudgetCountsFromAdmissionNotSubmission) {
 
   // Submit-based waiting would cut here (54 - 0 >= 5). Admission-based
   // waiting holds: only 4 of the 5-cycle window have elapsed.
-  EXPECT_TRUE(former.form(54, admission).empty());
+  EXPECT_TRUE(cut_due(former, 54, admission).empty());
   EXPECT_EQ(admission.pending_count(), 1u);
 
-  const auto batches = former.form(55, admission);
+  const auto batches = cut_due(former, 55, admission);
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].members, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(admission.idle());
@@ -190,7 +289,7 @@ TEST(BatchFormer, ExactlyFullRequestIsNotOversized) {
     ASSERT_EQ(admission.offer(i, requests[i], 0),
               AdmissionController::Decision::kAdmitted);
   }
-  const auto batches = former.form(0, admission);
+  const auto batches = cut_due(former, 0, admission);
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].members, (std::vector<std::size_t>{0}));
   EXPECT_EQ(batches[0].nodes.size(), 3u);
@@ -216,7 +315,7 @@ TEST(BatchFormer, OversizedRequestBehindSmallOnesWaitsItsTurn) {
     ASSERT_EQ(admission.offer(i, requests[i], 0),
               AdmissionController::Decision::kAdmitted);
   }
-  const auto batches = former.form(0, admission);
+  const auto batches = cut_due(former, 0, admission);
   ASSERT_EQ(batches.size(), 3u);
   EXPECT_EQ(batches[0].members, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(batches[1].members, (std::vector<std::size_t>{2}));
@@ -239,7 +338,7 @@ TEST(BatchFormer, DuplicateLookupsCoalesce) {
     ASSERT_EQ(admission.offer(i, requests[i], 0),
               AdmissionController::Decision::kAdmitted);
   }
-  const auto batches = former.form(0, admission);
+  const auto batches = cut_due(former, 0, admission);
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].requested_nodes, 9u);
   EXPECT_EQ(batches[0].nodes.size(), 3u);  // the union is one path
@@ -265,7 +364,7 @@ TEST(BatchFormer, NextBatchCostMatchesWhatFormOneTakes) {
   std::vector<FormedBatch> batches;
   while (former.due(0, admission)) {
     const std::uint64_t cost = former.next_batch_cost(admission);
-    FormedBatch batch = former.form_one(0, admission);
+    FormedBatch batch = former.form_one_raw(0, admission);
     EXPECT_EQ(batch.requested_nodes, cost) << "batch " << batch.id;
     batches.push_back(std::move(batch));
   }
@@ -276,99 +375,86 @@ TEST(BatchFormer, NextBatchCostMatchesWhatFormOneTakes) {
   EXPECT_EQ(admission.pending_count(), 0u);
 }
 
-TEST(BatchFormer, FormIsEquivalentToDueGatedFormOneLoop) {
-  // Two identical queues, one drained by form(), one by the metered
-  // while(due) form_one() loop the forest's DRR uses: batch-for-batch
-  // identical output (ids, members, nodes, stamps).
+TEST(BatchFormer, DueGatedCutsFollowTheFillWalkAcrossTicks) {
+  // The control plane's loop, tick by tick: the cap ends batch 0 at
+  // exactly three nodes and batch 1 on one three-node request; the last
+  // one-node request waits out its two-cycle budget from admission.
   const std::vector<Request> requests{
-      make_request(0, 0, {v(0, 2), v(1, 2)}),
+      make_request(0, 0, {v(1, 2), v(0, 2)}),
       make_request(1, 1, {v(2, 2)}),
-      make_request(2, 3, {v(0, 4), v(1, 4), v(2, 4)}),
+      make_request(2, 3, {v(2, 4), v(0, 4), v(1, 4)}),
       make_request(3, 3, {v(5, 3)}),
   };
-  const BatchPolicy policy{.max_batch_nodes = 3, .max_wait_cycles = 2};
-  AdmissionController bulk_admission(AdmissionOptions{});
-  AdmissionController metered_admission(AdmissionOptions{});
-  BatchFormer bulk(policy);
-  BatchFormer metered(policy);
+  AdmissionController admission(AdmissionOptions{});
+  BatchFormer former(BatchPolicy{.max_batch_nodes = 3, .max_wait_cycles = 2});
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(bulk_admission.offer(i, requests[i], requests[i].submit_cycle),
+    ASSERT_EQ(admission.offer(i, requests[i], requests[i].submit_cycle),
               AdmissionController::Decision::kAdmitted);
-    ASSERT_EQ(
-        metered_admission.offer(i, requests[i], requests[i].submit_cycle),
-        AdmissionController::Decision::kAdmitted);
   }
-  for (std::uint64_t now = 3; now <= 6; ++now) {
-    const std::vector<FormedBatch> want = bulk.form(now, bulk_admission);
-    std::vector<FormedBatch> got;
-    while (metered.due(now, metered_admission)) {
-      got.push_back(metered.form_one(now, metered_admission));
-    }
-    ASSERT_EQ(got.size(), want.size()) << "now=" << now;
-    for (std::size_t b = 0; b < got.size(); ++b) {
-      EXPECT_EQ(got[b].id, want[b].id);
-      EXPECT_EQ(got[b].members, want[b].members);
-      EXPECT_EQ(got[b].nodes, want[b].nodes);
-      EXPECT_EQ(got[b].formed_cycle, want[b].formed_cycle);
-      EXPECT_EQ(got[b].requested_nodes, want[b].requested_nodes);
-    }
-  }
-  EXPECT_EQ(bulk_admission.pending_count(), metered_admission.pending_count());
+  const std::vector<FormedBatch> at3 = cut_due(former, 3, admission);
+  ASSERT_EQ(at3.size(), 2u);
+  EXPECT_EQ(at3[0].id, 0u);
+  EXPECT_EQ(at3[0].members, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(at3[0].nodes, (std::vector<Node>{v(0, 2), v(1, 2), v(2, 2)}));
+  EXPECT_EQ(at3[0].requested_nodes, 3u);
+  EXPECT_EQ(at3[1].id, 1u);
+  EXPECT_EQ(at3[1].members, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(at3[1].nodes, (std::vector<Node>{v(0, 4), v(1, 4), v(2, 4)}));
+  EXPECT_EQ(admission.pending_node_count(), 1u);
+  EXPECT_TRUE(cut_due(former, 4, admission).empty());
+  const std::vector<FormedBatch> at5 = cut_due(former, 5, admission);
+  ASSERT_EQ(at5.size(), 1u);
+  EXPECT_EQ(at5[0].id, 2u);
+  EXPECT_EQ(at5[0].formed_cycle, 5u);
+  EXPECT_EQ(at5[0].members, (std::vector<std::size_t>{3}));
+  EXPECT_TRUE(cut_due(former, 6, admission).empty());
+  EXPECT_TRUE(admission.idle());
 }
 
-TEST(BatchFormer, FormOneIsFormOneRawPlusCoalesce) {
-  // Most slots cut with form_one_raw() and the executor coalesces at the
-  // round barrier; slots with an epoch controller cut with form_one().
-  // Same queue, both drains: identical ids, membership, stamps, cost
-  // accounting and (after coalescing the raw node set) identical node
-  // unions and decompositions.
+TEST(BatchFormer, RawCutsFinishAlikeThroughDedupAndCoalesce) {
+  // form_one_raw() leaves the members' nodes in fill order, duplicates
+  // included; dedup() finishes them as the executor does, and coalesce()
+  // (kept for the E26 replay) must leave exactly the same nodes, since
+  // the replay's gate compares its batches with Server::run's.
   const std::vector<Request> requests{
       make_request(0, 0, {v(2, 3), v(3, 3), v(2, 3)}),  // duplicate inside
       make_request(1, 0, {v(5, 3), v(4, 3)}),           // out of order
       make_request(2, 0, {}),
       make_request(3, 0, {v(0, 1), v(0, 0)}),
   };
-  AdmissionController oracle_admission(AdmissionOptions{});
-  AdmissionController raw_admission(AdmissionOptions{});
-  const BatchPolicy policy{.max_batch_nodes = 5, .max_wait_cycles = 0};
-  BatchFormer oracle(policy);
-  BatchFormer raw(policy);
+  AdmissionController admission(AdmissionOptions{});
+  BatchFormer former(BatchPolicy{.max_batch_nodes = 5, .max_wait_cycles = 0});
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(oracle_admission.offer(i, requests[i], 0),
-              AdmissionController::Decision::kAdmitted);
-    ASSERT_EQ(raw_admission.offer(i, requests[i], 0),
+    ASSERT_EQ(admission.offer(i, requests[i], 0),
               AdmissionController::Decision::kAdmitted);
   }
-  while (oracle.due(0, oracle_admission)) {
-    ASSERT_TRUE(raw.due(0, raw_admission));
-    const FormedBatch want = oracle.form_one(0, oracle_admission);
-    FormedBatch got = raw.form_one_raw(0, raw_admission);
-    EXPECT_EQ(got.id, want.id);
-    EXPECT_EQ(got.formed_cycle, want.formed_cycle);
-    EXPECT_EQ(got.members, want.members);
-    EXPECT_EQ(got.requested_nodes, want.requested_nodes);
-    // Raw leaves the fill-order node list (duplicates included) and an
-    // empty decomposition; coalescing finishes the job.
-    EXPECT_EQ(got.nodes.size(), got.requested_nodes);
-    EXPECT_EQ(got.decomposition.component_count(), 0u);
-    got.decomposition = BatchFormer::coalesce(got.nodes);
-    EXPECT_EQ(got.nodes, want.nodes);
-    EXPECT_EQ(got.decomposition.nodes(), want.decomposition.nodes());
-    EXPECT_EQ(got.decomposition.component_count(),
-              want.decomposition.component_count());
-    EXPECT_EQ(raw_admission.pending_count(), oracle_admission.pending_count());
-    EXPECT_EQ(raw_admission.pending_node_count(),
-              oracle_admission.pending_node_count());
+  std::vector<std::vector<std::size_t>> members;
+  while (former.due(0, admission)) {
+    FormedBatch batch = former.form_one_raw(0, admission);
+    EXPECT_EQ(batch.id, members.size());
+    EXPECT_EQ(batch.formed_cycle, 0u);
+    std::vector<Node> raw;
+    for (const std::size_t m : batch.members) {
+      raw.insert(raw.end(), requests[m].nodes.begin(), requests[m].nodes.end());
+    }
+    EXPECT_EQ(batch.nodes, raw);
+    EXPECT_EQ(batch.requested_nodes, raw.size());
+    EXPECT_TRUE(batch.decomposition.parts().empty());
+    std::vector<Node> coalesced = batch.nodes;
+    (void)BatchFormer::coalesce(coalesced);
+    BatchFormer::dedup(batch.nodes);
+    EXPECT_EQ(batch.nodes, sorted_unique(raw));
+    EXPECT_EQ(coalesced, batch.nodes);
+    members.push_back(batch.members);
   }
-  EXPECT_FALSE(raw.due(0, raw_admission));
+  EXPECT_EQ(members, (std::vector<std::vector<std::size_t>>{{0, 1}, {2, 3}}));
+  EXPECT_EQ(admission.pending_node_count(), 0u);
 }
 
 /// Independent reference for coalesce(): Node-struct sort, dedup, maximal
 /// same-level consecutive runs.
 void expect_coalesce_matches_reference(std::vector<Node> nodes) {
-  std::vector<Node> want = nodes;
-  std::sort(want.begin(), want.end());
-  want.erase(std::unique(want.begin(), want.end()), want.end());
+  const std::vector<Node> want = sorted_unique(nodes);
   std::vector<std::pair<Node, std::uint64_t>> runs;
   std::size_t i = 0;
   while (i < want.size()) {
@@ -392,41 +478,28 @@ void expect_coalesce_matches_reference(std::vector<Node> nodes) {
   }
 }
 
-/// Raw Node constructor: coalesce() is a pure function of (level, index)
-/// pairs, so the borderline inputs below deliberately sidestep v()'s
-/// index-fits-the-level assertion (deep q-ary / array-backed trees mint
-/// coordinates complete binary trees cannot).
-Node raw_node(std::uint64_t index, std::uint32_t level) {
-  return Node{level, index};
-}
-
 TEST(BatchCoalesce, PackedFastPathAndFallbackAgreeWithReference) {
-  // Packable inputs (level < 2^16, index < 2^48) take the sorted-u64
-  // fast path; any node beyond either bound falls back to the Node-struct
-  // sort. Both must implement the same function — pinned here against an
-  // independent reference, including the exact packability borders.
+  // The borders of an earlier packed-key kernel (level < 2^16, index <
+  // 2^48), pinned against an independent reference. Every input holds a
+  // node at level 32 or deeper, so dedup() takes its comparison-sort
+  // fallback; the run scan must not merge runs across levels or past the
+  // top of an index range.
   const std::uint64_t kMaxPackedIndex = (std::uint64_t{1} << 48) - 1;
   const std::uint32_t kMaxPackedLevel = (std::uint32_t{1} << 16) - 1;
 
-  // Packed path, borderline values included: runs at the top of the
-  // packable index range must not carry into the level bits.
   expect_coalesce_matches_reference(
       {raw_node(kMaxPackedIndex, kMaxPackedLevel),
        raw_node(kMaxPackedIndex - 1, 7), raw_node(kMaxPackedIndex, 7),
        raw_node(0, kMaxPackedLevel), raw_node(1, 2), raw_node(2, 2),
        raw_node(1, 2)});
-
-  // Fallback: a level past the packable range...
   expect_coalesce_matches_reference(
       {raw_node(3, kMaxPackedLevel + 1), raw_node(2, kMaxPackedLevel + 1),
        raw_node(5, 3), raw_node(4, 3), raw_node(4, 3)});
-  // ...and an index past it.
   expect_coalesce_matches_reference(
       {raw_node(kMaxPackedIndex + 1, 60), raw_node(kMaxPackedIndex + 2, 60),
        raw_node(kMaxPackedIndex + 1, 60), raw_node(0, 0)});
-
-  // One unpackable node poisons the whole batch onto the fallback; the
-  // packable majority must still coalesce identically.
+  // One deep node sends the whole batch to the fallback; the shallow
+  // majority must still coalesce identically.
   expect_coalesce_matches_reference(
       {raw_node(8, 5), raw_node(9, 5), raw_node(10, 5),
        raw_node(kMaxPackedIndex + 7, 50), raw_node(8, 5)});
@@ -434,7 +507,7 @@ TEST(BatchCoalesce, PackedFastPathAndFallbackAgreeWithReference) {
 
 TEST(BatchCoalesce, RandomizedPackedInputsMatchReference) {
   // Dense random draws force long runs, duplicate collapses and
-  // cross-level adjacency through the packed path.
+  // cross-level adjacency through the bucketed path.
   std::uint64_t state = 0x9E3779B97F4A7C15ull;
   const auto next = [&state](std::uint64_t bound) {
     state ^= state << 13;

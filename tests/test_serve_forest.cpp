@@ -497,6 +497,73 @@ TEST(ServeForest, SubmitRejectsNodesOutsideTheTenantsTree) {
   EXPECT_EQ(report.count(RequestStatus::kOk), 2u);
 }
 
+/// Request `seq` of client 1 at `submit` for the clock-horizon tests: ids
+/// 0 and 2, both on module 0 of a two-module modulo mapping.
+Request forest_at_cycle(std::uint64_t seq, std::uint64_t submit) {
+  Request r;
+  r.client = 1;
+  r.seq = seq;
+  r.submit_cycle = submit;
+  r.nodes = {v(0, 0), v(1, 1)};
+  return r;
+}
+
+TEST(ServeForest, SubmitRejectsCyclesPastTheClockHorizon) {
+  // The Server's wrap, per tenant: UINT64_MAX - 1 or - 2 hang run(), - 3
+  // or - 16 wrap the tick clock. Never runs, so a queued one cannot hang.
+  const ColorMapping mapping(
+      make_optimal_color_mapping(CompleteBinaryTree(8), 15));
+  ForestOptions fopts;
+  fopts.tick_cycles = 4;
+  Forest forest(fopts);
+  forest.add_tenant(mapping);
+  forest.add_tenant(mapping);
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t cycle :
+       {kMax, kMax - 1, kMax - 2, kMax - 3, kMax - 16, kClockHorizon + 1}) {
+    EXPECT_THROW(forest.submit(1, forest_at_cycle(0, cycle)), std::out_of_range)
+        << cycle;
+  }
+  EXPECT_THROW(forest.submit(0, std::vector<Request>{
+                                    forest_at_cycle(0, 0),
+                                    forest_at_cycle(1, kMax - 1)}),
+               std::out_of_range);
+}
+
+TEST(ServeForest, RequestAtTheClockHorizonCompletes) {
+  const ModuloMapping mapping(CompleteBinaryTree(8), 2);
+  ForestOptions fopts;
+  fopts.tick_cycles = 3;  // 2^62 = 1 mod 3: the first tick past it counts
+  Forest forest(fopts);
+  TenantOptions retried;
+  retried.retry.max_retries = 1;
+  retried.retry.attempt_timeout_cycles = 1;
+  forest.add_tenant(mapping, retried);
+  forest.add_tenant(mapping);
+  EXPECT_THROW(forest.submit(0, std::vector<Request>{
+                                    forest_at_cycle(0, kClockHorizon),
+                                    forest_at_cycle(1, kClockHorizon + 1)}),
+               std::out_of_range);
+  EXPECT_EQ(forest.run().total_requests(), 0u);
+
+  forest.submit(0, std::vector<Request>{forest_at_cycle(0, 0),
+                                        forest_at_cycle(1, kClockHorizon)});
+  forest.submit(1, forest_at_cycle(0, kClockHorizon));
+  const ForestReport report = forest.run();
+  ASSERT_EQ(report.total_requests(), 3u);
+  EXPECT_EQ(report.tenants[0].responses[0].retries, 1u);
+  for (const Response& last :
+       {report.tenants[0].responses[1], report.tenants[1].responses[0]}) {
+    EXPECT_EQ(last.status, RequestStatus::kOk);
+    EXPECT_EQ(last.retries, 0u);
+    EXPECT_EQ(last.submit_cycle, kClockHorizon);
+    EXPECT_GE(last.admitted_cycle, last.submit_cycle);
+    EXPECT_GE(last.dispatch_cycle, last.admitted_cycle);
+    EXPECT_GT(last.completion_cycle, last.dispatch_cycle);
+    EXPECT_GE(report.final_cycle, last.completion_cycle);
+  }
+}
+
 TEST(ServeForest, AddTenantAfterPlanningThrows) {
   const CompleteBinaryTree tree(6);
   const ColorMapping mapping(tree, 4, 2);

@@ -257,6 +257,68 @@ TEST(Server, SubmitRejectsNodesOutsideTheTree) {
   EXPECT_EQ(report.count(RequestStatus::kOk), 2u);
 }
 
+/// Request `seq` at `submit` for the clock-horizon tests: ids 0 and 2,
+/// both on module 0 of a two-module modulo mapping, so the access takes
+/// two cycles.
+Request at_cycle(std::uint64_t seq, std::uint64_t submit) {
+  Request r = request_of(seq, {v(0, 0), v(1, 1)});
+  r.submit_cycle = submit;
+  return r;
+}
+
+TEST(Server, SubmitRejectsCyclesPastTheClockHorizon) {
+  // Past the horizon the tick clock wraps: with 4-cycle ticks, a request
+  // at UINT64_MAX - 1 or - 2 sent run() stepping forever, and one at - 3
+  // or - 16 completed at cycle 13 or 1, before it was submitted. Submit
+  // throws for all of them. This test never calls run(), so a queued
+  // request fails it without hanging it.
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 15));
+  ServerOptions opts;
+  opts.tick_cycles = 4;
+  Server server(mapping, opts);
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t cycle :
+       {kMax, kMax - 1, kMax - 2, kMax - 3, kMax - 16, kClockHorizon + 1}) {
+    EXPECT_THROW(server.submit(at_cycle(0, cycle)), std::out_of_range)
+        << cycle;
+  }
+  EXPECT_THROW(server.submit(std::vector<Request>{at_cycle(0, 0),
+                                                  at_cycle(1, kMax - 1)}),
+               std::out_of_range);
+}
+
+TEST(Server, RequestAtTheClockHorizonCompletes) {
+  const CompleteBinaryTree tree(8);
+  const ModuloMapping mapping(tree, 2);
+  ServerOptions opts;
+  opts.tick_cycles = 4;
+  opts.retry.max_retries = 1;
+  opts.retry.attempt_timeout_cycles = 1;
+  Server server(mapping, opts);
+  // One request past the horizon refuses the whole vector.
+  EXPECT_THROW(server.submit(std::vector<Request>{
+                   at_cycle(0, kClockHorizon), at_cycle(1, kClockHorizon + 1)}),
+               std::out_of_range);
+  EXPECT_TRUE(server.run().responses.empty());
+
+  // Both attempts overstay the 1-cycle timeout. The one at cycle 0
+  // retries; the one at the horizon would resend past it, so its first
+  // completion stands.
+  server.submit(std::vector<Request>{at_cycle(0, 0), at_cycle(1, kClockHorizon)});
+  const ServeReport report = server.run();
+  ASSERT_EQ(report.responses.size(), 2u);
+  EXPECT_EQ(report.responses[0].retries, 1u);
+  const Response& last = report.responses[1];
+  EXPECT_EQ(last.status, RequestStatus::kOk);
+  EXPECT_EQ(last.retries, 0u);
+  EXPECT_EQ(last.submit_cycle, kClockHorizon);
+  EXPECT_GE(last.admitted_cycle, last.submit_cycle);
+  EXPECT_GE(last.dispatch_cycle, last.admitted_cycle);
+  EXPECT_GT(last.completion_cycle, last.dispatch_cycle + 1);
+  EXPECT_GE(report.final_cycle, last.completion_cycle);
+}
+
 TEST(ServerRetry, RetryBudgetExhaustedExactlyAtDeadlineCycleExpires) {
   // Edge case at the retry/deadline boundary: the single allowed retry
   // resends at dispatch + timeout + backoff(1), and the deadline is set
@@ -378,10 +440,10 @@ TEST(ServerRetry, ResendCycleSaturates) {
 
 TEST(ServerRetry, ResendPastTheEndOfTheClockNeverHappens) {
   // Three nodes on module 0 take 3 cycles, past the 1-cycle attempt
-  // timeout, so every attempt times out. Retry 1 resends 2^63 cycles
-  // later; retry 2's backoff saturates at the cap (UINT64_MAX), so its
-  // resend lies past the end of the clock: the second attempt's
-  // completion stands. A wrapped backoff would instead resend at once.
+  // timeout, so every attempt times out. Retry 1 resends 2^61 cycles
+  // later, inside the clock's horizon (kClockHorizon, 2^62); retry 2's
+  // backoff doubles to 2^62, so its resend lies past the horizon: the
+  // second attempt's completion stands.
   const CompleteBinaryTree tree(4);
   const ModuloMapping mapping(tree, 2);
   Request request;
@@ -395,7 +457,7 @@ TEST(ServerRetry, ResendPastTheEndOfTheClockNeverHappens) {
   opts.batch.max_wait_cycles = 0;
   opts.retry.max_retries = 2;
   opts.retry.attempt_timeout_cycles = 1;
-  opts.retry.backoff_base_cycles = std::uint64_t{1} << 63;
+  opts.retry.backoff_base_cycles = std::uint64_t{1} << 61;
   opts.retry.backoff_cap_cycles = ~std::uint64_t{0};
 
   Server server(mapping, opts);
@@ -405,7 +467,7 @@ TEST(ServerRetry, ResendPastTheEndOfTheClockNeverHappens) {
   const Response& r = report.responses[0];
   EXPECT_EQ(r.status, RequestStatus::kOk);
   EXPECT_EQ(r.retries, 1u);
-  EXPECT_EQ(r.dispatch_cycle, 0u + 1u + (std::uint64_t{1} << 63));
+  EXPECT_EQ(r.dispatch_cycle, 0u + 1u + (std::uint64_t{1} << 61));
   EXPECT_EQ(r.completion_cycle, r.dispatch_cycle + 3);
   EXPECT_EQ(report.rounds, 2u);
 }
