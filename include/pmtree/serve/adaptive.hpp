@@ -25,8 +25,9 @@
 // same check, so each rule is written once and holds in Release.
 //
 // Determinism contract (inherited verbatim from §15): the selector is
-// driven only by the single-threaded control plane, in batch cut order;
-// scores are integer sums of conflict peaks, halved with integer shifts.
+// driven in batch cut order, one observation at a time, by whichever
+// executor thread holds the observation turn; scores are integer sums of
+// conflict peaks, halved with integer shifts.
 // Selector state is a pure function of the cut sequence, so decisions
 // and responses are bit-identical at any worker count. Crucially the
 // score is a
@@ -75,7 +76,7 @@ struct AdaptiveEvent {
 };
 
 /// The epoch controller. One selector per server run (or per Forest
-/// tenant); all calls come from the single-threaded control plane.
+/// tenant); all calls are serialized in cut order.
 class AdaptiveSelector {
  public:
   /// Throws std::invalid_argument unless `policy` is enabled and every

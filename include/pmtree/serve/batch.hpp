@@ -40,7 +40,9 @@ struct BatchPolicy {
   /// window), full or not. 0 means every tick flushes — no batching
   /// delay. This bound is what guarantees the server drains: every
   /// admitted request dispatches within max_wait_cycles of entering the
-  /// pending queue (plus tick rounding).
+  /// pending queue (plus tick rounding). Past kClockHorizon (request.hpp)
+  /// the Server constructor and Forest::add_tenant throw
+  /// std::invalid_argument.
   std::uint64_t max_wait_cycles = 16;
 };
 
@@ -88,8 +90,8 @@ class BatchFormer {
   /// front-first, through `controller.pop_front()`, until the next one
   /// would push it past max_batch_nodes (always at least one). `nodes` is
   /// left as the raw member concatenation, duplicates and fill order
-  /// included; dedup() finishes it, off the control thread for most
-  /// slots.
+  /// included; dedup() finishes it in the executor's resolve, off the
+  /// tick loop for every slot.
   [[nodiscard]] FormedBatch form_one_raw(std::uint64_t now,
                                          AdmissionController& controller);
 

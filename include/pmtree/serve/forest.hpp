@@ -82,8 +82,9 @@ struct TenantOptions : SlotOptions {
 };
 
 struct ForestOptions {
-  /// Admission tick period in engine cycles (0 behaves as 1), shared by
-  /// all tenants — the forest runs one control-plane clock.
+  /// Admission tick period in engine cycles (0 behaves as 1; past
+  /// kClockHorizon the constructor throws std::invalid_argument), shared
+  /// by all tenants — the forest runs one control-plane clock.
   std::uint64_t tick_cycles = 4;
   /// Engine replica pool to divide among tenants (grown to >= 1 lane per
   /// tenant; see plan_capacity).
@@ -147,6 +148,7 @@ class ControlPlane;
 
 class Forest {
  public:
+  /// Throws std::invalid_argument for a tick_cycles past kClockHorizon.
   explicit Forest(ForestOptions options = {});
   ~Forest();
 

@@ -20,14 +20,15 @@
 // its ledger, and the Server constructor and Forest::add_tenant call the
 // same check, so each rule is written once and holds in Release.
 //
-// Determinism contract: the planner is driven exclusively by the control
-// plane, in batch cut order — observe(nodes, cycle) folds each batch's
-// deduped node set into the ledger using the *base* mapping's colors
-// (resolved right here, on the control plane, never by a worker). Planner
-// state is therefore a pure function of the cut sequence, which is itself
-// a pure function of the submitted request set, so epoch mappings and
-// responses are bit-identical at any worker count. Decay is integer
-// (h -= h >> decay_shift at epoch boundaries) — no floating point
+// Determinism contract: the planner is driven in batch cut order —
+// observe(nodes, cycle) folds each batch's deduped node set into the
+// ledger using the *base* mapping's colors. The serve executor calls it
+// from whichever thread resolves the batch, one observation at a time:
+// its observation turn serializes the calls in cut order at every thread
+// count. Planner state is therefore a pure function of the cut sequence,
+// which is itself a pure function of the submitted request set, so epoch
+// mappings and responses are bit-identical at any worker count. Decay is
+// integer (h -= h >> decay_shift at epoch boundaries) — no floating point
 // anywhere on the decision path.
 #pragma once
 
@@ -132,7 +133,7 @@ class HeatTracker {
 };
 
 /// The epoch controller. One planner per server run (or per Forest
-/// tenant); all calls come from the single-threaded control plane.
+/// tenant); all calls are serialized in cut order.
 class MigrationPlanner {
  public:
   /// Throws std::invalid_argument unless `policy` is enabled and its
@@ -183,7 +184,7 @@ class MigrationPlanner {
   std::vector<Color> color_scratch_;
   /// Epoch mapping snapshots. Deque: stable addresses — the executor's
   /// cuts hold raw pointers to their epoch's mapping while workers color
-  /// them and later epochs are minted.
+  /// them and the observing worker mints later epochs.
   std::deque<MigratedMapping> epochs_;
   std::vector<MigrationEvent> events_;
   std::uint32_t batches_since_plan_ = 0;

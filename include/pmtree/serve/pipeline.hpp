@@ -2,8 +2,9 @@
 // executor (DESIGN.md §14).
 //
 // There is one executor. While the tick loop cuts batches, its worker
-// threads coalesce, color-resolve and arena-touch the cuts in fixed chunks
-// of 32; at the round barrier they finish the last chunk, and every lane's
+// threads coalesce, observe (for slots with an epoch controller, in cut
+// order), color-resolve and arena-touch the cuts in fixed chunks of 32; at
+// the round barrier they finish the last chunk, and every lane's
 // EngineSession is fed its cuts in cut order and drained, PALM-style:
 // every thread works every stage. Setting `workers` picks that executor's
 // thread count and adds the wall-time "pipeline" metrics section;

@@ -62,10 +62,13 @@ enum class RequestKind : std::uint8_t {
   return "?";
 }
 
-/// The last cycle a request may arrive at. Server::submit and
-/// Forest::submit throw std::out_of_range for a submit_cycle past it, and
-/// the retry scan sends no retry past it, leaving 3 * 2^62 cycles of
-/// headroom for ticks, batching waits and service.
+/// The last cycle a request may arrive at, and the longest tick period and
+/// batching wait. Server::submit and Forest::submit throw
+/// std::out_of_range for a submit_cycle past it, the Server constructor
+/// and Forest::add_tenant std::invalid_argument for a
+/// BatchPolicy::max_wait_cycles past it, the Server and Forest
+/// constructors for a tick_cycles past it, and the retry scan sends no
+/// retry past it.
 inline constexpr std::uint64_t kClockHorizon = std::uint64_t{1} << 62;
 
 struct Request {

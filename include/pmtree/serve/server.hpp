@@ -33,12 +33,14 @@
 // The tick loop is the single-threaded control plane Server shares with
 // Forest (a Server is its one-tenant case); it records each cut batch in
 // the batch executor, whose workers resolve the cuts in chunks while the
-// loop goes on ticking. At the round barrier the executor finishes the
-// resolves, then feeds and drains every replica (one thread per replica
-// at most), over `workers` threads — or `pipeline.workers` threads with
-// stage attribution (PipelineOptions). Thread counts therefore affect
-// wall-clock only: responses, batches and metrics are bit-identical at
-// any count (tested request-for-request at 1/2/8).
+// loop goes on ticking: they dedup each batch, feed it to the slot's
+// epoch controller in cut order, and color it. At the round barrier the
+// executor finishes the resolves, then feeds and drains every replica
+// (one thread per replica at most), over `workers` threads — or
+// `pipeline.workers` threads with stage attribution (PipelineOptions).
+// Thread counts therefore affect wall-clock only: responses, batches and
+// metrics are bit-identical at any count (tested request-for-request at
+// 1/2/8).
 //
 // With a RetryPolicy the pipeline above becomes one *round* of several:
 // after assembly, completions that overstayed the attempt timeout are
@@ -143,7 +145,8 @@ struct RetryPolicy {
 ///   * an adaptive candidate that is null or does not color the mapping's
 ///     tree with its module count;
 ///   * a migration `subtree_level` at or past the tree's last level;
-///   * a `memory` backend over fewer levels than the mapping's tree.
+///   * a `memory` backend over fewer levels than the mapping's tree;
+///   * a `batch.max_wait_cycles` past kClockHorizon (request.hpp).
 struct SlotOptions {
   /// The slot's admission quota: queue bound + overflow policy.
   AdmissionOptions admission;
@@ -161,7 +164,7 @@ struct SlotOptions {
   /// every run().
   engine::EngineOptions engine;
   /// Skew-adaptive remapping (migration.hpp / DESIGN.md §15): a
-  /// MigrationPlanner observes every cut batch on the control plane and
+  /// MigrationPlanner observes every cut batch, in cut order, and
   /// re-colors hot subtrees onto cold modules at epoch boundaries; each
   /// batch resolves against its epoch's MigratedMapping. Responses stay
   /// bit-identical at any worker count, pipeline workers included;
@@ -169,11 +172,11 @@ struct SlotOptions {
   /// static mapping.
   MigrationPolicy migration;
   /// Runtime mapping selection (adaptive.hpp / DESIGN.md §17): an
-  /// AdaptiveSelector scores every candidate against each cut batch on
-  /// the control plane and switches the slot's mapping at epoch
-  /// boundaries when one strictly wins — the R10 COLOR-vs-LABEL-TREE
-  /// trade-off decided by measuring the slot's own traffic. Responses stay
-  /// bit-identical at any worker count, pipeline workers included.
+  /// AdaptiveSelector scores every candidate against each cut batch, in
+  /// cut order, and switches the slot's mapping at epoch boundaries when
+  /// one strictly wins — the R10 COLOR-vs-LABEL-TREE trade-off decided by
+  /// measuring the slot's own traffic. Responses stay bit-identical at
+  /// any worker count, pipeline workers included.
   AdaptivePolicy adaptive;
   /// Real per-module memory arenas (mem/arena.hpp / DESIGN.md §17; not
   /// owned, must outlive the run). Every cut batch's deduped node payloads
@@ -188,9 +191,11 @@ struct SlotOptions {
 /// A Server's options: its one slot's (SlotOptions) plus the knobs of the
 /// serving machine around it.
 struct ServerOptions : SlotOptions {
-  /// Admission tick period in engine cycles (0 behaves as 1). Requests are
-  /// only admitted / batched on tick boundaries — the batching latency any
-  /// request pays is at most tick_cycles of rounding plus its queue wait.
+  /// Admission tick period in engine cycles (0 behaves as 1; past
+  /// kClockHorizon the constructor throws std::invalid_argument). Requests
+  /// are only admitted / batched on tick boundaries — the batching latency
+  /// any request pays is at most tick_cycles of rounding plus its queue
+  /// wait.
   std::uint64_t tick_cycles = 4;
   /// Independent memory-system replicas; batch b executes on replica
   /// b mod replicas (0 behaves as 1). Replicas model scale-out of the
@@ -251,7 +256,8 @@ class Server {
   /// own registry (see registry()) under prefix "serve" plus
   /// "serve.replicaN.*" for each replica's engine run. Throws
   /// std::invalid_argument for options the control plane cannot serve
-  /// over `mapping` (see SlotOptions and DynBinding).
+  /// over `mapping` (see SlotOptions and DynBinding) and for a tick_cycles
+  /// past kClockHorizon.
   explicit Server(const TreeMapping& mapping, ServerOptions options = {});
   ~Server();
 

@@ -38,25 +38,75 @@ struct LaneSpec {
   const mem::MemoryBackend* memory = nullptr;
 };
 
+/// One slot's run state.
+struct Slot {
+  Slot(const SlotConfig& c, engine::MetricsRegistry& registry)
+      : config(&c),
+        admission(c.options.admission),
+        former(c.options.batch),
+        metrics(registry, c.metrics_prefix) {}
+
+  const SlotConfig* config;
+  std::vector<Request> requests;  ///< canonical order; index = local id
+  AdmissionController admission;
+  BatchFormer former;
+  ServeMetrics metrics;
+  std::unique_ptr<MigrationPlanner> planner;
+  std::unique_ptr<AdaptiveSelector> selector;
+  std::vector<std::uint32_t> attempts;
+  std::vector<char> mutation_applied;
+  std::size_t round_first_batch = 0;
+};
+
+/// Arms the slot's epoch controller, if any. At most one is enabled, and
+/// never on a dyn slot or under a non-empty fault plan: reject_unsupported
+/// has refused every other slot before the first run.
+void arm_epoch_controller(Slot& s) {
+  const SlotOptions& o = s.config->options;
+  const TreeMapping& base = *s.config->mapping;
+  if (o.migration.enabled()) {
+    s.planner = std::make_unique<MigrationPlanner>(base, o.migration);
+  } else if (o.adaptive.enabled()) {
+    s.selector = std::make_unique<AdaptiveSelector>(base, o.adaptive);
+  }
+}
+
+/// Folds a deduplicated cut batch into the slot's epoch controller and
+/// returns the mapping in force after the observation.
+const TreeMapping* observe_epoch(Slot& s, std::span<const Node> nodes,
+                                 std::uint64_t cycle) {
+  if (s.planner) {
+    s.planner->observe(nodes, cycle);
+    return &s.planner->current();
+  }
+  s.selector->observe(nodes, cycle);
+  return &s.selector->current();
+}
+
 /// The batch executor, built per run (DESIGN.md §14). Each round reserves
-/// its storage before its first cut; cut() records a batch and publishes
-/// every 32nd cut as a chunk. With two or more threads, workers that live
-/// for the run claim the published chunks in order and resolve their cuts
-/// (dedup, color, arena touch) while the tick loop goes on cutting.
-/// close_round() publishes the last, partial chunk and runs the workers'
-/// claim loop on the control thread until no chunk is left, so one thread
-/// resolves every chunk, in order, there. It then feeds and drains every
-/// lane (one thread per lane, cuts in cut order). Resolving off the cut is
-/// legal: colors depend only on the coordinate and the epoch mapping
-/// recorded at the cut, and arena touches are read-only.
+/// its storage before its first cut; cut() records a raw batch and
+/// publishes every 32nd cut as a chunk. With two or more threads, workers
+/// that live for the run claim the published chunks in order and resolve
+/// their cuts while the tick loop goes on cutting. A resolve dedups the
+/// chunk's cuts; a chunk holding a cut whose slot has an epoch controller
+/// then takes the observation turn, numbered in chunk order when the chunk
+/// is published, observes those cuts in cut order and passes the turn;
+/// last it colors the cuts and touches the arenas. close_round() publishes
+/// the last, partial chunk and runs the workers' claim loop on the control
+/// thread until no chunk is left, so one thread resolves every chunk, in
+/// order, there. It then feeds and drains every lane (one thread per lane,
+/// cuts in cut order). Resolving off the cut is legal: nothing the tick
+/// loop reads depends on a resolve, colors depend only on the coordinate
+/// and the epoch mapping the observation recorded, the turn orders the
+/// observations as the cuts, and arena touches are read-only.
 class Executor {
  public:
   struct Cut {
-    FormedBatch batch;
+    FormedBatch batch;  ///< raw until its resolve dedups it
     std::uint32_t lane = 0;
     std::uint32_t tenant = 0;
+    Slot* observer = nullptr;  ///< the slot whose controller observes it
     const TreeMapping* epoch = nullptr;  ///< nullptr: the lane's mapping
-    bool coalesced = false;              ///< `batch.nodes` already deduped
     std::size_t first_color = 0;         ///< slice of the round's colors
     mem::TouchStats mem;
   };
@@ -97,12 +147,12 @@ class Executor {
     colors_.resize(max_nodes);
   }
 
-  /// Records a cut; `coalesced` says its nodes are deduplicated already.
-  /// Its raw node count bounds the deduplicated one, so the cut owns a
-  /// fixed slice of the round's color buffer from here on. Every 32nd cut
-  /// publishes a chunk.
+  /// Records a raw cut; `observer` is its slot when that slot has an epoch
+  /// controller, else nullptr. Its raw node count bounds the deduplicated
+  /// one, so the cut owns a fixed slice of the round's color buffer from
+  /// here on. Every 32nd cut publishes a chunk.
   void cut(FormedBatch batch, std::uint32_t lane, std::uint32_t tenant,
-           const TreeMapping* epoch, bool coalesced) {
+           Slot* observer) {
     const std::size_t first = round_colors_;
     if (cuts_.size() == cuts_.capacity() ||
         first + batch.nodes.size() > colors_.size()) {
@@ -110,24 +160,30 @@ class Executor {
     }
     lane_cuts_[lane].push_back(cuts_.size());
     round_colors_ += batch.nodes.size();
+    chunk_observes_ = chunk_observes_ || observer != nullptr;
     cuts_.push_back(
-        Cut{std::move(batch), lane, tenant, epoch, coalesced, first, {}});
+        Cut{std::move(batch), lane, tenant, observer, nullptr, first, {}});
     if (cuts_.size() % kResolveGrain == 0) publish();
   }
 
-  /// The round barrier. Clock pairs are per chunk of cuts (resolve) and
-  /// per lane (execute, drain), never per batch.
+  /// The round barrier. Clock pairs are per chunk of cuts (resolve, plus
+  /// the turn wait of an observing chunk) and per lane (execute, drain),
+  /// never per batch.
   void close_round() {
     const auto start = Clock::now();
     publish();
     std::uint64_t resolve_ns = 0;
+    std::uint64_t observe_wait_ns = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       while (claimable()) resolve_chunk(lock);
       done_.wait(lock, [this] { return finished_ == claimed_; });
       if (failure_ != nullptr) std::rethrow_exception(failure_);
       resolve_ns = resolve_ns_;
-      resolve_ns_ = published_ = claimed_ = finished_ = 0;
+      observe_wait_ns = observe_wait_ns_;
+      resolve_ns_ = observe_wait_ns_ = 0;
+      published_ = claimed_ = finished_ = turns_numbered_ = turn_ = 0;
+      chunk_turns_.clear();
     }
     std::vector<LaneNs> lane_ns(lanes_.size());
     const auto lane_threads = static_cast<unsigned>(
@@ -139,6 +195,7 @@ class Executor {
                       }
                     });
     stats_.resolve_ns += resolve_ns;
+    stats_.observe_wait_ns += observe_wait_ns;
     for (const LaneNs& ns : lane_ns) {
       stats_.execute_ns += ns.execute;
       stats_.drain_ns += ns.drain;
@@ -172,23 +229,24 @@ class Executor {
   /// enough that the clock pairs and the publication lock stay off the
   /// per-batch path. Chunk c is cuts [32c, 32c + 32), whatever the timing.
   static constexpr std::size_t kResolveGrain = 32;
+  /// The turn of a chunk without an observing cut: it takes none.
+  static constexpr std::size_t kNoTurn =
+      std::numeric_limits<std::size_t>::max();
 
   struct LaneNs {
     std::uint64_t execute = 0, drain = 0;
   };
 
-  /// Dedups a raw cut, colors it against its epoch mapping or else its
+  /// Colors a deduplicated cut against its epoch mapping or else its
   /// lane's into its slice of the round's colors, and touches the lane's
   /// arenas.
-  void resolve(Cut& c) {
-    FormedBatch& batch = c.batch;
-    if (!c.coalesced) BatchFormer::dedup(batch.nodes);
+  void color_and_touch(Cut& c) {
+    const std::vector<Node>& nodes = c.batch.nodes;
     const LaneSpec& lane = lanes_[c.lane];
     const TreeMapping& mapping = c.epoch != nullptr ? *c.epoch : *lane.mapping;
-    mapping.color_of_batch(batch.nodes,
-                           std::span<Color>(colors_.data() + c.first_color,
-                                            batch.nodes.size()));
-    if (lane.memory != nullptr) c.mem = lane.memory->touch(batch.nodes);
+    mapping.color_of_batch(
+        nodes, std::span<Color>(colors_.data() + c.first_color, nodes.size()));
+    if (lane.memory != nullptr) c.mem = lane.memory->touch(nodes);
   }
 
   /// The session copies each cut's colors at feed; one round-wide buffer
@@ -207,12 +265,17 @@ class Executor {
     return LaneNs{ns_between(t0, t1), ns_between(t1, Clock::now())};
   }
 
-  /// Makes every cut so far resolvable and wakes a worker.
+  /// Makes every cut so far resolvable, numbering the new chunk's
+  /// observation turn when it holds an observing cut, and wakes a worker.
   void publish() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      published_ = cuts_.size();
+      if (published_ < cuts_.size()) {
+        chunk_turns_.push_back(chunk_observes_ ? turns_numbered_++ : kNoTurn);
+        published_ = cuts_.size();
+      }
     }
+    chunk_observes_ = false;
     work_.notify_one();
   }
 
@@ -229,31 +292,84 @@ class Executor {
     }
   }
 
-  /// Claims the next published chunk and resolves it with `lock` released.
-  /// A throw is kept, never propagated, and stops further claims;
-  /// close_round() rethrows the lowest chunk's, the one a 1-thread run
-  /// throws. The lock hand-off orders every cut-time write before the
-  /// chunk's resolve, and the resolve before close_round()'s return.
+  /// Keeps `failure`, thrown by the chunk at `begin`, if no lower chunk's
+  /// is kept. Called with the lock held.
+  void fail(std::size_t begin, std::exception_ptr failure) {
+    if (failure != nullptr && begin < failed_begin_) {
+      failed_begin_ = begin;
+      failure_ = std::move(failure);
+    }
+  }
+
+  /// Claims the next published chunk and resolves it with `lock` released
+  /// but for its observation turn. A chunk without a turn dedups, colors
+  /// and touches each cut before the next; a chunk with one dedups every
+  /// cut, observes in its turn, then colors and touches. A throw is kept,
+  /// never propagated, and
+  /// stops further claims; close_round() rethrows the lowest chunk's, the
+  /// one a 1-thread run throws. The lock hand-off orders every cut-time
+  /// write before the chunk's resolve, the turn orders each observation
+  /// after the observations of every earlier chunk, and the lock orders
+  /// the resolve before close_round()'s return.
   void resolve_chunk(std::unique_lock<std::mutex>& lock) {
-    const std::size_t begin = claimed_++ * kResolveGrain;
+    const std::size_t chunk = claimed_++;
+    const std::size_t begin = chunk * kResolveGrain;
     const std::size_t end = std::min(begin + kResolveGrain, published_);
+    const std::size_t turn = chunk_turns_[chunk];
     lock.unlock();
+    // data(), not operator[]: a checked operator[] reads the size, which
+    // cut() is writing.
+    Cut* const cuts = cuts_.data();
     std::exception_ptr failure;
+    std::uint64_t wait_ns = 0;
     const auto t0 = Clock::now();
     try {
-      // data(), not operator[]: a checked operator[] reads the size,
-      // which cut() is writing.
-      for (std::size_t k = begin; k < end; ++k) resolve(cuts_.data()[k]);
+      // A chunk without a turn finishes each cut while its nodes are hot.
+      for (std::size_t k = begin; k < end; ++k) {
+        BatchFormer::dedup(cuts[k].batch.nodes);
+        if (turn == kNoTurn) color_and_touch(cuts[k]);
+      }
     } catch (...) {
       failure = std::current_exception();
     }
+    if (turn != kNoTurn) {
+      const auto w0 = Clock::now();
+      lock.lock();
+      turn_taken_.wait(lock, [&] { return turn_ == turn; });
+      // After a lower chunk's throw this chunk's work is moot.
+      const bool live = failure == nullptr && failed_begin_ > begin;
+      lock.unlock();
+      wait_ns = ns_between(w0, Clock::now());
+      if (live) {
+        try {
+          for (std::size_t k = begin; k < end; ++k) {
+            Cut& c = cuts[k];
+            if (c.observer == nullptr) continue;
+            c.epoch = observe_epoch(*c.observer, c.batch.nodes,
+                                    c.batch.formed_cycle);
+          }
+        } catch (...) {
+          failure = std::current_exception();
+        }
+      }
+      lock.lock();
+      fail(begin, failure);  // before the turn passes: later chunks skip
+      turn_ += 1;
+      lock.unlock();
+      turn_taken_.notify_all();
+      if (live && failure == nullptr) {
+        try {
+          for (std::size_t k = begin; k < end; ++k) color_and_touch(cuts[k]);
+        } catch (...) {
+          failure = std::current_exception();
+        }
+      }
+    }
     const std::uint64_t ns = ns_between(t0, Clock::now());
     lock.lock();
-    resolve_ns_ += ns;
-    if (failure != nullptr && begin < failed_begin_) {
-      failed_begin_ = begin;
-      failure_ = failure;
-    }
+    resolve_ns_ += ns - wait_ns;
+    observe_wait_ns_ += wait_ns;
+    fail(begin, std::move(failure));
     if (++finished_ == claimed_) done_.notify_one();
   }
 
@@ -266,16 +382,23 @@ class Executor {
   std::vector<std::vector<std::size_t>> lane_cuts_;  ///< indices into cuts_
   std::size_t round_colors_ = 0;  ///< raw nodes cut this round
   std::vector<Color> colors_;     ///< this round's, one slice per cut
+  bool chunk_observes_ = false;   ///< an unpublished cut has an observer
 
   // The publication protocol: cuts [0, published_) are resolvable; chunks
-  // [0, claimed_) are taken and finished_ of them are done.
+  // [0, claimed_) are taken and finished_ of them are done. Chunk c's
+  // observation turn is chunk_turns_[c]; turns [0, turn_) have passed.
   std::mutex mutex_;
-  std::condition_variable_any work_;  ///< a chunk was published
-  std::condition_variable done_;      ///< every claimed chunk is done
+  std::condition_variable_any work_;    ///< a chunk was published
+  std::condition_variable done_;        ///< every claimed chunk is done
+  std::condition_variable turn_taken_;  ///< an observation turn passed
   std::size_t published_ = 0;
   std::size_t claimed_ = 0;
   std::size_t finished_ = 0;
-  std::uint64_t resolve_ns_ = 0;  ///< this round's, summed over threads
+  std::vector<std::size_t> chunk_turns_;  ///< one per published chunk
+  std::size_t turns_numbered_ = 0;        ///< this round's
+  std::size_t turn_ = 0;                  ///< the turn that may observe
+  std::uint64_t resolve_ns_ = 0;       ///< this round's, summed over threads
+  std::uint64_t observe_wait_ns_ = 0;  ///< this round's, summed over threads
   std::size_t failed_begin_ = std::numeric_limits<std::size_t>::max();
   std::exception_ptr failure_;  ///< the lowest throwing chunk's
   /// Last, so the workers stop and join before anything they read goes.
@@ -287,6 +410,7 @@ Json stage_json(const StageStats& stats, unsigned workers, std::size_t lanes) {
   Json stage = Json::object();
   stage.set("control", Json(stats.control_ns));
   stage.set("resolve", Json(stats.resolve_ns));
+  stage.set("observe_wait", Json(stats.observe_wait_ns));
   stage.set("execute", Json(stats.execute_ns));
   stage.set("drain", Json(stats.drain_ns));
   stage.set("barrier", Json(stats.barrier_ns));
@@ -320,54 +444,6 @@ struct Canonical {
   std::vector<IntakeEntry> intake;
 };
 
-/// One slot's run state.
-struct Slot {
-  Slot(const SlotConfig& c, engine::MetricsRegistry& registry)
-      : config(&c),
-        admission(c.options.admission),
-        former(c.options.batch),
-        metrics(registry, c.metrics_prefix) {}
-
-  const SlotConfig* config;
-  std::vector<Request> requests;  ///< canonical order; index = local id
-  AdmissionController admission;
-  BatchFormer former;
-  ServeMetrics metrics;
-  std::unique_ptr<MigrationPlanner> planner;
-  std::unique_ptr<AdaptiveSelector> selector;
-  std::vector<std::uint32_t> attempts;
-  std::vector<char> mutation_applied;
-  std::size_t round_first_batch = 0;
-};
-
-/// Arms the slot's epoch controller, if any. At most one is enabled, and
-/// never on a dyn slot or under a non-empty fault plan: reject_unsupported
-/// has refused every other slot before the first run.
-void arm_epoch_controller(Slot& s) {
-  const SlotOptions& o = s.config->options;
-  const TreeMapping& base = *s.config->mapping;
-  if (o.migration.enabled()) {
-    s.planner = std::make_unique<MigrationPlanner>(base, o.migration);
-  } else if (o.adaptive.enabled()) {
-    s.selector = std::make_unique<AdaptiveSelector>(base, o.adaptive);
-  }
-}
-
-/// Folds a cut batch into the slot's epoch controller and returns the
-/// mapping in force after the observation (nullptr: the lane's static one).
-const TreeMapping* observe_epoch(Slot& s, const FormedBatch& batch,
-                                 std::uint64_t t) {
-  if (s.planner) {
-    s.planner->observe(batch.nodes, t);
-    return &s.planner->current();
-  }
-  if (s.selector) {
-    s.selector->observe(batch.nodes, t);
-    return &s.selector->current();
-  }
-  return nullptr;
-}
-
 PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
                   Canonical input, StageStats& stages) {
   const std::size_t N = config.slots.size();
@@ -400,8 +476,9 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
     arm_epoch_controller(s);
     s.metrics.on_submitted(s.requests.size());
   }
-  // After the slots: the executor's workers color with their epoch
-  // mappings, so they must stop before the slots go, on a throw too.
+  // After the slots: the executor's workers drive the slots' epoch
+  // controllers and color with their mappings, so they must stop before
+  // the slots go, on a throw too.
   Executor exec(config, stages);
 
   // Each event lands in the slot's instruments and the aggregate's.
@@ -437,16 +514,14 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
     unresolved -= 1;
   };
 
-  // Phase 4's cut of one batch from slot i at tick t. A slot with an
-  // epoch controller dedups its cut here, so the controller observes the
-  // deduplicated node set; the executor dedups the rest. Writers apply at
-  // the cut (the PALM barrier), before the executor publishes the cut.
+  // Phase 4's cut of one batch from slot i at tick t. The executor dedups
+  // the raw batch and, for a slot with an epoch controller, has the
+  // controller observe it in cut order. Writers apply at the cut (the
+  // PALM barrier), before the executor publishes the cut.
   const auto cut = [&](std::size_t i, std::uint64_t t) {
     Slot& s = slots[i];
     const SlotConfig& c = *s.config;
     FormedBatch batch = s.former.form_one_raw(t, s.admission);
-    const bool coalesced = s.planner || s.selector;
-    if (coalesced) BatchFormer::dedup(batch.nodes);
     TenantReport& tr = report.slots[i];
     for (const std::size_t local : batch.members) {
       tr.responses[local].dispatch_cycle = t;
@@ -458,11 +533,10 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
       apply_batch_mutations(batch, s.requests, c.dyn, t, s.mutation_applied,
                             report.mutations[i]);
     }
-    const TreeMapping* epoch = observe_epoch(s, batch, t);
     const std::uint32_t lane =
         c.first_lane + static_cast<std::uint32_t>(batch.id % c.lanes);
-    exec.cut(std::move(batch), lane, static_cast<std::uint32_t>(i), epoch,
-             coalesced);
+    exec.cut(std::move(batch), lane, static_cast<std::uint32_t>(i),
+             s.planner || s.selector ? &s : nullptr);
   };
 
   std::vector<std::size_t> scratch;
@@ -774,6 +848,9 @@ Canonical canonical_order(
 
 void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
                         const DynBinding& dyn) {
+  if (slot.batch.max_wait_cycles > kClockHorizon) {
+    reject("batch.max_wait_cycles past the clock horizon");
+  }
   const std::uint32_t levels = mapping.tree().levels();
   const bool migration = slot.migration.enabled();
   const bool adaptive = slot.adaptive.enabled();
@@ -799,6 +876,11 @@ void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
   if (colored < levels || colored < dyn.tree->max_levels()) {
     reject("dyn.colorer must cover the served tree and the dyn envelope");
   }
+}
+
+std::uint64_t checked_tick(std::uint64_t tick_cycles) {
+  if (tick_cycles > kClockHorizon) reject("tick_cycles past the clock horizon");
+  return tick_cycles == 0 ? 1 : tick_cycles;
 }
 
 void reject_out_of_range(const CompleteBinaryTree& tree,

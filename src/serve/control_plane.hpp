@@ -12,21 +12,25 @@
 // its lone slot cuts every due batch. Forest is the N-slot instance with
 // deficit-round-robin metering and the reserved-share pool.
 //
-// A cut records the batch, its lane, its slot and its epoch mapping in the
-// one batch executor, and every 32nd cut publishes a chunk of 32. With two
-// or more threads the executor's workers, started for the run, claim each
-// whole chunk in order while the tick loop goes on and dedup,
-// color-resolve and arena-touch its cuts. The round barrier publishes the
-// last, partial chunk and runs the same claim loop on the control thread
-// until every chunk is done, so one thread resolves them all there. It
-// then feeds the lanes, at most one thread per lane, each its
-// EngineSession (healthy or faulted) its cuts in cut order, and drains
-// them. Colors are pure functions of the coordinate and of the epoch
-// mapping recorded at the cut, so resolving during the tick loop rather
-// than at the cut changes wall time only: batches, epoch observations,
-// TouchStats and lane trajectories are bit-identical at every thread
-// count. The thread count is `pipeline.workers` when that is >= 1 — and
-// then the report gains the wall-time "pipeline" section — and `workers`
+// A cut records the raw batch, its lane, its slot and, for a slot with an
+// epoch controller, the slot that must observe it, in the one batch
+// executor, and every 32nd cut publishes a chunk of 32. With two or more
+// threads the executor's workers, started for the run, claim each whole
+// chunk in order while the tick loop goes on. A worker dedups its chunk's
+// cuts; a chunk holding an observing cut then takes the executor's
+// observation turn (turns go in chunk order), folds each observing cut
+// into its slot's controller in cut order, records the epoch mapping in
+// force, and passes the turn; then it color-resolves and arena-touches the
+// chunk. The round barrier publishes the last, partial chunk and runs the
+// same claim loop on the control thread until every chunk is done, so one
+// thread resolves them all there. It then feeds the lanes, at most one
+// thread per lane, each its EngineSession (healthy or faulted) its cuts in
+// cut order, and drains them. No observation feeds the tick loop, and the
+// turn hands every controller the same deduplicated batches in the same
+// order at every thread count, so batches, epoch observations, TouchStats
+// and lane trajectories are bit-identical at every thread count. The
+// thread count is `pipeline.workers` when that is >= 1 — and then the
+// report gains the wall-time "pipeline" section — and `workers`
 // otherwise.
 #pragma once
 
@@ -93,6 +97,11 @@ struct PlaneReport {
 void reject_unsupported(const TreeMapping& mapping, const SlotOptions& slot,
                         const DynBinding& dyn);
 
+/// The tick period the Server and Forest constructors keep: 0 behaves as
+/// 1, and one past kClockHorizon, whose ticks would wrap the clock, throws
+/// std::invalid_argument.
+[[nodiscard]] std::uint64_t checked_tick(std::uint64_t tick_cycles);
+
 /// Throws std::out_of_range for a request with a submit_cycle past
 /// kClockHorizon or a node outside `tree`. Server::submit and
 /// Forest::submit call it before the inbox lock.
@@ -108,13 +117,15 @@ void reject_out_of_range(const CompleteBinaryTree& tree,
 /// Stage attribution of the batch executor (DESIGN.md §14), cumulative
 /// across runs like every registry instrument. Wall nanoseconds: `control`
 /// is the tick loops, chunk publication included; `resolve` (dedup +
-/// color + arena touch), `execute` (session feeds) and `drain` (session
-/// drains) are summed over threads; `barrier` is the wall time of the
-/// round barriers: the resolve backlog left when ticking ends, plus the
-/// lane feeds and drains.
+/// epoch observation + color + arena touch), `observe_wait` (waits for an
+/// observation turn, outside `resolve`), `execute` (session feeds) and
+/// `drain` (session drains) are summed over threads; `barrier` is the
+/// wall time of the round barriers: the resolve backlog left when ticking
+/// ends, plus the lane feeds and drains.
 struct StageStats {
   std::uint64_t control_ns = 0;
   std::uint64_t resolve_ns = 0;
+  std::uint64_t observe_wait_ns = 0;
   std::uint64_t execute_ns = 0;
   std::uint64_t drain_ns = 0;
   std::uint64_t barrier_ns = 0;

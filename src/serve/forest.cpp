@@ -57,7 +57,7 @@ Json ForestReport::to_json() const {
 
 Forest::Forest(ForestOptions options)
     : options_(options), plane_(std::make_unique<detail::ControlPlane>()) {
-  if (options_.tick_cycles == 0) options_.tick_cycles = 1;
+  options_.tick_cycles = detail::checked_tick(options_.tick_cycles);
   if (options_.replicas == 0) options_.replicas = 1;
   if (options_.drr_quantum_nodes == 0) options_.drr_quantum_nodes = 1;
 }

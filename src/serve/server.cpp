@@ -48,7 +48,7 @@ Server::Server(const TreeMapping& mapping, ServerOptions options)
       options_(options),
       plane_(std::make_unique<detail::ControlPlane>()) {
   detail::reject_unsupported(mapping_, options_, options_.dyn);
-  if (options_.tick_cycles == 0) options_.tick_cycles = 1;
+  options_.tick_cycles = detail::checked_tick(options_.tick_cycles);
   if (options_.replicas == 0) options_.replicas = 1;
 }
 

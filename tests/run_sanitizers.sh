@@ -20,11 +20,14 @@
 # up as a TSan report and as a divergence from the 1-worker oracle), and
 # the serve batch executor (test_serve_pipeline runs every config at
 # 1/2/8 executor threads against the 1-thread run, faulted configs
-# included: while the control thread goes on cutting batches, minting
-# epoch mappings and applying dyn writes, the executor's workers resolve
-# the chunks of 32 cuts it has published, reading the cuts, the shared
-# MemoryBackend slabs, epoch mappings and ColorMapping's lazily published
-# batch tables and writing disjoint slices of the round's color buffer;
+# included: while the control thread goes on cutting batches and applying
+# dyn writes, the executor's workers resolve the chunks of 32 cuts it has
+# published, deduplicating the cuts, passing the epoch controllers from
+# worker to worker through the observation turn (each observation folds a
+# cut into its planner or selector and may mint an epoch mapping),
+# reading the shared MemoryBackend slabs, epoch mappings and
+# ColorMapping's lazily published batch tables, and writing disjoint
+# slices of the round's color buffer;
 # at the round barrier the control thread claims the chunks left next to
 # the workers through the same claim loop (the 1-thread run resolves
 # every chunk that way), then the lanes are fed and drained one thread each,
@@ -32,20 +35,21 @@
 # resumed recurrence state may be drained by a different thread next
 # round — a race on any of them shows up as a TSan report and as a
 # bit-identity mismatch; test_serve_pipeline also throws from resolves
-# and from the control thread at every thread count and expects the
-# lowest chunk's exception back from run(), as test_util_parallel does
-# for chunk bodies; the `pipeline` ctest label selects the suites that
-# drive the executor, and the tsan leg repeats them 20 times, since a
-# race in the publication protocol depends on timing and one pass can
-# miss it), and
+# and from observations at every thread count and expects the lowest
+# chunk's exception back from run(), as test_util_parallel does for chunk
+# bodies; the `pipeline` ctest label selects the suites that drive the
+# executor, the serve fuzzer's wide draw of migration and adaptive slots
+# included, and the tsan leg repeats them 20 times, since a race in the
+# publication protocol or the observation turn depends on timing and one
+# pass can miss it), and
 # skew-adaptive migration (test_serve_migration runs migrated serving at
 # 1/2/8 workers and 1/2/8 pipeline workers against the single-threaded
 # oracle and asserts the epoch audit trail identical;
 # ServeMigration.StagedPipelineMatchesOracleUnderMigration has 2 and 8
-# workers read the minted MigratedMapping epochs while the planner mints
-# more — a race between the planner's epoch mints on the control thread
-# and the workers' epoch-mapping reads shows up as a TSan report and as a
-# divergent rotation table; the `migration` ctest label selects the
+# workers read the minted MigratedMapping epochs while the worker holding
+# the observation turn mints more — a race between those epoch mints and
+# the other workers' epoch-mapping reads shows up as a TSan report and as
+# a divergent rotation table; the `migration` ctest label selects the
 # mapping + serve migration suites together), and dynamic trees
 # (test_dyn_serve runs mixed read/write traffic at 1/2/8 workers and
 # 1/2/4/8 pipeline workers against the single-threaded oracle, arenas
@@ -65,8 +69,9 @@
 # totals/checksum divergence from the single-threaded recount;
 # test_serve_adaptive runs the AdaptiveSelector's epoch switches at
 # 1/2/8 workers and pipeline workers against the oracle, so a race
-# between the control-plane selector and the workers'
-# epoch-mapping reads surfaces as a report or a response divergence —
+# between the selector's observations, handed from worker to worker by
+# the observation turn, and the other workers' epoch-mapping reads
+# surfaces as a report or a response divergence —
 # the `mem` ctest label selects the arena, selector and serve-layer
 # suites), and the seeded serve fuzzer (test_serve_fuzz draws Server and
 # Forest configurations with every slot option, a dyn binding, fault

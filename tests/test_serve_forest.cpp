@@ -564,6 +564,56 @@ TEST(ServeForest, RequestAtTheClockHorizonCompletes) {
   }
 }
 
+TEST(ServeForest, RejectsTicksAndWaitsPastTheClockHorizon) {
+  // The Server's wraps: the Forest constructor refuses the tick, and
+  // add_tenant the tenant's wait, leaving the forest without it.
+  const ColorMapping mapping(
+      make_optimal_color_mapping(CompleteBinaryTree(8), 15));
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t past :
+       {kClockHorizon + 1, (std::uint64_t{1} << 63) + 1, kMax}) {
+    ForestOptions tick;
+    tick.tick_cycles = past;
+    EXPECT_THROW(Forest{tick}, std::invalid_argument) << past;
+    Forest forest;
+    TenantOptions wait;
+    wait.batch.max_wait_cycles = past;
+    EXPECT_THROW((void)forest.add_tenant(mapping, wait), std::invalid_argument)
+        << past;
+    EXPECT_EQ(forest.tenant_count(), 0u);
+  }
+}
+
+TEST(ServeForest, TickAndWaitAtTheClockHorizonServeARequestThere) {
+  const ModuloMapping mapping(CompleteBinaryTree(8), 2);
+  ForestOptions fopts;
+  fopts.tick_cycles = kClockHorizon;
+  Forest forest(fopts);
+  EXPECT_EQ(forest.options().tick_cycles, kClockHorizon);
+  TenantOptions waiting;
+  waiting.batch.max_wait_cycles = kClockHorizon;
+  forest.add_tenant(mapping, waiting);
+  forest.add_tenant(mapping);
+  forest.submit(0, std::vector<Request>{forest_at_cycle(0, 1),
+                                        forest_at_cycle(1, kClockHorizon)});
+  forest.submit(1, forest_at_cycle(0, kClockHorizon));
+  const ForestReport report = forest.run();
+  ASSERT_EQ(report.total_requests(), 3u);
+  for (const TenantReport& t : report.tenants) {
+    for (const Response& r : t.responses) {
+      EXPECT_EQ(r.status, RequestStatus::kOk);
+      EXPECT_LE(r.submit_cycle, r.admitted_cycle);
+      EXPECT_LE(r.admitted_cycle, r.dispatch_cycle);
+      EXPECT_LT(r.dispatch_cycle, r.completion_cycle);
+      EXPECT_GE(report.final_cycle, r.completion_cycle);
+    }
+  }
+  // The waiting tenant cuts a full budget after the first tick, 2^62; the
+  // other tenant's default wait cuts at the next tick.
+  EXPECT_EQ(report.tenants[0].responses[1].dispatch_cycle, 2 * kClockHorizon);
+  EXPECT_EQ(report.tenants[1].responses[0].dispatch_cycle, 2 * kClockHorizon);
+}
+
 TEST(ServeForest, AddTenantAfterPlanningThrows) {
   const CompleteBinaryTree tree(6);
   const ColorMapping mapping(tree, 4, 2);

@@ -8,8 +8,10 @@
 //   * a draw that breaks a rule of the slot check on purpose (two epoch
 //     controllers, an epoch controller under faults or on a dyn tree, a
 //     misfit candidate or subtree level, arenas or a colorer shallower
-//     than the served tree, a dyn tree deeper than its colorer) throws
-//     std::invalid_argument at construction and never runs;
+//     than the served tree, a dyn tree deeper than its colorer, a batching
+//     wait past the clock's horizon), or a Server's or Forest's tick past
+//     that horizon, throws std::invalid_argument at construction and never
+//     runs;
 //   * a request with a node outside its slot's tree throws
 //     std::out_of_range at submit, through either overload, and nothing of
 //     the refused call is queued;
@@ -43,6 +45,7 @@
 #include "pmtree/mapping/label_tree.hpp"
 #include "pmtree/mem/arena.hpp"
 #include "pmtree/serve/forest.hpp"
+#include "pmtree/serve/request.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
 
@@ -61,8 +64,10 @@ struct Shape {
 };
 constexpr Shape kShapes[] = {{1, 0}, {2, 0}, {8, 0}, {1, 2}, {1, 8}};
 
-/// The rule a draw breaks on purpose. The last four need a dyn binding,
-/// which only a Server has.
+/// The rule a draw breaks on purpose. The last five only a Server draw
+/// breaks: its tick is the Server's own option (a Forest draw offers its
+/// tick past the horizon to the Forest constructor instead), and the last
+/// four need a dyn binding, which only a Server has.
 enum class Break : std::uint8_t {
   kNone,
   kMigrationWithAdaptive,
@@ -72,17 +77,32 @@ enum class Break : std::uint8_t {
   kCandidateOfAnotherModuleCount,
   kSubtreeLevelPastTheTree,
   kArenaOverAShallowerTree,
+  kWaitPastTheHorizon,
+  kTickPastTheHorizon,
   kDynWithoutColorer,
   kDynWithEpochController,
   kColorerShallowerThanTheMapping,
   kDynTreeDeeperThanTheColorer,
 };
-constexpr std::uint64_t kSlotBreaks = 7;  ///< the rules a Forest tenant can break
-constexpr std::uint64_t kAllBreaks = 11;
+constexpr std::uint64_t kSlotBreaks = 8;  ///< the rules a Forest tenant can break
+constexpr std::uint64_t kAllBreaks = 13;
 
 /// The rule the `k`-th broken draw breaks: every rule in turn.
 Break nth_break(std::uint64_t k, std::uint64_t rules) {
   return static_cast<Break>(1 + k % rules);
+}
+
+/// A cycle count past the clock's horizon: just past it, at 2^63 + 1, or
+/// near the end of the clock.
+std::uint64_t past_the_horizon(Rng& rng) {
+  switch (rng.below(3)) {
+    case 0:
+      return kClockHorizon + rng.between(1, 1024);
+    case 1:
+      return (std::uint64_t{1} << 63) + 1;
+    default:
+      return ~std::uint64_t{0} - rng.below(16);
+  }
 }
 
 /// How a dyn binding is rebuilt, fresh, for every run.
@@ -327,6 +347,9 @@ SlotDraw draw_slot(Rng& rng, bool dyn_allowed, Break broken) {
   std::uint32_t modules = d.mapping->num_modules();
   draw_knobs(rng, d.options);
   d.submit_seed = rng();
+  if (d.broken == Break::kWaitPastTheHorizon) {
+    d.options.batch.max_wait_cycles = past_the_horizon(rng);
+  }
 
   const bool dyn = dyn_allowed && (d.broken >= Break::kDynWithoutColorer ||
                                    (d.broken == Break::kNone &&
@@ -663,6 +686,9 @@ TEST(ServeFuzz, ServerDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
     ServerOptions base;
     static_cast<SlotOptions&>(base) = d.options;
     base.tick_cycles = rng.below(7);  // 0 behaves as 1
+    if (d.broken == Break::kTickPastTheHorizon) {
+      base.tick_cycles = past_the_horizon(rng);
+    }
     base.replicas = static_cast<std::uint32_t>(rng.below(5));
 
     const auto served_mapping = [&](DynState* state) -> const TreeMapping& {
@@ -740,6 +766,7 @@ TEST(ServeFuzz, ServerDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
 TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
   Rng master(kMasterSeed ^ 0xF0);
   std::vector<int> rejected(kSlotBreaks + 1, 0);
+  int ticks_rejected = 0;
   std::uint64_t tenant_draws = 0;
   Coverage served;
   for (int draw = 0; draw < kForestDraws; ++draw) {
@@ -752,6 +779,14 @@ TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
     base.replicas = static_cast<std::uint32_t>(rng.below(7));
     base.global_queue_bound = rng.chance(1, 2) ? 0 : rng.between(1, 48);
     base.drr_quantum_nodes = rng.below(65);  // 0 behaves as 1
+    // Every eighth draw first offers its tick past the clock's horizon.
+    if (draw % 8 == 7) {
+      ForestOptions wrapping = base;
+      wrapping.tick_cycles = past_the_horizon(rng);
+      EXPECT_THROW(Forest{wrapping}, std::invalid_argument)
+          << wrapping.tick_cycles;
+      ticks_rejected += 1;
+    }
     const std::uint64_t tenants = rng.between(1, 4);
     std::vector<SlotDraw> slots;
     std::vector<TenantOptions> options;
@@ -842,6 +877,7 @@ TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
   for (std::size_t rule = 1; rule <= kSlotBreaks; ++rule) {
     EXPECT_GT(rejected[rule], 0) << "rule " << rule << " never drawn";
   }
+  EXPECT_GT(ticks_rejected, 0);
   served.expect_reached(/*with_dyn=*/false);
 }
 

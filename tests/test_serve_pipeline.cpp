@@ -9,7 +9,8 @@
 // tolerated difference is the "pipeline" stage-attribution section, which
 // measures wall time and is checked for shape and for accumulating across
 // runs instead. Faulted configurations, round cut counts on both sides of
-// a chunk boundary, and resolves or cuts that throw run under the same
+// a chunk boundary, epoch observations in chunks on both sides of plain
+// ones, and resolves or observations that throw run under the same
 // contract, and every reported batch's nodes come out deduplicated and
 // sorted whichever thread resolved them.
 #include <gtest/gtest.h>
@@ -94,8 +95,8 @@ void expect_same_metrics_modulo_pipeline(const Json& got, const Json& want) {
   }
 }
 
-constexpr const char* kStages[] = {"control", "resolve", "execute", "drain",
-                                   "barrier"};
+constexpr const char* kStages[] = {"control", "resolve", "observe_wait",
+                                   "execute", "drain", "barrier"};
 
 /// The stage-attribution export carries exactly the counters DESIGN.md §14
 /// defines, with values consistent with the first run of a fresh system.
@@ -811,13 +812,15 @@ TEST(ServePipeline, ThrowingResolveReachesRunAtEveryThreadCount) {
   }
 }
 
-TEST(ServePipeline, ControlThreadThrowUnwindsWhileWorkersHoldEarlierCuts) {
-  // A migration planner colors every cut batch with its base mapping on
-  // the control thread, so a poisoned base throws there, at cut 288:
-  // right after the control thread publishes the chunk of cuts 256-287,
-  // which a worker is then coloring with the planner's epoch mappings
-  // and touching the arenas for. The workers must stop before the planner
-  // goes (the asan preset reports a use after free if not).
+TEST(ServePipeline, ThrowingObservationReachesRunAtEveryThreadCount) {
+  // A migration planner folds each cut batch's base colors into its heat
+  // ledger, so a poisoned base throws in the observation of cut 288, the
+  // first of chunk 9; chunks 10-12 hold observing cuts too and, with
+  // workers, may be claimed already: they wait for their turn, then skip
+  // their observations. Workers are coloring earlier chunks with the
+  // planner's epoch mappings and touching the arenas meanwhile, and they
+  // must stop before the planner goes (the asan preset reports a use
+  // after free if not).
   const CompleteBinaryTree tree(12);
   const ColorMapping base(make_optimal_color_mapping(tree, 13));
   const Node poison = v(5, 10);  // in the left half; the paths are right
@@ -837,6 +840,21 @@ TEST(ServePipeline, ControlThreadThrowUnwindsWhileWorkersHoldEarlierCuts) {
   }
   requests[288].nodes = {poison};
 
+  // An adaptive tenant whose second candidate throws on (6, 1), requested
+  // by its 40th request: the forest cuts 32 batches of each tenant a tick,
+  // so that is cut 72, in chunk 2, the adaptive tenant's second observing
+  // chunk. The plain tenant's own mapping throws on (6, 2), its 70th
+  // request: cut 166, chunk 5, which a worker may resolve first. The
+  // lower chunk's throw, the observation's, reaches run().
+  const CompleteBinaryTree small(8);
+  const ColorMapping color(make_optimal_color_mapping(small, 7));
+  const PoisonMapping observed(color, {v(1, 6)});
+  const PoisonMapping colored(color, {v(2, 6)});
+  std::vector<Request> adaptive_requests = one_node_requests(small, 100);
+  adaptive_requests[40].nodes = {v(1, 6)};
+  std::vector<Request> plain_requests = one_node_requests(small, 100);
+  plain_requests[70].nodes = {v(2, 6)};
+
   for (const auto& threads : kThreadCounts) {
     SCOPED_TRACE(thread_trace(threads));
     ServerOptions opts = one_cut_per_request<ServerOptions>();
@@ -851,6 +869,153 @@ TEST(ServePipeline, ControlThreadThrowUnwindsWhileWorkersHoldEarlierCuts) {
     Server server(poisoned, opts);
     for (const Request& r : requests) server.submit(r);
     EXPECT_EQ(thrown_by([&] { (void)server.run(); }), "poison node (10, 5)");
+
+    ForestOptions fopts;
+    fopts.replicas = 3;
+    fopts.workers = threads.first;
+    fopts.pipeline.workers = threads.second;
+    Forest forest(fopts);
+    TenantOptions adaptive = one_cut_per_request<TenantOptions>();
+    adaptive.adaptive.epoch_batches = 8;
+    adaptive.adaptive.candidates = {&color, &observed};
+    forest.add_tenant(color, adaptive);
+    forest.add_tenant(colored, one_cut_per_request<TenantOptions>());
+    forest.submit(0, adaptive_requests);
+    forest.submit(1, plain_requests);
+    EXPECT_EQ(thrown_by([&] { (void)forest.run(); }), "poison node (6, 1)");
+  }
+}
+
+TEST(ServePipeline, EpochObservationsMatchTheOneThreadRunAcrossChunks) {
+  // Three tenants: "hot" with a migration planner, "adaptive" with a
+  // selector, "plain" with neither. Under 1-cycle ticks, no batching wait,
+  // a node cap of one root path and unmetered DRR credit, every request is
+  // its own cut and each tick cuts everything it took in, tenant by
+  // tenant. Round 1 cuts, in order:
+  //   cycle 1: hot 0-19, adaptive 20-39, plain 40-49
+  //   cycle 2: plain 50-129
+  //   cycle 3: hot 130-164, adaptive 165-174
+  // so observing cuts straddle the chunk boundaries at 32 and 160, chunks
+  // 2 and 3 (cuts 64-127) observe nothing between observing chunks 1 and
+  // 4, and the round ends on a partial chunk 5. Timed-out attempts retry
+  // once, in a second round.
+  const CompleteBinaryTree tree(10);
+  const ColorMapping color(make_optimal_color_mapping(tree, 15));
+  const ModuloMapping modulo(tree, color.num_modules());
+  const std::uint32_t bottom = tree.levels() - 1;
+  Rng rng(0x0B5E7FE);
+  // `count` root paths at `cycle`, three in four under the first 32 leaves.
+  const auto paths = [&](std::vector<Request>& out, std::size_t count,
+                         std::uint64_t cycle) {
+    for (std::size_t k = 0; k < count; ++k) {
+      Request r;
+      r.seq = out.size();
+      r.submit_cycle = cycle;
+      Node n = v(rng.chance(3, 4) ? rng.below(32) : rng.below(pow2(bottom)),
+                 bottom);
+      r.nodes.push_back(n);
+      while (n.level > 0) {
+        n = parent(n);
+        r.nodes.push_back(n);
+      }
+      out.push_back(std::move(r));
+    }
+  };
+  std::vector<Request> streams[3];
+  paths(streams[0], 20, 1);
+  paths(streams[1], 20, 1);
+  paths(streams[2], 10, 1);
+  paths(streams[2], 80, 2);
+  paths(streams[0], 35, 3);
+  paths(streams[1], 10, 3);
+
+  const auto run = [&](std::pair<unsigned, unsigned> threads) {
+    ForestOptions fopts;
+    fopts.tick_cycles = 1;
+    fopts.replicas = 5;
+    fopts.drr_quantum_nodes = 1u << 20;
+    fopts.workers = threads.first;
+    fopts.pipeline.workers = threads.second;
+    Forest forest(fopts);
+    TenantOptions t = one_cut_per_request<TenantOptions>();
+    t.batch.max_batch_nodes = tree.levels();
+    t.retry.max_retries = 1;
+    t.retry.attempt_timeout_cycles = 4;
+    TenantOptions hot = t;
+    hot.name = "hot";
+    hot.migration.epoch_batches = 4;
+    hot.migration.top_k = 3;
+    hot.migration.subtree_level = 3;
+    TenantOptions adaptive = t;
+    adaptive.name = "adaptive";
+    adaptive.adaptive.epoch_batches = 4;
+    adaptive.adaptive.candidates = {&modulo, &color};
+    TenantOptions plain = t;
+    plain.name = "plain";
+    forest.add_tenant(color, hot);
+    forest.add_tenant(modulo, adaptive);
+    forest.add_tenant(color, plain);
+    for (std::uint32_t i = 0; i < 3; ++i) forest.submit(i, streams[i]);
+    return forest.run();
+  };
+
+  const ForestReport want = run(kThreadCounts[0]);
+  // The round-1 cut order above: each tenant's cuts per cycle.
+  const std::uint64_t cuts_at[3][3] = {{20, 0, 35}, {20, 0, 10}, {10, 80, 0}};
+  std::uint64_t round_one = 0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::uint64_t cycle = 1; cycle <= 3; ++cycle) {
+      std::uint64_t cuts = 0;
+      for (const FormedBatch& b : want.tenants[i].batches) {
+        cuts += b.formed_cycle == cycle ? 1 : 0;
+        EXPECT_EQ(b.members.size(), 1u);
+      }
+      EXPECT_EQ(cuts, cuts_at[i][cycle - 1]) << i << " @" << cycle;
+      round_one += cuts;
+    }
+  }
+  ASSERT_EQ(round_one, 175u);
+  ASSERT_EQ(want.rounds, 2u);
+  std::uint64_t retried = 0;
+  for (const TenantReport& t : want.tenants) {
+    for (const Response& r : t.responses) {
+      EXPECT_EQ(r.status, RequestStatus::kOk);
+      retried += r.retries;
+    }
+  }
+  ASSERT_GT(retried, 0u);
+  std::uint64_t batches = 0;
+  for (const TenantReport& t : want.tenants) batches += t.batches.size();
+  ASSERT_EQ(batches, round_one + retried);  // one cut per retry in round 2
+  // Both controllers decided on the way: the planner moved subtrees, and
+  // the selector left modulo for COLOR.
+  const Json* migration = want.tenants[0].metrics.find("migration");
+  const Json* selection = want.tenants[1].metrics.find("adaptive");
+  ASSERT_NE(migration, nullptr);
+  ASSERT_NE(selection, nullptr);
+  EXPECT_GT(migration->find("epochs_planned")->as_uint(), 1u);
+  EXPECT_GT(migration->find("subtrees_moved")->as_uint(), 0u);
+  EXPECT_GT(selection->find("switches")->as_uint(), 0u);
+
+  for (std::size_t k = 1; k < std::size(kThreadCounts); ++k) {
+    SCOPED_TRACE(thread_trace(kThreadCounts[k]));
+    expect_same_forest_report(run(kThreadCounts[k]), want);
+  }
+}
+
+TEST(ServePipeline, ObserveWaitIsZeroWithoutAnEpochController) {
+  // Chunks without an observing cut take no turn, so a run without an
+  // epoch controller never waits for one.
+  const Config cfg = random_config(0x0B5E);
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pipeline_workers=" + std::to_string(workers));
+    const ServeReport report = run_server(cfg, workers);
+    ASSERT_GT(report.batches.size(), 0u);
+    EXPECT_EQ(report.metrics.find("pipeline")
+                  ->find("stage_ns")
+                  ->find("observe_wait")
+                  ->as_uint(),
+              0u);
   }
 }
 
@@ -869,9 +1034,8 @@ std::uint64_t expect_strictly_increasing(
 }
 
 TEST(ServePipeline, ReportedBatchNodesAreStrictlyIncreasing) {
-  // A raw slot's cuts are deduplicated by whichever thread claims their
-  // chunk; a slot with an epoch controller dedups at the cut, so the
-  // controller observes the deduplicated set. Either way the report holds
+  // Every cut is deduplicated by whichever thread claims its chunk, before
+  // the slot's epoch controller, if any, observes it. The report holds
   // each batch's nodes in strictly increasing (level, index) order. E19's
   // paths share their upper levels, so every run coalesces.
   const Config cfg = e19_config(2);

@@ -319,6 +319,50 @@ TEST(Server, RequestAtTheClockHorizonCompletes) {
   EXPECT_GE(report.final_cycle, last.completion_cycle);
 }
 
+TEST(Server, RejectsTicksAndWaitsPastTheClockHorizon) {
+  // A tick of 2^63 + 1 wrapped the tick clock: a request at cycle 1 was
+  // admitted at 2^63 + 1 and dispatched at 2. A 2^62 tick under an
+  // unbounded wait never cut it, so run() never returned. Construction
+  // throws for both; nothing here runs.
+  const CompleteBinaryTree tree(8);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 15));
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t past :
+       {kClockHorizon + 1, (std::uint64_t{1} << 63) + 1, kMax}) {
+    ServerOptions tick;
+    tick.tick_cycles = past;
+    EXPECT_THROW(Server(mapping, tick), std::invalid_argument) << past;
+    ServerOptions wait;
+    wait.tick_cycles = kClockHorizon;
+    wait.batch.max_wait_cycles = past;
+    EXPECT_THROW(Server(mapping, wait), std::invalid_argument) << past;
+  }
+}
+
+TEST(Server, TickAndWaitAtTheClockHorizonServeARequestThere) {
+  const CompleteBinaryTree tree(8);
+  const ModuloMapping mapping(tree, 2);
+  ServerOptions opts;
+  opts.tick_cycles = kClockHorizon;
+  opts.batch.max_wait_cycles = kClockHorizon;
+  Server server(mapping, opts);
+  EXPECT_EQ(server.options().tick_cycles, kClockHorizon);
+  server.submit(
+      std::vector<Request>{at_cycle(0, 1), at_cycle(1, kClockHorizon)});
+  const ServeReport report = server.run();
+  ASSERT_EQ(report.responses.size(), 2u);
+  for (const Response& r : report.responses) {
+    EXPECT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_LE(r.submit_cycle, r.admitted_cycle);
+    EXPECT_LE(r.admitted_cycle, r.dispatch_cycle);
+    EXPECT_LT(r.dispatch_cycle, r.completion_cycle);
+  }
+  // Both arrive by the first tick, 2^62, and wait out the budget there.
+  EXPECT_EQ(report.responses[1].admitted_cycle, kClockHorizon);
+  EXPECT_EQ(report.responses[1].dispatch_cycle, 2 * kClockHorizon);
+  EXPECT_GE(report.final_cycle, report.responses[1].completion_cycle);
+}
+
 TEST(ServerRetry, RetryBudgetExhaustedExactlyAtDeadlineCycleExpires) {
   // Edge case at the retry/deadline boundary: the single allowed retry
   // resends at dispatch + timeout + backoff(1), and the deadline is set
