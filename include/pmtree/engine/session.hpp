@@ -4,9 +4,9 @@
 // accesses, resolves every color through the mapping, then simulates the
 // module queues to completion. The serve layer's batch executor wants
 // those phases split across batches: at each round barrier a lane's
-// batches are color-resolved against the mapping in force at their cut
-// (SIMD gather), fed in cut order, and simulated with the lane's earlier
-// rounds. EngineSession is that split:
+// batches are color-resolved against the mapping in force at their cut,
+// fed in cut order, and simulated with the lane's earlier rounds.
+// EngineSession is that split:
 //
 //   feed_resolved(colors, arrival)   — one access, its colors resolved
 //                                      upstream (mapping.colors_of);

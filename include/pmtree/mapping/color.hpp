@@ -103,16 +103,16 @@ class ColorMapping : public TreeMapping {
   ///     built for the batch path even under kLazy when it fits) collapses
   ///     the within-block chase to one lookup;
   ///   * when the top table covers a whole block, every chase provably
-  ///     terminates in a top-table gather; the kernel then runs two
+  ///     terminates in a top-table lookup; the kernel then runs two
   ///     phases — a branch-free arithmetic chase (each jump is one
   ///     precomposed Step lookup) that emits terminal BFS ids, then one
-  ///     tight gather loop whose independent loads the CPU overlaps;
+  ///     tight lookup loop whose independent loads the CPU overlaps;
   ///   * outside the fast path, input runs inside one block share that
   ///     block's resolved Gamma entries through a per-block memo, so a
   ///     group of nodes triggers each Gamma chase once per block.
   ///
   /// Net: N nodes x O(H) chases become O(H/(N-k)) branch-free arithmetic
-  /// steps plus O(1) gathers per node. Identical colors to color_of in
+  /// steps plus O(1) table lookups per node. Identical colors to color_of in
   /// every retrieval mode.
   void color_of_batch(std::span<const Node> nodes,
                       std::span<Color> out) const override;
@@ -162,7 +162,7 @@ class ColorMapping : public TreeMapping {
     std::vector<Color> top_colors;
     std::vector<Resolution> block_table;  ///< kLazy batch path; empty if too big
     /// Fast-chase tables, built when the top table covers a whole block
-    /// (then every chase provably terminates in a top-table gather).
+    /// (then every chase provably terminates in a top-table lookup).
     /// Per level j >= k: block-relative level r, block root level jb*stride,
     /// and 2^r - 1 (the level's offset into the position table) — three L1
     /// lookups replace the per-step division by the stride.
@@ -203,8 +203,7 @@ class EagerColorMapping final : public TreeMapping {
   [[nodiscard]] Color color_of(Node n) const override {
     return table_[bfs_id(n)];
   }
-  /// Devirtualized table gather; runs the AVX2 gather kernel when the
-  /// table is small enough for 32-bit indices (trees up to 31 levels).
+  /// Devirtualized table lookup: one indexed read per node.
   void color_of_batch(std::span<const Node> nodes,
                       std::span<Color> out) const override;
   [[nodiscard]] std::uint32_t num_modules() const noexcept override {

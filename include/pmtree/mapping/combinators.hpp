@@ -49,9 +49,9 @@ class MigratedMapping final : public TreeMapping {
     }
     return c;
   }
-  /// Delegates to the base's devirtualized batch kernel (the PR 2
-  /// accelerator / PR 7 SIMD gather), then applies the rotation in one
-  /// branch-light pass.
+  /// Delegates to the base's devirtualized batch kernel (for COLOR, the
+  /// block-aware resolver), then applies the rotation in one branch-light
+  /// pass.
   void color_of_batch(std::span<const Node> nodes,
                       std::span<Color> out) const override {
     base_.color_of_batch(nodes, out);

@@ -43,7 +43,7 @@ class TreeMapping {
   /// Batch retrieval kernel: `out[i] = color_of(nodes[i])` for every i.
   /// Precondition: out.size() >= nodes.size(). The base implementation is a
   /// per-node loop; concrete mappings override it with devirtualized fast
-  /// paths (table gathers, branch-free arithmetic loops, and ColorMapping's
+  /// paths (table lookups, branch-free arithmetic loops, and ColorMapping's
   /// block-aware resolver that amortizes the §3.2 inheritance chase across
   /// the batch). Thread-safe: concurrent calls on one mapping are allowed.
   virtual void color_of_batch(std::span<const Node> nodes,

@@ -116,9 +116,6 @@ class AdaptiveSelector {
   [[nodiscard]] const std::vector<AdaptiveEvent>& events() const noexcept {
     return events_;
   }
-  [[nodiscard]] std::span<const std::uint64_t> scores() const noexcept {
-    return scores_;
-  }
 
   /// Metrics payload for ServeMetrics::set_adaptive: policy echo with
   /// candidate names, epoch/switch counters, the live scores, and the

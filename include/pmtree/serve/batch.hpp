@@ -107,8 +107,6 @@ class BatchFormer {
   /// FormedBatch::decomposition when that replay is revised.
   [[nodiscard]] static CompositeInstance coalesce(std::vector<Node>& nodes);
 
-  [[nodiscard]] const BatchPolicy& policy() const noexcept { return policy_; }
-
  private:
   BatchPolicy policy_;
   std::uint64_t next_id_ = 0;

@@ -173,7 +173,10 @@ class Forest {
   /// Drains every submitted request to a terminal status and returns the
   /// full report. Quiesce first (no concurrent submit). May be called
   /// repeatedly; each run consumes the requests submitted since the
-  /// previous one.
+  /// previous one. Throws std::overflow_error, at every thread count,
+  /// when the shared tick loop reaches a tick past UINT64_MAX -
+  /// kClockHorizon (request.hpp), before anything is cut there; the run's
+  /// requests are consumed.
   [[nodiscard]] ForestReport run();
 
   [[nodiscard]] const ForestOptions& options() const noexcept {

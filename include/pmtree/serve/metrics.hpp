@@ -36,7 +36,7 @@ class ServeMetrics {
   /// Instruments are created in `registry` on first touch; the registry
   /// must outlive this object.
   explicit ServeMetrics(engine::MetricsRegistry& registry,
-                        std::string prefix = "serve");
+                        const std::string& prefix = "serve");
 
   void on_submitted(std::uint64_t count) { submitted_->add(count); }
   void on_admitted() { admitted_->add(); }
@@ -60,10 +60,10 @@ class ServeMetrics {
   void on_completed(const Response& response);
 
   /// Attaches the batch executor's stage-attribution snapshot (cumulative
-  /// stage nanoseconds, rounds, batches, most cuts in one round, active
-  /// SIMD kernel; DESIGN.md §14). summary() emits it as a "pipeline"
-  /// section only when set (pipeline.workers >= 1), so other runs keep
-  /// their exact JSON shape.
+  /// stage nanoseconds, rounds, batches, most cuts in one round;
+  /// DESIGN.md §14). summary() emits it as a "pipeline" section only when
+  /// set (pipeline.workers >= 1), so other runs keep their exact JSON
+  /// shape.
   void set_pipeline(Json stats) { pipeline_ = std::move(stats); }
 
   /// Attaches the skew-adaptive planner's snapshot
@@ -100,10 +100,7 @@ class ServeMetrics {
   ///               "retried_latency": {...histogram...}}}
   [[nodiscard]] Json summary() const;
 
-  [[nodiscard]] const std::string& prefix() const noexcept { return prefix_; }
-
  private:
-  std::string prefix_;
   engine::Counter* submitted_;
   engine::Counter* admitted_;
   engine::Counter* blocked_;

@@ -68,7 +68,11 @@ enum class RequestKind : std::uint8_t {
 /// and Forest::add_tenant std::invalid_argument for a
 /// BatchPolicy::max_wait_cycles past it, the Server and Forest
 /// constructors for a tick_cycles past it, and the retry scan sends no
-/// retry past it.
+/// retry past it. Each bound caps one step, not a chain of blocked
+/// requests each waiting out a full budget, so the tick loop also keeps
+/// kClockHorizon cycles for completions: Server::run and Forest::run throw
+/// std::overflow_error when it reaches a tick past UINT64_MAX -
+/// kClockHorizon, before anything is cut there.
 inline constexpr std::uint64_t kClockHorizon = std::uint64_t{1} << 62;
 
 struct Request {

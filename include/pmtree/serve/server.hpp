@@ -275,7 +275,10 @@ class Server {
   /// full report. Quiesce first: run() must not race concurrent submit()
   /// calls — the graceful-shutdown contract is "stop submitting, then
   /// run() resolves everything in flight". May be called repeatedly; each
-  /// run consumes the requests submitted since the previous one.
+  /// run consumes the requests submitted since the previous one. Throws
+  /// std::overflow_error, at every thread count, when the tick loop
+  /// reaches a tick past UINT64_MAX - kClockHorizon (request.hpp), before
+  /// anything is cut there; the run's requests are consumed.
   [[nodiscard]] ServeReport run();
 
   [[nodiscard]] const ServerOptions& options() const noexcept {

@@ -4,8 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "pmtree/util/simd.hpp"
-
 namespace pmtree {
 
 namespace {
@@ -162,7 +160,7 @@ const ColorMapping::BatchAccel& ColorMapping::accel() const {
   // Fast-chase tables: precompose every block-relative position's jump into
   // a branch-free Step, plus per-level (r, root level, position base)
   // lookups. Only meaningful when the top table covers a whole block, so
-  // every chase ends in a top-table gather (see color_of_batch).
+  // every chase ends in a top-table lookup (see color_of_batch).
   const std::vector<Resolution>* btab =
       retrieval_ == Retrieval::kBlockTable
           ? &block_table_
@@ -231,18 +229,12 @@ void ColorMapping::color_of_batch(std::span<const Node> nodes,
   if (nodes.empty()) return;
   const BatchAccel& acc = accel();
 
-  // Whole tree above the horizon: pure table gather. BFS ids fit 32 bits
-  // (top_levels is capped at 20), so the lookup vectorizes: materialize the
-  // indices once, then one AVX2 gather sweep over the top table.
+  // Whole tree above the horizon: one top-table lookup per node.
   if (acc.top_levels >= tree().levels()) {
-    thread_local std::vector<std::uint32_t> ids;
-    ids.resize(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       assert(tree().contains(nodes[i]));
-      ids[i] = static_cast<std::uint32_t>(bfs_id(nodes[i]));
+      out[i] = acc.top_colors[bfs_id(nodes[i])];
     }
-    simd::gather_u32(acc.top_colors.data(), ids.data(), nodes.size(),
-                     out.data());
     return;
   }
 
@@ -262,7 +254,7 @@ void ColorMapping::color_of_batch(std::span<const Node> nodes,
   // below level N <= top. The kernel then runs two phases: a branch-free
   // arithmetic chase — each jump is one precomposed Step lookup, no
   // data-dependent branch to mispredict — emitting terminal BFS ids, then
-  // one tight gather loop whose independent loads into the 4 MiB top table
+  // one tight lookup loop whose independent loads into the 4 MiB top table
   // the CPU overlaps (memory-level parallelism the fused per-node loop
   // cannot extract).
   if (!acc.steps.empty()) {
@@ -287,13 +279,13 @@ void ColorMapping::color_of_batch(std::span<const Node> nodes,
         lvl = static_cast<std::uint32_t>(root_of[lvl] + s.dlevel);
         idx = ((ib >> s.rshift) << s.lshift) + s.add;
       }
-      // Terminal BFS id: lvl < top <= 20, so it fits 32 bits and the
-      // gather phase can run the AVX2 kernel.
+      // Terminal BFS id: lvl < top <= 20, so it fits 32 bits.
       term[i] = static_cast<std::uint32_t>(pow2(lvl) - 1 + idx);
     }
 
-    simd::gather_u32(acc.top_colors.data(), term.data(), nodes.size(),
-                     out.data());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      out[i] = acc.top_colors[term[i]];
+    }
     return;
   }
 
@@ -435,18 +427,6 @@ EagerColorMapping::EagerColorMapping(const ColorMapping& base)
 void EagerColorMapping::color_of_batch(std::span<const Node> nodes,
                                        std::span<Color> out) const {
   assert(out.size() >= nodes.size());
-  // The AVX2 gather consumes indices as signed 32-bit lane offsets, so it
-  // only applies while every BFS id fits 31 bits (trees up to 31 levels);
-  // taller trees keep the scalar sweep.
-  if (table_.size() < (std::uint64_t{1} << 31)) {
-    thread_local std::vector<std::uint32_t> ids;
-    ids.resize(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      ids[i] = static_cast<std::uint32_t>(bfs_id(nodes[i]));
-    }
-    simd::gather_u32(table_.data(), ids.data(), nodes.size(), out.data());
-    return;
-  }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     out[i] = table_[bfs_id(nodes[i])];
   }

@@ -16,12 +16,16 @@
 
 #include "pmtree/engine/session.hpp"
 #include "pmtree/util/parallel.hpp"
-#include "pmtree/util/simd.hpp"
 
 namespace pmtree::serve::detail {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr std::uint64_t kMaxCycle = std::numeric_limits<std::uint64_t>::max();
+/// The last tick the loop may cut at: it leaves kClockHorizon cycles for
+/// the batches cut there to complete (request.hpp).
+constexpr std::uint64_t kLastTick = kMaxCycle - kClockHorizon;
 
 std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
   return static_cast<std::uint64_t>(
@@ -421,7 +425,6 @@ Json stage_json(const StageStats& stats, unsigned workers, std::size_t lanes) {
   j.set("batches", Json(stats.batches));
   j.set("max_in_flight", Json(stats.max_in_flight));
   j.set("stage_ns", std::move(stage));
-  j.set("simd_kernel", Json(simd::active_kernel()));
   return j;
 }
 
@@ -558,6 +561,10 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
     exec.reserve(intake.size(), raw_nodes);
 
     while (unresolved > 0) {
+      // A batch cut past the last tick could complete past UINT64_MAX.
+      if (t > kLastTick) {
+        throw std::overflow_error("serve clock past its last tick");
+      }
       report.ticks += 1;
       // Phase 1: expire queued requests whose deadline budget elapsed.
       for (std::size_t i = 0; i < N; ++i) {
@@ -661,15 +668,16 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
       }
       if (aggregate) aggregate->on_tick(total_pending, total_blocked);
 
-      // Advance. With every queue idle the next event is the next
-      // arrival: jump straight to its tick (ceiling — intake needs
+      // Advance, saturating. With every queue idle the next event is the
+      // next arrival: jump straight to its tick (ceiling — intake needs
       // arrival <= t) instead of ticking through the gap.
+      const std::uint64_t next = t > kMaxCycle - T ? kMaxCycle : t + T;
       if (idle && next_intake < intake.size()) {
         const std::uint64_t arrival = intake[next_intake].arrival;
         const std::uint64_t next_tick = (arrival + T - 1) / T * T;
-        t = next_tick > t ? next_tick : t + T;
+        t = next_tick > t ? next_tick : next;
       } else {
-        t += T;
+        t = next;
       }
     }
 

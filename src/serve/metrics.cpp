@@ -34,31 +34,30 @@ Json histogram_summary(const Histogram& h) {
 }  // namespace
 
 ServeMetrics::ServeMetrics(engine::MetricsRegistry& registry,
-                           std::string prefix)
-    : prefix_(std::move(prefix)),
-      submitted_(&registry.counter(prefix_ + ".submitted")),
-      admitted_(&registry.counter(prefix_ + ".admitted")),
-      blocked_(&registry.counter(prefix_ + ".blocked")),
-      promoted_(&registry.counter(prefix_ + ".promoted")),
-      completed_(&registry.counter(prefix_ + ".completed")),
-      shed_(&registry.counter(prefix_ + ".shed")),
-      expired_(&registry.counter(prefix_ + ".expired")),
-      batches_(&registry.counter(prefix_ + ".batches")),
-      batched_requests_(&registry.counter(prefix_ + ".batched_requests")),
-      requested_nodes_(&registry.counter(prefix_ + ".requested_nodes")),
-      batched_nodes_(&registry.counter(prefix_ + ".batched_nodes")),
-      coalesced_nodes_(&registry.counter(prefix_ + ".coalesced_nodes")),
-      ticks_(&registry.counter(prefix_ + ".ticks")),
-      retries_(&registry.counter(prefix_ + ".retries")),
-      rerouted_requests_(&registry.counter(prefix_ + ".rerouted_requests")),
-      stalled_cycles_(&registry.counter(prefix_ + ".stalled_cycles")),
-      queue_depth_(&registry.gauge(prefix_ + ".queue_depth")),
-      blocked_depth_(&registry.gauge(prefix_ + ".blocked_depth")),
-      latency_(&registry.histogram(prefix_ + ".latency")),
-      queue_wait_(&registry.histogram(prefix_ + ".queue_wait")),
-      batch_nodes_(&registry.histogram(prefix_ + ".batch_nodes")),
-      batch_requests_(&registry.histogram(prefix_ + ".batch_requests")),
-      retried_latency_(&registry.histogram(prefix_ + ".retried_latency")) {}
+                           const std::string& prefix)
+    : submitted_(&registry.counter(prefix + ".submitted")),
+      admitted_(&registry.counter(prefix + ".admitted")),
+      blocked_(&registry.counter(prefix + ".blocked")),
+      promoted_(&registry.counter(prefix + ".promoted")),
+      completed_(&registry.counter(prefix + ".completed")),
+      shed_(&registry.counter(prefix + ".shed")),
+      expired_(&registry.counter(prefix + ".expired")),
+      batches_(&registry.counter(prefix + ".batches")),
+      batched_requests_(&registry.counter(prefix + ".batched_requests")),
+      requested_nodes_(&registry.counter(prefix + ".requested_nodes")),
+      batched_nodes_(&registry.counter(prefix + ".batched_nodes")),
+      coalesced_nodes_(&registry.counter(prefix + ".coalesced_nodes")),
+      ticks_(&registry.counter(prefix + ".ticks")),
+      retries_(&registry.counter(prefix + ".retries")),
+      rerouted_requests_(&registry.counter(prefix + ".rerouted_requests")),
+      stalled_cycles_(&registry.counter(prefix + ".stalled_cycles")),
+      queue_depth_(&registry.gauge(prefix + ".queue_depth")),
+      blocked_depth_(&registry.gauge(prefix + ".blocked_depth")),
+      latency_(&registry.histogram(prefix + ".latency")),
+      queue_wait_(&registry.histogram(prefix + ".queue_wait")),
+      batch_nodes_(&registry.histogram(prefix + ".batch_nodes")),
+      batch_requests_(&registry.histogram(prefix + ".batch_requests")),
+      retried_latency_(&registry.histogram(prefix + ".retried_latency")) {}
 
 void ServeMetrics::on_tick(std::size_t pending, std::size_t blocked_depth) {
   ticks_->add();

@@ -93,17 +93,11 @@
 # Benchmarks are off in the sanitizer presets (google-benchmark under TSan
 # is noise, not signal); examples and tests build and run. Every preset
 # configures with PMTREE_WERROR=ON, so a compiler warning fails its leg.
-#
-# After the sanitizers, the `nosimd` preset builds and runs the suite with
-# the SIMD batch kernels compiled out — the scalar fallbacks must stay
-# bit-identical (the batch == scalar differential suites make any drift a
-# test failure, not just a perf note). Skipped when a single sanitizer is
-# requested explicitly; run it alone with `tests/run_sanitizers.sh nosimd`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-sanitizers=(asan ubsan tsan nosimd)
+sanitizers=(asan ubsan tsan)
 if [[ $# -ge 1 && -n "$1" ]]; then
   sanitizers=("$1")
 fi

@@ -23,6 +23,7 @@
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "serve_compare.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -258,15 +259,6 @@ ServeReport run_once(const TreeMapping& mapping, const ServerOptions& opts,
   return server.run();
 }
 
-void expect_same_metrics_modulo_pipeline(const Json& got, const Json& want) {
-  for (const auto& [key, value] : want.members()) {
-    if (key == "pipeline") continue;
-    const Json* other = got.find(key);
-    ASSERT_NE(other, nullptr) << "missing metrics section " << key;
-    ASSERT_EQ(other->dump(), value.dump()) << "metrics section " << key;
-  }
-}
-
 TEST(ServeAdaptive, ServerBitIdenticalAcrossWorkerCountsAndSwitches) {
   const CompleteBinaryTree tree(9);
   const ColorMapping color(make_optimal_color_mapping(tree, 7));
@@ -316,7 +308,7 @@ TEST(ServeAdaptive, StagedPipelineMatchesOracle) {
     }
     ASSERT_EQ(piped.batches.size(), oracle.batches.size());
     ASSERT_EQ(piped.final_cycle, oracle.final_cycle);
-    expect_same_metrics_modulo_pipeline(piped.metrics, oracle.metrics);
+    expect_same_metrics_but(piped.metrics, oracle.metrics, "pipeline");
     // The pipelined selector saw the same cut stream: same epoch audit.
     ASSERT_EQ(piped.metrics.find("adaptive")->dump(),
               oracle.metrics.find("adaptive")->dump());
@@ -439,7 +431,7 @@ TEST(ServeAdaptive, ForestAdaptsPerTenantWithWorkerInvariance) {
                   wt.responses[k].completion_cycle);
         ASSERT_EQ(gt.responses[k].batch, wt.responses[k].batch);
       }
-      expect_same_metrics_modulo_pipeline(gt.metrics, wt.metrics);
+      expect_same_metrics_but(gt.metrics, wt.metrics, "pipeline");
     }
   }
 }

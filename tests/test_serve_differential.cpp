@@ -15,6 +15,7 @@
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "serve_compare.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -105,27 +106,10 @@ ServeReport run_with_workers(const Config& cfg, unsigned workers) {
 }
 
 void expect_same_report(const ServeReport& got, const ServeReport& want) {
-  ASSERT_EQ(got.responses.size(), want.responses.size());
-  for (std::size_t i = 0; i < got.responses.size(); ++i) {
-    const Response& a = got.responses[i];
-    const Response& b = want.responses[i];
-    ASSERT_EQ(a.client, b.client) << i;
-    ASSERT_EQ(a.seq, b.seq) << i;
-    ASSERT_EQ(a.status, b.status) << i;
-    ASSERT_EQ(a.submit_cycle, b.submit_cycle) << i;
-    ASSERT_EQ(a.admitted_cycle, b.admitted_cycle) << i;
-    ASSERT_EQ(a.dispatch_cycle, b.dispatch_cycle) << i;
-    ASSERT_EQ(a.completion_cycle, b.completion_cycle) << i;
-    ASSERT_EQ(a.batch, b.batch) << i;
-    ASSERT_EQ(a.retries, b.retries) << i;
-  }
+  expect_same_responses(got.responses, want.responses);
   ASSERT_EQ(got.rounds, want.rounds);
-  ASSERT_EQ(got.batches.size(), want.batches.size());
-  for (std::size_t b = 0; b < got.batches.size(); ++b) {
-    ASSERT_EQ(got.batches[b].members, want.batches[b].members) << b;
-    ASSERT_EQ(got.batches[b].nodes, want.batches[b].nodes) << b;
-    ASSERT_EQ(got.batches[b].formed_cycle, want.batches[b].formed_cycle) << b;
-  }
+  expect_same_batches(got.batches, want.batches);
+  expect_same_lanes(got.replicas, want.replicas);
   ASSERT_EQ(got.ticks, want.ticks);
   ASSERT_EQ(got.final_cycle, want.final_cycle);
   // The whole report — metrics, per-replica trajectories, response rows —

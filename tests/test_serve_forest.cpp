@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pmtree/fault/plan.hpp"
@@ -21,6 +22,7 @@
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "serve_compare.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -202,26 +204,8 @@ ForestReport run_with_workers(const ForestConfig& cfg, unsigned workers) {
 }
 
 void expect_same_tenant(const TenantReport& got, const TenantReport& want) {
-  ASSERT_EQ(got.responses.size(), want.responses.size());
-  for (std::size_t i = 0; i < got.responses.size(); ++i) {
-    const Response& a = got.responses[i];
-    const Response& b = want.responses[i];
-    ASSERT_EQ(a.client, b.client) << i;
-    ASSERT_EQ(a.seq, b.seq) << i;
-    ASSERT_EQ(a.status, b.status) << i;
-    ASSERT_EQ(a.submit_cycle, b.submit_cycle) << i;
-    ASSERT_EQ(a.admitted_cycle, b.admitted_cycle) << i;
-    ASSERT_EQ(a.dispatch_cycle, b.dispatch_cycle) << i;
-    ASSERT_EQ(a.completion_cycle, b.completion_cycle) << i;
-    ASSERT_EQ(a.batch, b.batch) << i;
-    ASSERT_EQ(a.retries, b.retries) << i;
-  }
-  ASSERT_EQ(got.batches.size(), want.batches.size());
-  for (std::size_t b = 0; b < got.batches.size(); ++b) {
-    ASSERT_EQ(got.batches[b].members, want.batches[b].members) << b;
-    ASSERT_EQ(got.batches[b].nodes, want.batches[b].nodes) << b;
-    ASSERT_EQ(got.batches[b].formed_cycle, want.batches[b].formed_cycle) << b;
-  }
+  expect_same_responses(got.responses, want.responses);
+  expect_same_batches(got.batches, want.batches);
   ASSERT_EQ(got.served_nodes, want.served_nodes);
 }
 
@@ -612,6 +596,45 @@ TEST(ServeForest, TickAndWaitAtTheClockHorizonServeARequestThere) {
   // other tenant's default wait cuts at the next tick.
   EXPECT_EQ(report.tenants[0].responses[1].dispatch_cycle, 2 * kClockHorizon);
   EXPECT_EQ(report.tenants[1].responses[0].dispatch_cycle, 2 * kClockHorizon);
+}
+
+TEST(ServeForest, TicksPastTheLastTickThrowOverflow) {
+  // The Server's probe on the forest's shared clock: a request at 2^62 is
+  // cut at tick 2^64 - 4, which wrapped the next tick (two modules, a
+  // blocked second request) or completed an 8-node access three cycles
+  // after its dispatch (one module). run() throws std::overflow_error.
+  const CompleteBinaryTree tree(8);
+  for (const std::uint32_t modules : {2u, 1u}) {
+    const ModuloMapping mapping(tree, modules);
+    for (const auto& [workers, pipeline] :
+         {std::pair{1u, 0u}, {2u, 0u}, {8u, 0u}, {1u, 2u}, {1u, 8u}}) {
+      SCOPED_TRACE(::testing::Message() << modules << " modules, workers "
+                                        << workers << ", pipeline "
+                                        << pipeline);
+      ForestOptions fopts;
+      fopts.tick_cycles = kClockHorizon - 1;
+      fopts.workers = workers;
+      fopts.pipeline.workers = pipeline;
+      Forest forest(fopts);
+      TenantOptions topts;
+      topts.batch.max_wait_cycles = kClockHorizon;
+      topts.admission.queue_bound = 1;
+      topts.admission.overflow = OverflowPolicy::kBlock;
+      forest.add_tenant(mapping, topts);
+      if (modules == 2) {
+        Request second = forest_at_cycle(1, kClockHorizon);
+        second.nodes = {v(0, 0)};
+        forest.submit(0, std::vector<Request>{
+                             forest_at_cycle(0, kClockHorizon), second});
+      } else {
+        Request only = forest_at_cycle(0, kClockHorizon);
+        only.nodes = {v(0, 0), v(0, 1), v(1, 1), v(0, 2),
+                      v(1, 2), v(2, 2), v(3, 2), v(0, 3)};
+        forest.submit(0, only);
+      }
+      EXPECT_THROW((void)forest.run(), std::overflow_error);
+    }
+  }
 }
 
 TEST(ServeForest, AddTenantAfterPlanningThrows) {

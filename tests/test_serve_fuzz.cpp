@@ -48,6 +48,7 @@
 #include "pmtree/serve/request.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "serve_compare.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -563,70 +564,6 @@ void expect_terminal(const std::vector<Response>& responses,
   }
 }
 
-void expect_same_responses(const std::vector<Response>& got,
-                           const std::vector<Response>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const Response& a = got[i];
-    const Response& b = want[i];
-    ASSERT_EQ(a.client, b.client) << i;
-    ASSERT_EQ(a.seq, b.seq) << i;
-    ASSERT_EQ(a.status, b.status) << i;
-    ASSERT_EQ(a.submit_cycle, b.submit_cycle) << i;
-    ASSERT_EQ(a.admitted_cycle, b.admitted_cycle) << i;
-    ASSERT_EQ(a.dispatch_cycle, b.dispatch_cycle) << i;
-    ASSERT_EQ(a.completion_cycle, b.completion_cycle) << i;
-    ASSERT_EQ(a.batch, b.batch) << i;
-    ASSERT_EQ(a.retries, b.retries) << i;
-  }
-}
-
-void expect_same_batches(const std::vector<FormedBatch>& got,
-                         const std::vector<FormedBatch>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t b = 0; b < got.size(); ++b) {
-    ASSERT_EQ(got[b].id, want[b].id) << b;
-    ASSERT_EQ(got[b].formed_cycle, want[b].formed_cycle) << b;
-    ASSERT_EQ(got[b].members, want[b].members) << b;
-    ASSERT_EQ(got[b].nodes, want[b].nodes) << b;
-    ASSERT_EQ(got[b].requested_nodes, want[b].requested_nodes) << b;
-  }
-}
-
-void expect_same_lanes(const std::vector<engine::EngineResult>& got,
-                       const std::vector<engine::EngineResult>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t l = 0; l < got.size(); ++l) {
-    ASSERT_EQ(got[l].to_json().dump(), want[l].to_json().dump()) << l;
-  }
-}
-
-void expect_same_mutations(const std::vector<MutationRecord>& got,
-                           const std::vector<MutationRecord>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t m = 0; m < got.size(); ++m) {
-    ASSERT_EQ(got[m].batch, want[m].batch) << m;
-    ASSERT_EQ(got[m].client, want[m].client) << m;
-    ASSERT_EQ(got[m].seq, want[m].seq) << m;
-    ASSERT_EQ(got[m].kind, want[m].kind) << m;
-    ASSERT_EQ(got[m].target, want[m].target) << m;
-    ASSERT_EQ(got[m].payload, want[m].payload) << m;
-    ASSERT_EQ(got[m].status, want[m].status) << m;
-    ASSERT_EQ(got[m].applied_cycle, want[m].applied_cycle) << m;
-  }
-}
-
-void expect_same_metrics_but_pipeline(const Json& got, const Json& want) {
-  ASSERT_EQ(got.members().size() - (got.find("pipeline") ? 1 : 0),
-            want.members().size() - (want.find("pipeline") ? 1 : 0));
-  for (const auto& [key, value] : want.members()) {
-    if (key == "pipeline") continue;
-    const Json* other = got.find(key);
-    ASSERT_NE(other, nullptr) << key;
-    ASSERT_EQ(other->dump(), value.dump()) << key;
-  }
-}
-
 void expect_recounted(const mem::MemoryBackend* memory,
                       const std::vector<FormedBatch>& batches,
                       const mem::TouchStats& reported) {
@@ -745,7 +682,7 @@ TEST(ServeFuzz, ServerDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
       ASSERT_NO_FATAL_FAILURE(
           expect_same_mutations(got.mutations, want->mutations));
       ASSERT_NO_FATAL_FAILURE(
-          expect_same_metrics_but_pipeline(got.metrics, want->metrics));
+          expect_same_metrics_but(got.metrics, want->metrics, "pipeline"));
       ASSERT_EQ(got.memory, want->memory);
       ASSERT_EQ(got.ticks, want->ticks);
       ASSERT_EQ(got.rounds, want->rounds);
@@ -864,7 +801,7 @@ TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
         ASSERT_NO_FATAL_FAILURE(expect_same_batches(a.batches, b.batches));
         ASSERT_NO_FATAL_FAILURE(expect_same_lanes(a.lanes, b.lanes));
         ASSERT_NO_FATAL_FAILURE(
-            expect_same_metrics_but_pipeline(a.metrics, b.metrics));
+            expect_same_metrics_but(a.metrics, b.metrics, "pipeline"));
         ASSERT_EQ(a.memory, b.memory);
         ASSERT_EQ(a.served_nodes, b.served_nodes);
       }

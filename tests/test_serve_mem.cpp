@@ -21,6 +21,7 @@
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "serve_compare.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -79,32 +80,6 @@ ServeReport run_once(const TreeMapping& mapping, const ServerOptions& opts,
   return server.run();
 }
 
-void expect_same_responses(const ServeReport& got, const ServeReport& want) {
-  ASSERT_EQ(got.responses.size(), want.responses.size());
-  for (std::size_t i = 0; i < got.responses.size(); ++i) {
-    const Response& x = got.responses[i];
-    const Response& y = want.responses[i];
-    ASSERT_EQ(x.client, y.client) << i;
-    ASSERT_EQ(x.seq, y.seq) << i;
-    ASSERT_EQ(x.status, y.status) << i;
-    ASSERT_EQ(x.dispatch_cycle, y.dispatch_cycle) << i;
-    ASSERT_EQ(x.completion_cycle, y.completion_cycle) << i;
-    ASSERT_EQ(x.batch, y.batch) << i;
-    ASSERT_EQ(x.retries, y.retries) << i;
-  }
-}
-
-// Everything but the "memory" section (present exactly when the backend
-// is on) and the "pipeline" section (wall-clock) must agree.
-void expect_same_metrics_modulo_memory(const Json& got, const Json& want) {
-  for (const auto& [key, value] : want.members()) {
-    if (key == "pipeline" || key == "memory") continue;
-    const Json* other = got.find(key);
-    ASSERT_NE(other, nullptr) << "missing metrics section " << key;
-    ASSERT_EQ(other->dump(), value.dump()) << "metrics section " << key;
-  }
-}
-
 mem::TouchStats recount_over_batches(const mem::MemoryBackend& memory,
                                      const std::vector<FormedBatch>& batches) {
   mem::TouchStats total;
@@ -132,8 +107,9 @@ TEST(ServeMem, BackendOnOrOffIsBitIdenticalAcrossWorkerCounts) {
     on.workers = workers;
     on.memory = &memory;
     const ServeReport got = run_once(mapping, on, requests);
-    expect_same_responses(got, want);
-    expect_same_metrics_modulo_memory(got.metrics, want.metrics);
+    expect_same_responses(got.responses, want.responses);
+    // The "memory" section is there exactly when the backend is on.
+    expect_same_metrics_but(got.metrics, want.metrics, "memory");
     ASSERT_EQ(got.batches.size(), want.batches.size());
     ASSERT_EQ(got.final_cycle, want.final_cycle);
 
@@ -168,11 +144,12 @@ TEST(ServeMem, PipelineTouchesOnWorkersYetMatchesTheOracleTotals) {
     const ServeReport piped = run_once(mapping, piped_opts, requests);
     // Identical to the accounting oracle AND to the no-backend run: the
     // backend is observation, wherever the touches execute.
-    expect_same_responses(piped, oracle);
-    expect_same_responses(piped, plain);
+    expect_same_responses(piped.responses, oracle.responses);
+    expect_same_responses(piped.responses, plain.responses);
     ASSERT_EQ(piped.memory, oracle.memory)
         << "worker-side touches must aggregate to the control-plane total";
-    expect_same_metrics_modulo_memory(piped.metrics, plain.metrics);
+    expect_same_metrics_but(piped.metrics, oracle.metrics, "pipeline");
+    expect_same_metrics_but(oracle.metrics, plain.metrics, "memory");
     ASSERT_EQ(piped.metrics.find("memory")->dump(),
               oracle.metrics.find("memory")->dump());
   }
@@ -202,7 +179,7 @@ TEST(ServeMem, FaultedRunsKeepTheBackendObservational) {
 
   const ServeReport want = run_once(mapping, off, requests);
   const ServeReport got = run_once(mapping, on, requests);
-  expect_same_responses(got, want);
+  expect_same_responses(got.responses, want.responses);
   EXPECT_EQ(got.memory, recount_over_batches(memory, got.batches));
 }
 
@@ -230,7 +207,7 @@ TEST(ServeMem, AdaptiveSelectionIsUnperturbedByTheBackend) {
     ServerOptions opts = on;
     opts.pipeline.workers = pipeline_workers;
     const ServeReport got = run_once(label, opts, requests);
-    expect_same_responses(got, want);
+    expect_same_responses(got.responses, want.responses);
     ASSERT_EQ(got.metrics.find("adaptive")->dump(),
               want.metrics.find("adaptive")->dump());
   }

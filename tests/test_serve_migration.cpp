@@ -21,6 +21,7 @@
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "serve_compare.hpp"
 
 namespace pmtree::serve {
 namespace {
@@ -295,15 +296,6 @@ ServeReport run_once(const TreeMapping& mapping, const ServerOptions& opts,
   return server.run();
 }
 
-void expect_same_metrics_modulo_pipeline(const Json& got, const Json& want) {
-  for (const auto& [key, value] : want.members()) {
-    if (key == "pipeline") continue;
-    const Json* other = got.find(key);
-    ASSERT_NE(other, nullptr) << "missing metrics section " << key;
-    ASSERT_EQ(other->dump(), value.dump()) << "metrics section " << key;
-  }
-}
-
 TEST(ServeMigration, ServerBitIdenticalAcrossWorkerCounts) {
   const CompleteBinaryTree tree(9);
   const ColorMapping mapping(make_optimal_color_mapping(tree, 13));
@@ -350,7 +342,7 @@ TEST(ServeMigration, StagedPipelineMatchesOracleUnderMigration) {
     ASSERT_EQ(piped.batches.size(), oracle.batches.size());
     ASSERT_EQ(piped.rounds, oracle.rounds);
     ASSERT_EQ(piped.final_cycle, oracle.final_cycle);
-    expect_same_metrics_modulo_pipeline(piped.metrics, oracle.metrics);
+    expect_same_metrics_but(piped.metrics, oracle.metrics, "pipeline");
     // The pipelined planner saw the same batch stream: same epoch audit.
     ASSERT_EQ(piped.metrics.find("migration")->dump(),
               oracle.metrics.find("migration")->dump());

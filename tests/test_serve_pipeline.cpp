@@ -31,69 +31,14 @@
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "serve_compare.hpp"
 #include "test_mappings.hpp"
 
 namespace pmtree::serve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared comparison helpers.
-
-void expect_same_responses(const std::vector<Response>& got,
-                           const std::vector<Response>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const Response& a = got[i];
-    const Response& b = want[i];
-    ASSERT_EQ(a.client, b.client) << i;
-    ASSERT_EQ(a.seq, b.seq) << i;
-    ASSERT_EQ(a.status, b.status) << i;
-    ASSERT_EQ(a.submit_cycle, b.submit_cycle) << i;
-    ASSERT_EQ(a.admitted_cycle, b.admitted_cycle) << i;
-    ASSERT_EQ(a.dispatch_cycle, b.dispatch_cycle) << i;
-    ASSERT_EQ(a.completion_cycle, b.completion_cycle) << i;
-    ASSERT_EQ(a.batch, b.batch) << i;
-    ASSERT_EQ(a.retries, b.retries) << i;
-  }
-}
-
-void expect_same_batches(const std::vector<FormedBatch>& got,
-                         const std::vector<FormedBatch>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t b = 0; b < got.size(); ++b) {
-    ASSERT_EQ(got[b].id, want[b].id) << b;
-    ASSERT_EQ(got[b].formed_cycle, want[b].formed_cycle) << b;
-    ASSERT_EQ(got[b].members, want[b].members) << b;
-    ASSERT_EQ(got[b].nodes, want[b].nodes) << b;
-    ASSERT_EQ(got[b].requested_nodes, want[b].requested_nodes) << b;
-  }
-}
-
-void expect_same_lanes(const std::vector<engine::EngineResult>& got,
-                       const std::vector<engine::EngineResult>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t l = 0; l < got.size(); ++l) {
-    ASSERT_EQ(got[l].to_json().dump(), want[l].to_json().dump()) << "lane "
-                                                                 << l;
-  }
-}
-
-/// The pipelined metrics must equal the oracle's section-for-section,
-/// with exactly one extra member allowed: "pipeline" (wall-time stage
-/// attribution, the single deliberately non-deterministic export).
-void expect_same_metrics_modulo_pipeline(const Json& got, const Json& want) {
-  for (const auto& [key, value] : want.members()) {
-    if (key == "pipeline") continue;  // both sides pipelined: wall time
-    const Json* other = got.find(key);
-    ASSERT_NE(other, nullptr) << "missing metrics section " << key;
-    ASSERT_EQ(other->dump(), value.dump()) << "metrics section " << key;
-  }
-  for (const auto& [key, value] : got.members()) {
-    (void)value;
-    if (key == "pipeline") continue;
-    ASSERT_NE(want.find(key), nullptr) << "extra metrics section " << key;
-  }
-}
+// The stage-attribution export.
 
 constexpr const char* kStages[] = {"control", "resolve", "observe_wait",
                                    "execute", "drain", "barrier"};
@@ -111,7 +56,7 @@ void expect_pipeline_stats_shape(const Json& metrics, unsigned workers,
   }
   EXPECT_EQ(keys, (std::vector<std::string>{"workers", "lanes", "rounds",
                                             "batches", "max_in_flight",
-                                            "stage_ns", "simd_kernel"}));
+                                            "stage_ns"}));
   ASSERT_EQ(p->find("workers")->as_uint(), workers);
   EXPECT_GE(p->find("lanes")->as_uint(), 1u);
   EXPECT_GE(p->find("rounds")->as_uint(), 1u);
@@ -203,7 +148,7 @@ void expect_same_serve_report(const ServeReport& got, const ServeReport& want) {
   ASSERT_EQ(got.ticks, want.ticks);
   ASSERT_EQ(got.rounds, want.rounds);
   ASSERT_EQ(got.final_cycle, want.final_cycle);
-  expect_same_metrics_modulo_pipeline(got.metrics, want.metrics);
+  expect_same_metrics_but(got.metrics, want.metrics, "pipeline");
 }
 
 /// The E19 serving stream (EXPERIMENTS.md): root-to-leaf path lookups,
@@ -516,7 +461,7 @@ void expect_same_forest_report(const ForestReport& got,
   const Json* want_forest = want.metrics.find("forest");
   ASSERT_NE(got_forest, nullptr);
   ASSERT_NE(want_forest, nullptr);
-  expect_same_metrics_modulo_pipeline(*got_forest, *want_forest);
+  expect_same_metrics_but(*got_forest, *want_forest, "pipeline");
   ASSERT_EQ(got.metrics.find("tenants")->dump(),
             want.metrics.find("tenants")->dump());
   ASSERT_EQ(got.metrics.find("plan")->dump(),

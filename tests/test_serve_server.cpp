@@ -14,6 +14,8 @@
 
 #include "pmtree/apps/dictionary.hpp"
 #include "pmtree/apps/range_index.hpp"
+#include "pmtree/dyn/dynamic_tree.hpp"
+#include "pmtree/dyn/incremental.hpp"
 #include "pmtree/fault/plan.hpp"
 #include "pmtree/mapping/baselines.hpp"
 #include "pmtree/mapping/color.hpp"
@@ -361,6 +363,64 @@ TEST(Server, TickAndWaitAtTheClockHorizonServeARequestThere) {
   EXPECT_EQ(report.responses[1].admitted_cycle, kClockHorizon);
   EXPECT_EQ(report.responses[1].dispatch_cycle, 2 * kClockHorizon);
   EXPECT_GE(report.final_cycle, report.responses[1].completion_cycle);
+}
+
+TEST(Server, TicksPastTheLastTickThrowOverflow) {
+  // Every option sits inside the horizon, but a request arriving at 2^62
+  // is admitted at tick 2^63 - 2 and waits out its budget until 2^64 - 4.
+  // With two modules and a blocked second request, the next tick wrapped
+  // and run() threw std::invalid_argument from the engine; with one
+  // module, an 8-node access dispatched there completed at 2^64 - 1,
+  // three cycles later. run() throws std::overflow_error instead, at
+  // every thread count, and before the cut: a write cut there would have
+  // applied to the tree.
+  const CompleteBinaryTree tree(8);
+  const std::vector<Node> eight{v(0, 0), v(0, 1), v(1, 1), v(0, 2),
+                                v(1, 2),  v(2, 2), v(3, 2), v(0, 3)};
+  dyn::IncrementalColorer colorer =
+      dyn::IncrementalColorer::color(tree, 5, 2);
+  for (const auto& [workers, pipeline] :
+       {std::pair{1u, 0u}, {2u, 0u}, {8u, 0u}, {1u, 2u}, {1u, 8u}}) {
+    SCOPED_TRACE(::testing::Message() << "workers " << workers
+                                      << ", pipeline " << pipeline);
+    ServerOptions opts;
+    opts.tick_cycles = kClockHorizon - 1;
+    opts.batch.max_wait_cycles = kClockHorizon;
+    opts.admission.queue_bound = 1;
+    opts.admission.overflow = OverflowPolicy::kBlock;
+    opts.workers = workers;
+    opts.pipeline.workers = pipeline;
+
+    const ModuloMapping two(tree, 2);
+    Server blocked(two, opts);
+    Request second = request_of(1, {v(0, 0)});
+    second.submit_cycle = kClockHorizon;
+    blocked.submit(std::vector<Request>{at_cycle(0, kClockHorizon),
+                                        std::move(second)});
+    EXPECT_THROW((void)blocked.run(), std::overflow_error);
+
+    const ModuloMapping one(tree, 1);
+    Server serial(one, opts);
+    Request access = request_of(0, eight);
+    access.submit_cycle = kClockHorizon;
+    serial.submit(std::move(access));
+    EXPECT_THROW((void)serial.run(), std::overflow_error);
+
+    dyn::DynamicTree live(tree.levels());
+    const std::uint64_t version = live.version();
+    ServerOptions writes = opts;
+    writes.dyn.tree = &live;
+    writes.dyn.colorer = &colorer;
+    Server writer(colorer, writes);
+    Request insert = request_of(0, {v(0, 1)});
+    insert.submit_cycle = kClockHorizon;
+    insert.kind = RequestKind::kInsert;
+    insert.target = v(0, 1);
+    writer.submit(std::move(insert));
+    EXPECT_THROW((void)writer.run(), std::overflow_error);
+    EXPECT_EQ(live.version(), version);
+    EXPECT_FALSE(live.is_live(v(0, 1)));
+  }
 }
 
 TEST(ServerRetry, RetryBudgetExhaustedExactlyAtDeadlineCycleExpires) {
