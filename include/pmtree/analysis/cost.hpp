@@ -12,7 +12,10 @@
 // sampling (used by benches on big trees). Both go through the family's
 // one definition in templates/enumerate.hpp: evaluate_* scans instance
 // indices [0, count_*) with the indexed accessors, and sample_* draws
-// through the samplers, which call the same accessors.
+// through the samplers, which call the same accessors. A family of 4,096
+// instances or more is scanned on every hardware thread, a smaller one on
+// the calling thread; the result, witness included, is the sequential
+// scan's either way (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -36,16 +39,6 @@ namespace pmtree {
 [[nodiscard]] std::uint64_t rounds(const TreeMapping& mapping,
                                    std::span<const Node> nodes);
 
-/// Controls for the evaluate_*/sample_* loops below.
-struct EvalOptions {
-  /// Worker threads: 0 = one per hardware thread. Results — including the
-  /// witness — are bit-identical for every value (see DESIGN.md §7).
-  unsigned threads = 0;
-  /// Families with fewer instances than this stay on the calling thread
-  /// (thread spawn costs more than the scan).
-  std::uint64_t sequential_cutoff = 4096;
-};
-
 /// Summary of a family evaluation.
 struct FamilyCost {
   std::uint64_t max_conflicts = 0;   ///< Cost(U, family, M)
@@ -57,18 +50,15 @@ struct FamilyCost {
 
 /// Exhaustive Cost(U, S(K), M) over every size-K subtree of U's tree.
 [[nodiscard]] FamilyCost evaluate_subtrees(const TreeMapping& mapping,
-                                           std::uint64_t K,
-                                           const EvalOptions& opts = {});
+                                           std::uint64_t K);
 
 /// Exhaustive Cost(U, L(K), M).
 [[nodiscard]] FamilyCost evaluate_level_runs(const TreeMapping& mapping,
-                                             std::uint64_t K,
-                                             const EvalOptions& opts = {});
+                                             std::uint64_t K);
 
 /// Exhaustive Cost(U, P(K), M).
 [[nodiscard]] FamilyCost evaluate_paths(const TreeMapping& mapping,
-                                        std::uint64_t K,
-                                        const EvalOptions& opts = {});
+                                        std::uint64_t K);
 
 /// Sampled cost estimates (max over `samples` random instances). Instances
 /// are drawn sequentially from `rng` (the stream is identical to a fully
@@ -76,18 +66,16 @@ struct FamilyCost {
 /// evaluate_*.
 [[nodiscard]] FamilyCost sample_subtrees(const TreeMapping& mapping,
                                          std::uint64_t K, std::uint64_t samples,
-                                         Rng& rng, const EvalOptions& opts = {});
+                                         Rng& rng);
 [[nodiscard]] FamilyCost sample_level_runs(const TreeMapping& mapping,
                                            std::uint64_t K, std::uint64_t samples,
-                                           Rng& rng, const EvalOptions& opts = {});
+                                           Rng& rng);
 [[nodiscard]] FamilyCost sample_paths(const TreeMapping& mapping, std::uint64_t K,
-                                      std::uint64_t samples, Rng& rng,
-                                      const EvalOptions& opts = {});
+                                      std::uint64_t samples, Rng& rng);
 
 /// Sampled cost over composite templates C(D, c).
 [[nodiscard]] FamilyCost sample_composites(const TreeMapping& mapping,
                                            std::uint64_t D, std::uint64_t c,
-                                           std::uint64_t samples, Rng& rng,
-                                           const EvalOptions& opts = {});
+                                           std::uint64_t samples, Rng& rng);
 
 }  // namespace pmtree

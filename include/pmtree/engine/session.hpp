@@ -26,13 +26,14 @@
 // simulates only the accesses fed since the previous one and then closes
 // the open busy interval and depth runs into the result it returns,
 // leaving the state as it was. Later arrivals queue strictly behind
-// earlier ones, so a serving round that appends batches and drains again
-// extends, never rewrites, the previous round's completions. A faulted
-// session replays everything fed so far from cycle 0 through
+// earlier ones, so a fault-free round that appends batches and drains
+// again never moves the previous round's completions. A faulted session
+// replays everything fed so far from cycle 0 through
 // engine::detail::run_resolved — the SAME entry CycleEngine::run calls —
 // because a fail-stop can drain an earlier request onto its reroute
-// target behind a later one. Either way the session stores each access's
-// colors once, and never its nodes.
+// target behind a later one, so a later drain can move an earlier
+// access's completion (the serve barrier re-reads those). Either way the
+// session stores each access's colors once, and never its nodes.
 //
 // Arrivals must be nondecreasing across every feed, drains included:
 // drain() throws std::invalid_argument otherwise and leaves the session

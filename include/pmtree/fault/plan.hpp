@@ -12,9 +12,8 @@
 //
 // A FaultPlan is a *schedule*, not a random process: a list of fail-stop
 // events (module m is dead from cycle c onward) and transient slowdowns
-// (module m serves one request every `period` cycles during [begin, end)),
-// optionally generated from a seed by FaultPlan::random. Determinism is
-// the point — the same plan produces bit-identical trajectories on the
+// (module m serves one request every `period` cycles during [begin, end)).
+// Determinism is the point — the same plan produces bit-identical trajectories on the
 // event-driven core, the frozen reference loop and any serve worker count,
 // so degraded behaviour is testable and benchmarkable exactly like
 // healthy behaviour (DESIGN.md §12).
@@ -88,29 +87,6 @@ class FaultPlan {
     return slowdowns_;
   }
 
-  /// Knobs for the seeded generator. Every drawn value is a pure function
-  /// of (seed, the other fields), so a RandomOptions value *is* a
-  /// reproducible fault scenario.
-  struct RandomOptions {
-    std::uint64_t seed = 0;
-    std::uint32_t modules = 0;      ///< module universe the plan draws from
-    /// Fraction of modules fail-stopped, rounded down and capped at
-    /// modules - 1 (at least one survivor always remains).
-    double fail_fraction = 0.1;
-    /// Fail cycles are drawn uniformly from [0, fail_window).
-    std::uint64_t fail_window = 1024;
-    std::uint32_t slowdown_count = 0;   ///< transient slowdowns to draw
-    std::uint64_t slowdown_window = 1024;  ///< begins drawn from [0, window)
-    std::uint64_t slowdown_max_length = 256;
-    std::uint64_t slowdown_max_period = 4;  ///< periods drawn from [2, max]
-  };
-
-  /// Deterministic seeded plan: `fail_fraction` of the modules fail-stop
-  /// at random cycles and `slowdown_count` transient slowdowns land on
-  /// random modules. Identical options produce identical plans on every
-  /// platform (util/rng.hpp streams).
-  [[nodiscard]] static FaultPlan random(const RandomOptions& options);
-
   /// Machine-readable form for bench reports.
   [[nodiscard]] Json to_json() const;
 
@@ -131,10 +107,7 @@ class FaultTimeline {
 
   FaultTimeline(const FaultPlan& plan, std::uint32_t modules);
 
-  /// First cycle module m is dead, or kNever.
-  [[nodiscard]] std::uint64_t fail_cycle(std::uint32_t m) const noexcept {
-    return fail_cycle_[m];
-  }
+  /// Whether module m is dead at cycle t: its first fail cycle has come.
   [[nodiscard]] bool dead_at(std::uint32_t m, std::uint64_t t) const noexcept {
     return t >= fail_cycle_[m];
   }
@@ -163,10 +136,6 @@ class FaultTimeline {
       const noexcept {
     return dead_;
   }
-  [[nodiscard]] const std::vector<std::uint32_t>& live_modules()
-      const noexcept {
-    return live_;
-  }
 
   /// Fail-stop events sorted by (cycle, module) — the order engines drain
   /// failed queues in.
@@ -178,9 +147,6 @@ class FaultTimeline {
     return fail_events_;
   }
 
-  [[nodiscard]] bool any_faults() const noexcept {
-    return !fail_events_.empty() || has_slowdowns_;
-  }
   [[nodiscard]] std::uint32_t modules() const noexcept {
     return static_cast<std::uint32_t>(fail_cycle_.size());
   }
@@ -189,10 +155,8 @@ class FaultTimeline {
   std::vector<std::uint64_t> fail_cycle_;           // per module; kNever = alive
   std::vector<std::uint32_t> redirect_;             // per color
   std::vector<std::uint32_t> dead_;                 // ascending module ids
-  std::vector<std::uint32_t> live_;                 // ascending module ids
   std::vector<FailEvent> fail_events_;              // (cycle, module) order
   std::vector<std::vector<Slowdown>> slow_by_module_;
-  bool has_slowdowns_ = false;
 };
 
 }  // namespace pmtree::fault

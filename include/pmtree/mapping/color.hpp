@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "pmtree/mapping/mapping.hpp"
-#include "pmtree/tree/block.hpp"
 #include "pmtree/tree/node.hpp"
 #include "pmtree/util/bits.hpp"
 
@@ -90,29 +89,23 @@ class ColorMapping : public TreeMapping {
   /// O(H) time with kLazy, O(H/(N-k)) with kBlockTable.
   [[nodiscard]] Color color_of(Node n) const override;
 
-  /// Block-aware batch kernel. The per-node chase of §3.2 re-derives two
-  /// shared prefixes over and over: the colors of the tree's top levels
-  /// (where every chase terminates) and each block's Gamma list (which
-  /// every block-last node of the block reads). The batch resolver pays
-  /// for them once instead of once per node:
+  /// Batch kernel. The per-node chase of §3.2 re-derives the colors of the
+  /// tree's top levels, where every chase terminates, over and over. The
+  /// batch resolver materializes the top min(H, 20) levels once (built
+  /// lazily on first use, shared across calls and copies) and takes one
+  /// of three paths:
   ///
-  ///   * a truncated materialization of the top min(H, 20) levels (built
-  ///     lazily on first use, shared across calls and copies) turns any
-  ///     chase step that lands above the horizon into one lookup;
-  ///   * a position-only block resolution table (the kBlockTable table,
-  ///     built for the batch path even under kLazy when it fits) collapses
-  ///     the within-block chase to one lookup;
-  ///   * when the top table covers a whole block, every chase provably
-  ///     terminates in a top-table lookup; the kernel then runs two
-  ///     phases — a branch-free arithmetic chase (each jump is one
-  ///     precomposed Step lookup) that emits terminal BFS ids, then one
-  ///     tight lookup loop whose independent loads the CPU overlaps;
-  ///   * outside the fast path, input runs inside one block share that
-  ///     block's resolved Gamma entries through a per-block memo, so a
-  ///     group of nodes triggers each Gamma chase once per block.
+  ///   * the whole tree above the horizon: one top-table lookup per node;
+  ///   * the top table covers a whole block (N <= 20): every chase
+  ///     provably terminates in a top-table lookup, so the kernel runs two
+  ///     phases — a branch-free arithmetic chase (each jump is one Step,
+  ///     precomposed per block position from the within-block
+  ///     resolution) that emits terminal BFS ids, then one tight lookup
+  ///     loop whose independent loads the CPU overlaps;
+  ///   * otherwise (N > 20 on a deeper tree): color_of per node.
   ///
-  /// Net: N nodes x O(H) chases become O(H/(N-k)) branch-free arithmetic
-  /// steps plus O(1) table lookups per node. Identical colors to color_of in
+  /// The Step chase turns O(H) per node into O(H/(N-k)) branch-free
+  /// arithmetic steps plus one lookup. Identical colors to color_of in
   /// every retrieval mode.
   void color_of_batch(std::span<const Node> nodes,
                       std::span<Color> out) const override;
@@ -139,10 +132,6 @@ class ColorMapping : public TreeMapping {
   [[nodiscard]] Resolution resolve_in_block(std::uint32_t r,
                                             std::uint64_t irel) const noexcept;
 
-  /// Shared state of the batch kernel: the resolved-once block prefixes.
-  /// Built lazily by accel() on first color_of_batch call (atomically
-  /// published, so concurrent batch calls are safe) and shared by copies;
-  /// immutable once published.
   /// One inheritance-chase jump, compiled to branch-free arithmetic. A
   /// chase step from block position (r, irel) of block (ib, jb) lands on
   /// either a Gamma node of the parent generation or a shared top-k node —
@@ -157,10 +146,12 @@ class ColorMapping : public TreeMapping {
     std::uint32_t add = 0;
   };
 
+  /// Shared state of the batch kernel. Built lazily by accel() on the
+  /// first color_of_batch call (atomically published, so concurrent batch
+  /// calls are safe) and shared by copies; immutable once published.
   struct BatchAccel {
     std::uint32_t top_levels = 0;  ///< levels [0, top_levels) materialized
     std::vector<Color> top_colors;
-    std::vector<Resolution> block_table;  ///< kLazy batch path; empty if too big
     /// Fast-chase tables, built when the top table covers a whole block
     /// (then every chase provably terminates in a top-table lookup).
     /// Per level j >= k: block-relative level r, block root level jb*stride,

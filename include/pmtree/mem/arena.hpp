@@ -48,6 +48,7 @@
 #include "pmtree/tree/node.hpp"
 #include "pmtree/tree/tree.hpp"
 #include "pmtree/util/json.hpp"
+#include "pmtree/util/rng.hpp"
 
 namespace pmtree::mem {
 
@@ -72,9 +73,6 @@ struct ArenaOptions {
   /// Payload bytes per node, rounded up to whole 8-byte lanes (minimum
   /// one lane). The default is one cache line.
   std::uint32_t payload_bytes = 64;
-  /// Seed of the deterministic payload fill; two backends with equal
-  /// (tree, placement, payload, seed) hold byte-identical arenas.
-  std::uint64_t fill_seed = 0x9E3779B97F4A7C15ull;
 };
 
 /// What a sequence of touch() calls read. All fields aggregate with
@@ -101,18 +99,6 @@ struct TouchStats {
     return j;
   }
 };
-
-namespace detail {
-
-/// splitmix64 finalizer: the payload fill's mixing function.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace detail
 
 /// Per-module arenas over one placement mapping. The placement mapping
 /// (not owned; must outlive the backend) decides which slab each node
@@ -161,32 +147,14 @@ class MemoryBackend {
   [[nodiscard]] std::uint32_t stride_bytes() const noexcept {
     return static_cast<std::uint32_t>(stride_);
   }
-  [[nodiscard]] std::uint64_t node_count() const noexcept {
-    return tree_.size();
-  }
   /// Total resident payload bytes across all slabs.
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept {
     return tree_.size() * stride_;
   }
 
-  /// The module whose slab holds `n` — by construction the placement
-  /// mapping's color_of(n).
-  [[nodiscard]] Color module_of(Node n) const noexcept {
-    return module_[bfs_id(n)];
-  }
-  /// `n`'s slot within its module's slab (BFS order within the module).
-  [[nodiscard]] std::uint64_t slot_of(Node n) const noexcept {
-    return static_cast<std::uint64_t>(addr_[bfs_id(n)] - slab_base(
-               module_[bfs_id(n)])) / (stride_ / 8);
-  }
-  /// Base of module `m`'s slab (64-byte aligned).
-  [[nodiscard]] const std::uint64_t* slab_base(Color m) const noexcept {
-    return slab_base_[m];
-  }
-  [[nodiscard]] std::uint64_t slab_nodes(Color m) const noexcept {
-    return slab_nodes_[m];
-  }
-  /// First payload lane of `n` (stride_bytes()/8 lanes long).
+  /// First payload lane of `n` (stride_bytes()/8 lanes long). `n` lives
+  /// in the slab of module placement().color_of(n), 64-byte aligned, at
+  /// the slot after the module's lower-BFS-id nodes.
   [[nodiscard]] const std::uint64_t* payload(Node n) const noexcept {
     return addr_[bfs_id(n)];
   }
@@ -198,7 +166,7 @@ class MemoryBackend {
     const std::uint64_t id = bfs_id(n);
     std::uint64_t fold = 0;
     for (std::size_t j = 0; j < lanes_; ++j) {
-      fold ^= detail::mix64(options_.fill_seed + id * lanes_ + j);
+      fold ^= mix64(kFillSeed + id * lanes_ + j);
     }
     return fold;
   }
@@ -208,9 +176,12 @@ class MemoryBackend {
   [[nodiscard]] Json stats(const TouchStats& touched) const;
 
  private:
+  /// Seed of the deterministic payload fill: two backends with equal
+  /// (tree, placement, payload) hold byte-identical arenas.
+  static constexpr std::uint64_t kFillSeed = 0x9E3779B97F4A7C15ull;
+
   const TreeMapping& placement_;
   CompleteBinaryTree tree_;
-  ArenaOptions options_;
   std::uint32_t modules_ = 0;
   std::uint32_t payload_bytes_ = 0;
   std::size_t stride_ = 0;  ///< bytes per node slot (multiple of 8)
@@ -218,10 +189,7 @@ class MemoryBackend {
   /// One u64 buffer per module, over-allocated so the 64-byte-aligned
   /// slab base can be carved out of it (no custom aligned deleters).
   std::vector<std::vector<std::uint64_t>> slabs_;
-  std::vector<std::uint64_t*> slab_base_;      ///< aligned base per module
-  std::vector<std::uint64_t> slab_nodes_;      ///< nodes per module
-  std::vector<const std::uint64_t*> addr_;     ///< bfs_id -> payload
-  std::vector<Color> module_;                  ///< bfs_id -> module
+  std::vector<const std::uint64_t*> addr_;  ///< bfs_id -> payload
 };
 
 }  // namespace pmtree::mem

@@ -39,7 +39,6 @@
 #include "pmtree/templates/instance.hpp"
 #include "pmtree/templates/range_cover.hpp"
 #include "pmtree/templates/sampler.hpp"
-#include "pmtree/tree/block.hpp"
 #include "pmtree/tree/node.hpp"
 #include "pmtree/tree/tree.hpp"
 #include "pmtree/util/bits.hpp"

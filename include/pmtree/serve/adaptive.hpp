@@ -101,12 +101,6 @@ class AdaptiveSelector {
     return *active_;
   }
 
-  /// The candidate currently serving, or nullptr while the base still is
-  /// (no switch yet — ties keep the base in place even when it is listed
-  /// among the candidates).
-  [[nodiscard]] const TreeMapping* active_candidate() const noexcept {
-    return switches_ == 0 ? nullptr : active_;
-  }
   [[nodiscard]] std::uint64_t epochs_planned() const noexcept {
     return epochs_planned_;
   }

@@ -67,9 +67,15 @@ struct CapacityPlan {
 class DeficitRoundRobin {
  public:
   /// One weight per tenant; zero weights behave as 1. `quantum_nodes` is
-  /// the per-round credit of a weight-1 tenant (0 behaves as 1).
+  /// the per-round credit of a weight-1 tenant (0 behaves as 1). Throws
+  /// std::invalid_argument where check() does.
   DeficitRoundRobin(std::vector<std::uint64_t> weights,
                     std::uint64_t quantum_nodes);
+
+  /// Throws std::invalid_argument unless a tenant of `weight` accrues a
+  /// per-round credit, weight * quantum_nodes (zeros behaving as 1), that
+  /// fits 64 bits. Forest::add_tenant calls it with the forest's quantum.
+  static void check(std::uint64_t weight, std::uint64_t quantum_nodes);
 
   /// Tenant i's per-round credit: quantum * weight.
   [[nodiscard]] std::uint64_t quantum(std::size_t i) const noexcept {
@@ -79,9 +85,13 @@ class DeficitRoundRobin {
     return deficit_[i];
   }
 
-  /// Begins tenant i's turn this round: accrues its quantum. Call once
-  /// per round, only for backlogged tenants.
-  void begin_turn(std::size_t i) { deficit_[i] += quanta_[i]; }
+  /// Begins tenant i's turn this round: accrues its quantum, saturating
+  /// at UINT64_MAX. Call once per round, only for backlogged tenants.
+  void begin_turn(std::size_t i) noexcept {
+    deficit_[i] = deficit_[i] > ~std::uint64_t{0} - quanta_[i]
+                      ? ~std::uint64_t{0}
+                      : deficit_[i] + quanta_[i];
+  }
 
   /// Whether tenant i can afford a batch of `cost` nodes right now.
   [[nodiscard]] bool affords(std::size_t i, std::uint64_t cost) const noexcept {

@@ -77,7 +77,8 @@ struct TenantOptions : SlotOptions {
   /// capacity planner: lane counts are apportioned by rate.
   double rate = 1.0;
   /// Deficit-round-robin weight (relative batch share under saturation).
-  /// 0 behaves as 1.
+  /// 0 behaves as 1. weight * ForestOptions::drr_quantum_nodes must fit
+  /// 64 bits: add_tenant throws std::invalid_argument otherwise.
   std::uint64_t weight = 1;
 };
 
@@ -156,7 +157,8 @@ class Forest {
   /// `mapping` must outlive the forest. The first run() or plan() fixes
   /// the capacity plan, so a later add_tenant throws std::logic_error;
   /// options the control plane cannot serve over `mapping` (see
-  /// SlotOptions) throw std::invalid_argument.
+  /// SlotOptions), and a weight whose DRR credit overflows 64 bits
+  /// (DeficitRoundRobin::check), throw std::invalid_argument.
   std::uint32_t add_tenant(const TreeMapping& mapping,
                            TenantOptions options = {});
 

@@ -85,6 +85,14 @@ struct Node {
   return (n.index >> (n.level - root.level)) == root.index;
 }
 
+/// The node at BFS position `pos` (0 = `root`) of the subtree rooted at
+/// `root`.
+[[nodiscard]] constexpr Node subtree_node_at(Node root, std::uint64_t pos) noexcept {
+  const std::uint32_t depth = floor_log2(pos + 1);
+  const std::uint64_t offset = pos + 1 - pow2(depth);
+  return Node{root.level + depth, (root.index << depth) + offset};
+}
+
 /// Node described as "v(i, j)" for diagnostics.
 [[nodiscard]] inline std::string to_string(Node n) {
   return "v(" + std::to_string(n.index) + ", " + std::to_string(n.level) + ")";

@@ -51,6 +51,9 @@ BusiestModule& thread_scratch() {
 /// Instances per chunk of the parallel scan. Only a throughput knob: chunk
 /// boundaries never influence results (see util/parallel.hpp).
 constexpr std::uint64_t kEvalGrain = 1024;
+/// Families with fewer instances stay on the calling thread (thread spawn
+/// costs more than the scan); larger ones use every hardware thread.
+constexpr std::uint64_t kSequentialCutoff = 4096;
 
 /// Shared accumulation loop for the evaluate_/sample_ functions.
 ///
@@ -122,11 +125,9 @@ class CostAccumulator {
 /// appends instance idx's nodes to buf (cleared by the driver).
 template <typename AppendNodes>
 FamilyCost evaluate_indexed(const TreeMapping& mapping, std::uint64_t total,
-                            const EvalOptions& opts,
                             const AppendNodes& append) {
-  const unsigned threads = total < opts.sequential_cutoff
-                              ? 1
-                              : resolve_threads(opts.threads);
+  const unsigned threads =
+      total < kSequentialCutoff ? 1 : resolve_threads(0);
   std::vector<CostAccumulator> accs(threads, CostAccumulator(mapping));
   std::vector<std::vector<Node>> bufs(threads);
   parallel_chunks(total, threads, kEvalGrain,
@@ -147,9 +148,8 @@ FamilyCost evaluate_indexed(const TreeMapping& mapping, std::uint64_t total,
 /// stream at every thread count), then evaluated as an indexed family.
 template <typename Instance>
 FamilyCost evaluate_presampled(const TreeMapping& mapping,
-                               const std::vector<Instance>& instances,
-                               const EvalOptions& opts) {
-  return evaluate_indexed(mapping, instances.size(), opts,
+                               const std::vector<Instance>& instances) {
+  return evaluate_indexed(mapping, instances.size(),
                           [&](std::uint64_t i, std::vector<Node>& buf) {
                             instances[i].append_nodes(buf);
                           });
@@ -165,36 +165,32 @@ std::uint64_t rounds(const TreeMapping& mapping, std::span<const Node> nodes) {
   return thread_scratch().rounds(mapping, nodes);
 }
 
-FamilyCost evaluate_subtrees(const TreeMapping& mapping, std::uint64_t K,
-                             const EvalOptions& opts) {
+FamilyCost evaluate_subtrees(const TreeMapping& mapping, std::uint64_t K) {
   const auto& tree = mapping.tree();
-  return evaluate_indexed(mapping, count_subtrees(tree, K), opts,
+  return evaluate_indexed(mapping, count_subtrees(tree, K),
                           [&](std::uint64_t i, std::vector<Node>& buf) {
                             subtree_at(tree, K, i).append_nodes(buf);
                           });
 }
 
-FamilyCost evaluate_level_runs(const TreeMapping& mapping, std::uint64_t K,
-                               const EvalOptions& opts) {
+FamilyCost evaluate_level_runs(const TreeMapping& mapping, std::uint64_t K) {
   const auto& tree = mapping.tree();
-  return evaluate_indexed(mapping, count_level_runs(tree, K), opts,
+  return evaluate_indexed(mapping, count_level_runs(tree, K),
                           [&](std::uint64_t i, std::vector<Node>& buf) {
                             level_run_at(tree, K, i).append_nodes(buf);
                           });
 }
 
-FamilyCost evaluate_paths(const TreeMapping& mapping, std::uint64_t K,
-                          const EvalOptions& opts) {
+FamilyCost evaluate_paths(const TreeMapping& mapping, std::uint64_t K) {
   const auto& tree = mapping.tree();
-  return evaluate_indexed(mapping, count_paths(tree, K), opts,
+  return evaluate_indexed(mapping, count_paths(tree, K),
                           [&](std::uint64_t i, std::vector<Node>& buf) {
                             path_at(tree, K, i).append_nodes(buf);
                           });
 }
 
 FamilyCost sample_subtrees(const TreeMapping& mapping, std::uint64_t K,
-                           std::uint64_t samples, Rng& rng,
-                           const EvalOptions& opts) {
+                           std::uint64_t samples, Rng& rng) {
   std::vector<SubtreeInstance> drawn;
   drawn.reserve(samples);
   for (std::uint64_t s = 0; s < samples; ++s) {
@@ -202,12 +198,11 @@ FamilyCost sample_subtrees(const TreeMapping& mapping, std::uint64_t K,
       drawn.push_back(*inst);
     }
   }
-  return evaluate_presampled(mapping, drawn, opts);
+  return evaluate_presampled(mapping, drawn);
 }
 
 FamilyCost sample_level_runs(const TreeMapping& mapping, std::uint64_t K,
-                             std::uint64_t samples, Rng& rng,
-                             const EvalOptions& opts) {
+                             std::uint64_t samples, Rng& rng) {
   std::vector<LevelRunInstance> drawn;
   drawn.reserve(samples);
   for (std::uint64_t s = 0; s < samples; ++s) {
@@ -215,12 +210,11 @@ FamilyCost sample_level_runs(const TreeMapping& mapping, std::uint64_t K,
       drawn.push_back(*inst);
     }
   }
-  return evaluate_presampled(mapping, drawn, opts);
+  return evaluate_presampled(mapping, drawn);
 }
 
 FamilyCost sample_paths(const TreeMapping& mapping, std::uint64_t K,
-                        std::uint64_t samples, Rng& rng,
-                        const EvalOptions& opts) {
+                        std::uint64_t samples, Rng& rng) {
   std::vector<PathInstance> drawn;
   drawn.reserve(samples);
   for (std::uint64_t s = 0; s < samples; ++s) {
@@ -228,12 +222,11 @@ FamilyCost sample_paths(const TreeMapping& mapping, std::uint64_t K,
       drawn.push_back(*inst);
     }
   }
-  return evaluate_presampled(mapping, drawn, opts);
+  return evaluate_presampled(mapping, drawn);
 }
 
 FamilyCost sample_composites(const TreeMapping& mapping, std::uint64_t D,
-                             std::uint64_t c, std::uint64_t samples, Rng& rng,
-                             const EvalOptions& opts) {
+                             std::uint64_t c, std::uint64_t samples, Rng& rng) {
   CompositeSpec spec;
   spec.total_size = D;
   spec.components = c;
@@ -244,7 +237,7 @@ FamilyCost sample_composites(const TreeMapping& mapping, std::uint64_t D,
       drawn.push_back(std::move(*inst));
     }
   }
-  return evaluate_presampled(mapping, drawn, opts);
+  return evaluate_presampled(mapping, drawn);
 }
 
 }  // namespace pmtree

@@ -2,44 +2,7 @@
 
 #include <algorithm>
 
-#include "pmtree/util/rng.hpp"
-
 namespace pmtree::fault {
-
-FaultPlan FaultPlan::random(const RandomOptions& options) {
-  FaultPlan plan;
-  if (options.modules == 0) return plan;
-  Rng rng(options.seed);
-
-  // Fail-stop draw: a Fisher-Yates prefix picks `fail_count` distinct
-  // modules; capping at modules - 1 keeps at least one survivor so the
-  // timeline never has to spare anyone.
-  const auto want = static_cast<std::uint64_t>(
-      options.fail_fraction * static_cast<double>(options.modules));
-  const std::uint64_t fail_count =
-      std::min<std::uint64_t>(want, options.modules - 1);
-  std::vector<std::uint32_t> ids(options.modules);
-  for (std::uint32_t m = 0; m < options.modules; ++m) ids[m] = m;
-  for (std::uint64_t j = 0; j < fail_count; ++j) {
-    const std::uint64_t pick = j + rng.below(options.modules - j);
-    std::swap(ids[j], ids[pick]);
-    const std::uint64_t cycle =
-        options.fail_window == 0 ? 0 : rng.below(options.fail_window);
-    plan.fail_stop(ids[j], cycle);
-  }
-
-  for (std::uint32_t s = 0; s < options.slowdown_count; ++s) {
-    const auto module = static_cast<std::uint32_t>(rng.below(options.modules));
-    const std::uint64_t begin =
-        options.slowdown_window == 0 ? 0 : rng.below(options.slowdown_window);
-    const std::uint64_t length =
-        rng.between(1, std::max<std::uint64_t>(options.slowdown_max_length, 1));
-    const std::uint64_t period =
-        rng.between(2, std::max<std::uint64_t>(options.slowdown_max_period, 2));
-    plan.slow_down(module, begin, begin + length, period);
-  }
-  return plan;
-}
 
 Json FaultPlan::to_json() const {
   Json j = Json::object();
@@ -76,7 +39,6 @@ FaultTimeline::FaultTimeline(const FaultPlan& plan, std::uint32_t modules) {
   for (const Slowdown& s : plan.slowdowns()) {
     if (s.module >= modules || s.period <= 1 || s.end <= s.begin) continue;
     slow_by_module_[s.module].push_back(s);
-    has_slowdowns_ = true;
   }
 
   // Spare one module if the plan killed them all: the latest failure
@@ -93,17 +55,18 @@ FaultTimeline::FaultTimeline(const FaultPlan& plan, std::uint32_t modules) {
     fail_cycle_[spare] = kNever;
   }
 
+  std::vector<std::uint32_t> live;
   for (std::uint32_t m = 0; m < modules; ++m) {
     redirect_[m] = m;
     if (fail_cycle_[m] == kNever) {
-      live_.push_back(m);
+      live.push_back(m);
     } else {
       dead_.push_back(m);
       fail_events_.push_back(FailEvent{fail_cycle_[m], m});
     }
   }
   for (std::size_t j = 0; j < dead_.size(); ++j) {
-    redirect_[dead_[j]] = live_[j % live_.size()];
+    redirect_[dead_[j]] = live[j % live.size()];
   }
   std::sort(fail_events_.begin(), fail_events_.end(),
             [](const FailEvent& a, const FailEvent& b) {

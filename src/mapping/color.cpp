@@ -132,11 +132,8 @@ const ColorMapping::BatchAccel& ColorMapping::accel() const {
   if (auto cur = std::atomic_load_explicit(&accel_, std::memory_order_acquire)) {
     return *cur;
   }
-  // Space caps: the top-color horizon is at most 2^20 - 1 entries (4 MiB)
-  // and the batch-path block table at most 2^20 - 1 Resolutions. Beyond
-  // them the batch kernel degrades gracefully to the per-node chase.
+  // Space cap: the top-color horizon is at most 2^20 - 1 entries (4 MiB).
   constexpr std::uint32_t kTopLevelCap = 20;
-  constexpr std::uint64_t kBlockTableCap = std::uint64_t{1} << 20;
 
   auto built = std::make_shared<BatchAccel>();
   const std::uint32_t top = std::min(tree().levels(), kTopLevelCap);
@@ -144,29 +141,12 @@ const ColorMapping::BatchAccel& ColorMapping::accel() const {
     built->top_levels = top;
     built->top_colors = materialize_prefix(top);
   }
-  // Under kLazy the within-block resolution has no table; build one for the
-  // batch path unless the top table already covers the whole tree (then no
-  // chase ever consults it) or a block is too large to tabulate.
-  if (retrieval_ == Retrieval::kLazy && top < tree().levels()) {
-    const std::uint32_t cap = std::min(n_, tree().levels());
-    if (tree_size(cap) <= kBlockTableCap) {
-      built->block_table.resize(tree_size(cap));
-      for (std::uint64_t pos = 0; pos < built->block_table.size(); ++pos) {
-        const std::uint32_t r = floor_log2(pos + 1);
-        built->block_table[pos] = resolve_in_block(r, pos + 1 - pow2(r));
-      }
-    }
-  }
   // Fast-chase tables: precompose every block-relative position's jump into
   // a branch-free Step, plus per-level (r, root level, position base)
-  // lookups. Only meaningful when the top table covers a whole block, so
-  // every chase ends in a top-table lookup (see color_of_batch).
-  const std::vector<Resolution>* btab =
-      retrieval_ == Retrieval::kBlockTable
-          ? &block_table_
-          : (built->block_table.empty() ? nullptr : &built->block_table);
-  if (btab != nullptr && built->top_levels >= n_ &&
-      tree().levels() > built->top_levels) {
+  // lookups. Only when the top table covers a whole block, so every chase
+  // ends in a top-table lookup (see color_of_batch); a block then has at
+  // most 2^20 - 1 positions. top >= N > k here, so top_levels == top.
+  if (top >= n_ && tree().levels() > top) {
     const std::uint32_t stride = n_ - k_;
     const std::uint32_t levels = tree().levels();
     built->r_of.resize(levels);
@@ -179,9 +159,12 @@ const ColorMapping::BatchAccel& ColorMapping::accel() const {
       built->pos_base[j] =
           static_cast<std::uint32_t>(pow2(built->r_of[j]) - 1);
     }
-    built->steps.resize(btab->size());
-    for (std::uint64_t pos = 0; pos < btab->size(); ++pos) {
-      const Resolution res = (*btab)[pos];
+    built->steps.resize(tree_size(n_));
+    for (std::uint64_t pos = 0; pos < built->steps.size(); ++pos) {
+      const std::uint32_t r = floor_log2(pos + 1);
+      const Resolution res = retrieval_ == Retrieval::kBlockTable
+                                 ? block_table_[pos]
+                                 : resolve_in_block(r, pos + 1 - pow2(r));
       Step& s = built->steps[pos];
       if (res.from_gamma) {
         // Closed forms of gamma_node with level relative to jb*stride.
@@ -238,122 +221,52 @@ void ColorMapping::color_of_batch(std::span<const Node> nodes,
     return;
   }
 
-  const std::uint64_t Kval = K();
-  const std::uint32_t stride = n_ - k_;  // > 0: nodes below the horizon exist
-  const Resolution* btable = nullptr;
-  if (retrieval_ == Retrieval::kBlockTable) {
-    btable = block_table_.data();
-  } else if (!acc.block_table.empty()) {
-    btable = acc.block_table.data();
-  }
-
-  // Fast path: the top table covers at least one full block (top >= N), so
-  // every chase provably bottoms out in a top-table lookup — a from-Gamma
-  // step lands in the parent generation and a top-k step lands in the
-  // block's shared levels, both strictly higher, and the jb == 0 exits sit
-  // below level N <= top. The kernel then runs two phases: a branch-free
-  // arithmetic chase — each jump is one precomposed Step lookup, no
-  // data-dependent branch to mispredict — emitting terminal BFS ids, then
-  // one tight lookup loop whose independent loads into the 4 MiB top table
-  // the CPU overlaps (memory-level parallelism the fused per-node loop
-  // cannot extract).
-  if (!acc.steps.empty()) {
-    const std::uint8_t* r_of = acc.r_of.data();
-    const std::uint8_t* root_of = acc.root_of.data();
-    const std::uint32_t* pos_base = acc.pos_base.data();
-    const Step* steps = acc.steps.data();
-    const std::uint32_t top = acc.top_levels;
-
-    thread_local std::vector<std::uint32_t> term;
-    term.resize(nodes.size());
-
+  // Blocks taller than the horizon (N > 20 on a deeper tree), or a tree
+  // whose top levels all lie in the Sigma phase: the per-node chase.
+  if (acc.steps.empty()) {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      assert(tree().contains(nodes[i]));
-      std::uint32_t lvl = nodes[i].level;
-      std::uint64_t idx = nodes[i].index;
-      while (lvl >= top) {
-        const std::uint32_t r = r_of[lvl];
-        const std::uint64_t ib = idx >> r;
-        const std::uint64_t irel = idx - (ib << r);
-        const Step s = steps[pos_base[lvl] + irel];
-        lvl = static_cast<std::uint32_t>(root_of[lvl] + s.dlevel);
-        idx = ((ib >> s.rshift) << s.lshift) + s.add;
-      }
-      // Terminal BFS id: lvl < top <= 20, so it fits 32 bits.
-      term[i] = static_cast<std::uint32_t>(pow2(lvl) - 1 + idx);
-    }
-
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      out[i] = acc.top_colors[term[i]];
+      out[i] = ColorMapping::color_of(nodes[i]);
     }
     return;
   }
 
-  // Per-block Gamma memo: once a chase resolves Gamma entry t of the block
-  // (memo_jb, memo_ib), later nodes of the same block reuse the color.
-  // t < stride <= 59, so one word tracks validity and the array lives on
-  // the stack — the kernel allocates nothing.
-  constexpr std::uint32_t kNoPending = UINT32_MAX;
-  Color gamma_memo[64];
-  std::uint64_t gamma_valid = 0;
-  std::uint32_t memo_jb = UINT32_MAX;
-  std::uint64_t memo_ib = 0;
+  // The top table covers at least one full block (top >= N), so every
+  // chase provably bottoms out in a top-table lookup — a from-Gamma step
+  // lands in the parent generation and a top-k step lands in the block's
+  // shared levels, both strictly higher, and the jb == 0 exits sit below
+  // level N <= top. The kernel runs two phases: a branch-free arithmetic
+  // chase — each jump is one precomposed Step lookup, no data-dependent
+  // branch to mispredict — emitting terminal BFS ids, then one tight
+  // lookup loop whose independent loads into the 4 MiB top table the CPU
+  // overlaps (memory-level parallelism the fused per-node loop cannot
+  // extract).
+  const std::uint8_t* r_of = acc.r_of.data();
+  const std::uint8_t* root_of = acc.root_of.data();
+  const std::uint32_t* pos_base = acc.pos_base.data();
+  const Step* steps = acc.steps.data();
+  const std::uint32_t top = acc.top_levels;
+
+  thread_local std::vector<std::uint32_t> term;
+  term.resize(nodes.size());
 
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     assert(tree().contains(nodes[i]));
-    Node cur = nodes[i];
-    Color c = 0;
-    std::uint32_t pending_t = kNoPending;  // Gamma entry to memoize, if any
-    bool own_block = true;  // first chase step = the node's own block
-    while (true) {
-      if (cur.level < k_) {  // Sigma phase: color = BFS id
-        c = static_cast<Color>(bfs_id(cur));
-        break;
-      }
-      if (cur.level < acc.top_levels) {
-        c = acc.top_colors[bfs_id(cur)];
-        break;
-      }
-      const std::uint32_t jb = (cur.level - k_) / stride;
-      const std::uint32_t r = cur.level - jb * stride;
-      const std::uint64_t ib = cur.index >> r;
-      const std::uint64_t irel = cur.index - (ib << r);
-      const Resolution res = btable != nullptr
-                                 ? btable[pow2(r) - 1 + irel]
-                                 : resolve_in_block(r, irel);
-      if (res.from_gamma) {
-        if (jb == 0) {
-          c = static_cast<Color>(Kval + res.value);
-          break;
-        }
-        if (own_block) {
-          if (jb == memo_jb && ib == memo_ib) {
-            if ((gamma_valid >> res.value) & 1u) {
-              c = gamma_memo[res.value];
-              break;
-            }
-          } else {
-            memo_jb = jb;
-            memo_ib = ib;
-            gamma_valid = 0;
-          }
-          pending_t = res.value;
-        }
-        cur = gamma_node(ib, jb, res.value, stride, variant_);
-      } else {
-        if (jb == 0) {
-          c = static_cast<Color>(res.value);
-          break;
-        }
-        cur = subtree_node_at(Node{jb * stride, ib}, res.value);
-      }
-      own_block = false;
+    std::uint32_t lvl = nodes[i].level;
+    std::uint64_t idx = nodes[i].index;
+    while (lvl >= top) {
+      const std::uint32_t r = r_of[lvl];
+      const std::uint64_t ib = idx >> r;
+      const std::uint64_t irel = idx - (ib << r);
+      const Step s = steps[pos_base[lvl] + irel];
+      lvl = static_cast<std::uint32_t>(root_of[lvl] + s.dlevel);
+      idx = ((ib >> s.rshift) << s.lshift) + s.add;
     }
-    if (pending_t != kNoPending) {
-      gamma_memo[pending_t] = c;
-      gamma_valid |= std::uint64_t{1} << pending_t;
-    }
-    out[i] = c;
+    // Terminal BFS id: lvl < top <= 20, so it fits 32 bits.
+    term[i] = static_cast<std::uint32_t>(pow2(lvl) - 1 + idx);
+  }
+
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    out[i] = acc.top_colors[term[i]];
   }
 }
 

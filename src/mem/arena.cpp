@@ -9,7 +9,6 @@ MemoryBackend::MemoryBackend(const TreeMapping& placement,
                              ArenaOptions options)
     : placement_(placement),
       tree_(placement.tree()),
-      options_(options),
       modules_(placement.num_modules()),
       payload_bytes_(options.payload_bytes == 0 ? 8 : options.payload_bytes) {
   // Round the payload up to whole 8-byte lanes: the fill and the touch
@@ -22,9 +21,10 @@ MemoryBackend::MemoryBackend(const TreeMapping& placement,
   assert(nodes > 0 && modules_ > 0);
 
   // Pass 1: color every node once through the placement's batch kernel
-  // (chunked so huge trees don't need a second node-sized buffer).
-  module_.resize(nodes);
-  slab_nodes_.assign(modules_, 0);
+  // (chunked so huge trees don't need a second node-sized buffer). The
+  // module table lives only until placement is done.
+  std::vector<Color> module(nodes);
+  std::vector<std::uint64_t> module_nodes(modules_, 0);
   {
     constexpr std::uint64_t kChunk = 1 << 16;
     std::vector<Node> chunk;
@@ -38,8 +38,8 @@ MemoryBackend::MemoryBackend(const TreeMapping& placement,
       for (std::uint64_t i = 0; i < count; ++i) {
         const Color c = colors[i];
         assert(c < modules_);
-        module_[base + i] = c;
-        ++slab_nodes_[c];
+        module[base + i] = c;
+        ++module_nodes[c];
       }
     }
   }
@@ -47,12 +47,12 @@ MemoryBackend::MemoryBackend(const TreeMapping& placement,
   // Pass 2: allocate one slab per module, over-allocated by 7 lanes so
   // the base can be aligned up to a 64-byte boundary portably.
   slabs_.resize(modules_);
-  slab_base_.resize(modules_);
+  std::vector<std::uint64_t*> next(modules_);  // each slab's next slot
   for (Color m = 0; m < modules_; ++m) {
-    slabs_[m].resize(slab_nodes_[m] * lanes_ + 7);
+    slabs_[m].resize(module_nodes[m] * lanes_ + 7);
     auto raw = reinterpret_cast<std::uintptr_t>(slabs_[m].data());
     const std::uintptr_t aligned = (raw + 63) & ~std::uintptr_t{63};
-    slab_base_[m] = slabs_[m].data() + (aligned - raw) / 8;
+    next[m] = slabs_[m].data() + (aligned - raw) / 8;
   }
 
   // Pass 3: module-major placement — walk nodes in BFS order, appending
@@ -62,13 +62,11 @@ MemoryBackend::MemoryBackend(const TreeMapping& placement,
   // different placements hold the same logical data in different
   // physical layouts — and produce identical touch checksums).
   addr_.resize(nodes);
-  std::vector<std::uint64_t> next(modules_, 0);
   for (std::uint64_t id = 0; id < nodes; ++id) {
-    const Color m = module_[id];
-    std::uint64_t* p = slab_base_[m] + next[m] * lanes_;
-    ++next[m];
+    std::uint64_t* p = next[module[id]];
+    next[module[id]] += lanes_;
     for (std::size_t j = 0; j < lanes_; ++j) {
-      p[j] = detail::mix64(options_.fill_seed + id * lanes_ + j);
+      p[j] = mix64(kFillSeed + id * lanes_ + j);
     }
     addr_[id] = p;
   }

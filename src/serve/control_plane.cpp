@@ -59,7 +59,6 @@ struct Slot {
   std::unique_ptr<AdaptiveSelector> selector;
   std::vector<std::uint32_t> attempts;
   std::vector<char> mutation_applied;
-  std::size_t round_first_batch = 0;
 };
 
 /// Arms the slot's epoch controller, if any. At most one is enabled, and
@@ -548,9 +547,6 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
     report.rounds += 1;
     std::size_t next_intake = 0;
     unresolved = intake.size();
-    for (std::size_t i = 0; i < N; ++i) {
-      slots[i].round_first_batch = report.slots[i].batches.size();
-    }
     const auto control_start = Clock::now();
     // Every cut takes at least one admitted request, and each intake
     // request joins at most one cut per round: true bounds.
@@ -686,49 +682,50 @@ PlaneReport serve(const PlaneConfig& config, engine::MetricsRegistry& registry,
 
     // ---- Round assembly. Batches land in cut order, so each slot's list
     // stays in id order; a batch's members complete with its lane access
-    // (batch b of a slot is access b / lanes of lane b mod lanes). Each
-    // barrier's drain resumes a lane's run (a faulted lane replays it from
-    // cycle 0) and later arrivals queue strictly behind, so a round
-    // extends, never rewrites, earlier rounds' completions.
+    // (batch b of a slot is access b / lanes of lane b mod lanes). A
+    // faulted lane replays from cycle 0, and a fail-stop can drain an
+    // earlier round's access behind a later one, so every barrier re-reads
+    // every batch whose members' last attempt it still holds. (A healthy
+    // lane's drain never moves an earlier completion; re-reading one
+    // rewrites the same value.)
     for (Executor::Cut& c : exec.cuts()) {
       record(slots[c.tenant], [&](ServeMetrics& m) { m.on_batch(c.batch); });
       TenantReport& tr = report.slots[c.tenant];
       tr.memory += c.mem;
       tr.batches.push_back(std::move(c.batch));
     }
+    // A member whose later attempt was cut again, shed or expired is no
+    // longer this batch's.
+    const auto holds = [](const Response& r, std::size_t b) {
+      return r.batch == b &&
+             (r.status == RequestStatus::kOk ||
+              r.status == RequestStatus::kPending);
+    };
+
+    // ---- Retry scan, in the same pass: every held attempt whose
+    // completion timed out is discarded and re-enters the next round's
+    // intake at the cycle the caller would resend. An earlier round's
+    // attempt is judged again on the same dispatch and attempt count, so
+    // only a moved completion changes its verdict. A resend past the
+    // clock's horizon never happens, so that attempt's completion stands.
+    std::vector<IntakeEntry> retries;
     for (std::size_t i = 0; i < N; ++i) {
-      const SlotConfig& c = *slots[i].config;
+      Slot& s = slots[i];
+      const SlotConfig& c = *s.config;
+      const RetryPolicy& policy = c.options.retry;
       TenantReport& tr = report.slots[i];
-      for (std::size_t b = slots[i].round_first_batch; b < tr.batches.size();
-           ++b) {
+      std::uint64_t issued = 0;
+      for (std::size_t b = 0; b < tr.batches.size(); ++b) {
         const engine::EngineResult& res = exec.result(
             c.first_lane + static_cast<std::uint32_t>(b % c.lanes));
         const std::uint64_t completion = res.records[b / c.lanes].completion;
         for (const std::size_t local : tr.batches[b].members) {
           Response& r = tr.responses[local];
-          assert(r.status == RequestStatus::kPending);
+          if (!holds(r, b)) continue;
           r.status = RequestStatus::kOk;
           r.completion_cycle = completion;
-        }
-      }
-    }
-
-    // ---- Retry scan: this round's timed-out completions are discarded
-    // and re-enter the next round's intake at the cycle the caller would
-    // resend. A resend past the clock's horizon never happens, so that
-    // attempt's completion stands.
-    std::vector<IntakeEntry> retries;
-    for (std::size_t i = 0; i < N; ++i) {
-      Slot& s = slots[i];
-      const RetryPolicy& policy = s.config->options.retry;
-      if (!policy.enabled()) continue;
-      TenantReport& tr = report.slots[i];
-      std::uint64_t issued = 0;
-      for (std::size_t b = s.round_first_batch; b < tr.batches.size(); ++b) {
-        for (const std::size_t local : tr.batches[b].members) {
-          Response& r = tr.responses[local];
-          if (r.completion_cycle - r.dispatch_cycle <=
-                  policy.attempt_timeout_cycles ||
+          if (!policy.enabled() ||
+              completion - r.dispatch_cycle <= policy.attempt_timeout_cycles ||
               s.attempts[local] >= policy.max_retries) {
             continue;
           }

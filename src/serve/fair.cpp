@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace pmtree::serve {
 
@@ -86,11 +87,22 @@ CapacityPlan plan_capacity(const std::vector<double>& rates,
   return plan;
 }
 
+void DeficitRoundRobin::check(std::uint64_t weight,
+                              std::uint64_t quantum_nodes) {
+  weight = std::max<std::uint64_t>(weight, 1);
+  quantum_nodes = std::max<std::uint64_t>(quantum_nodes, 1);
+  if (weight > ~std::uint64_t{0} / quantum_nodes) {
+    throw std::invalid_argument(
+        "DRR weight * quantum_nodes does not fit 64 bits");
+  }
+}
+
 DeficitRoundRobin::DeficitRoundRobin(std::vector<std::uint64_t> weights,
                                      std::uint64_t quantum_nodes)
     : quanta_(std::move(weights)), deficit_(quanta_.size(), 0) {
   if (quantum_nodes == 0) quantum_nodes = 1;
   for (std::uint64_t& q : quanta_) {
+    check(q, quantum_nodes);
     q = (q == 0 ? 1 : q) * quantum_nodes;
   }
 }

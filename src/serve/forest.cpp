@@ -72,6 +72,7 @@ std::uint32_t Forest::add_tenant(const TreeMapping& mapping,
         "plan()");
   }
   detail::reject_unsupported(mapping, options, {});
+  DeficitRoundRobin::check(options.weight, options_.drr_quantum_nodes);
   const std::uint32_t id = static_cast<std::uint32_t>(tenants_.size());
   if (options.name.empty()) {
     std::string name = "t";

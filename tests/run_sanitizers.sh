@@ -3,7 +3,9 @@
 # CMakePresets.json configurations. The suite must be green under all
 # three; TSan in particular covers the cycle engine, the parallel cost
 # evaluators and their per-thread scratch (test_analysis_parallel
-# runs them at 1/2/8 threads), the lazy batch-accelerator publication
+# runs families past the sequential cutoff, so on every hardware
+# thread; on a one-thread host its parallel cases report themselves
+# skipped), the lazy batch-accelerator publication
 # (test_mapping_batch's ConcurrentFirstUseIsConsistent races four threads
 # on a cold ColorMapping), and the serve front-end
 # (test_serve_differential races four submitter threads into Server's

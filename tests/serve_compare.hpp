@@ -15,6 +15,13 @@
 //   expect_same_metrics_but — every metrics section but one named section
 //                            (the wall-time "pipeline", or "memory"),
 //                            matched in both directions.
+//
+// One check holds a report against itself rather than against another
+// run:
+//
+//   expect_responses_match_lanes — every kOk response completes with its
+//                            batch's record on the lanes the same report
+//                            returns.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -99,6 +106,23 @@ inline void expect_same_metrics_but(const Json& got, const Json& want,
     (void)value;
     if (key == section) continue;
     ASSERT_NE(want.find(key), nullptr) << "extra metrics section " << key;
+  }
+}
+
+/// Every kOk response's completion_cycle is its batch's: batch b of a slot
+/// with L lanes is record b / L of lane b mod L.
+inline void expect_responses_match_lanes(
+    const std::vector<Response>& responses,
+    const std::vector<engine::EngineResult>& lanes) {
+  ASSERT_FALSE(lanes.empty());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const Response& r = responses[i];
+    if (r.status != RequestStatus::kOk) continue;
+    const engine::EngineResult& lane = lanes[r.batch % lanes.size()];
+    const std::size_t access = r.batch / lanes.size();
+    ASSERT_LT(access, lane.records.size()) << i;
+    ASSERT_EQ(r.completion_cycle, lane.records[access].completion)
+        << i << ": batch " << r.batch;
   }
 }
 

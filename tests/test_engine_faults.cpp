@@ -20,6 +20,7 @@
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
 #include "engine_trajectory.hpp"
+#include "fault_plans.hpp"
 #include "reference_engine.hpp"
 #include "test_mappings.hpp"
 
@@ -34,11 +35,26 @@ using engine::ReferenceEngine;
 using engine::expect_same_trajectory;
 using fault::FaultPlan;
 using fault::FaultTimeline;
+using fault::RandomOptions;
+using fault::random_plan;
 
 using DepthSampling = EngineOptions::DepthSampling;
 
 // ---------------------------------------------------------------------------
 // FaultTimeline semantics.
+
+/// The last cycle a timeline can name: a module never fail-stopped is
+/// alive there.
+constexpr std::uint64_t kLastCycle = FaultTimeline::kNever - 1;
+
+/// Module m of `tl` dies at exactly `cycle`: alive one cycle before, dead
+/// from it on.
+void expect_dies_at(const FaultTimeline& tl, std::uint32_t m,
+                    std::uint64_t cycle) {
+  EXPECT_FALSE(tl.dead_at(m, cycle - 1)) << "module " << m;
+  EXPECT_TRUE(tl.dead_at(m, cycle)) << "module " << m;
+  EXPECT_TRUE(tl.dead_at(m, kLastCycle)) << "module " << m;
+}
 
 TEST(FaultTimeline, CompilesFailStopsAndRedirectsRoundRobin) {
   // Dead = {1, 3, 4} of 6 modules, live = {0, 2, 5}: the j-th dead module
@@ -47,13 +63,14 @@ TEST(FaultTimeline, CompilesFailStopsAndRedirectsRoundRobin) {
   plan.fail_stop(3, 10).fail_stop(1, 4).fail_stop(4, 7);
   const FaultTimeline tl(plan, 6);
 
-  EXPECT_EQ(tl.fail_cycle(1), 4u);
-  EXPECT_EQ(tl.fail_cycle(3), 10u);
-  EXPECT_EQ(tl.fail_cycle(4), 7u);
-  EXPECT_EQ(tl.fail_cycle(0), FaultTimeline::kNever);
+  expect_dies_at(tl, 1, 4);
+  expect_dies_at(tl, 3, 10);
+  expect_dies_at(tl, 4, 7);
+  for (const std::uint32_t m : {0u, 2u, 5u}) {
+    EXPECT_FALSE(tl.dead_at(m, kLastCycle)) << "module " << m;
+  }
 
   EXPECT_EQ(tl.dead_modules(), (std::vector<std::uint32_t>{1, 3, 4}));
-  EXPECT_EQ(tl.live_modules(), (std::vector<std::uint32_t>{0, 2, 5}));
   EXPECT_EQ(tl.redirect(1), 0u);
   EXPECT_EQ(tl.redirect(3), 2u);
   EXPECT_EQ(tl.redirect(4), 5u);
@@ -75,7 +92,7 @@ TEST(FaultTimeline, DuplicateFailStopsKeepEarliestCycle) {
   FaultPlan plan;
   plan.fail_stop(2, 20).fail_stop(2, 5).fail_stop(2, 11);
   const FaultTimeline tl(plan, 4);
-  EXPECT_EQ(tl.fail_cycle(2), 5u);
+  expect_dies_at(tl, 2, 5);
   EXPECT_EQ(tl.dead_modules().size(), 1u);
   EXPECT_EQ(tl.fail_events().size(), 1u);
 }
@@ -84,7 +101,7 @@ TEST(FaultTimeline, SlowdownGatesServiceOnPeriodBoundaries) {
   FaultPlan plan;
   plan.slow_down(0, 10, 22, 4);
   const FaultTimeline tl(plan, 2);
-  ASSERT_TRUE(tl.any_faults());
+  EXPECT_TRUE(tl.dead_modules().empty());  // a slowdown kills nothing
   for (std::uint64_t t = 0; t < 30; ++t) {
     const bool in_window = t >= 10 && t < 22;
     const bool expect = !in_window || (t - 10) % 4 == 0;
@@ -101,10 +118,14 @@ TEST(FaultTimeline, IgnoresOutOfRangeAndDegenerateEntries) {
   plan.slow_down(7, 5, 9, 3);   // module beyond the universe
   EXPECT_FALSE(plan.empty());   // the *plan* records them...
   const FaultTimeline tl(plan, 4);
-  EXPECT_FALSE(tl.any_faults());  // ...the *timeline* applies none
+  // ...the *timeline* applies none.
+  EXPECT_TRUE(tl.dead_modules().empty());
+  EXPECT_TRUE(tl.fail_events().empty());
   for (std::uint32_t m = 0; m < 4; ++m) {
-    EXPECT_EQ(tl.fail_cycle(m), FaultTimeline::kNever);
-    EXPECT_TRUE(tl.serves_at(m, 7));
+    EXPECT_FALSE(tl.dead_at(m, kLastCycle));
+    for (std::uint64_t t = 0; t < 12; ++t) {
+      EXPECT_TRUE(tl.serves_at(m, t)) << "module " << m << " t=" << t;
+    }
   }
 }
 
@@ -113,27 +134,27 @@ TEST(FaultTimeline, SparesOneSurvivorWhenEveryModuleFails) {
   plan.fail_stop(0, 8).fail_stop(1, 12).fail_stop(2, 12);
   const FaultTimeline tl(plan, 3);
   // Latest fail cycle wins, ties to the highest id: module 2 survives.
-  EXPECT_EQ(tl.live_modules(), (std::vector<std::uint32_t>{2}));
-  EXPECT_EQ(tl.fail_cycle(2), FaultTimeline::kNever);
+  EXPECT_EQ(tl.dead_modules(), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_FALSE(tl.dead_at(2, kLastCycle));
   EXPECT_EQ(tl.redirect(0), 2u);
   EXPECT_EQ(tl.redirect(1), 2u);
 }
 
 TEST(FaultPlan, RandomIsDeterministicAndCapsFailures) {
-  FaultPlan::RandomOptions opts;
+  RandomOptions opts;
   opts.seed = 42;
   opts.modules = 10;
   opts.fail_fraction = 0.3;
   opts.slowdown_count = 4;
-  const FaultPlan a = FaultPlan::random(opts);
-  const FaultPlan b = FaultPlan::random(opts);
+  const FaultPlan a = random_plan(opts);
+  const FaultPlan b = random_plan(opts);
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
   EXPECT_EQ(a.fail_stops().size(), 3u);
   EXPECT_EQ(a.slowdowns().size(), 4u);
 
   // fail_fraction = 1 still leaves a survivor by construction.
   opts.fail_fraction = 1.0;
-  const FaultPlan all = FaultPlan::random(opts);
+  const FaultPlan all = random_plan(opts);
   EXPECT_EQ(all.fail_stops().size(), 9u);
 }
 
@@ -253,7 +274,7 @@ ArrivalSchedule random_schedule(Rng& rng) {
 }
 
 FaultPlan random_plan(std::uint32_t modules, Rng& rng) {
-  FaultPlan::RandomOptions opts;
+  RandomOptions opts;
   opts.seed = rng();
   opts.modules = modules;
   opts.fail_fraction = 0.1 + 0.3 * static_cast<double>(rng.below(3));
@@ -262,7 +283,7 @@ FaultPlan random_plan(std::uint32_t modules, Rng& rng) {
   opts.slowdown_window = 1 + rng.below(128);
   opts.slowdown_max_length = 1 + rng.below(64);
   opts.slowdown_max_period = 2 + rng.below(3);
-  return FaultPlan::random(opts);
+  return random_plan(opts);
 }
 
 TEST(FaultDifferential, EmptyPlanIsBitIdenticalToFaultFree) {

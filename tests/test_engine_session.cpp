@@ -28,6 +28,7 @@
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/util/rng.hpp"
 #include "engine_trajectory.hpp"
+#include "fault_plans.hpp"
 #include "reference_engine.hpp"
 #include "test_mappings.hpp"
 
@@ -180,8 +181,8 @@ TEST_P(SessionDifferential, MidStreamDrainsMatchPrefixRuns) {
     while (fed < workload.size()) {
       // Feed a chunk of 1..4 accesses, then drain: each drain resumes the
       // previous one and must equal a run over the prefix from cycle 0 —
-      // the retry-round contract: draining again after more feeds
-      // extends, never rewrites, earlier completions.
+      // the retry-round contract of a fault-free lane: draining again
+      // after more feeds never moves an earlier completion.
       const std::size_t end =
           std::min<std::size_t>(workload.size(), fed + 1 + rng.below(4));
       for (; fed < end; ++fed) {
@@ -201,7 +202,7 @@ TEST_P(SessionDifferential, MidStreamDrainsMatchPrefixRuns) {
 /// cycle `fail_window`.
 fault::FaultPlan random_plan(std::uint32_t modules, std::uint64_t fail_window,
                              Rng& rng) {
-  fault::FaultPlan::RandomOptions opts;
+  fault::RandomOptions opts;
   opts.seed = rng();
   opts.modules = modules;
   opts.fail_fraction = 0.1 + 0.3 * static_cast<double>(rng.below(3));
@@ -210,7 +211,7 @@ fault::FaultPlan random_plan(std::uint32_t modules, std::uint64_t fail_window,
   opts.slowdown_window = 1 + rng.below(128);
   opts.slowdown_max_length = 1 + rng.below(64);
   opts.slowdown_max_period = 2 + rng.below(3);
-  return fault::FaultPlan::random(opts);
+  return fault::random_plan(opts);
 }
 
 TEST_P(SessionDifferential, FaultedFeedDrainMatchesMonolithicAndReference) {

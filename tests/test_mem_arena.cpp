@@ -28,22 +28,67 @@ std::vector<Node> all_nodes(const CompleteBinaryTree& tree) {
   return nodes;
 }
 
+/// Where a node lives, read back from payload() addresses: the module its
+/// placement color names and its slot, in strides, past the payload of
+/// the module's lowest-BFS-id node.
+struct Where {
+  Color module = 0;
+  std::int64_t slot = 0;
+  friend bool operator==(const Where&, const Where&) = default;
+};
+
+std::vector<Where> layout(const MemoryBackend& memory) {
+  const CompleteBinaryTree tree = memory.tree();
+  const auto lanes = static_cast<std::int64_t>(memory.stride_bytes() / 8);
+  std::vector<const std::uint64_t*> first(memory.modules(), nullptr);
+  std::vector<Where> where;
+  for (std::uint64_t id = 0; id < tree.size(); ++id) {
+    const Node n = node_at(id);
+    const Color m = memory.placement().color_of(n);
+    if (first[m] == nullptr) first[m] = memory.payload(n);
+    where.push_back(Where{m, (memory.payload(n) - first[m]) / lanes});
+  }
+  return where;
+}
+
 // ---------------------------------------------------------------------------
 // Physical layout.
 
 TEST(MemoryBackend, SlabsAre64ByteAlignedAndSizedToTheirModules) {
   const CompleteBinaryTree tree(9);
   const ColorMapping mapping(make_optimal_color_mapping(tree, 13));
-  const MemoryBackend memory(mapping);
+  ArenaOptions opts;
+  opts.payload_bytes = 24;  // a stride that is no multiple of 64
+  const MemoryBackend memory(mapping, opts);
 
+  // Each module's slab starts 64-byte aligned at its lowest-BFS-id node
+  // and spans one stride per node of the module; no two slabs overlap.
+  struct Slab {
+    std::uintptr_t begin = 0, end = 0;
+  };
+  std::vector<Slab> slabs(memory.modules());
+  for (std::uint64_t id = 0; id < tree.size(); ++id) {
+    const Node n = node_at(id);
+    Slab& s = slabs[mapping.color_of(n)];
+    const auto addr = reinterpret_cast<std::uintptr_t>(memory.payload(n));
+    if (s.end == 0) {
+      EXPECT_EQ(addr % 64, 0u) << "id " << id;
+      s.begin = addr;
+      s.end = addr;
+    }
+    ASSERT_EQ(addr, s.end) << "id " << id;
+    s.end += memory.stride_bytes();
+  }
   std::uint64_t total = 0;
-  for (Color m = 0; m < memory.modules(); ++m) {
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(memory.slab_base(m)) % 64, 0u)
-        << "module " << m;
-    total += memory.slab_nodes(m);
+  for (Color a = 0; a < memory.modules(); ++a) {
+    total += (slabs[a].end - slabs[a].begin) / memory.stride_bytes();
+    for (Color b = a + 1; b < memory.modules(); ++b) {
+      EXPECT_TRUE(slabs[a].end <= slabs[b].begin ||
+                  slabs[b].end <= slabs[a].begin)
+          << "modules " << a << " and " << b;
+    }
   }
   EXPECT_EQ(total, tree.size());
-  EXPECT_EQ(memory.node_count(), tree.size());
   EXPECT_EQ(memory.resident_bytes(), tree.size() * memory.stride_bytes());
 }
 
@@ -54,16 +99,12 @@ TEST(MemoryBackend, PlacementIsModuleMajorInBfsOrder) {
 
   // Every node lives in the slab its placement color names, at the slot
   // equal to the count of lower-BFS-id nodes of the same color.
-  std::vector<std::uint64_t> next_slot(memory.modules(), 0);
-  const std::size_t lanes = memory.stride_bytes() / 8;
+  EXPECT_EQ(&memory.placement(), static_cast<const TreeMapping*>(&mapping));
+  const std::vector<Where> where = layout(memory);
+  std::vector<std::int64_t> next_slot(memory.modules(), 0);
   for (std::uint64_t id = 0; id < tree.size(); ++id) {
-    const Node n = node_at(id);
-    const Color m = mapping.color_of(n);
-    ASSERT_EQ(memory.module_of(n), m) << "id " << id;
-    ASSERT_EQ(memory.slot_of(n), next_slot[m]) << "id " << id;
-    ASSERT_EQ(memory.payload(n),
-              memory.slab_base(m) + next_slot[m] * lanes)
-        << "id " << id;
+    const Color m = mapping.color_of(node_at(id));
+    ASSERT_EQ(where[id], (Where{m, next_slot[m]})) << "id " << id;
     next_slot[m] += 1;
   }
 }
@@ -91,12 +132,9 @@ TEST(MemoryBackend, TwoPlacementsOfTheSameTreeLayOutDifferently) {
   const MemoryBackend a(color);
   const MemoryBackend b(label);
 
-  // The layout IS the mapping: some node must land in different modules.
-  bool differs = false;
-  for (std::uint64_t id = 0; id < tree.size() && !differs; ++id) {
-    differs = a.module_of(node_at(id)) != b.module_of(node_at(id));
-  }
-  EXPECT_TRUE(differs);
+  // The layout IS the mapping: some node must land in another module or
+  // at another slot.
+  EXPECT_NE(layout(a), layout(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -127,7 +165,6 @@ TEST(MemoryBackend, ChecksumMatchesTheAnalyticExpectation) {
   const ColorMapping mapping(make_optimal_color_mapping(tree, 7));
   ArenaOptions opts;
   opts.payload_bytes = 40;
-  opts.fill_seed = 0xC0FFEE;
   const MemoryBackend memory(mapping, opts);
 
   for (std::uint64_t id = 0; id < tree.size(); id += 17) {

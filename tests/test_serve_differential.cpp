@@ -15,6 +15,7 @@
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "fault_plans.hpp"
 #include "serve_compare.hpp"
 
 namespace pmtree::serve {
@@ -78,7 +79,7 @@ Config random_config(std::uint64_t seed) {
 Config faulted_config(std::uint64_t seed) {
   Config cfg = random_config(seed);
   Rng rng(seed ^ 0xFA017u);
-  fault::FaultPlan::RandomOptions fopts;
+  fault::RandomOptions fopts;
   fopts.seed = rng();
   fopts.modules = cfg.mapping->num_modules();
   fopts.fail_fraction = 0.25;
@@ -88,7 +89,7 @@ Config faulted_config(std::uint64_t seed) {
   fopts.slowdown_max_length = 128;
   fopts.slowdown_max_period = 4;
   cfg.faults =
-      std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(fopts));
+      std::make_unique<fault::FaultPlan>(fault::random_plan(fopts));
   cfg.options.retry.max_retries = static_cast<std::uint32_t>(rng.between(1, 4));
   cfg.options.retry.attempt_timeout_cycles = rng.between(2, 12);
   cfg.options.retry.backoff_base_cycles = rng.between(1, 8);

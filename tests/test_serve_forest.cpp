@@ -22,6 +22,7 @@
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "fault_plans.hpp"
 #include "serve_compare.hpp"
 
 namespace pmtree::serve {
@@ -168,7 +169,7 @@ ForestConfig faulted_forest(std::uint64_t seed) {
   for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
     if (i != 0 && !rng.chance(1, 2)) continue;
     TenantConfig& t = cfg.tenants[i];
-    fault::FaultPlan::RandomOptions fopts;
+    fault::RandomOptions fopts;
     fopts.seed = rng();
     fopts.modules = t.mapping->num_modules();
     fopts.fail_fraction = 0.25;
@@ -177,7 +178,7 @@ ForestConfig faulted_forest(std::uint64_t seed) {
     fopts.slowdown_window = 256;
     fopts.slowdown_max_length = 128;
     fopts.slowdown_max_period = 4;
-    t.faults = std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(fopts));
+    t.faults = std::make_unique<fault::FaultPlan>(fault::random_plan(fopts));
     t.options.retry.max_retries = static_cast<std::uint32_t>(rng.between(1, 3));
     t.options.retry.attempt_timeout_cycles = rng.between(2, 12);
     t.options.retry.backoff_base_cycles = rng.between(1, 8);
@@ -223,6 +224,15 @@ void expect_same_report(const ForestReport& got, const ForestReport& want) {
   ASSERT_EQ(got.to_json().dump(), want.to_json().dump());
 }
 
+/// Every tenant's kOk responses complete with their batches' lane records.
+void expect_tenants_match_lanes(const ForestReport& report) {
+  for (std::size_t i = 0; i < report.tenants.size(); ++i) {
+    SCOPED_TRACE("tenant=" + std::to_string(i));
+    ASSERT_NO_FATAL_FAILURE(expect_responses_match_lanes(
+        report.tenants[i].responses, report.tenants[i].lanes));
+  }
+}
+
 void expect_all_terminal(const ForestReport& report, const ForestConfig& cfg) {
   ASSERT_EQ(report.total_requests(), cfg.total_requests());
   ASSERT_EQ(report.count(RequestStatus::kOk) +
@@ -253,6 +263,7 @@ TEST(ServeForest, FaultedTenantsAreWorkerCountInvariant) {
     const ForestConfig cfg = faulted_forest(seed * 15485863);
     const ForestReport oracle = run_with_workers(cfg, 1);
     expect_all_terminal(oracle, cfg);
+    expect_tenants_match_lanes(oracle);
     for (std::size_t i = 0; i < cfg.tenants.size(); ++i) {
       for (const Response& r : oracle.tenants[i].responses) {
         ASSERT_LE(r.retries, cfg.tenants[i].options.retry.max_retries);
@@ -329,7 +340,7 @@ TEST(ServeForest, PerTenantFaultPlansDegradeOnlyThatTenant) {
     const ForestReport healthy = run_with_workers(cfg, 2);
 
     // Aggressive plan on tenant 0 only: most modules dead from cycle 0.
-    fault::FaultPlan::RandomOptions fopts;
+    fault::RandomOptions fopts;
     fopts.seed = seed;
     fopts.modules = cfg.tenants[0].mapping->num_modules();
     fopts.fail_fraction = 0.75;
@@ -339,8 +350,9 @@ TEST(ServeForest, PerTenantFaultPlansDegradeOnlyThatTenant) {
     fopts.slowdown_max_length = 64;
     fopts.slowdown_max_period = 4;
     cfg.tenants[0].faults =
-        std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(fopts));
+        std::make_unique<fault::FaultPlan>(fault::random_plan(fopts));
     const ForestReport degraded = run_with_workers(cfg, 2);
+    expect_tenants_match_lanes(degraded);
 
     ASSERT_EQ(degraded.tenants.size(), healthy.tenants.size());
     for (std::size_t i = 1; i < healthy.tenants.size(); ++i) {
@@ -723,7 +735,7 @@ TEST(ServeForest, ServerEqualsOneTenantForest) {
     }
     std::unique_ptr<fault::FaultPlan> faults;
     if (seed % 4 >= 2) {
-      fault::FaultPlan::RandomOptions fopts;
+      fault::RandomOptions fopts;
       fopts.seed = rng();
       fopts.modules = modules;
       fopts.fail_fraction = 0.25;
@@ -732,7 +744,7 @@ TEST(ServeForest, ServerEqualsOneTenantForest) {
       fopts.slowdown_window = 256;
       fopts.slowdown_max_length = 128;
       fopts.slowdown_max_period = 4;
-      faults = std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(fopts));
+      faults = std::make_unique<fault::FaultPlan>(fault::random_plan(fopts));
       sopts.engine.faults = faults.get();
     }
 

@@ -9,17 +9,19 @@
 //     controllers, an epoch controller under faults or on a dyn tree, a
 //     misfit candidate or subtree level, arenas or a colorer shallower
 //     than the served tree, a dyn tree deeper than its colorer, a batching
-//     wait past the clock's horizon), or a Server's or Forest's tick past
-//     that horizon, throws std::invalid_argument at construction and never
-//     runs;
+//     wait past the clock's horizon), a Server's or Forest's tick past
+//     that horizon, or a Forest tenant whose DRR weight times the quantum
+//     overflows 64 bits, throws std::invalid_argument at construction or
+//     registration and never runs;
 //   * a request with a node outside its slot's tree throws
 //     std::out_of_range at submit, through either overload, and nothing of
 //     the refused call is queued;
 //   * every accepted configuration runs at workers 1, 2 and 8 and at
 //     pipeline.workers 2 and 8, dyn state fresh for each run. Every
-//     response is terminal, and responses, batches, lane results, mutation
-//     logs, metrics (but the wall-time "pipeline" section), final_cycle,
-//     ticks and rounds equal the 1-worker run's;
+//     response is terminal, every kOk response completes with its batch's
+//     record on the report's own lanes, and responses, batches, lane
+//     results, mutation logs, metrics (but the wall-time "pipeline"
+//     section), final_cycle, ticks and rounds equal the 1-worker run's;
 //   * with arenas, the reported TouchStats equal a recount of touch() over
 //     the report's batches.
 //
@@ -48,6 +50,7 @@
 #include "pmtree/serve/request.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "fault_plans.hpp"
 #include "serve_compare.hpp"
 
 namespace pmtree::serve {
@@ -171,7 +174,7 @@ std::unique_ptr<TreeMapping> draw_mapping(Rng& rng, CompleteBinaryTree tree) {
 
 std::unique_ptr<fault::FaultPlan> random_faults(Rng& rng,
                                                 std::uint32_t modules) {
-  fault::FaultPlan::RandomOptions f;
+  fault::RandomOptions f;
   f.seed = rng();
   // Sometimes wider than the mapping: entries past its modules are
   // ignored.
@@ -182,7 +185,7 @@ std::unique_ptr<fault::FaultPlan> random_faults(Rng& rng,
   f.slowdown_window = rng.between(1, 256);
   f.slowdown_max_length = rng.between(1, 128);
   f.slowdown_max_period = rng.between(2, 6);
-  return std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(f));
+  return std::make_unique<fault::FaultPlan>(fault::random_plan(f));
 }
 
 /// A node inside a tree of `levels` levels.
@@ -501,7 +504,7 @@ SlotDraw draw_slot(Rng& rng, bool dyn_allowed, Break broken) {
                          static_cast<std::uint32_t>(rng.between(1, 9))));
     mem::ArenaOptions arena;
     arena.payload_bytes = static_cast<std::uint32_t>(8 * rng.between(1, 8));
-    arena.fill_seed = rng();
+    (void)rng();  // a draw the arena no longer takes; later draws keep theirs
     d.memory = std::make_unique<mem::MemoryBackend>(placement, arena);
   }
   d.options.memory = d.memory.get();
@@ -663,6 +666,8 @@ TEST(ServeFuzz, ServerDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
       ASSERT_NO_FATAL_FAILURE(
           expect_terminal(got.responses, d.requests.size()));
       ASSERT_NO_FATAL_FAILURE(
+          expect_responses_match_lanes(got.responses, got.replicas));
+      ASSERT_NO_FATAL_FAILURE(
           expect_recounted(d.memory.get(), got.batches, got.memory));
       std::vector<std::uint64_t> live;
       if (state) {
@@ -704,6 +709,7 @@ TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
   Rng master(kMasterSeed ^ 0xF0);
   std::vector<int> rejected(kSlotBreaks + 1, 0);
   int ticks_rejected = 0;
+  int weights_rejected = 0;
   std::uint64_t tenant_draws = 0;
   Coverage served;
   for (int draw = 0; draw < kForestDraws; ++draw) {
@@ -738,6 +744,25 @@ TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
       static_cast<SlotOptions&>(o) = d.options;
       o.rate = static_cast<double>(rng.below(5)) / 2.0;
       o.weight = rng.below(5);  // 0 behaves as 1
+    }
+
+    // Every eighth draw also offers a tenant whose DRR credit, weight *
+    // quantum, does not fit 64 bits. It draws from its own Rng, so every
+    // other draw stays as it was.
+    if (draw % 8 == 3) {
+      Rng heavy(seed ^ 0xD88);
+      ForestOptions metered = base;
+      metered.drr_quantum_nodes = heavy.between(2, 64);
+      TenantOptions o;
+      o.weight = heavy.between(
+          ~std::uint64_t{0} / metered.drr_quantum_nodes + 1, ~std::uint64_t{0});
+      Forest forest(metered);
+      const ModuloMapping mapping(CompleteBinaryTree(3), 2);
+      EXPECT_THROW((void)forest.add_tenant(mapping, o), std::invalid_argument)
+          << "weight " << o.weight << " quantum "
+          << metered.drr_quantum_nodes;
+      EXPECT_EQ(forest.tenant_count(), 0u);
+      weights_rejected += 1;
     }
 
     // The check: a broken tenant is refused and leaves the forest as it
@@ -785,6 +810,8 @@ TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
         const SlotDraw& d = slots[accepted[id]];
         ASSERT_NO_FATAL_FAILURE(
             expect_terminal(got.tenants[id].responses, d.requests.size()));
+        ASSERT_NO_FATAL_FAILURE(expect_responses_match_lanes(
+            got.tenants[id].responses, got.tenants[id].lanes));
         ASSERT_NO_FATAL_FAILURE(expect_recounted(
             d.memory.get(), got.tenants[id].batches, got.tenants[id].memory));
       }
@@ -815,6 +842,7 @@ TEST(ServeFuzz, ForestDrawsRejectOrServeIdenticallyAtEveryThreadCount) {
     EXPECT_GT(rejected[rule], 0) << "rule " << rule << " never drawn";
   }
   EXPECT_GT(ticks_rejected, 0);
+  EXPECT_GT(weights_rejected, 0);
   served.expect_reached(/*with_dyn=*/false);
 }
 

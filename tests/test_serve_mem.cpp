@@ -21,6 +21,7 @@
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "fault_plans.hpp"
 #include "serve_compare.hpp"
 
 namespace pmtree::serve {
@@ -161,7 +162,7 @@ TEST(ServeMem, FaultedRunsKeepTheBackendObservational) {
   const mem::MemoryBackend memory(mapping);
   const auto requests = request_stream(tree.levels(), 160, 0xFA25);
 
-  fault::FaultPlan::RandomOptions fopts;
+  fault::RandomOptions fopts;
   fopts.seed = 0xFA25;
   fopts.modules = mapping.num_modules();
   fopts.fail_fraction = 0.2;
@@ -170,7 +171,7 @@ TEST(ServeMem, FaultedRunsKeepTheBackendObservational) {
   fopts.slowdown_window = 128;
   fopts.slowdown_max_length = 64;
   fopts.slowdown_max_period = 4;
-  const fault::FaultPlan plan = fault::FaultPlan::random(fopts);
+  const fault::FaultPlan plan = fault::random_plan(fopts);
 
   ServerOptions off = serve_options();
   off.engine.faults = &plan;

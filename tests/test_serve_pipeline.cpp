@@ -12,11 +12,16 @@
 // a chunk boundary, epoch observations in chunks on both sides of plain
 // ones, and resolves or observations that throw run under the same
 // contract, and every reported batch's nodes come out deduplicated and
-// sorted whichever thread resolved them.
+// sorted whichever thread resolved them. Two serve contracts are probed
+// at every thread count here too: a retry round's faulted replay that
+// moves an earlier round's completion (the report must carry the moved
+// completion, and judge its retry on it), and the DRR credit rule
+// (weight * quantum must fit 64 bits; accrual saturates).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,9 +33,11 @@
 #include "pmtree/mapping/color.hpp"
 #include "pmtree/mapping/label_tree.hpp"
 #include "pmtree/mem/arena.hpp"
+#include "pmtree/serve/fair.hpp"
 #include "pmtree/serve/forest.hpp"
 #include "pmtree/serve/server.hpp"
 #include "pmtree/util/rng.hpp"
+#include "fault_plans.hpp"
 #include "serve_compare.hpp"
 #include "test_mappings.hpp"
 
@@ -245,7 +252,7 @@ TEST(ServePipeline, ServerMatchesOracleAtEveryWorkerCount) {
 std::unique_ptr<fault::FaultPlan> random_faults(std::uint32_t modules,
                                                 std::uint64_t seed) {
   Rng rng(seed);
-  fault::FaultPlan::RandomOptions fopts;
+  fault::RandomOptions fopts;
   fopts.seed = rng();
   fopts.modules = modules;
   fopts.fail_fraction = 0.25;
@@ -254,7 +261,7 @@ std::unique_ptr<fault::FaultPlan> random_faults(std::uint32_t modules,
   fopts.slowdown_window = 256;
   fopts.slowdown_max_length = 128;
   fopts.slowdown_max_period = 4;
-  return std::make_unique<fault::FaultPlan>(fault::FaultPlan::random(fopts));
+  return std::make_unique<fault::FaultPlan>(fault::random_plan(fopts));
 }
 
 TEST(ServePipeline, FaultedServerRunsOnThePipelineAndMatchesOracle) {
@@ -268,6 +275,7 @@ TEST(ServePipeline, FaultedServerRunsOnThePipelineAndMatchesOracle) {
 
     const ServeReport oracle = run_server(cfg, 0);
     ASSERT_TRUE(oracle.metrics.find("pipeline") == nullptr);
+    expect_responses_match_lanes(oracle.responses, oracle.replicas);
     for (const engine::EngineResult& r : oracle.replicas) {
       rerouted += r.rerouted_requests;
     }
@@ -503,6 +511,9 @@ TEST(ServePipeline, FaultedForestRunsOnThePipelineAndMatchesOracle) {
 
   const ForestReport oracle = run_forest(cfg, 0);
   ASSERT_TRUE(oracle.metrics.find("forest")->find("pipeline") == nullptr);
+  for (const TenantReport& tr : oracle.tenants) {
+    expect_responses_match_lanes(tr.responses, tr.lanes);
+  }
   std::uint64_t batches = 0;
   for (const TenantReport& tr : oracle.tenants) batches += tr.batches.size();
   for (const unsigned workers : {1u, 2u, 8u}) {
@@ -1028,6 +1039,203 @@ TEST(ServePipeline, ReportedBatchNodesAreStrictlyIncreasing) {
       SCOPED_TRACE(t.name);
       EXPECT_GT(expect_strictly_increasing(t.batches), 0u);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A retry round's faulted replay moves an earlier round's completion.
+
+/// The probe: on one lane of an 8-level tree under ModuloMapping(tree, 2),
+/// request A (client 0, cycle 0) holds the 21 odd-index level-6 nodes
+/// (module 0) and request B (client 1, cycle 12) the 20 even-index ones
+/// (module 1); every batch takes one request, each attempt has 20 cycles
+/// and one retry, and module 1 fail-stops at cycle 28. A times out and its
+/// retry is cut at cycle 24; replayed with it, B's last four accesses
+/// drain at cycle 28 onto module 0 behind that retry, so B's first
+/// attempt completes at 49, past its budget, and B must be retried too.
+struct RetryProbe {
+  CompleteBinaryTree tree{8};
+  ModuloMapping mapping{tree, 2};
+  fault::FaultPlan faults;
+  std::vector<Request> requests;
+
+  RetryProbe() {
+    faults.fail_stop(1, 28);
+    Request a, b;
+    a.client = 0;
+    b.client = 1;
+    b.submit_cycle = 12;
+    for (std::uint64_t i = 0; i < 21; ++i) a.nodes.push_back(v(2 * i + 1, 6));
+    for (std::uint64_t i = 0; i < 20; ++i) b.nodes.push_back(v(2 * i, 6));
+    requests = {a, b};
+  }
+
+  /// The slot options every run shares, over a Server's or a tenant's
+  /// options.
+  template <typename Options>
+  [[nodiscard]] Options options() const {
+    Options o;
+    o.batch.max_batch_nodes = 1;
+    o.batch.max_wait_cycles = 0;
+    o.retry.max_retries = 1;
+    o.retry.attempt_timeout_cycles = 20;
+    o.retry.backoff_base_cycles = 1;
+    o.retry.backoff_cap_cycles = 1;
+    o.engine.faults = &faults;
+    return o;
+  }
+};
+
+/// The probe's outcome, whichever front-end served it: A's retry and B's
+/// retry both ran, B's on module 0 behind everything left there.
+void expect_probe_outcome(const std::vector<Response>& responses,
+                          const std::vector<engine::EngineResult>& lanes) {
+  ASSERT_NO_FATAL_FAILURE(expect_responses_match_lanes(responses, lanes));
+  ASSERT_EQ(responses.size(), 2u);
+  ASSERT_EQ(lanes.size(), 1u);
+  const Response& a = responses[0];
+  const Response& b = responses[1];
+  EXPECT_EQ(a.status, RequestStatus::kOk);
+  EXPECT_EQ(a.retries, 1u);
+  EXPECT_EQ(a.dispatch_cycle, 24u);
+  EXPECT_EQ(a.completion_cycle, 45u);
+  EXPECT_EQ(b.status, RequestStatus::kOk);
+  EXPECT_EQ(b.retries, 1u) << "B's first attempt overstayed its budget";
+  EXPECT_EQ(b.dispatch_cycle, 36u);
+  EXPECT_EQ(b.completion_cycle, 69u);
+  // B's first attempt: its record on the lane moved from 32 to 49.
+  ASSERT_EQ(lanes[0].records.size(), 4u);
+  EXPECT_EQ(lanes[0].records[1].completion, 49u);
+}
+
+TEST(Server, RetryRoundsRereadFaultedLanes) {
+  const RetryProbe probe;
+  std::optional<ServeReport> want;
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    ServerOptions opts = probe.options<ServerOptions>();
+    opts.tick_cycles = 4;
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Server server(probe.mapping, opts);
+    server.submit(probe.requests);
+    const ServeReport got = server.run();
+    ASSERT_NO_FATAL_FAILURE(expect_probe_outcome(got.responses, got.replicas));
+    EXPECT_EQ(got.rounds, 3u);
+    EXPECT_EQ(got.final_cycle, 69u);
+    if (!want) {
+      want.emplace(got);
+      continue;
+    }
+    expect_same_serve_report(got, *want);
+  }
+}
+
+TEST(ServeForest, RetryRoundsRereadFaultedLanes) {
+  const RetryProbe probe;
+  std::optional<ForestReport> want;
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    ForestOptions opts;
+    opts.tick_cycles = 4;
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Forest forest(opts);
+    forest.add_tenant(probe.mapping, probe.options<TenantOptions>());
+    forest.submit(0, probe.requests);
+    const ForestReport got = forest.run();
+    ASSERT_EQ(got.tenants.size(), 1u);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_probe_outcome(got.tenants[0].responses, got.tenants[0].lanes));
+    EXPECT_EQ(got.rounds, 3u);
+    EXPECT_EQ(got.final_cycle, 69u);
+    if (!want) {
+      want.emplace(got);
+      continue;
+    }
+    expect_same_forest_report(got, *want);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// DRR credit: weight * quantum must fit 64 bits, and accrual saturates.
+
+TEST(ServeForest, DrrCreditPastU64IsRejected) {
+  constexpr std::uint64_t kQuantum = 32;
+  // 2^59 * 32 wraps to 0, which no batch ever affords; 2^59 + 1 wraps to
+  // 32, a silent demotion. 2^58 * 32 = 2^63 fits.
+  for (const std::uint64_t weight :
+       {std::uint64_t{1} << 59, (std::uint64_t{1} << 59) + 1,
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE("weight=" + std::to_string(weight));
+    EXPECT_THROW(DeficitRoundRobin::check(weight, kQuantum),
+                 std::invalid_argument);
+    EXPECT_THROW(DeficitRoundRobin({1, weight}, kQuantum),
+                 std::invalid_argument);
+  }
+  DeficitRoundRobin::check(std::uint64_t{1} << 58, kQuantum);
+  DeficitRoundRobin::check(~std::uint64_t{0}, 0);  // quantum 0 behaves as 1
+
+  const CompleteBinaryTree tree(8);
+  const ModuloMapping mapping(tree, 2);
+  Request one;
+  one.nodes = {v(5, 7)};
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    ForestOptions opts;
+    opts.drr_quantum_nodes = kQuantum;
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Forest forest(opts);
+    TenantOptions heavy;
+    heavy.batch.max_wait_cycles = 0;  // due on the tick that admits it
+    heavy.weight = std::uint64_t{1} << 59;
+    ASSERT_THROW((void)forest.add_tenant(mapping, heavy),
+                 std::invalid_argument);
+    ASSERT_EQ(forest.tenant_count(), 0u);
+    heavy.weight = std::uint64_t{1} << 58;
+    ASSERT_EQ(forest.add_tenant(mapping, heavy), 0u);
+    forest.submit(0, one);
+    const ForestReport report = forest.run();
+    const Response& r = report.tenants[0].responses[0];
+    EXPECT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_EQ(r.dispatch_cycle, 0u);
+  }
+}
+
+TEST(ServeForest, DrrCreditSaturates) {
+  DeficitRoundRobin drr({std::uint64_t{1} << 58}, 32);
+  drr.begin_turn(0);
+  EXPECT_EQ(drr.deficit(0), std::uint64_t{1} << 63);
+  drr.begin_turn(0);
+  EXPECT_EQ(drr.deficit(0), ~std::uint64_t{0});
+  drr.begin_turn(0);
+  EXPECT_EQ(drr.deficit(0), ~std::uint64_t{0});
+
+  // A tenant of credit 2^63 that waits one tick before its batch is due
+  // holds two ticks' credit when it is: it cuts on that tick. A wrapped
+  // deficit (0) would have held the cut back a tick.
+  const CompleteBinaryTree tree(8);
+  const ModuloMapping mapping(tree, 2);
+  Request one;
+  one.nodes = {v(5, 7)};
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    ForestOptions opts;
+    opts.tick_cycles = 1;
+    opts.drr_quantum_nodes = 32;
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Forest forest(opts);
+    TenantOptions heavy;
+    heavy.weight = std::uint64_t{1} << 58;
+    heavy.batch.max_batch_nodes = 64;
+    heavy.batch.max_wait_cycles = 1;
+    forest.add_tenant(mapping, heavy);
+    forest.submit(0, one);
+    const Response r = forest.run().tenants[0].responses[0];
+    EXPECT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_EQ(r.dispatch_cycle, 1u);
   }
 }
 

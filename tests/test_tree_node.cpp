@@ -79,6 +79,21 @@ TEST(Tree, ShapeQueries) {
   EXPECT_EQ(t.first_leaf(), v(0, 3));
 }
 
+TEST(BfsPositionInSubtree, RoundTripsWithSubtreeNodeAt) {
+  // A node's BFS position within the subtree rooted at `root` is the BFS
+  // id of its coordinates relative to the root.
+  const Node root = v(5, 3);
+  for (std::uint64_t pos = 0; pos < 31; ++pos) {
+    const Node n = subtree_node_at(root, pos);
+    const std::uint32_t depth = n.level - root.level;
+    EXPECT_EQ(bfs_id(Node{depth, n.index - (root.index << depth)}), pos);
+    EXPECT_TRUE(in_subtree(n, root, 5));
+  }
+  EXPECT_EQ(subtree_node_at(v(3, 2), 0), v(3, 2));
+  EXPECT_EQ(subtree_node_at(v(3, 2), 2), v(7, 3));
+  EXPECT_EQ(subtree_node_at(v(3, 2), 6), v(15, 4));
+}
+
 TEST(Node, ToString) {
   EXPECT_EQ(to_string(v(3, 2)), "v(3, 2)");
 }
