@@ -7,16 +7,29 @@
 // trade-off — how COLOR's and LABEL-TREE's placements behave under real
 // bandwidth and real cache hierarchies. pmtree::mem closes that gap:
 //
-//   ModuleArena / MemoryBackend — one 64-byte-aligned slab per module,
-//     holding the actual payload of every node the placement mapping
-//     assigns to that module. Placement is module-major: a module's nodes
-//     occupy consecutive slots in BFS order, so the physical layout IS
-//     the mapping — two mappings of the same tree produce materially
-//     different memory layouts, and a batch's locality (how many slabs it
-//     straddles, how its reads stride within one) is measurable instead
-//     of notional. (Demaine et al.'s worst-case external-memory tree
-//     layouts motivate block-size-aware placement; the bp-forest seat
-//     pool is the many-trees-one-pool shape the Forest wiring uses.)
+//   MemoryBackend — one slab per module, holding the actual payload of
+//     every node the placement mapping assigns to that module. Placement
+//     is module-major: a module's nodes occupy consecutive slots in BFS
+//     order, so the physical layout IS the mapping — two mappings of the
+//     same tree produce materially different memory layouts, and a
+//     batch's locality (how many slabs it straddles, how its reads stride
+//     within one) is measurable instead of notional. (Demaine et al.'s
+//     worst-case external-memory tree layouts motivate block-size-aware
+//     placement; the bp-forest seat pool is the many-trees-one-pool shape
+//     the Forest wiring uses.)
+//
+//     The slabs are consecutive pieces of ONE region, in module order,
+//     each starting 64-byte aligned. A region of 2 MiB or more is 2 MiB
+//     aligned and advised onto transparent huge pages where the platform
+//     has MADV_HUGEPAGE; it is never zero-filled, since the payload fill
+//     writes every slot. The build runs in two passes over BFS chunks of
+//     2^16 ids (parallel_chunks, one thread per hardware thread; a tree
+//     of one chunk builds inline on the calling thread): pass 1 colors
+//     each chunk and counts its nodes per module, an exclusive prefix
+//     over (module, chunk) gives each chunk its first slot in every slab,
+//     and pass 2 fills each chunk's payloads and addresses. Chunk c's
+//     nodes of a module follow chunk c-1's, so the layout is the serial
+//     one at any thread count.
 //
 //   touch() — performs genuine loads: every 8-byte lane of every
 //     requested node's payload is read and folded into a checksum. The
@@ -37,12 +50,11 @@
 // scheduling decision).
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "pmtree/mapping/mapping.hpp"
 #include "pmtree/tree/node.hpp"
@@ -65,6 +77,12 @@ namespace detail {
   buf[18] = '\0';
   return std::string(buf);
 }
+
+/// Frees a MemoryBackend's region with the alignment it was allocated at.
+struct RegionFree {
+  std::size_t align = 0;
+  void operator()(std::uint64_t* p) const noexcept;
+};
 
 }  // namespace detail
 
@@ -108,6 +126,11 @@ struct TouchStats {
 /// system whose router changes faster than its storage.
 class MemoryBackend {
  public:
+  /// Builds the arenas. Throws std::length_error, before allocating
+  /// anything, when the region's size bound (payload bytes plus 63 bytes
+  /// of slab-start padding per module) does not fit size_t, and
+  /// std::invalid_argument when the placement colors a node with a
+  /// module >= num_modules() (so always when num_modules() is 0).
   explicit MemoryBackend(const TreeMapping& placement,
                          ArenaOptions options = {});
 
@@ -147,14 +170,15 @@ class MemoryBackend {
   [[nodiscard]] std::uint32_t stride_bytes() const noexcept {
     return static_cast<std::uint32_t>(stride_);
   }
-  /// Total resident payload bytes across all slabs.
+  /// Total payload bytes across all slabs (the region adds at most 63
+  /// bytes of alignment padding per slab).
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept {
     return tree_.size() * stride_;
   }
 
   /// First payload lane of `n` (stride_bytes()/8 lanes long). `n` lives
-  /// in the slab of module placement().color_of(n), 64-byte aligned, at
-  /// the slot after the module's lower-BFS-id nodes.
+  /// in the slab of module placement().color_of(n), whose start is
+  /// 64-byte aligned, at the slot after the module's lower-BFS-id nodes.
   [[nodiscard]] const std::uint64_t* payload(Node n) const noexcept {
     return addr_[bfs_id(n)];
   }
@@ -186,10 +210,10 @@ class MemoryBackend {
   std::uint32_t payload_bytes_ = 0;
   std::size_t stride_ = 0;  ///< bytes per node slot (multiple of 8)
   std::size_t lanes_ = 0;   ///< stride_ / 8
-  /// One u64 buffer per module, over-allocated so the 64-byte-aligned
-  /// slab base can be carved out of it (no custom aligned deleters).
-  std::vector<std::vector<std::uint64_t>> slabs_;
-  std::vector<const std::uint64_t*> addr_;  ///< bfs_id -> payload
+  /// Every slab, module after module (see the file comment).
+  std::unique_ptr<std::uint64_t[], detail::RegionFree> region_;
+  /// bfs_id -> payload, tree_.size() entries.
+  std::unique_ptr<const std::uint64_t*[]> addr_;
 };
 
 }  // namespace pmtree::mem

@@ -18,6 +18,7 @@
 // decomposition.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -88,10 +89,11 @@ class BatchFormer {
   /// Cuts exactly one batch at tick `now`. Precondition: the pending
   /// queue is non-empty (callers gate on due()). The batch takes requests
   /// front-first, through `controller.pop_front()`, until the next one
-  /// would push it past max_batch_nodes (always at least one). `nodes` is
-  /// left as the raw member concatenation, duplicates and fill order
-  /// included; dedup() finishes it in the executor's resolve, off the
-  /// tick loop for every slot.
+  /// would push it past max_batch_nodes (always at least one), and
+  /// allocates exactly the members and nodes it takes, whatever the cap.
+  /// `nodes` is left as the raw member concatenation, duplicates and fill
+  /// order included; dedup() finishes it in the executor's resolve, off
+  /// the tick loop for every slot.
   [[nodiscard]] FormedBatch form_one_raw(std::uint64_t now,
                                          AdmissionController& controller);
 
@@ -108,6 +110,17 @@ class BatchFormer {
   [[nodiscard]] static CompositeInstance coalesce(std::vector<Node>& nodes);
 
  private:
+  /// What the next form_one_raw() takes from the front of the queue.
+  struct Fill {
+    std::size_t members = 0;
+    std::uint64_t nodes = 0;  ///< pre-dedup
+  };
+  /// The front-first fill walk: whole requests until the next one would
+  /// push the batch past max_batch_nodes (always at least one when the
+  /// queue is non-empty). next_batch_cost() and form_one_raw() share it,
+  /// so the DRR cost is the batch's exact size.
+  [[nodiscard]] Fill next_fill(const AdmissionController& controller) const;
+
   BatchPolicy policy_;
   std::uint64_t next_id_ = 0;
 };

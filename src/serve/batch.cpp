@@ -143,49 +143,42 @@ bool BatchFormer::due(std::uint64_t now,
   return now - pending.front().admitted_cycle >= policy_.max_wait_cycles;
 }
 
+BatchFormer::Fill BatchFormer::next_fill(
+    const AdmissionController& controller) const {
+  Fill fill;
+  for (const QueuedRequest& q : controller.pending()) {
+    const std::uint64_t n = q.nodes->size();
+    // The first member always fits (oversized requests dispatch alone);
+    // after that, stop before overflowing the cap.
+    if (fill.members != 0 && fill.nodes + n > policy_.max_batch_nodes) break;
+    fill.members += 1;
+    fill.nodes += n;
+    if (fill.nodes >= policy_.max_batch_nodes) break;
+  }
+  return fill;
+}
+
 std::uint64_t BatchFormer::next_batch_cost(
     const AdmissionController& controller) const {
-  const std::deque<QueuedRequest>& pending = controller.pending();
-  std::uint64_t taken = 0;
-  std::size_t members = 0;
-  for (const QueuedRequest& q : pending) {
-    const std::uint64_t n = q.nodes->size();
-    if (members != 0 && taken + n > policy_.max_batch_nodes) break;
-    members += 1;
-    taken += n;
-    if (taken >= policy_.max_batch_nodes) break;
-  }
-  return taken;
+  return next_fill(controller).nodes;
 }
 
 FormedBatch BatchFormer::form_one_raw(std::uint64_t now,
                                       AdmissionController& controller) {
-  const std::deque<QueuedRequest>& pending = controller.pending();
+  // The walk that prices the batch for the DRR also sizes it, so the
+  // batch reserves exactly the members and nodes it takes.
+  const Fill fill = next_fill(controller);
   FormedBatch batch;
   batch.id = next_id_++;
   batch.formed_cycle = now;
-  // One exact-capacity allocation instead of geometric growth across the
-  // fill walk. The cap is the fill limit; the front request can exceed it
-  // alone (oversized requests dispatch solo).
-  if (!pending.empty()) {
-    batch.nodes.reserve(std::max<std::uint64_t>(policy_.max_batch_nodes,
-                                                pending.front().nodes->size()));
-    batch.members.reserve(16);
-  }
-  std::uint64_t taken = 0;
-  while (!pending.empty()) {
-    const std::uint64_t n = pending.front().nodes->size();
-    // The first member always fits (oversized requests dispatch alone);
-    // after that, stop before overflowing the cap. This is the same fill
-    // walk next_batch_cost() simulates, so the peeked DRR cost is exact.
-    if (!batch.members.empty() && taken + n > policy_.max_batch_nodes) break;
+  batch.members.reserve(fill.members);
+  batch.nodes.reserve(fill.nodes);
+  for (std::size_t i = 0; i < fill.members; ++i) {
     const QueuedRequest q = controller.pop_front();
     batch.members.push_back(q.index);
     batch.nodes.insert(batch.nodes.end(), q.nodes->begin(), q.nodes->end());
-    taken += n;
-    if (taken >= policy_.max_batch_nodes) break;
   }
-  batch.requested_nodes = taken;
+  batch.requested_nodes = fill.nodes;
   return batch;
 }
 

@@ -64,7 +64,14 @@
 # current height after every mutation batch, and test_engine_faults
 # drives insert/erase batches through fail-stop fault epochs at 2/8
 # workers — the `dyn` ctest label selects these four suites),
-# and real-memory arenas + adaptive selection (test_serve_mem touches
+# and real-memory arenas + adaptive selection (test_mem_arena's
+# multi-chunk cases build 17-level arenas, two chunks of 2^16 BFS ids,
+# through the parallel two-pass build: each worker colors its chunks
+# into disjoint slices of the color table and counts them into its own
+# rows of the per-chunk module counts, and after the prefix fills
+# disjoint slots of the one region and of the address table — a race
+# there shows up as a TSan report and as a layout or checksum mismatch;
+# test_serve_mem touches
 # the immutable MemoryBackend slabs from the executor's workers at 1/2/8
 # workers and pipeline workers — a race in the concurrent touch path or
 # the per-cut TouchStats fold shows up as a TSan report and as a

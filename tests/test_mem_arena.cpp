@@ -1,13 +1,19 @@
 // Real-memory module arenas (DESIGN.md §17): physical layout invariants
-// (64-byte slab alignment, module-major BFS placement, stride rounding),
-// touch() arithmetic and its commutative-aggregation contract, and the
-// analytic checksum oracle.
+// (64-byte slab alignment, module-major BFS placement, stride rounding)
+// on one-chunk trees and on trees the build splits into several chunks,
+// the typed rejections of a placement color past the module count and of
+// a region past size_t, touch() arithmetic and its
+// commutative-aggregation contract, and the analytic checksum oracle.
 #include "pmtree/mem/arena.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "pmtree/mapping/baselines.hpp"
@@ -51,6 +57,41 @@ std::vector<Where> layout(const MemoryBackend& memory) {
   return where;
 }
 
+/// The layout contract, read back from payload() addresses: each module's
+/// slab starts 64-byte aligned at its lowest-BFS-id node and holds the
+/// module's nodes at consecutive strides in BFS order, no two slabs
+/// overlap, and every node's payload holds its fill.
+void expect_layout_contract(const MemoryBackend& memory) {
+  const CompleteBinaryTree tree = memory.tree();
+  struct Slab {
+    std::uintptr_t begin = 0, end = 0;
+  };
+  std::vector<Slab> slabs(memory.modules());
+  for (std::uint64_t id = 0; id < tree.size(); ++id) {
+    const Node n = node_at(id);
+    Slab& s = slabs[memory.placement().color_of(n)];
+    const auto addr = reinterpret_cast<std::uintptr_t>(memory.payload(n));
+    if (s.end == 0) {
+      ASSERT_EQ(addr % 64, 0u) << "id " << id;
+      s.begin = addr;
+      s.end = addr;
+    }
+    ASSERT_EQ(addr, s.end) << "id " << id;
+    s.end += memory.stride_bytes();
+    ASSERT_EQ(memory.touch({&n, 1}).checksum, memory.expected_node_checksum(n))
+        << "id " << id;
+  }
+  std::uint64_t total = 0;
+  for (const Slab& s : slabs) total += (s.end - s.begin) / memory.stride_bytes();
+  EXPECT_EQ(total, tree.size());
+  std::sort(slabs.begin(), slabs.end(),
+            [](const Slab& a, const Slab& b) { return a.begin < b.begin; });
+  for (std::size_t m = 1; m < slabs.size(); ++m) {
+    EXPECT_LE(slabs[m - 1].end, slabs[m].begin) << "slab " << m;
+  }
+  EXPECT_EQ(memory.resident_bytes(), tree.size() * memory.stride_bytes());
+}
+
 // ---------------------------------------------------------------------------
 // Physical layout.
 
@@ -59,37 +100,7 @@ TEST(MemoryBackend, SlabsAre64ByteAlignedAndSizedToTheirModules) {
   const ColorMapping mapping(make_optimal_color_mapping(tree, 13));
   ArenaOptions opts;
   opts.payload_bytes = 24;  // a stride that is no multiple of 64
-  const MemoryBackend memory(mapping, opts);
-
-  // Each module's slab starts 64-byte aligned at its lowest-BFS-id node
-  // and spans one stride per node of the module; no two slabs overlap.
-  struct Slab {
-    std::uintptr_t begin = 0, end = 0;
-  };
-  std::vector<Slab> slabs(memory.modules());
-  for (std::uint64_t id = 0; id < tree.size(); ++id) {
-    const Node n = node_at(id);
-    Slab& s = slabs[mapping.color_of(n)];
-    const auto addr = reinterpret_cast<std::uintptr_t>(memory.payload(n));
-    if (s.end == 0) {
-      EXPECT_EQ(addr % 64, 0u) << "id " << id;
-      s.begin = addr;
-      s.end = addr;
-    }
-    ASSERT_EQ(addr, s.end) << "id " << id;
-    s.end += memory.stride_bytes();
-  }
-  std::uint64_t total = 0;
-  for (Color a = 0; a < memory.modules(); ++a) {
-    total += (slabs[a].end - slabs[a].begin) / memory.stride_bytes();
-    for (Color b = a + 1; b < memory.modules(); ++b) {
-      EXPECT_TRUE(slabs[a].end <= slabs[b].begin ||
-                  slabs[b].end <= slabs[a].begin)
-          << "modules " << a << " and " << b;
-    }
-  }
-  EXPECT_EQ(total, tree.size());
-  EXPECT_EQ(memory.resident_bytes(), tree.size() * memory.stride_bytes());
+  expect_layout_contract(MemoryBackend(mapping, opts));
 }
 
 TEST(MemoryBackend, PlacementIsModuleMajorInBfsOrder) {
@@ -135,6 +146,98 @@ TEST(MemoryBackend, TwoPlacementsOfTheSameTreeLayOutDifferently) {
   // The layout IS the mapping: some node must land in another module or
   // at another slot.
   EXPECT_NE(layout(a), layout(b));
+}
+
+// ---------------------------------------------------------------------------
+// The parallel build: 17 levels are two chunks of 2^16 BFS ids, the second
+// one short of full.
+
+TEST(MemoryBackend, MultiChunkBuildKeepsTheLayoutContract) {
+  const CompleteBinaryTree tree(17);
+  const ColorMapping color(make_optimal_color_mapping(tree, 15));
+  const LabelTreeMapping label(tree, 11);
+  const ModuloMapping modulo(tree, 7);
+  for (const TreeMapping* placement :
+       {static_cast<const TreeMapping*>(&color),
+        static_cast<const TreeMapping*>(&label),
+        static_cast<const TreeMapping*>(&modulo)}) {
+    SCOPED_TRACE(placement->name());
+    ArenaOptions opts;
+    opts.payload_bytes = 24;
+    expect_layout_contract(MemoryBackend(*placement, opts));
+  }
+}
+
+TEST(MemoryBackend, BackendsOverOnePlacementAgreeOnEveryOffset) {
+  const CompleteBinaryTree tree(17);
+  const LabelTreeMapping mapping(tree, 11);
+  const MemoryBackend a(mapping);
+  const MemoryBackend b(mapping);
+  const std::uint64_t* a_root = a.payload(tree.root());
+  const std::uint64_t* b_root = b.payload(tree.root());
+  for (std::uint64_t id = 0; id < tree.size(); ++id) {
+    const Node n = node_at(id);
+    ASSERT_EQ(a.payload(n) - a_root, b.payload(n) - b_root) << "id " << id;
+  }
+}
+
+/// A placement over `tree` that reports `modules` modules and colors
+/// BFS id `stray_id` with module `stray`, every other node with its BFS
+/// id mod `modules`. It counts the nodes it colors.
+class StrayColorMapping final : public TreeMapping {
+ public:
+  StrayColorMapping(CompleteBinaryTree tree, std::uint32_t modules,
+                    std::uint64_t stray_id, Color stray)
+      : TreeMapping(tree), modules_(modules), stray_id_(stray_id),
+        stray_(stray) {}
+
+  [[nodiscard]] Color color_of(Node n) const override {
+    colored.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t id = bfs_id(n);
+    if (id == stray_id_ || modules_ == 0) return stray_;
+    return static_cast<Color>(id % modules_);
+  }
+  [[nodiscard]] std::uint32_t num_modules() const noexcept override {
+    return modules_;
+  }
+  [[nodiscard]] std::string name() const override { return "stray"; }
+
+  mutable std::atomic<std::uint64_t> colored{0};
+
+ private:
+  std::uint32_t modules_;
+  std::uint64_t stray_id_;
+  Color stray_;
+};
+
+TEST(MemoryBackend, ColorPastTheModuleCountIsRejected) {
+  // In the one chunk of a small tree, and in the last chunk of a 17-level
+  // one, after a first chunk that builds cleanly.
+  for (const std::uint32_t levels : {6u, 17u}) {
+    const CompleteBinaryTree tree(levels);
+    SCOPED_TRACE("levels=" + std::to_string(levels));
+    for (const Color stray : {Color{5}, Color{6}, ~Color{0}}) {
+      const StrayColorMapping mapping(tree, 5, tree.size() - 1, stray);
+      EXPECT_THROW(MemoryBackend{mapping}, std::invalid_argument) << stray;
+    }
+    const StrayColorMapping in_range(tree, 5, tree.size() - 1, 4);
+    expect_layout_contract(MemoryBackend(in_range));
+    // No module at all: every color is past the count.
+    const StrayColorMapping none(tree, 0, 0, 0);
+    EXPECT_THROW(MemoryBackend{none}, std::invalid_argument);
+  }
+}
+
+TEST(MemoryBackend, RegionPastSizeTIsRejectedBeforeAnyColoring) {
+  // 2^60 - 1 nodes of one cache line each need 2^66 bytes.
+  const StrayColorMapping mapping(CompleteBinaryTree(60), 3, 0, 0);
+  EXPECT_THROW(MemoryBackend{mapping}, std::length_error);
+  ArenaOptions widest;
+  widest.payload_bytes = ~std::uint32_t{0};
+  const StrayColorMapping deep(CompleteBinaryTree(33), 3, 0, 0);
+  EXPECT_THROW((MemoryBackend{deep, widest}), std::length_error);
+  EXPECT_EQ(mapping.colored.load(), 0u);
+  EXPECT_EQ(deep.colored.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------

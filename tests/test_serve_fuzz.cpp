@@ -1,9 +1,9 @@
 // Seeded property fuzzer of the serve layer (DESIGN.md §11, §13). One fixed
 // master seed draws Server and Forest configurations over trees of 3–10
 // levels under COLOR, LABEL-TREE and modulo mappings, with every slot
-// option drawn: admission, batching, retries, a fault plan that is absent,
-// empty or random, migration, adaptive selection, arenas and, for a
-// Server, a dyn binding. Properties:
+// option drawn: admission, batching (a batch cap of 2^63 included),
+// retries, a fault plan that is absent, empty or random, migration,
+// adaptive selection, arenas and, for a Server, a dyn binding. Properties:
 //
 //   * a draw that breaks a rule of the slot check on purpose (two epoch
 //     controllers, an epoch controller under faults or on a dyn tree, a
@@ -59,6 +59,8 @@ namespace {
 constexpr std::uint64_t kMasterSeed = 0x5EEDF022ull;
 constexpr int kServerDraws = 120;
 constexpr int kForestDraws = 60;
+/// The batch cap a draw of 44 nodes stands for.
+constexpr std::uint64_t kHugeCap = std::uint64_t{1} << 63;
 
 /// The executor shapes every accepted configuration runs at; the first,
 /// one thread without stage attribution, is the reference.
@@ -328,6 +330,8 @@ void draw_knobs(Rng& rng, SlotOptions& o) {
   o.admission.overflow =
       rng.chance(1, 2) ? OverflowPolicy::kShed : OverflowPolicy::kBlock;
   o.batch.max_batch_nodes = rng.below(49);  // 0 behaves as 1
+  // The cap's edge: a batch allocates what it takes, never the cap.
+  if (o.batch.max_batch_nodes == 44) o.batch.max_batch_nodes = kHugeCap;
   o.batch.max_wait_cycles = rng.below(13);
   if (rng.chance(1, 2)) {
     o.retry.max_retries = static_cast<std::uint32_t>(rng.between(1, 3));
@@ -581,7 +585,7 @@ void expect_recounted(const mem::MemoryBackend* memory,
 /// reaching a feature fails instead of passing vacuously.
 struct Coverage {
   int slots = 0, dyn = 0, memory = 0, migration = 0, adaptive = 0,
-      faults = 0, retries = 0, outside = 0;
+      faults = 0, retries = 0, outside = 0, huge_cap = 0;
 
   void add(const SlotDraw& d) {
     slots += 1;
@@ -592,6 +596,7 @@ struct Coverage {
     faults += d.faults && !d.faults->empty() ? 1 : 0;
     retries += d.options.retry.enabled() ? 1 : 0;
     outside += static_cast<int>(d.outside.size());
+    huge_cap += d.options.batch.max_batch_nodes == kHugeCap ? 1 : 0;
   }
   void expect_reached(bool with_dyn) const {
     EXPECT_GT(slots, 0);
@@ -602,6 +607,7 @@ struct Coverage {
     EXPECT_GT(faults, 0);
     EXPECT_GT(retries, 0);
     EXPECT_GT(outside, 0);
+    EXPECT_GT(huge_cap, 0);
   }
 };
 

@@ -12,13 +12,15 @@
 // a chunk boundary, epoch observations in chunks on both sides of plain
 // ones, and resolves or observations that throw run under the same
 // contract, and every reported batch's nodes come out deduplicated and
-// sorted whichever thread resolved them. Two serve contracts are probed
+// sorted whichever thread resolved them. Three serve contracts are probed
 // at every thread count here too: a retry round's faulted replay that
 // moves an earlier round's completion (the report must carry the moved
-// completion, and judge its retry on it), and the DRR credit rule
-// (weight * quantum must fit 64 bits; accrual saturates).
+// completion, and judge its retry on it), the DRR credit rule
+// (weight * quantum must fit 64 bits; accrual saturates), and a batch
+// cap of 2^63 (a batch allocates what it takes, not its cap).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -1236,6 +1238,111 @@ TEST(ServeForest, DrrCreditSaturates) {
     const Response r = forest.run().tenants[0].responses[0];
     EXPECT_EQ(r.status, RequestStatus::kOk);
     EXPECT_EQ(r.dispatch_cycle, 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A batch cap of 2^63: each batch allocates the nodes it takes, not its cap.
+
+constexpr std::uint64_t kHugeCap = std::uint64_t{1} << 63;
+constexpr std::uint64_t kReachedNoBatch = 96;
+
+/// One-node and few-node requests (1-4 nodes each) from four clients.
+std::vector<Request> small_requests(std::uint32_t levels, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Request> out;
+  std::vector<std::uint64_t> next_seq(4, 0);
+  std::uint64_t clock = 0;
+  for (std::size_t i = 0; i < 200; ++i) {
+    clock += rng.below(3);
+    Request r;
+    r.client = static_cast<std::uint32_t>(rng.below(4));
+    r.seq = next_seq[r.client]++;
+    r.submit_cycle = clock;
+    const std::uint64_t nodes = rng.chance(1, 2) ? 1 : rng.between(2, 4);
+    for (std::uint64_t k = 0; k < nodes; ++k) {
+      const auto level = static_cast<std::uint32_t>(rng.below(levels));
+      r.nodes.push_back(v(rng.below(pow2(level)), level));
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// Slot options under batch cap `cap`. At most 16 requests of at most 4
+/// nodes are pending, so no batch reaches kReachedNoBatch nodes, and the
+/// blocking queue without deadlines serves every request.
+template <typename Options>
+Options small_batches(std::uint64_t cap) {
+  Options o;
+  o.admission.queue_bound = 16;
+  o.admission.overflow = OverflowPolicy::kBlock;
+  o.batch.max_batch_nodes = cap;
+  o.batch.max_wait_cycles = 6;
+  return o;
+}
+
+/// The most requests any batch took.
+std::size_t widest(const std::vector<FormedBatch>& batches) {
+  std::size_t most = 0;
+  for (const FormedBatch& b : batches) most = std::max(most, b.members.size());
+  return most;
+}
+
+TEST(Server, BatchCapOf2To63ServesEveryRequest) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping mapping(make_optimal_color_mapping(tree, 15));
+  const std::vector<Request> requests = small_requests(tree.levels(), 0xCA9);
+  const auto run = [&](std::uint64_t cap,
+                       std::pair<unsigned, unsigned> threads) {
+    ServerOptions opts = small_batches<ServerOptions>(cap);
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Server server(mapping, opts);
+    server.submit(requests);
+    return server.run();
+  };
+  const ServeReport want = run(kReachedNoBatch, kThreadCounts[0]);
+  EXPECT_GT(widest(want.batches), 1u);
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    const ServeReport got = run(kHugeCap, threads);
+    ASSERT_EQ(got.count(RequestStatus::kOk), requests.size());
+    expect_same_serve_report(got, want);
+  }
+}
+
+TEST(ServeForest, BatchCapOf2To63ServesEveryRequest) {
+  const CompleteBinaryTree tree(9);
+  const ColorMapping color(make_optimal_color_mapping(tree, 15));
+  const ModuloMapping modulo(tree, 7);
+  const std::vector<Request> requests[] = {
+      small_requests(tree.levels(), 0xF0CA9),
+      small_requests(tree.levels(), 0xF1CA9)};
+  const auto run = [&](std::uint64_t cap,
+                       std::pair<unsigned, unsigned> threads) {
+    ForestOptions opts;
+    opts.workers = threads.first;
+    opts.pipeline.workers = threads.second;
+    Forest forest(opts);
+    forest.add_tenant(color, small_batches<TenantOptions>(cap));
+    forest.add_tenant(modulo, small_batches<TenantOptions>(cap));
+    for (std::uint32_t id = 0; id < 2; ++id) forest.submit(id, requests[id]);
+    return forest.run();
+  };
+  const ForestReport want = run(kReachedNoBatch, kThreadCounts[0]);
+  for (const TenantReport& t : want.tenants) EXPECT_GT(widest(t.batches), 1u);
+  for (const auto& threads : kThreadCounts) {
+    SCOPED_TRACE(thread_trace(threads));
+    const ForestReport got = run(kHugeCap, threads);
+    ASSERT_EQ(got.tenants.size(), 2u);
+    for (std::uint32_t id = 0; id < 2; ++id) {
+      ASSERT_EQ(got.tenants[id].responses.size(), requests[id].size());
+      for (const Response& r : got.tenants[id].responses) {
+        ASSERT_EQ(r.status, RequestStatus::kOk) << "tenant " << id;
+      }
+    }
+    expect_same_forest_report(got, want);
   }
 }
 
